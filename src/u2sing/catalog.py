@@ -31,8 +31,8 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ClosureOverflow, InvalidParameters, NotCoprime, SnapFailure
-from .quaternions import (EQ_TOL, IHAT, JHAT, ONE, GroupElement, Quaternion,
-                          circle)
+from .quaternions import (EQ_TOL, IHAT, JHAT, KEY_SCALE, ONE, GroupElement,
+                          Quaternion, circle)
 
 TAU = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -319,8 +319,8 @@ def _canonical_rows(arr: np.ndarray) -> np.ndarray:
 
 
 def _row_keys(arr: np.ndarray) -> list[bytes]:
-    grid = np.round(arr.view(np.float64).reshape(len(arr), 6) * 1e6).astype(np.int64)
-    grid = np.ascontiguousarray(grid)
+    grid = np.round(arr.view(np.float64).reshape(len(arr), 6) * KEY_SCALE)
+    grid = np.ascontiguousarray(grid.astype(np.int64))
     return [grid[i].tobytes() for i in range(len(grid))]
 
 
@@ -399,7 +399,7 @@ def generate_closure(generators: list[GroupElement],
         batches = [_compose_rows(frontier, g) for g in gen_rows]
         cand = _canonical_rows(np.concatenate(batches, axis=0))
         # Drop intra-batch duplicates in C before touching the dict.
-        grid = np.round(cand.view(np.float64).reshape(len(cand), 6) * 1e6)
+        grid = np.round(cand.view(np.float64).reshape(len(cand), 6) * KEY_SCALE)
         grid = np.ascontiguousarray(grid.astype(np.int64))
         _, first = np.unique(grid, axis=0, return_index=True)
         first = np.sort(first)
@@ -436,7 +436,7 @@ def _enumerate_cyclic(spec: GroupSpec) -> FiniteGroup:
     # Deduplicate in case the pair representative hits the kernel early
     # (cannot happen for valid L(q,p), but keep the closure honest).
     _, idx = np.unique(
-        np.round(rows.view(np.float64).reshape(p, 6) * 1e6).astype(np.int64),
+        np.round(rows.view(np.float64).reshape(p, 6) * KEY_SCALE).astype(np.int64),
         axis=0, return_index=True)
     rows = rows[np.sort(idx)]
     return FiniteGroup(spec, [gen], rows)

@@ -34,6 +34,9 @@ from .errors import BothZero, NonCircleLeftFactor
 
 EQ_TOL = 1e-9
 KEY_GRID = 1e-6
+# 1 / KEY_GRID, for the array keys: multiply by it, since x / 1e-6 and
+# x * 1e6 differ in the last bit for many x and a key can sit on a midpoint.
+KEY_SCALE = 1e6
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,10 @@ module computes the three types twice:
     L(-m,n)}, the tetrahedral product {L(1,2), L(-m,3), L(-m,3)}, and so on),
   * and algorithmically: project the group to its Mobius action on the Hopf
     base, find the fixed points of the non-identity cosets, partition them
-    into orbits, and read the tangent/normal rotation numbers of a stabilizer
-    generator off the eigenvalues of its unitary matrix (the normal direction
-    carries the 2m-th power because the model fiber is a degree-2m quotient).
+    into orbits (all cosets act on all fixed points as one numpy array), and
+    read the tangent/normal rotation numbers of a stabilizer generator off
+    the eigenvalues of its unitary matrix (the normal direction carries the
+    2m-th power because the model fiber is a degree-2m quotient).
 
 The minimal resolution is the star-shaped plumbing with central weight
 -b_Gamma and one Hirzebruch-Jung string per singularity (first entry adjacent
@@ -28,7 +29,10 @@ plumbing is Seifert fibered with rational Euler number
 
 (read from the center outward); for resolution stars this is exactly -2m/h,
 which pins the arm orientation, and the compactification star must carry the
-orientation-reversed value +2m/h.
+orientation-reversed value +2m/h.  That fixes its central weight b'; the
+lattice criteria (signature (1, kappa), square determinant) are a second
+route to it, evaluated for every candidate weight from one elimination
+because only the compactification centre's pivot depends on the weight.
 
 All lattice computations (definiteness, signature, determinants) run in
 exact rational arithmetic by eliminating the plumbing tree leaf-first.
@@ -49,8 +53,8 @@ from .errors import (AmbiguousCandidate, CrossCheckFailure, InvalidParameters,
                      MalformedGraph, NoCandidate, OrbitCountMismatch,
                      SnapFailure, TableDisagreement)
 from .hj import HJString, cf_value, dual_type, hj_string
-from .quaternions import (EQ_TOL, GroupElement, MobiusMap, RiemannPoint,
-                          hopf_project, mobius_of)
+from .quaternions import (EQ_TOL, KEY_SCALE, GroupElement, MobiusMap,
+                          RiemannPoint, hopf_project, mobius_of)
 
 POINT_TOL = 1e-6
 
@@ -250,8 +254,9 @@ def table_singularities(spec: GroupSpec) -> tuple[CyclicType, CyclicType, Cyclic
     return tuple(sorted(triple))
 
 
-def mobius_cosets(group: FiniteGroup) -> list[tuple[MobiusMap, GroupElement]]:
-    """One (map, representative) pair per element of the Mobius image.
+def _coset_indices(group: FiniteGroup) -> np.ndarray:
+    """Row index of one representative per element of the Mobius image,
+    in row order.
 
     Cosets of the Mobius-trivial subgroup are keyed by the SU(2) part with
     its sign fixed (first nonzero coefficient positive).
@@ -264,47 +269,58 @@ def mobius_cosets(group: FiniteGroup) -> list[tuple[MobiusMap, GroupElement]]:
         undecided = sign == 0
         big = undecided & (np.abs(comps[:, j]) > EQ_TOL)
         sign[big] = np.sign(comps[big, j])
-    keys = np.round(comps * sign[:, None] * 1e6).astype(np.int64)
-    _, first = np.unique(keys, axis=0, return_index=True)
-    reps = [group.element_at(i) for i in sorted(first)]
+    keys = np.round(comps * sign[:, None] * KEY_SCALE).astype(np.int64)
+    # A stable lexsort puts each key's first row at the start of its run.
+    order = np.lexsort(keys.T[::-1])
+    runs = np.any(np.diff(keys[order], axis=0) != 0, axis=1)
+    return np.sort(order[np.concatenate(([True], runs))])
+
+
+def mobius_cosets(group: FiniteGroup) -> list[tuple[MobiusMap, GroupElement]]:
+    """One (map, representative) pair per element of the Mobius image."""
+    reps = [group.element_at(i) for i in _coset_indices(group)]
     return [(mobius_of(g), g) for g in reps]
 
 
-def _sphere_vec(p: RiemannPoint) -> tuple[float, float, float]:
-    """Unit-sphere embedding in which chordal distance is Euclidean."""
-    if p.is_infinity:
-        return (0.0, 0.0, 1.0)
-    w = p.value
-    d = abs(w) ** 2 + 1.0
-    return (2 * w.real / d, 2 * w.imag / d, (abs(w) ** 2 - 1.0) / d)
+def _sphere_vecs(z: np.ndarray) -> np.ndarray:
+    """Unit-sphere embedding of homogeneous points (z1, z2) ~ z1/z2, shape
+    (..., 2) -> (..., 3); chordal distance is Euclidean distance there, and
+    oo = (1, 0) needs no special case."""
+    z1, z2 = z[..., 0], z[..., 1]
+    n1, n2 = np.abs(z1) ** 2, np.abs(z2) ** 2
+    w = 2 * z1 * np.conj(z2)
+    return np.stack([w.real, w.imag, n1 - n2], axis=-1) / (n1 + n2)[..., None]
 
 
-class _PointSet:
-    """Fixed points on S^2 with tolerance-based matching."""
+def _singular_points(mats: np.ndarray) -> np.ndarray:
+    """Fixed points of the non-identity maps, homogeneous and unit length;
+    points within POINT_TOL of an earlier one are dropped, so the first
+    occurrence in coset order is kept."""
+    b1, b2 = mats[:, 0, 0], mats[:, 1, 0]
+    moving = (np.abs(b2) > 1e-7) | (np.abs(b1 - np.conj(b1)) > 1e-7)
+    a, b, c, d = (x[moving, None] for x in (b1, mats[:, 0, 1], b2, mats[:, 1, 1]))
+    # Eigenvalues e^{+-i phi}, cos(phi) = Re(a); each eigenvector is
+    # (b, lam - a) or (lam - d, c), whichever is longer.
+    lam = a.real + np.sqrt(1.0 - np.clip(a.real, -1.0, 1.0) ** 2) * np.array([1j, -1j])
+    v1 = np.stack(np.broadcast_arrays(b, lam - a), -1)
+    v2 = np.stack(np.broadcast_arrays(lam - d, c), -1)
+    n1, n2 = np.abs(v1).sum(axis=-1), np.abs(v2).sum(axis=-1)
+    cand = np.where((n1 >= n2)[..., None], v1, v2).reshape(-1, 2)
+    cand /= np.sqrt((np.abs(cand) ** 2).sum(axis=-1))[:, None]
+    vecs = _sphere_vecs(cand)
+    close = 2.0 - 2.0 * np.einsum("ix,jx->ij", vecs, vecs) < POINT_TOL ** 2
+    return cand[~np.tril(close, -1).any(axis=1)]
 
-    def __init__(self) -> None:
-        self.points: list[RiemannPoint] = []
-        self._vecs: list[tuple[float, float, float]] = []
 
-    def __len__(self) -> int:
-        return len(self.points)
-
-    def match(self, p: RiemannPoint) -> int:
-        x, y, z = _sphere_vec(p)
-        best, best_d2 = -1, POINT_TOL ** 2
-        for i, (a, b, c) in enumerate(self._vecs):
-            d2 = (a - x) ** 2 + (b - y) ** 2 + (c - z) ** 2
-            if d2 < best_d2:
-                best, best_d2 = i, d2
-        return best
-
-    def add(self, p: RiemannPoint) -> int:
-        i = self.match(p)
-        if i < 0:
-            self.points.append(p)
-            self._vecs.append(_sphere_vec(p))
-            i = len(self.points) - 1
-        return i
+def _orbit(mats: np.ndarray, point: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Index of the target (a unit sphere vector) nearest to each map's
+    image of ``point``; every image must lie within POINT_TOL of it
+    (chordal distance, whose square is 2 - 2 x.y on the unit sphere)."""
+    images = _sphere_vecs(np.einsum("gij,j->gi", mats, point))
+    dots = np.einsum("gx,jx->gj", images, targets)
+    if not (2.0 - 2.0 * dots.max(axis=1) < POINT_TOL ** 2).all():
+        raise OrbitCountMismatch("orbit left the fixed-point set")
+    return dots.argmax(axis=1)
 
 
 def _snap_residue(angle: float, modulus: int) -> int:
@@ -354,60 +370,58 @@ def _tangent_normal(rep: GroupElement, w0: RiemannPoint, p_orb: int,
 def algorithmic_singularities(spec: GroupSpec,
                               group: FiniteGroup | None = None
                               ) -> tuple[CyclicType, CyclicType, CyclicType]:
-    """Compute the three orbifold types from the Mobius action itself."""
+    """Compute the three orbifold types from the Mobius action itself.
+
+    The h maps of the Mobius image form one (h, 2, 2) array acting on
+    fixed points in homogeneous coordinates (z1, z2), so oo is no special
+    case.  The fixed points of the non-identity maps are merged within
+    POINT_TOL, keeping the first in coset order; every map is applied to
+    the first point of each orbit at once and each image is matched to its
+    nearest point in one chordal-distance array.  There must be exactly
+    three orbits.  At the first point of each orbit the stabilizer (the maps
+    whose image of it matches it) must have order h / |orbit|, and its first
+    element in coset order that generates it gives the type through
+    ``_tangent_normal``.  The family table is never consulted.
+    """
     _require_noncyclic(spec)
     if group is None:
         group = enumerate_group(spec)
     h = spec.pgl_image_order()
-    cosets = mobius_cosets(group)
-    if len(cosets) != h:
+    coset_idx = _coset_indices(group)
+    if len(coset_idx) != h:
         raise OrbitCountMismatch(
-            f"{spec.label()}: Mobius image has {len(cosets)} elements, expected {h}")
-    maps = [mob for mob, _ in cosets]
-    nontrivial = [(mob, rep) for mob, rep in cosets if not mob.is_identity()]
+            f"{spec.label()}: Mobius image has {len(coset_idx)} elements, expected {h}")
+    su2 = group.rows[coset_idx, 1:3]
+    b1, b2 = (su2 / np.sqrt((np.abs(su2) ** 2).sum(axis=1))[:, None]).T
+    mats = np.stack([np.stack([b1, -np.conj(b2)], -1),      # as mobius_of
+                     np.stack([b2, np.conj(b1)], -1)], -2)
+    points = _singular_points(mats)
 
-    pset = _PointSet()
-    for mob, _ in nontrivial:
-        for p in mob.fixed_points():
-            pset.add(p)
-    points = pset.points
-
-    # Partition the fixed points into orbits of the Mobius group.
-    orbit_of = [-1] * len(points)
-    orbits: list[list[int]] = []
+    targets = _sphere_vecs(points)
+    orbit_of = np.full(len(points), -1)
+    orbits = []                          # (first point, image of it under each map)
     for i in range(len(points)):
-        if orbit_of[i] >= 0:
-            continue
-        frontier = [i]
-        orbit_of[i] = len(orbits)
-        members = [i]
-        while frontier:
-            j = frontier.pop()
-            for mob in maps:
-                k = pset.match(mob(points[j]))
-                if k < 0:
-                    raise OrbitCountMismatch("orbit left the fixed-point set")
-                if orbit_of[k] < 0:
-                    orbit_of[k] = len(orbits)
-                    members.append(k)
-                    frontier.append(k)
-        orbits.append(members)
+        if orbit_of[i] < 0:
+            images = _orbit(mats, points[i], targets)
+            orbit_of[images] = len(orbits)
+            orbits.append((i, images))
     if len(orbits) != 3:
         raise OrbitCountMismatch(
             f"{spec.label()}: found {len(orbits)} singular orbits, expected 3")
 
     types: list[CyclicType] = []
-    for members in orbits:
-        w0 = points[members[0]]
-        if h % len(members) != 0:
+    for r, images in orbits:
+        size = len(set(images.tolist()))
+        if h % size != 0:
             raise OrbitCountMismatch("orbit size does not divide the group order")
-        p_orb = h // len(members)
-        stab = [(mob, rep) for mob, rep in cosets if mob(w0).close_to(w0, POINT_TOL)]
+        p_orb = h // size
+        stab = np.flatnonzero(images == r)
         if len(stab) != p_orb:
             raise OrbitCountMismatch(
                 f"stabilizer order {len(stab)} != {p_orb} at a singular point")
-        for mob, rep in stab:
-            tn = _tangent_normal(rep, w0, p_orb, spec.m)
+        w0 = hopf_project(*map(complex, points[r]))
+        for g in stab:
+            tn = _tangent_normal(group.element_at(coset_idx[g]), w0, p_orb, spec.m)
             if tn is None:
                 continue
             t, u = tn
@@ -527,9 +541,10 @@ class BPrimeResult:
     reversal of the resolution boundary), the full two-star configuration
     has signature (1, kappa), and |det| is a perfect square (necessary for a
     finite-index embedding in the odd unimodular lattice of rank kappa + 1).
-    The scan window and the per-criterion candidate lists are kept for
-    reporting.  The value is a derived observation; the source construction
-    asserts only its existence.
+    ``lattice_candidates`` lists every integer of ``window`` that passes the
+    two lattice criteria; ``determinant`` and ``signature`` come from the
+    full elimination of the chosen configuration.  The value is a derived
+    observation; the source construction asserts only its existence.
     """
 
     value: int
@@ -554,6 +569,55 @@ def _is_square(n: int) -> bool:
     return n >= 0 and math.isqrt(n) ** 2 == n
 
 
+@dataclass(frozen=True)
+class CentrePencil:
+    """The two-star configuration as a function of the compactification
+    centre weight c, from one elimination.
+
+    Eliminating leaves first (as ``PlumbingGraph.pivots`` does), every pivot
+    but the compactification centre's is independent of c, and that one is
+    c - threshold.  So the other pivots fix an inertia, the signature gains
+    a positive or a negative direction as c passes the threshold (where the
+    matrix is degenerate), and det(c) = det_res * A * (c - threshold), with
+    A the product of the compactification arm pivots.
+    """
+
+    inertia: tuple[int, int]      # of every pivot but the centre's
+    scale: int                    # det_res * A
+    offset: int                   # det_res * A * threshold
+    threshold: Fraction
+
+    @classmethod
+    def of(cls, res_graph: PlumbingGraph,
+           dual_strings: tuple[HJString, ...]) -> "CentrePencil":
+        fixed = _comp_star(0, dual_strings).pivots()
+        threshold = -fixed.pop()             # the centre pivot at c = 0
+        fixed += res_graph.pivots()
+        if 0 in fixed:
+            raise MalformedGraph("degenerate intersection matrix")
+        scale = math.prod(fixed, start=Fraction(1))
+        offset = scale * threshold
+        if scale.denominator != 1 or offset.denominator != 1:
+            raise AssertionError("integer matrix with non-integer determinant")
+        inertia = (sum(d > 0 for d in fixed), sum(d < 0 for d in fixed))
+        return cls(inertia, int(scale), int(offset), threshold)
+
+    def signature(self, c: int) -> tuple[int, int]:
+        if c == self.threshold:
+            raise MalformedGraph("degenerate intersection matrix")
+        pos, neg = self.inertia
+        return (pos + 1, neg) if c > self.threshold else (pos, neg + 1)
+
+    def determinant(self, c: int) -> int:
+        return self.scale * c - self.offset
+
+    def lattice_candidates(self, lo: int, hi: int, kappa: int) -> tuple[int, ...]:
+        """Integers in [lo, hi] with signature (1, kappa) and square |det|."""
+        return tuple(c for c in range(lo, hi + 1)
+                     if c != self.threshold and self.signature(c) == (1, kappa)
+                     and _is_square(abs(self.determinant(c))))
+
+
 def solve_b_prime(spec: GroupSpec,
                   res: ResolutionData | None = None,
                   dual_strings: tuple[HJString, ...] | None = None,
@@ -561,11 +625,16 @@ def solve_b_prime(spec: GroupSpec,
     """Determine the central self-intersection b' of the curve at infinity.
 
     No closed formula is asserted by the source construction, so this is an
-    oracle: scan integers and intersect the Seifert criterion with the
-    lattice criteria.  The Seifert equation center + sum (beta-alpha)/beta =
-    2m/h is linear, hence has a unique rational solution, which lands on the
-    integer b_Gamma - 3; the lattice scan confirms it and the intersection
-    must be a single value.
+    oracle that intersects two independent derivations.  The Seifert
+    equation center + sum (beta-alpha)/beta = 2m/h is linear, hence has a
+    unique rational solution, which lands on the integer b_Gamma - 3.  The
+    lattice route eliminates the configuration once (``CentrePencil``):
+    det(c) = det_res * A * (c - s), and the signature changes only at the
+    threshold s, so every integer c of the window [min(1, seifert) - 4,
+    10 b_Gamma] is tested for signature (1, kappa) and a square |det| in
+    constant time.  The two routes must meet in a single value, and the
+    configuration at that value is then eliminated in full; its signature
+    and determinant must equal the pencil's.
     """
     _require_noncyclic(spec)
     triple = None
@@ -589,27 +658,27 @@ def solve_b_prime(spec: GroupSpec,
 
     lo = min(1, seifert_int if seifert_int is not None else 1) - 4
     hi = 10 * b.value
-    lattice: list[int] = []
-    for cand in range(lo, hi + 1):
-        config = CurveConfiguration(res.graph, _comp_star(cand, dual_strings))
-        try:
-            sig = config.signature()
-        except MalformedGraph:
-            continue
-        if sig == (1, kappa) and _is_square(abs(config.determinant())):
-            lattice.append(cand)
+    try:
+        pencil = CentrePencil.of(res.graph, dual_strings)
+        lattice = pencil.lattice_candidates(lo, hi, kappa)
+    except MalformedGraph:
+        lattice = ()
 
     if seifert_int is not None and seifert_int in lattice:
-        chosen = _comp_star(seifert_int, dual_strings)
-        config = CurveConfiguration(res.graph, chosen)
-        return BPrimeResult(seifert_int, target, tuple(lattice), kappa,
-                            config.determinant(), config.signature(), (lo, hi))
+        config = CurveConfiguration(res.graph, _comp_star(seifert_int, dual_strings))
+        sig, det = config.signature(), config.determinant()
+        predicted = (pencil.signature(seifert_int), pencil.determinant(seifert_int))
+        if (sig, det) != predicted:
+            raise CrossCheckFailure(f"{spec.label()}: full elimination gives "
+                                    f"{(sig, det)}, the pencil {predicted}")
+        return BPrimeResult(seifert_int, target, lattice, kappa, det, sig,
+                            (lo, hi))
     if seifert_int is None and not lattice:
         raise NoCandidate(
             f"{spec.label()}: no integer in [{lo},{hi}] satisfies any criterion")
     raise AmbiguousCandidate(
         f"{spec.label()}: Seifert criterion gives {seifert_solution}, "
-        f"lattice criterion gives {lattice}")
+        f"lattice criterion gives {list(lattice)}")
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,9 @@ pass/fail count.  Global identities that are not per-spec (the Eisenstein
 cotangent identity, the Hirzebruch-Jung round trip, the three eigenvalue
 tables, the blow-up-count spot values) are checked once per sweep.  The
 summary's exit code is 0 exactly when no check failed; partial results are
-still written when an output directory is set.
+still written when an output directory is set.  An exception raised while
+describing one spec is recorded as a failing ``describe`` check whose detail
+starts with the exception's class name, and the sweep goes on.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 import time
+import traceback
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -22,7 +25,7 @@ from typing import Iterator
 
 from .catalog import (Family, GroupSpec, canonical_cyclic, enumerate_group,
                       eigenvalue_histogram, is_fixed_point_free)
-from .errors import InvalidParameters, U2SingError
+from .errors import InvalidParameters
 from .hj import cf_value, hj_string
 from .invariants import eisenstein_check
 from .report import InvariantReport, describe, report_to_dict
@@ -222,8 +225,12 @@ def verify(config: SweepConfig) -> VerifySummary:
             report = describe(spec, eta=eta, tolerance=config.tolerance,
                               group=group)
             summary.record_report(report)
-        except U2SingError as exc:
-            summary.record(spec.label(), "describe", False, str(exc))
+        except Exception as exc:         # one bad spec must not end the sweep
+            where = traceback.extract_tb(exc.__traceback__)[-1]
+            summary.record(spec.label(), "describe", False,
+                           f"{type(exc).__name__}: {exc} (at "
+                           f"{Path(where.filename).name}:{where.lineno} "
+                           f"in {where.name})")
             report = None
         if not spec.is_cyclic and not spec.is_degenerate_cyclic:
             summary.max_deformation_seconds = max(

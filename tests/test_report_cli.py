@@ -159,6 +159,33 @@ def test_eta_table_in_sweep():
     assert summary.counts[("eta_bound", True)] == 1
 
 
+def test_verify_isolates_a_crashing_spec(monkeypatch):
+    import u2sing.sweep as sweep
+    real, bad = sweep.describe, GroupSpec.dihedral(3, 2)
+    seen = []
+
+    def describe(spec, **kwargs):
+        seen.append(spec.key())
+        if spec == bad:
+            raise AssertionError("integer matrix with non-integer determinant")
+        return real(spec, **kwargs)
+
+    monkeypatch.setattr(sweep, "describe", describe)
+    cfg = SweepConfig(families=(Family.DIHEDRAL,), m_max=7, n_max=2,
+                      hj_p_max=10, eisenstein_n_max=10)
+    keys = [s.key() for s in specs_in_sweep(cfg)]
+    assert bad.key() in keys and len(keys) > 2
+    summary = verify(cfg)
+    assert seen == keys and summary.specs_processed == len(keys)
+    assert summary.exit_code == 1
+    assert [(label, name) for label, name, _ in summary.failures] == \
+        [(bad.label(), "describe")]
+    detail = summary.failures[0][2]
+    assert detail.startswith("AssertionError: integer matrix")
+    assert detail.endswith("in describe)")
+    assert summary.counts[("order_matches_table", True)] == len(keys)
+
+
 def test_verify_deterministic():
     cfg = dict(families=(Family.INDEX3, Family.TETRAHEDRAL), m_max=9,
                hj_p_max=20, eisenstein_n_max=10)

@@ -6,14 +6,19 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from u2sing.catalog import GroupSpec, canonical_cyclic, enumerate_group
-from u2sing.errors import InvalidParameters, MalformedGraph
-from u2sing.hj import dual_type, hj_string
-from u2sing.resolution import (CurveConfiguration, PlumbingGraph, b_gamma,
+from u2sing.catalog import (Family, GroupSpec, canonical_cyclic,
+                            enumerate_group)
+from u2sing.errors import (CrossCheckFailure, InvalidParameters,
+                           MalformedGraph, OrbitCountMismatch)
+from u2sing.hj import cf_value, dual_type, hj_string
+from u2sing.quaternions import hopf_project
+from u2sing.resolution import (CentrePencil, CurveConfiguration, PlumbingGraph,
+                               _orbit, _singular_points, _sphere_vecs, b_gamma,
                                algorithmic_singularities, compactification,
                                graph_to_dot, mobius_cosets, resolution_graph,
                                seifert_data, seifert_euler, singularity_triple,
                                solve_b_prime, table_singularities)
+from u2sing.sweep import SweepConfig, specs_in_sweep
 
 D4_STAR = PlumbingGraph(-2, ((-2,), (-2,), (-2,)))
 
@@ -208,6 +213,124 @@ def test_configuration_counts():
         hj_string(dual_type(t)) for t in table_singularities(GroupSpec.dihedral(1, 2)))
     mat = np.array(cfg.intersection_matrix())
     assert mat.shape == (8, 8) and (mat == mat.T).all()
+
+
+# The b' oracle before the centre pencil: a full exact elimination of the
+# configuration for every integer of the window.  Kept as the reference the
+# pencil must reproduce.
+
+def scan_lattice_candidates(res_graph, dual_strings, lo, hi, kappa):
+    lattice = []
+    for cand in range(lo, hi + 1):
+        star = PlumbingGraph(cand, tuple(tuple(-e for e in s.entries)
+                                         for s in dual_strings))
+        config = CurveConfiguration(res_graph, star)
+        try:
+            sig = config.signature()
+        except MalformedGraph:
+            continue
+        if sig == (1, kappa) and math.isqrt(abs(config.determinant())) ** 2 \
+                == abs(config.determinant()):
+            lattice.append(cand)
+    return tuple(lattice)
+
+
+def scan_b_prime(spec):
+    res = resolution_graph(spec)
+    duals = tuple(hj_string(dual_type(s.source)) for s in res.strings)
+    kappa = res.k_gamma + sum(s.length for s in duals)
+    seifert = F(2 * spec.m, spec.pgl_image_order()) - sum(
+        (cf_value(s) for s in duals), F(0))
+    assert seifert.denominator == 1
+    lo, hi = min(1, int(seifert)) - 4, 10 * b_gamma(spec).value
+    lattice = scan_lattice_candidates(res.graph, duals, lo, hi, kappa)
+    assert int(seifert) in lattice
+    config = CurveConfiguration(res.graph, PlumbingGraph(
+        int(seifert), tuple(tuple(-e for e in s.entries) for s in duals)))
+    return (int(seifert), lattice, (lo, hi), config.determinant(),
+            config.signature())
+
+
+SMALL_NONCYCLIC = [s for s in specs_in_sweep(SweepConfig(m_max=25, n_max=6))
+                   if not (s.is_cyclic or s.is_degenerate_cyclic)]
+
+
+def test_b_prime_pencil_matches_scan():
+    assert {s.family for s in SMALL_NONCYCLIC} == set(Family) - {Family.CYCLIC}
+    for spec in SMALL_NONCYCLIC:
+        bp = solve_b_prime(spec)
+        got = (bp.value, bp.lattice_candidates, bp.window, bp.determinant,
+               bp.signature)
+        assert got == scan_b_prime(spec), spec.label()
+
+
+def test_pencil_skips_the_degenerate_centre():
+    # Two (-2) arms give threshold 1/(-2) + 1/(-2) = -1: the centre pivot
+    # vanishes at c = -1, inside the window.
+    duals = (hj_string(canonical_cyclic(1, 2)),) * 2
+    pencil = CentrePencil.of(D4_STAR, duals)
+    assert pencil.threshold == -1
+    with pytest.raises(MalformedGraph):
+        pencil.signature(-1)
+    # det = det(D4) * (-2)(-2) * (c + 1) = 16 (c + 1); signature (1, 6) above
+    assert pencil.determinant(3) == 64 and pencil.signature(3) == (1, 6)
+    got = pencil.lattice_candidates(-5, 20, 6)
+    assert got == scan_lattice_candidates(D4_STAR, duals, -5, 20, 6)
+    assert got == (0, 3, 8, 15)
+    assert pencil.lattice_candidates(-5, -1, 6) == ()
+
+
+def test_b_prime_cross_check_catches_a_wrong_pencil(monkeypatch):
+    # a sign error keeps |det|, so only the full elimination can see it
+    real = CentrePencil.determinant
+    monkeypatch.setattr(CentrePencil, "determinant",
+                        lambda self, c: -real(self, c))
+    with pytest.raises(CrossCheckFailure, match="full elimination"):
+        solve_b_prime(GroupSpec.dihedral(5, 2))
+
+
+# -- the vectorized orbit finder --------------------------------------------
+
+def _orbits(spec):
+    """The orbits of the singular points, with the maps built from the
+    MobiusMap objects rather than from the group rows."""
+    mats = np.array([[[m.a, m.b], [m.c, m.d]]
+                     for m, _ in mobius_cosets(enumerate_group(spec))])
+    points = _singular_points(mats)
+    targets = _sphere_vecs(points)
+    orbits = {frozenset(_orbit(mats, p, targets).tolist()) for p in points}
+    return mats, points, orbits
+
+
+@pytest.mark.parametrize("spec,h,stabilizers", [
+    (GroupSpec.dihedral(3, 4), 8, (2, 2, 4)),
+    (GroupSpec.tetrahedral(7), 12, (2, 3, 3)),
+    (GroupSpec.octahedral(5), 24, (2, 3, 4)),
+    (GroupSpec.icosahedral(7), 60, (2, 3, 5)),
+])
+def test_orbit_finder(spec, h, stabilizers):
+    assert spec.pgl_image_order() == h
+    got = algorithmic_singularities(spec)
+    assert got == table_singularities(spec)
+    assert sorted(t.beta for t in got) == sorted(stabilizers)
+    mats, points, orbits = _orbits(spec)
+    assert len(mats) == h
+    assert sorted(len(o) for o in orbits) == sorted(h // p for p in stabilizers)
+    assert sum(len(o) for o in orbits) == len(points)
+
+
+def test_orbit_finder_at_infinity():
+    # the dihedral rotations fix 0 and oo, (0, 1) and (1, 0) homogeneously
+    _, points, _ = _orbits(GroupSpec.dihedral(3, 4))
+    projected = [hopf_project(*map(complex, p)) for p in points]
+    assert any(p.is_infinity for p in projected)
+    assert any(not p.is_infinity and abs(p.value) < 1e-12 for p in projected)
+
+
+def test_orbit_finder_rejects_a_corrupted_point_set():
+    mats, points, _ = _orbits(GroupSpec.icosahedral(7))
+    with pytest.raises(OrbitCountMismatch, match="orbit left the fixed-point set"):
+        _orbit(mats, points[0], _sphere_vecs(points[1:]))
 
 
 # -- DOT export -------------------------------------------------------------
