@@ -14,10 +14,13 @@ parameters and a coprimality condition:
     index-3 diagonal            (m,6)=3            24m     diagonal order-3 extension
 
 The module enumerates each group by breadth-first closure of the generators,
-deduplicating up to simultaneous negation of the pair, and provides the
-structural checks used downstream: freeness on S^3 (no eigenvalue 1 away from
-the identity), eigenvalue statistics, and normalization of the cyclic
-singularity labels L(alpha, beta).
+deduplicating up to simultaneous negation of the pair.  Each level composes
+the whole frontier with every generator at once (generator-major order) and
+keeps the candidates whose 48-byte grid key is new, in one pass over a set,
+so rows come out identity first, level by level, first occurrence first.
+It also provides the structural checks used downstream: freeness on S^3 (no
+eigenvalue 1 away from the identity), eigenvalue statistics, and
+normalization of the cyclic singularity labels L(alpha, beta).
 """
 
 from __future__ import annotations
@@ -319,17 +322,17 @@ def _canonical_rows(arr: np.ndarray) -> np.ndarray:
 
 
 def _row_keys(arr: np.ndarray) -> list[bytes]:
-    grid = np.round(arr.view(np.float64).reshape(len(arr), 6) * KEY_SCALE)
-    grid = np.ascontiguousarray(grid.astype(np.int64))
-    return [grid[i].tobytes() for i in range(len(grid))]
+    """One 48-byte key per row: the bytes of its six real coordinates on the
+    KEY_SCALE integer grid (a void view of the int64 grid, one row each)."""
+    grid = np.rint(arr.view(np.float64).reshape(len(arr), 6) * KEY_SCALE)
+    return grid.astype(np.int64).view(np.dtype((np.void, 48))).ravel().tolist()
 
 
-def _compose_rows(rows: np.ndarray, gen: np.ndarray) -> np.ndarray:
-    """gen o row for every row (apply row first): [ag*ar, beta_r * beta_g]."""
-    a = gen[0] * rows[:, 0]
-    b1 = rows[:, 1] * gen[1] - rows[:, 2] * np.conj(gen[2])
-    b2 = rows[:, 1] * gen[2] + rows[:, 2] * np.conj(gen[1])
-    return np.stack([a, b1, b2], axis=1)
+def _fresh_indices(keys: list[bytes], seen: set[bytes]) -> list[int]:
+    """Indices of the keys not yet in seen, first occurrence only; they are
+    added to seen on the way."""
+    add = seen.add
+    return [i for i, k in enumerate(keys) if k not in seen and not add(k)]
 
 
 @dataclass
@@ -384,39 +387,27 @@ def generate_closure(generators: list[GroupElement],
     which signals numerical drift rather than a genuine group.
     """
     gen_rows = _canonical_rows(np.array([_row_of(g) for g in generators]))
-    identity = np.array([[1.0 + 0j, 1.0 + 0j, 0.0 + 0j]])
-    seen: dict[bytes, int] = {}
-    chunks: list[np.ndarray] = []
-    count = 0
-
-    frontier = _canonical_rows(identity)
-    for k in _row_keys(frontier):
-        seen[k] = count
-        count += 1
-    chunks.append(frontier)
+    frontier = _canonical_rows(np.array([[1.0 + 0j, 1.0 + 0j, 0.0 + 0j]]))
+    seen = set(_row_keys(frontier))
+    chunks = [frontier]
 
     while len(frontier):
-        batches = [_compose_rows(frontier, g) for g in gen_rows]
-        cand = _canonical_rows(np.concatenate(batches, axis=0))
-        # Drop intra-batch duplicates in C before touching the dict.
-        grid = np.round(cand.view(np.float64).reshape(len(cand), 6) * KEY_SCALE)
-        grid = np.ascontiguousarray(grid.astype(np.int64))
-        _, first = np.unique(grid, axis=0, return_index=True)
-        first = np.sort(first)
-        cand, grid = cand[first], grid[first]
-        fresh_idx = []
-        for i in range(len(grid)):
-            k = grid[i].tobytes()
-            if k not in seen:
-                seen[k] = count
-                count += 1
-                fresh_idx.append(i)
-        if count > 2 * max_order:
+        # Generator-major candidates gen_0 o frontier, gen_1 o frontier, ...
+        # (apply the frontier element first), composed as flat columns: a
+        # (1, 1) broadcast product takes another NumPy loop and can differ
+        # in the last bit from the same product in a 1-D array.
+        a_g, b1_g, b2_g = gen_rows.repeat(len(frontier), axis=0).T
+        a, b1, b2 = np.concatenate([frontier] * len(gen_rows)).T
+        cand = np.empty((len(a), 3), dtype=complex)
+        cand[:, 0] = a_g * a
+        cand[:, 1] = b1 * b1_g - b2 * np.conj(b2_g)
+        cand[:, 2] = b1 * b2_g + b2 * np.conj(b1_g)
+        cand = _canonical_rows(cand)
+        fresh = _fresh_indices(_row_keys(cand), seen)
+        if len(seen) > 2 * max_order:
             raise ClosureOverflow(
                 f"closure exceeded {2 * max_order} elements (expected {max_order})")
-        if not fresh_idx:
-            break
-        frontier = cand[fresh_idx]
+        frontier = cand[fresh]
         chunks.append(frontier)
 
     return FiniteGroup(spec, list(generators), np.concatenate(chunks, axis=0))
@@ -435,10 +426,7 @@ def _enumerate_cyclic(spec: GroupSpec) -> FiniteGroup:
     rows = _canonical_rows(rows)
     # Deduplicate in case the pair representative hits the kernel early
     # (cannot happen for valid L(q,p), but keep the closure honest).
-    _, idx = np.unique(
-        np.round(rows.view(np.float64).reshape(p, 6) * KEY_SCALE).astype(np.int64),
-        axis=0, return_index=True)
-    rows = rows[np.sort(idx)]
+    rows = rows[_fresh_indices(_row_keys(rows), set())]
     return FiniteGroup(spec, [gen], rows)
 
 

@@ -61,6 +61,27 @@ def eisenstein_check(n: int, k: int) -> float:
     return abs(lhs - rhs)
 
 
+def eisenstein_residuals(n: int) -> np.ndarray:
+    """eisenstein_check(n, k) for k = 0, ..., 2n as one array.
+
+    The left side takes the same float operations as the scalar call; the
+    right side -2n((k/n)) is the integer n - 2(k mod n), or 0 where n | k.
+    """
+    if n < 2:
+        raise InvalidParameters("Eisenstein identity needs n >= 2")
+    j = np.arange(1, n)
+    k = np.arange(0, 2 * n + 1)
+    # One (2n+1, n-1) buffer updated in place keeps the peak memory down.
+    x = np.multiply.outer(2 * math.pi * k, j)
+    x /= n
+    np.sin(x, out=x)
+    x /= np.tan(math.pi * j / n)
+    lhs = x.sum(axis=1)
+    r = k % n
+    rhs = np.where(r == 0, 0, n - 2 * r)
+    return np.abs(lhs - rhs)
+
+
 # ---------------------------------------------------------------------------
 # Characters
 # ---------------------------------------------------------------------------

@@ -3,16 +3,17 @@
 import math
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
-from u2sing.catalog import (CyclicType, Family, GroupSpec, canonical_cyclic,
-                            cyclic_equivalent_type, eigenvalue_histogram,
-                            enumerate_gamma_prime, enumerate_group,
-                            generate_closure, generators_of,
+from u2sing.catalog import (CyclicType, Family, GroupSpec, _canonical_rows,
+                            _row_of, canonical_cyclic, cyclic_equivalent_type,
+                            eigenvalue_histogram, enumerate_gamma_prime,
+                            enumerate_group, generate_closure, generators_of,
                             is_fixed_point_free)
 from u2sing.errors import ClosureOverflow, InvalidParameters, NotCoprime
-from u2sing.quaternions import (IDENTITY, ONE, GroupElement, circle, compose,
-                                mobius_of, power)
+from u2sing.quaternions import (IDENTITY, KEY_SCALE, ONE, GroupElement, circle,
+                                compose, mobius_of, power)
 
 
 # -- parameter validation ---------------------------------------------------
@@ -181,3 +182,123 @@ def test_cyclic_type_dual_and_conjugate():
     assert t.conj_key() == (5, 2) == t.conjugate().conj_key()
     assert canonical_cyclic(1, 2).dual() == CyclicType(2, 1)
     assert canonical_cyclic(2, 3).dual() == CyclicType(3, 1)
+
+
+# -- closure against the np.unique reference --------------------------------
+
+def _reference_closure(generators, max_order):
+    """The closure as enumerated with a per-level np.unique(axis=0) dedupe
+    (the earlier implementation), kept as the reference for byte equality."""
+    gen_rows = _canonical_rows(np.array([_row_of(g) for g in generators]))
+
+    def grid_of(arr):
+        grid = np.round(arr.view(np.float64).reshape(len(arr), 6) * KEY_SCALE)
+        return np.ascontiguousarray(grid.astype(np.int64))
+
+    frontier = _canonical_rows(np.array([[1.0 + 0j, 1.0 + 0j, 0.0 + 0j]]))
+    seen = {grid_of(frontier)[0].tobytes()}
+    chunks = [frontier]
+    while len(frontier):
+        batches = []
+        for gen in gen_rows:
+            a = gen[0] * frontier[:, 0]
+            b1 = frontier[:, 1] * gen[1] - frontier[:, 2] * np.conj(gen[2])
+            b2 = frontier[:, 1] * gen[2] + frontier[:, 2] * np.conj(gen[1])
+            batches.append(np.stack([a, b1, b2], axis=1))
+        cand = _canonical_rows(np.concatenate(batches, axis=0))
+        grid = grid_of(cand)
+        _, first = np.unique(grid, axis=0, return_index=True)
+        first = np.sort(first)
+        cand, grid = cand[first], grid[first]
+        fresh = []
+        for i in range(len(grid)):
+            k = grid[i].tobytes()
+            if k not in seen:
+                seen.add(k)
+                fresh.append(i)
+        if len(seen) > 2 * max_order:
+            raise ClosureOverflow("reference closure overflow")
+        if not fresh:
+            break
+        frontier = cand[fresh]
+        chunks.append(frontier)
+    return np.concatenate(chunks, axis=0)
+
+
+def _reference_cyclic_rows(spec):
+    """Powers of the cyclic generator deduplicated by np.unique(axis=0)."""
+    row = _row_of(generators_of(spec)[0])
+    k = np.arange(spec.p)
+    rows = _canonical_rows(np.stack([np.exp(1j * np.angle(row[0]) * k),
+                                     np.exp(1j * np.angle(row[1]) * k),
+                                     np.zeros(spec.p, dtype=complex)], axis=1))
+    grid = np.round(rows.view(np.float64).reshape(spec.p, 6) * KEY_SCALE)
+    _, idx = np.unique(grid.astype(np.int64), axis=0, return_index=True)
+    return rows[np.sort(idx)]
+
+
+def _assert_same_rows(rows, ref):
+    assert rows.dtype == ref.dtype and rows.shape == ref.shape
+    assert rows.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("spec", [
+    GroupSpec.cyclic(7, 30), GroupSpec.dihedral(5, 3), GroupSpec.dihedral(3, 1),
+    GroupSpec.tetrahedral(7), GroupSpec.octahedral(5),
+    GroupSpec.icosahedral(7), GroupSpec.icosahedral(119),
+    GroupSpec.index2(8, 3), GroupSpec.index3(9),
+], ids=lambda s: s.key())
+def test_closure_matches_reference(spec):
+    gens, order = generators_of(spec), spec.expected_order()
+    ref = _reference_closure(gens, order)
+    assert len(ref) == order
+    _assert_same_rows(generate_closure(gens, order).rows, ref)
+    if not spec.is_cyclic:
+        _assert_same_rows(enumerate_group(spec).rows, ref)
+
+
+@pytest.mark.parametrize("spec", [GroupSpec.index2(8, 3), GroupSpec.index3(9),
+                                  GroupSpec.tetrahedral(5)],
+                         ids=lambda s: s.key())
+def test_gamma_prime_matches_reference(spec):
+    _assert_same_rows(enumerate_gamma_prime(spec).rows, _reference_closure(
+        generators_of(spec)[1:], spec.expected_order()))
+
+
+def test_lens_closures_match_reference():
+    for p in range(2, 61):
+        for q in range(1, p):
+            if math.gcd(q, p) != 1:
+                continue
+            spec = GroupSpec.cyclic(q, p)
+            gens = generators_of(spec)
+            _assert_same_rows(generate_closure(gens, p).rows,
+                              _reference_closure(gens, p))
+            _assert_same_rows(enumerate_group(spec).rows,
+                              _reference_cyclic_rows(spec))
+
+
+def test_closure_overflow_threshold_matches_reference():
+    gens = [GroupElement(ONE, circle(math.pi / 6))]     # order 12
+    for max_order in range(1, 14):
+        try:
+            _reference_closure(gens, max_order)
+        except ClosureOverflow:
+            with pytest.raises(ClosureOverflow):
+                generate_closure(gens, max_order)
+        else:
+            assert generate_closure(gens, max_order).order == 12
+
+
+def test_closure_keeps_first_occurrence_within_a_level():
+    # g and g_near differ by 1e-9 in angle: the same key, different bytes,
+    # so every level holds a duplicate pair and only the first may survive.
+    g = GroupElement(ONE, circle(math.pi / 3))
+    g_near = GroupElement(ONE, circle(math.pi / 3 + 1e-9))
+    alone = generate_closure([g], 6).rows
+    alone_near = generate_closure([g_near], 6).rows
+    assert alone.tobytes() != alone_near.tobytes()
+    _assert_same_rows(generate_closure([g, g_near], 6).rows, alone)
+    _assert_same_rows(generate_closure([g_near, g], 6).rows, alone_near)
+    _assert_same_rows(generate_closure([g, g_near], 6).rows,
+                      _reference_closure([g, g_near], 6))

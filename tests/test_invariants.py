@@ -12,10 +12,12 @@ from hypothesis import strategies as st
 from u2sing.catalog import GroupSpec, enumerate_gamma_prime, generators_of
 from u2sing.errors import SnapFailure
 from u2sing.invariants import (char_rho, closed_form_dim, dim_h1_theta,
-                               dim_sfk, eisenstein_check, moduli_dim,
-                               sawtooth, topology_report)
+                               dim_sfk, eisenstein_check,
+                               eisenstein_residuals, moduli_dim, sawtooth,
+                               topology_report)
 from u2sing.quaternions import compose, eigen_angles, power
 from u2sing.resolution import PlumbingGraph, resolution_graph
+from u2sing.sweep import VerifySummary, check_eisenstein
 
 
 # -- sawtooth ---------------------------------------------------------------
@@ -44,6 +46,25 @@ def test_eisenstein_spot_values():
 def test_eisenstein_subrange():
     assert max(eisenstein_check(n, k)
                for n in range(2, 80) for k in range(0, 2 * n + 1)) < 1e-6
+
+
+def test_eisenstein_residuals_equal_scalar_loop():
+    # The sweep's array form must report exactly what the scalar loop finds:
+    # every residual, the worst one and the (n, k) where it first occurs.
+    worst, at = 0.0, (0, 0)
+    for n in range(2, 201):
+        scalar = [eisenstein_check(n, k) for k in range(0, 2 * n + 1)]
+        assert eisenstein_residuals(n).tolist() == scalar
+        for k, r in enumerate(scalar):
+            if r > worst:
+                worst, at = r, (n, k)
+    summary = VerifySummary()
+    check_eisenstein(summary, 200, 1e-6)
+    assert summary.passed_failed("eisenstein_identity") == (1, 0)
+    summary = VerifySummary()
+    check_eisenstein(summary, 200, worst)          # worst < worst fails
+    assert summary.failures == [("global", "eisenstein_identity",
+                                 f"worst residual {worst:.3e} at (n,k)={at}")]
 
 
 # -- characters -------------------------------------------------------------

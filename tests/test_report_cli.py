@@ -186,6 +186,23 @@ def test_verify_isolates_a_crashing_spec(monkeypatch):
     assert summary.counts[("order_matches_table", True)] == len(keys)
 
 
+def test_verify_checks_freeness_once_per_spec(monkeypatch):
+    import u2sing.report as report
+    import u2sing.sweep as sweep
+    checked = []
+    for module in (report, sweep):
+        def counted(group, tol=1e-6, real=module.is_fixed_point_free):
+            checked.append(group.order)
+            return real(group, tol)
+        monkeypatch.setattr(module, "is_fixed_point_free", counted)
+    cfg = SweepConfig(families=(Family.DIHEDRAL, Family.CYCLIC), m_max=5,
+                      n_max=2, p_max=5, hj_p_max=10, eisenstein_n_max=10)
+    summary = verify(cfg)
+    assert summary.exit_code == 0
+    assert len(checked) == summary.specs_processed
+    assert summary.passed_failed("fixed_point_free") == (len(checked), 0)
+
+
 def test_verify_deterministic():
     cfg = dict(families=(Family.INDEX3, Family.TETRAHEDRAL), m_max=9,
                hj_p_max=20, eisenstein_n_max=10)
