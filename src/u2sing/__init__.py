@@ -1,10 +1,12 @@
 """Invariants of finite U(2) subgroups acting freely on S^3.
 
-Groups are given by explicit quaternion-pair generators; the library
-enumerates them, locates the cyclic orbifold points of the model quotients,
-builds Hirzebruch-Jung resolution and compactification plumbing graphs, and
-evaluates the deformation-dimension identities -- each quantity by at least
-two independent routes, cross-checked.
+Groups are given by explicit quaternion-pair generators [e^{i*theta}, beta],
+each stored as one row (a, b1, b2) of complex numbers with a = e^{i*theta}
+and beta = b1 + b2*jhat; a group is an (N, 3) array of such rows.  The
+library enumerates the groups, locates the cyclic orbifold points of the
+model quotients, builds Hirzebruch-Jung resolution and compactification
+plumbing graphs, and evaluates the deformation-dimension identities -- each
+quantity by at least two independent routes, cross-checked.
 """
 
 from .catalog import (CyclicType, Family, FiniteGroup, GroupSpec,
@@ -16,9 +18,6 @@ from .invariants import (DeformationReport, TopologyReport, char_rho,
                          closed_form_dim, dim_h1_theta, dim_sfk,
                          eisenstein_check, moduli_dim, sawtooth,
                          topology_report)
-from .quaternions import (GroupElement, MobiusMap, Quaternion, RiemannPoint,
-                          U2Matrix, compose, eigen_angles, hopf_project,
-                          mobius_of, project_su2, to_matrix)
 from .report import (InvariantReport, describe, export_dot, report_from_dict,
                      report_from_json, report_to_dict, report_to_json)
 from .resolution import (BGamma, CompactificationData, CurveConfiguration,
@@ -32,18 +31,16 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BGamma", "CompactificationData", "CurveConfiguration", "CyclicType",
-    "DeformationReport", "Family", "FiniteGroup", "GroupElement", "GroupSpec",
-    "HJString", "InvariantReport", "MobiusMap", "PlumbingGraph", "Quaternion",
-    "ResolutionData", "RiemannPoint", "SeifertData", "SingularityTriple",
-    "SweepConfig", "TopologyReport", "U2Matrix", "VerifySummary", "b_gamma",
-    "canonical_cyclic", "cf_value", "char_rho", "closed_form_dim",
-    "compactification", "compose", "cyclic_equivalent_type", "describe",
-    "dim_h1_theta", "dim_sfk", "dual_type", "eigen_angles",
-    "eigenvalue_histogram", "eisenstein_check", "enumerate_gamma_prime",
-    "enumerate_group", "export_dot", "generators_of", "graph_to_dot",
-    "hj_string", "hopf_project", "is_fixed_point_free", "mobius_of",
-    "moduli_dim", "project_su2", "report_from_dict", "report_from_json",
-    "report_to_dict", "report_to_json", "resolution_graph", "sawtooth",
-    "seifert_data", "seifert_euler", "singularity_triple", "solve_b_prime",
-    "specs_in_sweep", "to_matrix", "topology_report", "verify",
+    "DeformationReport", "Family", "FiniteGroup", "GroupSpec", "HJString",
+    "InvariantReport", "PlumbingGraph", "ResolutionData", "SeifertData",
+    "SingularityTriple", "SweepConfig", "TopologyReport", "VerifySummary",
+    "b_gamma", "canonical_cyclic", "cf_value", "char_rho", "closed_form_dim",
+    "compactification", "cyclic_equivalent_type", "describe", "dim_h1_theta",
+    "dim_sfk", "dual_type", "eigenvalue_histogram", "eisenstein_check",
+    "enumerate_gamma_prime", "enumerate_group", "export_dot", "generators_of",
+    "graph_to_dot", "hj_string", "is_fixed_point_free", "moduli_dim",
+    "report_from_dict", "report_from_json", "report_to_dict", "report_to_json",
+    "resolution_graph", "sawtooth", "seifert_data", "seifert_euler",
+    "singularity_triple", "solve_b_prime", "specs_in_sweep", "topology_report",
+    "verify",
 ]

@@ -27,15 +27,13 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import ClosureOverflow, InvalidParameters, NotCoprime, SnapFailure
-from .quaternions import (EQ_TOL, IHAT, JHAT, KEY_SCALE, ONE, GroupElement,
-                          Quaternion, circle)
 
 TAU = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -238,80 +236,99 @@ def canonical_cyclic(a: int, beta: int) -> CyclicType:
 
 
 # ---------------------------------------------------------------------------
-# Generators (quaternion pairs of the catalog table)
+# Element storage
+#
+# A point of C^2 is the quaternion z1 + z2*jhat, and a unit quaternion pair
+# [alpha, beta] acts on S^3, composing by
+#
+#     [a2, b2] o [a1, b1] = [a2*a1, b1*b2];
+#
+# the pair and its joint negation [-alpha, -beta] give the same
+# transformation (the kernel of the double cover).  Every catalog element
+# has a circle left member alpha = e^{i*theta}, so it is stored as the row
+# of three complex numbers (a, b1, b2), a = e^{i*theta}, beta = b1 + b2*jhat,
+# with |a| = 1 and |b1|^2 + |b2|^2 = 1, modulo joint negation.  The row acts
+# on column vectors (z1, z2) as the unitary matrix
+#
+#     a * [[b1, -conj(b2)], [b2, conj(b1)]],
+#
+# and through the Hopf map H(z1, z2) = z1/z2 it descends to the Mobius
+# transformation w -> (b1*w - conj(b2)) / (b2*w + conj(b1)) of
+# S^2 = C u {oo}; the left phase cancels.  Enumeration and every
+# per-element statistic work on (N, 3) complex arrays of such rows.
+#
+# Everything is double precision: rows are compared to EQ_TOL and keyed on
+# a 1 / KEY_SCALE grid, which is safe because catalog group orders are
+# bounded and products of table generators stay many orders of magnitude
+# away from grid midpoints.
 # ---------------------------------------------------------------------------
 
-def generators_of(spec: GroupSpec) -> list[GroupElement]:
-    """Generator pairs for the family; the Hopf-fiber rotation
-    [e^{i pi/m}, 1] always comes first in the non-cyclic lists."""
+EQ_TOL = 1e-9
+# Multiply by KEY_SCALE rather than divide by the grid 1e-6: x / 1e-6 and
+# x * 1e6 differ in the last bit for many x, and a key can sit on a midpoint.
+KEY_SCALE = 1e6
+
+_ONE = (1.0, 0.0, 0.0, 0.0)
+_IHAT = (0.0, 1.0, 0.0, 0.0)
+_JHAT = (0.0, 0.0, 1.0, 0.0)
+
+
+def _circle(theta: float) -> tuple[float, float, float, float]:
+    """The unit quaternion e^{i*theta}, as coefficients (x0, x1, x2, x3)."""
+    return (math.cos(theta), math.sin(theta), 0.0, 0.0)
+
+
+def _row(theta: float, beta: tuple[float, float, float, float]) -> list[complex]:
+    """The row of the pair [e^{i*theta}, beta]: the left entry is normalised,
+    the right entries x0 + x1 i and x2 + x3 i are taken as given."""
+    z = complex(math.cos(theta), math.sin(theta))
+    return [z / abs(z), complex(beta[0], beta[1]), complex(beta[2], beta[3])]
+
+
+def generators_of(spec: GroupSpec) -> np.ndarray:
+    """Generator rows (k, 3) of the family table; the Hopf-fiber rotation
+    [e^{i pi/m}, 1] always comes first for the non-cyclic families."""
     spec.validate()
     f, m, n = spec.family, spec.m, spec.n
     if f is Family.CYCLIC:
         q, p = spec.q, spec.p
         if p == 1:
-            return [GroupElement(ONE, ONE)]
+            return np.array([_row(0.0, _ONE)])
         # 2k = q+1 (mod p); for even p, q is odd so q+1 is even.
         if p % 2 == 1:
             k = ((q + 1) * pow(2, -1, p)) % p
         else:
             k = ((q + 1) // 2) % p
-        return [GroupElement(circle(2 * math.pi * k / p),
-                             circle(2 * math.pi * (1 - k) / p))]
+        return np.array([_row(2 * math.pi * k / p,
+                              _circle(2 * math.pi * (1 - k) / p))])
 
-    fiber = GroupElement(circle(math.pi / m), ONE)
+    fiber = _row(math.pi / m, _ONE)
     if f is Family.DIHEDRAL:
-        return [fiber,
-                GroupElement(ONE, circle(math.pi / n)),
-                GroupElement(ONE, JHAT)]
-    if f is Family.TETRAHEDRAL:
-        return [fiber,
-                GroupElement(ONE, Quaternion(0.5, 0.5, 0.5, -0.5)),
-                GroupElement(ONE, Quaternion(0.5, 0.5, 0.5, 0.5))]
-    if f is Family.OCTAHEDRAL:
-        return [fiber,
-                GroupElement(ONE, circle(math.pi / 4)),
-                GroupElement(ONE, Quaternion(0.5, 0.5, 0.5, 0.5))]
-    if f is Family.ICOSAHEDRAL:
-        return [fiber,
-                GroupElement(ONE, Quaternion(0.5, TAU / 2, 0.0, -0.5 / TAU)),
-                GroupElement(ONE, Quaternion(TAU / 2, 0.5, 0.5 / TAU, 0.0))]
-    if f is Family.INDEX2:
-        return [fiber,
-                GroupElement(ONE, circle(math.pi / n)),
-                GroupElement(circle(math.pi / (2 * m)), JHAT)]
-    # index-3 diagonal inside the tetrahedral product
-    return [fiber,
-            GroupElement(ONE, IHAT),
-            GroupElement(ONE, JHAT),
-            GroupElement(circle(math.pi / (3 * m)),
-                         Quaternion(-0.5, -0.5, -0.5, 0.5))]
+        rows = [fiber, _row(0.0, _circle(math.pi / n)), _row(0.0, _JHAT)]
+    elif f is Family.TETRAHEDRAL:
+        rows = [fiber, _row(0.0, (0.5, 0.5, 0.5, -0.5)),
+                _row(0.0, (0.5, 0.5, 0.5, 0.5))]
+    elif f is Family.OCTAHEDRAL:
+        rows = [fiber, _row(0.0, _circle(math.pi / 4)),
+                _row(0.0, (0.5, 0.5, 0.5, 0.5))]
+    elif f is Family.ICOSAHEDRAL:
+        rows = [fiber, _row(0.0, (0.5, TAU / 2, 0.0, -0.5 / TAU)),
+                _row(0.0, (TAU / 2, 0.5, 0.5 / TAU, 0.0))]
+    elif f is Family.INDEX2:
+        rows = [fiber, _row(0.0, _circle(math.pi / n)),
+                _row(math.pi / (2 * m), _JHAT)]
+    else:       # index-3 diagonal inside the tetrahedral product
+        rows = [fiber, _row(0.0, _IHAT), _row(0.0, _JHAT),
+                _row(math.pi / (3 * m), (-0.5, -0.5, -0.5, 0.5))]
+    return np.array(rows)
 
 
-def gamma_prime_generators(spec: GroupSpec) -> list[GroupElement]:
-    """The generator set with the Hopf-fiber rotation omitted (the subgroup
-    used in the deformation character sum)."""
+def gamma_prime_generators(spec: GroupSpec) -> np.ndarray:
+    """The generator rows with the Hopf-fiber rotation omitted (the
+    subgroup used in the deformation character sum)."""
     if spec.is_cyclic:
         raise InvalidParameters("gamma-prime is defined for non-cyclic specs")
     return generators_of(spec)[1:]
-
-
-# ---------------------------------------------------------------------------
-# Vectorized element storage
-#
-# Every catalog element has a circle left member, so a group element is
-# three complex numbers (a, b1, b2) with |a| = 1, |b1|^2 + |b2|^2 = 1,
-# modulo joint negation.  Enumeration and all per-element statistics work on
-# (N, 3) complex arrays.
-# ---------------------------------------------------------------------------
-
-def _row_of(g: GroupElement) -> np.ndarray:
-    a = g.left_phase()
-    return np.array([a, g.right.z1, g.right.z2], dtype=complex)
-
-def _element_of(row: np.ndarray) -> GroupElement:
-    a, b1, b2 = complex(row[0]), complex(row[1]), complex(row[2])
-    return GroupElement(Quaternion(a.real, a.imag, 0.0, 0.0),
-                        Quaternion.from_complex_pair(b1, b2))
 
 
 def _canonical_rows(arr: np.ndarray) -> np.ndarray:
@@ -337,32 +354,15 @@ def _fresh_indices(keys: list[bytes], seen: set[bytes]) -> list[int]:
 
 @dataclass
 class FiniteGroup:
-    """An enumerated subgroup: spec (if any), generators, and all elements
-    as canonical (a, b1, b2) rows with the identity first."""
+    """An enumerated subgroup: spec (if any) and all elements as canonical
+    (a, b1, b2) rows with the identity first."""
 
     spec: GroupSpec | None
-    generators: list[GroupElement]
     rows: np.ndarray
-    _elements: list[GroupElement] | None = field(default=None, repr=False)
 
     @property
     def order(self) -> int:
         return len(self.rows)
-
-    @property
-    def elements(self) -> list[GroupElement]:
-        if self._elements is None:
-            self._elements = [_element_of(r) for r in self.rows]
-        return self._elements
-
-    def element_at(self, i: int) -> GroupElement:
-        return _element_of(self.rows[i])
-
-    @classmethod
-    def from_elements(cls, elements: list[GroupElement],
-                      spec: GroupSpec | None = None) -> "FiniteGroup":
-        rows = _canonical_rows(np.array([_row_of(g) for g in elements]))
-        return cls(spec, list(elements), rows)
 
     def eigen_data(self) -> tuple[np.ndarray, np.ndarray]:
         """(theta, phi) per element: eigenvalues are exp(i(theta +- phi))."""
@@ -377,16 +377,16 @@ class FiniteGroup:
         return int(np.count_nonzero(np.minimum(d1, d2) < tol))
 
 
-def generate_closure(generators: list[GroupElement],
+def generate_closure(generators: np.ndarray,
                      max_order: int,
                      spec: GroupSpec | None = None) -> FiniteGroup:
-    """Breadth-first closure of the generators under composition.
+    """Breadth-first closure of the generator rows under composition.
 
     Deduplication is up to joint negation (quotient by the kernel of the
     double cover).  Raises ClosureOverflow past 2 * max_order elements,
     which signals numerical drift rather than a genuine group.
     """
-    gen_rows = _canonical_rows(np.array([_row_of(g) for g in generators]))
+    gen_rows = _canonical_rows(np.asarray(generators, dtype=complex))
     frontier = _canonical_rows(np.array([[1.0 + 0j, 1.0 + 0j, 0.0 + 0j]]))
     seen = set(_row_keys(frontier))
     chunks = [frontier]
@@ -410,7 +410,7 @@ def generate_closure(generators: list[GroupElement],
         frontier = cand[fresh]
         chunks.append(frontier)
 
-    return FiniteGroup(spec, list(generators), np.concatenate(chunks, axis=0))
+    return FiniteGroup(spec, np.concatenate(chunks, axis=0))
 
 
 def _enumerate_cyclic(spec: GroupSpec) -> FiniteGroup:
@@ -418,8 +418,7 @@ def _enumerate_cyclic(spec: GroupSpec) -> FiniteGroup:
     gen = generators_of(spec)[0]
     p = spec.p
     k = np.arange(p)
-    a0 = np.angle(_row_of(gen)[0])
-    b0 = np.angle(_row_of(gen)[1])
+    a0, b0 = np.angle(gen[0]), np.angle(gen[1])
     rows = np.stack([np.exp(1j * a0 * k),
                      np.exp(1j * b0 * k),
                      np.zeros(p, dtype=complex)], axis=1)
@@ -427,7 +426,7 @@ def _enumerate_cyclic(spec: GroupSpec) -> FiniteGroup:
     # Deduplicate in case the pair representative hits the kernel early
     # (cannot happen for valid L(q,p), but keep the closure honest).
     rows = rows[_fresh_indices(_row_keys(rows), set())]
-    return FiniteGroup(spec, [gen], rows)
+    return FiniteGroup(spec, rows)
 
 
 def enumerate_group(spec: GroupSpec) -> FiniteGroup:

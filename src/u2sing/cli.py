@@ -172,7 +172,7 @@ def cmd_export(args: argparse.Namespace) -> int:
     text = export_dot(report, args.what)
     Path(args.out).write_text(text)
     print(f"wrote {args.out}")
-    return 0
+    return 0 if report.all_passed() else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

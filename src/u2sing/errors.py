@@ -10,14 +10,6 @@ class U2SingError(Exception):
     """Base class for all u2sing errors."""
 
 
-class NonCircleLeftFactor(U2SingError):
-    """Left quaternion of a pair is not of the form exp(i*theta)."""
-
-
-class BothZero(U2SingError):
-    """Hopf projection requested at (0, 0)."""
-
-
 class InvalidParameters(U2SingError):
     """Group family parameters violate the catalog coprimality conditions."""
 

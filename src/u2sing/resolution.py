@@ -47,14 +47,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from .catalog import (CyclicType, Family, FiniteGroup, GroupSpec,
-                      canonical_cyclic, enumerate_group)
+from .catalog import (EQ_TOL, KEY_SCALE, CyclicType, Family, FiniteGroup,
+                      GroupSpec, canonical_cyclic, enumerate_group)
 from .errors import (AmbiguousCandidate, CrossCheckFailure, InvalidParameters,
                      MalformedGraph, NoCandidate, OrbitCountMismatch,
                      SnapFailure, TableDisagreement)
 from .hj import HJString, cf_value, dual_type, hj_string
-from .quaternions import (EQ_TOL, KEY_SCALE, GroupElement, MobiusMap,
-                          RiemannPoint, hopf_project, mobius_of)
 
 POINT_TOL = 1e-6
 
@@ -276,12 +274,6 @@ def _coset_indices(group: FiniteGroup) -> np.ndarray:
     return np.sort(order[np.concatenate(([True], runs))])
 
 
-def mobius_cosets(group: FiniteGroup) -> list[tuple[MobiusMap, GroupElement]]:
-    """One (map, representative) pair per element of the Mobius image."""
-    reps = [group.element_at(i) for i in _coset_indices(group)]
-    return [(mobius_of(g), g) for g in reps]
-
-
 def _sphere_vecs(z: np.ndarray) -> np.ndarray:
     """Unit-sphere embedding of homogeneous points (z1, z2) ~ z1/z2, shape
     (..., 2) -> (..., 3); chordal distance is Euclidean distance there, and
@@ -332,19 +324,23 @@ def _snap_residue(angle: float, modulus: int) -> int:
     return k % modulus
 
 
-def _tangent_normal(rep: GroupElement, w0: RiemannPoint, p_orb: int,
+def _tangent_normal(row: np.ndarray, point: np.ndarray, p_orb: int,
                     m: int) -> tuple[int, int] | None:
-    """Rotation numbers (t, u) of a stabilizer element at the fixed point.
+    """Rotation numbers (t, u) of a stabilizer element at a fixed point.
 
-    Diagonalize the matrix of ``rep`` to eigenvalues (mu1, mu2) with the
-    fixed point on the mu2 eigenline; then mu1/mu2 = e^{2 pi i t/p} is the
-    tangent rotation and mu2^{2m} = e^{2 pi i u/p} the rotation of the
-    degree-2m normal fiber.  Both are invariant under changing the coset
-    representative.  Returns None for the identity coset.
+    ``row`` is the coset representative (a, b1, b2) and ``point`` the unit
+    homogeneous fixed point (z1, z2).  Diagonalize the matrix of the row to
+    eigenvalues (mu1, mu2) with the fixed point on the mu2 eigenline (the
+    eigenline within POINT_TOL of it, in chordal distance); then
+    mu1/mu2 = e^{2 pi i t/p} is the tangent rotation and
+    mu2^{2m} = e^{2 pi i u/p} the rotation of the degree-2m normal fiber.
+    Both are invariant under changing the coset representative.  Returns
+    None for the identity coset.
     """
-    phase = rep.left_phase()
-    nrm = rep.right.norm()
-    b1, b2 = rep.right.z1 / nrm, rep.right.z2 / nrm
+    a, b1, b2 = (complex(x) for x in row)
+    phase = a / abs(a)
+    nrm = math.sqrt(b1.real ** 2 + b1.imag ** 2 + b2.real ** 2 + b2.imag ** 2)
+    b1, b2 = b1 / nrm, b2 / nrm
     phi = math.acos(max(-1.0, min(1.0, b1.real)))
     if math.sin(phi) < 1e-9:
         return None                      # beta = +-1: identity on the base
@@ -356,9 +352,12 @@ def _tangent_normal(rep: GroupElement, w0: RiemannPoint, p_orb: int,
     else:
         v_plus = (b2.conjugate(), b1 - cmath.exp(1j * phi))
         v_minus = (b2.conjugate(), b1 - cmath.exp(-1j * phi))
-    if hopf_project(*v_plus).close_to(w0, POINT_TOL):
+    sphere = _sphere_vecs(np.array([v_plus, v_minus, point], dtype=complex))
+    chordal = np.linalg.norm(sphere[:2] - sphere[2], axis=1)
+    on_plus, on_minus = chordal <= POINT_TOL
+    if on_plus:
         mu2, mu1 = lam_plus, lam_minus
-    elif hopf_project(*v_minus).close_to(w0, POINT_TOL):
+    elif on_minus:
         mu2, mu1 = lam_minus, lam_plus
     else:
         raise SnapFailure("fixed point does not lie on either eigenline")
@@ -393,7 +392,7 @@ def algorithmic_singularities(spec: GroupSpec,
             f"{spec.label()}: Mobius image has {len(coset_idx)} elements, expected {h}")
     su2 = group.rows[coset_idx, 1:3]
     b1, b2 = (su2 / np.sqrt((np.abs(su2) ** 2).sum(axis=1))[:, None]).T
-    mats = np.stack([np.stack([b1, -np.conj(b2)], -1),      # as mobius_of
+    mats = np.stack([np.stack([b1, -np.conj(b2)], -1),      # the Mobius matrix
                      np.stack([b2, np.conj(b1)], -1)], -2)
     points = _singular_points(mats)
 
@@ -419,9 +418,8 @@ def algorithmic_singularities(spec: GroupSpec,
         if len(stab) != p_orb:
             raise OrbitCountMismatch(
                 f"stabilizer order {len(stab)} != {p_orb} at a singular point")
-        w0 = hopf_project(*map(complex, points[r]))
         for g in stab:
-            tn = _tangent_normal(group.element_at(coset_idx[g]), w0, p_orb, spec.m)
+            tn = _tangent_normal(group.rows[coset_idx[g]], points[r], p_orb, spec.m)
             if tn is None:
                 continue
             t, u = tn

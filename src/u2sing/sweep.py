@@ -7,8 +7,9 @@ cotangent identity, the Hirzebruch-Jung round trip, the three eigenvalue
 tables, the blow-up-count spot values) are checked once per sweep.  The
 summary's exit code is 0 exactly when no check failed; partial results are
 still written when an output directory is set.  An exception raised while
-describing one spec is recorded as a failing ``describe`` check whose detail
-starts with the exception's class name, and the sweep goes on.
+enumerating or describing one spec is recorded as a failing ``describe``
+check whose detail starts with the exception's class name, and the sweep
+goes on.
 """
 
 from __future__ import annotations
@@ -213,29 +214,33 @@ def verify(config: SweepConfig) -> VerifySummary:
 
     for spec in specs_in_sweep(config):
         summary.specs_processed += 1
-        t0 = time.monotonic()
-        group = enumerate_group(spec)
-        summary.enumeration_seconds += time.monotonic() - t0
-
         eta = config.eta.get(spec.key())
-        t1 = time.monotonic()
-        try:
+        group = report = None
+        try:                             # one bad spec must not end the sweep
+            t0 = time.monotonic()
+            group = enumerate_group(spec)
+            t1 = time.monotonic()
+            summary.enumeration_seconds += t1 - t0
             report = describe(spec, eta=eta, tolerance=config.tolerance,
                               group=group)
             summary.record_report(report)
-        except Exception as exc:         # one bad spec must not end the sweep
+        except Exception as exc:
             where = traceback.extract_tb(exc.__traceback__)[-1]
             summary.record(spec.label(), "describe", False,
                            f"{type(exc).__name__}: {exc} (at "
                            f"{Path(where.filename).name}:{where.lineno} "
                            f"in {where.name})")
-            report = None
-        if not spec.is_cyclic and not spec.is_degenerate_cyclic:
+        if group is not None and not spec.is_cyclic \
+                and not spec.is_degenerate_cyclic:
             summary.max_deformation_seconds = max(
                 summary.max_deformation_seconds, time.monotonic() - t1)
         # describe records order and freeness itself; only when it raised
-        # are they checked here, so that every spec still carries both.
-        if report is None:
+        # (or the group could not be enumerated) are they recorded here, so
+        # that every spec still carries both.
+        if report is None and group is None:
+            for name in ("order_matches_table", "fixed_point_free"):
+                summary.record(spec.label(), name, False, "group not enumerated")
+        elif report is None:
             summary.record(spec.label(), "order_matches_table",
                            group.order == spec.expected_order(), "")
             summary.record(spec.label(), "fixed_point_free",

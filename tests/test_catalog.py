@@ -1,19 +1,25 @@
 """Group enumeration, freeness, eigenvalue statistics and lens labels."""
 
+import cmath
 import math
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
-from u2sing.catalog import (CyclicType, Family, GroupSpec, _canonical_rows,
-                            _row_of, canonical_cyclic, cyclic_equivalent_type,
-                            eigenvalue_histogram, enumerate_gamma_prime,
-                            enumerate_group, generate_closure, generators_of,
+import u2sing
+from u2sing.catalog import (KEY_SCALE, CyclicType, Family, GroupSpec,
+                            _canonical_rows, _row_keys, canonical_cyclic,
+                            cyclic_equivalent_type, eigenvalue_histogram,
+                            enumerate_gamma_prime, enumerate_group,
+                            generate_closure, generators_of,
                             is_fixed_point_free)
 from u2sing.errors import ClosureOverflow, InvalidParameters, NotCoprime
-from u2sing.quaternions import (IDENTITY, KEY_SCALE, ONE, GroupElement, circle,
-                                compose, mobius_of, power)
+
+from rowalg import (canonical, compose, equivalent, inverse, key, mobius,
+                    power, row, scalar)
+
+IDENTITY = row()
 
 
 # -- parameter validation ---------------------------------------------------
@@ -67,23 +73,24 @@ def test_orders(spec, order):
 
 def test_group_contains_identity_and_inverses():
     group = enumerate_group(GroupSpec.dihedral(3, 2))
-    keys = {g.key() for g in group.elements}
-    assert IDENTITY.key() in keys
-    for g in group.elements[:10]:
-        inv = GroupElement(g.left.conjugate(), g.right.conjugate())
-        assert inv.canonical().key() in keys
-        assert compose(g, inv).equivalent(IDENTITY)
+    elements = scalar(group.rows)
+    keys = {key(g) for g in elements}
+    assert key(IDENTITY) in keys
+    for g in elements[:10]:
+        inv = inverse(g)
+        assert key(inv) in keys
+        assert equivalent(compose(g, inv), IDENTITY)
 
 
 def test_closure_overflow():
-    g = GroupElement(ONE, circle(math.pi / 6))   # order 12
+    g = row(0.0, cmath.exp(1j * math.pi / 6))   # order 12
     with pytest.raises(ClosureOverflow):
         generate_closure([g], max_order=5)
 
 
 def test_complex_reflection_detected():
     # group generated by diag(1, zeta_3): eigenvalue 1 is structural
-    g = GroupElement(circle(math.pi / 3), circle(-math.pi / 3))
+    g = row(math.pi / 3, cmath.exp(-1j * math.pi / 3))
     group = generate_closure([g], 10)
     assert group.order == 3
     assert not is_fixed_point_free(group)
@@ -95,7 +102,9 @@ def test_fiber_subgroup_order_and_triviality():
         fiber = generators_of(spec)[0]
         sub = generate_closure([fiber], 4 * spec.m)
         assert sub.order == 2 * spec.m
-        assert all(mobius_of(g).is_identity() for g in sub.elements)
+        for g in scalar(sub.rows):
+            (a, b), (c, d) = mobius(g)
+            assert abs(b) <= 1e-7 and abs(c) <= 1e-7 and abs(a - d) <= 1e-7
 
 
 def test_gamma_prime_orders():
@@ -121,9 +130,8 @@ def test_degenerate_specs_are_cyclic(spec):
     assert t is not None and t.beta == group.order
     # single-generator check by brute force
     assert any(
-        all(power(g, k).canonical().key() != IDENTITY.key()
-            for k in range(1, group.order))
-        for g in group.elements)
+        all(key(power(g, k)) != key(IDENTITY) for k in range(1, group.order))
+        for g in scalar(group.rows))
 
 
 def test_nondegenerate_not_flagged():
@@ -189,13 +197,13 @@ def test_cyclic_type_dual_and_conjugate():
 def _reference_closure(generators, max_order):
     """The closure as enumerated with a per-level np.unique(axis=0) dedupe
     (the earlier implementation), kept as the reference for byte equality."""
-    gen_rows = _canonical_rows(np.array([_row_of(g) for g in generators]))
+    gen_rows = _canonical_rows(np.asarray(generators, dtype=complex))
 
     def grid_of(arr):
         grid = np.round(arr.view(np.float64).reshape(len(arr), 6) * KEY_SCALE)
         return np.ascontiguousarray(grid.astype(np.int64))
 
-    frontier = _canonical_rows(np.array([[1.0 + 0j, 1.0 + 0j, 0.0 + 0j]]))
+    frontier = _canonical_rows(np.array([row()]))
     seen = {grid_of(frontier)[0].tobytes()}
     chunks = [frontier]
     while len(frontier):
@@ -225,12 +233,40 @@ def _reference_closure(generators, max_order):
     return np.concatenate(chunks, axis=0)
 
 
+def _scalar_closure(generators, max_order):
+    """The same breadth-first closure, one composition at a time with the
+    scalar row algebra.  Python's complex product rounds differently from
+    NumPy's complex multiply loop in the last bit, so it is compared on keys
+    and values, not bytes."""
+    gens = [canonical(g) for g in scalar(generators)]
+    frontier = [canonical(IDENTITY)]
+    seen, out = {key(IDENTITY)}, list(frontier)
+    while frontier:
+        fresh = []
+        for g in gens:
+            for f in frontier:
+                c = canonical(compose(g, f))
+                if key(c) not in seen:
+                    seen.add(key(c))
+                    fresh.append(c)
+        if len(seen) > 2 * max_order:
+            raise ClosureOverflow("scalar closure overflow")
+        frontier = fresh
+        out.extend(fresh)
+    return out
+
+
+def _assert_same_keys(rows, scalar_rows):
+    assert [key(g) for g in scalar(rows)] == [key(g) for g in scalar_rows]
+    assert np.abs(rows - np.array(scalar_rows)).max() < 1e-12
+
+
 def _reference_cyclic_rows(spec):
     """Powers of the cyclic generator deduplicated by np.unique(axis=0)."""
-    row = _row_of(generators_of(spec)[0])
+    gen = generators_of(spec)[0]
     k = np.arange(spec.p)
-    rows = _canonical_rows(np.stack([np.exp(1j * np.angle(row[0]) * k),
-                                     np.exp(1j * np.angle(row[1]) * k),
+    rows = _canonical_rows(np.stack([np.exp(1j * np.angle(gen[0]) * k),
+                                     np.exp(1j * np.angle(gen[1]) * k),
                                      np.zeros(spec.p, dtype=complex)], axis=1))
     grid = np.round(rows.view(np.float64).reshape(spec.p, 6) * KEY_SCALE)
     _, idx = np.unique(grid.astype(np.int64), axis=0, return_index=True)
@@ -253,6 +289,7 @@ def test_closure_matches_reference(spec):
     ref = _reference_closure(gens, order)
     assert len(ref) == order
     _assert_same_rows(generate_closure(gens, order).rows, ref)
+    _assert_same_keys(ref, _scalar_closure(gens, order))
     if not spec.is_cyclic:
         _assert_same_rows(enumerate_group(spec).rows, ref)
 
@@ -261,8 +298,10 @@ def test_closure_matches_reference(spec):
                                   GroupSpec.tetrahedral(5)],
                          ids=lambda s: s.key())
 def test_gamma_prime_matches_reference(spec):
-    _assert_same_rows(enumerate_gamma_prime(spec).rows, _reference_closure(
-        generators_of(spec)[1:], spec.expected_order()))
+    gens, order = generators_of(spec)[1:], spec.expected_order()
+    rows = enumerate_gamma_prime(spec).rows
+    _assert_same_rows(rows, _reference_closure(gens, order))
+    _assert_same_keys(rows, _scalar_closure(gens, order))
 
 
 def test_lens_closures_match_reference():
@@ -279,7 +318,7 @@ def test_lens_closures_match_reference():
 
 
 def test_closure_overflow_threshold_matches_reference():
-    gens = [GroupElement(ONE, circle(math.pi / 6))]     # order 12
+    gens = [row(0.0, cmath.exp(1j * math.pi / 6))]      # order 12
     for max_order in range(1, 14):
         try:
             _reference_closure(gens, max_order)
@@ -293,8 +332,8 @@ def test_closure_overflow_threshold_matches_reference():
 def test_closure_keeps_first_occurrence_within_a_level():
     # g and g_near differ by 1e-9 in angle: the same key, different bytes,
     # so every level holds a duplicate pair and only the first may survive.
-    g = GroupElement(ONE, circle(math.pi / 3))
-    g_near = GroupElement(ONE, circle(math.pi / 3 + 1e-9))
+    g = row(0.0, cmath.exp(1j * math.pi / 3))
+    g_near = row(0.0, cmath.exp(1j * (math.pi / 3 + 1e-9)))
     alone = generate_closure([g], 6).rows
     alone_near = generate_closure([g_near], 6).rows
     assert alone.tobytes() != alone_near.tobytes()
@@ -302,3 +341,25 @@ def test_closure_keeps_first_occurrence_within_a_level():
     _assert_same_rows(generate_closure([g_near, g], 6).rows, alone_near)
     _assert_same_rows(generate_closure([g, g_near], 6).rows,
                       _reference_closure([g, g_near], 6))
+
+
+# -- Gamma-prime and the public names -----------------------------------------
+
+GAMMA_PRIME_IS_GAMMA = (
+    [GroupSpec.index2(m, n) for m in (2, 4, 8) for n in range(1, 6)
+     if math.gcd(m, n) == 1]
+    + [GroupSpec.index3(m) for m in (3, 9, 15)])
+
+
+@pytest.mark.parametrize("spec", GAMMA_PRIME_IS_GAMMA, ids=lambda s: s.key())
+def test_gamma_prime_is_gamma_for_the_diagonal_families(spec):
+    # the diagonal generator already contains the Hopf-fiber rotation, so
+    # dropping it leaves the same set of elements, not just the same order
+    gamma, gamma_prime = enumerate_group(spec), enumerate_gamma_prime(spec)
+    assert gamma_prime.order == gamma.order == spec.expected_order()
+    assert set(_row_keys(gamma_prime.rows)) == set(_row_keys(gamma.rows))
+
+
+def test_public_names_resolve():
+    for name in u2sing.__all__:
+        assert getattr(u2sing, name) is not None, name

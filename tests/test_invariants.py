@@ -15,9 +15,10 @@ from u2sing.invariants import (char_rho, closed_form_dim, dim_h1_theta,
                                dim_sfk, eisenstein_check,
                                eisenstein_residuals, moduli_dim, sawtooth,
                                topology_report)
-from u2sing.quaternions import compose, eigen_angles, power
 from u2sing.resolution import PlumbingGraph, resolution_graph
 from u2sing.sweep import VerifySummary, check_eisenstein
+
+from rowalg import compose, matrix, power, scalar
 
 
 # -- sawtooth ---------------------------------------------------------------
@@ -86,12 +87,12 @@ def test_char_rho_on_index2_odd_part(m, n):
     # the elements gamma_2 = [e^{i pi/(2m)}, j]^{2l+1} [1, e^{i pi k/n}] of
     # the index-2 diagonal group have character 1 when m is even
     gens = generators_of(GroupSpec.index2(m, n))
-    rot, jgen = gens[1], gens[2]
+    rot, jgen = scalar(gens[1:])
     for ell in (0, 1, m - 1):
         for k in (0, 1, n - 1):
             gamma2 = compose(power(jgen, 2 * ell + 1), power(rot, k))
-            a1, a2 = eigen_angles(gamma2)
-            chi = char_rho(cmath.exp(1j * a1), cmath.exp(1j * a2), m)
+            mu1, mu2 = np.linalg.eigvals(np.array(matrix(gamma2)))
+            chi = char_rho(complex(mu1), complex(mu2), m)
             assert chi == pytest.approx(1.0, abs=1e-8)
 
 

@@ -1,4 +1,5 @@
-"""Quaternion algebra, the matrix dictionary, and the Hopf/Mobius layer."""
+"""The quaternion-pair algebra of element rows, the matrix dictionary, and
+the Hopf/Mobius descent."""
 
 import cmath
 import math
@@ -8,32 +9,61 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from u2sing.errors import BothZero, NonCircleLeftFactor
-from u2sing.quaternions import (IDENTITY, IHAT, INFINITY, JHAT, KHAT, ONE,
-                                GroupElement, Quaternion, RiemannPoint,
-                                circle, compose, eigen_angles, hopf_project,
-                                inverse, mobius_of, power, project_su2,
-                                to_matrix)
+from u2sing.catalog import FiniteGroup, GroupSpec, generators_of
+from u2sing.resolution import _singular_points, _sphere_vecs
+
+from rowalg import (compose, equivalent, inverse, key, matrix, mobius, power,
+                    qmul, row, scalar)
 
 RNG = np.random.default_rng(20240809)
 
+ONE, IHAT, JHAT, KHAT = (1, 0), (1j, 0), (0, 1), (0, 1j)
+IDENTITY = row()
 
-def random_unit_quaternion():
+
+def neg(x):
+    return tuple(-c for c in x)
+
+
+def close(x, y, tol=1e-9):
+    return all(abs(u - v) <= tol for u, v in zip(x, y))
+
+
+def random_beta():
     v = RNG.normal(size=4)
     v /= np.linalg.norm(v)
-    return Quaternion(*v)
+    return complex(v[0], v[1]), complex(v[2], v[3])
 
 
 def random_element():
-    return GroupElement(circle(RNG.uniform(0, 2 * math.pi)),
-                        random_unit_quaternion())
+    return row(RNG.uniform(0, 2 * math.pi), *random_beta())
+
+
+def eigen_angles(g):
+    """Sorted eigen angles of one row, from the library's eigen data."""
+    (theta,), (phi,) = FiniteGroup(None, np.array([g])).eigen_data()
+    return tuple(sorted(float(x) % (2 * math.pi)
+                        for x in (theta + phi, theta - phi)))
+
+
+def sphere(z):
+    """Hopf image of homogeneous points (..., 2) on the unit sphere."""
+    return _sphere_vecs(np.asarray(z, dtype=complex))
+
+
+def same_point(z, w, tol):
+    return np.linalg.norm(sphere(z) - sphere(w), axis=-1) <= tol
 
 
 unit_quaternions = st.builds(
-    lambda a, b, c, d: Quaternion(a, b, c, d),
+    lambda a, b, c, d: (complex(a, b), complex(c, d)),
     *[st.floats(-1, 1, allow_nan=False) for _ in range(4)],
-).filter(lambda q: q.norm() > 1e-3).map(
-    lambda q: Quaternion(*(x / q.norm() for x in q.coefficients())))
+).filter(lambda q: math.hypot(abs(q[0]), abs(q[1])) > 1e-3).map(
+    lambda q: tuple(z / math.hypot(abs(q[0]), abs(q[1])) for z in q))
+
+
+def norm(q):
+    return math.hypot(abs(q[0]), abs(q[1]))
 
 
 # -- basis algebra ----------------------------------------------------------
@@ -41,112 +71,105 @@ unit_quaternions = st.builds(
 def test_basis_products():
     # i^2 = j^2 = k^2 = ijk = -1, worked out by hand from the Hamilton rules
     for u in (IHAT, JHAT, KHAT):
-        assert (u * u).close_to(-ONE)
-    assert ((IHAT * JHAT) * KHAT).close_to(-ONE)
-    assert (IHAT * JHAT).close_to(KHAT)
-    assert (JHAT * KHAT).close_to(IHAT)
-    assert (KHAT * IHAT).close_to(JHAT)
-    assert (JHAT * IHAT).close_to(-KHAT)
+        assert close(qmul(u, u), neg(ONE))
+    assert close(qmul(qmul(IHAT, JHAT), KHAT), neg(ONE))
+    assert close(qmul(IHAT, JHAT), KHAT)
+    assert close(qmul(JHAT, KHAT), IHAT)
+    assert close(qmul(KHAT, IHAT), JHAT)
+    assert close(qmul(JHAT, IHAT), neg(KHAT))
 
 
 @given(unit_quaternions, unit_quaternions)
 @settings(max_examples=150)
 def test_norm_multiplicative(q1, q2):
-    assert abs((q1 * q2).norm() - q1.norm() * q2.norm()) < 1e-9
+    assert abs(norm(qmul(q1, q2)) - norm(q1) * norm(q2)) < 1e-9
 
 
 @given(unit_quaternions, unit_quaternions, unit_quaternions)
 @settings(max_examples=100)
 def test_associativity(a, b, c):
-    assert ((a * b) * c).close_to(a * (b * c), 1e-9)
+    assert close(qmul(qmul(a, b), c), qmul(a, qmul(b, c)), 1e-9)
+    ga, gb, gc = row(0.3, *a), row(1.1, *b), row(2.0, *c)
+    assert close(compose(compose(ga, gb), gc), compose(ga, compose(gb, gc)))
 
 
 # -- group elements and composition ----------------------------------------
 
 def test_compose_identity():
     g = random_element()
-    assert compose(IDENTITY, g).equivalent(g)
-    assert compose(g, IDENTITY).equivalent(g)
+    assert equivalent(compose(IDENTITY, g), g)
+    assert equivalent(compose(g, IDENTITY), g)
 
 
 def test_compose_j_squared():
-    g = GroupElement(ONE, JHAT)
-    assert compose(g, g).equivalent(GroupElement(ONE, -ONE))
+    g = row(0.0, *JHAT)
+    assert equivalent(compose(g, g), row(0.0, -1.0))
 
 
 def test_compose_left_circle_powers():
     m = 7
-    g = GroupElement(circle(math.pi / m), ONE)
-    assert compose(g, g).equivalent(GroupElement(circle(2 * math.pi / m), ONE))
-    assert power(g, 2 * m).equivalent(IDENTITY)
+    g = row(math.pi / m)
+    assert equivalent(compose(g, g), row(2 * math.pi / m))
+    assert equivalent(power(g, 2 * m), IDENTITY)
 
 
 def test_kernel_equivalence():
     g = random_element()
-    neg = GroupElement(-g.left, -g.right)
-    half = GroupElement(-g.left, g.right)
-    assert g.equivalent(neg)
-    assert not g.equivalent(half)
-    assert g.canonical().key() == neg.canonical().key()
+    half = (-g[0], g[1], g[2])
+    assert equivalent(g, neg(g))
+    assert not equivalent(g, half)
+    assert key(g) == key(neg(g))
 
 
 def test_inverse():
     g = random_element()
-    assert compose(g, inverse(g)).equivalent(IDENTITY)
+    assert equivalent(compose(g, inverse(g)), IDENTITY)
 
 
 def test_matrix_homomorphism():
     for _ in range(300):
         g1, g2 = random_element(), random_element()
-        lhs = to_matrix(compose(g1, g2)).as_array()
-        rhs = to_matrix(g1).as_array() @ to_matrix(g2).as_array()
+        lhs = np.array(matrix(compose(g1, g2)))
+        rhs = np.array(matrix(g1)) @ np.array(matrix(g2))
         assert np.allclose(lhs, rhs, atol=1e-9)
 
 
-# -- to_matrix --------------------------------------------------------------
+# -- the matrix of a row ----------------------------------------------------
 
 def test_to_matrix_j():
-    m = to_matrix(GroupElement(ONE, JHAT)).as_array()
-    assert np.allclose(m, [[0, -1], [1, 0]], atol=1e-12)
+    assert np.allclose(matrix(row(0.0, *JHAT)), [[0, -1], [1, 0]], atol=1e-12)
 
 
 def test_to_matrix_identity():
-    assert np.allclose(to_matrix(IDENTITY).as_array(), np.eye(2), atol=1e-12)
+    assert np.allclose(matrix(IDENTITY), np.eye(2), atol=1e-12)
 
 
 @pytest.mark.parametrize("q,p", [(1, 2), (3, 5), (3, 8), (7, 12), (199, 200)])
 def test_to_matrix_cyclic_generator(q, p):
-    # [e^{2 pi i k/p}, e^{2 pi i (1-k)/p}] with 2k = q+1 (mod p) must be
-    # diag(zeta_p, zeta_p^q)
-    k = ((q + 1) * pow(2, -1, p)) % p if p % 2 else ((q + 1) // 2) % p
-    g = GroupElement(circle(2 * math.pi * k / p), circle(2 * math.pi * (1 - k) / p))
+    # the table generator [e^{2 pi i k/p}, e^{2 pi i (1-k)/p}] with
+    # 2k = q+1 (mod p) must be diag(zeta_p, zeta_p^q)
+    gen, = scalar(generators_of(GroupSpec.cyclic(q, p)))
     expect = np.diag([cmath.exp(2j * math.pi / p), cmath.exp(2j * math.pi * q / p)])
-    assert np.allclose(to_matrix(g).as_array(), expect, atol=1e-9)
-
-
-def test_to_matrix_rejects_general_left():
-    with pytest.raises(NonCircleLeftFactor):
-        to_matrix(GroupElement(JHAT, ONE))
+    assert np.allclose(matrix(gen), expect, atol=1e-9)
 
 
 def test_su2_determinant():
     for _ in range(100):
-        g = GroupElement(ONE, random_unit_quaternion())
-        assert abs(to_matrix(g).det() - 1) < 1e-9
-        assert to_matrix(g).is_unitary(1e-9)
+        mat = np.array(matrix(row(0.0, *random_beta())))
+        assert abs(np.linalg.det(mat) - 1) < 1e-9
+        assert np.allclose(mat @ mat.conj().T, np.eye(2), atol=1e-9)
 
 
-# -- eigen_angles -----------------------------------------------------------
+# -- eigen angles -----------------------------------------------------------
 
 def test_eigen_angles_diagonal():
     n = 5
-    g = GroupElement(ONE, circle(math.pi / n))
-    a = eigen_angles(g)
+    a = eigen_angles(row(0.0, cmath.exp(1j * math.pi / n)))
     assert a == pytest.approx((math.pi / n, 2 * math.pi - math.pi / n))
 
 
 def test_eigen_angles_j():
-    assert eigen_angles(GroupElement(ONE, JHAT)) == \
+    assert eigen_angles(row(0.0, *JHAT)) == \
         pytest.approx((math.pi / 2, 3 * math.pi / 2))
 
 
@@ -158,7 +181,7 @@ def test_eigen_angles_match_numpy():
     for _ in range(50):
         g = random_element()
         ours = sorted(eigen_angles(g))
-        lam = np.linalg.eigvals(to_matrix(g).as_array())
+        lam = np.linalg.eigvals(np.array(matrix(g)))
         theirs = sorted(a % (2 * math.pi) for a in np.angle(lam))
         assert ours == pytest.approx(theirs, abs=1e-8)
 
@@ -166,10 +189,9 @@ def test_eigen_angles_match_numpy():
 # -- Hopf map ---------------------------------------------------------------
 
 def test_hopf_basics():
-    assert hopf_project(0, 1).value == 0
-    assert hopf_project(1, 0).is_infinity
-    with pytest.raises(BothZero):
-        hopf_project(0, 0)
+    # H(0, 1) = 0 is the south pole, H(1, 0) = oo the north pole
+    assert np.allclose(sphere([0, 1]), [0, 0, -1])
+    assert np.allclose(sphere([1, 0]), [0, 0, 1])
 
 
 def test_hopf_fiber():
@@ -178,79 +200,60 @@ def test_hopf_fiber():
         w = complex(*RNG.normal(size=2))
         theta = RNG.uniform(0, 2 * math.pi)
         s = cmath.exp(1j * theta) / math.sqrt(abs(w) ** 2 + 1)
-        assert hopf_project(s * w, s).close_to(RiemannPoint(w), 1e-9)
+        assert same_point([s * w, s], [w, 1], 1e-9)
 
 
 # -- Mobius maps ------------------------------------------------------------
 
+def is_mobius_identity(g, tol=1e-7):
+    (a, b), (c, d) = mobius(g)
+    return abs(b) <= tol and abs(c) <= tol and abs(a - d) <= tol
+
+
 def test_mobius_left_factor_trivial():
-    g = GroupElement(circle(1.234), ONE)
-    assert mobius_of(g).is_identity()
+    assert is_mobius_identity(row(1.234))
 
 
 def test_mobius_diagonal_rotation():
     p = 7
-    mob = mobius_of(GroupElement(ONE, circle(math.pi / p)))
-    w = RiemannPoint(0.3 + 0.4j)
-    expect = cmath.exp(2j * math.pi / p) * w.value
-    assert mob(w).close_to(RiemannPoint(expect), 1e-9)
-    assert mob(RiemannPoint(0j)).close_to(RiemannPoint(0j))
-    assert mob(INFINITY).is_infinity
+    mob = np.array(mobius(row(0.0, cmath.exp(1j * math.pi / p))))
+    w = 0.3 + 0.4j
+    expect = cmath.exp(2j * math.pi / p) * w
+    assert same_point(mob @ [w, 1], [expect, 1], 1e-9)
+    assert same_point(mob @ [0, 1], [0, 1], 1e-6)
+    assert same_point(mob @ [1, 0], [1, 0], 1e-6)
 
 
 def test_mobius_j_inversion():
-    mob = mobius_of(GroupElement(ONE, JHAT))
+    mob = np.array(mobius(row(0.0, *JHAT)))
     for w in (1 + 2j, -0.5j, 3.0 + 0j):
-        assert mob(RiemannPoint(w)).close_to(RiemannPoint(-1 / w), 1e-9)
-    assert mob(RiemannPoint(0j)).is_infinity
-    assert mob(INFINITY).close_to(RiemannPoint(0j))
+        assert same_point(mob @ [w, 1], [-1 / w, 1], 1e-9)
+    assert same_point(mob @ [0, 1], [1, 0], 1e-6)
+    assert same_point(mob @ [1, 0], [0, 1], 1e-6)
 
 
 def test_hopf_equivariance():
     # H(g.(z1,z2)) = mobius(g)(H(z1,z2)), 1000 samples per element
     for _ in range(5):
         g = random_element()
-        mat, mob = to_matrix(g), mobius_of(g)
-        for _ in range(1000):
-            v = RNG.normal(size=4)
-            z1, z2 = complex(v[0], v[1]), complex(v[2], v[3])
-            if abs(z1) + abs(z2) < 1e-2:
-                continue
-            lhs = hopf_project(*mat.apply(z1, z2))
-            rhs = mob(hopf_project(z1, z2))
-            assert lhs.close_to(rhs, 1e-6)
+        mat, mob = np.array(matrix(g)), np.array(mobius(g))
+        v = RNG.normal(size=(1000, 4))
+        z = v[:, 0::2] + 1j * v[:, 1::2]
+        z = z[np.abs(z).sum(axis=1) >= 1e-2]
+        assert same_point(z @ mat.T, z @ mob.T, 1e-6).all()
 
 
 def test_mobius_fixed_point_equation():
-    # fixed points satisfy b2 w^2 + (conj(b1) - b1) w + conj(b2) = 0
+    # fixed points satisfy b2 w^2 + (conj(b1) - b1) w + conj(b2) = 0, here
+    # homogeneously in w = z1/z2; the library finds them in closed form
     for _ in range(40):
-        g = GroupElement(ONE, random_unit_quaternion())
-        mob = mobius_of(g)
-        if mob.is_identity():
+        g = row(0.0, *random_beta())
+        if is_mobius_identity(g):
             continue
-        b1, b2 = g.right.z1, g.right.z2
-        for pt in mob.fixed_points():
-            assert mob(pt).close_to(pt, 1e-7)
-            if not pt.is_infinity:
-                w = pt.value
-                res = b2 * w * w + (b1.conjugate() - b1) * w + b2.conjugate()
-                assert abs(res) < 1e-7
-
-
-# -- project_su2 ------------------------------------------------------------
-
-def test_project_su2():
-    g = GroupElement(circle(math.pi / 5), JHAT)
-    assert project_su2(g).equivalent(GroupElement(ONE, JHAT))
-    h = GroupElement(ONE, random_unit_quaternion())
-    assert project_su2(h).equivalent(h)
-
-
-def test_project_su2_index3_generator():
-    w = Quaternion(-0.5, -0.5, -0.5, 0.5)
-    g = GroupElement(circle(math.pi / 9), w)
-    pr = project_su2(g)
-    assert pr.left.close_to(ONE) and pr.right.close_to(w)
-    # the Mobius action is untouched by the projection
-    probe = RiemannPoint(0.7 - 0.2j)
-    assert mobius_of(g)(probe).close_to(mobius_of(pr)(probe), 1e-9)
+        mob = np.array(mobius(g))
+        b1, b2 = mob[0, 0], mob[1, 0]
+        for z1, z2 in _singular_points(mob[None]):
+            assert same_point(mob @ [z1, z2], [z1, z2], 1e-7)
+            res = (b2 * z1 * z1 + (b1.conjugate() - b1) * z1 * z2
+                   + b2.conjugate() * z2 * z2)
+            assert abs(res) < 1e-7

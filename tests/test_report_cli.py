@@ -186,6 +186,40 @@ def test_verify_isolates_a_crashing_spec(monkeypatch):
     assert summary.counts[("order_matches_table", True)] == len(keys)
 
 
+def test_verify_isolates_a_failing_enumeration(monkeypatch):
+    import u2sing.sweep as sweep
+    from u2sing.errors import ClosureOverflow
+    real, bad = sweep.enumerate_group, GroupSpec.dihedral(3, 2)
+    seen = []
+
+    def enumerate_group(spec):
+        seen.append(spec.key())
+        if spec == bad:
+            raise ClosureOverflow("closure exceeded 48 elements (expected 24)")
+        return real(spec)
+
+    monkeypatch.setattr(sweep, "enumerate_group", enumerate_group)
+    cfg = SweepConfig(families=(Family.DIHEDRAL,), m_max=7, n_max=2,
+                      hj_p_max=10, eisenstein_n_max=10)
+    keys = [s.key() for s in specs_in_sweep(cfg)]
+    assert bad.key() in keys and len(keys) > 2
+    summary = verify(cfg)
+    # every spec in order, then the eigenvalue tables' T*, O*, I*
+    assert seen == keys + ["tetrahedral_m1", "octahedral_m1", "icosahedral_m1"]
+    assert summary.specs_processed == len(keys)
+    assert summary.exit_code == 1
+    assert [(label, name) for label, name, _ in summary.failures] == [
+        (bad.label(), "describe"), (bad.label(), "order_matches_table"),
+        (bad.label(), "fixed_point_free")]
+    detail = summary.failures[0][2]
+    assert detail.startswith("ClosureOverflow: closure exceeded 48 elements")
+    assert detail.endswith("in enumerate_group)")
+    assert [d for _, _, d in summary.failures[1:]] == ["group not enumerated"] * 2
+    assert summary.passed_failed("order_matches_table") == (len(keys) - 1, 1)
+    assert summary.passed_failed("fixed_point_free") == (len(keys) - 1, 1)
+    assert summary.passed_failed("describe") == (0, 1)
+
+
 def test_verify_checks_freeness_once_per_spec(monkeypatch):
     import u2sing.report as report
     import u2sing.sweep as sweep
@@ -285,6 +319,24 @@ def test_cli_export(tmp_path, capsys):
     assert main(["export", "--family", "dihedral", "--m", "1", "--n", "2",
                  "--what", "compactification", "--out", str(out)]) == 0
     assert out.read_text().count("label") == 8
+
+
+def test_cli_export_fails_with_a_failing_check(tmp_path, monkeypatch, capsys):
+    import dataclasses
+
+    import u2sing.cli as cli
+    from u2sing.report import CheckResult
+
+    def failing(spec, **kwargs):
+        report = describe(spec, **kwargs)
+        return dataclasses.replace(report, checks=report.checks + (
+            CheckResult("injected", False, "made to fail"),))
+
+    monkeypatch.setattr(cli, "describe", failing)
+    out = tmp_path / "d4.dot"
+    assert main(["export", "--family", "dihedral", "--m", "1", "--n", "2",
+                 "--out", str(out)]) == 1
+    assert out.read_text().count("label") == 4      # the file is still written
 
 
 def test_cli_verify_small(capsys):
