@@ -7,18 +7,26 @@ topology fields -- and records a pass/fail verdict for each identity.  A
 failed cross-check never disappears: it becomes a failing entry in
 ``report.checks`` (and downstream sections that depend on it are omitted).
 
-Serialization is stable-keyed JSON; integers are bit-exact and rationals are
-``{"num": int, "den": int}``.  ``report_from_json(report_to_json(r))``
-reproduces the report field-for-field.
+Serialization is JSON derived from the report dataclasses: the keys are their
+fields in declaration order (adding a field adds a key), except that
+``brute_force_dim``, ``closed_form_dim``, ``closed_forms_applicable`` and
+``passed`` are written ``brute``, ``closed``, ``applicable`` and ``pass``.
+Integers are bit-exact and rationals are ``{"num": int, "den": int}``.
+``report_from_json(report_to_json(r))`` reproduces the report
+field-for-field.
 """
 
 from __future__ import annotations
 
+import functools
 import json
-from dataclasses import dataclass, field
+import types
+from dataclasses import dataclass, field, fields, is_dataclass
+from enum import Enum
 from fractions import Fraction
+from typing import Union, get_args, get_origin, get_type_hints
 
-from .catalog import (CyclicType, Family, FiniteGroup, GroupSpec,
+from .catalog import (CyclicType, FiniteGroup, GroupSpec,
                       canonical_cyclic, cyclic_equivalent_type,
                       enumerate_gamma_prime, enumerate_group,
                       is_fixed_point_free)
@@ -269,153 +277,73 @@ def _describe_noncyclic(spec: GroupSpec, group: FiniteGroup,
 # JSON serialization
 # ---------------------------------------------------------------------------
 
-def _frac(x: Fraction | None) -> dict | None:
-    if x is None:
-        return None
-    return {"num": x.numerator, "den": x.denominator}
+# The JSON keys that differ from their dataclass field names.
+_KEYS = {"brute_force_dim": "brute", "closed_form_dim": "closed",
+         "closed_forms_applicable": "applicable", "passed": "pass"}
+_SCALARS = frozenset({int, bool, float, str, type(None)})
+_hints = functools.cache(get_type_hints)
 
 
-def _unfrac(d: dict | None) -> Fraction | None:
-    if d is None:
-        return None
-    return Fraction(d["num"], d["den"])
+@functools.cache
+def _fields(cls: type) -> tuple[tuple[str, str], ...]:
+    """(field, key) pairs in declaration order, CyclicType's alpha first."""
+    names = (("alpha", "beta") if cls is CyclicType
+             else [f.name for f in fields(cls)])
+    return tuple((name, _KEYS.get(name, name)) for name in names)
 
 
-def _spec_dict(spec: GroupSpec) -> dict:
-    out: dict = {"family": spec.family.value}
-    for name in ("m", "n", "q", "p"):
-        v = getattr(spec, name)
-        if v is not None:
-            out[name] = v
+def _encode(x):
+    """JSON data for a non-scalar: a tuple becomes a list, a Fraction
+    {"num", "den"}, an Enum its value and a dataclass an object of its fields;
+    a GroupSpec omits unset parameters, a PlumbingGraph adds its matrix."""
+    t = type(x)
+    if t is tuple:      # the report's tuples are homogeneous
+        if not x or type(x[0]) in _SCALARS:
+            return list(x)
+        return [_encode(v) for v in x]
+    if t is Fraction:
+        return {"num": x.numerator, "den": x.denominator}
+    if isinstance(x, Enum):
+        return x.value
+    out = {}
+    for name, key in _fields(t):
+        v = getattr(x, name)
+        out[key] = v if type(v) in _SCALARS else _encode(v)
+    if t is GroupSpec:
+        return {k: v for k, v in out.items() if v is not None}
+    if t is PlumbingGraph:
+        out["matrix"] = x.intersection_matrix()
     return out
 
 
-def _spec_from(d: dict) -> GroupSpec:
-    return GroupSpec(Family(d["family"]), m=d.get("m"), n=d.get("n"),
-                     q=d.get("q"), p=d.get("p"))
-
-
-def _graph_dict(g: PlumbingGraph) -> dict:
-    return {"center": g.center, "arms": [list(a) for a in g.arms],
-            "matrix": g.intersection_matrix()}
-
-
-def _graph_from(d: dict) -> PlumbingGraph:
-    return PlumbingGraph(d["center"], tuple(tuple(a) for a in d["arms"]))
+def _decode(tp, v):
+    """Rebuild a value of type ``tp`` from what ``_encode`` wrote."""
+    if v is None:
+        return None
+    if get_origin(tp) in (Union, types.UnionType):
+        tp, = (a for a in get_args(tp) if a is not type(None))
+    if get_origin(tp) is tuple:
+        args = get_args(tp)
+        if args[-1] is Ellipsis:
+            args = args[:1] * len(v)
+        return tuple(_decode(a, x) for a, x in zip(args, v))
+    if tp is Fraction:
+        return Fraction(v["num"], v["den"])
+    if isinstance(tp, type) and issubclass(tp, Enum):
+        return tp(v)
+    if is_dataclass(tp):    # only a GroupSpec omits keys
+        return tp(**{name: _decode(_hints(tp)[name], v[key])
+                     for name, key in _fields(tp)
+                     if key in v or tp is not GroupSpec})
+    return v
 
 
 def report_to_dict(r: InvariantReport) -> dict:
-    comp = None
-    if r.compactification is not None:
-        c = r.compactification
-        comp = {"b_prime": c.b_prime,
-                "b_prime_positive": c.b_prime_positive,
-                "seifert_value": _frac(c.seifert_value),
-                "lattice_candidates": list(c.lattice_candidates),
-                "kappa": c.kappa,
-                "dual_strings": [list(s) for s in c.dual_strings],
-                "star": _graph_dict(c.star),
-                "configuration_determinant": c.configuration_determinant,
-                "configuration_signature": list(c.configuration_signature)}
-    deform = None
-    if r.deformations is not None:
-        d = r.deformations
-        deform = {"brute": d.brute_force_dim, "closed": d.closed_form_dim,
-                  "two_b_minus_2": d.two_b_minus_2, "agreement": d.agreement,
-                  "residual": d.residual,
-                  "applicable": d.closed_forms_applicable,
-                  "gamma_prime_order": d.gamma_prime_order}
-    topo = None
-    if r.topology is not None:
-        t = r.topology
-        topo = {"k_gamma": t.k_gamma, "tau_top": t.tau_top, "chi_top": t.chi_top,
-                "chi_orb": _frac(t.chi_orb), "b2_minus": t.b2_minus,
-                "implied_eta": _frac(t.implied_eta), "eta": _frac(t.eta),
-                "sfasd_bound": _frac(t.sfasd_bound),
-                "bound_holds": t.bound_holds,
-                "bound_is_equality": t.bound_is_equality}
-    return {
-        "spec": _spec_dict(r.spec),
-        "order": r.order,
-        "degenerate_cyclic": r.degenerate_cyclic,
-        "singularities": None if r.singularities is None else
-            [{"alpha": t.alpha, "beta": t.beta} for t in r.singularities],
-        "conjugate_equivalence_used": r.conjugate_equivalence_used,
-        "hj_strings": [list(s) for s in r.hj_strings],
-        "hj_lengths": list(r.hj_lengths),
-        "b_gamma": r.b_gamma,
-        "b_gamma_rational": _frac(r.b_gamma_rational),
-        "k_gamma": r.k_gamma,
-        "signature": r.signature,
-        "chi": r.chi,
-        "resolution": _graph_dict(r.resolution),
-        "compactification": comp,
-        "deformations": deform,
-        "moduli_dim": r.moduli_dim,
-        "h1_theta": r.h1_theta,
-        "topology": topo,
-        "checks": [{"name": c.name, "pass": c.passed, "detail": c.detail}
-                   for c in r.checks],
-    }
+    return _encode(r)
 
 
 def report_from_dict(d: dict) -> InvariantReport:
-    comp = None
-    if d["compactification"] is not None:
-        c = d["compactification"]
-        comp = CompactificationSection(
-            b_prime=c["b_prime"], b_prime_positive=c["b_prime_positive"],
-            seifert_value=_unfrac(c["seifert_value"]),
-            lattice_candidates=tuple(c["lattice_candidates"]),
-            kappa=c["kappa"],
-            dual_strings=tuple(tuple(s) for s in c["dual_strings"]),
-            star=_graph_from(c["star"]),
-            configuration_determinant=c["configuration_determinant"],
-            configuration_signature=tuple(c["configuration_signature"]))
-    deform = None
-    if d["deformations"] is not None:
-        x = d["deformations"]
-        deform = DeformationReport(
-            brute_force_dim=x["brute"], closed_form_dim=x["closed"],
-            two_b_minus_2=x["two_b_minus_2"], agreement=x["agreement"],
-            residual=x["residual"], closed_forms_applicable=x["applicable"],
-            gamma_prime_order=x["gamma_prime_order"])
-    topo = None
-    if d["topology"] is not None:
-        t = d["topology"]
-        topo = TopologyReport(
-            k_gamma=t["k_gamma"], tau_top=t["tau_top"], chi_top=t["chi_top"],
-            chi_orb=_unfrac(t["chi_orb"]), b2_minus=t["b2_minus"],
-            implied_eta=_unfrac(t["implied_eta"]), eta=_unfrac(t["eta"]),
-            sfasd_bound=_unfrac(t["sfasd_bound"]),
-            bound_holds=t["bound_holds"],
-            bound_is_equality=t["bound_is_equality"])
-    sings = None
-    if d["singularities"] is not None:
-        sings = tuple(CyclicType(s["beta"], s["alpha"]) if s["beta"] > 1
-                      else CyclicType(1, 0)
-                      for s in d["singularities"])
-    return InvariantReport(
-        spec=_spec_from(d["spec"]),
-        order=d["order"],
-        degenerate_cyclic=d["degenerate_cyclic"],
-        singularities=sings,
-        conjugate_equivalence_used=d["conjugate_equivalence_used"],
-        hj_strings=tuple(tuple(s) for s in d["hj_strings"]),
-        hj_lengths=tuple(d["hj_lengths"]),
-        b_gamma=d["b_gamma"],
-        b_gamma_rational=_unfrac(d["b_gamma_rational"]),
-        k_gamma=d["k_gamma"],
-        signature=d["signature"],
-        chi=d["chi"],
-        resolution=_graph_from(d["resolution"]),
-        compactification=comp,
-        deformations=deform,
-        moduli_dim=d["moduli_dim"],
-        h1_theta=d["h1_theta"],
-        topology=topo,
-        checks=tuple(CheckResult(c["name"], c["pass"], c["detail"])
-                     for c in d["checks"]))
+    return _decode(InvariantReport, d)
 
 
 def report_to_json(r: InvariantReport, indent: int | None = 2) -> str:

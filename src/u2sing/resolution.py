@@ -222,8 +222,6 @@ class CurveConfiguration:
 @dataclass(frozen=True)
 class SingularityTriple:
     types: tuple[CyclicType, CyclicType, CyclicType]
-    from_table: bool
-    from_computation: bool
     conjugate_equivalence_used: bool = False
 
     def sorted_types(self) -> tuple[CyclicType, ...]:
@@ -442,10 +440,10 @@ def singularity_triple(spec: GroupSpec,
     table = table_singularities(spec)
     computed = algorithmic_singularities(spec, group)
     if table == computed:
-        return SingularityTriple(computed, True, True, False)
+        return SingularityTriple(computed)
     if tuple(sorted(t.conj_key() for t in table)) == \
        tuple(sorted(t.conj_key() for t in computed)):
-        return SingularityTriple(computed, True, True, True)
+        return SingularityTriple(computed, conjugate_equivalence_used=True)
     raise TableDisagreement(
         f"{spec.label()}: table {tuple(map(str, table))} != "
         f"computed {tuple(map(str, computed))}")

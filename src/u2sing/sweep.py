@@ -14,7 +14,6 @@ goes on.
 
 from __future__ import annotations
 
-import json
 import math
 import time
 import traceback
@@ -29,7 +28,7 @@ from .catalog import (Family, GroupSpec, canonical_cyclic, enumerate_group,
 from .errors import InvalidParameters
 from .hj import cf_value, hj_string
 from .invariants import eisenstein_residuals
-from .report import InvariantReport, describe, report_to_dict
+from .report import InvariantReport, describe, report_to_json
 from .resolution import compactification
 
 ALL_FAMILIES = tuple(Family)
@@ -247,7 +246,7 @@ def verify(config: SweepConfig) -> VerifySummary:
                            is_fixed_point_free(group, config.tolerance), "")
         if out_dir is not None and report is not None:
             path = out_dir / f"{spec.key()}.json"
-            path.write_text(json.dumps(report_to_dict(report), indent=1))
+            path.write_text(report_to_json(report, indent=1))
 
     if summary.specs_processed == 0:
         summary.warnings.append("no spec matched the sweep filters; "

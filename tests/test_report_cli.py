@@ -1,15 +1,20 @@
 """Report assembly, JSON round trips, the sweep harness, and the CLI."""
 
+import dataclasses
 import json
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
-from u2sing.catalog import Family, GroupSpec
+from u2sing.catalog import Family, GroupSpec, canonical_cyclic
 from u2sing.cli import main
 from u2sing.errors import InvalidParameters
-from u2sing.report import (describe, export_dot, report_from_dict,
-                           report_from_json, report_to_dict, report_to_json)
+from u2sing.invariants import DeformationReport, TopologyReport
+from u2sing.report import (CheckResult, CompactificationSection,
+                           InvariantReport, describe, export_dot,
+                           report_from_dict, report_from_json, report_to_dict,
+                           report_to_json)
 from u2sing.sweep import (SweepConfig, config_from_mapping, parse_config_file,
                           specs_in_sweep, verify)
 
@@ -66,11 +71,28 @@ def test_describe_with_eta():
     (GroupSpec.index3(9), None),
     (GroupSpec.cyclic(7, 16), None),
     (GroupSpec.dihedral(5, 1), None),
+    (GroupSpec.octahedral(5), None),
+    (GroupSpec.icosahedral(7), None),
+    (GroupSpec.index2(4, 3), None),
 ])
 def test_report_round_trip(spec, eta):
     r = describe(spec, eta=eta)
     assert report_from_dict(report_to_dict(r)) == r
     assert report_from_json(report_to_json(r)) == r
+
+
+def test_round_trip_of_the_trivial_type():
+    r = dataclasses.replace(describe(GroupSpec.cyclic(3, 5)),
+                            singularities=(canonical_cyclic(0, 1),))
+    assert report_to_dict(r)["singularities"] == [{"alpha": 0, "beta": 1}]
+    assert report_from_json(report_to_json(r)) == r
+
+
+def test_decoding_a_missing_key_fails():
+    d = report_to_dict(describe(GroupSpec.tetrahedral(7), eta=F(-1, 3)))
+    del d["topology"]["eta"]
+    with pytest.raises(KeyError):
+        report_from_dict(d)
 
 
 def test_json_schema_keys():
@@ -86,6 +108,36 @@ def test_json_schema_keys():
     assert len(d["resolution"]["matrix"]) == 4
     assert all(set(c) == {"name", "pass", "detail"} for c in d["checks"])
     json.dumps(d)     # must be plain JSON types throughout
+
+
+# The JSON keys that differ from their dataclass field names.
+RENAMED = {"brute_force_dim": "brute", "closed_form_dim": "closed",
+           "closed_forms_applicable": "applicable", "passed": "pass"}
+
+
+def test_json_has_a_key_for_every_field():
+    d = report_to_dict(describe(GroupSpec.tetrahedral(7), eta=F(-1, 3)))
+    sections = [(InvariantReport, d),
+                (CompactificationSection, d["compactification"]),
+                (DeformationReport, d["deformations"]),
+                (TopologyReport, d["topology"])]
+    sections += [(CheckResult, c) for c in d["checks"]]
+    for cls, obj in sections:
+        keys = [RENAMED.get(f.name, f.name) for f in dataclasses.fields(cls)]
+        assert list(obj) == keys, cls.__name__
+
+
+# Written by `u2sing describe ... --format json --out tests/describe_json`.
+DESCRIBE_JSON = Path(__file__).parent / "describe_json"
+
+
+@pytest.mark.parametrize("spec", [
+    GroupSpec.dihedral(1, 2), GroupSpec.icosahedral(1),
+    GroupSpec.cyclic(7, 16), GroupSpec.dihedral(5, 1),
+], ids=GroupSpec.key)
+def test_describe_json_text(spec):
+    expected = (DESCRIBE_JSON / f"{spec.key()}.json").read_text()
+    assert report_to_json(describe(spec)) + "\n" == expected
 
 
 # -- DOT export -------------------------------------------------------------
