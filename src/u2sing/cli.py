@@ -22,7 +22,8 @@ from pathlib import Path
 from .catalog import Family, GroupSpec, canonical_cyclic
 from .errors import InvalidParameters, U2SingError
 from .hj import hj_string
-from .report import describe, export_dot, report_to_dict, report_to_json
+from .report import (describe, export_dot, json_text, report_to_dict,
+                     report_to_json)
 from .sweep import (config_from_mapping, parse_config_file, parse_fraction,
                     verify)
 
@@ -121,7 +122,7 @@ def cmd_resolve(args: argparse.Namespace) -> int:
     if args.format == "dot":
         print(export_dot(report, "resolution"), end="")
     elif args.format == "json":
-        print(json.dumps(report_to_dict(report)["resolution"], indent=2))
+        print(json_text(report_to_dict(report)["resolution"]))
     else:
         print(f"{spec.label()}: center {report.resolution.center}, arms "
               f"{[list(a) for a in report.resolution.arms]}, "
@@ -138,7 +139,7 @@ def cmd_compactify(args: argparse.Namespace) -> int:
     if args.format == "dot":
         print(export_dot(report, "compactification"), end="")
     elif args.format == "json":
-        print(json.dumps(report_to_dict(report)["compactification"], indent=2))
+        print(json_text(report_to_dict(report)["compactification"]))
     else:
         print(f"{spec.label()}: b' = {c.b_prime}, kappa = {c.kappa}, "
               f"curves = {c.kappa + 1}, dual strings "

@@ -14,6 +14,13 @@ fields in declaration order (adding a field adds a key), except that
 Integers are bit-exact and rationals are ``{"num": int, "den": int}``.
 ``report_from_json(report_to_json(r))`` reproduces the report
 field-for-field.
+
+All indented report text, from ``report_to_json`` and from the CLI's JSON
+sections, comes from one writer, ``json_text``, which reproduces
+``json.dumps(data, indent=k)`` byte for byte; ``indent=None`` is
+``json.dumps``'s compact text.  (With an indent, the stdlib falls back to
+its pure-Python encoder; the writer renders integer lists and the
+intersection matrix with one ``str()`` each instead.)
 """
 
 from __future__ import annotations
@@ -24,6 +31,8 @@ import types
 from dataclasses import dataclass, field, fields, is_dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 from typing import Union, get_args, get_origin, get_type_hints
 
 from .catalog import (CyclicType, FiniteGroup, GroupSpec,
@@ -112,9 +121,10 @@ def describe(spec: GroupSpec,
         "order_matches_table", order_ok,
         f"enumerated {group.order}, expected {spec.expected_order()}"))
     free = is_fixed_point_free(group, tolerance)
+    # Free means that the identity is the one element with eigenvalue 1.
+    ones = 1 if free else group.eigenvalue_one_count(tolerance)
     checks.append(CheckResult(
-        "fixed_point_free", free,
-        f"{group.eigenvalue_one_count(tolerance)} element(s) with eigenvalue 1"))
+        "fixed_point_free", free, f"{ones} element(s) with eigenvalue 1"))
 
     if spec.is_cyclic or spec.is_degenerate_cyclic:
         return _describe_cyclic(spec, group, checks)
@@ -212,10 +222,10 @@ def _describe_noncyclic(spec: GroupSpec, group: FiniteGroup,
                 "b_prime_unique", True,
                 f"b'={comp.b_prime.value}, seifert target {comp.b_prime.seifert_value}, "
                 f"lattice candidates {list(comp.b_prime.lattice_candidates)}"))
+            signature = cfg.signature()
             checks.append(CheckResult(
-                "b_prime_signature",
-                cfg.signature() == (1, comp.kappa),
-                f"signature {cfg.signature()}"))
+                "b_prime_signature", signature == (1, comp.kappa),
+                f"signature {signature}"))
             comp_section = CompactificationSection(
                 b_prime=comp.b_prime.value,
                 b_prime_positive=comp.b_prime.positive,
@@ -225,7 +235,7 @@ def _describe_noncyclic(spec: GroupSpec, group: FiniteGroup,
                 dual_strings=tuple(s.entries for s in comp.dual_strings),
                 star=comp.star,
                 configuration_determinant=cfg.determinant(),
-                configuration_signature=cfg.signature())
+                configuration_signature=signature)
         except U2SingError as exc:
             checks.append(CheckResult("b_prime_unique", False,
                                       f"resolution_geometry: {exc}"))
@@ -338,6 +348,56 @@ def _decode(tp, v):
     return v
 
 
+def _dumps(x, pad: str, step: str) -> str:
+    """``json.dumps(x, indent=len(step))`` of ``_encode``'s output, with
+    ``pad`` the indent of the line ``x`` starts on."""
+    t = type(x)
+    if t is str:
+        return encode_basestring_ascii(x)
+    if t is int:
+        return int.__repr__(x)
+    if t is bool:
+        return "true" if x else "false"
+    if x is None:
+        return "null"
+    if t is float:
+        return json.dumps(x)
+    inner = pad + step
+    sep = ",\n" + inner
+    if t is dict:
+        if not x:
+            return "{}"
+        if set(map(type, x)) != {str}:
+            raise TypeError(f"report JSON keys must be str, got {list(x)}")
+        body = sep.join([f"{encode_basestring_ascii(k)}: {_dumps(v, inner, step)}"
+                         for k, v in x.items()])
+        return f"{{\n{inner}{body}\n{pad}}}"
+    if t is list:
+        if not x:
+            return "[]"
+        kinds = set(map(type, x))
+        # Exact type tests: a bool is an int, but json writes it "true".
+        if kinds == {int}:
+            body = str(x)[1:-1].replace(", ", sep)
+        elif (kinds == {list} and all(x)
+              and set(map(type, chain.from_iterable(x))) == {int}):
+            deeper = inner + step
+            rows = (str(x)[2:-2].replace("], [", f"\n{inner}]{sep}[\n{deeper}")
+                    .replace(", ", ",\n" + deeper))
+            body = f"[\n{deeper}{rows}\n{inner}]"
+        else:
+            body = sep.join([_dumps(v, inner, step) for v in x])
+        return f"[\n{inner}{body}\n{pad}]"
+    raise TypeError(f"{t.__name__} is not a report JSON type")
+
+
+def json_text(data, indent: int | None = 2) -> str:
+    """``json.dumps(data, indent=indent)`` for ``_encode``'s output."""
+    if indent is None:
+        return json.dumps(data)
+    return _dumps(data, "", " " * indent)
+
+
 def report_to_dict(r: InvariantReport) -> dict:
     return _encode(r)
 
@@ -347,7 +407,7 @@ def report_from_dict(d: dict) -> InvariantReport:
 
 
 def report_to_json(r: InvariantReport, indent: int | None = 2) -> str:
-    return json.dumps(report_to_dict(r), indent=indent)
+    return json_text(report_to_dict(r), indent)
 
 
 def report_from_json(text: str) -> InvariantReport:

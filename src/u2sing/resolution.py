@@ -117,14 +117,15 @@ class PlumbingGraph:
         out: list[Fraction] = []
         head_inv = Fraction(0)
         for arm in self.arms:
-            d: Fraction | None = None
+            # Integer continuants: the pivot w - 1/(num/den) is (w*num - den)/num.
+            num, den = 1, 0
             for w in reversed(arm):
-                d = Fraction(w) if d is None else Fraction(w) - 1 / d
-                if d == 0:
+                num, den = w * num - den, num
+                if num == 0:
                     raise MalformedGraph("zero pivot while eliminating an arm")
-                out.append(d)
-            head_inv += 1 / d
-        out.append(Fraction(self.center) - head_inv)
+                out.append(Fraction(num, den))
+            head_inv += Fraction(den, num)
+        out.append(self.center - head_inv)
         return out
 
     def is_negative_definite(self) -> bool:

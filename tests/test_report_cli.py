@@ -6,15 +6,17 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from u2sing.catalog import Family, GroupSpec, canonical_cyclic
 from u2sing.cli import main
 from u2sing.errors import InvalidParameters
 from u2sing.invariants import DeformationReport, TopologyReport
 from u2sing.report import (CheckResult, CompactificationSection,
-                           InvariantReport, describe, export_dot,
-                           report_from_dict, report_from_json, report_to_dict,
-                           report_to_json)
+                           InvariantReport, _dumps, describe, export_dot,
+                           json_text, report_from_dict, report_from_json,
+                           report_to_dict, report_to_json)
 from u2sing.sweep import (SweepConfig, config_from_mapping, parse_config_file,
                           specs_in_sweep, verify)
 
@@ -65,7 +67,8 @@ def test_describe_with_eta():
 
 # -- JSON round trip --------------------------------------------------------
 
-@pytest.mark.parametrize("spec,eta", [
+# One spec per family, the degenerate dihedral(5, 1), and one with eta.
+REPORT_CASES = [
     (GroupSpec.dihedral(1, 2), None),
     (GroupSpec.tetrahedral(7), F(-1, 3)),
     (GroupSpec.index3(9), None),
@@ -74,7 +77,10 @@ def test_describe_with_eta():
     (GroupSpec.octahedral(5), None),
     (GroupSpec.icosahedral(7), None),
     (GroupSpec.index2(4, 3), None),
-])
+]
+
+
+@pytest.mark.parametrize("spec,eta", REPORT_CASES)
 def test_report_round_trip(spec, eta):
     r = describe(spec, eta=eta)
     assert report_from_dict(report_to_dict(r)) == r
@@ -138,6 +144,46 @@ DESCRIBE_JSON = Path(__file__).parent / "describe_json"
 def test_describe_json_text(spec):
     expected = (DESCRIBE_JSON / f"{spec.key()}.json").read_text()
     assert report_to_json(describe(spec)) + "\n" == expected
+
+
+# -- the JSON writer --------------------------------------------------------
+
+_LEAVES = (st.none() | st.booleans() | st.integers() | st.floats()
+           | st.text() | st.lists(st.integers())
+           | st.lists(st.lists(st.integers(), min_size=1), min_size=1))
+_TREES = st.recursive(
+    _LEAVES, lambda kids: st.lists(kids) | st.dictionaries(st.text(), kids),
+    max_leaves=20)
+
+
+@given(_TREES, st.sampled_from([1, 2, 4]))
+@example([True, 1], 1)
+@example([[1, 2], []], 2)
+@example([[1], [False]], 4)
+@example({"é": ["ü\n\"", float("nan"), float("-inf"), 1.5, -0.0]}, 1)
+@settings(max_examples=200)
+def test_writer_matches_json_dumps(x, k):
+    assert _dumps(x, "", " " * k) == json.dumps(x, indent=k)
+
+
+@pytest.mark.parametrize("x", [(1, 2), {1: 2}, F(1, 2), [1, (2,)]])
+def test_writer_rejects_what_the_encoder_never_writes(x):
+    with pytest.raises(TypeError):
+        _dumps(x, "", " ")
+
+
+def test_report_text_matches_json_dumps():
+    config = SweepConfig(families=(Family.CYCLIC,), p_max=60)
+    cases = [(spec, None) for spec in specs_in_sweep(config)] + REPORT_CASES
+    for spec, eta in cases:
+        r = describe(spec, eta=eta)
+        d = report_to_dict(r)
+        assert report_to_json(r, indent=None) == json.dumps(d), spec.label()
+        for k in (1, 2):
+            assert report_to_json(r, indent=k) == json.dumps(d, indent=k), \
+                (spec.label(), k)
+        for key in ("resolution", "compactification"):
+            assert json_text(d[key]) == json.dumps(d[key], indent=2)
 
 
 # -- DOT export -------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Singularity triples, plumbing graphs, central weights, compactifications."""
 
 import math
+import random
 from fractions import Fraction as F
 
 import numpy as np
@@ -128,6 +129,55 @@ def test_intersection_matrix_shape():
     assert np.count_nonzero(mat) == 4 + 6
     eig = np.linalg.eigvalsh(mat)
     assert (eig < 0).all()
+
+
+def _fraction_pivots(graph):
+    """The LDL^T pivots by Fraction arithmetic, leaves first: the reference
+    for the continuant recurrence in PlumbingGraph.pivots."""
+    out = []
+    head_inv = F(0)
+    for arm in graph.arms:
+        d = None
+        for w in reversed(arm):
+            d = F(w) if d is None else F(w) - 1 / d
+            if d == 0:
+                raise MalformedGraph("zero pivot while eliminating an arm")
+            out.append(d)
+        head_inv += 1 / d
+    out.append(F(graph.center) - head_inv)
+    return out
+
+
+def _pivots_or_error(pivots, graph):
+    try:
+        return pivots(graph)
+    except MalformedGraph:
+        return MalformedGraph
+
+
+def test_pivots_match_the_fraction_elimination():
+    rng = random.Random(7)
+    raised = 0
+    for _ in range(2000):
+        arms = tuple(tuple(rng.randint(-7, 3) for _ in range(rng.randint(1, 6)))
+                     for _ in range(rng.randint(0, 3)))
+        graph = PlumbingGraph(rng.randint(-9, 4), arms)
+        want = _pivots_or_error(_fraction_pivots, graph)
+        assert _pivots_or_error(PlumbingGraph.pivots, graph) == want, graph
+        raised += want is MalformedGraph
+    assert 0 < raised < 2000
+
+
+def test_pivots_of_d4_and_of_a_vanishing_centre():
+    assert D4_STAR.pivots() == _fraction_pivots(D4_STAR) == [-2, -2, -2, F(-1, 2)]
+    # 1/(-2) + 1/(-2) + 1/(-1) = -2: the centre pivot vanishes at -2.
+    star = PlumbingGraph(-2, ((-2,), (-2,), (-1,)))
+    assert star.pivots() == _fraction_pivots(star) == [-2, -2, -1, 0]
+    with pytest.raises(MalformedGraph):
+        star.signature()
+    assert not star.is_negative_definite()
+    with pytest.raises(MalformedGraph):
+        PlumbingGraph(-2, ((-1, -1),)).pivots()     # -1 - 1/(-1) = 0
 
 
 # -- Seifert Euler numbers --------------------------------------------------
