@@ -17,7 +17,8 @@ The module enumerates each group by breadth-first closure of the generators,
 deduplicating up to simultaneous negation of the pair.  Each level composes
 the whole frontier with every generator at once (generator-major order) and
 keeps the candidates whose 48-byte grid key is new, in one pass over a set,
-so rows come out identity first, level by level, first occurrence first.
+so rows come out identity first, level by level, first occurrence first;
+the Mobius cosets of the resolution module are found by the same key pass.
 It also provides the structural checks used downstream: freeness on S^3 (no
 eigenvalue 1 away from the identity), eigenvalue statistics, and
 normalization of the cyclic singularity labels L(alpha, beta).
@@ -339,10 +340,11 @@ def _canonical_rows(arr: np.ndarray) -> np.ndarray:
 
 
 def _row_keys(arr: np.ndarray) -> list[bytes]:
-    """One 48-byte key per row: the bytes of its six real coordinates on the
-    KEY_SCALE integer grid (a void view of the int64 grid, one row each)."""
-    grid = np.rint(arr.view(np.float64).reshape(len(arr), 6) * KEY_SCALE)
-    return grid.astype(np.int64).view(np.dtype((np.void, 48))).ravel().tolist()
+    """One key per row of a real or complex 2-D array: the bytes of its real
+    coordinates on the KEY_SCALE integer grid (a void view of the int64
+    grid, one row each; 48 bytes for an (a, b1, b2) row)."""
+    grid = np.rint(arr.view(np.float64) * KEY_SCALE).astype(np.int64)
+    return grid.view(np.dtype((np.void, 8 * grid.shape[1]))).ravel().tolist()
 
 
 def _fresh_indices(keys: list[bytes], seen: set[bytes]) -> list[int]:
@@ -464,6 +466,15 @@ def snap_fraction(x: float, max_den: int, tol: float = 1e-7) -> Fraction:
     return f
 
 
+def _snap_residue(angle: float, modulus: int) -> int:
+    """angle = 2*pi*k/modulus up to snap tolerance; return k mod modulus."""
+    x = angle * modulus / (2 * math.pi)
+    k = round(x)
+    if abs(x - k) > 1e-6 * modulus:
+        raise SnapFailure(f"angle {angle} is not a multiple of 2pi/{modulus}")
+    return k % modulus
+
+
 def cyclic_equivalent_type(group: FiniteGroup) -> CyclicType | None:
     """Lens label of a cyclic group, or None if no single generator exists.
 
@@ -476,14 +487,8 @@ def cyclic_equivalent_type(group: FiniteGroup) -> CyclicType | None:
     if n == 1:
         return canonical_cyclic(0, 1)
     theta, phi = group.eigen_data()
-    two_pi = 2 * math.pi
-    x1 = np.mod(theta + phi, two_pi) / two_pi * n
-    x2 = np.mod(theta - phi, two_pi) / two_pi * n
-    for i in range(n):
-        k1, k2 = round(float(x1[i])), round(float(x2[i]))
-        if abs(x1[i] - k1) > 1e-6 * n or abs(x2[i] - k2) > 1e-6 * n:
-            raise SnapFailure("eigenvalue angle is not a multiple of 2pi/N")
-        k1, k2 = k1 % n, k2 % n
+    for a1, a2 in zip((theta + phi).tolist(), (theta - phi).tolist()):
+        k1, k2 = _snap_residue(a1, n), _snap_residue(a2, n)
         if math.gcd(k1, n) == 1:
             q = (k2 * pow(k1, -1, n)) % n
             if math.gcd(q, n) != 1:

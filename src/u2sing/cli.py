@@ -28,6 +28,7 @@ from .sweep import (config_from_mapping, parse_config_file, parse_fraction,
                     verify)
 
 _FAMILY_CHOICES = [f.value for f in Family]
+_DEFAULT_TOLERANCE = 1e-6
 
 
 def _spec_from_args(args: argparse.Namespace) -> GroupSpec:
@@ -43,6 +44,10 @@ def _spec_from_args(args: argparse.Namespace) -> GroupSpec:
             raise InvalidParameters(f"{fam.value} needs --n")
         return GroupSpec(fam, m=args.m, n=args.n).validate()
     return GroupSpec(fam, m=args.m).validate()
+
+
+def _tolerance(args: argparse.Namespace) -> float:
+    return _DEFAULT_TOLERANCE if args.tolerance is None else args.tolerance
 
 
 def _add_spec_flags(parser: argparse.ArgumentParser) -> None:
@@ -91,7 +96,7 @@ def _report_text(report) -> str:
 def cmd_describe(args: argparse.Namespace) -> int:
     spec = _spec_from_args(args)
     eta = parse_fraction(args.eta) if args.eta else None
-    report = describe(spec, eta=eta, tolerance=args.tolerance)
+    report = describe(spec, eta=eta, tolerance=_tolerance(args))
     if args.format == "json":
         text = report_to_json(report)
     elif args.format == "dot":
@@ -118,7 +123,7 @@ def cmd_hj(args: argparse.Namespace) -> int:
 
 def cmd_resolve(args: argparse.Namespace) -> int:
     spec = _spec_from_args(args)
-    report = describe(spec, tolerance=args.tolerance)
+    report = describe(spec, tolerance=_tolerance(args))
     if args.format == "dot":
         print(export_dot(report, "resolution"), end="")
     elif args.format == "json":
@@ -132,7 +137,7 @@ def cmd_resolve(args: argparse.Namespace) -> int:
 
 def cmd_compactify(args: argparse.Namespace) -> int:
     spec = _spec_from_args(args)
-    report = describe(spec, tolerance=args.tolerance)
+    report = describe(spec, tolerance=_tolerance(args))
     if report.compactification is None:
         raise InvalidParameters(f"{spec.label()} has no compactification data")
     c = report.compactification
@@ -154,7 +159,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.families:
         values["families"] = args.families
     for key, flag in (("m_max", args.m_max), ("n_max", args.n_max),
-                      ("p_max", args.p_max), ("tolerance", args.tolerance_flag),
+                      ("p_max", args.p_max), ("tolerance", args.tolerance),
                       ("out", args.out)):
         if flag is not None:
             values[key] = flag
@@ -169,7 +174,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_export(args: argparse.Namespace) -> int:
     spec = _spec_from_args(args)
-    report = describe(spec, tolerance=args.tolerance)
+    report = describe(spec, tolerance=_tolerance(args))
     text = export_dot(report, args.what)
     Path(args.out).write_text(text)
     print(f"wrote {args.out}")
@@ -180,8 +185,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="u2sing",
         description="Invariants of finite U(2) subgroups acting freely on S^3")
-    parser.add_argument("--tolerance", type=float, default=1e-6,
-                        help="snap tolerance for float-to-integer checks")
+    # No default here: verify lets a config file set the tolerance unless
+    # a flag does, so an unset flag must stay distinguishable.
+    parser.add_argument("--tolerance", type=float,
+                        help="snap tolerance for float-to-integer checks "
+                        f"(default {_DEFAULT_TOLERANCE:g})")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("describe", help="full invariant report for one group")
@@ -212,7 +220,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m-max", dest="m_max", type=int)
     p.add_argument("--n-max", dest="n_max", type=int)
     p.add_argument("--p-max", dest="p_max", type=int)
-    p.add_argument("--tolerance", dest="tolerance_flag", type=float)
+    # SUPPRESS keeps the global --tolerance when this one is not given.
+    p.add_argument("--tolerance", type=float, default=argparse.SUPPRESS)
     p.add_argument("--out", help="directory for per-spec JSON reports")
     p.add_argument("--eta-file", help="JSON file {spec_key: 'num/den'}")
     p.set_defaults(func=cmd_verify)

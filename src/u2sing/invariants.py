@@ -35,7 +35,8 @@ import numpy as np
 
 from .catalog import Family, FiniteGroup, GroupSpec, enumerate_gamma_prime
 from .errors import InvalidParameters, SnapFailure
-from .resolution import BGamma, PlumbingGraph, ResolutionData, b_gamma, _require_noncyclic
+from .resolution import (BGamma, PlumbingGraph, ResolutionData, b_gamma,
+                         _require_noncyclic, resolution_graph)
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +210,6 @@ def moduli_dim(spec: GroupSpec,
     if b is None:
         b = b_gamma(spec)
     if res is None:
-        from .resolution import resolution_graph
         res = resolution_graph(spec, None, b)
     return 2 * (b.value - 1) + res.k_gamma
 
@@ -244,7 +244,6 @@ def topology_report(spec: GroupSpec,
     """
     _require_noncyclic(spec)
     if res is None:
-        from .resolution import resolution_graph
         res = resolution_graph(spec)
     k = res.k_gamma
     order = spec.expected_order()

@@ -40,7 +40,9 @@ from .catalog import (CyclicType, FiniteGroup, GroupSpec,
                       enumerate_gamma_prime, enumerate_group,
                       is_fixed_point_free)
 from .errors import InvalidParameters, U2SingError
-from .hj import cf_value, hj_string
+# hj_string is no longer called here, but bench/tracer.py and
+# bench/test_bench.py bind u2sing.report.hj_string.
+from .hj import cf_value, hj_string  # noqa: F401
 from .invariants import (DeformationReport, TopologyReport, dim_h1_theta,
                          dim_sfk, moduli_dim, topology_report)
 from .resolution import (BGamma, CompactificationData, CurveConfiguration,
@@ -143,8 +145,8 @@ def _describe_cyclic(spec: GroupSpec, group: FiniteGroup,
             raise U2SingError(f"{spec.label()} flagged degenerate but not cyclic")
     else:
         t = canonical_cyclic(spec.q, spec.p)
-    s = hj_string(t)
     rd = resolution_graph(GroupSpec.cyclic(t.alpha, t.beta))
+    s, = rd.strings
     roundtrip = cf_value(s) == Fraction(t.alpha, t.beta) if s.length else True
     checks.append(CheckResult("hj_round_trip", roundtrip,
                               f"string {list(s.entries)} for {t}"))
@@ -222,7 +224,7 @@ def _describe_noncyclic(spec: GroupSpec, group: FiniteGroup,
                 "b_prime_unique", True,
                 f"b'={comp.b_prime.value}, seifert target {comp.b_prime.seifert_value}, "
                 f"lattice candidates {list(comp.b_prime.lattice_candidates)}"))
-            signature = cfg.signature()
+            signature = comp.b_prime.signature
             checks.append(CheckResult(
                 "b_prime_signature", signature == (1, comp.kappa),
                 f"signature {signature}"))
@@ -234,7 +236,7 @@ def _describe_noncyclic(spec: GroupSpec, group: FiniteGroup,
                 kappa=comp.kappa,
                 dual_strings=tuple(s.entries for s in comp.dual_strings),
                 star=comp.star,
-                configuration_determinant=cfg.determinant(),
+                configuration_determinant=comp.b_prime.determinant,
                 configuration_signature=signature)
         except U2SingError as exc:
             checks.append(CheckResult("b_prime_unique", False,

@@ -7,7 +7,8 @@ module computes the three types twice:
   * by the family table (dihedral-shaped families get {L(1,2), L(1,2),
     L(-m,n)}, the tetrahedral product {L(1,2), L(-m,3), L(-m,3)}, and so on),
   * and algorithmically: project the group to its Mobius action on the Hopf
-    base, find the fixed points of the non-identity cosets, partition them
+    base (one coset per Mobius map, found by the enumeration's key pass),
+    find the fixed points of the non-identity cosets, partition them
     into orbits (all cosets act on all fixed points as one numpy array), and
     read the tangent/normal rotation numbers of a stabilizer generator off
     the eigenvalues of its unitary matrix (the normal direction carries the
@@ -44,11 +45,13 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator
 
 import numpy as np
 
-from .catalog import (EQ_TOL, KEY_SCALE, CyclicType, Family, FiniteGroup,
-                      GroupSpec, canonical_cyclic, enumerate_group)
+from .catalog import (EQ_TOL, CyclicType, Family, FiniteGroup, GroupSpec,
+                      _fresh_indices, _row_keys, _snap_residue,
+                      canonical_cyclic, enumerate_group)
 from .errors import (AmbiguousCandidate, CrossCheckFailure, InvalidParameters,
                      MalformedGraph, NoCandidate, OrbitCountMismatch,
                      SnapFailure, TableDisagreement)
@@ -93,19 +96,25 @@ class PlumbingGraph:
             out.extend(arm)
         return out
 
-    def intersection_matrix(self) -> list[list[int]]:
-        n = self.vertex_count
-        mat = [[0] * n for _ in range(n)]
-        w = self.weights()
-        for i in range(n):
-            mat[i][i] = w[i]
+    def _edges(self) -> Iterator[tuple[int, int]]:
+        """Each arm's edges outward from the center, as vertex indices in
+        ``weights()`` order."""
         pos = 1
         for arm in self.arms:
             prev = 0
-            for j in range(len(arm)):
-                mat[prev][pos] = mat[pos][prev] = 1
+            for _ in arm:
+                yield prev, pos
                 prev = pos
                 pos += 1
+
+    def intersection_matrix(self) -> list[list[int]]:
+        w = self.weights()
+        n = len(w)
+        mat = [[0] * n for _ in range(n)]
+        for i in range(n):
+            mat[i][i] = w[i]
+        for i, j in self._edges():
+            mat[i][j] = mat[j][i] = 1
         return mat
 
     def pivots(self) -> list[Fraction]:
@@ -133,23 +142,26 @@ class PlumbingGraph:
 
     def signature(self) -> tuple[int, int]:
         """(positive, negative) inertia; raises on a degenerate matrix."""
-        pos = neg = 0
-        for d in self.pivots():
-            if d > 0:
-                pos += 1
-            elif d < 0:
-                neg += 1
-            else:
-                raise MalformedGraph("degenerate intersection matrix")
-        return pos, neg
+        return _inertia(self.pivots())
 
     def determinant(self) -> int:
-        det = Fraction(1)
-        for d in self.pivots():
-            det *= d
-        if det.denominator != 1:
-            raise AssertionError("integer matrix with non-integer determinant")
-        return int(det)
+        return _integer_det(self.pivots())
+
+
+def _inertia(pivots: list[Fraction]) -> tuple[int, int]:
+    """(positive, negative) counts of elimination pivots (Sylvester's law);
+    raises on a zero pivot, i.e. a degenerate matrix."""
+    if 0 in pivots:
+        raise MalformedGraph("degenerate intersection matrix")
+    return sum(d > 0 for d in pivots), sum(d < 0 for d in pivots)
+
+
+def _integer_det(pivots: list[Fraction]) -> int:
+    """Product of elimination pivots: the determinant of an integer matrix."""
+    det = math.prod(pivots, start=Fraction(1))
+    if det.denominator != 1:
+        raise AssertionError("integer matrix with non-integer determinant")
+    return int(det)
 
 
 @dataclass(frozen=True)
@@ -195,13 +207,15 @@ class CurveConfiguration:
     def vertex_count(self) -> int:
         return self.resolution.vertex_count + self.compactification.vertex_count
 
+    def _pivots(self) -> list[Fraction]:
+        """The elimination pivots of both (disjoint) stars."""
+        return self.compactification.pivots() + self.resolution.pivots()
+
     def signature(self) -> tuple[int, int]:
-        p1, n1 = self.compactification.signature()
-        p2, n2 = self.resolution.signature()
-        return (p1 + p2, n1 + n2)
+        return _inertia(self._pivots())
 
     def determinant(self) -> int:
-        return self.resolution.determinant() * self.compactification.determinant()
+        return _integer_det(self._pivots())
 
     def intersection_matrix(self) -> list[list[int]]:
         a = self.compactification.intersection_matrix()
@@ -256,7 +270,8 @@ def _coset_indices(group: FiniteGroup) -> np.ndarray:
     in row order.
 
     Cosets of the Mobius-trivial subgroup are keyed by the SU(2) part with
-    its sign fixed (first nonzero coefficient positive).
+    its sign fixed (first nonzero coefficient positive), through the same
+    grid keys and first-occurrence pass as the group enumeration.
     """
     su2 = group.rows[:, 1:3]
     comps = np.stack([su2[:, 0].real, su2[:, 0].imag,
@@ -266,11 +281,7 @@ def _coset_indices(group: FiniteGroup) -> np.ndarray:
         undecided = sign == 0
         big = undecided & (np.abs(comps[:, j]) > EQ_TOL)
         sign[big] = np.sign(comps[big, j])
-    keys = np.round(comps * sign[:, None] * KEY_SCALE).astype(np.int64)
-    # A stable lexsort puts each key's first row at the start of its run.
-    order = np.lexsort(keys.T[::-1])
-    runs = np.any(np.diff(keys[order], axis=0) != 0, axis=1)
-    return np.sort(order[np.concatenate(([True], runs))])
+    return np.array(_fresh_indices(_row_keys(comps * sign[:, None]), set()))
 
 
 def _sphere_vecs(z: np.ndarray) -> np.ndarray:
@@ -312,15 +323,6 @@ def _orbit(mats: np.ndarray, point: np.ndarray, targets: np.ndarray) -> np.ndarr
     if not (2.0 - 2.0 * dots.max(axis=1) < POINT_TOL ** 2).all():
         raise OrbitCountMismatch("orbit left the fixed-point set")
     return dots.argmax(axis=1)
-
-
-def _snap_residue(angle: float, modulus: int) -> int:
-    """angle = 2*pi*k/modulus up to snap tolerance; return k mod modulus."""
-    x = angle * modulus / (2 * math.pi)
-    k = round(x)
-    if abs(x - k) > 1e-6 * modulus:
-        raise SnapFailure(f"angle {angle} is not a multiple of 2pi/{modulus}")
-    return k % modulus
 
 
 def _tangent_normal(row: np.ndarray, point: np.ndarray, p_orb: int,
@@ -458,7 +460,6 @@ def singularity_triple(spec: GroupSpec,
 class BGamma:
     value: int
     rational: Fraction
-    pgl_order: int
 
 
 def b_gamma(spec: GroupSpec,
@@ -482,7 +483,7 @@ def b_gamma(spec: GroupSpec,
             f"{spec.label()}: b integer route {b_int} != rational route {b_rat}")
     if b_int < 2:
         raise CrossCheckFailure(f"{spec.label()}: b = {b_int} < 2")
-    return BGamma(b_int, b_rat, h)
+    return BGamma(b_int, b_rat)
 
 
 # ---------------------------------------------------------------------------
@@ -590,14 +591,8 @@ class CentrePencil:
         fixed = _comp_star(0, dual_strings).pivots()
         threshold = -fixed.pop()             # the centre pivot at c = 0
         fixed += res_graph.pivots()
-        if 0 in fixed:
-            raise MalformedGraph("degenerate intersection matrix")
-        scale = math.prod(fixed, start=Fraction(1))
-        offset = scale * threshold
-        if scale.denominator != 1 or offset.denominator != 1:
-            raise AssertionError("integer matrix with non-integer determinant")
-        inertia = (sum(d > 0 for d in fixed), sum(d < 0 for d in fixed))
-        return cls(inertia, int(scale), int(offset), threshold)
+        return cls(_inertia(fixed), _integer_det(fixed),
+                   _integer_det(fixed + [threshold]), threshold)
 
     def signature(self, c: int) -> tuple[int, int]:
         if c == self.threshold:
@@ -630,8 +625,8 @@ def solve_b_prime(spec: GroupSpec,
     threshold s, so every integer c of the window [min(1, seifert) - 4,
     10 b_Gamma] is tested for signature (1, kappa) and a square |det| in
     constant time.  The two routes must meet in a single value, and the
-    configuration at that value is then eliminated in full; its signature
-    and determinant must equal the pencil's.
+    configuration at that value is then eliminated in full, once, for both
+    its signature and its determinant; they must equal the pencil's.
     """
     _require_noncyclic(spec)
     triple = None
@@ -662,8 +657,9 @@ def solve_b_prime(spec: GroupSpec,
         lattice = ()
 
     if seifert_int is not None and seifert_int in lattice:
-        config = CurveConfiguration(res.graph, _comp_star(seifert_int, dual_strings))
-        sig, det = config.signature(), config.determinant()
+        pivots = CurveConfiguration(
+            res.graph, _comp_star(seifert_int, dual_strings))._pivots()
+        sig, det = _inertia(pivots), _integer_det(pivots)
         predicted = (pencil.signature(seifert_int), pencil.determinant(seifert_int))
         if (sig, det) != predicted:
             raise CrossCheckFailure(f"{spec.label()}: full elimination gives "
@@ -699,13 +695,12 @@ def compactification(spec: GroupSpec,
     dual_strings = tuple(hj_string(dual_type(t)) for t in triple)
     bp = solve_b_prime(spec, res, dual_strings, b)
     star = _comp_star(bp.value, dual_strings)
-    kappa = res.k_gamma + sum(s.length for s in dual_strings)
     config = CurveConfiguration(res.graph, star)
-    if config.vertex_count != kappa + 1:
+    if config.vertex_count != bp.kappa + 1:
         raise CrossCheckFailure(
             f"{spec.label()}: configuration has {config.vertex_count} curves, "
-            f"expected kappa + 1 = {kappa + 1}")
-    return CompactificationData(star, dual_strings, kappa, bp, config)
+            f"expected kappa + 1 = {bp.kappa + 1}")
+    return CompactificationData(star, dual_strings, bp.kappa, bp, config)
 
 
 # ---------------------------------------------------------------------------
@@ -725,12 +720,7 @@ def graph_to_dot(obj: PlumbingGraph | CurveConfiguration,
         w = graph.weights()
         for i, weight in enumerate(w):
             lines.append(f'  {prefix}{i} [label="{weight}"];')
-        pos = 1
-        for arm in graph.arms:
-            prev = 0
-            for _ in arm:
-                lines.append(f"  {prefix}{prev} -- {prefix}{pos};")
-                prev = pos
-                pos += 1
+        for i, j in graph._edges():
+            lines.append(f"  {prefix}{i} -- {prefix}{j};")
     lines.append("}")
     return "\n".join(lines) + "\n"

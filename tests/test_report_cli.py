@@ -17,6 +17,7 @@ from u2sing.report import (CheckResult, CompactificationSection,
                            InvariantReport, _dumps, describe, export_dot,
                            json_text, report_from_dict, report_from_json,
                            report_to_dict, report_to_json)
+from u2sing.resolution import PlumbingGraph
 from u2sing.sweep import (SweepConfig, config_from_mapping, parse_config_file,
                           specs_in_sweep, verify)
 
@@ -40,6 +41,21 @@ def test_describe_cyclic():
     assert r.hj_strings == ((2, 3),)
     assert r.signature == -2 and r.k_gamma == 2
     assert r.all_passed()
+
+
+def test_describe_eliminates_each_lattice_sparingly(monkeypatch):
+    # Non-cyclic: the resolution's definiteness, the b' pencil (two stars)
+    # and one full elimination of the chosen configuration (two stars).
+    real, calls = PlumbingGraph.pivots, []
+    monkeypatch.setattr(PlumbingGraph, "pivots",
+                        lambda self: calls.append(self) or real(self))
+    for spec in (GroupSpec.dihedral(5, 2), GroupSpec.icosahedral(7)):
+        calls.clear()
+        r = describe(spec)
+        assert r.all_passed() and len(calls) <= 5
+    calls.clear()
+    assert describe(GroupSpec.cyclic(3, 7)).all_passed()
+    assert len(calls) == 1
 
 
 def test_describe_invalid():
@@ -449,6 +465,21 @@ def test_cli_usage_errors(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["describe"])          # missing --family
     assert exc.value.code == 2
+
+
+def test_cli_tolerance_reaches_verify(tmp_path, capsys):
+    # the slice of test_absurd_tolerance_fails, with the tolerance set by
+    # the config file, the global flag and the verify flag in turn
+    cfg = tmp_path / "c.cfg"
+    bounds = ("families = tetrahedral\nm_max = 7\nhj_p_max = 10\n"
+              "eisenstein_n_max = 50\n")
+    cfg.write_text(bounds + "tolerance = 1e-6\n")
+    assert main(["--tolerance", "1e-15", "verify", "--config", str(cfg)]) == 1
+    assert main(["--tolerance", "1e-15", "verify", "--config", str(cfg),
+                 "--tolerance", "1e-6"]) == 0
+    cfg.write_text(bounds + "tolerance = 1e-15\n")
+    assert main(["verify", "--config", str(cfg)]) == 1
+    assert main(["--tolerance", "1e-6", "verify", "--config", str(cfg)]) == 0
 
 
 def test_cli_config_file(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Singularity triples, plumbing graphs, central weights, compactifications."""
 
+import cmath
 import math
 import random
 from fractions import Fraction as F
@@ -7,8 +8,9 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from u2sing.catalog import (Family, GroupSpec, canonical_cyclic,
-                            enumerate_group)
+from u2sing import resolution
+from u2sing.catalog import (EQ_TOL, KEY_SCALE, Family, GroupSpec,
+                            canonical_cyclic, enumerate_group)
 from u2sing.errors import (CrossCheckFailure, InvalidParameters,
                            MalformedGraph, OrbitCountMismatch)
 from u2sing.hj import cf_value, dual_type, hj_string
@@ -21,7 +23,7 @@ from u2sing.resolution import (CentrePencil, CurveConfiguration, PlumbingGraph,
                                solve_b_prime, table_singularities)
 from u2sing.sweep import SweepConfig, specs_in_sweep
 
-from rowalg import mobius, scalar
+from rowalg import matrix, mobius, scalar
 
 D4_STAR = PlumbingGraph(-2, ((-2,), (-2,), (-2,)))
 
@@ -59,6 +61,77 @@ def test_algorithmic_route_is_independent():
     assert len(_coset_indices(group)) == 24
     got = algorithmic_singularities(spec, group)
     assert got == table_singularities(spec)
+
+
+ONE_PER_FAMILY = [GroupSpec.dihedral(5, 4), GroupSpec.tetrahedral(7),
+                  GroupSpec.octahedral(5), GroupSpec.icosahedral(7),
+                  GroupSpec.index2(4, 3), GroupSpec.index3(9)]
+
+
+def _lexsort_coset_indices(group):
+    """The coset representatives by a stable lexsort of the integer grid
+    keys: the reference for the key pass in _coset_indices."""
+    su2 = group.rows[:, 1:3]
+    comps = np.stack([su2[:, 0].real, su2[:, 0].imag,
+                      su2[:, 1].real, su2[:, 1].imag], axis=1)
+    sign = np.zeros(len(comps))
+    for j in range(4):
+        undecided = sign == 0
+        big = undecided & (np.abs(comps[:, j]) > EQ_TOL)
+        sign[big] = np.sign(comps[big, j])
+    keys = np.round(comps * sign[:, None] * KEY_SCALE).astype(np.int64)
+    # A stable lexsort puts each key's first row at the start of its run.
+    order = np.lexsort(keys.T[::-1])
+    runs = np.any(np.diff(keys[order], axis=0) != 0, axis=1)
+    return np.sort(order[np.concatenate(([True], runs))])
+
+
+@pytest.mark.parametrize("spec", ONE_PER_FAMILY, ids=GroupSpec.key)
+def test_coset_indices_match_the_lexsort_reference(spec):
+    group = enumerate_group(spec)
+    got = _coset_indices(group)
+    assert len(got) == spec.pgl_image_order()
+    assert got.tolist() == _lexsort_coset_indices(group).tolist()
+
+
+def _residue(z, p):
+    x = cmath.phase(z) * p / (2 * math.pi)
+    assert abs(x - round(x)) < 1e-6 * p
+    return round(x) % p
+
+
+@pytest.mark.parametrize("spec", ONE_PER_FAMILY, ids=GroupSpec.key)
+def test_tangent_normal_matches_the_rayleigh_quotient(spec, monkeypatch):
+    # At a unit fixed point v of M, mu2 = <v, M v> and mu1 = det M / mu2
+    # need no choice of eigenline, so a swapped mu1/mu2 shows.  Every coset
+    # that fixes a point the algorithm reads a type at is checked there.
+    real, points = resolution._tangent_normal, {}
+
+    def recording(row, point, p_orb, m):
+        points[point.tobytes()] = (point, p_orb)
+        return real(row, point, p_orb, m)
+
+    monkeypatch.setattr(resolution, "_tangent_normal", recording)
+    assert algorithmic_singularities(spec) == table_singularities(spec)
+    assert len(points) == 3
+    group = enumerate_group(spec)
+    reps = group.rows[_coset_indices(group)]
+    for point, p in points.values():
+        stabilizer = 0
+        for row in reps:
+            mat = np.array(matrix(scalar([row])[0]))
+            mu2 = np.vdot(point, mat @ point)
+            if abs(abs(mu2) - 1) > 1e-9:        # moves the point
+                continue
+            stabilizer += 1
+            mu1 = np.linalg.det(mat) / mu2
+            tn = real(row, point, p, spec.m)
+            if abs(mu1 - mu2) < 1e-9:           # identity on the Hopf base
+                assert tn is None
+            else:
+                assert tn == (_residue(mu1 / mu2, p),
+                              _residue(mu2 ** (2 * spec.m), p))
+        assert stabilizer == p
 
 
 def test_singularity_rejects_cyclic():
