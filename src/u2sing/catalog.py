@@ -121,9 +121,8 @@ class GroupSpec:
             return self
         if self.m is None or self.m < 1:
             raise InvalidParameters(f"{f.value} needs a positive parameter m")
-        if f in (Family.DIHEDRAL, Family.INDEX2):
-            if self.n is None or self.n < 1:
-                raise InvalidParameters(f"{f.value} needs a positive parameter n")
+        if f in (Family.DIHEDRAL, Family.INDEX2) and (self.n is None or self.n < 1):
+            raise InvalidParameters(f"{f.value} needs a positive parameter n")
         if f is Family.DIHEDRAL and math.gcd(self.m, 2 * self.n) != 1:
             raise InvalidParameters(
                 f"dihedral(m={self.m},n={self.n}): gcd(m,2n) must be 1")
@@ -131,10 +130,9 @@ class GroupSpec:
             raise InvalidParameters(f"{f.value}(m={self.m}): gcd(m,6) must be 1")
         if f is Family.ICOSAHEDRAL and math.gcd(self.m, 30) != 1:
             raise InvalidParameters(f"icosahedral(m={self.m}): gcd(m,30) must be 1")
-        if f is Family.INDEX2:
-            if self.m % 2 != 0 or math.gcd(self.m, self.n) != 1:
-                raise InvalidParameters(
-                    f"index2(m={self.m},n={self.n}): needs m even and gcd(m,n)=1")
+        if f is Family.INDEX2 and (self.m % 2 != 0 or math.gcd(self.m, self.n) != 1):
+            raise InvalidParameters(
+                f"index2(m={self.m},n={self.n}): needs m even and gcd(m,n)=1")
         if f is Family.INDEX3 and math.gcd(self.m, 6) != 3:
             raise InvalidParameters(f"index3(m={self.m}): gcd(m,6) must be 3")
         return self
@@ -201,9 +199,6 @@ class CyclicType:
     def is_trivial(self) -> bool:
         return self.beta == 1
 
-    def dual(self) -> "CyclicType":
-        return canonical_cyclic(self.beta - self.alpha, self.beta)
-
     def conjugate(self) -> "CyclicType":
         """The inverse label L(alpha^{-1} mod beta, beta)."""
         if self.is_trivial:
@@ -268,6 +263,9 @@ EQ_TOL = 1e-9
 # Multiply by KEY_SCALE rather than divide by the grid 1e-6: x / 1e-6 and
 # x * 1e6 differ in the last bit for many x, and a key can sit on a midpoint.
 KEY_SCALE = 1e6
+# The default tolerance of the float checks that take one: eigenvalue 1
+# (freeness), the character-sum snap and the Eisenstein residuals.
+DEFAULT_TOLERANCE = 1e-6
 
 _ONE = (1.0, 0.0, 0.0, 0.0)
 _IHAT = (0.0, 1.0, 0.0, 0.0)
@@ -372,7 +370,7 @@ class FiniteGroup:
         c = np.clip(self.rows[:, 1].real, -1.0, 1.0)
         return theta, np.arccos(c)
 
-    def eigenvalue_one_count(self, tol: float = 1e-6) -> int:
+    def eigenvalue_one_count(self, tol: float = DEFAULT_TOLERANCE) -> int:
         theta, phi = self.eigen_data()
         d1 = np.abs(np.exp(1j * (theta + phi)) - 1.0)
         d2 = np.abs(np.exp(1j * (theta - phi)) - 1.0)
@@ -452,7 +450,8 @@ def enumerate_gamma_prime(spec: GroupSpec) -> FiniteGroup:
 # Structural checks
 # ---------------------------------------------------------------------------
 
-def is_fixed_point_free(group: FiniteGroup, tol: float = 1e-6) -> bool:
+def is_fixed_point_free(group: FiniteGroup,
+                        tol: float = DEFAULT_TOLERANCE) -> bool:
     """True iff no element besides the identity has eigenvalue 1 (no complex
     reflections, equivalently the action on S^3 is free)."""
     return group.eigenvalue_one_count(tol) == 1

@@ -19,7 +19,7 @@ import json
 import sys
 from pathlib import Path
 
-from .catalog import Family, GroupSpec, canonical_cyclic
+from .catalog import DEFAULT_TOLERANCE, Family, GroupSpec, canonical_cyclic
 from .errors import InvalidParameters, U2SingError
 from .hj import hj_string
 from .report import (describe, export_dot, json_text, report_to_dict,
@@ -28,7 +28,6 @@ from .sweep import (config_from_mapping, parse_config_file, parse_fraction,
                     verify)
 
 _FAMILY_CHOICES = [f.value for f in Family]
-_DEFAULT_TOLERANCE = 1e-6
 
 
 def _spec_from_args(args: argparse.Namespace) -> GroupSpec:
@@ -47,7 +46,7 @@ def _spec_from_args(args: argparse.Namespace) -> GroupSpec:
 
 
 def _tolerance(args: argparse.Namespace) -> float:
-    return _DEFAULT_TOLERANCE if args.tolerance is None else args.tolerance
+    return DEFAULT_TOLERANCE if args.tolerance is None else args.tolerance
 
 
 def _add_spec_flags(parser: argparse.ArgumentParser) -> None:
@@ -189,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
     # a flag does, so an unset flag must stay distinguishable.
     parser.add_argument("--tolerance", type=float,
                         help="snap tolerance for float-to-integer checks "
-                        f"(default {_DEFAULT_TOLERANCE:g})")
+                        f"(default {DEFAULT_TOLERANCE:g})")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("describe", help="full invariant report for one group")

@@ -33,10 +33,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .catalog import Family, FiniteGroup, GroupSpec, enumerate_gamma_prime
+from .catalog import DEFAULT_TOLERANCE, Family, FiniteGroup, GroupSpec
 from .errors import InvalidParameters, SnapFailure
-from .resolution import (BGamma, PlumbingGraph, ResolutionData, b_gamma,
-                         _require_noncyclic, resolution_graph)
+from .resolution import (BGamma, PlumbingGraph, ResolutionData,
+                         _require_noncyclic)
 
 
 # ---------------------------------------------------------------------------
@@ -160,27 +160,21 @@ def closed_form_dim(spec: GroupSpec) -> int:
     return m // 3 + 1                      # index-3 diagonal
 
 
-def dim_sfk(spec: GroupSpec,
-            gamma_prime: FiniteGroup | None = None,
-            b: BGamma | None = None,
-            snap_tol: float = 1e-6) -> DeformationReport:
-    """Deformation dimension by brute-force character sum, by the family
-    closed form, and as 2*b_Gamma - 2.
+def dim_sfk(spec: GroupSpec, gamma_prime: FiniteGroup, b: BGamma,
+            snap_tol: float = DEFAULT_TOLERANCE) -> DeformationReport:
+    """Deformation dimension by brute-force character sum over the
+    enumerated ``gamma_prime``, by the family closed form, and as
+    2*b_Gamma - 2 from ``b``.
 
     For m = 1 the representation-theoretic identification does not hold and
     the deformation space is zero; the report carries brute_force_dim = 0
     and marks the closed forms inapplicable.
     """
     _require_noncyclic(spec)
-    if b is None:
-        b = b_gamma(spec)
     two_b = 2 * b.value - 2
     if spec.m == 1:
-        order = gamma_prime.order if gamma_prime is not None \
-            else spec.expected_order() // spec.m
-        return DeformationReport(0, None, two_b, True, 0.0, False, order)
-    if gamma_prime is None:
-        gamma_prime = enumerate_gamma_prime(spec)
+        return DeformationReport(0, None, two_b, True, 0.0, False,
+                                 gamma_prime.order)
     raw = 2.0 * _chi_real_sum(gamma_prime, spec.m) / gamma_prime.order
     snapped = round(raw)
     residual = abs(raw - snapped)
@@ -202,15 +196,10 @@ def dim_h1_theta(graph: PlumbingGraph) -> int:
     return sum(abs(w) - 1 for w in graph.weights())
 
 
-def moduli_dim(spec: GroupSpec,
-               b: BGamma | None = None,
-               res: ResolutionData | None = None) -> int:
-    """Real dimension 2(b_Gamma - 1) + k_Gamma of the known metric family."""
+def moduli_dim(spec: GroupSpec, b: BGamma, res: ResolutionData) -> int:
+    """Real dimension 2(b_Gamma - 1) + k_Gamma of the known metric family,
+    from ``b`` and the resolution ``res``."""
     _require_noncyclic(spec)
-    if b is None:
-        b = b_gamma(spec)
-    if res is None:
-        res = resolution_graph(spec, None, b)
     return 2 * (b.value - 1) + res.k_gamma
 
 
@@ -232,10 +221,9 @@ class TopologyReport:
     bound_is_equality: bool | None = None
 
 
-def topology_report(spec: GroupSpec,
-                    eta: Fraction | None = None,
-                    res: ResolutionData | None = None) -> TopologyReport:
-    """Topological invariants of the minimal resolution and the
+def topology_report(spec: GroupSpec, res: ResolutionData,
+                    eta: Fraction | None = None) -> TopologyReport:
+    """Topological invariants of the minimal resolution ``res`` and the
     scalar-flat-anti-self-dual bound b2^- >= 2 - 2/|Gamma| - 3*eta.
 
     ``implied_eta`` is the eta value forced by equality in the bound; for
@@ -243,8 +231,6 @@ def topology_report(spec: GroupSpec,
     affairs.  External eta values are inputs, never computed here.
     """
     _require_noncyclic(spec)
-    if res is None:
-        res = resolution_graph(spec)
     k = res.k_gamma
     order = spec.expected_order()
     chi_top = 1 + k

@@ -35,7 +35,7 @@ from itertools import chain
 from json.encoder import encode_basestring_ascii
 from typing import Union, get_args, get_origin, get_type_hints
 
-from .catalog import (CyclicType, FiniteGroup, GroupSpec,
+from .catalog import (DEFAULT_TOLERANCE, CyclicType, FiniteGroup, GroupSpec,
                       canonical_cyclic, cyclic_equivalent_type,
                       enumerate_gamma_prime, enumerate_group,
                       is_fixed_point_free)
@@ -45,10 +45,10 @@ from .errors import InvalidParameters, U2SingError
 from .hj import cf_value, hj_string  # noqa: F401
 from .invariants import (DeformationReport, TopologyReport, dim_h1_theta,
                          dim_sfk, moduli_dim, topology_report)
-from .resolution import (BGamma, CompactificationData, CurveConfiguration,
-                         PlumbingGraph, b_gamma, compactification,
-                         graph_to_dot, resolution_graph, seifert_euler,
-                         singularity_triple, table_singularities)
+from .resolution import (CurveConfiguration, PlumbingGraph, b_gamma,
+                         compactification, graph_to_dot, resolution_graph,
+                         seifert_euler, singularity_triple,
+                         table_singularities)
 
 
 @dataclass(frozen=True)
@@ -108,9 +108,14 @@ class InvariantReport:
 
 def describe(spec: GroupSpec,
              eta: Fraction | None = None,
-             tolerance: float = 1e-6,
+             tolerance: float = DEFAULT_TOLERANCE,
              group: FiniteGroup | None = None) -> InvariantReport:
-    """Full invariant report for one spec; raises only on invalid input."""
+    """Full invariant report for one spec; raises only on invalid input.
+
+    ``group`` is the enumerated group of ``spec`` when the caller already
+    holds it; otherwise it is enumerated here.  Every later stage takes its
+    inputs from the records of the stages before it.
+    """
     spec.validate()
     if spec.is_cyclic and spec.p == 1:
         raise InvalidParameters("the trivial group has no singularity to resolve")
@@ -118,9 +123,8 @@ def describe(spec: GroupSpec,
 
     if group is None:
         group = enumerate_group(spec)
-    order_ok = group.order == spec.expected_order()
     checks.append(CheckResult(
-        "order_matches_table", order_ok,
+        "order_matches_table", group.order == spec.expected_order(),
         f"enumerated {group.order}, expected {spec.expected_order()}"))
     free = is_fixed_point_free(group, tolerance)
     # Free means that the identity is the one element with eigenvalue 1.
@@ -168,12 +172,10 @@ def _describe_noncyclic(spec: GroupSpec, group: FiniteGroup,
                         checks: list[CheckResult]) -> InvariantReport:
     m, h = spec.m, spec.pgl_image_order()
 
-    triple = None
     conj_used = None
     try:
         trip = singularity_triple(spec, group)
-        triple = trip.types
-        conj_used = trip.conjugate_equivalence_used
+        triple, conj_used = trip.types, trip.conjugate_equivalence_used
         checks.append(CheckResult(
             "singularity_table_agreement", True,
             f"{tuple(map(str, triple))}, conjugate_equivalence_used={conj_used}"))
@@ -182,107 +184,96 @@ def _describe_noncyclic(spec: GroupSpec, group: FiniteGroup,
                                   f"resolution_geometry: {exc}"))
         triple = table_singularities(spec)
 
-    b: BGamma | None = None
     try:
         b = b_gamma(spec, triple)
-        checks.append(CheckResult(
-            "b_gamma_double_derivation", True,
-            f"integer {b.value} == rational {b.rational}"))
     except U2SingError as exc:
         checks.append(CheckResult("b_gamma_double_derivation", False,
                                   f"resolution_geometry: {exc}"))
+        return InvariantReport(
+            spec=spec, order=group.order, degenerate_cyclic=False,
+            singularities=triple, conjugate_equivalence_used=conj_used,
+            hj_strings=(), hj_lengths=(), b_gamma=None, b_gamma_rational=None,
+            k_gamma=0, signature=0, chi=1, resolution=PlumbingGraph(0, ()),
+            compactification=None, deformations=None, moduli_dim=None,
+            h1_theta=0, topology=None, checks=tuple(checks))
+    checks.append(CheckResult(
+        "b_gamma_double_derivation", True,
+        f"integer {b.value} == rational {b.rational}"))
 
-    rd = resolution_graph(spec, triple, b) if b is not None else None
-    comp: CompactificationData | None = None
-    deform: DeformationReport | None = None
+    rd = resolution_graph(spec, triple, b)
+    checks.append(CheckResult(
+        "hj_round_trip",
+        all(cf_value(s) == Fraction(s.source.alpha, s.source.beta)
+            for s in rd.strings), ""))
+    checks.append(CheckResult(
+        "resolution_negative_definite", rd.graph.is_negative_definite(),
+        f"k_gamma={rd.k_gamma}"))
+    checks.append(CheckResult(
+        "tau_equals_minus_k", rd.tau == -rd.k_gamma, ""))
+    euler = seifert_euler(rd.graph)
+    checks.append(CheckResult(
+        "seifert_euler_calibration", euler == Fraction(-2 * m, h),
+        f"e = {euler}, -2m/h = {Fraction(-2 * m, h)}"))
+
     comp_section = None
-    mod_dim = None
-    topo = None
-
-    if rd is not None:
+    try:
+        comp = compactification(spec, rd)
+        bp, curves = comp.b_prime, comp.configuration.vertex_count
         checks.append(CheckResult(
-            "hj_round_trip",
-            all(cf_value(s) == Fraction(s.source.alpha, s.source.beta)
-                for s in rd.strings), ""))
+            "kappa_curve_count", curves == comp.kappa + 1,
+            f"kappa={comp.kappa}, curves={curves}"))
         checks.append(CheckResult(
-            "resolution_negative_definite", rd.graph.is_negative_definite(),
-            f"k_gamma={rd.k_gamma}"))
+            "b_prime_unique", True,
+            f"b'={bp.value}, seifert target {bp.seifert_value}, "
+            f"lattice candidates {list(bp.lattice_candidates)}"))
         checks.append(CheckResult(
-            "tau_equals_minus_k", rd.tau == -rd.k_gamma, ""))
-        euler = seifert_euler(rd.graph)
+            "b_prime_signature", bp.signature == (1, comp.kappa),
+            f"signature {bp.signature}"))
+        comp_section = CompactificationSection(
+            b_prime=bp.value, b_prime_positive=bp.positive,
+            seifert_value=bp.seifert_value,
+            lattice_candidates=bp.lattice_candidates, kappa=comp.kappa,
+            dual_strings=tuple(s.entries for s in comp.dual_strings),
+            star=comp.star, configuration_determinant=bp.determinant,
+            configuration_signature=bp.signature)
+    except U2SingError as exc:
+        checks.append(CheckResult("b_prime_unique", False,
+                                  f"resolution_geometry: {exc}"))
+
+    deform = None
+    try:
+        gp = enumerate_gamma_prime(spec)
+        deform = dim_sfk(spec, gp, b, tolerance)
+        if deform.closed_forms_applicable:
+            checks.append(CheckResult(
+                "deformation_triple_agreement", deform.agreement,
+                f"brute {deform.brute_force_dim}, closed {deform.closed_form_dim}, "
+                f"2b-2 {deform.two_b_minus_2}, residual {deform.residual:.2e}"))
+        else:
+            checks.append(CheckResult(
+                "deformation_m1_gate", deform.brute_force_dim == 0,
+                "m = 1: deformation space is zero, closed forms inapplicable"))
+    except U2SingError as exc:
+        checks.append(CheckResult("deformation_triple_agreement", False,
+                                  f"invariants: {exc}"))
+
+    topo = topology_report(spec, rd, eta)
+    if eta is not None:
         checks.append(CheckResult(
-            "seifert_euler_calibration", euler == Fraction(-2 * m, h),
-            f"e = {euler}, -2m/h = {Fraction(-2 * m, h)}"))
-
-        try:
-            comp = compactification(spec, rd, b)
-            cfg = comp.configuration
-            checks.append(CheckResult(
-                "kappa_curve_count", cfg.vertex_count == comp.kappa + 1,
-                f"kappa={comp.kappa}, curves={cfg.vertex_count}"))
-            checks.append(CheckResult(
-                "b_prime_unique", True,
-                f"b'={comp.b_prime.value}, seifert target {comp.b_prime.seifert_value}, "
-                f"lattice candidates {list(comp.b_prime.lattice_candidates)}"))
-            signature = comp.b_prime.signature
-            checks.append(CheckResult(
-                "b_prime_signature", signature == (1, comp.kappa),
-                f"signature {signature}"))
-            comp_section = CompactificationSection(
-                b_prime=comp.b_prime.value,
-                b_prime_positive=comp.b_prime.positive,
-                seifert_value=comp.b_prime.seifert_value,
-                lattice_candidates=comp.b_prime.lattice_candidates,
-                kappa=comp.kappa,
-                dual_strings=tuple(s.entries for s in comp.dual_strings),
-                star=comp.star,
-                configuration_determinant=comp.b_prime.determinant,
-                configuration_signature=signature)
-        except U2SingError as exc:
-            checks.append(CheckResult("b_prime_unique", False,
-                                      f"resolution_geometry: {exc}"))
-
-        try:
-            gp = enumerate_gamma_prime(spec)
-            deform = dim_sfk(spec, gp, b, tolerance)
-            if deform.closed_forms_applicable:
-                checks.append(CheckResult(
-                    "deformation_triple_agreement", deform.agreement,
-                    f"brute {deform.brute_force_dim}, closed {deform.closed_form_dim}, "
-                    f"2b-2 {deform.two_b_minus_2}, residual {deform.residual:.2e}"))
-            else:
-                checks.append(CheckResult(
-                    "deformation_m1_gate", deform.brute_force_dim == 0,
-                    "m = 1: deformation space is zero, closed forms inapplicable"))
-        except U2SingError as exc:
-            checks.append(CheckResult("deformation_triple_agreement", False,
-                                      f"invariants: {exc}"))
-
-        mod_dim = moduli_dim(spec, b, rd)
-        topo = topology_report(spec, eta, rd)
-        if eta is not None:
-            checks.append(CheckResult(
-                "eta_bound", bool(topo.bound_holds),
-                f"b2- = {topo.b2_minus}, bound = {topo.sfasd_bound}, "
-                f"equality = {topo.bound_is_equality}"))
+            "eta_bound", bool(topo.bound_holds),
+            f"b2- = {topo.b2_minus}, bound = {topo.sfasd_bound}, "
+            f"equality = {topo.bound_is_equality}"))
 
     return InvariantReport(
         spec=spec, order=group.order, degenerate_cyclic=False,
         singularities=triple, conjugate_equivalence_used=conj_used,
-        hj_strings=tuple(s.entries for s in rd.strings) if rd else (),
-        hj_lengths=tuple(s.length for s in rd.strings) if rd else (),
-        b_gamma=b.value if b else None,
-        b_gamma_rational=b.rational if b else None,
-        k_gamma=rd.k_gamma if rd else 0,
-        signature=rd.tau if rd else 0,
-        chi=1 + rd.k_gamma if rd else 1,
-        resolution=rd.graph if rd else PlumbingGraph(0, ()),
-        compactification=comp_section,
-        deformations=deform,
-        moduli_dim=mod_dim,
-        h1_theta=dim_h1_theta(rd.graph) if rd else 0,
-        topology=topo,
-        checks=tuple(checks))
+        hj_strings=tuple(s.entries for s in rd.strings),
+        hj_lengths=tuple(s.length for s in rd.strings),
+        b_gamma=b.value, b_gamma_rational=b.rational,
+        k_gamma=rd.k_gamma, signature=rd.tau, chi=1 + rd.k_gamma,
+        resolution=rd.graph, compactification=comp_section,
+        deformations=deform, moduli_dim=moduli_dim(spec, b, rd),
+        h1_theta=dim_h1_theta(rd.graph), topology=topo, checks=tuple(checks))
 
 
 # ---------------------------------------------------------------------------

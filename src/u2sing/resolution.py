@@ -51,7 +51,7 @@ import numpy as np
 
 from .catalog import (EQ_TOL, CyclicType, Family, FiniteGroup, GroupSpec,
                       _fresh_indices, _row_keys, _snap_residue,
-                      canonical_cyclic, enumerate_group)
+                      canonical_cyclic)
 from .errors import (AmbiguousCandidate, CrossCheckFailure, InvalidParameters,
                      MalformedGraph, NoCandidate, OrbitCountMismatch,
                      SnapFailure, TableDisagreement)
@@ -220,14 +220,8 @@ class CurveConfiguration:
     def intersection_matrix(self) -> list[list[int]]:
         a = self.compactification.intersection_matrix()
         b = self.resolution.intersection_matrix()
-        na, nb = len(a), len(b)
-        mat = [[0] * (na + nb) for _ in range(na + nb)]
-        for i in range(na):
-            mat[i][:na] = a[i]
-        for i in range(nb):
-            for j in range(nb):
-                mat[na + i][na + j] = b[i][j]
-        return mat
+        return ([row + [0] * len(b) for row in a]
+                + [[0] * len(a) + row for row in b])
 
 
 # ---------------------------------------------------------------------------
@@ -238,9 +232,6 @@ class CurveConfiguration:
 class SingularityTriple:
     types: tuple[CyclicType, CyclicType, CyclicType]
     conjugate_equivalence_used: bool = False
-
-    def sorted_types(self) -> tuple[CyclicType, ...]:
-        return tuple(sorted(self.types))
 
 
 def table_singularities(spec: GroupSpec) -> tuple[CyclicType, CyclicType, CyclicType]:
@@ -367,10 +358,10 @@ def _tangent_normal(row: np.ndarray, point: np.ndarray, p_orb: int,
     return t, u
 
 
-def algorithmic_singularities(spec: GroupSpec,
-                              group: FiniteGroup | None = None
+def algorithmic_singularities(spec: GroupSpec, group: FiniteGroup
                               ) -> tuple[CyclicType, CyclicType, CyclicType]:
-    """Compute the three orbifold types from the Mobius action itself.
+    """Compute the three orbifold types from the Mobius action of the
+    enumerated ``group`` of ``spec``.
 
     The h maps of the Mobius image form one (h, 2, 2) array acting on
     fixed points in homogeneous coordinates (z1, z2), so oo is no special
@@ -384,8 +375,6 @@ def algorithmic_singularities(spec: GroupSpec,
     ``_tangent_normal``.  The family table is never consulted.
     """
     _require_noncyclic(spec)
-    if group is None:
-        group = enumerate_group(spec)
     h = spec.pgl_image_order()
     coset_idx = _coset_indices(group)
     if len(coset_idx) != h:
@@ -433,9 +422,9 @@ def algorithmic_singularities(spec: GroupSpec,
     return tuple(sorted(types))
 
 
-def singularity_triple(spec: GroupSpec,
-                       group: FiniteGroup | None = None) -> SingularityTriple:
-    """Table and algorithmic types, with agreement asserted.
+def singularity_triple(spec: GroupSpec, group: FiniteGroup) -> SingularityTriple:
+    """Table types and the algorithmic types of the enumerated ``group``,
+    with agreement asserted.
 
     Exact equality of the normalized triples is required; agreement only up
     to the inverse label alpha <-> alpha^{-1} is accepted but flagged.
@@ -462,22 +451,18 @@ class BGamma:
     rational: Fraction
 
 
-def b_gamma(spec: GroupSpec,
-            triple: tuple[CyclicType, ...] | None = None) -> BGamma:
+def b_gamma(spec: GroupSpec, triple: tuple[CyclicType, ...]) -> BGamma:
     """Central self-intersection by both derivations, agreement enforced.
 
     Integer route: 2 + (4m/|Gamma|)(m - (m mod |Gamma|/4m)); rational route:
-    sum of the singularity fractions plus 2m/h.
+    sum of the fractions of the singularity ``triple`` plus 2m/h.
     """
     _require_noncyclic(spec)
     m = spec.m
     idx = spec.quotient_index()
     b_int = 2 + (m - m % idx) // idx
-    if triple is None:
-        triple = table_singularities(spec)
-    h = spec.pgl_image_order()
     b_rat = sum((Fraction(t.alpha, t.beta) for t in triple), Fraction(0)) \
-        + Fraction(2 * m, h)
+        + Fraction(2 * m, spec.pgl_image_order())
     if b_rat != b_int:
         raise CrossCheckFailure(
             f"{spec.label()}: b integer route {b_int} != rational route {b_rat}")
@@ -504,8 +489,9 @@ def resolution_graph(spec: GroupSpec,
     """Minimal-resolution plumbing graph with signature data.
 
     Non-cyclic: star with center -b_Gamma and the Hirzebruch-Jung string of
-    each singularity as an arm, first entry adjacent to the center.  Cyclic:
-    the plain chain.
+    each singularity of ``triple`` as an arm, first entry adjacent to the
+    center; both ``triple`` and ``b`` are required.  Cyclic: the plain
+    chain of ``spec`` alone.
     """
     spec.validate()
     if spec.is_cyclic:
@@ -515,10 +501,9 @@ def resolution_graph(spec: GroupSpec,
         graph = PlumbingGraph(-s.entries[0], (tuple(-e for e in s.entries[1:]),)
                               if s.length > 1 else ())
         return ResolutionData(graph, (s,), s.length, -s.length)
-    if triple is None:
-        triple = table_singularities(spec)
-    if b is None:
-        b = b_gamma(spec, triple)
+    if triple is None or b is None:
+        raise InvalidParameters(
+            f"{spec.label()}: a non-cyclic resolution needs its triple and b_Gamma")
     strings = tuple(hj_string(t) for t in triple)
     arms = tuple(tuple(-e for e in s.entries) for s in strings)
     graph = PlumbingGraph(-b.value, arms)
@@ -610,11 +595,10 @@ class CentrePencil:
                      and _is_square(abs(self.determinant(c))))
 
 
-def solve_b_prime(spec: GroupSpec,
-                  res: ResolutionData | None = None,
-                  dual_strings: tuple[HJString, ...] | None = None,
-                  b: BGamma | None = None) -> BPrimeResult:
-    """Determine the central self-intersection b' of the curve at infinity.
+def solve_b_prime(spec: GroupSpec, res: ResolutionData,
+                  dual_strings: tuple[HJString, ...]) -> BPrimeResult:
+    """Determine the central self-intersection b' of the curve at infinity
+    from the resolution ``res`` and the ``dual_strings`` of its arms.
 
     No closed formula is asserted by the source construction, so this is an
     oracle that intersects two independent derivations.  The Seifert
@@ -624,24 +608,13 @@ def solve_b_prime(spec: GroupSpec,
     det(c) = det_res * A * (c - s), and the signature changes only at the
     threshold s, so every integer c of the window [min(1, seifert) - 4,
     10 b_Gamma] is tested for signature (1, kappa) and a square |det| in
-    constant time.  The two routes must meet in a single value, and the
-    configuration at that value is then eliminated in full, once, for both
-    its signature and its determinant; they must equal the pencil's.
+    constant time (b_Gamma is minus the resolution's centre weight).  The
+    two routes must meet in a single value, and the configuration at that
+    value is then eliminated in full, once, for both its signature and its
+    determinant; they must equal the pencil's.
     """
     _require_noncyclic(spec)
-    triple = None
-    if res is None:
-        triple = table_singularities(spec)
-        res = resolution_graph(spec, triple, b)
-    if dual_strings is None:
-        if triple is None:
-            triple = tuple(s.source for s in res.strings)
-        dual_strings = tuple(hj_string(dual_type(t)) for t in triple)
-    if b is None:
-        b = b_gamma(spec, tuple(s.source for s in res.strings))
-
-    m, h = spec.m, spec.pgl_image_order()
-    target = Fraction(2 * m, h)
+    target = Fraction(2 * spec.m, spec.pgl_image_order())
     kappa = res.k_gamma + sum(s.length for s in dual_strings)
     dual_sum = sum((cf_value(s) for s in dual_strings), Fraction(0))
 
@@ -649,7 +622,7 @@ def solve_b_prime(spec: GroupSpec,
     seifert_int = int(seifert_solution) if seifert_solution.denominator == 1 else None
 
     lo = min(1, seifert_int if seifert_int is not None else 1) - 4
-    hi = 10 * b.value
+    hi = -10 * res.graph.center
     try:
         pencil = CentrePencil.of(res.graph, dual_strings)
         lattice = pencil.lattice_candidates(lo, hi, kappa)
@@ -684,16 +657,12 @@ class CompactificationData:
 
 
 def compactification(spec: GroupSpec,
-                     res: ResolutionData | None = None,
-                     b: BGamma | None = None) -> CompactificationData:
-    """Compactification star, the blow-up count kappa, and the full
-    curve configuration (kappa + 1 curves)."""
+                     res: ResolutionData) -> CompactificationData:
+    """Compactification star of the resolution ``res``, the blow-up count
+    kappa, and the full curve configuration (kappa + 1 curves)."""
     _require_noncyclic(spec)
-    if res is None:
-        res = resolution_graph(spec, None, b)
-    triple = tuple(s.source for s in res.strings)
-    dual_strings = tuple(hj_string(dual_type(t)) for t in triple)
-    bp = solve_b_prime(spec, res, dual_strings, b)
+    dual_strings = tuple(hj_string(dual_type(s.source)) for s in res.strings)
+    bp = solve_b_prime(spec, res, dual_strings)
     star = _comp_star(bp.value, dual_strings)
     config = CurveConfiguration(res.graph, star)
     if config.vertex_count != bp.kappa + 1:

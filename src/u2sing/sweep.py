@@ -23,13 +23,15 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Iterator
 
-from .catalog import (Family, GroupSpec, canonical_cyclic, enumerate_group,
-                      eigenvalue_histogram, is_fixed_point_free)
+from .catalog import (DEFAULT_TOLERANCE, Family, GroupSpec, canonical_cyclic,
+                      eigenvalue_histogram, enumerate_group,
+                      is_fixed_point_free)
 from .errors import InvalidParameters
 from .hj import cf_value, hj_string
 from .invariants import eisenstein_residuals
 from .report import InvariantReport, describe, report_to_json
-from .resolution import compactification
+from .resolution import (b_gamma, compactification, resolution_graph,
+                         table_singularities)
 
 ALL_FAMILIES = tuple(Family)
 
@@ -42,7 +44,7 @@ class SweepConfig:
     p_max: int = 200
     hj_p_max: int = 500
     eisenstein_n_max: int = 200
-    tolerance: float = 1e-6
+    tolerance: float = DEFAULT_TOLERANCE
     eta: dict[str, Fraction] = field(default_factory=dict)
     out_dir: str | None = None
 
@@ -55,38 +57,30 @@ class SweepConfig:
 
 
 def specs_in_sweep(config: SweepConfig) -> Iterator[GroupSpec]:
-    """All valid specs within the bounds, cyclic groups last."""
-    fams = set(config.families)
-    if Family.DIHEDRAL in fams:
-        for n in range(1, config.n_max + 1):
-            for m in range(1, config.m_max + 1, 2):
-                if math.gcd(m, 2 * n) == 1:
-                    yield GroupSpec.dihedral(m, n)
-    if Family.INDEX2 in fams:
-        for n in range(1, config.n_max + 1):
-            for m in range(2, config.m_max + 1, 2):
-                if math.gcd(m, n) == 1:
-                    yield GroupSpec.index2(m, n)
-    if Family.TETRAHEDRAL in fams:
-        for m in range(1, config.m_max + 1):
-            if math.gcd(m, 6) == 1:
-                yield GroupSpec.tetrahedral(m)
-    if Family.OCTAHEDRAL in fams:
-        for m in range(1, config.m_max + 1):
-            if math.gcd(m, 6) == 1:
-                yield GroupSpec.octahedral(m)
-    if Family.ICOSAHEDRAL in fams:
-        for m in range(1, config.m_max + 1):
-            if math.gcd(m, 30) == 1:
-                yield GroupSpec.icosahedral(m)
-    if Family.INDEX3 in fams:
-        for m in range(3, config.m_max + 1, 6):
-            yield GroupSpec.index3(m)
-    if Family.CYCLIC in fams:
-        for p in range(2, config.p_max + 1):
-            for q in range(1, p):
-                if math.gcd(q, p) == 1:
-                    yield GroupSpec.cyclic(q, p)
+    """All specs within the bounds that ``GroupSpec.validate`` accepts, one
+    family after another in a fixed order, cyclic groups last."""
+    ms, ns = range(1, config.m_max + 1), range(1, config.n_max + 1)
+    candidates = {
+        Family.DIHEDRAL: (GroupSpec.dihedral(m, n) for n in ns for m in ms),
+        Family.INDEX2: (GroupSpec.index2(m, n) for n in ns for m in ms),
+        Family.TETRAHEDRAL: map(GroupSpec.tetrahedral, ms),
+        Family.OCTAHEDRAL: map(GroupSpec.octahedral, ms),
+        Family.ICOSAHEDRAL: map(GroupSpec.icosahedral, ms),
+        Family.INDEX3: map(GroupSpec.index3, ms),
+        Family.CYCLIC: (GroupSpec.cyclic(q, p)
+                        for p in range(2, config.p_max + 1) for q in range(1, p)),
+    }
+    for family, specs in candidates.items():
+        if family in config.families:
+            yield from filter(_is_valid, specs)
+
+
+def _is_valid(spec: GroupSpec) -> bool:
+    try:
+        spec.validate()
+    except InvalidParameters:
+        return False
+    return True
 
 
 @dataclass
@@ -191,10 +185,15 @@ def check_hj_roundtrip(summary: VerifySummary, p_max: int) -> None:
 
 
 def check_kappa_spots(summary: VerifySummary) -> None:
+    """Blow-up counts of the three smallest cases, by the table route:
+    table triple, b_Gamma, resolution, compactification."""
     for spec, expected in ((GroupSpec.dihedral(1, 2), 7),
                            (GroupSpec.dihedral(1, 3), 8),
                            (GroupSpec.index2(2, 3), 8)):
-        kappa = compactification(spec).kappa
+        triple = table_singularities(spec)
+        b = b_gamma(spec, triple)
+        res = resolution_graph(spec, triple, b)
+        kappa = compactification(spec, res).kappa
         summary.record(spec.label(), "kappa_spot_values", kappa == expected,
                        f"kappa = {kappa}, expected {expected}")
 

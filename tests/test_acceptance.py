@@ -12,9 +12,11 @@ from fractions import Fraction as F
 import pytest
 
 from u2sing.catalog import Family, GroupSpec
-from u2sing.invariants import eisenstein_check, topology_report
+from u2sing.invariants import eisenstein_check
 from u2sing.sweep import (SweepConfig, VerifySummary, check_hj_roundtrip,
                           specs_in_sweep, verify)
+
+from stages import table_topology
 
 # expected spec counts in the default sweep
 N_CYCLIC = 12231          # sum of euler phi(p), 2 <= p <= 200
@@ -130,21 +132,21 @@ def test_criterion_12_eta_bound(sweep):
     assert len(m1_specs) == N_M1
     eq_ok = True
     for spec in m1_specs:
-        eta = topology_report(spec).implied_eta
-        t = topology_report(spec, eta=eta)
+        eta = table_topology(spec).implied_eta
+        t = table_topology(spec, eta=eta)
         eq_ok &= bool(t.bound_holds and t.bound_is_equality)
     strict_ok = True
     sample = [s for s in specs_in_sweep(SweepConfig(families=(
         Family.DIHEDRAL, Family.TETRAHEDRAL, Family.ICOSAHEDRAL, Family.INDEX3)))
         if not s.is_degenerate_cyclic and s.m > 1][:40]
     for spec in sample:
-        eta = topology_report(spec).implied_eta + F(1, 6)
-        t = topology_report(spec, eta=eta)
+        eta = table_topology(spec).implied_eta + F(1, 6)
+        t = table_topology(spec, eta=eta)
         strict_ok &= bool(t.bound_holds and not t.bound_is_equality)
     # plumbing path: the eta table supplied through the sweep config
     table = {}
     for spec in m1_specs:
-        table[spec.key()] = topology_report(spec).implied_eta
+        table[spec.key()] = table_topology(spec).implied_eta
     cfg = SweepConfig(families=(Family.DIHEDRAL, Family.TETRAHEDRAL,
                                 Family.OCTAHEDRAL, Family.ICOSAHEDRAL),
                       m_max=1, n_max=24, hj_p_max=10, eisenstein_n_max=10,

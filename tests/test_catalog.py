@@ -185,11 +185,8 @@ def test_canonical_cyclic_rejects():
 
 def test_cyclic_type_dual_and_conjugate():
     t = canonical_cyclic(2, 5)
-    assert t.dual() == CyclicType(5, 3)
     assert t.conjugate() == CyclicType(5, 3)      # 2 * 3 = 6 = 1 (mod 5)
     assert t.conj_key() == (5, 2) == t.conjugate().conj_key()
-    assert canonical_cyclic(1, 2).dual() == CyclicType(2, 1)
-    assert canonical_cyclic(2, 3).dual() == CyclicType(3, 1)
 
 
 # -- closure against the np.unique reference --------------------------------

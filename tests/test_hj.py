@@ -6,7 +6,7 @@ from fractions import Fraction as F
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from u2sing.catalog import canonical_cyclic
+from u2sing.catalog import CyclicType, canonical_cyclic
 from u2sing.hj import HJString, cf_value, dual_type, hj_string
 
 
@@ -36,6 +36,10 @@ def test_dual_type_examples():
     assert dual_type(canonical_cyclic(1, 2)) == canonical_cyclic(1, 2)
     assert dual_type(canonical_cyclic(2, 5)) == canonical_cyclic(3, 5)
     assert dual_type(canonical_cyclic(2, 3)) == canonical_cyclic(1, 3)
+    # CyclicType(beta, alpha) is L(alpha, beta).
+    assert dual_type(canonical_cyclic(2, 5)) == CyclicType(5, 3)
+    assert dual_type(canonical_cyclic(1, 2)) == CyclicType(2, 1)
+    assert dual_type(canonical_cyclic(2, 3)) == CyclicType(3, 1)
 
 
 def test_round_trip_and_duality_sweep():

@@ -12,13 +12,13 @@ from hypothesis import strategies as st
 from u2sing.catalog import GroupSpec, enumerate_gamma_prime, generators_of
 from u2sing.errors import SnapFailure
 from u2sing.invariants import (char_rho, closed_form_dim, dim_h1_theta,
-                               dim_sfk, eisenstein_check,
-                               eisenstein_residuals, moduli_dim, sawtooth,
-                               topology_report)
-from u2sing.resolution import PlumbingGraph, resolution_graph
+                               eisenstein_check, eisenstein_residuals,
+                               moduli_dim, sawtooth)
+from u2sing.resolution import PlumbingGraph
 from u2sing.sweep import VerifySummary, check_eisenstein
 
 from rowalg import compose, matrix, power, scalar
+from stages import table_b, table_dim_sfk, table_resolution, table_topology
 
 
 # -- sawtooth ---------------------------------------------------------------
@@ -135,20 +135,20 @@ def test_greatest_integer_simplify(x, y, z):
 
 @pytest.mark.parametrize("m", [3, 9, 15, 21])
 def test_dim_sfk_index3_law(m):
-    rep = dim_sfk(GroupSpec.index3(m))
+    rep = table_dim_sfk(GroupSpec.index3(m))
     assert rep.brute_force_dim == rep.closed_form_dim == rep.two_b_minus_2
     assert rep.brute_force_dim == m // 3 + 1
 
 
 def test_dim_sfk_tetrahedral7():
-    rep = dim_sfk(GroupSpec.tetrahedral(7))
+    rep = table_dim_sfk(GroupSpec.tetrahedral(7))
     assert (rep.brute_force_dim, rep.closed_form_dim, rep.two_b_minus_2) == (4, 4, 4)
     assert rep.residual < 1e-6
     assert rep.gamma_prime_order == 24
 
 
 def test_dim_sfk_m1_gate():
-    rep = dim_sfk(GroupSpec.dihedral(1, 2))
+    rep = table_dim_sfk(GroupSpec.dihedral(1, 2))
     assert rep.brute_force_dim == 0
     assert rep.closed_form_dim is None
     assert not rep.closed_forms_applicable
@@ -166,7 +166,7 @@ def test_dim_sfk_m1_gate():
     GroupSpec.index3(27),
 ])
 def test_dim_sfk_triple_agreement(spec):
-    rep = dim_sfk(spec)
+    rep = table_dim_sfk(spec)
     assert rep.agreement, rep
     assert rep.residual < 1e-6
 
@@ -182,12 +182,12 @@ def test_dim_sfk_congruence_case_coverage():
     }
     for spec, expect in cases.items():
         assert closed_form_dim(spec) == expect
-        assert dim_sfk(spec).brute_force_dim == expect
+        assert table_dim_sfk(spec).brute_force_dim == expect
 
 
 def test_dim_sfk_snap_failure_on_absurd_tolerance():
     with pytest.raises(SnapFailure):
-        dim_sfk(GroupSpec.tetrahedral(7), snap_tol=1e-17)
+        table_dim_sfk(GroupSpec.tetrahedral(7), snap_tol=1e-17)
 
 
 def test_character_sum_is_real():
@@ -209,22 +209,23 @@ def test_dim_h1_theta():
     assert dim_h1_theta(PlumbingGraph(-2, ((-2,), (-2,), (-2,)))) == 4
     assert dim_h1_theta(PlumbingGraph(-3, ())) == 2
     assert dim_h1_theta(PlumbingGraph(-2, ((-2,),))) == 2
-    rd = resolution_graph(GroupSpec.tetrahedral(7))
+    rd = table_resolution(GroupSpec.tetrahedral(7))
     assert dim_h1_theta(rd.graph) == sum(abs(w) - 1 for w in rd.graph.weights())
 
 
 def test_moduli_dim_examples():
-    assert moduli_dim(GroupSpec.dihedral(1, 2)) == 6      # 2*1 + 4
-    assert moduli_dim(GroupSpec.tetrahedral(7)) == 10     # 2*2 + 6
-    assert moduli_dim(GroupSpec.index3(3)) == 7           # 2*1 + 5
+    for spec, dim in ((GroupSpec.dihedral(1, 2), 6),     # 2*1 + 4
+                      (GroupSpec.tetrahedral(7), 10),    # 2*2 + 6
+                      (GroupSpec.index3(3), 7)):         # 2*1 + 5
+        assert moduli_dim(spec, table_b(spec), table_resolution(spec)) == dim
 
 
 # -- topology ---------------------------------------------------------------
 
 def test_topology_implied_eta():
-    t = topology_report(GroupSpec.dihedral(1, 2))
+    t = table_topology(GroupSpec.dihedral(1, 2))
     assert t.implied_eta == F(-3, 4)                      # (2 - 1/4 - 4)/3
-    t = topology_report(GroupSpec.tetrahedral(1))
+    t = table_topology(GroupSpec.tetrahedral(1))
     assert t.implied_eta == (F(2) - F(1, 12) - 6) / 3
     assert t.chi_top == 1 + t.k_gamma
     assert t.chi_orb == t.chi_top - F(1, 24)
@@ -233,13 +234,13 @@ def test_topology_implied_eta():
 
 def test_topology_bound_equality_and_strictness():
     spec = GroupSpec.icosahedral(1)
-    eq = topology_report(spec).implied_eta
-    t = topology_report(spec, eta=eq)
+    eq = table_topology(spec).implied_eta
+    t = table_topology(spec, eta=eq)
     assert t.bound_holds and t.bound_is_equality
     spec = GroupSpec.icosahedral(7)
-    above = topology_report(spec).implied_eta + F(1, 6)
-    t = topology_report(spec, eta=above)
+    above = table_topology(spec).implied_eta + F(1, 6)
+    t = table_topology(spec, eta=above)
     assert t.bound_holds and not t.bound_is_equality
-    below = topology_report(spec).implied_eta - F(1, 6)
-    t = topology_report(spec, eta=below)
+    below = table_topology(spec).implied_eta - F(1, 6)
+    t = table_topology(spec, eta=below)
     assert not t.bound_holds

@@ -1,7 +1,10 @@
 """Report assembly, JSON round trips, the sweep harness, and the CLI."""
 
 import dataclasses
+import hashlib
 import json
+import math
+import re
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -20,6 +23,8 @@ from u2sing.report import (CheckResult, CompactificationSection,
 from u2sing.resolution import PlumbingGraph
 from u2sing.sweep import (SweepConfig, config_from_mapping, parse_config_file,
                           specs_in_sweep, verify)
+
+from stages import table_topology
 
 
 # -- describe ---------------------------------------------------------------
@@ -224,9 +229,43 @@ def test_specs_in_sweep_counts():
     cyclic = [s for s in specs if s.family is Family.CYCLIC]
     # sum of euler phi over 2..12
     assert len(cyclic) == sum(1 for p in range(2, 13) for q in range(1, p)
-                              if __import__("math").gcd(q, p) == 1)
+                              if math.gcd(q, p) == 1)
     assert GroupSpec.dihedral(9, 2) in specs
     assert GroupSpec.index3(9) in specs
+
+
+def _reference_specs(config):
+    """The earlier generator, with each family's coprimality condition
+    written into its loops: the reference for specs_in_sweep's order and
+    content."""
+    fams = set(config.families)
+    ms, ns = range(1, config.m_max + 1), range(1, config.n_max + 1)
+    if Family.DIHEDRAL in fams:
+        yield from (GroupSpec.dihedral(m, n) for n in ns for m in ms[::2]
+                    if math.gcd(m, 2 * n) == 1)
+    if Family.INDEX2 in fams:
+        yield from (GroupSpec.index2(m, n) for n in ns for m in ms[1::2]
+                    if math.gcd(m, n) == 1)
+    for family, modulus in ((Family.TETRAHEDRAL, 6), (Family.OCTAHEDRAL, 6),
+                            (Family.ICOSAHEDRAL, 30)):
+        if family in fams:
+            yield from (GroupSpec(family, m=m) for m in ms
+                        if math.gcd(m, modulus) == 1)
+    if Family.INDEX3 in fams:
+        yield from map(GroupSpec.index3, ms[2::6])
+    if Family.CYCLIC in fams:
+        yield from (GroupSpec.cyclic(q, p) for p in range(2, config.p_max + 1)
+                    for q in range(1, p) if math.gcd(q, p) == 1)
+
+
+@pytest.mark.parametrize("config", [
+    SweepConfig(),
+    SweepConfig(families=(Family.DIHEDRAL,), m_max=41, n_max=9),
+    SweepConfig(families=(Family.INDEX3,), m_max=200),
+    SweepConfig(families=(Family.CYCLIC,), p_max=57),
+], ids=["default", "dihedral", "index3", "cyclic"])
+def test_specs_in_sweep_match_the_reference(config):
+    assert list(specs_in_sweep(config)) == list(_reference_specs(config))
 
 
 def test_sweep_config_validation():
@@ -263,9 +302,8 @@ def test_absurd_tolerance_fails():
 
 
 def test_eta_table_in_sweep():
-    from u2sing.invariants import topology_report
     spec = GroupSpec.icosahedral(1)
-    eq = topology_report(spec).implied_eta
+    eq = table_topology(spec).implied_eta
     cfg = SweepConfig(families=(Family.ICOSAHEDRAL,), m_max=1, hj_p_max=10,
                       eisenstein_n_max=10, eta={spec.key(): eq})
     summary = verify(cfg)
@@ -349,6 +387,29 @@ def test_verify_checks_freeness_once_per_spec(monkeypatch):
     assert summary.exit_code == 0
     assert len(checked) == summary.specs_processed
     assert summary.passed_failed("fixed_point_free") == (len(checked), 0)
+
+
+def _mask_residual(text: bytes) -> bytes:
+    """The report bytes with the character sum's residual masked, in its
+    field and in the check detail: its last bits depend on the NumPy build."""
+    text = re.sub(rb'("residual": )[^,\n]+', rb"\1null", text)
+    return re.sub(rb"residual [-+.e0-9]+", b"residual ?", text)
+
+
+# The SHA-256 of the masked reports, in sweep order.  After an intended
+# change to the report bytes, regenerate it from this test's hash.
+SLICE_SHA256 = (Path(__file__).parent / "sweep_slice.sha256").read_text().strip()
+
+
+def test_sweep_slice_report_bytes(tmp_path):
+    config = SweepConfig(m_max=25, n_max=4, p_max=40, hj_p_max=10,
+                         eisenstein_n_max=10, out_dir=str(tmp_path))
+    assert verify(config).exit_code == 0
+    assert len(list(tmp_path.iterdir())) == 586
+    digest = hashlib.sha256()
+    for spec in specs_in_sweep(config):
+        digest.update(_mask_residual((tmp_path / f"{spec.key()}.json").read_bytes()))
+    assert digest.hexdigest() == SLICE_SHA256
 
 
 def test_verify_deterministic():

@@ -16,14 +16,15 @@ from u2sing.errors import (CrossCheckFailure, InvalidParameters,
 from u2sing.hj import cf_value, dual_type, hj_string
 from u2sing.resolution import (CentrePencil, CurveConfiguration, PlumbingGraph,
                                _coset_indices, _orbit, _singular_points,
-                               _sphere_vecs, b_gamma,
-                               algorithmic_singularities, compactification,
+                               _sphere_vecs, algorithmic_singularities,
                                graph_to_dot, resolution_graph, seifert_data,
                                seifert_euler, singularity_triple,
-                               solve_b_prime, table_singularities)
+                               table_singularities)
 from u2sing.sweep import SweepConfig, specs_in_sweep
 
 from rowalg import matrix, mobius, scalar
+from stages import (dual_strings, table_b, table_b_prime,
+                    table_compactification, table_resolution)
 
 D4_STAR = PlumbingGraph(-2, ((-2,), (-2,), (-2,)))
 
@@ -49,8 +50,8 @@ TRIPLE_CASES = [
 def test_singularity_triple_both_routes(spec, expected):
     want = tuple(sorted(canonical_cyclic(a, b) for a, b in expected))
     assert table_singularities(spec) == want
-    trip = singularity_triple(spec)
-    assert trip.sorted_types() == want
+    trip = singularity_triple(spec, enumerate_group(spec))
+    assert trip.types == want
     assert not trip.conjugate_equivalence_used
 
 
@@ -112,9 +113,9 @@ def test_tangent_normal_matches_the_rayleigh_quotient(spec, monkeypatch):
         return real(row, point, p_orb, m)
 
     monkeypatch.setattr(resolution, "_tangent_normal", recording)
-    assert algorithmic_singularities(spec) == table_singularities(spec)
-    assert len(points) == 3
     group = enumerate_group(spec)
+    assert algorithmic_singularities(spec, group) == table_singularities(spec)
+    assert len(points) == 3
     reps = group.rows[_coset_indices(group)]
     for point, p in points.values():
         stabilizer = 0
@@ -135,8 +136,9 @@ def test_tangent_normal_matches_the_rayleigh_quotient(spec, monkeypatch):
 
 
 def test_singularity_rejects_cyclic():
+    spec = GroupSpec.cyclic(3, 5)
     with pytest.raises(InvalidParameters):
-        singularity_triple(GroupSpec.cyclic(3, 5))
+        singularity_triple(spec, enumerate_group(spec))
     with pytest.raises(InvalidParameters):
         table_singularities(GroupSpec.dihedral(3, 1))
 
@@ -144,24 +146,24 @@ def test_singularity_rejects_cyclic():
 # -- b_gamma ----------------------------------------------------------------
 
 def test_b_gamma_examples():
-    assert b_gamma(GroupSpec.dihedral(1, 2)).value == 2
-    b = b_gamma(GroupSpec.tetrahedral(7))
+    assert table_b(GroupSpec.dihedral(1, 2)).value == 2
+    b = table_b(GroupSpec.tetrahedral(7))
     assert b.value == 3
     # rational route by hand: 1/2 + 2/3 + 2/3 + 14/12 = 3
     assert b.rational == F(1, 2) + F(2, 3) + F(2, 3) + F(14, 12) == 3
-    assert b_gamma(GroupSpec.index3(3)).value == 2
+    assert table_b(GroupSpec.index3(3)).value == 2
 
 
 def test_b_gamma_at_least_two():
     for spec in (GroupSpec.dihedral(119, 2), GroupSpec.icosahedral(113),
                  GroupSpec.index2(118, 23), GroupSpec.octahedral(25)):
-        assert b_gamma(spec).value >= 2
+        assert table_b(spec).value >= 2
 
 
 # -- resolution graphs ------------------------------------------------------
 
 def test_resolution_d4():
-    rd = resolution_graph(GroupSpec.dihedral(1, 2))
+    rd = table_resolution(GroupSpec.dihedral(1, 2))
     assert rd.graph == D4_STAR
     assert rd.k_gamma == 4 and rd.tau == -4
     assert rd.graph.is_negative_definite()
@@ -169,7 +171,7 @@ def test_resolution_d4():
 
 
 def test_resolution_index3():
-    rd = resolution_graph(GroupSpec.index3(3))
+    rd = table_resolution(GroupSpec.index3(3))
     assert rd.graph.center == -2
     assert sorted(rd.graph.arms) == [(-3,), (-2, -2), (-2,)] or \
            sorted(map(list, rd.graph.arms)) == [[-3], [-2], [-2, -2]]
@@ -183,13 +185,18 @@ def test_resolution_cyclic_chain():
     assert rd.graph.is_negative_definite()
 
 
+def test_resolution_star_needs_its_triple_and_b():
+    with pytest.raises(InvalidParameters):
+        resolution_graph(GroupSpec.dihedral(1, 2))
+
+
 def test_resolution_adopts_ade_types():
     # m = 1 products resolve to the ADE graphs: E6/E7/E8 vertex counts and
     # lattice discriminants 3/2/1
     for spec, k, disc in ((GroupSpec.tetrahedral(1), 6, 3),
                           (GroupSpec.octahedral(1), 7, 2),
                           (GroupSpec.icosahedral(1), 8, 1)):
-        rd = resolution_graph(spec)
+        rd = table_resolution(spec)
         assert rd.k_gamma == k
         assert abs(rd.graph.determinant()) == disc
         assert all(w == -2 for w in rd.graph.weights())
@@ -258,7 +265,7 @@ def test_pivots_of_d4_and_of_a_vanishing_centre():
 def test_seifert_examples():
     assert seifert_euler(D4_STAR) == F(-1, 2)            # -2 + 3*(1/2)
     assert seifert_euler(PlumbingGraph(-5, ())) == -5
-    rd = resolution_graph(GroupSpec.tetrahedral(7))
+    rd = table_resolution(GroupSpec.tetrahedral(7))
     assert seifert_euler(rd.graph) == F(-14, 12)         # -3 + 1/2 + 2/3 + 2/3
 
 
@@ -271,7 +278,7 @@ def test_seifert_data_fields():
 def test_seifert_calibration_sample():
     for spec in (GroupSpec.dihedral(9, 4), GroupSpec.octahedral(11),
                  GroupSpec.index2(10, 3), GroupSpec.index3(21)):
-        rd = resolution_graph(spec)
+        rd = table_resolution(spec)
         assert seifert_euler(rd.graph) == F(-2 * spec.m, spec.pgl_image_order())
 
 
@@ -284,9 +291,9 @@ def test_malformed_graph():
 
 def test_kappa_spot_values():
     # blow-up counts for the three smallest cases
-    assert compactification(GroupSpec.dihedral(1, 2)).kappa == 7
-    assert compactification(GroupSpec.dihedral(1, 3)).kappa == 8
-    assert compactification(GroupSpec.index2(2, 3)).kappa == 8
+    assert table_compactification(GroupSpec.dihedral(1, 2)).kappa == 7
+    assert table_compactification(GroupSpec.dihedral(1, 3)).kappa == 8
+    assert table_compactification(GroupSpec.index2(2, 3)).kappa == 8
 
 
 # golden values frozen from the oracle (lattice signature + square
@@ -310,8 +317,8 @@ B_PRIME_GOLDEN = [
 
 @pytest.mark.parametrize("spec,expected", B_PRIME_GOLDEN)
 def test_b_prime_oracle(spec, expected):
-    bp = solve_b_prime(spec)
-    assert bp.value == expected == b_gamma(spec).value - 3
+    bp = table_b_prime(spec)
+    assert bp.value == expected == table_b(spec).value - 3
     assert bp.value in bp.lattice_candidates
     assert bp.seifert_value == F(2 * spec.m, spec.pgl_image_order())
     assert bp.signature == (1, bp.kappa)
@@ -323,14 +330,14 @@ def test_b_prime_determinant_identity():
     # discriminant (prod beta_i) * 2m / h
     for spec in (GroupSpec.dihedral(1, 2), GroupSpec.tetrahedral(7),
                  GroupSpec.index3(9)):
-        bp = solve_b_prime(spec)
-        rd = resolution_graph(spec)
+        bp = table_b_prime(spec)
+        rd = table_resolution(spec)
         assert abs(bp.determinant) == rd.graph.determinant() ** 2 \
             or abs(bp.determinant) == abs(rd.graph.determinant()) ** 2
 
 
 def test_configuration_counts():
-    comp = compactification(GroupSpec.dihedral(1, 2))
+    comp = table_compactification(GroupSpec.dihedral(1, 2))
     cfg = comp.configuration
     assert cfg.vertex_count == comp.kappa + 1 == 8
     assert cfg.signature() == (1, 7)
@@ -361,13 +368,13 @@ def scan_lattice_candidates(res_graph, dual_strings, lo, hi, kappa):
 
 
 def scan_b_prime(spec):
-    res = resolution_graph(spec)
-    duals = tuple(hj_string(dual_type(s.source)) for s in res.strings)
+    res = table_resolution(spec)
+    duals = dual_strings(res)
     kappa = res.k_gamma + sum(s.length for s in duals)
     seifert = F(2 * spec.m, spec.pgl_image_order()) - sum(
         (cf_value(s) for s in duals), F(0))
     assert seifert.denominator == 1
-    lo, hi = min(1, int(seifert)) - 4, 10 * b_gamma(spec).value
+    lo, hi = min(1, int(seifert)) - 4, 10 * table_b(spec).value
     lattice = scan_lattice_candidates(res.graph, duals, lo, hi, kappa)
     assert int(seifert) in lattice
     config = CurveConfiguration(res.graph, PlumbingGraph(
@@ -383,7 +390,7 @@ SMALL_NONCYCLIC = [s for s in specs_in_sweep(SweepConfig(m_max=25, n_max=6))
 def test_b_prime_pencil_matches_scan():
     assert {s.family for s in SMALL_NONCYCLIC} == set(Family) - {Family.CYCLIC}
     for spec in SMALL_NONCYCLIC:
-        bp = solve_b_prime(spec)
+        bp = table_b_prime(spec)
         got = (bp.value, bp.lattice_candidates, bp.window, bp.determinant,
                bp.signature)
         assert got == scan_b_prime(spec), spec.label()
@@ -411,7 +418,7 @@ def test_b_prime_cross_check_catches_a_wrong_pencil(monkeypatch):
     monkeypatch.setattr(CentrePencil, "determinant",
                         lambda self, c: -real(self, c))
     with pytest.raises(CrossCheckFailure, match="full elimination"):
-        solve_b_prime(GroupSpec.dihedral(5, 2))
+        table_b_prime(GroupSpec.dihedral(5, 2))
 
 
 # -- the vectorized orbit finder --------------------------------------------
@@ -436,7 +443,7 @@ def _orbits(spec):
 ])
 def test_orbit_finder(spec, h, stabilizers):
     assert spec.pgl_image_order() == h
-    got = algorithmic_singularities(spec)
+    got = algorithmic_singularities(spec, enumerate_group(spec))
     assert got == table_singularities(spec)
     assert sorted(t.beta for t in got) == sorted(stabilizers)
     mats, points, orbits = _orbits(spec)
@@ -472,8 +479,8 @@ def test_dot_chain():
 
 
 def test_dot_full_configuration():
-    comp = compactification(GroupSpec.dihedral(1, 2))
+    comp = table_compactification(GroupSpec.dihedral(1, 2))
     text = graph_to_dot(CurveConfiguration(
-        resolution_graph(GroupSpec.dihedral(1, 2)).graph, comp.star))
+        table_resolution(GroupSpec.dihedral(1, 2)).graph, comp.star))
     assert text.count("label") == 8      # kappa + 1 curves
     assert text.count("--") == 6         # two disjoint stars, 3 edges each
