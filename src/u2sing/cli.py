@@ -10,6 +10,14 @@ Subcommands, one per construct:
     export      write a DOT graph to a file
 
 Exit codes: 0 all checks pass, 1 an identity failed, 2 usage/config error.
+Each subcommand runs only the stages it prints, and its exit status covers
+the checks of those stages: ``resolve`` and ``export --what resolution``
+the order, freeness, singularity, b_Gamma and resolution checks;
+``compactify`` and ``export --what compactification`` those and the
+compactification's three checks.  ``describe`` and ``verify`` run every
+stage and every check.  ``compactify`` exits 2 for a group with nothing to
+compactify (cyclic, n = 1, or b_Gamma failed) and 1 when the
+compactification stage fails.
 """
 
 from __future__ import annotations
@@ -22,8 +30,8 @@ from pathlib import Path
 from .catalog import DEFAULT_TOLERANCE, Family, GroupSpec, canonical_cyclic
 from .errors import InvalidParameters, U2SingError
 from .hj import hj_string
-from .report import (describe, export_dot, json_text, report_to_dict,
-                     report_to_json)
+from .report import (compactify, describe, export_dot, json_text,
+                     report_to_dict, report_to_json, resolve)
 from .sweep import (config_from_mapping, parse_config_file, parse_fraction,
                     verify)
 
@@ -122,7 +130,7 @@ def cmd_hj(args: argparse.Namespace) -> int:
 
 def cmd_resolve(args: argparse.Namespace) -> int:
     spec = _spec_from_args(args)
-    report = describe(spec, tolerance=_tolerance(args))
+    report = resolve(spec, _tolerance(args)).report
     if args.format == "dot":
         print(export_dot(report, "resolution"), end="")
     elif args.format == "json":
@@ -136,10 +144,14 @@ def cmd_resolve(args: argparse.Namespace) -> int:
 
 def cmd_compactify(args: argparse.Namespace) -> int:
     spec = _spec_from_args(args)
-    report = describe(spec, tolerance=_tolerance(args))
-    if report.compactification is None:
+    resolved = resolve(spec, _tolerance(args))
+    if resolved.res is None:
         raise InvalidParameters(f"{spec.label()} has no compactification data")
+    report = compactify(resolved)
     c = report.compactification
+    if c is None:
+        raise U2SingError(f"{spec.label()} has no compactification data: "
+                          f"{report.checks[-1].detail}")
     if args.format == "dot":
         print(export_dot(report, "compactification"), end="")
     elif args.format == "json":
@@ -173,7 +185,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_export(args: argparse.Namespace) -> int:
     spec = _spec_from_args(args)
-    report = describe(spec, tolerance=_tolerance(args))
+    resolved = resolve(spec, _tolerance(args))
+    report = (resolved.report if args.what == "resolution"
+              else compactify(resolved))
     text = export_dot(report, args.what)
     Path(args.out).write_text(text)
     print(f"wrote {args.out}")

@@ -7,6 +7,12 @@ topology fields -- and records a pass/fail verdict for each identity.  A
 failed cross-check never disappears: it becomes a failing entry in
 ``report.checks`` (and downstream sections that depend on it are omitted).
 
+``describe`` is three steps in a row, and the CLI calls the first two alone:
+``resolve`` (enumeration to the resolution graph), ``compactify`` (b', kappa
+and the dual star), then Gamma', the deformation dimensions, the moduli count
+and the topology.  A report from the first steps has its later sections None
+and holds the checks of the stages run so far.
+
 Serialization is JSON derived from the report dataclasses: the keys are their
 fields in declaration order (adding a field adds a key), except that
 ``brute_force_dim``, ``closed_form_dim``, ``closed_forms_applicable`` and
@@ -28,7 +34,7 @@ from __future__ import annotations
 import functools
 import json
 import types
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from itertools import chain
@@ -45,10 +51,10 @@ from .errors import InvalidParameters, U2SingError
 from .hj import cf_value, hj_string  # noqa: F401
 from .invariants import (DeformationReport, TopologyReport, dim_h1_theta,
                          dim_sfk, moduli_dim, topology_report)
-from .resolution import (CurveConfiguration, PlumbingGraph, b_gamma,
-                         compactification, graph_to_dot, resolution_graph,
-                         seifert_euler, singularity_triple,
-                         table_singularities)
+from .resolution import (BGamma, CurveConfiguration, PlumbingGraph,
+                         ResolutionData, b_gamma, compactification,
+                         graph_to_dot, resolution_graph, seifert_euler,
+                         singularity_triple, table_singularities)
 
 
 @dataclass(frozen=True)
@@ -106,6 +112,16 @@ class InvariantReport:
 # describe
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class Resolved:
+    """What ``resolve`` computes: the report up to the resolution graph, and
+    the records the later stages take.  ``b`` and ``res`` are None when no
+    later stage applies: for a cyclic group, and when b_Gamma failed."""
+    report: InvariantReport
+    b: BGamma | None = None
+    res: ResolutionData | None = None
+
+
 def describe(spec: GroupSpec,
              eta: Fraction | None = None,
              tolerance: float = DEFAULT_TOLERANCE,
@@ -114,8 +130,51 @@ def describe(spec: GroupSpec,
 
     ``group`` is the enumerated group of ``spec`` when the caller already
     holds it; otherwise it is enumerated here.  Every later stage takes its
-    inputs from the records of the stages before it.
+    inputs from the records of the stages before it: ``resolve``, then
+    ``compactify``, then Gamma', the deformation dimensions, the moduli
+    count and the topology.
     """
+    resolved = resolve(spec, tolerance, group)
+    report = compactify(resolved)
+    b, rd = resolved.b, resolved.res
+    if rd is None:
+        return report
+    checks = list(report.checks)
+
+    deform = None
+    try:
+        gp = enumerate_gamma_prime(spec)
+        deform = dim_sfk(spec, gp, b, tolerance)
+        if deform.closed_forms_applicable:
+            checks.append(CheckResult(
+                "deformation_triple_agreement", deform.agreement,
+                f"brute {deform.brute_force_dim}, closed {deform.closed_form_dim}, "
+                f"2b-2 {deform.two_b_minus_2}, residual {deform.residual:.2e}"))
+        else:
+            checks.append(CheckResult(
+                "deformation_m1_gate", deform.brute_force_dim == 0,
+                "m = 1: deformation space is zero, closed forms inapplicable"))
+    except U2SingError as exc:
+        checks.append(CheckResult("deformation_triple_agreement", False,
+                                  f"invariants: {exc}"))
+
+    topo = topology_report(spec, rd, eta)
+    if eta is not None:
+        checks.append(CheckResult(
+            "eta_bound", bool(topo.bound_holds),
+            f"b2- = {topo.b2_minus}, bound = {topo.sfasd_bound}, "
+            f"equality = {topo.bound_is_equality}"))
+
+    return replace(report, deformations=deform,
+                   moduli_dim=moduli_dim(spec, b, rd), topology=topo,
+                   checks=tuple(checks))
+
+
+def resolve(spec: GroupSpec, tolerance: float = DEFAULT_TOLERANCE,
+            group: FiniteGroup | None = None) -> Resolved:
+    """The resolution stages of ``describe``: order and freeness, the
+    singularity triple, b_Gamma and the resolution graph, with the checks
+    of each.  The report's later sections are None."""
     spec.validate()
     if spec.is_cyclic and spec.p == 1:
         raise InvalidParameters("the trivial group has no singularity to resolve")
@@ -133,8 +192,8 @@ def describe(spec: GroupSpec,
         "fixed_point_free", free, f"{ones} element(s) with eigenvalue 1"))
 
     if spec.is_cyclic or spec.is_degenerate_cyclic:
-        return _describe_cyclic(spec, group, checks)
-    return _describe_noncyclic(spec, group, eta, tolerance, checks)
+        return Resolved(_describe_cyclic(spec, group, checks))
+    return _resolve_noncyclic(spec, group, checks)
 
 
 def _describe_cyclic(spec: GroupSpec, group: FiniteGroup,
@@ -167,9 +226,8 @@ def _describe_cyclic(spec: GroupSpec, group: FiniteGroup,
         topology=None, checks=tuple(checks))
 
 
-def _describe_noncyclic(spec: GroupSpec, group: FiniteGroup,
-                        eta: Fraction | None, tolerance: float,
-                        checks: list[CheckResult]) -> InvariantReport:
+def _resolve_noncyclic(spec: GroupSpec, group: FiniteGroup,
+                       checks: list[CheckResult]) -> Resolved:
     m, h = spec.m, spec.pgl_image_order()
 
     conj_used = None
@@ -189,13 +247,13 @@ def _describe_noncyclic(spec: GroupSpec, group: FiniteGroup,
     except U2SingError as exc:
         checks.append(CheckResult("b_gamma_double_derivation", False,
                                   f"resolution_geometry: {exc}"))
-        return InvariantReport(
+        return Resolved(InvariantReport(
             spec=spec, order=group.order, degenerate_cyclic=False,
             singularities=triple, conjugate_equivalence_used=conj_used,
             hj_strings=(), hj_lengths=(), b_gamma=None, b_gamma_rational=None,
             k_gamma=0, signature=0, chi=1, resolution=PlumbingGraph(0, ()),
             compactification=None, deformations=None, moduli_dim=None,
-            h1_theta=0, topology=None, checks=tuple(checks))
+            h1_theta=0, topology=None, checks=tuple(checks)))
     checks.append(CheckResult(
         "b_gamma_double_derivation", True,
         f"integer {b.value} == rational {b.rational}"))
@@ -215,65 +273,52 @@ def _describe_noncyclic(spec: GroupSpec, group: FiniteGroup,
         "seifert_euler_calibration", euler == Fraction(-2 * m, h),
         f"e = {euler}, -2m/h = {Fraction(-2 * m, h)}"))
 
-    comp_section = None
-    try:
-        comp = compactification(spec, rd)
-        bp, curves = comp.b_prime, comp.configuration.vertex_count
-        checks.append(CheckResult(
-            "kappa_curve_count", curves == comp.kappa + 1,
-            f"kappa={comp.kappa}, curves={curves}"))
-        checks.append(CheckResult(
-            "b_prime_unique", True,
-            f"b'={bp.value}, seifert target {bp.seifert_value}, "
-            f"lattice candidates {list(bp.lattice_candidates)}"))
-        checks.append(CheckResult(
-            "b_prime_signature", bp.signature == (1, comp.kappa),
-            f"signature {bp.signature}"))
-        comp_section = CompactificationSection(
-            b_prime=bp.value, b_prime_positive=bp.positive,
-            seifert_value=bp.seifert_value,
-            lattice_candidates=bp.lattice_candidates, kappa=comp.kappa,
-            dual_strings=tuple(s.entries for s in comp.dual_strings),
-            star=comp.star, configuration_determinant=bp.determinant,
-            configuration_signature=bp.signature)
-    except U2SingError as exc:
-        checks.append(CheckResult("b_prime_unique", False,
-                                  f"resolution_geometry: {exc}"))
-
-    deform = None
-    try:
-        gp = enumerate_gamma_prime(spec)
-        deform = dim_sfk(spec, gp, b, tolerance)
-        if deform.closed_forms_applicable:
-            checks.append(CheckResult(
-                "deformation_triple_agreement", deform.agreement,
-                f"brute {deform.brute_force_dim}, closed {deform.closed_form_dim}, "
-                f"2b-2 {deform.two_b_minus_2}, residual {deform.residual:.2e}"))
-        else:
-            checks.append(CheckResult(
-                "deformation_m1_gate", deform.brute_force_dim == 0,
-                "m = 1: deformation space is zero, closed forms inapplicable"))
-    except U2SingError as exc:
-        checks.append(CheckResult("deformation_triple_agreement", False,
-                                  f"invariants: {exc}"))
-
-    topo = topology_report(spec, rd, eta)
-    if eta is not None:
-        checks.append(CheckResult(
-            "eta_bound", bool(topo.bound_holds),
-            f"b2- = {topo.b2_minus}, bound = {topo.sfasd_bound}, "
-            f"equality = {topo.bound_is_equality}"))
-
-    return InvariantReport(
+    return Resolved(InvariantReport(
         spec=spec, order=group.order, degenerate_cyclic=False,
         singularities=triple, conjugate_equivalence_used=conj_used,
         hj_strings=tuple(s.entries for s in rd.strings),
         hj_lengths=tuple(s.length for s in rd.strings),
         b_gamma=b.value, b_gamma_rational=b.rational,
         k_gamma=rd.k_gamma, signature=rd.tau, chi=1 + rd.k_gamma,
-        resolution=rd.graph, compactification=comp_section,
-        deformations=deform, moduli_dim=moduli_dim(spec, b, rd),
-        h1_theta=dim_h1_theta(rd.graph), topology=topo, checks=tuple(checks))
+        resolution=rd.graph, compactification=None, deformations=None,
+        moduli_dim=None, h1_theta=dim_h1_theta(rd.graph), topology=None,
+        checks=tuple(checks)), b, rd)
+
+
+def compactify(resolved: Resolved) -> InvariantReport:
+    """``resolved``'s report with the compactification stage run: b', kappa
+    and the dual star, with their three checks.  A failing stage adds a
+    failing ``b_prime_unique`` and leaves the section None; a report with no
+    resolution to compactify (``resolved.res`` None) comes back as it is."""
+    report, rd = resolved.report, resolved.res
+    if rd is None:
+        return report
+    checks = list(report.checks)
+    try:
+        comp = compactification(report.spec, rd)
+    except U2SingError as exc:
+        checks.append(CheckResult("b_prime_unique", False,
+                                  f"resolution_geometry: {exc}"))
+        return replace(report, checks=tuple(checks))
+    bp, curves = comp.b_prime, comp.configuration.vertex_count
+    checks.append(CheckResult(
+        "kappa_curve_count", curves == comp.kappa + 1,
+        f"kappa={comp.kappa}, curves={curves}"))
+    checks.append(CheckResult(
+        "b_prime_unique", True,
+        f"b'={bp.value}, seifert target {bp.seifert_value}, "
+        f"lattice candidates {list(bp.lattice_candidates)}"))
+    checks.append(CheckResult(
+        "b_prime_signature", bp.signature == (1, comp.kappa),
+        f"signature {bp.signature}"))
+    section = CompactificationSection(
+        b_prime=bp.value, b_prime_positive=bp.positive,
+        seifert_value=bp.seifert_value,
+        lattice_candidates=bp.lattice_candidates, kappa=comp.kappa,
+        dual_strings=tuple(s.entries for s in comp.dual_strings),
+        star=comp.star, configuration_determinant=bp.determinant,
+        configuration_signature=bp.signature)
+    return replace(report, compactification=section, checks=tuple(checks))
 
 
 # ---------------------------------------------------------------------------

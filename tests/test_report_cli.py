@@ -500,14 +500,16 @@ def test_cli_export_fails_with_a_failing_check(tmp_path, monkeypatch, capsys):
     import dataclasses
 
     import u2sing.cli as cli
-    from u2sing.report import CheckResult
+    from u2sing.report import CheckResult, resolve
 
-    def failing(spec, **kwargs):
-        report = describe(spec, **kwargs)
-        return dataclasses.replace(report, checks=report.checks + (
-            CheckResult("injected", False, "made to fail"),))
+    def failing(spec, tolerance):
+        resolved = resolve(spec, tolerance)
+        report = dataclasses.replace(resolved.report, checks=(
+            resolved.report.checks + (
+                CheckResult("injected", False, "made to fail"),)))
+        return dataclasses.replace(resolved, report=report)
 
-    monkeypatch.setattr(cli, "describe", failing)
+    monkeypatch.setattr(cli, "resolve", failing)
     out = tmp_path / "d4.dot"
     assert main(["export", "--family", "dihedral", "--m", "1", "--n", "2",
                  "--out", str(out)]) == 1
