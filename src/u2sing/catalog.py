@@ -354,10 +354,9 @@ def _fresh_indices(keys: list[bytes], seen: set[bytes]) -> list[int]:
 
 @dataclass
 class FiniteGroup:
-    """An enumerated subgroup: spec (if any) and all elements as canonical
-    (a, b1, b2) rows with the identity first."""
+    """An enumerated subgroup: all elements as canonical (a, b1, b2) rows
+    with the identity first."""
 
-    spec: GroupSpec | None
     rows: np.ndarray
 
     @property
@@ -377,9 +376,7 @@ class FiniteGroup:
         return int(np.count_nonzero(np.minimum(d1, d2) < tol))
 
 
-def generate_closure(generators: np.ndarray,
-                     max_order: int,
-                     spec: GroupSpec | None = None) -> FiniteGroup:
+def generate_closure(generators: np.ndarray, max_order: int) -> FiniteGroup:
     """Breadth-first closure of the generator rows under composition.
 
     Deduplication is up to joint negation (quotient by the kernel of the
@@ -410,7 +407,7 @@ def generate_closure(generators: np.ndarray,
         frontier = cand[fresh]
         chunks.append(frontier)
 
-    return FiniteGroup(spec, np.concatenate(chunks, axis=0))
+    return FiniteGroup(np.concatenate(chunks, axis=0))
 
 
 def _enumerate_cyclic(spec: GroupSpec) -> FiniteGroup:
@@ -426,7 +423,7 @@ def _enumerate_cyclic(spec: GroupSpec) -> FiniteGroup:
     # Deduplicate in case the pair representative hits the kernel early
     # (cannot happen for valid L(q,p), but keep the closure honest).
     rows = rows[_fresh_indices(_row_keys(rows), set())]
-    return FiniteGroup(spec, rows)
+    return FiniteGroup(rows)
 
 
 def enumerate_group(spec: GroupSpec) -> FiniteGroup:
@@ -434,7 +431,7 @@ def enumerate_group(spec: GroupSpec) -> FiniteGroup:
     spec.validate()
     if spec.is_cyclic:
         return _enumerate_cyclic(spec)
-    return generate_closure(generators_of(spec), spec.expected_order(), spec)
+    return generate_closure(generators_of(spec), spec.expected_order())
 
 
 def enumerate_gamma_prime(spec: GroupSpec) -> FiniteGroup:

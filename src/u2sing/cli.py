@@ -9,21 +9,24 @@ Subcommands, one per construct:
     verify      run the sweep of identities; exit 0 iff all pass
     export      write a DOT graph to a file
 
-Exit codes: 0 all checks pass, 1 an identity failed, 2 usage/config error.
-Each subcommand runs only the stages it prints, and its exit status covers
-the checks of those stages: ``resolve`` and ``export --what resolution``
-the order, freeness, singularity, b_Gamma and resolution checks;
-``compactify`` and ``export --what compactification`` those and the
-compactification's three checks.  ``describe`` and ``verify`` run every
-stage and every check.  ``compactify`` exits 2 for a group with nothing to
-compactify (cyclic, n = 1, or b_Gamma failed) and 1 when the
-compactification stage fails.
+Exit codes: 0 all checks pass, 1 an identity failed, 2 usage/config error
+(including an unknown config key, an unreadable config or eta file, and a
+value that does not parse).  Each subcommand runs only the stages it
+prints, and its exit status covers the checks of those stages: ``resolve``
+and ``export --what resolution`` the order, freeness, singularity, b_Gamma
+and resolution checks; ``compactify`` and ``export --what
+compactification`` those and the compactification's three checks.
+``describe`` and ``verify`` run every stage and every check.  ``resolve``,
+``compactify`` and ``export`` share one stage path, so ``export --what X``
+writes what ``resolve``/``compactify --format dot`` prints and exits as it
+does: ``compactify`` and ``export --what compactification`` exit 2 for a
+group with nothing to compactify (cyclic, n = 1, or b_Gamma failed) and 1
+when the compactification stage fails.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -32,8 +35,8 @@ from .errors import InvalidParameters, U2SingError
 from .hj import hj_string
 from .report import (compactify, describe, export_dot, json_text,
                      report_to_dict, report_to_json, resolve)
-from .sweep import (config_from_mapping, parse_config_file, parse_fraction,
-                    verify)
+from .sweep import (config_from_mapping, parse_config_file, parse_eta_file,
+                    parse_fraction, verify)
 
 _FAMILY_CHOICES = [f.value for f in Family]
 
@@ -128,38 +131,45 @@ def cmd_hj(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_resolve(args: argparse.Namespace) -> int:
-    spec = _spec_from_args(args)
-    report = resolve(spec, _tolerance(args)).report
-    if args.format == "dot":
-        print(export_dot(report, "resolution"), end="")
-    elif args.format == "json":
-        print(json_text(report_to_dict(report)["resolution"]))
-    else:
-        print(f"{spec.label()}: center {report.resolution.center}, arms "
-              f"{[list(a) for a in report.resolution.arms]}, "
-              f"k = {report.k_gamma}, tau = {report.signature}")
-    return 0 if report.all_passed() else 1
-
-
-def cmd_compactify(args: argparse.Namespace) -> int:
+def _stage_report(args: argparse.Namespace):
+    """The report of the stages that ``args.what`` names: ``resolve``, and
+    for the compactification ``compactify`` after it."""
     spec = _spec_from_args(args)
     resolved = resolve(spec, _tolerance(args))
+    if args.what == "resolution":
+        return resolved.report
     if resolved.res is None:
         raise InvalidParameters(f"{spec.label()} has no compactification data")
     report = compactify(resolved)
-    c = report.compactification
-    if c is None:
+    if report.compactification is None:
         raise U2SingError(f"{spec.label()} has no compactification data: "
                           f"{report.checks[-1].detail}")
+    return report
+
+
+def cmd_stage(args: argparse.Namespace) -> int:
+    """``resolve``, ``compactify`` and ``export``: print the section of the
+    stage, or write its DOT graph to ``--out``."""
+    report = _stage_report(args)
+    label = report.spec.label()
+    g, c = report.resolution, report.compactification
     if args.format == "dot":
-        print(export_dot(report, "compactification"), end="")
+        text = export_dot(report, args.what)
     elif args.format == "json":
-        print(json_text(report_to_dict(report)["compactification"]))
+        text = json_text(report_to_dict(report)[args.what]) + "\n"
+    elif args.what == "resolution":
+        text = (f"{label}: center {g.center}, arms "
+                f"{[list(a) for a in g.arms]}, k = {report.k_gamma}, "
+                f"tau = {report.signature}\n")
     else:
-        print(f"{spec.label()}: b' = {c.b_prime}, kappa = {c.kappa}, "
-              f"curves = {c.kappa + 1}, dual strings "
-              f"{[list(s) for s in c.dual_strings]}")
+        text = (f"{label}: b' = {c.b_prime}, kappa = {c.kappa}, "
+                f"curves = {c.kappa + 1}, dual strings "
+                f"{[list(s) for s in c.dual_strings]}\n")
+    if args.out:
+        Path(args.out).write_text(text)
+        print(f"wrote {args.out}")
+    else:
+        print(text, end="")
     return 0 if report.all_passed() else 1
 
 
@@ -175,23 +185,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
         if flag is not None:
             values[key] = flag
     if args.eta_file:
-        table = json.loads(Path(args.eta_file).read_text())
-        values["eta"] = {k: parse_fraction(v) for k, v in table.items()}
+        values["eta"] = parse_eta_file(args.eta_file)
     config = config_from_mapping(values)
     summary = verify(config)
     print(summary.format_text())
     return summary.exit_code
-
-
-def cmd_export(args: argparse.Namespace) -> int:
-    spec = _spec_from_args(args)
-    resolved = resolve(spec, _tolerance(args))
-    report = (resolved.report if args.what == "resolution"
-              else compactify(resolved))
-    text = export_dot(report, args.what)
-    Path(args.out).write_text(text)
-    print(f"wrote {args.out}")
-    return 0 if report.all_passed() else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -220,12 +218,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("resolve", help="minimal resolution graph")
     _add_spec_flags(p)
     p.add_argument("--format", choices=["text", "json", "dot"], default="text")
-    p.set_defaults(func=cmd_resolve)
+    p.set_defaults(func=cmd_stage, what="resolution", out=None)
 
     p = sub.add_parser("compactify", help="compactification star and kappa")
     _add_spec_flags(p)
     p.add_argument("--format", choices=["text", "json", "dot"], default="text")
-    p.set_defaults(func=cmd_compactify)
+    p.set_defaults(func=cmd_stage, what="compactification", out=None)
 
     p = sub.add_parser("verify", help="run the identity sweep")
     p.add_argument("--config", help="flat key=value config file")
@@ -244,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--what", choices=["resolution", "compactification"],
                    default="resolution")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_export)
+    p.set_defaults(func=cmd_stage, format="dot")
     return parser
 
 

@@ -11,8 +11,10 @@ module computes the three types twice:
     find the fixed points of the non-identity cosets, partition them
     into orbits (all cosets act on all fixed points as one numpy array), and
     read the tangent/normal rotation numbers of a stabilizer generator off
-    the eigenvalues of its unitary matrix (the normal direction carries the
-    2m-th power because the model fiber is a degree-2m quotient).
+    the Rayleigh quotient of its unitary matrix at the matched fixed point,
+    which is the eigenvalue on the point's line (the normal direction
+    carries the 2m-th power because the model fiber is a degree-2m
+    quotient).
 
 The minimal resolution is the star-shaped plumbing with central weight
 -b_Gamma and one Hirzebruch-Jung string per singularity (first entry adjacent
@@ -54,7 +56,7 @@ from .catalog import (EQ_TOL, CyclicType, Family, FiniteGroup, GroupSpec,
                       canonical_cyclic)
 from .errors import (AmbiguousCandidate, CrossCheckFailure, InvalidParameters,
                      MalformedGraph, NoCandidate, OrbitCountMismatch,
-                     SnapFailure, TableDisagreement)
+                     TableDisagreement)
 from .hj import HJString, cf_value, dual_type, hj_string
 
 POINT_TOL = 1e-6
@@ -320,39 +322,26 @@ def _tangent_normal(row: np.ndarray, point: np.ndarray, p_orb: int,
                     m: int) -> tuple[int, int] | None:
     """Rotation numbers (t, u) of a stabilizer element at a fixed point.
 
-    ``row`` is the coset representative (a, b1, b2) and ``point`` the unit
-    homogeneous fixed point (z1, z2).  Diagonalize the matrix of the row to
-    eigenvalues (mu1, mu2) with the fixed point on the mu2 eigenline (the
-    eigenline within POINT_TOL of it, in chordal distance); then
+    ``row`` is a row (a, b1, b2) of the stabilizing coset and ``point`` the
+    unit homogeneous fixed point (z1, z2) that ``_orbit`` matched.  The
+    point is an eigenvector of the normalized SU(2) part S of the row, so
+    the Rayleigh quotient s = <point, S point> is its eigenvalue and s-bar
+    the other one; the row's matrix a/|a| * S has eigenvalue mu2 = a/|a| * s
+    on the point's line and mu1 = a/|a| * s-bar on the tangent line.  Then
     mu1/mu2 = e^{2 pi i t/p} is the tangent rotation and
     mu2^{2m} = e^{2 pi i u/p} the rotation of the degree-2m normal fiber.
-    Both are invariant under changing the coset representative.  Returns
-    None for the identity coset.
+    Both are the same for every row of the coset.  Returns None for the
+    identity coset.
     """
     a, b1, b2 = (complex(x) for x in row)
-    phase = a / abs(a)
     nrm = math.sqrt(b1.real ** 2 + b1.imag ** 2 + b2.real ** 2 + b2.imag ** 2)
     b1, b2 = b1 / nrm, b2 / nrm
-    phi = math.acos(max(-1.0, min(1.0, b1.real)))
-    if math.sin(phi) < 1e-9:
-        return None                      # beta = +-1: identity on the base
-    lam_plus = phase * cmath.exp(1j * phi)
-    lam_minus = phase * cmath.exp(-1j * phi)
-    if abs(b2) < 1e-9:
-        vecs = {True: ((1, 0), (0, 1)), False: ((0, 1), (1, 0))}[b1.imag > 0]
-        v_plus, v_minus = vecs
-    else:
-        v_plus = (b2.conjugate(), b1 - cmath.exp(1j * phi))
-        v_minus = (b2.conjugate(), b1 - cmath.exp(-1j * phi))
-    sphere = _sphere_vecs(np.array([v_plus, v_minus, point], dtype=complex))
-    chordal = np.linalg.norm(sphere[:2] - sphere[2], axis=1)
-    on_plus, on_minus = chordal <= POINT_TOL
-    if on_plus:
-        mu2, mu1 = lam_plus, lam_minus
-    elif on_minus:
-        mu2, mu1 = lam_minus, lam_plus
-    else:
-        raise SnapFailure("fixed point does not lie on either eigenline")
+    su2 = np.array([[b1, -b2.conjugate()], [b2, b1.conjugate()]])
+    s = complex(np.vdot(point, su2 @ point))
+    if abs(s.imag) < 1e-9:
+        return None                      # S = +-1: identity on the base
+    phase = a / abs(a)
+    mu1, mu2 = phase * s.conjugate(), phase * s
     t = _snap_residue(cmath.phase(mu1 / mu2), p_orb)
     u = _snap_residue(cmath.phase(mu2 ** (2 * m)), p_orb)
     return t, u

@@ -14,6 +14,7 @@ goes on.
 
 from __future__ import annotations
 
+import json
 import math
 import time
 import traceback
@@ -265,15 +266,27 @@ def verify(config: SweepConfig) -> VerifySummary:
 # ---------------------------------------------------------------------------
 
 def parse_fraction(text: str) -> Fraction:
-    return Fraction(text.strip())
+    try:
+        return Fraction(text.strip())
+    except (AttributeError, ValueError, ZeroDivisionError):
+        raise InvalidParameters(
+            f"eta value {text!r} is not a fraction num/den") from None
+
+
+def _read(path: str | Path) -> str:
+    try:
+        return Path(path).read_text()
+    except OSError as exc:
+        raise InvalidParameters(f"cannot read {path}: {exc.strerror}") from None
 
 
 def parse_config_file(path: str | Path) -> dict:
-    """Flat ``key = value`` lines; '#' starts a comment.  Recognized keys
-    match the CLI flags; ``eta.<spec_key>`` entries build the eta table."""
+    """Flat ``key = value`` lines; '#' starts a comment.  The keys are those
+    of ``config_from_mapping``; ``eta.<spec_key>`` entries build the eta
+    table."""
     values: dict = {}
     eta: dict[str, Fraction] = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
+    for lineno, raw in enumerate(_read(path).splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -289,19 +302,41 @@ def parse_config_file(path: str | Path) -> dict:
     return values
 
 
+def parse_eta_file(path: str | Path) -> dict[str, Fraction]:
+    """The JSON object {spec_key: "num/den"} of an eta file."""
+    text = _read(path)
+    try:
+        return {k: parse_fraction(v) for k, v in json.loads(text).items()}
+    except (AttributeError, ValueError, InvalidParameters) as exc:
+        raise InvalidParameters(
+            f"{path}: not a JSON object of fractions ({exc})") from None
+
+
+_INT_KEYS = ("m_max", "n_max", "p_max", "hj_p_max", "eisenstein_n_max")
+
+
 def config_from_mapping(values: dict) -> SweepConfig:
+    """The validated SweepConfig of ``values``; an unknown key or a value
+    that does not parse raises InvalidParameters naming the key."""
     config = SweepConfig()
-    if "families" in values:
-        raw = values["families"]
-        names = raw.split(",") if isinstance(raw, str) else raw
-        config.families = tuple(Family(x.strip()) for x in names)
-    for key in ("m_max", "n_max", "p_max", "hj_p_max", "eisenstein_n_max"):
-        if key in values:
-            setattr(config, key, int(values[key]))
-    if "tolerance" in values:
-        config.tolerance = float(values["tolerance"])
-    if "out" in values and values["out"]:
-        config.out_dir = str(values["out"])
-    if "eta" in values:
-        config.eta = dict(values["eta"])
+    for key, value in values.items():
+        try:
+            if key == "families":
+                names = value.split(",") if isinstance(value, str) else value
+                config.families = tuple(Family(x.strip()) for x in names)
+            elif key in _INT_KEYS:
+                setattr(config, key, int(value))
+            elif key == "tolerance":
+                config.tolerance = float(value)
+            elif key == "out":
+                config.out_dir = str(value) if value else None
+            elif key == "eta":
+                config.eta = dict(value)
+            else:
+                raise InvalidParameters(
+                    f"unknown config key {key!r}; the keys are families, "
+                    f"{', '.join(_INT_KEYS)}, tolerance, out and eta.<spec_key>")
+        except (TypeError, ValueError):
+            raise InvalidParameters(
+                f"config key {key}: cannot parse {value!r}") from None
     return config.validate()

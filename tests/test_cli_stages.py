@@ -66,8 +66,7 @@ def expected_outputs(spec, report, code, path):
         for f in FORMATS:
             out["compactify", *flags, "--format", f] = (2, "", error, None)
         out["export", *flags, "--what", "compactification", "--out", path] = (
-            1, "", "check failure: report has no compactification section\n",
-            None)
+            2, "", error, None)
         return out
     dot = export_dot(report, "compactification")
     compactified = {
@@ -194,15 +193,19 @@ def test_resolve_exits_by_the_resolution_checks(monkeypatch, capsys):
 
 
 def test_compactify_exits_by_the_compactification_checks(monkeypatch,
-                                                          capsys):
+                                                          capsys, tmp_path):
     def failing(spec, res):
         raise U2SingError("injected")
 
     monkeypatch.setattr(u2sing.report, "compactification", failing)
     flags = ["--family", "dihedral", "--m", "5", "--n", "2"]
-    assert run(capsys, ["compactify", *flags]) == (
-        1, "", "check failure: dihedral(m=5,n=2) has no compactification "
-               "data: resolution_geometry: injected\n")
+    failure = (1, "", "check failure: dihedral(m=5,n=2) has no "
+                      "compactification data: resolution_geometry: injected\n")
+    assert run(capsys, ["compactify", *flags]) == failure
+    path = tmp_path / "graph.dot"
+    assert run(capsys, ["export", *flags, "--what", "compactification",
+                        "--out", str(path)]) == failure
+    assert not path.exists()
     report = describe(GroupSpec.dihedral(5, 2))
     assert [c.name for c in report.checks if not c.passed] == [
         "b_prime_unique"]

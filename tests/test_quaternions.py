@@ -41,7 +41,7 @@ def random_element():
 
 def eigen_angles(g):
     """Sorted eigen angles of one row, from the library's eigen data."""
-    (theta,), (phi,) = FiniteGroup(None, np.array([g])).eigen_data()
+    (theta,), (phi,) = FiniteGroup(np.array([g])).eigen_data()
     return tuple(sorted(float(x) % (2 * math.pi)
                         for x in (theta + phi, theta - phi)))
 

@@ -457,6 +457,49 @@ def test_config_file_rejects_garbage(tmp_path):
         parse_config_file(path)
 
 
+# Bounds that keep a verify run that ignores its config small.
+TINY = ["--m-max", "1", "--n-max", "1", "--p-max", "2"]
+
+
+def test_config_rejects_an_unknown_key(tmp_path, capsys):
+    with pytest.raises(InvalidParameters, match="famlies"):
+        config_from_mapping({"famlies": "index3"})
+    path = tmp_path / "sweep.cfg"
+    path.write_text("famlies = index3\n")
+    assert main(["verify", "--config", str(path), *TINY]) == 2
+    assert "unknown config key 'famlies'" in capsys.readouterr().err
+
+
+def test_config_rejects_an_unparsable_value(tmp_path, capsys):
+    path = tmp_path / "sweep.cfg"
+    path.write_text("m_max = abc\n")
+    assert main(["verify", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: config key m_max: cannot parse 'abc'\n")
+
+
+def test_verify_rejects_a_missing_config_file(tmp_path, capsys):
+    path = tmp_path / "missing.cfg"
+    assert main(["verify", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot read {path}: ")
+
+
+def test_verify_rejects_an_unparsable_eta_file(tmp_path, capsys):
+    path = tmp_path / "eta.json"
+    path.write_text('{"tetrahedral_m1": "abc"}')
+    assert main(["verify", "--eta-file", str(path), *TINY]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: not a JSON object of fractions")
+    assert "'abc'" in err
+
+
+def test_describe_rejects_an_unparsable_eta(capsys):
+    assert main(["describe", "--family", "tetrahedral", "--m", "1",
+                 "--eta", "abc"]) == 2
+    assert capsys.readouterr() == (
+        "", "error: eta value 'abc' is not a fraction num/den\n")
+
+
 # -- CLI --------------------------------------------------------------------
 
 def test_cli_describe_text(capsys):

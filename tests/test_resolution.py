@@ -135,6 +135,43 @@ def test_tangent_normal_matches_the_rayleigh_quotient(spec, monkeypatch):
         assert stabilizer == p
 
 
+@pytest.mark.parametrize("spec", ONE_PER_FAMILY, ids=GroupSpec.key)
+def test_tangent_normal_is_the_same_for_every_row_of_a_coset(spec,
+                                                             monkeypatch):
+    # The algorithm reads a type off one row per coset; every other row of
+    # a stabilizing coset (the representative times a Mobius-trivial
+    # element) must give the same rotation numbers.
+    real, points = resolution._tangent_normal, {}
+
+    def recording(row, point, p_orb, m):
+        points[point.tobytes()] = (point, p_orb)
+        return real(row, point, p_orb, m)
+
+    monkeypatch.setattr(resolution, "_tangent_normal", recording)
+    group = enumerate_group(spec)
+    algorithmic_singularities(spec, group)
+    assert len(points) == 3
+    reps = np.array([mobius(r)
+                     for r in scalar(group.rows[_coset_indices(group)])])
+    kernel = group.order // len(reps)
+    assert kernel > 1
+    for point, p in points.values():
+        by_coset = {}
+        for row in scalar(group.rows):
+            mob = np.array(mobius(row))
+            if abs(abs(np.vdot(point, mob @ point)) - 1) > 1e-9:   # moves it
+                continue
+            dist = np.minimum(np.abs(reps - mob).max(axis=(1, 2)),
+                              np.abs(reps + mob).max(axis=(1, 2)))
+            coset = int(dist.argmin())
+            assert dist[coset] < 1e-9
+            by_coset.setdefault(coset, []).append(real(row, point, p, spec.m))
+        assert len(by_coset) == p
+        for tns in by_coset.values():
+            assert len(tns) == kernel
+            assert len(set(tns)) == 1, tns
+
+
 def test_singularity_rejects_cyclic():
     spec = GroupSpec.cyclic(3, 5)
     with pytest.raises(InvalidParameters):
