@@ -14,17 +14,16 @@ from .catalog import (CyclicType, Family, FiniteGroup, GroupSpec,
                       eigenvalue_histogram, enumerate_gamma_prime,
                       enumerate_group, generators_of, is_fixed_point_free)
 from .hj import HJString, cf_value, dual_type, hj_string
-from .invariants import (DeformationReport, TopologyReport, char_rho,
-                         closed_form_dim, dim_h1_theta, dim_sfk,
-                         eisenstein_check, moduli_dim, sawtooth,
-                         topology_report)
+from .invariants import (DeformationReport, TopologyReport, closed_form_dim,
+                         dim_h1_theta, dim_sfk, eisenstein_check, moduli_dim,
+                         sawtooth, topology_report)
 from .report import (InvariantReport, describe, export_dot, report_from_dict,
                      report_from_json, report_to_dict, report_to_json)
 from .resolution import (BGamma, CompactificationData, CurveConfiguration,
-                         PlumbingGraph, ResolutionData, SeifertData,
-                         SingularityTriple, b_gamma, compactification,
-                         graph_to_dot, resolution_graph, seifert_data,
-                         seifert_euler, singularity_triple, solve_b_prime)
+                         PlumbingGraph, ResolutionData, SingularityTriple,
+                         b_gamma, compactification, graph_to_dot,
+                         resolution_graph, seifert_euler, singularity_triple,
+                         solve_b_prime)
 from .sweep import SweepConfig, VerifySummary, specs_in_sweep, verify
 
 __version__ = "0.1.0"
@@ -32,15 +31,14 @@ __version__ = "0.1.0"
 __all__ = [
     "BGamma", "CompactificationData", "CurveConfiguration", "CyclicType",
     "DeformationReport", "Family", "FiniteGroup", "GroupSpec", "HJString",
-    "InvariantReport", "PlumbingGraph", "ResolutionData", "SeifertData",
-    "SingularityTriple", "SweepConfig", "TopologyReport", "VerifySummary",
-    "b_gamma", "canonical_cyclic", "cf_value", "char_rho", "closed_form_dim",
-    "compactification", "cyclic_equivalent_type", "describe", "dim_h1_theta",
-    "dim_sfk", "dual_type", "eigenvalue_histogram", "eisenstein_check",
+    "InvariantReport", "PlumbingGraph", "ResolutionData", "SingularityTriple",
+    "SweepConfig", "TopologyReport", "VerifySummary", "b_gamma",
+    "canonical_cyclic", "cf_value", "closed_form_dim", "compactification",
+    "cyclic_equivalent_type", "describe", "dim_h1_theta", "dim_sfk",
+    "dual_type", "eigenvalue_histogram", "eisenstein_check",
     "enumerate_gamma_prime", "enumerate_group", "export_dot", "generators_of",
     "graph_to_dot", "hj_string", "is_fixed_point_free", "moduli_dim",
     "report_from_dict", "report_from_json", "report_to_dict", "report_to_json",
-    "resolution_graph", "sawtooth", "seifert_data", "seifert_euler",
-    "singularity_triple", "solve_b_prime", "specs_in_sweep", "topology_report",
-    "verify",
+    "resolution_graph", "sawtooth", "seifert_euler", "singularity_triple",
+    "solve_b_prime", "specs_in_sweep", "topology_report", "verify",
 ]

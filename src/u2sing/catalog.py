@@ -427,8 +427,8 @@ def _enumerate_cyclic(spec: GroupSpec) -> FiniteGroup:
 
 
 def enumerate_group(spec: GroupSpec) -> FiniteGroup:
-    """All elements of the group, identity first."""
-    spec.validate()
+    """All elements of the group, identity first; ``generators_of``
+    validates the spec."""
     if spec.is_cyclic:
         return _enumerate_cyclic(spec)
     return generate_closure(generators_of(spec), spec.expected_order())

@@ -35,8 +35,7 @@ import numpy as np
 
 from .catalog import DEFAULT_TOLERANCE, Family, FiniteGroup, GroupSpec
 from .errors import InvalidParameters, SnapFailure
-from .resolution import (BGamma, PlumbingGraph, ResolutionData,
-                         _require_noncyclic)
+from .resolution import BGamma, PlumbingGraph, ResolutionData
 
 
 # ---------------------------------------------------------------------------
@@ -87,17 +86,6 @@ def eisenstein_residuals(n: int) -> np.ndarray:
 # Characters
 # ---------------------------------------------------------------------------
 
-def char_rho(z1: complex, z2: complex, m: int) -> complex:
-    """chi(z1, z2) = (z1 z2) sum_{p=0}^{2m-2} z1^{2m-2-p} z2^p for unit z1, z2."""
-    if m < 1:
-        raise InvalidParameters("m >= 1 required")
-    if abs(z1 - z2) > 1e-8:
-        series = (z1 ** (2 * m - 1) - z2 ** (2 * m - 1)) / (z1 - z2)
-    else:
-        series = (2 * m - 1) * z1 ** (m - 1) * z2 ** (m - 1)
-    return z1 * z2 * series
-
-
 def _chi_real_sum(group: FiniteGroup, m: int) -> float:
     """sum over the group of Re chi at each element's eigenvalue pair."""
     theta, phi = group.eigen_data()
@@ -126,7 +114,6 @@ class DeformationReport:
 
 def closed_form_dim(spec: GroupSpec) -> int:
     """The family's case expression in floor functions (m > 1 only)."""
-    _require_noncyclic(spec)
     m, f = spec.m, spec.family
     if m == 1:
         raise InvalidParameters("closed forms apply only for m > 1")
@@ -170,7 +157,6 @@ def dim_sfk(spec: GroupSpec, gamma_prime: FiniteGroup, b: BGamma,
     the deformation space is zero; the report carries brute_force_dim = 0
     and marks the closed forms inapplicable.
     """
-    _require_noncyclic(spec)
     two_b = 2 * b.value - 2
     if spec.m == 1:
         return DeformationReport(0, None, two_b, True, 0.0, False,
@@ -196,10 +182,9 @@ def dim_h1_theta(graph: PlumbingGraph) -> int:
     return sum(abs(w) - 1 for w in graph.weights())
 
 
-def moduli_dim(spec: GroupSpec, b: BGamma, res: ResolutionData) -> int:
+def moduli_dim(b: BGamma, res: ResolutionData) -> int:
     """Real dimension 2(b_Gamma - 1) + k_Gamma of the known metric family,
     from ``b`` and the resolution ``res``."""
-    _require_noncyclic(spec)
     return 2 * (b.value - 1) + res.k_gamma
 
 
@@ -230,7 +215,6 @@ def topology_report(spec: GroupSpec, res: ResolutionData,
     the m = 1 families (groups inside SU(2)) equality is the true state of
     affairs.  External eta values are inputs, never computed here.
     """
-    _require_noncyclic(spec)
     k = res.k_gamma
     order = spec.expected_order()
     chi_top = 1 + k

@@ -166,7 +166,7 @@ def describe(spec: GroupSpec,
             f"equality = {topo.bound_is_equality}"))
 
     return replace(report, deformations=deform,
-                   moduli_dim=moduli_dim(spec, b, rd), topology=topo,
+                   moduli_dim=moduli_dim(b, rd), topology=topo,
                    checks=tuple(checks))
 
 

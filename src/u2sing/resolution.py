@@ -39,6 +39,12 @@ because only the compactification centre's pivot depends on the weight.
 
 All lattice computations (definiteness, signature, determinants) run in
 exact rational arithmetic by eliminating the plumbing tree leaf-first.
+
+A spec is validated where it enters bare: ``table_singularities`` validates
+it and refuses a cyclic one (n = 1 included), and ``resolution_graph``
+validates the spec of a cyclic chain.  The other stages take the records of
+the stages before them (the enumerated group, the triple, b_Gamma, the
+resolution) and trust them.
 """
 
 from __future__ import annotations
@@ -60,16 +66,6 @@ from .errors import (AmbiguousCandidate, CrossCheckFailure, InvalidParameters,
 from .hj import HJString, cf_value, dual_type, hj_string
 
 POINT_TOL = 1e-6
-
-
-def _require_noncyclic(spec: GroupSpec) -> GroupSpec:
-    spec.validate()
-    if spec.is_cyclic:
-        raise InvalidParameters(f"{spec.label()} is cyclic")
-    if spec.is_degenerate_cyclic:
-        raise InvalidParameters(
-            f"{spec.label()} is cyclic (n = 1); resolution data is chain-type")
-    return spec
 
 
 # ---------------------------------------------------------------------------
@@ -166,16 +162,6 @@ def _integer_det(pivots: list[Fraction]) -> int:
     return int(det)
 
 
-@dataclass(frozen=True)
-class SeifertData:
-    """Central weight, the arm fractions, and the rational Euler number
-    e = center + sum(arm fractions) of the plumbed boundary."""
-
-    center: int
-    arm_fractions: tuple[Fraction, ...]
-    euler: Fraction
-
-
 def seifert_euler(graph: PlumbingGraph) -> Fraction:
     """Rational Euler number of the Seifert fibered boundary of the star.
 
@@ -183,17 +169,12 @@ def seifert_euler(graph: PlumbingGraph) -> Fraction:
     c: eliminating the arms leaves the Schur complement
     center + sum 1/[|w_1|,...,|w_k|].
     """
-    return seifert_data(graph).euler
-
-
-def seifert_data(graph: PlumbingGraph) -> SeifertData:
-    fracs = []
+    euler = Fraction(graph.center)
     for arm in graph.arms:
         if any(w > -2 for w in arm):
             raise MalformedGraph(f"arm weights must be <= -2, got {arm}")
-        fracs.append(cf_value([-w for w in arm]))
-    euler = Fraction(graph.center) + sum(fracs, Fraction(0))
-    return SeifertData(graph.center, tuple(fracs), euler)
+        euler += cf_value([-w for w in arm])
+    return euler
 
 
 @dataclass(frozen=True)
@@ -237,8 +218,17 @@ class SingularityTriple:
 
 
 def table_singularities(spec: GroupSpec) -> tuple[CyclicType, CyclicType, CyclicType]:
-    """The family table of orbifold types, normalized mod beta."""
-    _require_noncyclic(spec)
+    """The family table of orbifold types, normalized mod beta.
+
+    This is where a bare spec enters the non-cyclic stages, so it is
+    validated here and a cyclic one (n = 1 included) is refused.
+    """
+    spec.validate()
+    if spec.is_cyclic:
+        raise InvalidParameters(f"{spec.label()} is cyclic")
+    if spec.is_degenerate_cyclic:
+        raise InvalidParameters(
+            f"{spec.label()} is cyclic (n = 1); resolution data is chain-type")
     f, m, n = spec.family, spec.m, spec.n
     if f in (Family.DIHEDRAL, Family.INDEX2):
         triple = (canonical_cyclic(1, 2), canonical_cyclic(1, 2),
@@ -318,29 +308,25 @@ def _orbit(mats: np.ndarray, point: np.ndarray, targets: np.ndarray) -> np.ndarr
     return dots.argmax(axis=1)
 
 
-def _tangent_normal(row: np.ndarray, point: np.ndarray, p_orb: int,
-                    m: int) -> tuple[int, int] | None:
+def _tangent_normal(su2: np.ndarray, phase: complex, point: np.ndarray,
+                    p_orb: int, m: int) -> tuple[int, int] | None:
     """Rotation numbers (t, u) of a stabilizer element at a fixed point.
 
-    ``row`` is a row (a, b1, b2) of the stabilizing coset and ``point`` the
-    unit homogeneous fixed point (z1, z2) that ``_orbit`` matched.  The
-    point is an eigenvector of the normalized SU(2) part S of the row, so
-    the Rayleigh quotient s = <point, S point> is its eigenvalue and s-bar
-    the other one; the row's matrix a/|a| * S has eigenvalue mu2 = a/|a| * s
-    on the point's line and mu1 = a/|a| * s-bar on the tangent line.  Then
+    ``su2`` is the normalized SU(2) part S of the stabilizing coset (its
+    Mobius matrix), ``phase`` the unit left entry a/|a| of its row, and
+    ``point`` the unit homogeneous fixed point (z1, z2) that ``_orbit``
+    matched.  The point is an eigenvector of S, so the Rayleigh quotient
+    s = <point, S point> is its eigenvalue and s-bar the other one; the
+    row's matrix phase * S has eigenvalue mu2 = phase * s on the point's
+    line and mu1 = phase * s-bar on the tangent line.  Then
     mu1/mu2 = e^{2 pi i t/p} is the tangent rotation and
     mu2^{2m} = e^{2 pi i u/p} the rotation of the degree-2m normal fiber.
     Both are the same for every row of the coset.  Returns None for the
     identity coset.
     """
-    a, b1, b2 = (complex(x) for x in row)
-    nrm = math.sqrt(b1.real ** 2 + b1.imag ** 2 + b2.real ** 2 + b2.imag ** 2)
-    b1, b2 = b1 / nrm, b2 / nrm
-    su2 = np.array([[b1, -b2.conjugate()], [b2, b1.conjugate()]])
     s = complex(np.vdot(point, su2 @ point))
     if abs(s.imag) < 1e-9:
         return None                      # S = +-1: identity on the base
-    phase = a / abs(a)
     mu1, mu2 = phase * s.conjugate(), phase * s
     t = _snap_residue(cmath.phase(mu1 / mu2), p_orb)
     u = _snap_residue(cmath.phase(mu2 ** (2 * m)), p_orb)
@@ -363,13 +349,14 @@ def algorithmic_singularities(spec: GroupSpec, group: FiniteGroup
     element in coset order that generates it gives the type through
     ``_tangent_normal``.  The family table is never consulted.
     """
-    _require_noncyclic(spec)
     h = spec.pgl_image_order()
     coset_idx = _coset_indices(group)
     if len(coset_idx) != h:
         raise OrbitCountMismatch(
             f"{spec.label()}: Mobius image has {len(coset_idx)} elements, expected {h}")
-    su2 = group.rows[coset_idx, 1:3]
+    rows = group.rows[coset_idx]
+    phases = rows[:, 0] / np.abs(rows[:, 0])
+    su2 = rows[:, 1:3]
     b1, b2 = (su2 / np.sqrt((np.abs(su2) ** 2).sum(axis=1))[:, None]).T
     mats = np.stack([np.stack([b1, -np.conj(b2)], -1),      # the Mobius matrix
                      np.stack([b2, np.conj(b1)], -1)], -2)
@@ -398,7 +385,8 @@ def algorithmic_singularities(spec: GroupSpec, group: FiniteGroup
             raise OrbitCountMismatch(
                 f"stabilizer order {len(stab)} != {p_orb} at a singular point")
         for g in stab:
-            tn = _tangent_normal(group.rows[coset_idx[g]], points[r], p_orb, spec.m)
+            tn = _tangent_normal(mats[g], complex(phases[g]), points[r],
+                                 p_orb, spec.m)
             if tn is None:
                 continue
             t, u = tn
@@ -446,7 +434,6 @@ def b_gamma(spec: GroupSpec, triple: tuple[CyclicType, ...]) -> BGamma:
     Integer route: 2 + (4m/|Gamma|)(m - (m mod |Gamma|/4m)); rational route:
     sum of the fractions of the singularity ``triple`` plus 2m/h.
     """
-    _require_noncyclic(spec)
     m = spec.m
     idx = spec.quotient_index()
     b_int = 2 + (m - m % idx) // idx
@@ -602,7 +589,6 @@ def solve_b_prime(spec: GroupSpec, res: ResolutionData,
     value is then eliminated in full, once, for both its signature and its
     determinant; they must equal the pencil's.
     """
-    _require_noncyclic(spec)
     target = Fraction(2 * spec.m, spec.pgl_image_order())
     kappa = res.k_gamma + sum(s.length for s in dual_strings)
     dual_sum = sum((cf_value(s) for s in dual_strings), Fraction(0))
@@ -649,7 +635,6 @@ def compactification(spec: GroupSpec,
                      res: ResolutionData) -> CompactificationData:
     """Compactification star of the resolution ``res``, the blow-up count
     kappa, and the full curve configuration (kappa + 1 curves)."""
-    _require_noncyclic(spec)
     dual_strings = tuple(hj_string(dual_type(s.source)) for s in res.strings)
     bp = solve_b_prime(spec, res, dual_strings)
     star = _comp_star(bp.value, dual_strings)

@@ -52,6 +52,10 @@ class SweepConfig:
     def validate(self) -> "SweepConfig":
         if min(self.m_max, self.n_max, self.p_max) < 1:
             raise InvalidParameters("sweep bounds must be positive")
+        # The two global identities start at p = 2 and n = 2; a lower bound
+        # would record a pass that checked nothing.
+        if min(self.hj_p_max, self.eisenstein_n_max) < 2:
+            raise InvalidParameters("hj_p_max and eisenstein_n_max must be >= 2")
         if not (0.0 < self.tolerance <= 1e-3):
             raise InvalidParameters("tolerance must lie in (0, 1e-3]")
         return self

@@ -63,6 +63,21 @@ def test_describe_eliminates_each_lattice_sparingly(monkeypatch):
     assert len(calls) == 1
 
 
+def test_describe_validates_a_spec_where_it_enters(monkeypatch):
+    # describe, the enumeration's generators, the table triple, the
+    # resolution and Gamma' validate; every other stage trusts its records.
+    real, calls = GroupSpec.validate, []
+    monkeypatch.setattr(GroupSpec, "validate",
+                        lambda self: calls.append(self) or real(self))
+    for spec in (GroupSpec.dihedral(5, 2), GroupSpec.icosahedral(7)):
+        calls.clear()
+        assert describe(spec).all_passed()
+        assert len(calls) <= 5
+    calls.clear()
+    assert describe(GroupSpec.cyclic(3, 7)).all_passed()
+    assert len(calls) <= 3
+
+
 def test_describe_invalid():
     with pytest.raises(InvalidParameters):
         describe(GroupSpec.dihedral(2, 2))
@@ -476,6 +491,21 @@ def test_config_rejects_an_unparsable_value(tmp_path, capsys):
     assert main(["verify", "--config", str(path)]) == 2
     assert capsys.readouterr().err == (
         "error: config key m_max: cannot parse 'abc'\n")
+
+
+def test_sweep_config_rejects_global_bounds_that_check_nothing(tmp_path,
+                                                               capsys):
+    # The HJ round trip starts at p = 2 and the Eisenstein identity at
+    # n = 2; below that either would record a pass that checked nothing.
+    for bounds in ({"hj_p_max": 1}, {"eisenstein_n_max": 1},
+                   {"hj_p_max": 0, "eisenstein_n_max": 1}):
+        with pytest.raises(InvalidParameters):
+            SweepConfig(**bounds).validate()
+    path = tmp_path / "sweep.cfg"
+    path.write_text("hj_p_max = 0\neisenstein_n_max = 1\n")
+    assert main(["verify", "--config", str(path), *TINY]) == 2
+    assert capsys.readouterr().err == (
+        "error: hj_p_max and eisenstein_n_max must be >= 2\n")
 
 
 def test_verify_rejects_a_missing_config_file(tmp_path, capsys):

@@ -17,9 +17,8 @@ from u2sing.hj import cf_value, dual_type, hj_string
 from u2sing.resolution import (CentrePencil, CurveConfiguration, PlumbingGraph,
                                _coset_indices, _orbit, _singular_points,
                                _sphere_vecs, algorithmic_singularities,
-                               graph_to_dot, resolution_graph, seifert_data,
-                               seifert_euler, singularity_triple,
-                               table_singularities)
+                               graph_to_dot, resolution_graph, seifert_euler,
+                               singularity_triple, table_singularities)
 from u2sing.sweep import SweepConfig, specs_in_sweep
 
 from rowalg import matrix, mobius, scalar
@@ -101,32 +100,46 @@ def _residue(z, p):
     return round(x) % p
 
 
+def _su2_and_phase(row):
+    """The normalized SU(2) matrix and the unit left entry of a scalar row:
+    what algorithmic_singularities hands _tangent_normal for its coset."""
+    return np.array(mobius(row)), row[0] / abs(row[0])
+
+
+def _recording_tangent_normal(monkeypatch):
+    """The real _tangent_normal, and a dict that collects each fixed point
+    (with its stabilizer order) that algorithmic_singularities reads a type
+    at, once the returned recorder is patched in."""
+    real, points = resolution._tangent_normal, {}
+
+    def recording(su2, phase, point, p_orb, m):
+        points[point.tobytes()] = (point, p_orb)
+        return real(su2, phase, point, p_orb, m)
+
+    monkeypatch.setattr(resolution, "_tangent_normal", recording)
+    return real, points
+
+
 @pytest.mark.parametrize("spec", ONE_PER_FAMILY, ids=GroupSpec.key)
 def test_tangent_normal_matches_the_rayleigh_quotient(spec, monkeypatch):
     # At a unit fixed point v of M, mu2 = <v, M v> and mu1 = det M / mu2
     # need no choice of eigenline, so a swapped mu1/mu2 shows.  Every coset
     # that fixes a point the algorithm reads a type at is checked there.
-    real, points = resolution._tangent_normal, {}
-
-    def recording(row, point, p_orb, m):
-        points[point.tobytes()] = (point, p_orb)
-        return real(row, point, p_orb, m)
-
-    monkeypatch.setattr(resolution, "_tangent_normal", recording)
+    real, points = _recording_tangent_normal(monkeypatch)
     group = enumerate_group(spec)
     assert algorithmic_singularities(spec, group) == table_singularities(spec)
     assert len(points) == 3
-    reps = group.rows[_coset_indices(group)]
+    reps = scalar(group.rows[_coset_indices(group)])
     for point, p in points.values():
         stabilizer = 0
         for row in reps:
-            mat = np.array(matrix(scalar([row])[0]))
+            mat = np.array(matrix(row))
             mu2 = np.vdot(point, mat @ point)
             if abs(abs(mu2) - 1) > 1e-9:        # moves the point
                 continue
             stabilizer += 1
             mu1 = np.linalg.det(mat) / mu2
-            tn = real(row, point, p, spec.m)
+            tn = real(*_su2_and_phase(row), point, p, spec.m)
             if abs(mu1 - mu2) < 1e-9:           # identity on the Hopf base
                 assert tn is None
             else:
@@ -141,13 +154,7 @@ def test_tangent_normal_is_the_same_for_every_row_of_a_coset(spec,
     # The algorithm reads a type off one row per coset; every other row of
     # a stabilizing coset (the representative times a Mobius-trivial
     # element) must give the same rotation numbers.
-    real, points = resolution._tangent_normal, {}
-
-    def recording(row, point, p_orb, m):
-        points[point.tobytes()] = (point, p_orb)
-        return real(row, point, p_orb, m)
-
-    monkeypatch.setattr(resolution, "_tangent_normal", recording)
+    real, points = _recording_tangent_normal(monkeypatch)
     group = enumerate_group(spec)
     algorithmic_singularities(spec, group)
     assert len(points) == 3
@@ -165,11 +172,49 @@ def test_tangent_normal_is_the_same_for_every_row_of_a_coset(spec,
                               np.abs(reps + mob).max(axis=(1, 2)))
             coset = int(dist.argmin())
             assert dist[coset] < 1e-9
-            by_coset.setdefault(coset, []).append(real(row, point, p, spec.m))
+            by_coset.setdefault(coset, []).append(
+                real(*_su2_and_phase(row), point, p, spec.m))
         assert len(by_coset) == p
         for tns in by_coset.values():
             assert len(tns) == kernel
             assert len(set(tns)) == 1, tns
+
+
+def _swapped_tangent_normal(su2, phase, point, p_orb, m):
+    """_tangent_normal with mu1 and mu2 exchanged (the eigenline mutant)."""
+    s = complex(np.vdot(point, su2 @ point))
+    if abs(s.imag) < 1e-9:
+        return None
+    mu1, mu2 = phase * s, phase * s.conjugate()
+    return _residue(mu1 / mu2, p_orb), _residue(mu2 ** (2 * m), p_orb)
+
+
+@pytest.mark.parametrize("spec", ONE_PER_FAMILY, ids=GroupSpec.key)
+def test_swapped_eigenlines_are_an_equivalent_mutant(spec, monkeypatch):
+    # Swapping mu1 and mu2 reads the same stabilizer at the antipodal point
+    # v-perp = (-conj z2, conj z1): the other fixed point of the rotation,
+    # whose Rayleigh quotient is s-bar.  v-perp lies in an orbit with the
+    # same stabilizer order, so the sorted triple cannot change and no
+    # check can kill the swap.
+    real, points = _recording_tangent_normal(monkeypatch)
+    group = enumerate_group(spec)
+    algorithmic_singularities(spec, group)
+    assert len(points) == 3
+    compared = 0
+    for point, p in points.values():
+        perp = np.array([-np.conj(point[1]), np.conj(point[0])])
+        for row in scalar(group.rows[_coset_indices(group)]):
+            su2, phase = _su2_and_phase(row)
+            if abs(abs(np.vdot(point, su2 @ point)) - 1) > 1e-9:  # moves it
+                continue
+            swapped = _swapped_tangent_normal(su2, phase, point, p, spec.m)
+            assert swapped == real(su2, phase, perp, p, spec.m)
+            compared += swapped is not None
+    assert compared > 0
+    monkeypatch.setattr(resolution, "_tangent_normal", _swapped_tangent_normal)
+    trip = singularity_triple(spec, group)
+    assert trip.types == table_singularities(spec)
+    assert not trip.conjugate_equivalence_used
 
 
 def test_singularity_rejects_cyclic():
@@ -306,10 +351,10 @@ def test_seifert_examples():
     assert seifert_euler(rd.graph) == F(-14, 12)         # -3 + 1/2 + 2/3 + 2/3
 
 
-def test_seifert_data_fields():
-    sd = seifert_data(D4_STAR)
-    assert sd.center == -2
-    assert sd.arm_fractions == (F(1, 2), F(1, 2), F(1, 2))
+def test_seifert_euler_adds_each_arm_fraction():
+    # center -2 and the arm fractions 1/2, 1/3 and [2, 2] = 2/3
+    star = PlumbingGraph(-2, ((-2,), (-3,), (-2, -2)))
+    assert seifert_euler(star) == -2 + F(1, 2) + F(1, 3) + F(2, 3)
 
 
 def test_seifert_calibration_sample():
