@@ -81,7 +81,7 @@ class GroupSpec:
     def cyclic(cls, q: int, p: int) -> "GroupSpec":
         if p < 1:
             raise InvalidParameters(f"cyclic requires p >= 1, got p={p}")
-        return cls(Family.CYCLIC, q=q % p if p > 1 else 0, p=p)
+        return cls(Family.CYCLIC, q=q % p, p=p)
 
     @classmethod
     def dihedral(cls, m: int, n: int) -> "GroupSpec":
@@ -115,6 +115,9 @@ class GroupSpec:
         if f is Family.CYCLIC:
             if self.p is None or self.q is None or self.p < 1:
                 raise InvalidParameters("cyclic needs parameters q, p with p >= 1")
+            if self.p == 1:
+                raise InvalidParameters(
+                    "the trivial group has no singularity to resolve")
             if math.gcd(self.q, self.p) != 1:
                 raise InvalidParameters(
                     f"cyclic L({self.q},{self.p}): gcd(q,p) must be 1")
@@ -291,8 +294,6 @@ def generators_of(spec: GroupSpec) -> np.ndarray:
     f, m, n = spec.family, spec.m, spec.n
     if f is Family.CYCLIC:
         q, p = spec.q, spec.p
-        if p == 1:
-            return np.array([_row(0.0, _ONE)])
         # 2k = q+1 (mod p); for even p, q is odd so q+1 is even.
         if p % 2 == 1:
             k = ((q + 1) * pow(2, -1, p)) % p
@@ -454,14 +455,6 @@ def is_fixed_point_free(group: FiniteGroup,
     return group.eigenvalue_one_count(tol) == 1
 
 
-def snap_fraction(x: float, max_den: int, tol: float = 1e-7) -> Fraction:
-    """Nearest fraction with denominator <= max_den; raise if not close."""
-    f = Fraction(x).limit_denominator(max_den)
-    if abs(float(f) - x) > tol:
-        raise SnapFailure(f"{x} is not a fraction with denominator <= {max_den}")
-    return f
-
-
 def _snap_residue(angle: float, modulus: int) -> int:
     """angle = 2*pi*k/modulus up to snap tolerance; return k mod modulus."""
     x = angle * modulus / (2 * math.pi)
@@ -498,16 +491,13 @@ def eigenvalue_histogram(group: FiniteGroup) -> Counter:
     """Multiset of eigenvalue pairs, keyed by the exact pair of angle
     fractions (angle / 2pi, sorted), with element counts.
 
-    Angles in a finite matrix group of order N are rational with denominator
-    dividing N, so snapping to denominator <= N is exact.
+    Angles in a finite matrix group of order N are multiples of 2pi/N, so
+    snapping each to one (``_snap_residue``) is exact.
     """
     theta, phi = group.eigen_data()
-    two_pi = 2 * math.pi
-    a1 = np.mod(theta + phi, two_pi) / two_pi
-    a2 = np.mod(theta - phi, two_pi) / two_pi
+    n = group.order
     counts: Counter = Counter()
-    for x, y in zip(a1, a2):
-        fx = snap_fraction(float(x), group.order) % 1
-        fy = snap_fraction(float(y), group.order) % 1
-        counts[tuple(sorted((fx, fy)))] += 1
+    for a1, a2 in zip((theta + phi).tolist(), (theta - phi).tolist()):
+        counts[tuple(sorted((Fraction(_snap_residue(a1, n), n),
+                             Fraction(_snap_residue(a2, n), n))))] += 1
     return counts

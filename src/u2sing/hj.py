@@ -21,6 +21,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .catalog import CyclicType, canonical_cyclic
+from .errors import CrossCheckFailure
 
 
 @dataclass(frozen=True)
@@ -55,7 +56,7 @@ def hj_string(t: CyclicType) -> HJString:
         entries.append(e)
         prev, cur = cur, e * cur - prev
         if not (0 <= cur < prev):
-            raise AssertionError("remainder sequence failed to decrease")
+            raise CrossCheckFailure("remainder sequence failed to decrease")
     return HJString(tuple(entries), t)
 
 

@@ -45,7 +45,7 @@ from .catalog import (DEFAULT_TOLERANCE, CyclicType, FiniteGroup, GroupSpec,
                       canonical_cyclic, cyclic_equivalent_type,
                       enumerate_gamma_prime, enumerate_group,
                       is_fixed_point_free)
-from .errors import InvalidParameters, U2SingError
+from .errors import U2SingError
 # hj_string is no longer called here, but bench/tracer.py and
 # bench/test_bench.py bind u2sing.report.hj_string.
 from .hj import cf_value, hj_string  # noqa: F401
@@ -53,8 +53,8 @@ from .invariants import (DeformationReport, TopologyReport, dim_h1_theta,
                          dim_sfk, moduli_dim, topology_report)
 from .resolution import (BGamma, CurveConfiguration, PlumbingGraph,
                          ResolutionData, b_gamma, compactification,
-                         graph_to_dot, resolution_graph, seifert_euler,
-                         singularity_triple, table_singularities)
+                         graph_to_dot, resolution_graph, singularity_triple,
+                         table_singularities)
 
 
 @dataclass(frozen=True)
@@ -176,8 +176,6 @@ def resolve(spec: GroupSpec, tolerance: float = DEFAULT_TOLERANCE,
     singularity triple, b_Gamma and the resolution graph, with the checks
     of each.  The report's later sections are None."""
     spec.validate()
-    if spec.is_cyclic and spec.p == 1:
-        raise InvalidParameters("the trivial group has no singularity to resolve")
     checks: list[CheckResult] = []
 
     if group is None:
@@ -210,11 +208,11 @@ def _describe_cyclic(spec: GroupSpec, group: FiniteGroup,
         t = canonical_cyclic(spec.q, spec.p)
     rd = resolution_graph(GroupSpec.cyclic(t.alpha, t.beta))
     s, = rd.strings
-    roundtrip = cf_value(s) == Fraction(t.alpha, t.beta) if s.length else True
-    checks.append(CheckResult("hj_round_trip", roundtrip,
+    checks.append(CheckResult("hj_round_trip",
+                              cf_value(s) == Fraction(t.alpha, t.beta),
                               f"string {list(s.entries)} for {t}"))
     checks.append(CheckResult("resolution_negative_definite",
-                              rd.graph.is_negative_definite(), ""))
+                              all(d < 0 for d in rd.pivots), ""))
     return InvariantReport(
         spec=spec, order=group.order, degenerate_cyclic=degenerate,
         singularities=(t,), conjugate_equivalence_used=None,
@@ -264,11 +262,13 @@ def _resolve_noncyclic(spec: GroupSpec, group: FiniteGroup,
         all(cf_value(s) == Fraction(s.source.alpha, s.source.beta)
             for s in rd.strings), ""))
     checks.append(CheckResult(
-        "resolution_negative_definite", rd.graph.is_negative_definite(),
+        "resolution_negative_definite", all(d < 0 for d in rd.pivots),
         f"k_gamma={rd.k_gamma}"))
     checks.append(CheckResult(
         "tau_equals_minus_k", rd.tau == -rd.k_gamma, ""))
-    euler = seifert_euler(rd.graph)
+    # The centre pivot is the Schur complement center + sum 1/[arm]: the
+    # boundary's Seifert Euler number, from the elimination's continuants.
+    euler = rd.pivots[-1]
     checks.append(CheckResult(
         "seifert_euler_calibration", euler == Fraction(-2 * m, h),
         f"e = {euler}, -2m/h = {Fraction(-2 * m, h)}"))

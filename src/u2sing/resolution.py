@@ -39,6 +39,12 @@ because only the compactification centre's pivot depends on the weight.
 
 All lattice computations (definiteness, signature, determinants) run in
 exact rational arithmetic by eliminating the plumbing tree leaf-first.
+``resolution_graph`` eliminates the resolution star (or chain) once, and its
+record carries the pivots.  Definiteness, tau, the Seifert Euler number (the
+centre pivot is the Schur complement center + sum 1/[|w_1|, ..., |w_k|]) and
+the resolution block of every b' determinant are read from them.  The
+compactification star is eliminated at c = 0 for the pencil and again at b'
+for the full elimination, the two lattice routes of the b' cross-check.
 
 A spec is validated where it enters bare: ``table_singularities`` validates
 it and refuses a cyclic one (n = 1 included), and ``resolution_graph``
@@ -135,16 +141,6 @@ class PlumbingGraph:
         out.append(self.center - head_inv)
         return out
 
-    def is_negative_definite(self) -> bool:
-        return all(d < 0 for d in self.pivots())
-
-    def signature(self) -> tuple[int, int]:
-        """(positive, negative) inertia; raises on a degenerate matrix."""
-        return _inertia(self.pivots())
-
-    def determinant(self) -> int:
-        return _integer_det(self.pivots())
-
 
 def _inertia(pivots: list[Fraction]) -> tuple[int, int]:
     """(positive, negative) counts of elimination pivots (Sylvester's law);
@@ -158,23 +154,8 @@ def _integer_det(pivots: list[Fraction]) -> int:
     """Product of elimination pivots: the determinant of an integer matrix."""
     det = math.prod(pivots, start=Fraction(1))
     if det.denominator != 1:
-        raise AssertionError("integer matrix with non-integer determinant")
+        raise CrossCheckFailure("integer matrix with non-integer determinant")
     return int(det)
-
-
-def seifert_euler(graph: PlumbingGraph) -> Fraction:
-    """Rational Euler number of the Seifert fibered boundary of the star.
-
-    Equals 1/((Q^{-1})_cc) for the intersection matrix Q and central vertex
-    c: eliminating the arms leaves the Schur complement
-    center + sum 1/[|w_1|,...,|w_k|].
-    """
-    euler = Fraction(graph.center)
-    for arm in graph.arms:
-        if any(w > -2 for w in arm):
-            raise MalformedGraph(f"arm weights must be <= -2, got {arm}")
-        euler += cf_value([-w for w in arm])
-    return euler
 
 
 @dataclass(frozen=True)
@@ -189,22 +170,6 @@ class CurveConfiguration:
     @property
     def vertex_count(self) -> int:
         return self.resolution.vertex_count + self.compactification.vertex_count
-
-    def _pivots(self) -> list[Fraction]:
-        """The elimination pivots of both (disjoint) stars."""
-        return self.compactification.pivots() + self.resolution.pivots()
-
-    def signature(self) -> tuple[int, int]:
-        return _inertia(self._pivots())
-
-    def determinant(self) -> int:
-        return _integer_det(self._pivots())
-
-    def intersection_matrix(self) -> list[list[int]]:
-        a = self.compactification.intersection_matrix()
-        b = self.resolution.intersection_matrix()
-        return ([row + [0] * len(b) for row in a]
-                + [[0] * len(a) + row for row in b])
 
 
 # ---------------------------------------------------------------------------
@@ -453,16 +418,26 @@ def b_gamma(spec: GroupSpec, triple: tuple[CyclicType, ...]) -> BGamma:
 
 @dataclass(frozen=True)
 class ResolutionData:
+    """The resolution graph, its HJ strings, its curve count and the pivots
+    of its one elimination (``PlumbingGraph.pivots``, the centre's last)."""
+
     graph: PlumbingGraph
     strings: tuple[HJString, ...]
     k_gamma: int
-    tau: int
+    pivots: tuple[Fraction, ...]
+
+    @property
+    def tau(self) -> int:
+        """Signature (#positive - #negative pivots, Sylvester's law), counted
+        by the sign of each numerator, so that a zero pivot shows as a failed
+        check, not an error."""
+        return sum((d.numerator > 0) - (d.numerator < 0) for d in self.pivots)
 
 
 def resolution_graph(spec: GroupSpec,
                      triple: tuple[CyclicType, ...] | None = None,
                      b: BGamma | None = None) -> ResolutionData:
-    """Minimal-resolution plumbing graph with signature data.
+    """Minimal-resolution plumbing graph and the pivots of its elimination.
 
     Non-cyclic: star with center -b_Gamma and the Hirzebruch-Jung string of
     each singularity of ``triple`` as an arm, first entry adjacent to the
@@ -471,20 +446,18 @@ def resolution_graph(spec: GroupSpec,
     """
     spec.validate()
     if spec.is_cyclic:
-        if spec.p == 1:
-            raise InvalidParameters("the trivial group has an empty resolution")
         s = hj_string(canonical_cyclic(spec.q, spec.p))
         graph = PlumbingGraph(-s.entries[0], (tuple(-e for e in s.entries[1:]),)
                               if s.length > 1 else ())
-        return ResolutionData(graph, (s,), s.length, -s.length)
+        return ResolutionData(graph, (s,), s.length, tuple(graph.pivots()))
     if triple is None or b is None:
         raise InvalidParameters(
             f"{spec.label()}: a non-cyclic resolution needs its triple and b_Gamma")
     strings = tuple(hj_string(t) for t in triple)
     arms = tuple(tuple(-e for e in s.entries) for s in strings)
     graph = PlumbingGraph(-b.value, arms)
-    k = 1 + sum(s.length for s in strings)
-    return ResolutionData(graph, strings, k, -k)
+    return ResolutionData(graph, strings, 1 + sum(s.length for s in strings),
+                          tuple(graph.pivots()))
 
 
 # ---------------------------------------------------------------------------
@@ -547,11 +520,12 @@ class CentrePencil:
     threshold: Fraction
 
     @classmethod
-    def of(cls, res_graph: PlumbingGraph,
+    def of(cls, res_pivots: tuple[Fraction, ...],
            dual_strings: tuple[HJString, ...]) -> "CentrePencil":
+        """From the resolution's pivots and the dual strings' arms."""
         fixed = _comp_star(0, dual_strings).pivots()
         threshold = -fixed.pop()             # the centre pivot at c = 0
-        fixed += res_graph.pivots()
+        fixed += res_pivots
         return cls(_inertia(fixed), _integer_det(fixed),
                    _integer_det(fixed + [threshold]), threshold)
 
@@ -585,9 +559,10 @@ def solve_b_prime(spec: GroupSpec, res: ResolutionData,
     threshold s, so every integer c of the window [min(1, seifert) - 4,
     10 b_Gamma] is tested for signature (1, kappa) and a square |det| in
     constant time (b_Gamma is minus the resolution's centre weight).  The
-    two routes must meet in a single value, and the configuration at that
-    value is then eliminated in full, once, for both its signature and its
-    determinant; they must equal the pencil's.
+    two routes must meet in a single value.  The compactification star at
+    that value is then eliminated in full, once, and with the resolution's
+    pivots gives the configuration's signature and determinant; they must
+    equal the pencil's.
     """
     target = Fraction(2 * spec.m, spec.pgl_image_order())
     kappa = res.k_gamma + sum(s.length for s in dual_strings)
@@ -599,14 +574,13 @@ def solve_b_prime(spec: GroupSpec, res: ResolutionData,
     lo = min(1, seifert_int if seifert_int is not None else 1) - 4
     hi = -10 * res.graph.center
     try:
-        pencil = CentrePencil.of(res.graph, dual_strings)
+        pencil = CentrePencil.of(res.pivots, dual_strings)
         lattice = pencil.lattice_candidates(lo, hi, kappa)
     except MalformedGraph:
         lattice = ()
 
     if seifert_int is not None and seifert_int in lattice:
-        pivots = CurveConfiguration(
-            res.graph, _comp_star(seifert_int, dual_strings))._pivots()
+        pivots = _comp_star(seifert_int, dual_strings).pivots() + list(res.pivots)
         sig, det = _inertia(pivots), _integer_det(pivots)
         predicted = (pencil.signature(seifert_int), pencil.determinant(seifert_int))
         if (sig, det) != predicted:

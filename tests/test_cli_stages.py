@@ -7,6 +7,7 @@ The reference output is built from `describe`'s report: the JSON section of
 the report's fields.
 """
 
+import operator
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,7 @@ from u2sing.cli import main
 from u2sing.errors import InvalidParameters, U2SingError
 from u2sing.report import (describe, export_dot, json_text, report_to_dict,
                            resolve)
+from u2sing.resolution import PlumbingGraph
 from u2sing.sweep import SweepConfig, specs_in_sweep
 
 # Non-cyclic m <= 25, n <= 4 (97 specs, 25 of them degenerate n = 1) and
@@ -180,11 +182,11 @@ def test_resolve_exits_by_the_resolution_checks(monkeypatch, capsys):
     resolved = run(capsys, ["resolve", *flags, "--format", "json"])
     compactified = run(capsys, ["compactify", *flags, "--format", "json"])
     assert resolved[0] == compactified[0] == 0
-    monkeypatch.setattr(u2sing.report, "seifert_euler",
-                        lambda graph: Fraction(0))
+    # cf_value is read by the hj_round_trip check alone, never by the
+    # compactification, so the printed sections stay the same
+    monkeypatch.setattr(u2sing.report, "cf_value", lambda s: Fraction(0))
     report = resolve(GroupSpec.dihedral(5, 2)).report
-    assert [c.name for c in report.checks if not c.passed] == [
-        "seifert_euler_calibration"]
+    assert failing(report) == ["hj_round_trip"]
     assert run(capsys, ["resolve", *flags, "--format", "json"]) == (
         1, *resolved[1:])
     # compactify runs the resolution stages too, so their checks count
@@ -212,3 +214,57 @@ def test_compactify_exits_by_the_compactification_checks(monkeypatch,
     # resolve does not run the stage, so its failure does not count there
     assert run(capsys, ["resolve", *flags])[0] == 0
 
+
+# -- the resolution's pivots --------------------------------------------------
+
+ONE_PER_FAMILY = [GroupSpec.dihedral(5, 2), GroupSpec.tetrahedral(7),
+                  GroupSpec.octahedral(5), GroupSpec.icosahedral(7),
+                  GroupSpec.index2(4, 3), GroupSpec.index3(9)]
+
+
+def failing(report):
+    return [c.name for c in report.checks if not c.passed]
+
+
+def move_centre_pivot(monkeypatch, move):
+    """Make every elimination return its centre pivot moved by ``move``."""
+    real = PlumbingGraph.pivots
+
+    def pivots(self):
+        out = real(self)
+        out[-1] = move(out[-1])
+        return out
+
+    monkeypatch.setattr(PlumbingGraph, "pivots", pivots)
+
+
+@pytest.mark.parametrize("spec", ONE_PER_FAMILY, ids=GroupSpec.key)
+def test_calibration_sees_a_shifted_centre_pivot(spec, monkeypatch):
+    # An integer shift keeps the star definite and tau = -k; only the
+    # Seifert Euler number, read from the centre pivot, moves.
+    assert {s.family for s in ONE_PER_FAMILY} == set(Family) - {Family.CYCLIC}
+    assert failing(resolve(spec).report) == []
+    move_centre_pivot(monkeypatch, lambda d: d - 1)
+    assert failing(resolve(spec).report) == ["seifert_euler_calibration"]
+
+
+@pytest.mark.parametrize("move", [operator.neg, lambda d: 0 * d],
+                         ids=["sign_flip", "zero"])
+def test_tau_is_read_from_the_elimination(move, monkeypatch):
+    # A zero pivot is a degenerate lattice: failing checks, not an error.
+    move_centre_pivot(monkeypatch, move)
+    report = resolve(GroupSpec.dihedral(5, 2)).report
+    assert failing(report) == ["resolution_negative_definite",
+                               "tau_equals_minus_k",
+                               "seifert_euler_calibration"]
+    assert report.signature != -report.k_gamma
+
+
+def test_a_non_integer_determinant_is_a_failing_check(monkeypatch, capsys):
+    move_centre_pivot(monkeypatch, lambda d: d - Fraction(1, 1000))
+    flags = ["--family", "dihedral", "--m", "5", "--n", "2"]
+    assert run(capsys, ["compactify", *flags]) == (
+        1, "", "check failure: dihedral(m=5,n=2) has no compactification "
+               "data: resolution_geometry: integer matrix with non-integer "
+               "determinant\n")
+    assert "b_prime_unique" in failing(describe(GroupSpec.dihedral(5, 2)))

@@ -49,15 +49,19 @@ def test_describe_cyclic():
 
 
 def test_describe_eliminates_each_lattice_sparingly(monkeypatch):
-    # Non-cyclic: the resolution's definiteness, the b' pencil (two stars)
-    # and one full elimination of the chosen configuration (two stars).
+    # Non-cyclic: the resolution star once, whose record carries its pivots,
+    # and the compactification star twice, at c = 0 for the b' pencil and
+    # at b' for the full elimination.  Cyclic: the chain once.
     real, calls = PlumbingGraph.pivots, []
     monkeypatch.setattr(PlumbingGraph, "pivots",
                         lambda self: calls.append(self) or real(self))
     for spec in (GroupSpec.dihedral(5, 2), GroupSpec.icosahedral(7)):
         calls.clear()
         r = describe(spec)
-        assert r.all_passed() and len(calls) <= 5
+        assert r.all_passed() and len(calls) == 3
+        assert calls[0] == r.resolution
+        assert calls[1:] == [PlumbingGraph(c, r.compactification.star.arms)
+                             for c in (0, r.compactification.b_prime)]
     calls.clear()
     assert describe(GroupSpec.cyclic(3, 7)).all_passed()
     assert len(calls) == 1

@@ -15,10 +15,11 @@ from u2sing.errors import (CrossCheckFailure, InvalidParameters,
                            MalformedGraph, OrbitCountMismatch)
 from u2sing.hj import cf_value, dual_type, hj_string
 from u2sing.resolution import (CentrePencil, CurveConfiguration, PlumbingGraph,
-                               _coset_indices, _orbit, _singular_points,
-                               _sphere_vecs, algorithmic_singularities,
-                               graph_to_dot, resolution_graph, seifert_euler,
-                               singularity_triple, table_singularities)
+                               _coset_indices, _inertia, _integer_det, _orbit,
+                               _singular_points, _sphere_vecs,
+                               algorithmic_singularities, graph_to_dot,
+                               resolution_graph, singularity_triple,
+                               table_singularities)
 from u2sing.sweep import SweepConfig, specs_in_sweep
 
 from rowalg import matrix, mobius, scalar
@@ -248,8 +249,9 @@ def test_resolution_d4():
     rd = table_resolution(GroupSpec.dihedral(1, 2))
     assert rd.graph == D4_STAR
     assert rd.k_gamma == 4 and rd.tau == -4
-    assert rd.graph.is_negative_definite()
-    assert rd.graph.determinant() == 4          # D4 lattice discriminant
+    assert rd.pivots == tuple(rd.graph.pivots())
+    assert all(d < 0 for d in rd.pivots)
+    assert _integer_det(rd.pivots) == 4         # D4 lattice discriminant
 
 
 def test_resolution_index3():
@@ -264,7 +266,8 @@ def test_resolution_cyclic_chain():
     rd = resolution_graph(GroupSpec.cyclic(3, 5))
     assert rd.graph.weights() == [-2, -3]
     assert rd.tau == -2
-    assert rd.graph.is_negative_definite()
+    assert rd.pivots == (F(-3), F(-5, 3))         # -2 - 1/(-3)
+    assert all(d < 0 for d in rd.pivots)
 
 
 def test_resolution_star_needs_its_triple_and_b():
@@ -280,7 +283,7 @@ def test_resolution_adopts_ade_types():
                           (GroupSpec.icosahedral(1), 8, 1)):
         rd = table_resolution(spec)
         assert rd.k_gamma == k
-        assert abs(rd.graph.determinant()) == disc
+        assert abs(_integer_det(rd.pivots)) == disc
         assert all(w == -2 for w in rd.graph.weights())
 
 
@@ -336,37 +339,32 @@ def test_pivots_of_d4_and_of_a_vanishing_centre():
     star = PlumbingGraph(-2, ((-2,), (-2,), (-1,)))
     assert star.pivots() == _fraction_pivots(star) == [-2, -2, -1, 0]
     with pytest.raises(MalformedGraph):
-        star.signature()
-    assert not star.is_negative_definite()
+        _inertia(star.pivots())
+    assert not all(d < 0 for d in star.pivots())
     with pytest.raises(MalformedGraph):
         PlumbingGraph(-2, ((-1, -1),)).pivots()     # -1 - 1/(-1) = 0
 
 
-# -- Seifert Euler numbers --------------------------------------------------
+# -- Seifert Euler numbers: the centre pivot ---------------------------------
 
 def test_seifert_examples():
-    assert seifert_euler(D4_STAR) == F(-1, 2)            # -2 + 3*(1/2)
-    assert seifert_euler(PlumbingGraph(-5, ())) == -5
+    assert D4_STAR.pivots()[-1] == F(-1, 2)              # -2 + 3*(1/2)
+    assert PlumbingGraph(-5, ()).pivots()[-1] == -5
     rd = table_resolution(GroupSpec.tetrahedral(7))
-    assert seifert_euler(rd.graph) == F(-14, 12)         # -3 + 1/2 + 2/3 + 2/3
+    assert rd.pivots[-1] == F(-14, 12)                   # -3 + 1/2 + 2/3 + 2/3
 
 
 def test_seifert_euler_adds_each_arm_fraction():
     # center -2 and the arm fractions 1/2, 1/3 and [2, 2] = 2/3
     star = PlumbingGraph(-2, ((-2,), (-3,), (-2, -2)))
-    assert seifert_euler(star) == -2 + F(1, 2) + F(1, 3) + F(2, 3)
+    assert star.pivots()[-1] == -2 + F(1, 2) + F(1, 3) + F(2, 3)
 
 
 def test_seifert_calibration_sample():
     for spec in (GroupSpec.dihedral(9, 4), GroupSpec.octahedral(11),
                  GroupSpec.index2(10, 3), GroupSpec.index3(21)):
         rd = table_resolution(spec)
-        assert seifert_euler(rd.graph) == F(-2 * spec.m, spec.pgl_image_order())
-
-
-def test_malformed_graph():
-    with pytest.raises(MalformedGraph):
-        seifert_euler(PlumbingGraph(-2, ((-1,),)))
+        assert rd.pivots[-1] == F(-2 * spec.m, spec.pgl_image_order())
 
 
 # -- compactification and b' ------------------------------------------------
@@ -414,19 +412,23 @@ def test_b_prime_determinant_identity():
                  GroupSpec.index3(9)):
         bp = table_b_prime(spec)
         rd = table_resolution(spec)
-        assert abs(bp.determinant) == rd.graph.determinant() ** 2 \
-            or abs(bp.determinant) == abs(rd.graph.determinant()) ** 2
+        assert abs(bp.determinant) == _integer_det(rd.pivots) ** 2
 
 
 def test_configuration_counts():
     comp = table_compactification(GroupSpec.dihedral(1, 2))
     cfg = comp.configuration
     assert cfg.vertex_count == comp.kappa + 1 == 8
-    assert cfg.signature() == (1, 7)
+    assert _inertia(cfg.compactification.pivots()
+                    + cfg.resolution.pivots()) == (1, 7)
     assert comp.dual_strings == tuple(
         hj_string(dual_type(t)) for t in table_singularities(GroupSpec.dihedral(1, 2)))
-    mat = np.array(cfg.intersection_matrix())
+    a = np.array(cfg.compactification.intersection_matrix())
+    b = np.array(cfg.resolution.intersection_matrix())
+    mat = np.block([[a, np.zeros((len(a), len(b)), int)],
+                    [np.zeros((len(b), len(a)), int), b]])
     assert mat.shape == (8, 8) and (mat == mat.T).all()
+    assert (np.linalg.eigvalsh(mat) > 0).sum() == 1
 
 
 # The b' oracle before the centre pencil: a full exact elimination of the
@@ -438,13 +440,13 @@ def scan_lattice_candidates(res_graph, dual_strings, lo, hi, kappa):
     for cand in range(lo, hi + 1):
         star = PlumbingGraph(cand, tuple(tuple(-e for e in s.entries)
                                          for s in dual_strings))
-        config = CurveConfiguration(res_graph, star)
+        pivots = star.pivots() + res_graph.pivots()
         try:
-            sig = config.signature()
+            sig = _inertia(pivots)
         except MalformedGraph:
             continue
-        if sig == (1, kappa) and math.isqrt(abs(config.determinant())) ** 2 \
-                == abs(config.determinant()):
+        det = abs(_integer_det(pivots))
+        if sig == (1, kappa) and math.isqrt(det) ** 2 == det:
             lattice.append(cand)
     return tuple(lattice)
 
@@ -459,10 +461,10 @@ def scan_b_prime(spec):
     lo, hi = min(1, int(seifert)) - 4, 10 * table_b(spec).value
     lattice = scan_lattice_candidates(res.graph, duals, lo, hi, kappa)
     assert int(seifert) in lattice
-    config = CurveConfiguration(res.graph, PlumbingGraph(
-        int(seifert), tuple(tuple(-e for e in s.entries) for s in duals)))
-    return (int(seifert), lattice, (lo, hi), config.determinant(),
-            config.signature())
+    pivots = PlumbingGraph(int(seifert), tuple(
+        tuple(-e for e in s.entries) for s in duals)).pivots() + res.graph.pivots()
+    return (int(seifert), lattice, (lo, hi), _integer_det(pivots),
+            _inertia(pivots))
 
 
 SMALL_NONCYCLIC = [s for s in specs_in_sweep(SweepConfig(m_max=25, n_max=6))
@@ -482,7 +484,7 @@ def test_pencil_skips_the_degenerate_centre():
     # Two (-2) arms give threshold 1/(-2) + 1/(-2) = -1: the centre pivot
     # vanishes at c = -1, inside the window.
     duals = (hj_string(canonical_cyclic(1, 2)),) * 2
-    pencil = CentrePencil.of(D4_STAR, duals)
+    pencil = CentrePencil.of(tuple(D4_STAR.pivots()), duals)
     assert pencil.threshold == -1
     with pytest.raises(MalformedGraph):
         pencil.signature(-1)
