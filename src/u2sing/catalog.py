@@ -13,12 +13,16 @@ parameters and a coprimality condition:
     index-2 diagonal            (m,2)=2,(m,n)=1    4mn     [e^{i pi/(2m)}, j] replaces [1,j]
     index-3 diagonal            (m,6)=3            24m     diagonal order-3 extension
 
-The module enumerates each group by breadth-first closure of the generators,
-deduplicating up to simultaneous negation of the pair.  Each level composes
-the whole frontier with every generator at once (generator-major order) and
-keeps the candidates whose 48-byte grid key is new, in one pass over a set,
-so rows come out identity first, level by level, first occurrence first;
-the Mobius cosets of the resolution module are found by the same key pass.
+The module enumerates each non-cyclic group by Dimino's algorithm (Butler,
+Fundamental Algorithms for Permutation Groups, LNCS 559, 1991), deduplicating
+up to simultaneous negation of the pair by a 48-byte grid key per element.
+The Hopf-fiber rotation's powers come first, identity first; each later
+generator that is not yet a member adds whole right cosets of the group
+generated so far, one block composition per coset, and only the coset
+representatives' products with the generators are tested for membership.
+Cyclic specs are the powers of their one generator.  The breadth-first
+closure is kept for Gamma', whose row order the deformation residual reads;
+the Mobius cosets of the resolution module use the same grid keys.
 It also provides the structural checks used downstream: freeness on S^3 (no
 eigenvalue 1 away from the identity), eigenvalue statistics, and
 normalization of the cyclic singularity labels L(alpha, beta).
@@ -27,6 +31,7 @@ normalization of the cyclic singularity labels L(alpha, beta).
 from __future__ import annotations
 
 import math
+import struct
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
@@ -79,9 +84,9 @@ class GroupSpec:
 
     @classmethod
     def cyclic(cls, q: int, p: int) -> "GroupSpec":
-        if p < 1:
-            raise InvalidParameters(f"cyclic requires p >= 1, got p={p}")
-        return cls(Family.CYCLIC, q=q % p, p=p)
+        """L(q, p) with q reduced mod p; like every constructor it leaves the
+        refusal of bad parameters, p < 1 included, to ``validate``."""
+        return cls(Family.CYCLIC, q=q % p if p >= 1 else q, p=p)
 
     @classmethod
     def dihedral(cls, m: int, n: int) -> "GroupSpec":
@@ -353,6 +358,35 @@ def _fresh_indices(keys: list[bytes], seen: set[bytes]) -> list[int]:
     return [i for i, k in enumerate(keys) if k not in seen and not add(k)]
 
 
+# One row as a tuple of three Python complex numbers: the scalar steps of
+# the Dimino closure, with the same sign rule and the same key bytes as the
+# array functions above.
+_Row = tuple[complex, complex, complex]
+_KEY_STRUCT = struct.Struct("=6q")      # native int64, as _row_keys' view
+
+
+def _canonical_row(g: _Row) -> _Row:
+    """``_canonical_rows`` for one row."""
+    a = g[0]
+    s = a.real if abs(a.real) > EQ_TOL else a.imag
+    return g if s > 0 else (-g[0], -g[1], -g[2])
+
+
+def _row_key(g: _Row) -> bytes:
+    """``_row_keys`` for one row: round half to even, like ``np.rint``."""
+    a, b1, b2 = g
+    return _KEY_STRUCT.pack(
+        round(a.real * KEY_SCALE), round(a.imag * KEY_SCALE),
+        round(b1.real * KEY_SCALE), round(b1.imag * KEY_SCALE),
+        round(b2.real * KEY_SCALE), round(b2.imag * KEY_SCALE))
+
+
+def _compose_row(f: _Row, g: _Row) -> _Row:
+    """f then g: the BFS candidate ``g o f`` for one pair of rows."""
+    return (g[0] * f[0], f[1] * g[1] - f[2] * g[2].conjugate(),
+            f[1] * g[2] + f[2] * g[1].conjugate())
+
+
 @dataclass
 class FiniteGroup:
     """An enumerated subgroup: all elements as canonical (a, b1, b2) rows
@@ -383,6 +417,11 @@ def generate_closure(generators: np.ndarray, max_order: int) -> FiniteGroup:
     Deduplication is up to joint negation (quotient by the kernel of the
     double cover).  Raises ClosureOverflow past 2 * max_order elements,
     which signals numerical drift rather than a genuine group.
+
+    Only Gamma' is still enumerated this way: the deformation residual is a
+    float sum over Gamma' in this row order, and the benchmark goldens and
+    ``tests/sweep_slice.sha256`` pin its bytes.  The BFS goes when ROADMAP
+    item 4(a) makes the character sum independent of row order.
     """
     gen_rows = _canonical_rows(np.asarray(generators, dtype=complex))
     frontier = _canonical_rows(np.array([[1.0 + 0j, 1.0 + 0j, 0.0 + 0j]]))
@@ -411,6 +450,67 @@ def generate_closure(generators: np.ndarray, max_order: int) -> FiniteGroup:
     return FiniteGroup(np.concatenate(chunks, axis=0))
 
 
+def dimino_closure(generators: np.ndarray, max_order: int) -> FiniteGroup:
+    """Dimino's closure of the generator rows under composition.
+
+    The powers of the first generator come first, identity first, until the
+    identity's key recurs.  Each later generator that is not yet a member
+    extends the group G generated so far by whole right cosets G.r (each
+    element of G, then r): first r = the generator, then every product of a
+    coset representative and a generator so far that is not yet a member.
+    The powers and those products are composed one row at a time; each
+    coset is one block composition, keyed in one pass.  Deduplication is up
+    to joint negation, by the grid keys of ``_row_keys``.  Raises
+    ClosureOverflow past 2 * max_order elements, which signals numerical
+    drift rather than a genuine group.
+    """
+    gens = [_canonical_row(g)
+            for g in np.asarray(generators, dtype=complex).tolist()]
+    limit = 2 * max_order
+    too_many = f"closure exceeded {limit} elements (expected {max_order})"
+    identity = (1.0 + 0j, 1.0 + 0j, 0j)
+    id_key = _row_key(identity)
+    powers, seen = [identity], {id_key}
+    g = gens[0]
+    while (k := _row_key(g)) != id_key:
+        powers.append(g)
+        seen.add(k)
+        if len(powers) > limit:
+            raise ClosureOverflow(too_many)
+        g = _canonical_row(_compose_row(g, gens[0]))
+    blocks = [np.array(powers)]
+    order = len(powers)
+
+    for i in range(1, len(gens)):
+        if _row_key(gens[i]) in seen:
+            continue
+        # G.r for the group G generated by gens[:i], one column at a time.
+        a, b1, b2 = np.concatenate(blocks).T.copy()
+        reps = []
+
+        def add_coset(r: _Row) -> None:
+            nonlocal order
+            block = _canonical_rows(np.stack(
+                [a * r[0], b1 * r[1] - b2 * r[2].conjugate(),
+                 b1 * r[2] + b2 * r[1].conjugate()], axis=1))
+            seen.update(_row_keys(block))
+            blocks.append(block)
+            reps.append(r)
+            order += len(block)
+            if order > limit:
+                raise ClosureOverflow(too_many)
+
+        add_coset(gens[i])
+        # reps grows while it is walked, so every new representative is
+        # multiplied by every generator so far in its turn.
+        for r in reps:
+            for s in gens[:i + 1]:
+                c = _canonical_row(_compose_row(r, s))
+                if _row_key(c) not in seen:
+                    add_coset(c)
+    return FiniteGroup(np.concatenate(blocks))
+
+
 def _enumerate_cyclic(spec: GroupSpec) -> FiniteGroup:
     # Single commuting generator: powers are the whole closure.
     gen = generators_of(spec)[0]
@@ -432,7 +532,7 @@ def enumerate_group(spec: GroupSpec) -> FiniteGroup:
     validates the spec."""
     if spec.is_cyclic:
         return _enumerate_cyclic(spec)
-    return generate_closure(generators_of(spec), spec.expected_order())
+    return dimino_closure(generators_of(spec), spec.expected_order())
 
 
 def enumerate_gamma_prime(spec: GroupSpec) -> FiniteGroup:
@@ -473,8 +573,6 @@ def cyclic_equivalent_type(group: FiniteGroup) -> CyclicType | None:
     conjugation swap q <-> q^{-1}.
     """
     n = group.order
-    if n == 1:
-        return canonical_cyclic(0, 1)
     theta, phi = group.eigen_data()
     for a1, a2 in zip((theta + phi).tolist(), (theta - phi).tolist()):
         k1, k2 = _snap_residue(a1, n), _snap_residue(a2, n)

@@ -21,7 +21,6 @@ from fractions import Fraction
 from typing import Sequence
 
 from .catalog import CyclicType, canonical_cyclic
-from .errors import CrossCheckFailure
 
 
 @dataclass(frozen=True)
@@ -55,17 +54,15 @@ def hj_string(t: CyclicType) -> HJString:
         e = -(-prev // cur)          # ceil(prev / cur)
         entries.append(e)
         prev, cur = cur, e * cur - prev
-        if not (0 <= cur < prev):
-            raise CrossCheckFailure("remainder sequence failed to decrease")
     return HJString(tuple(entries), t)
 
 
-def cf_value(entries: "HJString | Sequence[int]") -> Fraction:
-    """Exact value q/p of the reversed continued fraction
-    1 / (e1 - 1/(e2 - ...)); inverse to hj_string.
+def continuant(entries: "HJString | Sequence[int]") -> tuple[int, int]:
+    """The integer pair (num, den) with e1 - 1/(e2 - ... - 1/ek) = num/den.
 
-    Evaluated by the integer continuant recurrence (the tails
-    [e_j, ..., e_k] = num/den satisfy num_j = e_j num_{j+1} - den_{j+1}).
+    Evaluated by the continuant recurrence: the tails [e_j, ..., e_k] =
+    num/den satisfy num_j = e_j num_{j+1} - den_{j+1}, den_j = num_{j+1}.
+    For the string of L(q, p) it is (p, q), already in lowest terms.
     """
     seq = tuple(entries.entries if isinstance(entries, HJString) else entries)
     if not seq:
@@ -73,6 +70,13 @@ def cf_value(entries: "HJString | Sequence[int]") -> Fraction:
     num, den = seq[-1], 1
     for e in reversed(seq[:-1]):
         num, den = e * num - den, num
+    return num, den
+
+
+def cf_value(entries: "HJString | Sequence[int]") -> Fraction:
+    """Exact value q/p of the reversed continued fraction
+    1 / (e1 - 1/(e2 - ...)); inverse to hj_string."""
+    num, den = continuant(entries)
     return Fraction(den, num)
 
 

@@ -24,11 +24,11 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Iterator
 
-from .catalog import (DEFAULT_TOLERANCE, Family, GroupSpec, canonical_cyclic,
+from .catalog import (DEFAULT_TOLERANCE, CyclicType, Family, GroupSpec,
                       eigenvalue_histogram, enumerate_group,
                       is_fixed_point_free)
 from .errors import InvalidParameters
-from .hj import cf_value, hj_string
+from .hj import continuant, hj_string
 from .invariants import eisenstein_residuals
 from .report import InvariantReport, describe, report_to_json
 from .resolution import (b_gamma, compactification, resolution_graph,
@@ -170,18 +170,21 @@ def check_eisenstein(summary: VerifySummary, n_max: int, tol: float) -> None:
 
 
 def check_hj_roundtrip(summary: VerifySummary, p_max: int) -> None:
-    """cf_value . hj_string is the identity on coprime pairs; entries >= 2;
-    reversing the string inverts the residue (checked exactly)."""
+    """The continuant of hj_string(L(q, p)) is (p, q) on coprime pairs;
+    entries >= 2; reversing the string inverts the residue (all exact).
+
+    Continuants of a string with entries >= 2 are coprime, so comparing the
+    integer pair is the exact round trip q/p, and stricter than it."""
     ok = True
     detail = ""
     for p in range(2, p_max + 1):
-        strings = {q: hj_string(canonical_cyclic(q, p))
+        strings = {q: hj_string(CyclicType(p, q)).entries
                    for q in range(1, p) if math.gcd(q, p) == 1}
         for q, s in strings.items():
-            if any(e < 2 for e in s.entries) or cf_value(s) != Fraction(q, p):
+            if min(s) < 2 or continuant(s) != (p, q):
                 ok, detail = False, f"round trip failed at L({q},{p})"
                 break
-            if s.reversed() != strings[pow(q, -1, p)].entries:
+            if s[::-1] != strings[pow(q, -1, p)]:
                 ok, detail = False, f"reversal duality failed at L({q},{p})"
                 break
         if not ok:

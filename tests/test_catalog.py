@@ -8,13 +8,16 @@ import numpy as np
 import pytest
 
 import u2sing
+import u2sing.catalog
 from u2sing.catalog import (KEY_SCALE, CyclicType, Family, GroupSpec,
-                            _canonical_rows, _row_keys, canonical_cyclic,
-                            cyclic_equivalent_type, eigenvalue_histogram,
-                            enumerate_gamma_prime, enumerate_group,
-                            generate_closure, generators_of,
+                            _canonical_row, _canonical_rows, _row_key,
+                            _row_keys, canonical_cyclic,
+                            cyclic_equivalent_type, dimino_closure,
+                            eigenvalue_histogram, enumerate_gamma_prime,
+                            enumerate_group, generate_closure, generators_of,
                             is_fixed_point_free)
 from u2sing.errors import ClosureOverflow, InvalidParameters, NotCoprime
+from u2sing.report import describe, report_to_json
 
 from rowalg import (canonical, compose, equivalent, inverse, key, mobius,
                     power, row, scalar)
@@ -44,6 +47,15 @@ def test_invalid_parameters(bad):
 def test_cyclic_factory_normalizes():
     assert GroupSpec.cyclic(-3, 5).q == 2
     assert GroupSpec.cyclic(7, 5).q == 2
+
+
+@pytest.mark.parametrize("p", [0, -3])
+def test_cyclic_p_below_one_is_refused_with_one_text(p):
+    with pytest.raises(InvalidParameters) as direct:
+        GroupSpec(Family.CYCLIC, q=1, p=p).validate()
+    with pytest.raises(InvalidParameters) as factory:
+        GroupSpec.cyclic(1, p).validate()
+    assert str(factory.value) == str(direct.value)
 
 
 # -- enumeration ------------------------------------------------------------
@@ -275,12 +287,15 @@ def _assert_same_rows(rows, ref):
     assert rows.tobytes() == ref.tobytes()
 
 
-@pytest.mark.parametrize("spec", [
+# One spec per family, the n = 1 case and the largest default-sweep group.
+CLOSURE_CASES = [
     GroupSpec.cyclic(7, 30), GroupSpec.dihedral(5, 3), GroupSpec.dihedral(3, 1),
     GroupSpec.tetrahedral(7), GroupSpec.octahedral(5),
     GroupSpec.icosahedral(7), GroupSpec.icosahedral(119),
-    GroupSpec.index2(8, 3), GroupSpec.index3(9),
-], ids=lambda s: s.key())
+    GroupSpec.index2(8, 3), GroupSpec.index3(9)]
+
+
+@pytest.mark.parametrize("spec", CLOSURE_CASES, ids=lambda s: s.key())
 def test_closure_matches_reference(spec):
     gens, order = generators_of(spec), spec.expected_order()
     ref = _reference_closure(gens, order)
@@ -288,7 +303,55 @@ def test_closure_matches_reference(spec):
     _assert_same_rows(generate_closure(gens, order).rows, ref)
     _assert_same_keys(ref, _scalar_closure(gens, order))
     if not spec.is_cyclic:
-        _assert_same_rows(enumerate_group(spec).rows, ref)
+        # Dimino's closure lists the same elements in coset order, and its
+        # last bits need not match the BFS's
+        rows = enumerate_group(spec).rows
+        assert len(rows) == len(ref)
+        assert (_row_keys(rows[:1]) == _row_keys(ref[:1])
+                == _row_keys(np.array([IDENTITY])))
+        assert set(_row_keys(rows)) == set(_row_keys(ref))
+
+
+@pytest.mark.parametrize("spec", CLOSURE_CASES, ids=lambda s: s.key())
+def test_reports_do_not_depend_on_the_enumeration_order(spec):
+    # the report reads only exact, snapped results of Gamma, so the BFS
+    # order and the Dimino order give the same bytes
+    bfs = generate_closure(generators_of(spec), spec.expected_order())
+    assert (report_to_json(describe(spec, group=bfs))
+            == report_to_json(describe(spec)))
+
+
+@pytest.mark.parametrize("spec", [GroupSpec.dihedral(5, 3), GroupSpec.index2(8, 3),
+                                  GroupSpec.icosahedral(7), GroupSpec.index3(9)],
+                         ids=lambda s: s.key())
+def test_scalar_keys_are_the_array_keys(spec):
+    rows = enumerate_group(spec).rows
+    signs = np.where(np.arange(len(rows)) % 3 == 0, -1.0, 1.0)
+    raw = rows * signs[:, None]             # every third row's other sign
+    assert ([_row_key(_canonical_row(g)) for g in raw.tolist()]
+            == _row_keys(_canonical_rows(raw)) == _row_keys(rows))
+
+
+def test_scalar_keys_round_half_to_even_like_the_array_keys():
+    halves = [x for x in (k / KEY_SCALE for k in np.arange(0.5, 40.5))
+              if (x * KEY_SCALE) % 1 == 0.5]
+    assert len(halves) > 10
+    for x in halves:
+        g = (1.0 + x * 1j, complex(x, -x), complex(-x, x))
+        assert _row_key(g) == _row_keys(np.array([g]))[0]
+
+
+@pytest.mark.parametrize("drift", ["fiber", "later"])
+def test_a_drifting_generator_overflows_the_dimino_closure(drift, monkeypatch):
+    spec = GroupSpec.dihedral(5, 3)
+    gens = generators_of(spec).copy()
+    if drift == "fiber":    # its powers never return to the identity
+        gens[0, 0] = cmath.exp(1j * math.pi / 5 * (1 + 1e-3))
+    else:                   # |beta| > 1: its cosets never close up
+        gens[1, 1:] *= 1.001
+    monkeypatch.setattr(u2sing.catalog, "generators_of", lambda s: gens)
+    with pytest.raises(ClosureOverflow):
+        enumerate_group(spec)
 
 
 @pytest.mark.parametrize("spec", [GroupSpec.index2(8, 3), GroupSpec.index3(9),
@@ -322,8 +385,11 @@ def test_closure_overflow_threshold_matches_reference():
         except ClosureOverflow:
             with pytest.raises(ClosureOverflow):
                 generate_closure(gens, max_order)
+            with pytest.raises(ClosureOverflow):
+                dimino_closure(gens, max_order)
         else:
             assert generate_closure(gens, max_order).order == 12
+            assert dimino_closure(gens, max_order).order == 12
 
 
 def test_closure_keeps_first_occurrence_within_a_level():

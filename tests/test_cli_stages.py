@@ -121,14 +121,17 @@ def test_subcommands_print_the_placeholder_of_a_failed_b_gamma(
 
 @pytest.mark.parametrize("spec", [GroupSpec.dihedral(2, 2),
                                   GroupSpec.cyclic(4, 6),
-                                  GroupSpec.cyclic(3, 1)], ids=GroupSpec.key)
+                                  GroupSpec.cyclic(3, 1),
+                                  GroupSpec(Family.CYCLIC, q=1, p=0),
+                                  GroupSpec(Family.CYCLIC, q=2, p=-3)],
+                         ids=GroupSpec.key)
 def test_subcommands_reject_what_describe_rejects(spec, tmp_path, capsys):
     with pytest.raises(InvalidParameters) as exc:
         describe(spec)
     error = f"error: {exc.value}\n"
     path = tmp_path / "graph.dot"
     argvs = [[cmd, *spec_flags(spec), "--format", f]
-             for cmd in ("resolve", "compactify") for f in FORMATS]
+             for cmd in ("describe", "resolve", "compactify") for f in FORMATS]
     argvs += [["export", *spec_flags(spec), "--what", what, "--out", str(path)]
               for what in ("resolution", "compactification")]
     for argv in argvs:

@@ -3,11 +3,14 @@
 import math
 from fractions import Fraction as F
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import u2sing.sweep
 from u2sing.catalog import CyclicType, canonical_cyclic
-from u2sing.hj import HJString, cf_value, dual_type, hj_string
+from u2sing.hj import HJString, cf_value, continuant, dual_type, hj_string
+from u2sing.sweep import VerifySummary, check_hj_roundtrip
 
 
 def test_hj_string_examples():
@@ -30,6 +33,40 @@ def test_cf_value_examples():
     assert cf_value([2, 2]) == F(2, 3)                 # 1/(2 - 1/2)
     assert cf_value([2, 3]) == F(3, 5)
     assert cf_value(HJString((2, 2, 3), canonical_cyclic(5, 7))) == F(5, 7)
+
+
+def test_continuant_examples():
+    assert continuant([5]) == (5, 1)
+    assert continuant([2, 2]) == (3, 2)
+    assert continuant((2, 2, 3)) == (7, 5)
+    assert continuant(HJString((2, 3), canonical_cyclic(3, 5))) == (5, 3)
+    assert continuant([3, 1, 3]) == (3, 2)      # not an HJ string: a 1
+    with pytest.raises(ValueError):
+        continuant(())
+
+
+def _sweep_with(monkeypatch, strings):
+    """check_hj_roundtrip to p = 7 with some strings replaced."""
+    def patched(t):
+        s = hj_string(t)
+        return HJString(strings.get((t.alpha, t.beta), s.entries), t)
+    monkeypatch.setattr(u2sing.sweep, "hj_string", patched)
+    summary = VerifySummary()
+    check_hj_roundtrip(summary, 7)
+    assert summary.check_names() == ["hj_round_trip_sweep"]
+    return summary.exit_code, [detail for *_, detail in summary.failures]
+
+
+@pytest.mark.parametrize("strings,detail", [
+    ({}, ""),
+    ({(2, 5): (3, 3)}, "round trip failed at L(2,5)"),
+    ({(2, 3): (3, 1, 3)}, "round trip failed at L(2,3)"),   # right value
+    ({(3, 5): (2, 4)}, "reversal duality failed at L(2,5)"),
+])
+def test_hj_round_trip_sweep_fails_on_a_wrong_string(monkeypatch, strings,
+                                                     detail):
+    assert _sweep_with(monkeypatch, strings) == (
+        (1, [detail]) if detail else (0, []))
 
 
 def test_dual_type_examples():
