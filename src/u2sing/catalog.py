@@ -275,6 +275,18 @@ KEY_SCALE = 1e6
 # (freeness), the character-sum snap and the Eisenstein residuals.
 DEFAULT_TOLERANCE = 1e-6
 
+
+def validate_tolerance(tol: float) -> float:
+    """Return ``tol`` if it lies in (0, 1e-3]; raise InvalidParameters
+    otherwise (NaN included).  The one range check of a tolerance from
+    outside, for a sweep and for every subcommand: a looser snap would pass
+    residuals that are not near an integer, while a tiny tolerance is legal
+    and makes the float checks fail, as it should."""
+    if not (0.0 < tol <= 1e-3):
+        raise InvalidParameters("tolerance must lie in (0, 1e-3]")
+    return tol
+
+
 _ONE = (1.0, 0.0, 0.0, 0.0)
 _IHAT = (0.0, 1.0, 0.0, 0.0)
 _JHAT = (0.0, 0.0, 1.0, 0.0)

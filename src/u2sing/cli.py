@@ -21,16 +21,34 @@ compactification`` those and the compactification's three checks.
 writes what ``resolve``/``compactify --format dot`` prints and exits as it
 does: ``compactify`` and ``export --what compactification`` exit 2 for a
 group with nothing to compactify (cyclic, n = 1, or b_Gamma failed) and 1
-when the compactification stage fails.
+when the compactification stage fails.  ``hj`` exits 2 for a pair that
+names no lens space (p < 1, or q and p not coprime), with ``resolve``'s
+wording; p = 1 gives the empty string of the trivial type.
+
+``--tolerance``, the snap tolerance of the float checks, must lie in
+(0, 1e-3] for every subcommand; ``describe``, ``resolve``, ``compactify``
+and ``export`` refuse any other value with exit 2 and the text ``verify``
+gives, from the one check ``catalog.validate_tolerance``.
+
+The parser is built once per process (``build_parser`` is cached), and
+``main`` keeps no state between calls: argparse makes a fresh namespace per
+call, every ``set_defaults`` value is immutable, and the help formatter,
+which reads the terminal width, is made when help is printed.  The cached
+parser holds the ``cmd_*`` function objects of ``set_defaults``, so
+patching ``cli.cmd_*`` after the first build does not reach ``main``; the
+module globals that those functions look up (``describe``, ``resolve``,
+...) are still read at call time.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
-from .catalog import DEFAULT_TOLERANCE, Family, GroupSpec, canonical_cyclic
+from .catalog import (DEFAULT_TOLERANCE, Family, GroupSpec, canonical_cyclic,
+                      validate_tolerance)
 from .errors import InvalidParameters, U2SingError
 from .hj import hj_string
 from .report import (compactify, describe, export_dot, json_text,
@@ -57,7 +75,8 @@ def _spec_from_args(args: argparse.Namespace) -> GroupSpec:
 
 
 def _tolerance(args: argparse.Namespace) -> float:
-    return DEFAULT_TOLERANCE if args.tolerance is None else args.tolerance
+    return validate_tolerance(
+        DEFAULT_TOLERANCE if args.tolerance is None else args.tolerance)
 
 
 def _add_spec_flags(parser: argparse.ArgumentParser) -> None:
@@ -124,6 +143,11 @@ def cmd_describe(args: argparse.Namespace) -> int:
 
 
 def cmd_hj(args: argparse.Namespace) -> int:
+    # A usage error, refused as resolve refuses the same pair; only an
+    # internal canonical_cyclic call on a computed type is a check failure.
+    # p = 1 is the trivial type, whose string is empty.
+    if args.p != 1:
+        GroupSpec.cyclic(args.q, args.p).validate()
     t = canonical_cyclic(args.q, args.p)
     s = hj_string(t)
     print(f"L({args.q},{args.p}) -> {t}: entries {list(s.entries)} "
@@ -192,6 +216,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return summary.exit_code
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="u2sing",

@@ -26,7 +26,7 @@ from typing import Iterator
 
 from .catalog import (DEFAULT_TOLERANCE, CyclicType, Family, GroupSpec,
                       eigenvalue_histogram, enumerate_group,
-                      is_fixed_point_free)
+                      is_fixed_point_free, validate_tolerance)
 from .errors import InvalidParameters
 from .hj import continuant, hj_string
 from .invariants import eisenstein_residuals
@@ -56,8 +56,7 @@ class SweepConfig:
         # would record a pass that checked nothing.
         if min(self.hj_p_max, self.eisenstein_n_max) < 2:
             raise InvalidParameters("hj_p_max and eisenstein_n_max must be >= 2")
-        if not (0.0 < self.tolerance <= 1e-3):
-            raise InvalidParameters("tolerance must lie in (0, 1e-3]")
+        validate_tolerance(self.tolerance)
         return self
 
 
