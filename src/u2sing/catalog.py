@@ -279,9 +279,9 @@ DEFAULT_TOLERANCE = 1e-6
 def validate_tolerance(tol: float) -> float:
     """Return ``tol`` if it lies in (0, 1e-3]; raise InvalidParameters
     otherwise (NaN included).  The one range check of a tolerance from
-    outside, for a sweep and for every subcommand: a looser snap would pass
-    residuals that are not near an integer, while a tiny tolerance is legal
-    and makes the float checks fail, as it should."""
+    outside, for a sweep and for each subcommand that reads one: a looser
+    snap would pass residuals that are not near an integer, while a tiny
+    tolerance is legal and makes the float checks fail, as it should."""
     if not (0.0 < tol <= 1e-3):
         raise InvalidParameters("tolerance must lie in (0, 1e-3]")
     return tol

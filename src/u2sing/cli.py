@@ -26,18 +26,20 @@ names no lens space (p < 1, or q and p not coprime), with ``resolve``'s
 wording; p = 1 gives the empty string of the trivial type.
 
 ``--tolerance``, the snap tolerance of the float checks, must lie in
-(0, 1e-3] for every subcommand; ``describe``, ``resolve``, ``compactify``
-and ``export`` refuse any other value with exit 2 and the text ``verify``
-gives, from the one check ``catalog.validate_tolerance``.
+(0, 1e-3]: ``describe``, ``resolve``, ``compactify``, ``export`` and
+``verify`` refuse any other value with exit 2 and one text, from the one
+check ``catalog.validate_tolerance``.  ``hj`` does not read it.
 
-The parser is built once per process (``build_parser`` is cached), and
-``main`` keeps no state between calls: argparse makes a fresh namespace per
-call, every ``set_defaults`` value is immutable, and the help formatter,
-which reads the terminal width, is made when help is printed.  The cached
-parser holds the ``cmd_*`` function objects of ``set_defaults``, so
-patching ``cli.cmd_*`` after the first build does not reach ``main``; the
-module globals that those functions look up (``describe``, ``resolve``,
-...) are still read at call time.
+The parser is built once per process (``build_parser`` is cached).  That
+saves a build only in a process that calls ``main`` more than once, such
+as a Python loop over ``main`` or the test suite; a one-shot ``u2sing``
+run builds it once, as before.  ``main`` keeps no state between calls:
+argparse makes a fresh namespace per call, every ``set_defaults`` value is
+immutable, and the help formatter, which reads the terminal width, is made
+when help is printed.  The cached parser holds the ``cmd_*`` function
+objects of ``set_defaults``, so patching ``cli.cmd_*`` after the first
+build does not reach ``main``; the module globals that those functions
+look up (``describe``, ``resolve``, ...) are still read at call time.
 """
 
 from __future__ import annotations
@@ -224,7 +226,8 @@ def build_parser() -> argparse.ArgumentParser:
     # No default here: verify lets a config file set the tolerance unless
     # a flag does, so an unset flag must stay distinguishable.
     parser.add_argument("--tolerance", type=float,
-                        help="snap tolerance for float-to-integer checks "
+                        help="snap tolerance for float-to-integer checks; "
+                        "must lie in (0, 1e-3] "
                         f"(default {DEFAULT_TOLERANCE:g})")
     sub = parser.add_subparsers(dest="command", required=True)
 

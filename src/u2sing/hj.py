@@ -10,9 +10,8 @@ string [e1, ..., ek] is the continued fraction expansion
     q/p = 1 / (e1 - 1/(e2 - ... - 1/ek))
 
 and is the chain of self-intersection numbers -e1, ..., -ek resolving the
-cyclic singularity L(q, p).  A run of 2s, where each step lowers the
-remainder by the same difference, is taken in one step.  Everything in this
-module is exact integer and rational arithmetic; there is no floating point.
+cyclic singularity L(q, p).  Everything in this module is exact integer and
+rational arithmetic; there is no floating point.
 """
 
 from __future__ import annotations
@@ -53,16 +52,8 @@ def hj_string(t: CyclicType) -> HJString:
     entries: list[int] = []
     while cur > 0:
         e = -(-prev // cur)          # ceil(prev / cur)
-        if e == 2:
-            # A run of 2s: each step keeps d = prev - cur and lowers cur by
-            # d, so the run lasts while cur >= d, cur // d steps in all.
-            d = prev - cur
-            k = cur // d
-            entries += (2,) * k
-            prev, cur = cur - (k - 1) * d, cur - k * d
-        else:
-            entries.append(e)
-            prev, cur = cur, e * cur - prev
+        entries.append(e)
+        prev, cur = cur, e * cur - prev
     return HJString(tuple(entries), t)
 
 

@@ -1,6 +1,7 @@
 """`main` on the one parser of the process: it keeps no state between
-calls, so a sequence of calls prints and exits as the same calls on freshly
-built parsers; and the usage errors it reports with exit 2."""
+calls, so a sequence of calls, the README's CLI examples among them, prints
+and exits as the same calls on freshly built parsers; and the usage errors
+it reports with exit 2."""
 
 import re
 
@@ -51,7 +52,24 @@ def sequence(tmp_path):
         ["hj", "3", "5"],
         ["resolve", *spec],
         ["resolve", *spec, "--format", "dot"],
+        *readme_examples(tmp_path),
     ]
+
+
+def readme_examples(tmp_path):
+    """The CLI examples of the README, in its order."""
+    return [example.split() for example in [
+        "describe --family dihedral --m 1 --n 2",
+        "describe --family cyclic --q 3 --p 5 --format json",
+        "hj 3 5",
+        "resolve --family index3 --m 3 --format dot",
+        "compactify --family dihedral --m 1 --n 3",
+        "export --family dihedral --m 1 --n 2 --what compactification "
+        f"--out {tmp_path / 'd4.dot'}",
+        f"verify --families tetrahedral,index3 --m-max 20 "
+        f"--out {tmp_path / 'reports'}",
+        "--tolerance 1e-7 verify --families index3 --m-max 20",
+    ]]
 
 
 def test_the_parser_is_built_once():
@@ -66,7 +84,8 @@ def test_main_keeps_no_state_between_calls(tmp_path, monkeypatch, capsys):
     for argv, a, b in zip(argvs, shared, fresh):
         assert a == b, argv
     codes = [code for code, _, _ in shared]
-    assert codes == [0, 0, 0, 2, 0, 1, 1, 0, 2, 0, 2, 0, 0, 2, 0, 0, 0]
+    assert codes == [0, 0, 0, 2, 0, 1, 1, 0, 2, 0, 2, 0, 0, 2, 0, 0, 0,
+                     0, 0, 0, 0, 0, 0, 0, 0]
 
 
 def test_help_reads_the_terminal_width_when_printed(monkeypatch, capsys):

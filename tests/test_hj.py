@@ -99,30 +99,3 @@ def test_round_trip_random(p, data):
     s = hj_string(canonical_cyclic(q, p))
     assert cf_value(s) == F(q, p)
     assert all(e >= 2 for e in s.entries)
-
-
-def one_step_hj(q, p):
-    """The modified Euclidean algorithm one entry at a time: the reference
-    for hj_string, which takes a run of 2s in one step."""
-    prev, cur, entries = p, q, []
-    while cur > 0:
-        e = -(-prev // cur)
-        entries.append(e)
-        prev, cur = cur, e * cur - prev
-    return tuple(entries)
-
-
-def test_hj_string_matches_the_one_step_recurrence():
-    for p in range(2, 301):
-        for q in range(1, p):
-            if math.gcd(q, p) == 1:
-                assert hj_string(canonical_cyclic(q, p)).entries == \
-                    one_step_hj(q, p), (q, p)
-
-
-@pytest.mark.parametrize("p", [2, 3, 4, 17, 500, 1001, 4096])
-def test_hj_string_at_the_ends_of_the_units(p):
-    # q = 1 has no 2 at all; q = p - 1 is one run of p - 1 2s
-    assert hj_string(canonical_cyclic(1, p)).entries == one_step_hj(1, p) == (p,)
-    assert hj_string(canonical_cyclic(p - 1, p)).entries == \
-        one_step_hj(p - 1, p) == (2,) * (p - 1)
