@@ -13,6 +13,14 @@ parameters and a coprimality condition:
     index-2 diagonal            (m,2)=2,(m,n)=1    4mn     [e^{i pi/(2m)}, j] replaces [1,j]
     index-3 diagonal            (m,6)=3            24m     diagonal order-3 extension
 
+``FAMILIES`` is the one place where a family's parameters and rules are
+declared: its parameters in label order, |Gamma|, the order h of its Mobius
+image, and its condition with the text that refuses a spec failing it.
+Every ``GroupSpec`` method that depends on the family, and the CLI's spec
+flags, read that table; the generators above, the singularity table and
+the closed forms stay separate, as the independent routes the checks
+compare.
+
 The module enumerates each non-cyclic group by Dimino's algorithm (Butler,
 Fundamental Algorithms for Permutation Groups, LNCS 559, 1991), deduplicating
 up to simultaneous negation of the pair by a 48-byte grid key per element.
@@ -32,7 +40,7 @@ from __future__ import annotations
 
 import math
 import struct
-from collections import Counter
+from collections import Counter, namedtuple
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -58,16 +66,44 @@ class Family(str, Enum):
     INDEX3 = "index3"
 
 
-# h = order of the Mobius (PGL(2,C)) image; the index-2/index-3 diagonal
-# families project onto the dihedral and tetrahedral rotation groups.
-_PGL_ORDER = {
-    Family.DIHEDRAL: lambda m, n: 2 * n,
-    Family.TETRAHEDRAL: lambda m, n: 12,
-    Family.OCTAHEDRAL: lambda m, n: 24,
-    Family.ICOSAHEDRAL: lambda m, n: 60,
-    Family.INDEX2: lambda m, n: 2 * n,
-    Family.INDEX3: lambda m, n: 12,
-}
+# What the catalog declares about one family: its parameters, in label
+# order; |Gamma|, h (the order of the Mobius image; None if cyclic) and the
+# catalog condition, as functions of the spec; the condition as its refusal
+# states it; the refusal of a missing parameter, formatted with the family
+# and the parameter's name; and the label and key as str.format templates
+# over the spec.
+FamilyRules = namedtuple("FamilyRules",
+                         "params order h holds rule needs label key")
+
+
+def _rules(f: Family, params: tuple[str, ...], order, h, holds, rule: str,
+           needs: str = "{} needs a positive parameter {}") -> FamilyRules:
+    return FamilyRules(
+        params, order, h, holds, rule, needs,
+        f"{f.value}(" + ",".join(f"{x}={{0.{x}}}" for x in params) + ")",
+        "_".join([f.value, *(f"{x}{{0.{x}}}" for x in params)]))
+
+
+# The index-2 and index-3 diagonal families project onto the dihedral and
+# tetrahedral rotation groups, hence their h.
+FAMILIES: dict[Family, FamilyRules] = {f: _rules(f, *row) for f, row in {
+    Family.CYCLIC: (("q", "p"), lambda s: s.p, None,
+                    lambda s: math.gcd(s.q, s.p) == 1, "gcd(q,p) must be 1",
+                    "{} needs parameters q, p with p >= 1"),
+    Family.DIHEDRAL: (("m", "n"), lambda s: 4 * s.m * s.n, lambda s: 2 * s.n,
+                      lambda s: math.gcd(s.m, 2 * s.n) == 1, "gcd(m,2n) must be 1"),
+    Family.TETRAHEDRAL: (("m",), lambda s: 24 * s.m, lambda s: 12,
+                         lambda s: math.gcd(s.m, 6) == 1, "gcd(m,6) must be 1"),
+    Family.OCTAHEDRAL: (("m",), lambda s: 48 * s.m, lambda s: 24,
+                        lambda s: math.gcd(s.m, 6) == 1, "gcd(m,6) must be 1"),
+    Family.ICOSAHEDRAL: (("m",), lambda s: 120 * s.m, lambda s: 60,
+                         lambda s: math.gcd(s.m, 30) == 1, "gcd(m,30) must be 1"),
+    Family.INDEX2: (("m", "n"), lambda s: 4 * s.m * s.n, lambda s: 2 * s.n,
+                    lambda s: s.m % 2 == 0 and math.gcd(s.m, s.n) == 1,
+                    "needs m even and gcd(m,n)=1"),
+    Family.INDEX3: (("m",), lambda s: 24 * s.m, lambda s: 12,
+                    lambda s: math.gcd(s.m, 6) == 3, "gcd(m,6) must be 3"),
+}.items()}
 
 
 @dataclass(frozen=True)
@@ -115,34 +151,23 @@ class GroupSpec:
     # -- structure ---------------------------------------------------------
 
     def validate(self) -> "GroupSpec":
-        """Check the catalog conditions; raise InvalidParameters otherwise."""
-        f = self.family
-        if f is Family.CYCLIC:
-            if self.p is None or self.q is None or self.p < 1:
-                raise InvalidParameters("cyclic needs parameters q, p with p >= 1")
-            if self.p == 1:
-                raise InvalidParameters(
-                    "the trivial group has no singularity to resolve")
-            if math.gcd(self.q, self.p) != 1:
-                raise InvalidParameters(
-                    f"cyclic L({self.q},{self.p}): gcd(q,p) must be 1")
-            return self
-        if self.m is None or self.m < 1:
-            raise InvalidParameters(f"{f.value} needs a positive parameter m")
-        if f in (Family.DIHEDRAL, Family.INDEX2) and (self.n is None or self.n < 1):
-            raise InvalidParameters(f"{f.value} needs a positive parameter n")
-        if f is Family.DIHEDRAL and math.gcd(self.m, 2 * self.n) != 1:
+        """Check the catalog conditions; raise InvalidParameters otherwise.
+        Every parameter the family takes must be set, and every one but the
+        residue q must be at least 1; no other parameter may be set."""
+        r = FAMILIES[self.family]
+        for x in r.params:
+            v = getattr(self, x)
+            if v is None or v < 1 and x != "q":
+                raise InvalidParameters(r.needs.format(self.family.value, x))
+        # all the parameters it takes are set; is any other one?
+        if (self.m, self.n, self.q, self.p).count(None) + len(r.params) < 4:
+            raise InvalidParameters(f"{self.family.value} takes no parameters "
+                                    f"but {', '.join(r.params)}")
+        if self.p == 1:
             raise InvalidParameters(
-                f"dihedral(m={self.m},n={self.n}): gcd(m,2n) must be 1")
-        if f in (Family.TETRAHEDRAL, Family.OCTAHEDRAL) and math.gcd(self.m, 6) != 1:
-            raise InvalidParameters(f"{f.value}(m={self.m}): gcd(m,6) must be 1")
-        if f is Family.ICOSAHEDRAL and math.gcd(self.m, 30) != 1:
-            raise InvalidParameters(f"icosahedral(m={self.m}): gcd(m,30) must be 1")
-        if f is Family.INDEX2 and (self.m % 2 != 0 or math.gcd(self.m, self.n) != 1):
-            raise InvalidParameters(
-                f"index2(m={self.m},n={self.n}): needs m even and gcd(m,n)=1")
-        if f is Family.INDEX3 and math.gcd(self.m, 6) != 3:
-            raise InvalidParameters(f"index3(m={self.m}): gcd(m,6) must be 3")
+                "the trivial group has no singularity to resolve")
+        if not r.holds(self):
+            raise InvalidParameters(f"{r.label.format(self)}: {r.rule}")
         return self
 
     @property
@@ -151,45 +176,29 @@ class GroupSpec:
 
     @property
     def is_degenerate_cyclic(self) -> bool:
-        """n = 1 members of the dihedral-shaped families are cyclic groups."""
-        return self.family in (Family.DIHEDRAL, Family.INDEX2) and self.n == 1
+        """n = 1 members of the families that take n are cyclic groups."""
+        return self.n == 1 and "n" in FAMILIES[self.family].params
 
     def expected_order(self) -> int:
-        f = self.family
-        if f is Family.CYCLIC:
-            return self.p
-        if f in (Family.DIHEDRAL, Family.INDEX2):
-            return 4 * self.m * self.n
-        if f in (Family.TETRAHEDRAL, Family.INDEX3):
-            return 24 * self.m
-        if f is Family.OCTAHEDRAL:
-            return 48 * self.m
-        return 120 * self.m
+        return FAMILIES[self.family].order(self)
 
     def pgl_image_order(self) -> int:
         """Order h of the induced Mobius group on the Hopf base."""
-        if self.is_cyclic:
+        h = FAMILIES[self.family].h
+        if h is None:
             raise InvalidParameters("PGL image order is only used for non-cyclic specs")
-        return _PGL_ORDER[self.family](self.m, self.n)
+        return h(self)
 
     def quotient_index(self) -> int:
         """|Gamma| / 4m, the modulus in the central self-intersection formula."""
         return self.expected_order() // (4 * self.m)
 
     def label(self) -> str:
-        if self.family is Family.CYCLIC:
-            return f"cyclic(q={self.q},p={self.p})"
-        if self.family in (Family.DIHEDRAL, Family.INDEX2):
-            return f"{self.family.value}(m={self.m},n={self.n})"
-        return f"{self.family.value}(m={self.m})"
+        return FAMILIES[self.family].label.format(self)
 
     def key(self) -> str:
         """Filesystem/config-safe identifier."""
-        if self.family is Family.CYCLIC:
-            return f"cyclic_q{self.q}_p{self.p}"
-        if self.family in (Family.DIHEDRAL, Family.INDEX2):
-            return f"{self.family.value}_m{self.m}_n{self.n}"
-        return f"{self.family.value}_m{self.m}"
+        return FAMILIES[self.family].key.format(self)
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,10 @@ Subcommands, one per construct:
     export      write a DOT graph to a file
 
 Exit codes: 0 all checks pass, 1 an identity failed, 2 usage/config error
-(including an unknown config key, an unreadable config or eta file, and a
-value that does not parse).  Each subcommand runs only the stages it
+(including an unknown config key, an unreadable config or eta file, a value
+that does not parse, a spec flag the family does not take, and an output
+that cannot be written).  ``verify`` prints its wall times on stderr, so
+its stdout repeats byte for byte.  Each subcommand runs only the stages it
 prints, and its exit status covers the checks of those stages: ``resolve``
 and ``export --what resolution`` the order, freeness, singularity, b_Gamma
 and resolution checks; ``compactify`` and ``export --what
@@ -49,8 +51,8 @@ import functools
 import sys
 from pathlib import Path
 
-from .catalog import (DEFAULT_TOLERANCE, Family, GroupSpec, canonical_cyclic,
-                      validate_tolerance)
+from .catalog import (DEFAULT_TOLERANCE, FAMILIES, Family, GroupSpec,
+                      canonical_cyclic, validate_tolerance)
 from .errors import InvalidParameters, U2SingError
 from .hj import hj_string
 from .report import (compactify, describe, export_dot, json_text,
@@ -62,18 +64,19 @@ _FAMILY_CHOICES = [f.value for f in Family]
 
 
 def _spec_from_args(args: argparse.Namespace) -> GroupSpec:
+    """The spec of the flags, built by the family's constructor (named as
+    the family) from the parameters that ``FAMILIES`` says it takes."""
     fam = Family(args.family)
-    if fam is Family.CYCLIC:
-        if args.q is None or args.p is None:
-            raise InvalidParameters("cyclic needs --q and --p")
-        return GroupSpec.cyclic(args.q, args.p).validate()
-    if args.m is None:
-        raise InvalidParameters(f"{fam.value} needs --m")
-    if fam in (Family.DIHEDRAL, Family.INDEX2):
-        if args.n is None:
-            raise InvalidParameters(f"{fam.value} needs --n")
-        return GroupSpec(fam, m=args.m, n=args.n).validate()
-    return GroupSpec(fam, m=args.m).validate()
+    params = FAMILIES[fam].params
+    missing = [f"--{x}" for x in params if getattr(args, x) is None]
+    if missing:
+        raise InvalidParameters(f"{fam.value} needs {' and '.join(missing)}")
+    stray = [f"--{x}" for x in ("m", "n", "q", "p")
+             if x not in params and getattr(args, x) is not None]
+    if stray:
+        raise InvalidParameters(f"{fam.value} takes no {', '.join(stray)}")
+    build = getattr(GroupSpec, fam.value)
+    return build(*(getattr(args, x) for x in params)).validate()
 
 
 def _tolerance(args: argparse.Namespace) -> float:
@@ -215,6 +218,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     config = config_from_mapping(values)
     summary = verify(config)
     print(summary.format_text())
+    print(f"enumeration time: {summary.enumeration_seconds:.2f}s, "
+          f"total: {summary.total_seconds:.2f}s", file=sys.stderr)
     return summary.exit_code
 
 
@@ -285,6 +290,10 @@ def main(argv: list[str] | None = None) -> int:
     except U2SingError as exc:
         print(f"check failure: {exc}", file=sys.stderr)
         return 1
+    except OSError as exc:      # a write: each read is refused where it runs
+        print(f"error: cannot write {exc.filename or 'stdout'}: {exc.strerror}",
+              file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

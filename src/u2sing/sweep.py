@@ -103,8 +103,9 @@ class VerifySummary:
             self.failures.append((spec_label, name, detail))
 
     def record_report(self, report: InvariantReport) -> None:
+        label = report.spec.label()
         for c in report.checks:
-            self.record(report.spec.label(), c.name, c.passed, c.detail)
+            self.record(label, c.name, c.passed, c.detail)
 
     @property
     def exit_code(self) -> int:
@@ -117,9 +118,9 @@ class VerifySummary:
         return self.counts[(name, True)], self.counts[(name, False)]
 
     def format_text(self) -> str:
-        lines = [f"specs processed: {self.specs_processed}",
-                 f"enumeration time: {self.enumeration_seconds:.2f}s, "
-                 f"total: {self.total_seconds:.2f}s"]
+        """The counts, warnings and exit status; no wall time, so that two
+        runs of one sweep print the same text."""
+        lines = [f"specs processed: {self.specs_processed}"]
         for name in self.check_names():
             ok, bad = self.passed_failed(name)
             status = "ok" if bad == 0 else "FAIL"
@@ -216,6 +217,7 @@ def verify(config: SweepConfig) -> VerifySummary:
     out_dir = Path(config.out_dir) if config.out_dir else None
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
+    unread_eta = set(config.eta)
 
     for spec in specs_in_sweep(config):
         summary.specs_processed += 1
@@ -229,6 +231,8 @@ def verify(config: SweepConfig) -> VerifySummary:
             report = describe(spec, eta=eta, tolerance=config.tolerance,
                               group=group)
             summary.record_report(report)
+            if report.topology is not None:      # with eta: an eta_bound check
+                unread_eta.discard(spec.key())
         except Exception as exc:
             where = traceback.extract_tb(exc.__traceback__)[-1]
             summary.record(spec.label(), "describe", False,
@@ -254,6 +258,9 @@ def verify(config: SweepConfig) -> VerifySummary:
             path = out_dir / f"{spec.key()}.json"
             path.write_text(report_to_json(report, indent=1))
 
+    if unread_eta:
+        summary.warnings.append("no eta_bound check read the eta value of "
+                                + ", ".join(sorted(unread_eta)))
     if summary.specs_processed == 0:
         summary.warnings.append("no spec matched the sweep filters; "
                                 "all checks pass vacuously")

@@ -1,6 +1,7 @@
 """Group enumeration, freeness, eigenvalue statistics and lens labels."""
 
 import cmath
+import itertools
 import math
 from fractions import Fraction as F
 
@@ -9,9 +10,9 @@ import pytest
 
 import u2sing
 import u2sing.catalog
-from u2sing.catalog import (KEY_SCALE, CyclicType, Family, GroupSpec,
-                            _canonical_row, _canonical_rows, _row_key,
-                            _row_keys, canonical_cyclic,
+from u2sing.catalog import (FAMILIES, KEY_SCALE, CyclicType, Family,
+                            GroupSpec, _canonical_row, _canonical_rows,
+                            _row_key, _row_keys, canonical_cyclic,
                             cyclic_equivalent_type, dimino_closure,
                             eigenvalue_histogram, enumerate_gamma_prime,
                             enumerate_group, generate_closure, generators_of,
@@ -38,6 +39,12 @@ IDENTITY = row()
     GroupSpec.index2(4, 6),          # gcd(m, n) != 1
     GroupSpec.index3(5),             # gcd(m, 6) != 3
     GroupSpec(Family.CYCLIC, q=2, p=4),
+    GroupSpec(Family.TETRAHEDRAL, m=1, n=5),     # a parameter it does not take
+    GroupSpec(Family.ICOSAHEDRAL, m=1, q=1),
+    GroupSpec(Family.DIHEDRAL, m=1, n=2, p=3),
+    GroupSpec(Family.INDEX3, m=3, p=0),
+    GroupSpec(Family.CYCLIC, q=3, p=5, m=1),
+    GroupSpec(Family.CYCLIC, q=3, p=5, n=0),
 ])
 def test_invalid_parameters(bad):
     with pytest.raises(InvalidParameters):
@@ -56,6 +63,90 @@ def test_cyclic_p_below_one_is_refused_with_one_text(p):
     with pytest.raises(InvalidParameters) as factory:
         GroupSpec.cyclic(1, p).validate()
     assert str(factory.value) == str(direct.value)
+
+
+def _chains_validate(s):
+    """The per-family ``if`` chains that ``FAMILIES`` replaced: the
+    reference the table must reproduce.  Returns the refusal text, or
+    None for a valid spec."""
+    f = s.family
+    if f is Family.CYCLIC:
+        if s.p is None or s.q is None or s.p < 1:
+            return "cyclic needs parameters q, p with p >= 1"
+        if s.p == 1:
+            return "the trivial group has no singularity to resolve"
+        if math.gcd(s.q, s.p) != 1:
+            return f"cyclic L({s.q},{s.p}): gcd(q,p) must be 1"
+        return None
+    if s.m is None or s.m < 1:
+        return f"{f.value} needs a positive parameter m"
+    if f in (Family.DIHEDRAL, Family.INDEX2) and (s.n is None or s.n < 1):
+        return f"{f.value} needs a positive parameter n"
+    if f is Family.DIHEDRAL and math.gcd(s.m, 2 * s.n) != 1:
+        return f"dihedral(m={s.m},n={s.n}): gcd(m,2n) must be 1"
+    if f in (Family.TETRAHEDRAL, Family.OCTAHEDRAL) and math.gcd(s.m, 6) != 1:
+        return f"{f.value}(m={s.m}): gcd(m,6) must be 1"
+    if f is Family.ICOSAHEDRAL and math.gcd(s.m, 30) != 1:
+        return f"icosahedral(m={s.m}): gcd(m,30) must be 1"
+    if f is Family.INDEX2 and (s.m % 2 != 0 or math.gcd(s.m, s.n) != 1):
+        return f"index2(m={s.m},n={s.n}): needs m even and gcd(m,n)=1"
+    if f is Family.INDEX3 and math.gcd(s.m, 6) != 3:
+        return f"index3(m={s.m}): gcd(m,6) must be 3"
+    return None
+
+
+def _chains_facts(s):
+    """label, key, |Gamma| and h of a valid spec, by the same chains."""
+    f = s.family
+    if f is Family.CYCLIC:
+        return (f"cyclic(q={s.q},p={s.p})", f"cyclic_q{s.q}_p{s.p}", s.p, None)
+    if f in (Family.DIHEDRAL, Family.INDEX2):
+        return (f"{f.value}(m={s.m},n={s.n})", f"{f.value}_m{s.m}_n{s.n}",
+                4 * s.m * s.n, 2 * s.n)
+    order = {Family.TETRAHEDRAL: 24, Family.INDEX3: 24, Family.OCTAHEDRAL: 48,
+             Family.ICOSAHEDRAL: 120}[f] * s.m
+    h = {Family.OCTAHEDRAL: 24, Family.ICOSAHEDRAL: 60}.get(f, 12)
+    return f"{f.value}(m={s.m})", f"{f.value}_m{s.m}", order, h
+
+
+GRID_VALUES = [None, -1, 0, 1, 2, 3, 4, 5, 6, 7, 9, 10, 12, 15, 30]
+
+
+def _grid():
+    for family in Family:
+        names = FAMILIES[family].params
+        for values in itertools.product(GRID_VALUES, repeat=len(names)):
+            yield GroupSpec(family, **dict(zip(names, values)))
+
+
+def test_the_table_agrees_with_the_per_family_chains():
+    specs = list(_grid())
+    assert len(specs) == 3 * 15 ** 2 + 4 * 15
+    valid = 0
+    for spec in specs:
+        expected = _chains_validate(spec)
+        try:
+            spec.validate()
+            got = None
+        except InvalidParameters as exc:
+            got = str(exc)
+        if spec.is_cyclic and expected and expected.startswith("cyclic L("):
+            # the one text that moved: the gcd refusal names the label
+            expected = f"{spec.label()}: gcd(q,p) must be 1"
+        assert got == expected, spec
+        if got is None:
+            valid += 1
+            label, key, order, h = _chains_facts(spec)
+            assert (spec.label(), spec.key(), spec.expected_order()) == (
+                label, key, order), spec
+            if h is None:
+                with pytest.raises(InvalidParameters):
+                    spec.pgl_image_order()
+            else:
+                assert spec.pgl_image_order() == h, spec
+            assert spec.is_degenerate_cyclic == (
+                spec.family in (Family.DIHEDRAL, Family.INDEX2) and spec.n == 1)
+    assert valid > 100
 
 
 # -- enumeration ------------------------------------------------------------

@@ -12,19 +12,19 @@ from u2sing.cli import build_parser, main
 from u2sing.errors import InvalidParameters, NotCoprime
 
 TOLERANCE_TEXT = "error: tolerance must lie in (0, 1e-3]\n"
-# The one line of verify's summary that carries wall times.
-TIMES = re.compile(r"enumeration time: \S+, total: \S+")
+# The stderr line of verify that carries its wall times.
+TIMES = re.compile(r"enumeration time: \S+s, total: \S+s\n")
 
 
 def run(capsys, argv):
     """(exit status, stdout, stderr) of one ``main`` call, an argparse
-    ``SystemExit`` included; verify's wall times are masked."""
+    ``SystemExit`` included."""
     try:
         code = main(argv)
     except SystemExit as exc:
         code = exc.code
     out, err = capsys.readouterr()
-    return code, TIMES.sub("enumeration time: -", out), err
+    return code, out, err
 
 
 def sequence(tmp_path):
@@ -82,7 +82,9 @@ def test_main_keeps_no_state_between_calls(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
     fresh = [run(capsys, argv) for argv in argvs]
     for argv, a, b in zip(argvs, shared, fresh):
-        assert a == b, argv
+        # stdout byte for byte; stderr but for verify's wall times
+        assert a[:2] == b[:2], argv
+        assert TIMES.sub("", a[2]) == TIMES.sub("", b[2]), argv
     codes = [code for code, _, _ in shared]
     assert codes == [0, 0, 0, 2, 0, 1, 1, 0, 2, 0, 2, 0, 0, 2, 0, 0, 0,
                      0, 0, 0, 0, 0, 0, 0, 0]

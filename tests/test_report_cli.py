@@ -21,8 +21,8 @@ from u2sing.report import (CheckResult, CompactificationSection,
                            json_text, report_from_dict, report_from_json,
                            report_to_dict, report_to_json)
 from u2sing.resolution import PlumbingGraph
-from u2sing.sweep import (SweepConfig, config_from_mapping, parse_config_file,
-                          specs_in_sweep, verify)
+from u2sing.sweep import (SweepConfig, VerifySummary, config_from_mapping,
+                          parse_config_file, specs_in_sweep, verify)
 
 from stages import table_topology
 
@@ -330,6 +330,33 @@ def test_eta_table_in_sweep():
     assert summary.counts[("eta_bound", True)] == 1
 
 
+def test_eta_keys_that_no_check_reads_are_named_in_one_warning():
+    # a misspelt key, and a cyclic key outside the sweep (a cyclic spec
+    # has no eta_bound check in any case)
+    eta = {"tetrahedal_m1": F(-49, 36), "cyclic_q1_p5": F(1, 5),
+           "tetrahedral_m1": F(-49, 36)}
+    cfg = SweepConfig(families=(Family.TETRAHEDRAL,), m_max=1, hj_p_max=10,
+                      eisenstein_n_max=10, eta=eta)
+    summary = verify(cfg)
+    assert summary.exit_code == 0
+    assert summary.counts[("eta_bound", True)] == 1
+    assert summary.warnings == ["no eta_bound check read the eta value of "
+                                "cyclic_q1_p5, tetrahedal_m1"]
+    cfg.eta = {"tetrahedral_m1": F(-49, 36)}
+    assert verify(cfg).warnings == []
+
+
+def test_record_report_records_the_label_with_every_check():
+    report = describe(GroupSpec.dihedral(3, 2))
+    failing = dataclasses.replace(report, checks=tuple(
+        dataclasses.replace(c, passed=False) for c in report.checks))
+    summary = VerifySummary()
+    summary.record_report(failing)
+    assert summary.failures == [("dihedral(m=3,n=2)", c.name, c.detail)
+                                for c in report.checks]
+    assert len(summary.failures) > 10
+
+
 def test_verify_isolates_a_crashing_spec(monkeypatch):
     import u2sing.sweep as sweep
     real, bad = sweep.describe, GroupSpec.dihedral(3, 2)
@@ -597,6 +624,63 @@ def test_cli_verify_small(capsys):
     assert main(["verify", "--families", "index3", "--m-max", "9"]) == 0
     out = capsys.readouterr().out
     assert "exit status: 0" in out
+
+
+@pytest.mark.parametrize("argv, text", [
+    (["describe", "--family", "tetrahedral", "--m", "1", "--n", "5"],
+     "tetrahedral takes no --n"),
+    (["describe", "--family", "tetrahedral", "--m", "1", "--n", "5",
+      "--q", "3"], "tetrahedral takes no --n, --q"),
+    (["resolve", "--family", "cyclic", "--q", "3", "--p", "5", "--m", "1"],
+     "cyclic takes no --m"),
+    (["compactify", "--family", "dihedral", "--m", "1", "--n", "3",
+      "--p", "2"], "dihedral takes no --p"),
+    (["describe", "--family", "cyclic", "--q", "3"], "cyclic needs --p"),
+    (["describe", "--family", "cyclic"], "cyclic needs --q and --p"),
+    (["describe", "--family", "index2", "--m", "2"], "index2 needs --n"),
+    (["describe", "--family", "dihedral", "--n", "2"], "dihedral needs --m"),
+])
+def test_cli_names_the_flags_the_family_lacks_or_does_not_take(argv, text,
+                                                               capsys):
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {text}\n")
+
+
+def _unwritable_out(tmp_path):
+    existing = tmp_path / "file"
+    existing.write_text("")
+    missing = tmp_path / "no-dir" / "x.dot"
+    return [
+        (["verify", "--families", "index3", "--m-max", "3"], existing,
+         "File exists"),
+        (["describe", "--family", "index3", "--m", "3", "--format", "json"],
+         existing, "File exists"),
+        (["export", "--family", "index3", "--m", "3"], missing,
+         "No such file or directory"),
+    ]
+
+
+def test_an_unwritable_out_is_a_usage_error(tmp_path, monkeypatch, capsys):
+    import u2sing.sweep as sweep
+    described = []
+    monkeypatch.setattr(sweep, "describe",
+                        lambda *a, **k: described.append(a))
+    for argv, path, reason in _unwritable_out(tmp_path):
+        assert main([*argv, "--out", str(path)]) == 2, argv
+        assert capsys.readouterr() == (
+            "", f"error: cannot write {path}: {reason}\n"), argv
+    assert described == []          # verify refused before its first spec
+
+
+def test_verify_prints_its_wall_times_on_stderr(capsys):
+    argv = ["verify", "--families", "index3", "--m-max", "9"]
+    outs = []
+    for _ in range(2):
+        assert main(argv) == 0
+        out, err = capsys.readouterr()
+        outs.append(out)
+        assert re.fullmatch(r"enumeration time: \S+s, total: \S+s\n", err)
+    assert outs[0] == outs[1] and "time" not in outs[0]
 
 
 def test_cli_usage_errors(capsys):
