@@ -30,7 +30,8 @@ generated so far, one block composition per coset, and only the coset
 representatives' products with the generators are tested for membership.
 Cyclic specs are the powers of their one generator.  The breadth-first
 closure is kept for Gamma', whose row order the deformation residual reads;
-the Mobius cosets of the resolution module use the same grid keys.
+the Mobius cosets of the resolution module use the same sign rule
+(``_canonical_rows``) and grid keys as the rows.
 It also provides the structural checks used downstream: freeness on S^3 (no
 eigenvalue 1 away from the identity), eigenvalue statistics, and
 normalization of the cyclic singularity labels L(alpha, beta).
@@ -153,7 +154,8 @@ class GroupSpec:
     def validate(self) -> "GroupSpec":
         """Check the catalog conditions; raise InvalidParameters otherwise.
         Every parameter the family takes must be set, and every one but the
-        residue q must be at least 1; no other parameter may be set."""
+        residue q must be at least 1; no other parameter may be set.  The
+        residue q must lie in 1..p-1, so that a lens space has one key."""
         r = FAMILIES[self.family]
         for x in r.params:
             v = getattr(self, x)
@@ -168,6 +170,9 @@ class GroupSpec:
                 "the trivial group has no singularity to resolve")
         if not r.holds(self):
             raise InvalidParameters(f"{r.label.format(self)}: {r.rule}")
+        if self.q is not None and not 0 < self.q < self.p:
+            raise InvalidParameters(
+                f"{r.label.format(self)}: q must lie in 1..p-1")
         return self
 
     @property
@@ -358,10 +363,12 @@ def gamma_prime_generators(spec: GroupSpec) -> np.ndarray:
 
 
 def _canonical_rows(arr: np.ndarray) -> np.ndarray:
-    """Fix the joint sign: first nonzero coefficient of alpha positive."""
-    re_a, im_a = arr[:, 0].real, arr[:, 0].imag
-    s = np.where(np.abs(re_a) > EQ_TOL, np.sign(re_a), np.sign(im_a))
-    return arr * s[:, None]
+    """Fix the joint sign of each row of a complex 2-D array: its first real
+    coordinate beyond EQ_TOL is positive.  On (a, b1, b2) rows, where
+    |a| = 1, that is the real or else the imaginary part of a."""
+    x = arr.view(np.float64)
+    first = (np.abs(x) > EQ_TOL).argmax(axis=1)
+    return arr * np.sign(x[np.arange(len(x)), first])[:, None]
 
 
 def _row_keys(arr: np.ndarray) -> list[bytes]:
@@ -387,7 +394,7 @@ _KEY_STRUCT = struct.Struct("=6q")      # native int64, as _row_keys' view
 
 
 def _canonical_row(g: _Row) -> _Row:
-    """``_canonical_rows`` for one row."""
+    """``_canonical_rows`` for one (a, b1, b2) row, where |a| = 1."""
     a = g[0]
     s = a.real if abs(a.real) > EQ_TOL else a.imag
     return g if s > 0 else (-g[0], -g[1], -g[2])

@@ -34,7 +34,7 @@ from __future__ import annotations
 import functools
 import json
 import types
-from dataclasses import dataclass, field, fields, is_dataclass, replace
+from dataclasses import dataclass, fields, is_dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from itertools import chain
@@ -81,23 +81,26 @@ class CompactificationSection:
 class InvariantReport:
     spec: GroupSpec
     order: int
-    degenerate_cyclic: bool
-    singularities: tuple[CyclicType, ...] | None
-    conjugate_equivalence_used: bool | None
-    hj_strings: tuple[tuple[int, ...], ...]
-    hj_lengths: tuple[int, ...]
-    b_gamma: int | None
-    b_gamma_rational: Fraction | None
-    k_gamma: int
-    signature: int
-    chi: int
-    resolution: PlumbingGraph
-    compactification: CompactificationSection | None
-    deformations: DeformationReport | None
-    moduli_dim: int | None
-    h1_theta: int
-    topology: TopologyReport | None
-    checks: tuple[CheckResult, ...] = field(default=())
+    # Every later field defaults to what a report holds for a stage that did
+    # not run: no resolution (chi = 1 for the empty graph), no b_Gamma, no
+    # later section, no check.
+    degenerate_cyclic: bool = False
+    singularities: tuple[CyclicType, ...] | None = None
+    conjugate_equivalence_used: bool | None = None
+    hj_strings: tuple[tuple[int, ...], ...] = ()
+    hj_lengths: tuple[int, ...] = ()
+    b_gamma: int | None = None
+    b_gamma_rational: Fraction | None = None
+    k_gamma: int = 0
+    signature: int = 0
+    chi: int = 1
+    resolution: PlumbingGraph = PlumbingGraph(0, ())
+    compactification: CompactificationSection | None = None
+    deformations: DeformationReport | None = None
+    moduli_dim: int | None = None
+    h1_theta: int = 0
+    topology: TopologyReport | None = None
+    checks: tuple[CheckResult, ...] = ()
 
     def all_passed(self) -> bool:
         return all(c.passed for c in self.checks)
@@ -126,7 +129,13 @@ def describe(spec: GroupSpec,
              eta: Fraction | None = None,
              tolerance: float = DEFAULT_TOLERANCE,
              group: FiniteGroup | None = None) -> InvariantReport:
-    """Full invariant report for one spec; raises only on invalid input.
+    """Full invariant report for one spec.
+
+    A failed cross-check is recorded in the report, not raised.  What
+    raises: InvalidParameters for an invalid spec; ClosureOverflow when
+    ``group`` is None and the enumeration here overflows; and, for a
+    degenerate (n = 1) spec whose group does not snap to a lens type, the
+    SnapFailure of the snap or a U2SingError naming the spec.
 
     ``group`` is the enumerated group of ``spec`` when the caller already
     holds it; otherwise it is enumerated here.  Every later stage takes its
@@ -213,15 +222,16 @@ def _describe_cyclic(spec: GroupSpec, group: FiniteGroup,
                               f"string {list(s.entries)} for {t}"))
     checks.append(CheckResult("resolution_negative_definite",
                               all(d < 0 for d in rd.pivots), ""))
-    return InvariantReport(
-        spec=spec, order=group.order, degenerate_cyclic=degenerate,
-        singularities=(t,), conjugate_equivalence_used=None,
-        hj_strings=(s.entries,), hj_lengths=(s.length,),
-        b_gamma=None, b_gamma_rational=None,
-        k_gamma=rd.k_gamma, signature=rd.tau, chi=1 + rd.k_gamma,
-        resolution=rd.graph, compactification=None, deformations=None,
-        moduli_dim=None, h1_theta=dim_h1_theta(rd.graph),
-        topology=None, checks=tuple(checks))
+    return InvariantReport(spec, group.order, degenerate, singularities=(t,),
+                           checks=tuple(checks), **_resolution_fields(rd))
+
+
+def _resolution_fields(rd: ResolutionData) -> dict:
+    """The seven report fields read off a resolution, chain or star."""
+    return dict(hj_strings=tuple(s.entries for s in rd.strings),
+                hj_lengths=tuple(s.length for s in rd.strings),
+                k_gamma=rd.k_gamma, signature=rd.tau, chi=1 + rd.k_gamma,
+                resolution=rd.graph, h1_theta=dim_h1_theta(rd.graph))
 
 
 def _resolve_noncyclic(spec: GroupSpec, group: FiniteGroup,
@@ -246,12 +256,8 @@ def _resolve_noncyclic(spec: GroupSpec, group: FiniteGroup,
         checks.append(CheckResult("b_gamma_double_derivation", False,
                                   f"resolution_geometry: {exc}"))
         return Resolved(InvariantReport(
-            spec=spec, order=group.order, degenerate_cyclic=False,
-            singularities=triple, conjugate_equivalence_used=conj_used,
-            hj_strings=(), hj_lengths=(), b_gamma=None, b_gamma_rational=None,
-            k_gamma=0, signature=0, chi=1, resolution=PlumbingGraph(0, ()),
-            compactification=None, deformations=None, moduli_dim=None,
-            h1_theta=0, topology=None, checks=tuple(checks)))
+            spec, group.order, singularities=triple,
+            conjugate_equivalence_used=conj_used, checks=tuple(checks)))
     checks.append(CheckResult(
         "b_gamma_double_derivation", True,
         f"integer {b.value} == rational {b.rational}"))
@@ -274,15 +280,10 @@ def _resolve_noncyclic(spec: GroupSpec, group: FiniteGroup,
         f"e = {euler}, -2m/h = {Fraction(-2 * m, h)}"))
 
     return Resolved(InvariantReport(
-        spec=spec, order=group.order, degenerate_cyclic=False,
-        singularities=triple, conjugate_equivalence_used=conj_used,
-        hj_strings=tuple(s.entries for s in rd.strings),
-        hj_lengths=tuple(s.length for s in rd.strings),
-        b_gamma=b.value, b_gamma_rational=b.rational,
-        k_gamma=rd.k_gamma, signature=rd.tau, chi=1 + rd.k_gamma,
-        resolution=rd.graph, compactification=None, deformations=None,
-        moduli_dim=None, h1_theta=dim_h1_theta(rd.graph), topology=None,
-        checks=tuple(checks)), b, rd)
+        spec, group.order, singularities=triple,
+        conjugate_equivalence_used=conj_used, b_gamma=b.value,
+        b_gamma_rational=b.rational, checks=tuple(checks),
+        **_resolution_fields(rd)), b, rd)
 
 
 def compactify(resolved: Resolved) -> InvariantReport:

@@ -63,9 +63,9 @@ from typing import Iterator
 
 import numpy as np
 
-from .catalog import (EQ_TOL, CyclicType, Family, FiniteGroup, GroupSpec,
-                      _fresh_indices, _row_keys, _snap_residue,
-                      canonical_cyclic)
+from .catalog import (CyclicType, Family, FiniteGroup, GroupSpec,
+                      _canonical_rows, _fresh_indices, _row_keys,
+                      _snap_residue, canonical_cyclic)
 from .errors import (AmbiguousCandidate, CrossCheckFailure, InvalidParameters,
                      MalformedGraph, NoCandidate, OrbitCountMismatch,
                      TableDisagreement)
@@ -218,18 +218,11 @@ def _coset_indices(group: FiniteGroup) -> np.ndarray:
     in row order.
 
     Cosets of the Mobius-trivial subgroup are keyed by the SU(2) part with
-    its sign fixed (first nonzero coefficient positive), through the same
-    grid keys and first-occurrence pass as the group enumeration.
+    its sign fixed, through the same sign rule, grid keys and
+    first-occurrence pass as the group enumeration.
     """
-    su2 = group.rows[:, 1:3]
-    comps = np.stack([su2[:, 0].real, su2[:, 0].imag,
-                      su2[:, 1].real, su2[:, 1].imag], axis=1)
-    sign = np.zeros(len(comps))
-    for j in range(4):
-        undecided = sign == 0
-        big = undecided & (np.abs(comps[:, j]) > EQ_TOL)
-        sign[big] = np.sign(comps[big, j])
-    return np.array(_fresh_indices(_row_keys(comps * sign[:, None]), set()))
+    su2 = _canonical_rows(group.rows[:, 1:3])
+    return np.array(_fresh_indices(_row_keys(su2), set()))
 
 
 def _sphere_vecs(z: np.ndarray) -> np.ndarray:
@@ -608,15 +601,12 @@ class CompactificationData:
 def compactification(spec: GroupSpec,
                      res: ResolutionData) -> CompactificationData:
     """Compactification star of the resolution ``res``, the blow-up count
-    kappa, and the full curve configuration (kappa + 1 curves)."""
+    kappa, and the full curve configuration, whose kappa + 1 curves
+    ``report.compactify`` counts as ``kappa_curve_count``."""
     dual_strings = tuple(hj_string(dual_type(s.source)) for s in res.strings)
     bp = solve_b_prime(spec, res, dual_strings)
     star = _comp_star(bp.value, dual_strings)
     config = CurveConfiguration(res.graph, star)
-    if config.vertex_count != bp.kappa + 1:
-        raise CrossCheckFailure(
-            f"{spec.label()}: configuration has {config.vertex_count} curves, "
-            f"expected kappa + 1 = {bp.kappa + 1}")
     return CompactificationData(star, dual_strings, bp.kappa, bp, config)
 
 

@@ -210,6 +210,13 @@ def check_kappa_spots(summary: VerifySummary) -> None:
 # verify
 # ---------------------------------------------------------------------------
 
+def _failure(exc: Exception) -> str:
+    """The exception's class name and text, and where it was raised."""
+    where = traceback.extract_tb(exc.__traceback__)[-1]
+    return (f"{type(exc).__name__}: {exc} (at {Path(where.filename).name}:"
+            f"{where.lineno} in {where.name})")
+
+
 def verify(config: SweepConfig) -> VerifySummary:
     config.validate()
     summary = VerifySummary()
@@ -234,26 +241,25 @@ def verify(config: SweepConfig) -> VerifySummary:
             if report.topology is not None:      # with eta: an eta_bound check
                 unread_eta.discard(spec.key())
         except Exception as exc:
-            where = traceback.extract_tb(exc.__traceback__)[-1]
-            summary.record(spec.label(), "describe", False,
-                           f"{type(exc).__name__}: {exc} (at "
-                           f"{Path(where.filename).name}:{where.lineno} "
-                           f"in {where.name})")
+            summary.record(spec.label(), "describe", False, _failure(exc))
+            # describe records order and freeness itself; when it raised
+            # they are recorded here, so that every spec still carries both.
+            if group is None:
+                for name in ("order_matches_table", "fixed_point_free"):
+                    summary.record(spec.label(), name, False,
+                                   "group not enumerated")
+            elif report is None:
+                summary.record(spec.label(), "order_matches_table",
+                               group.order == spec.expected_order(), "")
+                try:            # freeness may raise as describe did
+                    free, detail = is_fixed_point_free(group, config.tolerance), ""
+                except Exception as again:
+                    free, detail = False, _failure(again)
+                summary.record(spec.label(), "fixed_point_free", free, detail)
         if group is not None and not spec.is_cyclic \
                 and not spec.is_degenerate_cyclic:
             summary.max_deformation_seconds = max(
                 summary.max_deformation_seconds, time.monotonic() - t1)
-        # describe records order and freeness itself; only when it raised
-        # (or the group could not be enumerated) are they recorded here, so
-        # that every spec still carries both.
-        if report is None and group is None:
-            for name in ("order_matches_table", "fixed_point_free"):
-                summary.record(spec.label(), name, False, "group not enumerated")
-        elif report is None:
-            summary.record(spec.label(), "order_matches_table",
-                           group.order == spec.expected_order(), "")
-            summary.record(spec.label(), "fixed_point_free",
-                           is_fixed_point_free(group, config.tolerance), "")
         if out_dir is not None and report is not None:
             path = out_dir / f"{spec.key()}.json"
             path.write_text(report_to_json(report, indent=1))

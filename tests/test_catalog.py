@@ -39,6 +39,8 @@ IDENTITY = row()
     GroupSpec.index2(4, 6),          # gcd(m, n) != 1
     GroupSpec.index3(5),             # gcd(m, 6) != 3
     GroupSpec(Family.CYCLIC, q=2, p=4),
+    GroupSpec(Family.CYCLIC, q=-1, p=5),         # L(4,5) under a second key
+    GroupSpec(Family.CYCLIC, q=6, p=5),          # L(1,5) under a second key
     GroupSpec(Family.TETRAHEDRAL, m=1, n=5),     # a parameter it does not take
     GroupSpec(Family.ICOSAHEDRAL, m=1, q=1),
     GroupSpec(Family.DIHEDRAL, m=1, n=2, p=3),
@@ -133,6 +135,10 @@ def test_the_table_agrees_with_the_per_family_chains():
         if spec.is_cyclic and expected and expected.startswith("cyclic L("):
             # the one text that moved: the gcd refusal names the label
             expected = f"{spec.label()}: gcd(q,p) must be 1"
+        if spec.is_cyclic and expected is None and not 0 < spec.q < spec.p:
+            # the one refusal added: a residue q outside 1..p-1, which the
+            # chains left to the gcd alone, so that L(q,p) had two keys
+            expected = f"{spec.label()}: q must lie in 1..p-1"
         assert got == expected, spec
         if got is None:
             valid += 1
@@ -147,6 +153,29 @@ def test_the_table_agrees_with_the_per_family_chains():
             assert spec.is_degenerate_cyclic == (
                 spec.family in (Family.DIHEDRAL, Family.INDEX2) and spec.n == 1)
     assert valid > 100
+
+
+def _two_coefficient_rule(arr):
+    """The sign rule ``_canonical_rows`` had for (a, b1, b2) rows alone:
+    the real part of a positive, or else its imaginary part."""
+    re_a, im_a = arr[:, 0].real, arr[:, 0].imag
+    return arr * np.where(np.abs(re_a) > 1e-9, np.sign(re_a),
+                          np.sign(im_a))[:, None]
+
+
+def test_canonical_rows_keep_the_two_coefficient_rule():
+    from u2sing.sweep import SweepConfig, specs_in_sweep
+    config = SweepConfig(families=tuple(set(Family) - {Family.CYCLIC}),
+                         m_max=20, n_max=6)
+    specs, imaginary = 0, 0
+    for spec in specs_in_sweep(config):
+        rows = enumerate_group(spec).rows
+        for x in (rows, -rows):
+            assert _row_keys(_canonical_rows(x)) == \
+                _row_keys(_two_coefficient_rule(x)), spec
+        imaginary += int((np.abs(rows[:, 0].real) <= 1e-9).sum())
+        specs += 1
+    assert specs == 100 and imaginary > 0   # both branches of the old rule
 
 
 # -- enumeration ------------------------------------------------------------

@@ -82,6 +82,31 @@ def test_describe_validates_a_spec_where_it_enters(monkeypatch):
     assert len(calls) <= 3
 
 
+def test_a_failed_b_gamma_leaves_the_placeholders(monkeypatch):
+    import u2sing.report as report
+    from u2sing.errors import CrossCheckFailure
+
+    def b_gamma(spec, triple):
+        raise CrossCheckFailure("injected")
+
+    monkeypatch.setattr(report, "b_gamma", b_gamma)
+    d = report_to_dict(describe(GroupSpec.dihedral(5, 2)))
+    assert d["order"] == 40 and d["degenerate_cyclic"] is False
+    assert d["singularities"] == [{"alpha": 1, "beta": 2}] * 3
+    assert d["conjugate_equivalence_used"] is False
+    expected = {"hj_strings": [], "hj_lengths": [], "b_gamma": None,
+                "b_gamma_rational": None, "k_gamma": 0, "signature": 0,
+                "chi": 1,
+                "resolution": {"center": 0, "arms": [], "matrix": [[0]]},
+                "compactification": None, "deformations": None,
+                "moduli_dim": None, "h1_theta": 0, "topology": None}
+    for key, value in expected.items():
+        assert d[key] == value, key
+    assert [(c["name"], c["pass"]) for c in d["checks"]][-1] == (
+        "b_gamma_double_derivation", False)
+    assert d["checks"][-1]["detail"] == "resolution_geometry: injected"
+
+
 def test_describe_invalid():
     with pytest.raises(InvalidParameters):
         describe(GroupSpec.dihedral(2, 2))
@@ -416,6 +441,29 @@ def test_verify_isolates_a_failing_enumeration(monkeypatch):
     assert summary.passed_failed("order_matches_table") == (len(keys) - 1, 1)
     assert summary.passed_failed("fixed_point_free") == (len(keys) - 1, 1)
     assert summary.passed_failed("describe") == (0, 1)
+
+
+def test_verify_goes_on_when_freeness_raises_again(monkeypatch):
+    from u2sing.catalog import FiniteGroup
+    real = FiniteGroup.eigenvalue_one_count
+
+    def eigenvalue_one_count(group, tol=1e-6):
+        if group.order == 72:
+            raise RuntimeError("injected")
+        return real(group, tol)
+
+    monkeypatch.setattr(FiniteGroup, "eigenvalue_one_count",
+                        eigenvalue_one_count)
+    summary = verify(SweepConfig(families=(Family.INDEX3,), m_max=9,
+                                 hj_p_max=10, eisenstein_n_max=10))
+    assert summary.specs_processed == 2         # index3(3), of order 72, and (9)
+    bad = GroupSpec.index3(3).label()
+    assert [(label, name) for label, name, _ in summary.failures] == [
+        (bad, "describe"), (bad, "fixed_point_free")]
+    assert all(d.startswith("RuntimeError: injected")
+               for _, _, d in summary.failures)
+    assert summary.passed_failed("order_matches_table") == (2, 0)
+    assert summary.passed_failed("fixed_point_free") == (1, 1)
 
 
 def test_verify_checks_freeness_once_per_spec(monkeypatch):
