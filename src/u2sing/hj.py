@@ -10,8 +10,10 @@ string [e1, ..., ek] is the continued fraction expansion
     q/p = 1 / (e1 - 1/(e2 - ... - 1/ek))
 
 and is the chain of self-intersection numbers -e1, ..., -ek resolving the
-cyclic singularity L(q, p).  Everything in this module is exact integer and
-rational arithmetic; there is no floating point.
+cyclic singularity L(q, p).  ``hj_entries`` is the one implementation of
+the algorithm; ``hj_string`` wraps its entries with the source type, and
+the sweep's round-trip check reads the entries directly.  Everything in this
+module is exact integer and rational arithmetic; there is no floating point.
 """
 
 from __future__ import annotations
@@ -41,20 +43,22 @@ class HJString:
         return iter(self.entries)
 
 
-def hj_string(t: CyclicType) -> HJString:
-    """Run the modified Euclidean algorithm on L(alpha, beta).
-
-    The trivial type (beta = 1) yields the empty string of length zero.
-    """
-    if t.is_trivial:
-        return HJString((), t)
-    prev, cur = t.beta, t.alpha
+def hj_entries(alpha: int, beta: int) -> tuple[int, ...]:
+    """The entries of L(alpha, beta), for coprime 0 <= alpha < beta, by the
+    modified Euclidean loop; the trivial type L(0, 1) gives ()."""
+    prev, cur = beta, alpha
     entries: list[int] = []
     while cur > 0:
         e = -(-prev // cur)          # ceil(prev / cur)
         entries.append(e)
         prev, cur = cur, e * cur - prev
-    return HJString(tuple(entries), t)
+    return tuple(entries)
+
+
+def hj_string(t: CyclicType) -> HJString:
+    """The string of L(alpha, beta) with its source type; the trivial type
+    yields the empty string of length zero."""
+    return HJString(hj_entries(t.alpha, t.beta), t)
 
 
 def continuant(entries: "HJString | Sequence[int]") -> tuple[int, int]:
@@ -64,11 +68,11 @@ def continuant(entries: "HJString | Sequence[int]") -> tuple[int, int]:
     num/den satisfy num_j = e_j num_{j+1} - den_{j+1}, den_j = num_{j+1}.
     For the string of L(q, p) it is (p, q), already in lowest terms.
     """
-    seq = tuple(entries.entries if isinstance(entries, HJString) else entries)
+    seq = entries.entries if isinstance(entries, HJString) else tuple(entries)
     if not seq:
         raise ValueError("continued fraction of the empty string")
-    num, den = seq[-1], 1
-    for e in reversed(seq[:-1]):
+    num, den = 1, 0      # the empty tail: the first step gives (e_k, 1)
+    for e in reversed(seq):
         num, den = e * num - den, num
     return num, den
 

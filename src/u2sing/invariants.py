@@ -50,13 +50,19 @@ def sawtooth(x: Fraction | int) -> Fraction:
     return x - math.floor(x) - Fraction(1, 2)
 
 
+def _sine_table(n: int) -> np.ndarray:
+    """sin(2 pi r/n) for r = 0, ..., n-1."""
+    return np.sin(2 * math.pi * np.arange(n) / n)
+
+
 def eisenstein_check(n: int, k: int) -> float:
     """|LHS - RHS| of sum_{j=1}^{n-1} sin(2 pi k j/n) cot(pi j/n)
-    = -2n ((k/n))."""
+    = -2n ((k/n)).  Each sine is read from the table of sin(2 pi r/n) at
+    the exact residue r = k j mod n."""
     if n < 2:
         raise InvalidParameters("Eisenstein identity needs n >= 2")
     j = np.arange(1, n)
-    lhs = float(np.sum(np.sin(2 * math.pi * k * j / n) / np.tan(math.pi * j / n)))
+    lhs = float(np.sum(_sine_table(n)[k * j % n] / np.tan(math.pi * j / n)))
     rhs = float(-2 * n * sawtooth(Fraction(k, n)))
     return abs(lhs - rhs)
 
@@ -66,20 +72,20 @@ def eisenstein_residuals(n: int) -> np.ndarray:
 
     The left side takes the same float operations as the scalar call; the
     right side -2n((k/n)) is the integer n - 2(k mod n), or 0 where n | k.
+    Both sides depend on k only through k mod n, so row k + n is row k bit
+    for bit: the rows k = 0, ..., n-1 are evaluated and then repeated.
     """
     if n < 2:
         raise InvalidParameters("Eisenstein identity needs n >= 2")
     j = np.arange(1, n)
-    k = np.arange(0, 2 * n + 1)
-    # One (2n+1, n-1) buffer updated in place keeps the peak memory down.
-    x = np.multiply.outer(2 * math.pi * k, j)
-    x /= n
-    np.sin(x, out=x)
+    k = np.arange(n)
+    residue = np.multiply.outer(k, j)
+    residue %= n        # in place: the index and the gathered sines are the
+                        # only two (n, n-1) arrays
+    x = _sine_table(n)[residue]
     x /= np.tan(math.pi * j / n)
-    lhs = x.sum(axis=1)
-    r = k % n
-    rhs = np.where(r == 0, 0, n - 2 * r)
-    return np.abs(lhs - rhs)
+    rhs = np.where(k == 0, 0, n - 2 * k)
+    return np.abs(x.sum(axis=1) - rhs)[np.arange(2 * n + 1) % n]
 
 
 # ---------------------------------------------------------------------------

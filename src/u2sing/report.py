@@ -134,8 +134,10 @@ def describe(spec: GroupSpec,
     A failed cross-check is recorded in the report, not raised.  What
     raises: InvalidParameters for an invalid spec; ClosureOverflow when
     ``group`` is None and the enumeration here overflows; and, for a
-    degenerate (n = 1) spec whose group does not snap to a lens type, the
-    SnapFailure of the snap or a U2SingError naming the spec.
+    degenerate (n = 1) spec, a SnapFailure when an element's eigenvalues do
+    not snap.  A degenerate group with no lens type is a failing
+    ``degenerate_cyclic_flag`` check, and the later sections keep their
+    "stage did not run" defaults.
 
     ``group`` is the enumerated group of ``spec`` when the caller already
     holds it; otherwise it is enumerated here.  Every later stage takes its
@@ -208,11 +210,15 @@ def _describe_cyclic(spec: GroupSpec, group: FiniteGroup,
     degenerate = spec.is_degenerate_cyclic
     if degenerate:
         t = cyclic_equivalent_type(group)
+        if t is None:                # no lens type: no later stage can run
+            checks.append(CheckResult(
+                "degenerate_cyclic_flag", False,
+                "n = 1: flagged degenerate, but the group is not cyclic"))
+            return InvariantReport(spec, group.order, degenerate,
+                                   checks=tuple(checks))
         checks.append(CheckResult(
-            "degenerate_cyclic_flag", t is not None,
+            "degenerate_cyclic_flag", True,
             f"n = 1: group is cyclic, equivalent to {t}"))
-        if t is None:
-            raise U2SingError(f"{spec.label()} flagged degenerate but not cyclic")
     else:
         t = canonical_cyclic(spec.q, spec.p)
     rd = resolution_graph(GroupSpec.cyclic(t.alpha, t.beta))

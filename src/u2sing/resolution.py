@@ -251,19 +251,27 @@ def _singular_points(mats: np.ndarray) -> np.ndarray:
     cand = np.where((n1 >= n2)[..., None], v1, v2).reshape(-1, 2)
     cand /= np.sqrt((np.abs(cand) ** 2).sum(axis=-1))[:, None]
     vecs = _sphere_vecs(cand)
-    close = 2.0 - 2.0 * np.einsum("ix,jx->ij", vecs, vecs) < POINT_TOL ** 2
+    close = _chordal(vecs, vecs) < POINT_TOL
     return cand[~np.tril(close, -1).any(axis=1)]
+
+
+def _chordal(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Chordal distances |x_i - y_j| between unit sphere vectors, shape
+    (len(x), len(y)).  The difference keeps matched points at the rounding
+    level (about 1e-15), where sqrt(2 - 2 x.y) bottoms out near 2e-8."""
+    d = x[:, None, :] - y[None, :, :]
+    return np.sqrt(np.einsum("ijx,ijx->ij", d, d))
 
 
 def _orbit(mats: np.ndarray, point: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """Index of the target (a unit sphere vector) nearest to each map's
     image of ``point``; every image must lie within POINT_TOL of it
-    (chordal distance, whose square is 2 - 2 x.y on the unit sphere)."""
+    (chordal distance)."""
     images = _sphere_vecs(np.einsum("gij,j->gi", mats, point))
-    dots = np.einsum("gx,jx->gj", images, targets)
-    if not (2.0 - 2.0 * dots.max(axis=1) < POINT_TOL ** 2).all():
+    dist = _chordal(images, targets)
+    if not (dist.min(axis=1) < POINT_TOL).all():
         raise OrbitCountMismatch("orbit left the fixed-point set")
-    return dots.argmax(axis=1)
+    return dist.argmin(axis=1)
 
 
 def _tangent_normal(su2: np.ndarray, phase: complex, point: np.ndarray,

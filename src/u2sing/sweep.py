@@ -24,11 +24,11 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Iterator
 
-from .catalog import (DEFAULT_TOLERANCE, CyclicType, Family, GroupSpec,
+from .catalog import (DEFAULT_TOLERANCE, Family, GroupSpec,
                       eigenvalue_histogram, enumerate_group,
                       is_fixed_point_free, validate_tolerance)
 from .errors import InvalidParameters
-from .hj import continuant, hj_string
+from .hj import continuant, hj_entries
 from .invariants import eisenstein_residuals
 from .report import InvariantReport, describe, report_to_json
 from .resolution import (b_gamma, compactification, resolution_graph,
@@ -170,15 +170,16 @@ def check_eisenstein(summary: VerifySummary, n_max: int, tol: float) -> None:
 
 
 def check_hj_roundtrip(summary: VerifySummary, p_max: int) -> None:
-    """The continuant of hj_string(L(q, p)) is (p, q) on coprime pairs;
-    entries >= 2; reversing the string inverts the residue (all exact).
+    """On every coprime pair q < p <= p_max, the entries ``hj_entries(q, p)``
+    of L(q, p) are >= 2, their continuant is (p, q), and reversed they are
+    the entries of L(q^-1 mod p, p) (all exact).
 
     Continuants of a string with entries >= 2 are coprime, so comparing the
     integer pair is the exact round trip q/p, and stricter than it."""
     ok = True
     detail = ""
     for p in range(2, p_max + 1):
-        strings = {q: hj_string(CyclicType(p, q)).entries
+        strings = {q: hj_entries(q, p)
                    for q in range(1, p) if math.gcd(q, p) == 1}
         for q, s in strings.items():
             if min(s) < 2 or continuant(s) != (p, q):
@@ -192,12 +193,14 @@ def check_hj_roundtrip(summary: VerifySummary, p_max: int) -> None:
     summary.record("global", "hj_round_trip_sweep", ok, detail)
 
 
+_KAPPA_SPOTS = ((GroupSpec.dihedral(1, 2), 7), (GroupSpec.dihedral(1, 3), 8),
+                (GroupSpec.index2(2, 3), 8))
+
+
 def check_kappa_spots(summary: VerifySummary) -> None:
     """Blow-up counts of the three smallest cases, by the table route:
     table triple, b_Gamma, resolution, compactification."""
-    for spec, expected in ((GroupSpec.dihedral(1, 2), 7),
-                           (GroupSpec.dihedral(1, 3), 8),
-                           (GroupSpec.index2(2, 3), 8)):
+    for spec, expected in _KAPPA_SPOTS:
         triple = table_singularities(spec)
         b = b_gamma(spec, triple)
         res = resolution_graph(spec, triple, b)

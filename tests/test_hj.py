@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 import u2sing.sweep
 from u2sing.catalog import CyclicType, canonical_cyclic
-from u2sing.hj import HJString, cf_value, continuant, dual_type, hj_string
+from u2sing.hj import (HJString, cf_value, continuant, dual_type, hj_entries,
+                       hj_string)
 from u2sing.sweep import VerifySummary, check_hj_roundtrip
 
 
@@ -45,12 +46,37 @@ def test_continuant_examples():
         continuant(())
 
 
+def _one_step_entries(alpha, beta):
+    """Reference copy of the modified Euclidean loop, one entry per step."""
+    prev, cur = beta, alpha
+    entries = []
+    while cur > 0:
+        e = -(-prev // cur)
+        entries.append(e)
+        prev, cur = cur, e * cur - prev
+    return tuple(entries)
+
+
+def test_hj_entries_equal_the_one_step_loop_to_p_500():
+    for p in range(2, 501):
+        for q in range(1, p):
+            if math.gcd(q, p) == 1:
+                assert hj_entries(q, p) == _one_step_entries(q, p), (q, p)
+    assert hj_entries(0, 1) == hj_string(canonical_cyclic(0, 1)).entries == ()
+
+
+@given(st.integers(2, 10**6), st.data())
+@settings(max_examples=200, deadline=None)   # q = p - 1 gives p - 1 entries
+def test_hj_entries_equal_the_one_step_loop(p, data):
+    q = data.draw(st.integers(1, p - 1).filter(lambda q: math.gcd(q, p) == 1))
+    assert hj_entries(q, p) == _one_step_entries(q, p)
+
+
 def _sweep_with(monkeypatch, strings):
     """check_hj_roundtrip to p = 7 with some strings replaced."""
-    def patched(t):
-        s = hj_string(t)
-        return HJString(strings.get((t.alpha, t.beta), s.entries), t)
-    monkeypatch.setattr(u2sing.sweep, "hj_string", patched)
+    def patched(alpha, beta):
+        return strings.get((alpha, beta), hj_entries(alpha, beta))
+    monkeypatch.setattr(u2sing.sweep, "hj_entries", patched)
     summary = VerifySummary()
     check_hj_roundtrip(summary, 7)
     assert summary.check_names() == ["hj_round_trip_sweep"]

@@ -21,7 +21,8 @@ from u2sing.report import (CheckResult, CompactificationSection,
                            json_text, report_from_dict, report_from_json,
                            report_to_dict, report_to_json)
 from u2sing.resolution import PlumbingGraph
-from u2sing.sweep import (SweepConfig, VerifySummary, config_from_mapping,
+from u2sing.sweep import (SweepConfig, VerifySummary, check_eigenvalue_tables,
+                          check_kappa_spots, config_from_mapping,
                           parse_config_file, specs_in_sweep, verify)
 
 from stages import table_topology
@@ -120,6 +121,24 @@ def test_describe_degenerate():
     assert r.order == 12
     assert r.compactification is None
     assert r.all_passed()
+
+
+def test_a_degenerate_group_with_no_lens_type_is_a_failing_check(monkeypatch):
+    import u2sing.report as report
+
+    monkeypatch.setattr(report, "cyclic_equivalent_type", lambda group: None)
+    r = describe(GroupSpec.dihedral(3, 1))
+    assert r.degenerate_cyclic and r.order == 12
+    assert [c.name for c in r.checks if not c.passed] == ["degenerate_cyclic_flag"]
+    assert (r.singularities, r.hj_strings, r.compactification) == (None, (), None)
+    config = SweepConfig(families=(Family.DIHEDRAL,), m_max=5, n_max=1,
+                         hj_p_max=10, eisenstein_n_max=10)
+    specs = [spec.label() for spec in specs_in_sweep(config)]
+    summary = verify(config)
+    assert "describe" not in summary.check_names()
+    assert summary.passed_failed("degenerate_cyclic_flag") == (0, len(specs))
+    assert [(label, name) for label, name, _ in summary.failures] == [
+        (label, "degenerate_cyclic_flag") for label in specs]
 
 
 def test_describe_with_eta():
@@ -493,6 +512,29 @@ def _mask_residual(text: bytes) -> bytes:
 # The SHA-256 of the masked reports, in sweep order.  After an intended
 # change to the report bytes, regenerate it from this test's hash.
 SLICE_SHA256 = (Path(__file__).parent / "sweep_slice.sha256").read_text().strip()
+
+
+def test_a_wrong_eigenvalue_table_entry_fails(monkeypatch):
+    import u2sing.sweep as sweep
+
+    table = {**sweep._TABLE_T, ("1/4", "3/4"): 5}           # T* has 6
+    monkeypatch.setattr(sweep, "_TABLE_T", table)
+    summary = VerifySummary()
+    check_eigenvalue_tables(summary)
+    assert summary.passed_failed("eigenvalue_tables") == (2, 1)
+    assert summary.failures[0][:2] == ("tetrahedral(m=1)", "eigenvalue_tables")
+
+
+def test_a_wrong_expected_kappa_fails(monkeypatch):
+    import u2sing.sweep as sweep
+
+    (spec, kappa), *rest = sweep._KAPPA_SPOTS
+    monkeypatch.setattr(sweep, "_KAPPA_SPOTS", ((spec, kappa + 1), *rest))
+    summary = VerifySummary()
+    check_kappa_spots(summary)
+    assert summary.passed_failed("kappa_spot_values") == (2, 1)
+    assert summary.failures == [(spec.label(), "kappa_spot_values",
+                                 f"kappa = {kappa}, expected {kappa + 1}")]
 
 
 def test_sweep_slice_report_bytes(tmp_path):
