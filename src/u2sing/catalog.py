@@ -16,6 +16,8 @@ parameters and a coprimality condition:
 ``FAMILIES`` is the one place where a family's parameters and rules are
 declared: its parameters in label order, |Gamma|, the order h of its Mobius
 image, and its condition with the text that refuses a spec failing it.
+``GroupSpec``'s constructor applies the condition, so every spec that
+exists is valid and no stage checks one again.
 Every ``GroupSpec`` method that depends on the family, and the CLI's spec
 flags, read that table; the generators above, the singularity table and
 the closed forms stay separate, as the independent routes the checks
@@ -117,12 +119,36 @@ class GroupSpec:
     q: int | None = None
     p: int | None = None
 
+    def __post_init__(self) -> None:
+        """Refuse a spec outside the catalog with InvalidParameters, so that
+        every GroupSpec that exists is valid and no stage checks it again.
+        Every parameter the family takes must be set, and every one but the
+        residue q must be at least 1; no other parameter may be set.  The
+        residue q must lie in 1..p-1, so that a lens space has one key."""
+        r = FAMILIES[self.family]
+        for x in r.params:
+            v = getattr(self, x)
+            if v is None or v < 1 and x != "q":
+                raise InvalidParameters(r.needs.format(self.family.value, x))
+        # all the parameters it takes are set; is any other one?
+        if (self.m, self.n, self.q, self.p).count(None) + len(r.params) < 4:
+            raise InvalidParameters(f"{self.family.value} takes no parameters "
+                                    f"but {', '.join(r.params)}")
+        if self.p == 1:
+            raise InvalidParameters(
+                "the trivial group has no singularity to resolve")
+        if not r.holds(self):
+            raise InvalidParameters(f"{r.label.format(self)}: {r.rule}")
+        if self.q is not None and not 0 < self.q < self.p:
+            raise InvalidParameters(
+                f"{r.label.format(self)}: q must lie in 1..p-1")
+
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def cyclic(cls, q: int, p: int) -> "GroupSpec":
-        """L(q, p) with q reduced mod p; like every constructor it leaves the
-        refusal of bad parameters, p < 1 included, to ``validate``."""
+        """L(q, p) with q reduced mod p; p < 1 is refused, as every bad
+        parameter is, when the spec is built."""
         return cls(Family.CYCLIC, q=q % p if p >= 1 else q, p=p)
 
     @classmethod
@@ -150,30 +176,6 @@ class GroupSpec:
         return cls(Family.INDEX3, m=m)
 
     # -- structure ---------------------------------------------------------
-
-    def validate(self) -> "GroupSpec":
-        """Check the catalog conditions; raise InvalidParameters otherwise.
-        Every parameter the family takes must be set, and every one but the
-        residue q must be at least 1; no other parameter may be set.  The
-        residue q must lie in 1..p-1, so that a lens space has one key."""
-        r = FAMILIES[self.family]
-        for x in r.params:
-            v = getattr(self, x)
-            if v is None or v < 1 and x != "q":
-                raise InvalidParameters(r.needs.format(self.family.value, x))
-        # all the parameters it takes are set; is any other one?
-        if (self.m, self.n, self.q, self.p).count(None) + len(r.params) < 4:
-            raise InvalidParameters(f"{self.family.value} takes no parameters "
-                                    f"but {', '.join(r.params)}")
-        if self.p == 1:
-            raise InvalidParameters(
-                "the trivial group has no singularity to resolve")
-        if not r.holds(self):
-            raise InvalidParameters(f"{r.label.format(self)}: {r.rule}")
-        if self.q is not None and not 0 < self.q < self.p:
-            raise InvalidParameters(
-                f"{r.label.format(self)}: q must lie in 1..p-1")
-        return self
 
     @property
     def is_cyclic(self) -> bool:
@@ -321,7 +323,6 @@ def _row(theta: float, beta: tuple[float, float, float, float]) -> list[complex]
 def generators_of(spec: GroupSpec) -> np.ndarray:
     """Generator rows (k, 3) of the family table; the Hopf-fiber rotation
     [e^{i pi/m}, 1] always comes first for the non-cyclic families."""
-    spec.validate()
     f, m, n = spec.family, spec.m, spec.n
     if f is Family.CYCLIC:
         q, p = spec.q, spec.p
@@ -556,8 +557,7 @@ def _enumerate_cyclic(spec: GroupSpec) -> FiniteGroup:
 
 
 def enumerate_group(spec: GroupSpec) -> FiniteGroup:
-    """All elements of the group, identity first; ``generators_of``
-    validates the spec."""
+    """All elements of the group, identity first."""
     if spec.is_cyclic:
         return _enumerate_cyclic(spec)
     return dimino_closure(generators_of(spec), spec.expected_order())

@@ -76,7 +76,7 @@ def _spec_from_args(args: argparse.Namespace) -> GroupSpec:
     if stray:
         raise InvalidParameters(f"{fam.value} takes no {', '.join(stray)}")
     build = getattr(GroupSpec, fam.value)
-    return build(*(getattr(args, x) for x in params)).validate()
+    return build(*(getattr(args, x) for x in params))
 
 
 def _tolerance(args: argparse.Namespace) -> float:
@@ -148,11 +148,12 @@ def cmd_describe(args: argparse.Namespace) -> int:
 
 
 def cmd_hj(args: argparse.Namespace) -> int:
-    # A usage error, refused as resolve refuses the same pair; only an
-    # internal canonical_cyclic call on a computed type is a check failure.
-    # p = 1 is the trivial type, whose string is empty.
+    # A usage error, refused as resolve refuses the same pair: building the
+    # spec is the check.  Only an internal canonical_cyclic call on a
+    # computed type is a check failure.  p = 1 is the trivial type, whose
+    # string is empty.
     if args.p != 1:
-        GroupSpec.cyclic(args.q, args.p).validate()
+        GroupSpec.cyclic(args.q, args.p)
     t = canonical_cyclic(args.q, args.p)
     s = hj_string(t)
     print(f"L({args.q},{args.p}) -> {t}: entries {list(s.entries)} "

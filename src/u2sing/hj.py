@@ -39,9 +39,6 @@ class HJString:
     def reversed(self) -> tuple[int, ...]:
         return tuple(reversed(self.entries))
 
-    def __iter__(self):
-        return iter(self.entries)
-
 
 def hj_entries(alpha: int, beta: int) -> tuple[int, ...]:
     """The entries of L(alpha, beta), for coprime 0 <= alpha < beta, by the

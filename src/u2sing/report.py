@@ -131,11 +131,12 @@ def describe(spec: GroupSpec,
              group: FiniteGroup | None = None) -> InvariantReport:
     """Full invariant report for one spec.
 
-    A failed cross-check is recorded in the report, not raised.  What
-    raises: InvalidParameters for an invalid spec; ClosureOverflow when
-    ``group`` is None and the enumeration here overflows; and, for a
-    degenerate (n = 1) spec, a SnapFailure when an element's eigenvalues do
-    not snap.  A degenerate group with no lens type is a failing
+    A failed cross-check is recorded in the report, not raised.  No stage
+    checks ``spec`` again: the ``GroupSpec`` constructor has refused bad
+    parameters.  What raises: ClosureOverflow when ``group`` is None and the
+    enumeration here overflows; and, for a degenerate (n = 1) spec, a
+    SnapFailure when an element's eigenvalues do not snap.  A degenerate
+    group with no lens type is a failing
     ``degenerate_cyclic_flag`` check, and the later sections keep their
     "stage did not run" defaults.
 
@@ -186,7 +187,6 @@ def resolve(spec: GroupSpec, tolerance: float = DEFAULT_TOLERANCE,
     """The resolution stages of ``describe``: order and freeness, the
     singularity triple, b_Gamma and the resolution graph, with the checks
     of each.  The report's later sections are None."""
-    spec.validate()
     checks: list[CheckResult] = []
 
     if group is None:

@@ -46,11 +46,11 @@ the resolution block of every b' determinant are read from them.  The
 compactification star is eliminated at c = 0 for the pencil and again at b'
 for the full elimination, the two lattice routes of the b' cross-check.
 
-A spec is validated where it enters bare: ``table_singularities`` validates
-it and refuses a cyclic one (n = 1 included), and ``resolution_graph``
-validates the spec of a cyclic chain.  The other stages take the records of
-the stages before them (the enumerated group, the triple, b_Gamma, the
-resolution) and trust them.
+``GroupSpec``'s constructor refuses parameters outside the catalog, so every
+stage trusts the spec it is given; ``table_singularities`` still refuses a
+cyclic one (n = 1 included).  The stages take the records of the stages
+before them (the enumerated group, the triple, b_Gamma, the resolution) and
+trust them too.
 """
 
 from __future__ import annotations
@@ -185,10 +185,8 @@ class SingularityTriple:
 def table_singularities(spec: GroupSpec) -> tuple[CyclicType, CyclicType, CyclicType]:
     """The family table of orbifold types, normalized mod beta.
 
-    This is where a bare spec enters the non-cyclic stages, so it is
-    validated here and a cyclic one (n = 1 included) is refused.
+    A cyclic spec (n = 1 included) is refused.
     """
-    spec.validate()
     if spec.is_cyclic:
         raise InvalidParameters(f"{spec.label()} is cyclic")
     if spec.is_degenerate_cyclic:
@@ -445,7 +443,6 @@ def resolution_graph(spec: GroupSpec,
     center; both ``triple`` and ``b`` are required.  Cyclic: the plain
     chain of ``spec`` alone.
     """
-    spec.validate()
     if spec.is_cyclic:
         s = hj_string(canonical_cyclic(spec.q, spec.p))
         graph = PlumbingGraph(-s.entries[0], (tuple(-e for e in s.entries[1:]),)

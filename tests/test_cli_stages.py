@@ -9,11 +9,12 @@ the report's fields.
 
 import operator
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 
 import u2sing.report
-from u2sing.catalog import Family, GroupSpec
+from u2sing.catalog import FAMILIES, Family, GroupSpec
 from u2sing.cli import main
 from u2sing.errors import InvalidParameters, U2SingError
 from u2sing.report import (describe, export_dot, json_text, report_to_dict,
@@ -31,12 +32,15 @@ LATER_STAGES = ("compactification", "enumerate_gamma_prime", "dim_sfk",
                 "topology_report")
 
 
+def param_flags(family, params):
+    """The CLI flags of a family and its parameters, in label order."""
+    return ["--family", family.value,
+            *chain.from_iterable((f"--{x}", str(v)) for x, v in params.items())]
+
+
 def spec_flags(spec):
-    flags = ["--family", spec.family.value]
-    if spec.is_cyclic:
-        return flags + ["--q", str(spec.q), "--p", str(spec.p)]
-    flags += ["--m", str(spec.m)]
-    return flags + ([] if spec.n is None else ["--n", str(spec.n)])
+    return param_flags(spec.family, {x: getattr(spec, x)
+                                     for x in FAMILIES[spec.family].params})
 
 
 def run(capsys, argv):
@@ -119,20 +123,26 @@ def test_subcommands_print_the_placeholder_of_a_failed_b_gamma(
                        path)
 
 
-@pytest.mark.parametrize("spec", [GroupSpec.dihedral(2, 2),
-                                  GroupSpec.cyclic(4, 6),
-                                  GroupSpec.cyclic(3, 1),
-                                  GroupSpec(Family.CYCLIC, q=1, p=0),
-                                  GroupSpec(Family.CYCLIC, q=2, p=-3)],
-                         ids=GroupSpec.key)
-def test_subcommands_reject_what_describe_rejects(spec, tmp_path, capsys):
+# No spec exists for these parameters, so no stage can be handed one: each
+# subcommand refuses them with the text of the GroupSpec constructor.
+@pytest.mark.parametrize("family, params", [
+    (Family.DIHEDRAL, dict(m=2, n=2)),
+    (Family.CYCLIC, dict(q=4, p=6)),
+    (Family.CYCLIC, dict(q=0, p=1)),        # GroupSpec.cyclic(3, 1)
+    (Family.CYCLIC, dict(q=1, p=0)),
+    (Family.CYCLIC, dict(q=2, p=-3)),
+], ids=["dihedral_m2_n2", "cyclic_q4_p6", "cyclic_q0_p1", "cyclic_q1_p0",
+        "cyclic_q2_p-3"])
+def test_subcommands_reject_what_describe_rejects(family, params, tmp_path,
+                                                  capsys):
     with pytest.raises(InvalidParameters) as exc:
-        describe(spec)
+        GroupSpec(family, **params)
     error = f"error: {exc.value}\n"
+    flags = param_flags(family, params)
     path = tmp_path / "graph.dot"
-    argvs = [[cmd, *spec_flags(spec), "--format", f]
+    argvs = [[cmd, *flags, "--format", f]
              for cmd in ("describe", "resolve", "compactify") for f in FORMATS]
-    argvs += [["export", *spec_flags(spec), "--what", what, "--out", str(path)]
+    argvs += [["export", *flags, "--what", what, "--out", str(path)]
               for what in ("resolution", "compactification")]
     for argv in argvs:
         assert run(capsys, argv) == (2, "", error), argv

@@ -69,18 +69,20 @@ def test_describe_eliminates_each_lattice_sparingly(monkeypatch):
 
 
 def test_describe_validates_a_spec_where_it_enters(monkeypatch):
-    # describe, the enumeration's generators, the table triple, the
-    # resolution and Gamma' validate; every other stage trusts its records.
-    real, calls = GroupSpec.validate, []
-    monkeypatch.setattr(GroupSpec, "validate",
+    # The constructor is the one catalog check: describe of a spec that
+    # exists checks nothing again.  A cyclic describe builds one spec, the
+    # chain of its lens type.
+    real, calls = GroupSpec.__post_init__, []
+    monkeypatch.setattr(GroupSpec, "__post_init__",
                         lambda self: calls.append(self) or real(self))
     for spec in (GroupSpec.dihedral(5, 2), GroupSpec.icosahedral(7)):
         calls.clear()
         assert describe(spec).all_passed()
-        assert len(calls) <= 5
+        assert calls == []
+    spec = GroupSpec.cyclic(3, 7)
     calls.clear()
-    assert describe(GroupSpec.cyclic(3, 7)).all_passed()
-    assert len(calls) <= 3
+    assert describe(spec).all_passed()
+    assert calls == [spec]      # a second, equal spec: the chain's
 
 
 def test_a_failed_b_gamma_leaves_the_placeholders(monkeypatch):
@@ -183,6 +185,13 @@ def test_decoding_a_missing_key_fails():
     del d["topology"]["eta"]
     with pytest.raises(KeyError):
         report_from_dict(d)
+
+
+def test_decoding_a_spec_the_catalog_refuses_fails():
+    d = report_to_dict(describe(GroupSpec.dihedral(5, 2)))
+    d["spec"].update(m=2, n=2)
+    with pytest.raises(InvalidParameters, match=r"gcd\(m,2n\) must be 1"):
+        report_from_json(json.dumps(d))
 
 
 def test_json_schema_keys():
@@ -329,6 +338,14 @@ def _reference_specs(config):
 ], ids=["default", "dihedral", "index3", "cyclic"])
 def test_specs_in_sweep_match_the_reference(config):
     assert list(specs_in_sweep(config)) == list(_reference_specs(config))
+
+
+def test_default_sweep_keys_digest():
+    # The order and population of the default sweep, pinned by the SHA-256
+    # of its keys, one a line.
+    keys = "\n".join(s.key() for s in specs_in_sweep(SweepConfig()))
+    assert hashlib.sha256(keys.encode()).hexdigest() == (
+        "0784d3de5029002cf4f423259a454ce6d6e7701bfacb5512219f2a531ac0967e")
 
 
 def test_sweep_config_validation():
