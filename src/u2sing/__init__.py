@@ -13,7 +13,7 @@ from .catalog import (CyclicType, Family, FiniteGroup, GroupSpec,
                       canonical_cyclic, cyclic_equivalent_type,
                       eigenvalue_histogram, enumerate_gamma_prime,
                       enumerate_group, generators_of, is_fixed_point_free)
-from .hj import HJString, cf_value, dual_type, hj_string
+from .hj import cf_value, dual_type, hj_string
 from .invariants import (DeformationReport, TopologyReport, closed_form_dim,
                          dim_h1_theta, dim_sfk, eisenstein_check, moduli_dim,
                          sawtooth, topology_report)
@@ -29,7 +29,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BGamma", "CompactificationData", "CurveConfiguration", "CyclicType",
-    "DeformationReport", "Family", "FiniteGroup", "GroupSpec", "HJString",
+    "DeformationReport", "Family", "FiniteGroup", "GroupSpec",
     "InvariantReport", "PlumbingGraph", "ResolutionData", "SingularityTriple",
     "SweepConfig", "TopologyReport", "VerifySummary", "b_gamma",
     "canonical_cyclic", "cf_value", "closed_form_dim", "compactification",

@@ -30,10 +30,11 @@ The Hopf-fiber rotation's powers come first, identity first; each later
 generator that is not yet a member adds whole right cosets of the group
 generated so far, one block composition per coset, and only the coset
 representatives' products with the generators are tested for membership.
-Cyclic specs are the powers of their one generator.  The breadth-first
-closure is kept for Gamma', whose row order the deformation residual reads;
-the Mobius cosets of the resolution module use the same sign rule
-(``_canonical_rows``) and grid keys as the rows.
+Cyclic specs are the powers of their one generator up to the first one
+with the identity's key, so their order is found, not assumed.  The
+breadth-first closure is kept for Gamma', whose row order the deformation
+residual reads; the Mobius cosets of the resolution module use the same
+sign rule (``_canonical_rows``) and grid keys as the rows.
 It also provides the structural checks used downstream: freeness on S^3 (no
 eigenvalue 1 away from the identity), eigenvalue statistics, and
 normalization of the cyclic singularity labels L(alpha, beta).
@@ -122,12 +123,16 @@ class GroupSpec:
     def __post_init__(self) -> None:
         """Refuse a spec outside the catalog with InvalidParameters, so that
         every GroupSpec that exists is valid and no stage checks it again.
-        Every parameter the family takes must be set, and every one but the
-        residue q must be at least 1; no other parameter may be set.  The
-        residue q must lie in 1..p-1, so that a lens space has one key."""
+        Every parameter the family takes must be set, to an int (not a
+        bool), and every one but the residue q must be at least 1; no other
+        parameter may be set.  The residue q must lie in 1..p-1, so that a
+        lens space has one key."""
         r = FAMILIES[self.family]
         for x in r.params:
             v = getattr(self, x)
+            if v is not None and type(v) is not int:
+                raise InvalidParameters(
+                    f"{self.family.value}: {x} must be an int, got {v!r}")
             if v is None or v < 1 and x != "q":
                 raise InvalidParameters(r.needs.format(self.family.value, x))
         # all the parameters it takes are set; is any other one?
@@ -541,19 +546,23 @@ def dimino_closure(generators: np.ndarray, max_order: int) -> FiniteGroup:
 
 
 def _enumerate_cyclic(spec: GroupSpec) -> FiniteGroup:
-    # Single commuting generator: powers are the whole closure.
+    """The powers of the one generator, identity first.  The order is found,
+    not assumed: it is the first k >= 1 whose power has the identity's grid
+    key.  Powers k = 0..p are computed, and k = 0..2p only when the p-th is
+    not the identity; past 2p the closure overflows, as the others do."""
     gen = generators_of(spec)[0]
-    p = spec.p
-    k = np.arange(p)
     a0, b0 = np.angle(gen[0]), np.angle(gen[1])
-    rows = np.stack([np.exp(1j * a0 * k),
-                     np.exp(1j * b0 * k),
-                     np.zeros(p, dtype=complex)], axis=1)
-    rows = _canonical_rows(rows)
-    # Deduplicate in case the pair representative hits the kernel early
-    # (cannot happen for valid L(q,p), but keep the closure honest).
-    rows = rows[_fresh_indices(_row_keys(rows), set())]
-    return FiniteGroup(rows)
+    for last in (spec.p, 2 * spec.p):
+        k = np.arange(last + 1)
+        rows = _canonical_rows(np.stack([np.exp(1j * a0 * k),
+                                         np.exp(1j * b0 * k),
+                                         np.zeros(last + 1, dtype=complex)],
+                                        axis=1))
+        keys = _row_keys(rows)
+        if keys[0] in keys[1:]:
+            return FiniteGroup(rows[:keys.index(keys[0], 1)])
+    raise ClosureOverflow(f"closure exceeded {2 * spec.p} elements "
+                          f"(expected {spec.p})")
 
 
 def enumerate_group(spec: GroupSpec) -> FiniteGroup:

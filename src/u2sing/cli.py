@@ -156,8 +156,7 @@ def cmd_hj(args: argparse.Namespace) -> int:
         GroupSpec.cyclic(args.q, args.p)
     t = canonical_cyclic(args.q, args.p)
     s = hj_string(t)
-    print(f"L({args.q},{args.p}) -> {t}: entries {list(s.entries)} "
-          f"length {s.length}")
+    print(f"L({args.q},{args.p}) -> {t}: entries {list(s)} length {len(s)}")
     return 0
 
 

@@ -10,34 +10,19 @@ string [e1, ..., ek] is the continued fraction expansion
     q/p = 1 / (e1 - 1/(e2 - ... - 1/ek))
 
 and is the chain of self-intersection numbers -e1, ..., -ek resolving the
-cyclic singularity L(q, p).  ``hj_entries`` is the one implementation of
-the algorithm; ``hj_string`` wraps its entries with the source type, and
-the sweep's round-trip check reads the entries directly.  Everything in this
-module is exact integer and rational arithmetic; there is no floating point.
+cyclic singularity L(q, p).  A string is its entries tuple: ``hj_entries``
+is the one implementation of the algorithm, ``hj_string`` gives the entries
+of a ``CyclicType``, and the stages that need the type keep it beside the
+string.  Everything in this module is exact integer and rational
+arithmetic; there is no floating point.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .catalog import CyclicType, canonical_cyclic
-
-
-@dataclass(frozen=True)
-class HJString:
-    """Entries e_1..e_k (each >= 2) together with the source type."""
-
-    entries: tuple[int, ...]
-    source: CyclicType
-
-    @property
-    def length(self) -> int:
-        return len(self.entries)
-
-    def reversed(self) -> tuple[int, ...]:
-        return tuple(reversed(self.entries))
 
 
 def hj_entries(alpha: int, beta: int) -> tuple[int, ...]:
@@ -52,29 +37,28 @@ def hj_entries(alpha: int, beta: int) -> tuple[int, ...]:
     return tuple(entries)
 
 
-def hj_string(t: CyclicType) -> HJString:
-    """The string of L(alpha, beta) with its source type; the trivial type
-    yields the empty string of length zero."""
-    return HJString(hj_entries(t.alpha, t.beta), t)
+def hj_string(t: CyclicType) -> tuple[int, ...]:
+    """The entries of the string of L(alpha, beta); the trivial type yields
+    the empty string."""
+    return hj_entries(t.alpha, t.beta)
 
 
-def continuant(entries: "HJString | Sequence[int]") -> tuple[int, int]:
+def continuant(entries: Sequence[int]) -> tuple[int, int]:
     """The integer pair (num, den) with e1 - 1/(e2 - ... - 1/ek) = num/den.
 
     Evaluated by the continuant recurrence: the tails [e_j, ..., e_k] =
     num/den satisfy num_j = e_j num_{j+1} - den_{j+1}, den_j = num_{j+1}.
     For the string of L(q, p) it is (p, q), already in lowest terms.
     """
-    seq = entries.entries if isinstance(entries, HJString) else tuple(entries)
-    if not seq:
+    if not entries:
         raise ValueError("continued fraction of the empty string")
     num, den = 1, 0      # the empty tail: the first step gives (e_k, 1)
-    for e in reversed(seq):
+    for e in reversed(entries):
         num, den = e * num - den, num
     return num, den
 
 
-def cf_value(entries: "HJString | Sequence[int]") -> Fraction:
+def cf_value(entries: Sequence[int]) -> Fraction:
     """Exact value q/p of the reversed continued fraction
     1 / (e1 - 1/(e2 - ...)); inverse to hj_string."""
     num, den = continuant(entries)

@@ -225,7 +225,7 @@ def _describe_cyclic(spec: GroupSpec, group: FiniteGroup,
     s, = rd.strings
     checks.append(CheckResult("hj_round_trip",
                               cf_value(s) == Fraction(t.alpha, t.beta),
-                              f"string {list(s.entries)} for {t}"))
+                              f"string {list(s)} for {t}"))
     checks.append(CheckResult("resolution_negative_definite",
                               all(d < 0 for d in rd.pivots), ""))
     return InvariantReport(spec, group.order, degenerate, singularities=(t,),
@@ -234,8 +234,7 @@ def _describe_cyclic(spec: GroupSpec, group: FiniteGroup,
 
 def _resolution_fields(rd: ResolutionData) -> dict:
     """The seven report fields read off a resolution, chain or star."""
-    return dict(hj_strings=tuple(s.entries for s in rd.strings),
-                hj_lengths=tuple(s.length for s in rd.strings),
+    return dict(hj_strings=rd.strings, hj_lengths=tuple(map(len, rd.strings)),
                 k_gamma=rd.k_gamma, signature=rd.tau, chi=1 + rd.k_gamma,
                 resolution=rd.graph, h1_theta=dim_h1_theta(rd.graph))
 
@@ -271,8 +270,8 @@ def _resolve_noncyclic(spec: GroupSpec, group: FiniteGroup,
     rd = resolution_graph(spec, triple, b)
     checks.append(CheckResult(
         "hj_round_trip",
-        all(cf_value(s) == Fraction(s.source.alpha, s.source.beta)
-            for s in rd.strings), ""))
+        all(cf_value(s) == Fraction(t.alpha, t.beta)
+            for t, s in zip(rd.types, rd.strings)), ""))
     checks.append(CheckResult(
         "resolution_negative_definite", all(d < 0 for d in rd.pivots),
         f"k_gamma={rd.k_gamma}"))
@@ -307,22 +306,23 @@ def compactify(resolved: Resolved) -> InvariantReport:
         checks.append(CheckResult("b_prime_unique", False,
                                   f"resolution_geometry: {exc}"))
         return replace(report, checks=tuple(checks))
-    bp, curves = comp.b_prime, comp.configuration.vertex_count
+    bp = comp.b_prime
+    curves = CurveConfiguration(rd.graph, comp.star).vertex_count
     checks.append(CheckResult(
-        "kappa_curve_count", curves == comp.kappa + 1,
-        f"kappa={comp.kappa}, curves={curves}"))
+        "kappa_curve_count", curves == bp.kappa + 1,
+        f"kappa={bp.kappa}, curves={curves}"))
     checks.append(CheckResult(
         "b_prime_unique", True,
         f"b'={bp.value}, seifert target {bp.seifert_value}, "
         f"lattice candidates {list(bp.lattice_candidates)}"))
     checks.append(CheckResult(
-        "b_prime_signature", bp.signature == (1, comp.kappa),
+        "b_prime_signature", bp.signature == (1, bp.kappa),
         f"signature {bp.signature}"))
     section = CompactificationSection(
         b_prime=bp.value, b_prime_positive=bp.positive,
         seifert_value=bp.seifert_value,
-        lattice_candidates=bp.lattice_candidates, kappa=comp.kappa,
-        dual_strings=tuple(s.entries for s in comp.dual_strings),
+        lattice_candidates=bp.lattice_candidates, kappa=bp.kappa,
+        dual_strings=comp.dual_strings,
         star=comp.star, configuration_determinant=bp.determinant,
         configuration_signature=bp.signature)
     return replace(report, compactification=section, checks=tuple(checks))

@@ -69,7 +69,7 @@ from .catalog import (CyclicType, Family, FiniteGroup, GroupSpec,
 from .errors import (AmbiguousCandidate, CrossCheckFailure, InvalidParameters,
                      MalformedGraph, NoCandidate, OrbitCountMismatch,
                      TableDisagreement)
-from .hj import HJString, cf_value, dual_type, hj_string
+from .hj import cf_value, dual_type, hj_string
 
 POINT_TOL = 1e-6
 
@@ -417,13 +417,19 @@ def b_gamma(spec: GroupSpec, triple: tuple[CyclicType, ...]) -> BGamma:
 
 @dataclass(frozen=True)
 class ResolutionData:
-    """The resolution graph, its HJ strings, its curve count and the pivots
-    of its one elimination (``PlumbingGraph.pivots``, the centre's last)."""
+    """The resolution graph; the type of each arm (for a cyclic spec, the
+    chain's type) and its HJ string, in arm order; and the pivots of the
+    graph's one elimination (``PlumbingGraph.pivots``, the centre's last)."""
 
     graph: PlumbingGraph
-    strings: tuple[HJString, ...]
-    k_gamma: int
+    types: tuple[CyclicType, ...]
+    strings: tuple[tuple[int, ...], ...]
     pivots: tuple[Fraction, ...]
+
+    @property
+    def k_gamma(self) -> int:
+        """The number of curves of the resolution."""
+        return self.graph.vertex_count
 
     @property
     def tau(self) -> int:
@@ -444,18 +450,17 @@ def resolution_graph(spec: GroupSpec,
     chain of ``spec`` alone.
     """
     if spec.is_cyclic:
-        s = hj_string(canonical_cyclic(spec.q, spec.p))
-        graph = PlumbingGraph(-s.entries[0], (tuple(-e for e in s.entries[1:]),)
-                              if s.length > 1 else ())
-        return ResolutionData(graph, (s,), s.length, tuple(graph.pivots()))
+        t = canonical_cyclic(spec.q, spec.p)
+        s = hj_string(t)
+        graph = PlumbingGraph(-s[0], (tuple(-e for e in s[1:]),)
+                              if len(s) > 1 else ())
+        return ResolutionData(graph, (t,), (s,), tuple(graph.pivots()))
     if triple is None or b is None:
         raise InvalidParameters(
             f"{spec.label()}: a non-cyclic resolution needs its triple and b_Gamma")
     strings = tuple(hj_string(t) for t in triple)
-    arms = tuple(tuple(-e for e in s.entries) for s in strings)
-    graph = PlumbingGraph(-b.value, arms)
-    return ResolutionData(graph, strings, 1 + sum(s.length for s in strings),
-                          tuple(graph.pivots()))
+    graph = PlumbingGraph(-b.value, tuple(tuple(-e for e in s) for s in strings))
+    return ResolutionData(graph, tuple(triple), strings, tuple(graph.pivots()))
 
 
 # ---------------------------------------------------------------------------
@@ -490,9 +495,9 @@ class BPrimeResult:
         return self.value > 0
 
 
-def _comp_star(b_prime: int, dual_strings: tuple[HJString, ...]) -> PlumbingGraph:
-    return PlumbingGraph(b_prime,
-                         tuple(tuple(-e for e in s.entries) for s in dual_strings))
+def _comp_star(b_prime: int,
+               dual_strings: tuple[tuple[int, ...], ...]) -> PlumbingGraph:
+    return PlumbingGraph(b_prime, tuple(tuple(-e for e in s) for s in dual_strings))
 
 
 def _is_square(n: int) -> bool:
@@ -519,7 +524,7 @@ class CentrePencil:
 
     @classmethod
     def of(cls, res_pivots: tuple[Fraction, ...],
-           dual_strings: tuple[HJString, ...]) -> "CentrePencil":
+           dual_strings: tuple[tuple[int, ...], ...]) -> "CentrePencil":
         """From the resolution's pivots and the dual strings' arms."""
         fixed = _comp_star(0, dual_strings).pivots()
         threshold = -fixed.pop()             # the centre pivot at c = 0
@@ -544,7 +549,7 @@ class CentrePencil:
 
 
 def solve_b_prime(spec: GroupSpec, res: ResolutionData,
-                  dual_strings: tuple[HJString, ...]) -> BPrimeResult:
+                  dual_strings: tuple[tuple[int, ...], ...]) -> BPrimeResult:
     """Determine the central self-intersection b' of the curve at infinity
     from the resolution ``res`` and the ``dual_strings`` of its arms.
 
@@ -563,7 +568,7 @@ def solve_b_prime(spec: GroupSpec, res: ResolutionData,
     equal the pencil's.
     """
     target = Fraction(2 * spec.m, spec.pgl_image_order())
-    kappa = res.k_gamma + sum(s.length for s in dual_strings)
+    kappa = res.k_gamma + sum(map(len, dual_strings))
     dual_sum = sum((cf_value(s) for s in dual_strings), Fraction(0))
 
     seifert_solution = target - dual_sum
@@ -596,23 +601,24 @@ def solve_b_prime(spec: GroupSpec, res: ResolutionData,
 
 @dataclass(frozen=True)
 class CompactificationData:
+    """The compactification star, the dual string of each resolution arm
+    (in arm order), and the b' oracle's result, which holds kappa.  With the
+    resolution graph the star makes the ``CurveConfiguration``."""
+
     star: PlumbingGraph
-    dual_strings: tuple[HJString, ...]
-    kappa: int
+    dual_strings: tuple[tuple[int, ...], ...]
     b_prime: BPrimeResult
-    configuration: CurveConfiguration
 
 
 def compactification(spec: GroupSpec,
                      res: ResolutionData) -> CompactificationData:
-    """Compactification star of the resolution ``res``, the blow-up count
-    kappa, and the full curve configuration, whose kappa + 1 curves
-    ``report.compactify`` counts as ``kappa_curve_count``."""
-    dual_strings = tuple(hj_string(dual_type(s.source)) for s in res.strings)
+    """Compactification star of the resolution ``res``: the dual strings
+    L(beta - alpha, beta) of its arm types, and the central weight b' at
+    which they close up."""
+    dual_strings = tuple(hj_string(dual_type(t)) for t in res.types)
     bp = solve_b_prime(spec, res, dual_strings)
-    star = _comp_star(bp.value, dual_strings)
-    config = CurveConfiguration(res.graph, star)
-    return CompactificationData(star, dual_strings, bp.kappa, bp, config)
+    return CompactificationData(_comp_star(bp.value, dual_strings),
+                                dual_strings, bp)
 
 
 # ---------------------------------------------------------------------------

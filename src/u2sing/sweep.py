@@ -206,7 +206,7 @@ def check_kappa_spots(summary: VerifySummary) -> None:
         triple = table_singularities(spec)
         b = b_gamma(spec, triple)
         res = resolution_graph(spec, triple, b)
-        kappa = compactification(spec, res).kappa
+        kappa = compactification(spec, res).b_prime.kappa
         summary.record(spec.label(), "kappa_spot_values", kappa == expected,
                        f"kappa = {kappa}, expected {expected}")
 

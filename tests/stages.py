@@ -24,7 +24,7 @@ def table_resolution(spec):
 
 def dual_strings(res):
     """The HJ strings of the dual types of the resolution's arms."""
-    return tuple(hj_string(dual_type(s.source)) for s in res.strings)
+    return tuple(hj_string(dual_type(t)) for t in res.types)
 
 
 def table_b_prime(spec):

@@ -57,6 +57,19 @@ def test_invalid_parameters(bad):
         bad()
 
 
+@pytest.mark.parametrize("value", [True, 5.0, "5"])
+@pytest.mark.parametrize("family,params", [
+    (Family.DIHEDRAL, {"m": 5, "n": 2}), (Family.ICOSAHEDRAL, {"m": 7}),
+    (Family.CYCLIC, {"q": 2, "p": 5})])
+def test_a_parameter_that_is_not_an_int_is_refused(family, params, value):
+    # A bool is an int to Python: True would pass every catalog condition
+    # that 1 passes, and give the key dihedral_mTrue_n2.
+    for name in params:
+        with pytest.raises(InvalidParameters):
+            GroupSpec(family, **{**params, name: value})
+    GroupSpec(family, **params)
+
+
 def test_cyclic_factory_normalizes():
     assert GroupSpec.cyclic(-3, 5).q == 2
     assert GroupSpec.cyclic(7, 5).q == 2
@@ -492,6 +505,38 @@ def test_gamma_prime_matches_reference(spec):
     rows = enumerate_gamma_prime(spec).rows
     _assert_same_rows(rows, _reference_closure(gens, order))
     _assert_same_keys(rows, _scalar_closure(gens, order))
+
+
+def _scaled_left_angle(monkeypatch, factor):
+    """Patch ``generators_of`` so that the cyclic generator's left angle is
+    multiplied by ``factor``: its powers no longer close up at p."""
+    real = u2sing.catalog.generators_of
+
+    def scaled(spec):
+        gens = real(spec)
+        gens[0, 0] = cmath.exp(1j * factor * cmath.phase(gens[0, 0]))
+        return gens
+    monkeypatch.setattr(u2sing.catalog, "generators_of", scaled)
+
+
+def test_a_lens_space_order_is_found_not_assumed(monkeypatch):
+    # With the left angle of L(5, 12)'s generator halved, its 12th power is
+    # (-1, 1, 0), not the identity, and the group it generates has order
+    # 24: enumerating 12 powers would pass order_matches_table.
+    _scaled_left_angle(monkeypatch, 0.5)
+    spec = GroupSpec.cyclic(5, 12)
+    rows = enumerate_group(spec).rows
+    assert len(rows) == 24 and len(set(_row_keys(rows))) == 24
+    check, = (c for c in describe(spec).checks
+              if c.name == "order_matches_table")
+    assert not check.passed and check.detail == "enumerated 24, expected 12"
+
+
+def test_a_lens_generator_of_order_past_2p_overflows(monkeypatch):
+    # A fifth of the left angle gives order 30 > 2p = 24.
+    _scaled_left_angle(monkeypatch, 0.2)
+    with pytest.raises(ClosureOverflow, match="exceeded 24 elements"):
+        enumerate_group(GroupSpec.cyclic(5, 12))
 
 
 def test_lens_closures_match_reference():

@@ -9,38 +9,37 @@ from hypothesis import strategies as st
 
 import u2sing.sweep
 from u2sing.catalog import CyclicType, canonical_cyclic
-from u2sing.hj import (HJString, cf_value, continuant, dual_type, hj_entries,
-                       hj_string)
+from u2sing.hj import cf_value, continuant, dual_type, hj_entries, hj_string
 from u2sing.sweep import VerifySummary, check_hj_roundtrip
 
 
 def test_hj_string_examples():
     # hand runs of the recursion p = e1 q - a1, ...
     for p in (2, 3, 7, 11):
-        assert hj_string(canonical_cyclic(1, p)).entries == (p,)
-    assert hj_string(canonical_cyclic(2, 3)).entries == (2, 2)   # 3=2*2-1, 2=2*1
-    assert hj_string(canonical_cyclic(3, 5)).entries == (2, 3)   # 5=2*3-1, 3=3*1
-    assert hj_string(canonical_cyclic(4, 7)).entries == (2, 4)
-    assert hj_string(canonical_cyclic(5, 7)).entries == (2, 2, 3)
+        assert hj_string(canonical_cyclic(1, p)) == (p,)
+    assert hj_string(canonical_cyclic(2, 3)) == (2, 2)   # 3=2*2-1, 2=2*1
+    assert hj_string(canonical_cyclic(3, 5)) == (2, 3)   # 5=2*3-1, 3=3*1
+    assert hj_string(canonical_cyclic(4, 7)) == (2, 4)
+    assert hj_string(canonical_cyclic(5, 7)) == (2, 2, 3)
 
 
 def test_trivial_type_empty():
     s = hj_string(canonical_cyclic(0, 1))
-    assert s.entries == () and s.length == 0
+    assert s == () and len(s) == 0
 
 
 def test_cf_value_examples():
     assert cf_value([5]) == F(1, 5)
     assert cf_value([2, 2]) == F(2, 3)                 # 1/(2 - 1/2)
     assert cf_value([2, 3]) == F(3, 5)
-    assert cf_value(HJString((2, 2, 3), canonical_cyclic(5, 7))) == F(5, 7)
+    assert cf_value(hj_string(canonical_cyclic(5, 7))) == F(5, 7)
 
 
 def test_continuant_examples():
     assert continuant([5]) == (5, 1)
     assert continuant([2, 2]) == (3, 2)
     assert continuant((2, 2, 3)) == (7, 5)
-    assert continuant(HJString((2, 3), canonical_cyclic(3, 5))) == (5, 3)
+    assert continuant(hj_string(canonical_cyclic(3, 5))) == (5, 3)
     assert continuant([3, 1, 3]) == (3, 2)      # not an HJ string: a 1
     with pytest.raises(ValueError):
         continuant(())
@@ -62,7 +61,7 @@ def test_hj_entries_equal_the_one_step_loop_to_p_500():
         for q in range(1, p):
             if math.gcd(q, p) == 1:
                 assert hj_entries(q, p) == _one_step_entries(q, p), (q, p)
-    assert hj_entries(0, 1) == hj_string(canonical_cyclic(0, 1)).entries == ()
+    assert hj_entries(0, 1) == hj_string(canonical_cyclic(0, 1)) == ()
 
 
 @given(st.integers(2, 10**6), st.data())
@@ -111,10 +110,10 @@ def test_round_trip_and_duality_sweep():
             if math.gcd(q, p) != 1:
                 continue
             s = hj_string(canonical_cyclic(q, p))
-            assert all(e >= 2 for e in s.entries)
+            assert all(e >= 2 for e in s)
             assert cf_value(s) == F(q, p)
             q_star = pow(q, -1, p)
-            assert s.reversed() == hj_string(canonical_cyclic(q_star, p)).entries
+            assert s[::-1] == hj_string(canonical_cyclic(q_star, p))
 
 
 @given(st.integers(2, 2000), st.data())
@@ -124,4 +123,4 @@ def test_round_trip_random(p, data):
     q = data.draw(st.sampled_from(units))
     s = hj_string(canonical_cyclic(q, p))
     assert cf_value(s) == F(q, p)
-    assert all(e >= 2 for e in s.entries)
+    assert all(e >= 2 for e in s)

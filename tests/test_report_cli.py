@@ -194,6 +194,14 @@ def test_decoding_a_spec_the_catalog_refuses_fails():
         report_from_json(json.dumps(d))
 
 
+@pytest.mark.parametrize("value", [True, 5.0, "5"])
+def test_decoding_a_spec_parameter_that_is_not_an_int_fails(value):
+    d = report_to_dict(describe(GroupSpec.dihedral(5, 2)))
+    d["spec"]["m"] = value
+    with pytest.raises(InvalidParameters, match="m must be an int"):
+        report_from_json(json.dumps(d))
+
+
 def test_json_schema_keys():
     d = report_to_dict(describe(GroupSpec.dihedral(1, 2)))
     for key in ("spec", "order", "singularities", "b_gamma",
@@ -684,8 +692,13 @@ def test_cli_describe_json(capsys):
 
 
 def test_cli_hj(capsys):
-    assert main(["hj", "3", "5"]) == 0
-    assert "[2, 3]" in capsys.readouterr().out
+    for argv, out in (
+            (["3", "5"], "L(3,5) -> L(3,5): entries [2, 3] length 2\n"),
+            (["5", "7"], "L(5,7) -> L(5,7): entries [2, 2, 3] length 3\n"),
+            (["8", "5"], "L(8,5) -> L(3,5): entries [2, 3] length 2\n"),  # q mod p
+            (["0", "1"], "L(0,1) -> L(0,1): entries [] length 0\n")):
+        assert main(["hj", *argv]) == 0
+        assert capsys.readouterr().out == out
 
 
 def test_cli_resolve_dot(capsys):

@@ -371,9 +371,9 @@ def test_seifert_calibration_sample():
 
 def test_kappa_spot_values():
     # blow-up counts for the three smallest cases
-    assert table_compactification(GroupSpec.dihedral(1, 2)).kappa == 7
-    assert table_compactification(GroupSpec.dihedral(1, 3)).kappa == 8
-    assert table_compactification(GroupSpec.index2(2, 3)).kappa == 8
+    assert table_compactification(GroupSpec.dihedral(1, 2)).b_prime.kappa == 7
+    assert table_compactification(GroupSpec.dihedral(1, 3)).b_prime.kappa == 8
+    assert table_compactification(GroupSpec.index2(2, 3)).b_prime.kappa == 8
 
 
 # golden values frozen from the oracle (lattice signature + square
@@ -416,9 +416,10 @@ def test_b_prime_determinant_identity():
 
 
 def test_configuration_counts():
-    comp = table_compactification(GroupSpec.dihedral(1, 2))
-    cfg = comp.configuration
-    assert cfg.vertex_count == comp.kappa + 1 == 8
+    spec = GroupSpec.dihedral(1, 2)
+    comp = table_compactification(spec)
+    cfg = CurveConfiguration(table_resolution(spec).graph, comp.star)
+    assert cfg.vertex_count == comp.b_prime.kappa + 1 == 8
     assert _inertia(cfg.compactification.pivots()
                     + cfg.resolution.pivots()) == (1, 7)
     assert comp.dual_strings == tuple(
@@ -438,7 +439,7 @@ def test_configuration_counts():
 def scan_lattice_candidates(res_graph, dual_strings, lo, hi, kappa):
     lattice = []
     for cand in range(lo, hi + 1):
-        star = PlumbingGraph(cand, tuple(tuple(-e for e in s.entries)
+        star = PlumbingGraph(cand, tuple(tuple(-e for e in s)
                                          for s in dual_strings))
         pivots = star.pivots() + res_graph.pivots()
         try:
@@ -454,7 +455,7 @@ def scan_lattice_candidates(res_graph, dual_strings, lo, hi, kappa):
 def scan_b_prime(spec):
     res = table_resolution(spec)
     duals = dual_strings(res)
-    kappa = res.k_gamma + sum(s.length for s in duals)
+    kappa = res.k_gamma + sum(map(len, duals))
     seifert = F(2 * spec.m, spec.pgl_image_order()) - sum(
         (cf_value(s) for s in duals), F(0))
     assert seifert.denominator == 1
@@ -462,7 +463,7 @@ def scan_b_prime(spec):
     lattice = scan_lattice_candidates(res.graph, duals, lo, hi, kappa)
     assert int(seifert) in lattice
     pivots = PlumbingGraph(int(seifert), tuple(
-        tuple(-e for e in s.entries) for s in duals)).pivots() + res.graph.pivots()
+        tuple(-e for e in s) for s in duals)).pivots() + res.graph.pivots()
     return (int(seifert), lattice, (lo, hi), _integer_det(pivots),
             _inertia(pivots))
 
