@@ -152,9 +152,11 @@ class GroupSpec:
 
     @classmethod
     def cyclic(cls, q: int, p: int) -> "GroupSpec":
-        """L(q, p) with q reduced mod p; p < 1 is refused, as every bad
+        """L(q, p) with q reduced mod p when both are ints and p >= 1;
+        anything else is passed through, and refused, as every bad
         parameter is, when the spec is built."""
-        return cls(Family.CYCLIC, q=q % p if p >= 1 else q, p=p)
+        reduce = type(q) is int and type(p) is int and p >= 1
+        return cls(Family.CYCLIC, q=q % p if reduce else q, p=p)
 
     @classmethod
     def dihedral(cls, m: int, n: int) -> "GroupSpec":

@@ -27,13 +27,24 @@ from .catalog import CyclicType, canonical_cyclic
 
 def hj_entries(alpha: int, beta: int) -> tuple[int, ...]:
     """The entries of L(alpha, beta), for coprime 0 <= alpha < beta, by the
-    modified Euclidean loop; the trivial type L(0, 1) gives ()."""
+    modified Euclidean loop; the trivial type L(0, 1) gives ().
+
+    A step with entry 2 maps (prev, cur) to (cur, cur - d) and keeps the gap
+    d = prev - cur, so the entry stays 2 while cur >= d: a run of
+    cur // d entries 2 is taken in one step, leaving cur mod d."""
     prev, cur = beta, alpha
     entries: list[int] = []
     while cur > 0:
         e = -(-prev // cur)          # ceil(prev / cur)
-        entries.append(e)
-        prev, cur = cur, e * cur - prev
+        if e == 2:
+            d = prev - cur
+            k = cur // d
+            entries += (2,) * k
+            cur -= k * d
+            prev = cur + d
+        else:
+            entries.append(e)
+            prev, cur = cur, e * cur - prev
     return tuple(entries)
 
 

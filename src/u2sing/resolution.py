@@ -542,10 +542,22 @@ class CentrePencil:
         return self.scale * c - self.offset
 
     def lattice_candidates(self, lo: int, hi: int, kappa: int) -> tuple[int, ...]:
-        """Integers in [lo, hi] with signature (1, kappa) and square |det|."""
+        """Integers in [lo, hi] with signature (1, kappa) and square |det|.
+
+        The signature is (1, kappa) on one side of the threshold at most,
+        decided by the inertia: above it for inertia (0, kappa), below it for
+        (1, kappa - 1).  Only that side's integers are tested, each for a
+        square |det| alone."""
+        num, den = self.threshold.numerator, self.threshold.denominator
+        if self.inertia == (0, kappa):
+            lo = max(lo, num // den + 1)         # floor(threshold) + 1
+        elif self.inertia == (1, kappa - 1):
+            hi = min(hi, -(-num // den) - 1)     # ceil(threshold) - 1
+        else:
+            return ()
+        scale, offset = self.scale, self.offset
         return tuple(c for c in range(lo, hi + 1)
-                     if c != self.threshold and self.signature(c) == (1, kappa)
-                     and _is_square(abs(self.determinant(c))))
+                     if _is_square(abs(scale * c - offset)))
 
 
 def solve_b_prime(spec: GroupSpec, res: ResolutionData,
@@ -559,9 +571,10 @@ def solve_b_prime(spec: GroupSpec, res: ResolutionData,
     unique rational solution, which lands on the integer b_Gamma - 3.  The
     lattice route eliminates the configuration once (``CentrePencil``):
     det(c) = det_res * A * (c - s), and the signature changes only at the
-    threshold s, so every integer c of the window [min(1, seifert) - 4,
-    10 b_Gamma] is tested for signature (1, kappa) and a square |det| in
-    constant time (b_Gamma is minus the resolution's centre weight).  The
+    threshold s, so the side of s with signature (1, kappa) is decided once
+    and each of its integers c in the window [min(1, seifert) - 4,
+    10 b_Gamma] is tested for a square |det| in integer arithmetic
+    (b_Gamma is minus the resolution's centre weight).  The
     two routes must meet in a single value.  The compactification star at
     that value is then eliminated in full, once, and with the resolution's
     pivots gives the configuration's signature and determinant; they must

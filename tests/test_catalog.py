@@ -70,6 +70,16 @@ def test_a_parameter_that_is_not_an_int_is_refused(family, params, value):
     GroupSpec(family, **params)
 
 
+@pytest.mark.parametrize("q,p", [(1, "5"), ("1", 5), (True, 5), (1, True),
+                                 (2.0, 5)],
+                         ids=["p-str", "q-str", "q-bool", "p-bool", "q-float"])
+def test_the_cyclic_factory_passes_a_non_int_to_the_constructor(q, p):
+    # reducing q mod p first would raise TypeError, or turn True into 1
+    name = "q" if type(q) is not int else "p"
+    with pytest.raises(InvalidParameters, match=f"{name} must be an int"):
+        GroupSpec.cyclic(q, p)
+
+
 def test_cyclic_factory_normalizes():
     assert GroupSpec.cyclic(-3, 5).q == 2
     assert GroupSpec.cyclic(7, 5).q == 2

@@ -7,10 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import u2sing.hj
 import u2sing.sweep
 from u2sing.catalog import CyclicType, canonical_cyclic
 from u2sing.hj import cf_value, continuant, dual_type, hj_entries, hj_string
-from u2sing.sweep import VerifySummary, check_hj_roundtrip
+from u2sing.sweep import (VerifySummary, check_hj_roundtrip,
+                          config_from_mapping, verify)
 
 
 def test_hj_string_examples():
@@ -86,12 +88,54 @@ def _sweep_with(monkeypatch, strings):
     ({}, ""),
     ({(2, 5): (3, 3)}, "round trip failed at L(2,5)"),
     ({(2, 3): (3, 1, 3)}, "round trip failed at L(2,3)"),   # right value
-    ({(3, 5): (2, 4)}, "reversal duality failed at L(2,5)"),
+    ({(3, 5): (2, 4)}, "round trip failed at L(3,5)"),
 ])
 def test_hj_round_trip_sweep_fails_on_a_wrong_string(monkeypatch, strings,
                                                      detail):
     assert _sweep_with(monkeypatch, strings) == (
         (1, [detail]) if detail else (0, []))
+
+
+def test_hj_round_trip_sweep_meets_every_coprime_pair_once(monkeypatch):
+    met = []
+
+    def recording(alpha, beta):
+        met.append((alpha, beta))
+        return hj_entries(alpha, beta)
+    monkeypatch.setattr(u2sing.sweep, "hj_entries", recording)
+    summary = VerifySummary()
+    check_hj_roundtrip(summary, 60)
+    assert summary.exit_code == 0
+    coprime = [(q, p) for p in range(2, 61) for q in range(1, p)
+               if math.gcd(q, p) == 1]
+    assert sorted(met) == sorted(coprime)
+    assert u2sing.sweep._totient_sum(60) == len(coprime)
+
+
+def test_hj_round_trip_sweep_counts_the_pairs(monkeypatch):
+    # phi(2) + ... + phi(30) is 277; a walk that meets another count missed
+    # or repeated a pair
+    monkeypatch.setattr(u2sing.sweep, "_totient_sum", lambda n: 278)
+    summary = VerifySummary()
+    check_hj_roundtrip(summary, 30)
+    assert summary.failures == [
+        ("global", "hj_round_trip_sweep",
+         "the walk met 277 pairs, not the 278 coprime pairs with p <= 30")]
+
+
+def test_verify_still_checks_continuant(monkeypatch):
+    # the global round trip generates continuants inline; each spec's
+    # hj_round_trip check reads hj.continuant through cf_value
+    real = u2sing.hj.continuant
+    monkeypatch.setattr(u2sing.hj, "continuant",
+                        lambda s: (real(s)[0], real(s)[1] + 1))
+    summary = verify(config_from_mapping({"families": "cyclic", "p_max": "30"}))
+    ok, bad = summary.passed_failed("hj_round_trip")
+    assert bad > 0 and summary.exit_code == 1
+    assert summary.passed_failed("hj_round_trip_sweep") == (1, 0)
+    # the b' oracle of the kappa spots reads cf_value too: its refusal is
+    # recorded, and the sweep still ends with a summary
+    assert summary.passed_failed("kappa_spot_values") == (0, 3)
 
 
 def test_dual_type_examples():

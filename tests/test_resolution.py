@@ -7,6 +7,8 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from u2sing import resolution
 from u2sing.catalog import (EQ_TOL, KEY_SCALE, Family, GroupSpec,
@@ -479,6 +481,46 @@ def test_b_prime_pencil_matches_scan():
         got = (bp.value, bp.lattice_candidates, bp.window, bp.determinant,
                bp.signature)
         assert got == scan_b_prime(spec), spec.label()
+
+
+# The pencil's window scan before the integer one: each c compared with the
+# Fraction threshold, its signature read on both sides.  Kept as the
+# reference the one-sided integer scan must reproduce.
+
+def fraction_scan(pencil, lo, hi, kappa):
+    return tuple(c for c in range(lo, hi + 1)
+                 if c != pencil.threshold and pencil.signature(c) == (1, kappa)
+                 and resolution._is_square(abs(pencil.determinant(c))))
+
+
+def test_integer_window_scan_matches_the_fraction_scan_on_the_pipeline():
+    for spec in SMALL_NONCYCLIC:
+        res = table_resolution(spec)
+        bp = table_b_prime(spec)
+        pencil = CentrePencil.of(res.pivots, dual_strings(res))
+        lo, hi = bp.window
+        got = pencil.lattice_candidates(lo, hi, bp.kappa)
+        assert got == fraction_scan(pencil, lo, hi, bp.kappa), spec.label()
+        assert got == bp.lattice_candidates
+
+
+@given(st.integers(-30, 30), st.integers(1, 6),
+       st.sampled_from((-4, -3, -2, -1, 1, 2, 3, 4)),
+       st.integers(0, 2), st.integers(0, 6), st.integers(0, 6),
+       st.integers(-40, 40), st.integers(-40, 40))
+@example(3, 1, 1, 0, 5, 5, -10, 30)      # integer threshold, above it
+@example(-7, 2, 1, 1, 4, 5, -20, 10)     # half-integer threshold, below it
+@example(3, 1, -1, 1, 4, 5, -10, 30)     # integer threshold, below it
+@example(3, 1, 1, 1, 1, 5, -10, 30)      # neither side gives (1, kappa)
+@settings(max_examples=300, deadline=None)
+def test_integer_window_scan_matches_the_fraction_scan(num, den, k, pos, neg,
+                                                        kappa, dlo, dhi):
+    threshold = F(num, den)
+    scale = k * threshold.denominator    # det(c) = scale * (c - threshold)
+    pencil = CentrePencil((pos, neg), scale, int(scale * threshold), threshold)
+    lo, hi = math.floor(threshold) + dlo, math.floor(threshold) + dhi
+    assert pencil.lattice_candidates(lo, hi, kappa) == fraction_scan(
+        pencil, lo, hi, kappa)
 
 
 def test_pencil_skips_the_degenerate_centre():
