@@ -402,10 +402,13 @@ _KEY_STRUCT = struct.Struct("=6q")      # native int64, as _row_keys' view
 
 
 def _canonical_row(g: _Row) -> _Row:
-    """``_canonical_rows`` for one (a, b1, b2) row, where |a| = 1."""
-    a = g[0]
-    s = a.real if abs(a.real) > EQ_TOL else a.imag
-    return g if s > 0 else (-g[0], -g[1], -g[2])
+    """``_canonical_rows`` for one row: its first real coordinate beyond
+    EQ_TOL is positive."""
+    a, b1, b2 = g
+    for x in (a.real, a.imag, b1.real, b1.imag, b2.real, b2.imag):
+        if abs(x) > EQ_TOL:
+            return g if x > 0 else (-a, -b1, -b2)
+    return g
 
 
 def _row_key(g: _Row) -> bytes:

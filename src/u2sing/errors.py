@@ -23,7 +23,10 @@ class NotCoprime(U2SingError):
 
 
 class OrbitCountMismatch(U2SingError):
-    """Singular-orbit computation did not find exactly three orbits."""
+    """The singular orbits could not be read from the Mobius image: it has
+    the wrong number of elements, it is not closed under products, a pole
+    stabilizer's normalizer has an order other than one or two times its
+    own, or there are not exactly three orbits."""
 
 
 class TableDisagreement(U2SingError):

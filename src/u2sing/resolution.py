@@ -6,15 +6,18 @@ module computes the three types twice:
 
   * by the family table (dihedral-shaped families get {L(1,2), L(1,2),
     L(-m,n)}, the tetrahedral product {L(1,2), L(-m,3), L(-m,3)}, and so on),
-  * and algorithmically: project the group to its Mobius action on the Hopf
-    base (one coset per Mobius map, found by the enumeration's key pass),
-    find the fixed points of the non-identity cosets, partition them
-    into orbits (all cosets act on all fixed points as one numpy array), and
-    read the tangent/normal rotation numbers of a stabilizer generator off
-    the Rayleigh quotient of its unitary matrix at the matched fixed point,
-    which is the eigenvalue on the point's line (the normal direction
-    carries the 2m-th power because the model fiber is a degree-2m
-    quotient).
+  * and algorithmically, from the enumerated group alone: project it to
+    its Mobius action on the Hopf base (one coset per Mobius map, found by
+    the enumeration's key pass), build the image's product table from the
+    grid keys of the cosets' products, and read the pole orbits from it
+    exactly: each conjugacy class of pole stabilizers (the largest cyclic
+    subgroups) gives one orbit or two, as its normalizer swaps a stabilizer's
+    two poles or not.  The type at a pole is read from the eigen data of a
+    stabilizer generator: the tangent rotation is the ratio of its
+    eigenvalues, and the normal direction carries the 2m-th power of the
+    eigenvalue on the pole's line, because the model fiber is a degree-2m
+    quotient.  The only float decisions are the sign rule, the grid keys
+    and the residue snaps.
 
 The minimal resolution is the star-shaped plumbing with central weight
 -b_Gamma and one Hirzebruch-Jung string per singularity (first entry adjacent
@@ -55,7 +58,6 @@ trust them too.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -70,8 +72,6 @@ from .errors import (AmbiguousCandidate, CrossCheckFailure, InvalidParameters,
                      MalformedGraph, NoCandidate, OrbitCountMismatch,
                      TableDisagreement)
 from .hj import cf_value, dual_type, hj_string
-
-POINT_TOL = 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -223,78 +223,66 @@ def _coset_indices(group: FiniteGroup) -> np.ndarray:
     return np.array(_fresh_indices(_row_keys(su2), set()))
 
 
-def _sphere_vecs(z: np.ndarray) -> np.ndarray:
-    """Unit-sphere embedding of homogeneous points (z1, z2) ~ z1/z2, shape
-    (..., 2) -> (..., 3); chordal distance is Euclidean distance there, and
-    oo = (1, 0) needs no special case."""
-    z1, z2 = z[..., 0], z[..., 1]
-    n1, n2 = np.abs(z1) ** 2, np.abs(z2) ** 2
-    w = 2 * z1 * np.conj(z2)
-    return np.stack([w.real, w.imag, n1 - n2], axis=-1) / (n1 + n2)[..., None]
+def _mobius_table(su2: np.ndarray) -> np.ndarray | None:
+    """The product table of the Mobius image, or None if it is not closed.
 
-
-def _singular_points(mats: np.ndarray) -> np.ndarray:
-    """Fixed points of the non-identity maps, homogeneous and unit length;
-    points within POINT_TOL of an earlier one are dropped, so the first
-    occurrence in coset order is kept."""
-    b1, b2 = mats[:, 0, 0], mats[:, 1, 0]
-    moving = (np.abs(b2) > 1e-7) | (np.abs(b1 - np.conj(b1)) > 1e-7)
-    a, b, c, d = (x[moving, None] for x in (b1, mats[:, 0, 1], b2, mats[:, 1, 1]))
-    # Eigenvalues e^{+-i phi}, cos(phi) = Re(a); each eigenvector is
-    # (b, lam - a) or (lam - d, c), whichever is longer.
-    lam = a.real + np.sqrt(1.0 - np.clip(a.real, -1.0, 1.0) ** 2) * np.array([1j, -1j])
-    v1 = np.stack(np.broadcast_arrays(b, lam - a), -1)
-    v2 = np.stack(np.broadcast_arrays(lam - d, c), -1)
-    n1, n2 = np.abs(v1).sum(axis=-1), np.abs(v2).sum(axis=-1)
-    cand = np.where((n1 >= n2)[..., None], v1, v2).reshape(-1, 2)
-    cand /= np.sqrt((np.abs(cand) ** 2).sum(axis=-1))[:, None]
-    vecs = _sphere_vecs(cand)
-    close = _chordal(vecs, vecs) < POINT_TOL
-    return cand[~np.tril(close, -1).any(axis=1)]
-
-
-def _chordal(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Chordal distances |x_i - y_j| between unit sphere vectors, shape
-    (len(x), len(y)).  The difference keeps matched points at the rounding
-    level (about 1e-15), where sqrt(2 - 2 x.y) bottoms out near 2e-8."""
-    d = x[:, None, :] - y[None, :, :]
-    return np.sqrt(np.einsum("ijx,ijx->ij", d, d))
-
-
-def _orbit(mats: np.ndarray, point: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Index of the target (a unit sphere vector) nearest to each map's
-    image of ``point``; every image must lie within POINT_TOL of it
-    (chordal distance)."""
-    images = _sphere_vecs(np.einsum("gij,j->gi", mats, point))
-    dist = _chordal(images, targets)
-    if not (dist.min(axis=1) < POINT_TOL).all():
-        raise OrbitCountMismatch("orbit left the fixed-point set")
-    return dist.argmin(axis=1)
-
-
-def _tangent_normal(su2: np.ndarray, phase: complex, point: np.ndarray,
-                    p_orb: int, m: int) -> tuple[int, int] | None:
-    """Rotation numbers (t, u) of a stabilizer element at a fixed point.
-
-    ``su2`` is the normalized SU(2) part S of the stabilizing coset (its
-    Mobius matrix), ``phase`` the unit left entry a/|a| of its row, and
-    ``point`` the unit homogeneous fixed point (z1, z2) that ``_orbit``
-    matched.  The point is an eigenvector of S, so the Rayleigh quotient
-    s = <point, S point> is its eigenvalue and s-bar the other one; the
-    row's matrix phase * S has eigenvalue mu2 = phase * s on the point's
-    line and mu1 = phase * s-bar on the tangent line.  Then
-    mu1/mu2 = e^{2 pi i t/p} is the tangent rotation and
-    mu2^{2m} = e^{2 pi i u/p} the rotation of the degree-2m normal fiber.
-    Both are the same for every row of the coset.  Returns None for the
-    identity coset.
+    ``su2`` holds the SU(2) parts (b1, b2) of the h coset rows, identity
+    first.  Entry (i, j) is the index of the coset whose sign-fixed part
+    has the grid key of the quaternion product s_i s_j, through the same
+    sign rule and keys as the cosets themselves.
     """
-    s = complex(np.vdot(point, su2 @ point))
-    if abs(s.imag) < 1e-9:
-        return None                      # S = +-1: identity on the base
-    mu1, mu2 = phase * s.conjugate(), phase * s
-    t = _snap_residue(cmath.phase(mu1 / mu2), p_orb)
-    u = _snap_residue(cmath.phase(mu2 ** (2 * m)), p_orb)
-    return t, u
+    x1, x2 = su2[:, None, 0], su2[:, None, 1]
+    y1, y2 = su2[None, :, 0], su2[None, :, 1]
+    prod = np.stack([x1 * y1 - x2 * np.conj(y2), x1 * y2 + x2 * np.conj(y1)], -1)
+    index = {k: i for i, k in enumerate(_row_keys(_canonical_rows(su2)))}
+    keys = _row_keys(_canonical_rows(prod.reshape(-1, 2)))
+    try:
+        table = np.fromiter(map(index.__getitem__, keys), int, len(keys))
+    except KeyError:
+        return None
+    return table.reshape(len(su2), len(su2))
+
+
+def _stabilizers(table: np.ndarray) -> Iterator[tuple[int, int, int]]:
+    """(generator, order, normalizer order) of one cyclic group C per
+    conjugacy class of the pole stabilizers of the rotation group with
+    product ``table`` (identity at index 0).
+
+    Every non-identity rotation turns about one axis, and the rotations
+    about it form a cyclic group, the stabilizer of either pole: the
+    largest cyclic subgroup that holds the rotation.  Elements are taken
+    by decreasing order, so one that no stabilizer found so far holds
+    generates a new one, C; every conjugate kCk^-1 is marked as found, and
+    the k with kCk^-1 = C count the normalizer N(C).
+    """
+    h = len(table)
+    powers = [np.arange(h)]                  # powers[k][i] = i^(k+1)
+    for _ in range(h - 1):
+        powers.append(table[powers[-1], powers[0]])
+    powers = np.array(powers)
+    order = (powers == 0).argmax(axis=0) + 1
+    inverse = (table == 0).argmax(axis=1)
+    found = order == 1
+    for g in np.argsort(-order, kind="stable"):
+        if found[g]:
+            continue
+        c = powers[:order[g], g]
+        conjugates = np.sort(table[table[:, c], inverse[:, None]], axis=1)
+        found[conjugates] = True
+        normalizer = np.count_nonzero((conjugates == np.sort(c)).all(axis=1))
+        yield int(g), int(order[g]), normalizer
+
+
+def _pole_type(theta: float, phi: float, p: int, m: int) -> CyclicType:
+    """The type at a pole of a stabilizer of order p, from a generator's row
+    a * S with a = e^{i theta}: S has eigenvalue e^{i phi} on the pole's
+    line and e^{-i phi} on the tangent line, so the tangent rotation is
+    e^{-2 i phi} = e^{2 pi i t/p} and the degree-2m normal fiber turns by
+    e^{2m i (theta + phi)} = e^{2 pi i u/p}; the type is L(t^-1 u, p).  The
+    other pole of the same axis is phi -> -phi."""
+    t = _snap_residue(-2 * phi, p)
+    u = _snap_residue(2 * m * (theta + phi), p)
+    return canonical_cyclic(pow(t, -1, p) * u, p)
 
 
 def algorithmic_singularities(spec: GroupSpec, group: FiniteGroup
@@ -302,16 +290,13 @@ def algorithmic_singularities(spec: GroupSpec, group: FiniteGroup
     """Compute the three orbifold types from the Mobius action of the
     enumerated ``group`` of ``spec``.
 
-    The h maps of the Mobius image form one (h, 2, 2) array acting on
-    fixed points in homogeneous coordinates (z1, z2), so oo is no special
-    case.  The fixed points of the non-identity maps are merged within
-    POINT_TOL, keeping the first in coset order; every map is applied to
-    the first point of each orbit at once and each image is matched to its
-    nearest point in one chordal-distance array.  There must be exactly
-    three orbits.  At the first point of each orbit the stabilizer (the maps
-    whose image of it matches it) must have order h / |orbit|, and its first
-    element in coset order that generates it gives the type through
-    ``_tangent_normal``.  The family table is never consulted.
+    The singular points are the poles of the image's rotations, and their
+    orbits are read from the image's product table (``_mobius_table``).
+    The poles of a stabilizer C (``_stabilizers``) are one orbit of size
+    h/|C| when N(C) swaps them, |N(C)| = 2|C|, and two orbits when
+    |N(C)| = |C|; there must be exactly three orbits.  Each type is read
+    at one pole per orbit from the eigen data of a generator's row
+    (``_pole_type``).  The family table is never consulted.
     """
     h = spec.pgl_image_order()
     coset_idx = _coset_indices(group)
@@ -319,47 +304,21 @@ def algorithmic_singularities(spec: GroupSpec, group: FiniteGroup
         raise OrbitCountMismatch(
             f"{spec.label()}: Mobius image has {len(coset_idx)} elements, expected {h}")
     rows = group.rows[coset_idx]
-    phases = rows[:, 0] / np.abs(rows[:, 0])
-    su2 = rows[:, 1:3]
-    b1, b2 = (su2 / np.sqrt((np.abs(su2) ** 2).sum(axis=1))[:, None]).T
-    mats = np.stack([np.stack([b1, -np.conj(b2)], -1),      # the Mobius matrix
-                     np.stack([b2, np.conj(b1)], -1)], -2)
-    points = _singular_points(mats)
-
-    targets = _sphere_vecs(points)
-    orbit_of = np.full(len(points), -1)
-    orbits = []                          # (first point, image of it under each map)
-    for i in range(len(points)):
-        if orbit_of[i] < 0:
-            images = _orbit(mats, points[i], targets)
-            orbit_of[images] = len(orbits)
-            orbits.append((i, images))
-    if len(orbits) != 3:
-        raise OrbitCountMismatch(
-            f"{spec.label()}: found {len(orbits)} singular orbits, expected 3")
-
-    types: list[CyclicType] = []
-    for r, images in orbits:
-        size = len(set(images.tolist()))
-        if h % size != 0:
-            raise OrbitCountMismatch("orbit size does not divide the group order")
-        p_orb = h // size
-        stab = np.flatnonzero(images == r)
-        if len(stab) != p_orb:
+    table = _mobius_table(rows[:, 1:3])
+    if table is None:
+        raise OrbitCountMismatch(f"{spec.label()}: the Mobius image is not closed")
+    theta, phi = FiniteGroup(rows).eigen_data()
+    types = []
+    for g, p, normalizer in _stabilizers(table):
+        if normalizer not in (p, 2 * p):
             raise OrbitCountMismatch(
-                f"stabilizer order {len(stab)} != {p_orb} at a singular point")
-        for g in stab:
-            tn = _tangent_normal(mats[g], complex(phases[g]), points[r],
-                                 p_orb, spec.m)
-            if tn is None:
-                continue
-            t, u = tn
-            if math.gcd(t, p_orb) == 1:
-                u_norm = (pow(t, -1, p_orb) * u) % p_orb
-                types.append(canonical_cyclic(u_norm, p_orb))
-                break
-        else:
-            raise OrbitCountMismatch("no generator found in a cyclic stabilizer")
+                f"{spec.label()}: a pole stabilizer of order {p} has a "
+                f"normalizer of order {normalizer}")
+        signs = (1, -1) if normalizer == p else (1,)
+        types += [_pole_type(theta[g], s * phi[g], p, spec.m) for s in signs]
+    if len(types) != 3:
+        raise OrbitCountMismatch(
+            f"{spec.label()}: found {len(types)} singular orbits, expected 3")
     return tuple(sorted(types))
 
 

@@ -3,12 +3,17 @@
 A row (a, b1, b2) is the quaternion pair [a, b1 + b2*jhat] with a circle left
 member; pairs compose by [a1, beta1] o [a2, beta2] = [a1*a2, beta2*beta1]
 (apply the right operand first) and are equal up to joint negation.  Every
-function here works on one row of Python complex numbers at a time, so it
-shares no code with the (N, 3) array paths of the library.
+row function here works on one row of Python complex numbers at a time, so
+it shares no code with the (N, 3) array paths of the library; ``sphere``
+places points of the Hopf base with the float reference route's embedding.
 """
 
 import cmath
 import math
+
+import numpy as np
+
+from mobius_float import _sphere_vecs
 
 KEY_SCALE = 1e6
 
@@ -83,3 +88,8 @@ def mobius(g):
     n = math.sqrt(abs(b1) ** 2 + abs(b2) ** 2)
     b1, b2 = b1 / n, b2 / n
     return [[b1, -b2.conjugate()], [b2, b1.conjugate()]]
+
+
+def sphere(z):
+    """Hopf image of homogeneous points (..., 2) on the unit sphere."""
+    return _sphere_vecs(np.asarray(z, dtype=complex))

@@ -9,10 +9,12 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import u2sing
 import u2sing.catalog
-from u2sing.catalog import (FAMILIES, KEY_SCALE, CyclicType, Family,
+from u2sing.catalog import (EQ_TOL, FAMILIES, KEY_SCALE, CyclicType, Family,
                             GroupSpec, _canonical_row, _canonical_rows,
                             _row_key, _row_keys, canonical_cyclic,
                             cyclic_equivalent_type, dimino_closure,
@@ -483,6 +485,22 @@ def test_scalar_keys_are_the_array_keys(spec):
     raw = rows * signs[:, None]             # every third row's other sign
     assert ([_row_key(_canonical_row(g)) for g in raw.tolist()]
             == _row_keys(_canonical_rows(raw)) == _row_keys(rows))
+
+
+_COORDINATE = st.one_of(st.just(0.0), st.floats(-1e-9, 1e-9),
+                        st.floats(-2.0, 2.0))
+
+
+@given(st.lists(_COORDINATE, min_size=6, max_size=6), st.booleans())
+@settings(max_examples=300)
+def test_scalar_sign_rule_is_the_array_sign_rule(coords, a_is_zero):
+    # Both fix the sign by the first real coordinate beyond EQ_TOL of all
+    # six, also where a = 0 leaves it to b1 or b2.
+    if a_is_zero:
+        coords[:2] = [0.0, 0.0]
+    assume(any(abs(x) > EQ_TOL for x in coords))
+    g = tuple(complex(x, y) for x, y in zip(coords[0::2], coords[1::2]))
+    assert _canonical_row(g) == tuple(_canonical_rows(np.array([g]))[0].tolist())
 
 
 def test_scalar_keys_round_half_to_even_like_the_array_keys():

@@ -10,10 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from u2sing.catalog import FiniteGroup, GroupSpec, generators_of
-from u2sing.resolution import _singular_points, _sphere_vecs
 
+from mobius_float import _singular_points
 from rowalg import (compose, equivalent, inverse, key, matrix, mobius, power,
-                    qmul, row, scalar)
+                    qmul, row, scalar, sphere)
 
 RNG = np.random.default_rng(20240809)
 
@@ -44,11 +44,6 @@ def eigen_angles(g):
     (theta,), (phi,) = FiniteGroup(np.array([g])).eigen_data()
     return tuple(sorted(float(x) % (2 * math.pi)
                         for x in (theta + phi, theta - phi)))
-
-
-def sphere(z):
-    """Hopf image of homogeneous points (..., 2) on the unit sphere."""
-    return _sphere_vecs(np.asarray(z, dtype=complex))
 
 
 def same_point(z, w, tol):

@@ -11,19 +11,22 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from u2sing import resolution
-from u2sing.catalog import (EQ_TOL, KEY_SCALE, Family, GroupSpec,
+from u2sing.catalog import (EQ_TOL, KEY_SCALE, Family, FiniteGroup, GroupSpec,
                             canonical_cyclic, enumerate_group)
 from u2sing.errors import (CrossCheckFailure, InvalidParameters,
-                           MalformedGraph, OrbitCountMismatch)
+                           MalformedGraph, NotCoprime, OrbitCountMismatch,
+                           SnapFailure, TableDisagreement, U2SingError)
 from u2sing.hj import cf_value, dual_type, hj_string
 from u2sing.resolution import (CentrePencil, CurveConfiguration, PlumbingGraph,
-                               _coset_indices, _inertia, _integer_det, _orbit,
-                               _singular_points, _sphere_vecs,
+                               _coset_indices, _inertia, _integer_det,
                                algorithmic_singularities, graph_to_dot,
                                resolution_graph, singularity_triple,
                                table_singularities)
 from u2sing.sweep import SweepConfig, specs_in_sweep
 
+import mobius_float
+from mobius_float import (_orbit, _singular_points, _sphere_vecs,
+                          float_singularities)
 from rowalg import matrix, mobius, scalar
 from stages import (dual_strings, table_b, table_b_prime,
                     table_compactification, table_resolution)
@@ -105,21 +108,21 @@ def _residue(z, p):
 
 def _su2_and_phase(row):
     """The normalized SU(2) matrix and the unit left entry of a scalar row:
-    what algorithmic_singularities hands _tangent_normal for its coset."""
+    what the float route hands _tangent_normal for its coset."""
     return np.array(mobius(row)), row[0] / abs(row[0])
 
 
 def _recording_tangent_normal(monkeypatch):
-    """The real _tangent_normal, and a dict that collects each fixed point
-    (with its stabilizer order) that algorithmic_singularities reads a type
-    at, once the returned recorder is patched in."""
-    real, points = resolution._tangent_normal, {}
+    """The float route's real _tangent_normal, and a dict that collects each
+    fixed point (with its stabilizer order) that float_singularities reads a
+    type at, once the returned recorder is patched in."""
+    real, points = mobius_float._tangent_normal, {}
 
     def recording(su2, phase, point, p_orb, m):
         points[point.tobytes()] = (point, p_orb)
         return real(su2, phase, point, p_orb, m)
 
-    monkeypatch.setattr(resolution, "_tangent_normal", recording)
+    monkeypatch.setattr(mobius_float, "_tangent_normal", recording)
     return real, points
 
 
@@ -130,7 +133,7 @@ def test_tangent_normal_matches_the_rayleigh_quotient(spec, monkeypatch):
     # that fixes a point the algorithm reads a type at is checked there.
     real, points = _recording_tangent_normal(monkeypatch)
     group = enumerate_group(spec)
-    assert algorithmic_singularities(spec, group) == table_singularities(spec)
+    assert float_singularities(spec, group) == table_singularities(spec)
     assert len(points) == 3
     reps = scalar(group.rows[_coset_indices(group)])
     for point, p in points.values():
@@ -159,7 +162,7 @@ def test_tangent_normal_is_the_same_for_every_row_of_a_coset(spec,
     # element) must give the same rotation numbers.
     real, points = _recording_tangent_normal(monkeypatch)
     group = enumerate_group(spec)
-    algorithmic_singularities(spec, group)
+    float_singularities(spec, group)
     assert len(points) == 3
     reps = np.array([mobius(r)
                      for r in scalar(group.rows[_coset_indices(group)])])
@@ -183,41 +186,107 @@ def test_tangent_normal_is_the_same_for_every_row_of_a_coset(spec,
             assert len(set(tns)) == 1, tns
 
 
-def _swapped_tangent_normal(su2, phase, point, p_orb, m):
-    """_tangent_normal with mu1 and mu2 exchanged (the eigenline mutant)."""
-    s = complex(np.vdot(point, su2 @ point))
-    if abs(s.imag) < 1e-9:
-        return None
-    mu1, mu2 = phase * s, phase * s.conjugate()
-    return _residue(mu1 / mu2, p_orb), _residue(mu2 ** (2 * m), p_orb)
+@pytest.mark.parametrize("spec", ONE_PER_FAMILY, ids=GroupSpec.key)
+def test_swapped_eigenlines_are_an_equivalent_mutant(spec, monkeypatch):
+    # Reading every type with phi -> -phi swaps the eigenlines: it reads
+    # each stabilizer at its other pole.  A one-orbit class has both poles
+    # in one orbit, and a two-orbit class reads both anyway, so the sorted
+    # triple cannot change and no check can kill the flip.
+    real, calls = resolution._pole_type, []
+
+    def flipped(theta, phi, p, m):
+        calls.append((theta, phi, p, m))
+        return real(theta, -phi, p, m)
+
+    monkeypatch.setattr(resolution, "_pole_type", flipped)
+    trip = singularity_triple(spec, enumerate_group(spec))
+    assert trip.types == table_singularities(spec)
+    assert not trip.conjugate_equivalence_used
+    assert len(calls) == 3
+
+
+# -- the product-table route against the float reference and the table ------
+
+@pytest.mark.parametrize(
+    "spec", list(dict.fromkeys([s for s, _ in TRIPLE_CASES] + ONE_PER_FAMILY)),
+    ids=GroupSpec.key)
+def test_table_route_agrees_with_the_float_route_and_the_table(spec):
+    group = enumerate_group(spec)
+    got = algorithmic_singularities(spec, group)
+    assert got == float_singularities(spec, group) == table_singularities(spec)
+
+
+def _catalog_specs(build, *params):
+    """The specs ``build`` makes from drawn parameters; a draw outside the
+    catalog (its gcd condition fails) is filtered out."""
+    def make(args):
+        try:
+            return build(*args)
+        except InvalidParameters:
+            return None
+    return st.tuples(*params).map(make).filter(lambda spec: spec is not None)
+
+
+# The default sweep stops at m = 120 and n = 24.
+PAST_THE_SWEEP = st.one_of(
+    _catalog_specs(GroupSpec.dihedral, st.integers(1, 15), st.integers(2, 200)),
+    _catalog_specs(GroupSpec.index2, st.integers(1, 8).map(lambda k: 2 * k),
+                   st.integers(2, 200)),
+    *(_catalog_specs(build, st.integers(1, 2000))
+      for build in (GroupSpec.tetrahedral, GroupSpec.octahedral,
+                    GroupSpec.icosahedral, GroupSpec.index3)))
+
+
+@given(PAST_THE_SWEEP)
+@settings(max_examples=20, deadline=None)
+def test_table_route_agrees_past_the_sweep_bounds(spec):
+    group = enumerate_group(spec)
+    got = algorithmic_singularities(spec, group)
+    assert got == float_singularities(spec, group) == table_singularities(spec)
+
+
+# -- mutants of the table route ----------------------------------------------
+
+@pytest.mark.parametrize("spec", ONE_PER_FAMILY, ids=GroupSpec.key)
+def test_a_corrupted_coset_row_leaves_the_image_open(spec):
+    # Every row of one non-identity coset (SU(2) part +-s) gets e^{i eps} s
+    # instead, so the cosets keep their number but the image is no group.
+    group = enumerate_group(spec)
+    rows, su2 = group.rows.copy(), group.rows[:, 1:3]
+    s = su2[_coset_indices(group)[1]]
+    rows[np.abs((su2 @ s.conj()).real) > 1 - 1e-9, 1:3] *= np.exp(1e-3j)
+    with pytest.raises(OrbitCountMismatch, match="Mobius image is not closed"):
+        algorithmic_singularities(spec, FiniteGroup(rows))
 
 
 @pytest.mark.parametrize("spec", ONE_PER_FAMILY, ids=GroupSpec.key)
-def test_swapped_eigenlines_are_an_equivalent_mutant(spec, monkeypatch):
-    # Swapping mu1 and mu2 reads the same stabilizer at the antipodal point
-    # v-perp = (-conj z2, conj z1): the other fixed point of the rotation,
-    # whose Rayleigh quotient is s-bar.  v-perp lies in an orbit with the
-    # same stabilizer order, so the sorted triple cannot change and no
-    # check can kill the swap.
-    real, points = _recording_tangent_normal(monkeypatch)
-    group = enumerate_group(spec)
-    algorithmic_singularities(spec, group)
-    assert len(points) == 3
-    compared = 0
-    for point, p in points.values():
-        perp = np.array([-np.conj(point[1]), np.conj(point[0])])
-        for row in scalar(group.rows[_coset_indices(group)]):
-            su2, phase = _su2_and_phase(row)
-            if abs(abs(np.vdot(point, su2 @ point)) - 1) > 1e-9:  # moves it
-                continue
-            swapped = _swapped_tangent_normal(su2, phase, point, p, spec.m)
-            assert swapped == real(su2, phase, perp, p, spec.m)
-            compared += swapped is not None
-    assert compared > 0
-    monkeypatch.setattr(resolution, "_tangent_normal", _swapped_tangent_normal)
-    trip = singularity_triple(spec, group)
-    assert trip.types == table_singularities(spec)
-    assert not trip.conjugate_equivalence_used
+def test_ignoring_the_normalizer_is_caught(spec, monkeypatch):
+    # Every class of stabilizers read as two orbits, whatever N(C) is.
+    real = resolution._stabilizers
+    monkeypatch.setattr(resolution, "_stabilizers",
+                        lambda table: ((g, p, p) for g, p, _ in real(table)))
+    with pytest.raises((OrbitCountMismatch, TableDisagreement)):
+        singularity_triple(spec, enumerate_group(spec))
+
+
+@pytest.mark.parametrize("shift,errors", [
+    (1, {NotCoprime, SnapFailure}),
+    (2, {NotCoprime, SnapFailure, TableDisagreement}),
+])
+def test_a_wrong_normal_degree_is_caught(shift, errors, monkeypatch):
+    # m + shift in place of m in the normal rotation e^{2m i (theta + phi)}.
+    # Shifted by one, the normal rotation is no unit residue, or no residue
+    # at all, on every spec here; shifted by two, it also gives types that
+    # only the family table refutes.
+    real = resolution._pole_type
+    monkeypatch.setattr(resolution, "_pole_type",
+                        lambda theta, phi, p, m: real(theta, phi, p, m + shift))
+    caught = set()
+    for spec in ONE_PER_FAMILY:
+        with pytest.raises(U2SingError) as err:
+            singularity_triple(spec, enumerate_group(spec))
+        caught.add(err.type)
+    assert caught == errors
 
 
 def test_singularity_rejects_cyclic():
