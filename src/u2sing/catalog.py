@@ -294,20 +294,20 @@ EQ_TOL = 1e-9
 # Multiply by KEY_SCALE rather than divide by the grid 1e-6: x / 1e-6 and
 # x * 1e6 differ in the last bit for many x, and a key can sit on a midpoint.
 KEY_SCALE = 1e6
-# The default tolerance of the float checks that take one: eigenvalue 1
-# (freeness), the character-sum snap and the Eisenstein residuals.
+# The fixed threshold of the three float decisions that read a tolerance.
+# Each reads it from its own module's globals when it runs, so a test
+# patches it where it is read.  Their margins on the default sweep:
+#   - freeness (``FiniteGroup.eigenvalue_one_count``): an element has
+#     eigenvalue 1 when an eigenvalue lies within it of 1; every other
+#     element's distance is >= 1.1e-3, the least at dihedral(119, 24);
+#   - the character-sum snap of ``invariants.dim_sfk``: worst residual
+#     5.2e-13;
+#   - the Eisenstein check ``sweep.check_eisenstein``: worst residual
+#     2.1e-12.
+# The other float decisions do not read it: ``_snap_residue`` snaps within
+# 1e-6 * modulus, row keys round on the 1 / KEY_SCALE grid, and the sign
+# rule compares coordinates to EQ_TOL.
 DEFAULT_TOLERANCE = 1e-6
-
-
-def validate_tolerance(tol: float) -> float:
-    """Return ``tol`` if it lies in (0, 1e-3]; raise InvalidParameters
-    otherwise (NaN included).  The one range check of a tolerance from
-    outside, for a sweep and for each subcommand that reads one: a looser
-    snap would pass residuals that are not near an integer, while a tiny
-    tolerance is legal and makes the float checks fail, as it should."""
-    if not (0.0 < tol <= 1e-3):
-        raise InvalidParameters("tolerance must lie in (0, 1e-3]")
-    return tol
 
 
 _ONE = (1.0, 0.0, 0.0, 0.0)
@@ -443,11 +443,11 @@ class FiniteGroup:
         c = np.clip(self.rows[:, 1].real, -1.0, 1.0)
         return theta, np.arccos(c)
 
-    def eigenvalue_one_count(self, tol: float = DEFAULT_TOLERANCE) -> int:
+    def eigenvalue_one_count(self) -> int:
         theta, phi = self.eigen_data()
         d1 = np.abs(np.exp(1j * (theta + phi)) - 1.0)
         d2 = np.abs(np.exp(1j * (theta - phi)) - 1.0)
-        return int(np.count_nonzero(np.minimum(d1, d2) < tol))
+        return int(np.count_nonzero(np.minimum(d1, d2) < DEFAULT_TOLERANCE))
 
 
 def generate_closure(generators: np.ndarray, max_order: int) -> FiniteGroup:
@@ -489,35 +489,52 @@ def generate_closure(generators: np.ndarray, max_order: int) -> FiniteGroup:
     return FiniteGroup(np.concatenate(chunks, axis=0))
 
 
+def _powers(gen: np.ndarray, start: int,
+            max_order: int) -> tuple[np.ndarray, list[bytes]]:
+    """The powers of one row (a, b1, 0), identity first, up to the first one
+    with the identity's grid key, and their keys: the order is found, not
+    assumed.  Powers k = 0..start are computed as one table from the angles
+    of a and b1, and the table doubles while the identity does not recur.
+    Raises ClosureOverflow past 2 * max_order elements, as the closures do."""
+    limit = 2 * max_order
+    a0, b0 = np.angle(gen[0]), np.angle(gen[1])
+    last = min(start, limit)
+    while True:
+        k = np.arange(last + 1)
+        rows = _canonical_rows(np.stack([np.exp(1j * a0 * k),
+                                         np.exp(1j * b0 * k),
+                                         np.zeros(last + 1, dtype=complex)],
+                                        axis=1))
+        keys = _row_keys(rows)
+        if keys[0] in keys[1:]:
+            order = keys.index(keys[0], 1)
+            return rows[:order], keys[:order]
+        if last == limit:
+            raise ClosureOverflow(
+                f"closure exceeded {limit} elements (expected {max_order})")
+        last = min(2 * last, limit)
+
+
 def dimino_closure(generators: np.ndarray, max_order: int) -> FiniteGroup:
     """Dimino's closure of the generator rows under composition.
 
-    The powers of the first generator come first, identity first, until the
-    identity's key recurs.  Each later generator that is not yet a member
-    extends the group G generated so far by whole right cosets G.r (each
-    element of G, then r): first r = the generator, then every product of a
-    coset representative and a generator so far that is not yet a member.
-    The powers and those products are composed one row at a time; each
-    coset is one block composition, keyed in one pass.  Deduplication is up
-    to joint negation, by the grid keys of ``_row_keys``.  Raises
-    ClosureOverflow past 2 * max_order elements, which signals numerical
-    drift rather than a genuine group.
+    The powers of the first generator, a row (a, b1, 0), come first (from
+    ``_powers``).  Each later generator that is not yet a member extends
+    the group G generated so far by whole right cosets G.r (each element of
+    G, then r): first r = the generator, then every product of a coset
+    representative and a generator so far that is not yet a member.  Those
+    products are composed one row at a time; each coset is one block
+    composition, keyed in one pass.  Deduplication is up to joint negation,
+    by the grid keys of ``_row_keys``.  Raises ClosureOverflow past
+    2 * max_order elements, which signals numerical drift rather than a
+    genuine group.
     """
-    gens = [_canonical_row(g)
-            for g in np.asarray(generators, dtype=complex).tolist()]
+    generators = np.asarray(generators, dtype=complex)
+    gens = [_canonical_row(g) for g in generators.tolist()]
     limit = 2 * max_order
     too_many = f"closure exceeded {limit} elements (expected {max_order})"
-    identity = (1.0 + 0j, 1.0 + 0j, 0j)
-    id_key = _row_key(identity)
-    powers, seen = [identity], {id_key}
-    g = gens[0]
-    while (k := _row_key(g)) != id_key:
-        powers.append(g)
-        seen.add(k)
-        if len(powers) > limit:
-            raise ClosureOverflow(too_many)
-        g = _canonical_row(_compose_row(g, gens[0]))
-    blocks = [np.array(powers)]
+    powers, keys = _powers(generators[0], 16, max_order)
+    blocks, seen = [powers], set(keys)
     order = len(powers)
 
     for i in range(1, len(gens)):
@@ -551,23 +568,9 @@ def dimino_closure(generators: np.ndarray, max_order: int) -> FiniteGroup:
 
 
 def _enumerate_cyclic(spec: GroupSpec) -> FiniteGroup:
-    """The powers of the one generator, identity first.  The order is found,
-    not assumed: it is the first k >= 1 whose power has the identity's grid
-    key.  Powers k = 0..p are computed, and k = 0..2p only when the p-th is
-    not the identity; past 2p the closure overflows, as the others do."""
-    gen = generators_of(spec)[0]
-    a0, b0 = np.angle(gen[0]), np.angle(gen[1])
-    for last in (spec.p, 2 * spec.p):
-        k = np.arange(last + 1)
-        rows = _canonical_rows(np.stack([np.exp(1j * a0 * k),
-                                         np.exp(1j * b0 * k),
-                                         np.zeros(last + 1, dtype=complex)],
-                                        axis=1))
-        keys = _row_keys(rows)
-        if keys[0] in keys[1:]:
-            return FiniteGroup(rows[:keys.index(keys[0], 1)])
-    raise ClosureOverflow(f"closure exceeded {2 * spec.p} elements "
-                          f"(expected {spec.p})")
+    """The powers of the one generator, identity first: k = 0..p, and
+    k = 0..2p only when the p-th is not the identity."""
+    return FiniteGroup(_powers(generators_of(spec)[0], spec.p, spec.p)[0])
 
 
 def enumerate_group(spec: GroupSpec) -> FiniteGroup:
@@ -590,11 +593,10 @@ def enumerate_gamma_prime(spec: GroupSpec) -> FiniteGroup:
 # Structural checks
 # ---------------------------------------------------------------------------
 
-def is_fixed_point_free(group: FiniteGroup,
-                        tol: float = DEFAULT_TOLERANCE) -> bool:
+def is_fixed_point_free(group: FiniteGroup) -> bool:
     """True iff no element besides the identity has eigenvalue 1 (no complex
     reflections, equivalently the action on S^3 is free)."""
-    return group.eigenvalue_one_count(tol) == 1
+    return group.eigenvalue_one_count() == 1
 
 
 def _snap_residue(angle: float, modulus: int) -> int:

@@ -27,10 +27,9 @@ when the compactification stage fails.  ``hj`` exits 2 for a pair that
 names no lens space (p < 1, or q and p not coprime), with ``resolve``'s
 wording; p = 1 gives the empty string of the trivial type.
 
-``--tolerance``, the snap tolerance of the float checks, must lie in
-(0, 1e-3]: ``describe``, ``resolve``, ``compactify``, ``export`` and
-``verify`` refuse any other value with exit 2 and one text, from the one
-check ``catalog.validate_tolerance``.  ``hj`` does not read it.
+The float checks compare against one fixed threshold,
+``catalog.DEFAULT_TOLERANCE``; no flag or config key sets it, and a
+``--tolerance`` flag is refused with exit 2 like any unknown flag.
 
 The parser is built once per process (``build_parser`` is cached).  That
 saves a build only in a process that calls ``main`` more than once, such
@@ -51,8 +50,7 @@ import functools
 import sys
 from pathlib import Path
 
-from .catalog import (DEFAULT_TOLERANCE, FAMILIES, Family, GroupSpec,
-                      canonical_cyclic, validate_tolerance)
+from .catalog import FAMILIES, Family, GroupSpec, canonical_cyclic
 from .errors import InvalidParameters, U2SingError
 from .hj import hj_string
 from .report import (compactify, describe, export_dot, json_text,
@@ -77,11 +75,6 @@ def _spec_from_args(args: argparse.Namespace) -> GroupSpec:
         raise InvalidParameters(f"{fam.value} takes no {', '.join(stray)}")
     build = getattr(GroupSpec, fam.value)
     return build(*(getattr(args, x) for x in params))
-
-
-def _tolerance(args: argparse.Namespace) -> float:
-    return validate_tolerance(
-        DEFAULT_TOLERANCE if args.tolerance is None else args.tolerance)
 
 
 def _add_spec_flags(parser: argparse.ArgumentParser) -> None:
@@ -130,7 +123,7 @@ def _report_text(report) -> str:
 def cmd_describe(args: argparse.Namespace) -> int:
     spec = _spec_from_args(args)
     eta = parse_fraction(args.eta) if args.eta else None
-    report = describe(spec, eta=eta, tolerance=_tolerance(args))
+    report = describe(spec, eta=eta)
     if args.format == "json":
         text = report_to_json(report)
     elif args.format == "dot":
@@ -164,7 +157,7 @@ def _stage_report(args: argparse.Namespace):
     """The report of the stages that ``args.what`` names: ``resolve``, and
     for the compactification ``compactify`` after it."""
     spec = _spec_from_args(args)
-    resolved = resolve(spec, _tolerance(args))
+    resolved = resolve(spec)
     if args.what == "resolution":
         return resolved.report
     if resolved.res is None:
@@ -209,8 +202,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.families:
         values["families"] = args.families
     for key, flag in (("m_max", args.m_max), ("n_max", args.n_max),
-                      ("p_max", args.p_max), ("tolerance", args.tolerance),
-                      ("out", args.out)):
+                      ("p_max", args.p_max), ("out", args.out)):
         if flag is not None:
             values[key] = flag
     if args.eta_file:
@@ -228,12 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="u2sing",
         description="Invariants of finite U(2) subgroups acting freely on S^3")
-    # No default here: verify lets a config file set the tolerance unless
-    # a flag does, so an unset flag must stay distinguishable.
-    parser.add_argument("--tolerance", type=float,
-                        help="snap tolerance for float-to-integer checks; "
-                        "must lie in (0, 1e-3] "
-                        f"(default {DEFAULT_TOLERANCE:g})")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("describe", help="full invariant report for one group")
@@ -264,8 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m-max", dest="m_max", type=int)
     p.add_argument("--n-max", dest="n_max", type=int)
     p.add_argument("--p-max", dest="p_max", type=int)
-    # SUPPRESS keeps the global --tolerance when this one is not given.
-    p.add_argument("--tolerance", type=float, default=argparse.SUPPRESS)
     p.add_argument("--out", help="directory for per-spec JSON reports")
     p.add_argument("--eta-file", help="JSON file {spec_key: 'num/den'}")
     p.set_defaults(func=cmd_verify)

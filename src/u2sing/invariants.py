@@ -153,8 +153,8 @@ def closed_form_dim(spec: GroupSpec) -> int:
     return m // 3 + 1                      # index-3 diagonal
 
 
-def dim_sfk(spec: GroupSpec, gamma_prime: FiniteGroup, b: BGamma,
-            snap_tol: float = DEFAULT_TOLERANCE) -> DeformationReport:
+def dim_sfk(spec: GroupSpec, gamma_prime: FiniteGroup,
+            b: BGamma) -> DeformationReport:
     """Deformation dimension by brute-force character sum over the
     enumerated ``gamma_prime``, by the family closed form, and as
     2*b_Gamma - 2 from ``b``.
@@ -170,9 +170,9 @@ def dim_sfk(spec: GroupSpec, gamma_prime: FiniteGroup, b: BGamma,
     raw = 2.0 * _chi_real_sum(gamma_prime, spec.m) / gamma_prime.order
     snapped = round(raw)
     residual = abs(raw - snapped)
-    if residual > snap_tol:
-        raise SnapFailure(
-            f"{spec.label()}: character sum {raw} not within {snap_tol} of an integer")
+    if residual > DEFAULT_TOLERANCE:
+        raise SnapFailure(f"{spec.label()}: character sum {raw} not within "
+                          f"{DEFAULT_TOLERANCE} of an integer")
     closed = closed_form_dim(spec)
     agreement = (snapped == closed == two_b)
     return DeformationReport(snapped, closed, two_b, agreement, residual,

@@ -41,10 +41,9 @@ from itertools import chain
 from json.encoder import encode_basestring_ascii
 from typing import Union, get_args, get_origin, get_type_hints
 
-from .catalog import (DEFAULT_TOLERANCE, CyclicType, FiniteGroup, GroupSpec,
-                      canonical_cyclic, cyclic_equivalent_type,
-                      enumerate_gamma_prime, enumerate_group,
-                      is_fixed_point_free)
+from .catalog import (CyclicType, FiniteGroup, GroupSpec, canonical_cyclic,
+                      cyclic_equivalent_type, enumerate_gamma_prime,
+                      enumerate_group, is_fixed_point_free)
 from .errors import U2SingError
 # hj_string is no longer called here, but bench/tracer.py and
 # bench/test_bench.py bind u2sing.report.hj_string.
@@ -127,7 +126,6 @@ class Resolved:
 
 def describe(spec: GroupSpec,
              eta: Fraction | None = None,
-             tolerance: float = DEFAULT_TOLERANCE,
              group: FiniteGroup | None = None) -> InvariantReport:
     """Full invariant report for one spec.
 
@@ -146,7 +144,7 @@ def describe(spec: GroupSpec,
     ``compactify``, then Gamma', the deformation dimensions, the moduli
     count and the topology.
     """
-    resolved = resolve(spec, tolerance, group)
+    resolved = resolve(spec, group)
     report = compactify(resolved)
     b, rd = resolved.b, resolved.res
     if rd is None:
@@ -156,7 +154,7 @@ def describe(spec: GroupSpec,
     deform = None
     try:
         gp = enumerate_gamma_prime(spec)
-        deform = dim_sfk(spec, gp, b, tolerance)
+        deform = dim_sfk(spec, gp, b)
         if deform.closed_forms_applicable:
             checks.append(CheckResult(
                 "deformation_triple_agreement", deform.agreement,
@@ -182,8 +180,7 @@ def describe(spec: GroupSpec,
                    checks=tuple(checks))
 
 
-def resolve(spec: GroupSpec, tolerance: float = DEFAULT_TOLERANCE,
-            group: FiniteGroup | None = None) -> Resolved:
+def resolve(spec: GroupSpec, group: FiniteGroup | None = None) -> Resolved:
     """The resolution stages of ``describe``: order and freeness, the
     singularity triple, b_Gamma and the resolution graph, with the checks
     of each.  The report's later sections are None."""
@@ -194,9 +191,9 @@ def resolve(spec: GroupSpec, tolerance: float = DEFAULT_TOLERANCE,
     checks.append(CheckResult(
         "order_matches_table", group.order == spec.expected_order(),
         f"enumerated {group.order}, expected {spec.expected_order()}"))
-    free = is_fixed_point_free(group, tolerance)
+    free = is_fixed_point_free(group)
     # Free means that the identity is the one element with eigenvalue 1.
-    ones = 1 if free else group.eigenvalue_one_count(tolerance)
+    ones = 1 if free else group.eigenvalue_one_count()
     checks.append(CheckResult(
         "fixed_point_free", free, f"{ones} element(s) with eigenvalue 1"))
 

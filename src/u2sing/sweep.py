@@ -26,7 +26,7 @@ from typing import Iterator
 
 from .catalog import (DEFAULT_TOLERANCE, Family, GroupSpec,
                       eigenvalue_histogram, enumerate_group,
-                      is_fixed_point_free, validate_tolerance)
+                      is_fixed_point_free)
 from .errors import InvalidParameters
 from .hj import hj_entries
 from .invariants import eisenstein_residuals
@@ -45,7 +45,6 @@ class SweepConfig:
     p_max: int = 200
     hj_p_max: int = 500
     eisenstein_n_max: int = 200
-    tolerance: float = DEFAULT_TOLERANCE
     eta: dict[str, Fraction] = field(default_factory=dict)
     out_dir: str | None = None
 
@@ -56,7 +55,6 @@ class SweepConfig:
         # would record a pass that checked nothing.
         if min(self.hj_p_max, self.eisenstein_n_max) < 2:
             raise InvalidParameters("hj_p_max and eisenstein_n_max must be >= 2")
-        validate_tolerance(self.tolerance)
         return self
 
 
@@ -160,14 +158,14 @@ def check_eigenvalue_tables(summary: VerifySummary) -> None:
                        f"got {got}")
 
 
-def check_eisenstein(summary: VerifySummary, n_max: int, tol: float) -> None:
+def check_eisenstein(summary: VerifySummary, n_max: int) -> None:
     worst, at = 0.0, (0, 0)
     for n in range(2, n_max + 1):
         r = eisenstein_residuals(n)
         k = int(r.argmax())         # first maximum, as a k-ordered scan
         if r[k] > worst:
             worst, at = float(r[k]), (n, k)
-    summary.record("global", "eisenstein_identity", worst < tol,
+    summary.record("global", "eisenstein_identity", worst < DEFAULT_TOLERANCE,
                    f"worst residual {worst:.3e} at (n,k)={at}")
 
 
@@ -265,8 +263,7 @@ def verify(config: SweepConfig) -> VerifySummary:
             group = enumerate_group(spec)
             t1 = time.monotonic()
             summary.enumeration_seconds += t1 - t0
-            report = describe(spec, eta=eta, tolerance=config.tolerance,
-                              group=group)
+            report = describe(spec, eta=eta, group=group)
             summary.record_report(report)
             if report.topology is not None:      # with eta: an eta_bound check
                 unread_eta.discard(spec.key())
@@ -282,7 +279,7 @@ def verify(config: SweepConfig) -> VerifySummary:
                 summary.record(spec.label(), "order_matches_table",
                                group.order == spec.expected_order(), "")
                 try:            # freeness may raise as describe did
-                    free, detail = is_fixed_point_free(group, config.tolerance), ""
+                    free, detail = is_fixed_point_free(group), ""
                 except Exception as again:
                     free, detail = False, _failure(again)
                 summary.record(spec.label(), "fixed_point_free", free, detail)
@@ -302,7 +299,7 @@ def verify(config: SweepConfig) -> VerifySummary:
                                 "all checks pass vacuously")
     else:
         check_eigenvalue_tables(summary)
-        check_eisenstein(summary, config.eisenstein_n_max, config.tolerance)
+        check_eisenstein(summary, config.eisenstein_n_max)
         check_hj_roundtrip(summary, config.hj_p_max)
         check_kappa_spots(summary)
 
@@ -375,8 +372,6 @@ def config_from_mapping(values: dict) -> SweepConfig:
                 config.families = tuple(Family(x.strip()) for x in names)
             elif key in _INT_KEYS:
                 setattr(config, key, int(value))
-            elif key == "tolerance":
-                config.tolerance = float(value)
             elif key == "out":
                 config.out_dir = str(value) if value else None
             elif key == "eta":
@@ -384,7 +379,7 @@ def config_from_mapping(values: dict) -> SweepConfig:
             else:
                 raise InvalidParameters(
                     f"unknown config key {key!r}; the keys are families, "
-                    f"{', '.join(_INT_KEYS)}, tolerance, out and eta.<spec_key>")
+                    f"{', '.join(_INT_KEYS)}, out and eta.<spec_key>")
         except (TypeError, ValueError):
             raise InvalidParameters(
                 f"config key {key}: cannot parse {value!r}") from None

@@ -11,7 +11,6 @@ import u2sing.cli as cli
 from u2sing.cli import build_parser, main
 from u2sing.errors import InvalidParameters, NotCoprime
 
-TOLERANCE_TEXT = "error: tolerance must lie in (0, 1e-3]\n"
 # The stderr line of verify that carries its wall times.
 TIMES = re.compile(r"enumeration time: \S+s, total: \S+s\n")
 
@@ -40,8 +39,8 @@ def sequence(tmp_path):
          "--format", "json"],
         ["describe", "--m", "1"],                       # no --family: exit 2
         ["describe", "--family", "tetrahedral", "--m", "1"],
-        ["--tolerance", "1e-15", "verify", "--config", str(cfg)],
-        ["verify", "--config", str(cfg), "--tolerance", "1e-15"],
+        ["--tolerance", "1e-15", "verify", "--config", str(cfg)],  # exit 2
+        ["verify", "--config", str(cfg), "--tolerance", "1e-15"],  # exit 2
         ["verify", "--config", str(cfg)],
         ["--tolerance", "0", "describe", *spec],        # exit 2
         ["describe", *spec],
@@ -68,7 +67,6 @@ def readme_examples(tmp_path):
         f"--out {tmp_path / 'd4.dot'}",
         f"verify --families tetrahedral,index3 --m-max 20 "
         f"--out {tmp_path / 'reports'}",
-        "--tolerance 1e-7 verify --families index3 --m-max 20",
     ]]
 
 
@@ -86,8 +84,8 @@ def test_main_keeps_no_state_between_calls(tmp_path, monkeypatch, capsys):
         assert a[:2] == b[:2], argv
         assert TIMES.sub("", a[2]) == TIMES.sub("", b[2]), argv
     codes = [code for code, _, _ in shared]
-    assert codes == [0, 0, 0, 2, 0, 1, 1, 0, 2, 0, 2, 0, 0, 2, 0, 0, 0,
-                     0, 0, 0, 0, 0, 0, 0, 0]
+    assert codes == [0, 0, 0, 2, 0, 2, 2, 0, 2, 0, 2, 0, 0, 2, 0, 0, 0,
+                     0, 0, 0, 0, 0, 0, 0]
 
 
 def test_help_reads_the_terminal_width_when_printed(monkeypatch, capsys):
@@ -106,25 +104,37 @@ def test_help_reads_the_terminal_width_when_printed(monkeypatch, capsys):
     ["compactify", "--family", "dihedral", "--m", "1", "--n", "3"],
     ["export", "--family", "dihedral", "--m", "1", "--n", "3", "--out", "-"],
 ])
-@pytest.mark.parametrize("tol", ["0", "-1e-6", "0.5", "nan"])
+@pytest.mark.parametrize("tol", ["0", "-1e-6", "0.5", "nan", "1e-6"])
 def test_every_subcommand_refuses_a_tolerance_out_of_range(command, tol,
                                                            tmp_path, capsys):
-    # verify refuses these values with the same text and status
+    # The float checks have one fixed threshold: --tolerance is no flag of
+    # u2sing, so any value, the old default too, is refused as argparse
+    # refuses an unknown flag, before the subcommand and after it.
     cfg = tmp_path / "c.cfg"
     cfg.write_text("families = index3\nm_max = 3\n")
     flag = f"--tolerance={tol}"
-    assert run(capsys, [flag, "verify", "--config", str(cfg)]) == (
-        2, "", TOLERANCE_TEXT)
-    assert run(capsys, [flag, *command]) == (2, "", TOLERANCE_TEXT)
+    for argv in ([flag, "verify", "--config", str(cfg)],
+                 [flag, *command], [*command, flag]):
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, ""), argv
+        assert err.endswith(f"error: unrecognized arguments: {flag}\n"), argv
     assert not (tmp_path / "-").exists()
 
 
-def test_a_tiny_tolerance_is_legal(capsys):
-    # it makes float checks fail (test_absurd_tolerance_fails); it is no
-    # usage error
-    code, out, err = run(capsys, ["--tolerance", "1e-15", "resolve",
-                                  "--family", "tetrahedral", "--m", "1"])
-    assert code != 2 and out and err == ""
+def test_the_old_tolerance_knob_is_a_usage_error(tmp_path, capsys):
+    # The flag before and after verify, and the config key, each exit 2
+    # with one error line and no traceback; the sweep does not run.
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("families = index3\nm_max = 20\ntolerance = 1e-7\n")
+    verify = ["verify", "--families", "index3", "--m-max", "20"]
+    for argv in (["--tolerance", "1e-7", *verify],
+                 [*verify, "--tolerance", "1e-7"],
+                 ["verify", "--config", str(cfg)]):
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, ""), argv
+        assert "Traceback" not in err and "error: " in err, argv
+        assert "enumeration time" not in err, argv
+    assert err.startswith("error: unknown config key 'tolerance'")
 
 
 @pytest.mark.parametrize("q, p", [(2, 4), (6, 4), (3, 0), (3, -5)])

@@ -9,6 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import u2sing.invariants as invariants
+import u2sing.sweep as sweep
 from u2sing.catalog import GroupSpec, enumerate_gamma_prime, generators_of
 from u2sing.errors import SnapFailure
 from u2sing.invariants import (closed_form_dim, dim_h1_theta,
@@ -49,7 +51,7 @@ def test_eisenstein_subrange():
                for n in range(2, 80) for k in range(0, 2 * n + 1)) < 1e-6
 
 
-def test_eisenstein_residuals_equal_scalar_loop():
+def test_eisenstein_residuals_equal_scalar_loop(monkeypatch):
     # The sweep's array form must report exactly what the scalar loop finds:
     # every residual, the worst one and the (n, k) where it first occurs.
     worst, at = 0.0, (0, 0)
@@ -60,10 +62,12 @@ def test_eisenstein_residuals_equal_scalar_loop():
             if r > worst:
                 worst, at = r, (n, k)
     summary = VerifySummary()
-    check_eisenstein(summary, 200, 1e-6)
+    check_eisenstein(summary, 200)
     assert summary.passed_failed("eisenstein_identity") == (1, 0)
+    # patched where check_eisenstein reads it, worst < worst fails
+    monkeypatch.setattr(sweep, "DEFAULT_TOLERANCE", worst)
     summary = VerifySummary()
-    check_eisenstein(summary, 200, worst)          # worst < worst fails
+    check_eisenstein(summary, 200)
     assert summary.failures == [("global", "eisenstein_identity",
                                  f"worst residual {worst:.3e} at (n,k)={at}")]
 
@@ -195,9 +199,11 @@ def test_dim_sfk_congruence_case_coverage():
         assert table_dim_sfk(spec).brute_force_dim == expect
 
 
-def test_dim_sfk_snap_failure_on_absurd_tolerance():
-    with pytest.raises(SnapFailure):
-        table_dim_sfk(GroupSpec.tetrahedral(7), snap_tol=1e-17)
+def test_dim_sfk_snap_failure_on_absurd_tolerance(monkeypatch):
+    # the threshold patched where dim_sfk reads it
+    monkeypatch.setattr(invariants, "DEFAULT_TOLERANCE", 1e-17)
+    with pytest.raises(SnapFailure, match="not within 1e-17 of an integer"):
+        table_dim_sfk(GroupSpec.tetrahedral(7))
 
 
 def test_character_sum_is_real():
