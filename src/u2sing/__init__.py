@@ -2,11 +2,13 @@
 
 Groups are given by explicit quaternion-pair generators [e^{i*theta}, beta],
 each stored as one row (a, b1, b2) of complex numbers with a = e^{i*theta}
-and beta = b1 + b2*jhat; a group is an (N, 3) array of such rows.  The
-library enumerates the groups, locates the cyclic orbifold points of the
-model quotients, builds Hirzebruch-Jung resolution and compactification
-plumbing graphs, and evaluates the deformation-dimension identities -- each
-quantity by at least two independent routes, cross-checked.
+and beta = b1 + b2*jhat; a group is an (N, 3) array of such rows, and a
+non-cyclic one is enumerated on exact labels from which its rows are
+built.  The library enumerates the groups, locates the cyclic orbifold
+points of the model quotients, builds Hirzebruch-Jung resolution and
+compactification plumbing graphs, and evaluates the deformation-dimension
+identities -- each quantity by at least two independent routes,
+cross-checked.
 """
 
 from .catalog import (CyclicType, Family, FiniteGroup, GroupSpec,

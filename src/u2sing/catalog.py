@@ -24,17 +24,20 @@ the closed forms stay separate, as the independent routes the checks
 compare.
 
 The module enumerates each non-cyclic group by Dimino's algorithm (Butler,
-Fundamental Algorithms for Permutation Groups, LNCS 559, 1991), deduplicating
-up to simultaneous negation of the pair by a 48-byte grid key per element.
-The Hopf-fiber rotation's powers come first, identity first; each later
-generator that is not yet a member adds whole right cosets of the group
-generated so far, one block composition per coset, and only the coset
-representatives' products with the generators are tested for membership.
-Cyclic specs are the powers of their one generator up to the first one
-with the identity's key, so their order is found, not assumed.  The
-breadth-first closure is kept for Gamma', whose row order the deformation
-residual reads; the Mobius cosets of the resolution module use the same
-sign rule (``_canonical_rows``) and grid keys as the rows.
+Fundamental Algorithms for Permutation Groups, LNCS 559, 1991) on exact
+labels: an element is a phase step k and the index j of its SU(2) part in a
+binary polyhedral group G* (D*_4n, T*, O* or I*), whose product is a table
+or, for D*_4n, a formula.  Each G* is built once per process and checked as
+a group before use (Latin square, Light's associativity test on its
+generators).  The Hopf-fiber rotation's powers come first, identity first;
+each later generator that is not yet a member adds whole right cosets of
+the group generated so far, one vector product per coset, and only the
+coset representatives' products with the generators are tested for
+membership.  Rows are built from the labels where a float is read.
+Cyclic specs stay float rows: the powers of their one generator up to the
+first one with the identity's grid key, so their order is found, not
+assumed.  The breadth-first closure on rows is kept for Gamma', whose row
+order the deformation residual reads.
 It also provides the structural checks used downstream: freeness on S^3 (no
 eigenvalue 1 away from the identity), eigenvalue statistics, and
 normalization of the cyclic singularity labels L(alpha, beta).
@@ -42,16 +45,17 @@ normalization of the cyclic singularity labels L(alpha, beta).
 
 from __future__ import annotations
 
+import functools
 import math
-import struct
 from collections import Counter, namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import ClosureOverflow, InvalidParameters, NotCoprime, SnapFailure
+from .errors import (ClosureOverflow, InvalidParameters, NotAGroup, NotCoprime,
+                     SnapFailure)
 
 TAU = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -281,11 +285,13 @@ def canonical_cyclic(a: int, beta: int) -> CyclicType:
 #
 # and through the Hopf map H(z1, z2) = z1/z2 it descends to the Mobius
 # transformation w -> (b1*w - conj(b2)) / (b2*w + conj(b1)) of
-# S^2 = C u {oo}; the left phase cancels.  Enumeration and every
-# per-element statistic work on (N, 3) complex arrays of such rows.
+# S^2 = C u {oo}; the left phase cancels.  The cyclic groups, Gamma' and
+# every float statistic work on (N, 3) complex arrays of such rows; the
+# non-cyclic groups are enumerated on exact labels (below) and their rows
+# built from those.
 #
-# Everything is double precision: rows are compared to EQ_TOL and keyed on
-# a 1 / KEY_SCALE grid, which is safe because catalog group orders are
+# Rows are double precision: they are compared to EQ_TOL and keyed on a
+# 1 / KEY_SCALE grid, which is safe because catalog group orders are
 # bounded and products of table generators stay many orders of magnitude
 # away from grid midpoints.
 # ---------------------------------------------------------------------------
@@ -297,9 +303,12 @@ KEY_SCALE = 1e6
 # The fixed threshold of the three float decisions that read a tolerance.
 # Each reads it from its own module's globals when it runs, so a test
 # patches it where it is read.  Their margins on the default sweep:
-#   - freeness (``FiniteGroup.eigenvalue_one_count``): an element has
-#     eigenvalue 1 when an eigenvalue lies within it of 1; every other
-#     element's distance is >= 1.1e-3, the least at dihedral(119, 24);
+#   - freeness on rows (``FiniteGroup.eigenvalue_one_count`` of a group
+#     without labels: the lens path): an element has eigenvalue 1 when an
+#     eigenvalue lies within it of 1.  Over the 12,231 lens specs the
+#     identity's distance is 0 and every other element's is
+#     >= 2 sin(pi/200) = 3.1e-2, the least at p = 200.  Non-cyclic freeness
+#     is an exact count on labels and does not read it;
 #   - the character-sum snap of ``invariants.dim_sfk``: worst residual
 #     5.2e-13;
 #   - the Eisenstein check ``sweep.check_eisenstein``: worst residual
@@ -327,6 +336,13 @@ def _row(theta: float, beta: tuple[float, float, float, float]) -> list[complex]
     return [z / abs(z), complex(beta[0], beta[1]), complex(beta[2], beta[3])]
 
 
+# Generating quaternions (x0, x1, x2, x3) of T*, O* and I*; the family
+# generators are built from the same tuples.
+_T_GENS = ((0.5, 0.5, 0.5, -0.5), (0.5, 0.5, 0.5, 0.5))
+_O_GENS = (_circle(math.pi / 4), (0.5, 0.5, 0.5, 0.5))
+_I_GENS = ((0.5, TAU / 2, 0.0, -0.5 / TAU), (TAU / 2, 0.5, 0.5 / TAU, 0.0))
+
+
 def generators_of(spec: GroupSpec) -> np.ndarray:
     """Generator rows (k, 3) of the family table; the Hopf-fiber rotation
     [e^{i pi/m}, 1] always comes first for the non-cyclic families."""
@@ -344,15 +360,10 @@ def generators_of(spec: GroupSpec) -> np.ndarray:
     fiber = _row(math.pi / m, _ONE)
     if f is Family.DIHEDRAL:
         rows = [fiber, _row(0.0, _circle(math.pi / n)), _row(0.0, _JHAT)]
-    elif f is Family.TETRAHEDRAL:
-        rows = [fiber, _row(0.0, (0.5, 0.5, 0.5, -0.5)),
-                _row(0.0, (0.5, 0.5, 0.5, 0.5))]
-    elif f is Family.OCTAHEDRAL:
-        rows = [fiber, _row(0.0, _circle(math.pi / 4)),
-                _row(0.0, (0.5, 0.5, 0.5, 0.5))]
-    elif f is Family.ICOSAHEDRAL:
-        rows = [fiber, _row(0.0, (0.5, TAU / 2, 0.0, -0.5 / TAU)),
-                _row(0.0, (TAU / 2, 0.5, 0.5 / TAU, 0.0))]
+    elif f in (Family.TETRAHEDRAL, Family.OCTAHEDRAL, Family.ICOSAHEDRAL):
+        quats = {Family.TETRAHEDRAL: _T_GENS, Family.OCTAHEDRAL: _O_GENS,
+                 Family.ICOSAHEDRAL: _I_GENS}[f]
+        rows = [fiber, *(_row(0.0, q) for q in quats)]
     elif f is Family.INDEX2:
         rows = [fiber, _row(0.0, _circle(math.pi / n)),
                 _row(math.pi / (2 * m), _JHAT)]
@@ -394,48 +405,24 @@ def _fresh_indices(keys: list[bytes], seen: set[bytes]) -> list[int]:
     return [i for i, k in enumerate(keys) if k not in seen and not add(k)]
 
 
-# One row as a tuple of three Python complex numbers: the scalar steps of
-# the Dimino closure, with the same sign rule and the same key bytes as the
-# array functions above.
-_Row = tuple[complex, complex, complex]
-_KEY_STRUCT = struct.Struct("=6q")      # native int64, as _row_keys' view
-
-
-def _canonical_row(g: _Row) -> _Row:
-    """``_canonical_rows`` for one row: its first real coordinate beyond
-    EQ_TOL is positive."""
-    a, b1, b2 = g
-    for x in (a.real, a.imag, b1.real, b1.imag, b2.real, b2.imag):
-        if abs(x) > EQ_TOL:
-            return g if x > 0 else (-a, -b1, -b2)
-    return g
-
-
-def _row_key(g: _Row) -> bytes:
-    """``_row_keys`` for one row: round half to even, like ``np.rint``."""
-    a, b1, b2 = g
-    return _KEY_STRUCT.pack(
-        round(a.real * KEY_SCALE), round(a.imag * KEY_SCALE),
-        round(b1.real * KEY_SCALE), round(b1.imag * KEY_SCALE),
-        round(b2.real * KEY_SCALE), round(b2.imag * KEY_SCALE))
-
-
-def _compose_row(f: _Row, g: _Row) -> _Row:
-    """f then g: the BFS candidate ``g o f`` for one pair of rows."""
-    return (g[0] * f[0], f[1] * g[1] - f[2] * g[2].conjugate(),
-            f[1] * g[2] + f[2] * g[1].conjugate())
-
-
-@dataclass
 class FiniteGroup:
-    """An enumerated subgroup: all elements as canonical (a, b1, b2) rows
-    with the identity first."""
+    """An enumerated subgroup, identity first: canonical (a, b1, b2) rows,
+    or the exact ``Labels`` of a non-cyclic group, whose rows are built
+    from the labels when they are first read."""
 
-    rows: np.ndarray
+    def __init__(self, rows: np.ndarray | None = None,
+                 labels: Labels | None = None) -> None:
+        self._rows, self.labels = rows, labels
+
+    @property
+    def rows(self) -> np.ndarray:
+        if self._rows is None:
+            self._rows = self.labels.rows()
+        return self._rows
 
     @property
     def order(self) -> int:
-        return len(self.rows)
+        return len(self.labels.k) if self._rows is None else len(self._rows)
 
     def eigen_data(self) -> tuple[np.ndarray, np.ndarray]:
         """(theta, phi) per element: eigenvalues are exp(i(theta +- phi))."""
@@ -444,6 +431,10 @@ class FiniteGroup:
         return theta, np.arccos(c)
 
     def eigenvalue_one_count(self) -> int:
+        """The elements with eigenvalue 1: exactly on labels, and within
+        DEFAULT_TOLERANCE of 1 on rows alone (the cyclic path)."""
+        if self.labels is not None:
+            return self.labels.eigenvalue_one_count()
         theta, phi = self.eigen_data()
         d1 = np.abs(np.exp(1j * (theta + phi)) - 1.0)
         d2 = np.abs(np.exp(1j * (theta - phi)) - 1.0)
@@ -515,44 +506,302 @@ def _powers(gen: np.ndarray, start: int,
         last = min(2 * last, limit)
 
 
-def dimino_closure(generators: np.ndarray, max_order: int) -> FiniteGroup:
-    """Dimino's closure of the generator rows under composition.
+# ---------------------------------------------------------------------------
+# Exact labels for the non-cyclic groups
+#
+# Every non-cyclic catalog group is the image of a phase group times one
+# binary polyhedral group G* in SU(2): D*_4n, T*, O* or I*.  Its element
+# [e^{i pi k / N}, g_j] is the label (k, j), with N = m, 2m or 3m for the
+# product, index-2 and index-3 families and g_j the j-th element of G*.
+# The pairs (k, j) and (k + N, -j) are one element, so k is kept in
+# 0..N-1, and the key k * |G*| + j is exact.  Products, membership,
+# freeness and the Mobius image read these integers; rows are built from
+# them only where a float is read (``FiniteGroup.rows``).
+# ---------------------------------------------------------------------------
 
-    The powers of the first generator, a row (a, b1, 0), come first (from
-    ``_powers``).  Each later generator that is not yet a member extends
-    the group G generated so far by whole right cosets G.r (each element of
-    G, then r): first r = the generator, then every product of a coset
-    representative and a generator so far that is not yet a member.  Those
-    products are composed one row at a time; each coset is one block
-    composition, keyed in one pass.  Deduplication is up to joint negation,
-    by the grid keys of ``_row_keys``.  Raises ClosureOverflow past
-    2 * max_order elements, which signals numerical drift rather than a
-    genuine group.
+# Check a G* product this many entries at a time, so that no |G*|^2 array
+# is made for the large D*_4n (n = 397 gives |G*| = 1588).
+_CHECK_BLOCK = 1 << 16
+
+
+def _su2_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The quaternion products x y of (b1, b2) pairs (last axis),
+    broadcast over the leading axes."""
+    x1, x2, y1, y2 = x[..., 0], x[..., 1], y[..., 0], y[..., 1]
+    return np.stack([x1 * y1 - x2 * np.conj(y2),
+                     x1 * y2 + x2 * np.conj(y1)], -1)
+
+
+@dataclass(eq=False)
+class GStar:
+    """A finite subgroup of SU(2) with its exact product.
+
+    ``su2`` holds the elements as (b1, b2) rows, identity first, and
+    ``gens`` the indices of a generating set.  The product of elements x and
+    y (the quaternion g_x g_y) is ``table[x, y]``, or for D*_4n, whose
+    element a + 2n*b is e^{i pi a/n} jhat^b, the formula of ``mul``.  The
+    negation map, each element's order and its eigen-residue r (eigenvalues
+    e^{+-2 pi i r / order}) are set by ``_checked``.
     """
-    generators = np.asarray(generators, dtype=complex)
-    gens = [_canonical_row(g) for g in generators.tolist()]
+
+    name: str
+    su2: np.ndarray
+    gens: tuple[int, ...]
+    table: np.ndarray | None = None
+    n: int = 0
+    neg: np.ndarray | None = None
+    order: np.ndarray | None = None
+    residue: np.ndarray | None = None
+
+    def __post_init__(self) -> None:
+        self.index = {k: i for i, k in enumerate(_row_keys(self.su2))}
+
+    def mul(self, x, y):
+        """The index of g_x g_y, for ints or broadcast integer arrays."""
+        if self.table is not None:
+            return self.table[x, y]
+        n2 = 2 * self.n
+        (b1, a1), (b2, a2) = divmod(x, n2), divmod(y, n2)
+        # jhat e^{i t} = e^{-i t} jhat, and jhat^2 = -1 = e^{i pi n / n}
+        return (a1 + (1 - 2 * b1) * a2 + self.n * b1 * b2) % n2 + n2 * (b1 ^ b2)
+
+
+def _checked(g: GStar) -> GStar:
+    """``g`` with its negation map, orders and eigen-residues, once it is a
+    group; NotAGroup otherwise.
+
+    The product must have element 0 as identity and be a Latin square, and
+    it must pass Light's associativity test on the generators, which must
+    generate every element: then it is a group.  The negation of each
+    element (by grid key) must be a fixed-point-free involution, equal to
+    the product with -1 on either side.  Each element's order and residue
+    come from one snap of its eigen-angle arccos(Re b1) to the 2 pi / |G*|
+    grid, and its power to that order in the product must be 1.
+    """
+    size, every = len(g.su2), np.arange(len(g.su2))
+
+    def fail(what: str):
+        raise NotAGroup(f"{g.name}: {what}")
+
+    if not (np.array_equal(g.mul(0, every), every)
+            and np.array_equal(g.mul(every, 0), every)):
+        fail("element 0 is not the identity")
+    for lo in range(0, size, max(1, _CHECK_BLOCK // size)):
+        x = every[lo:lo + max(1, _CHECK_BLOCK // size), None]
+        if not ((np.sort(g.mul(x, every), axis=1) == every).all()
+                and (np.sort(g.mul(every, x), axis=1) == every).all()):
+            fail("the product is not a Latin square")
+        for s in g.gens:
+            if not np.array_equal(g.mul(g.mul(x, s), every),
+                                  g.mul(x, g.mul(s, every))):
+                fail(f"Light's test fails at generator {s}")
+    reach, front = every == 0, np.zeros(1, dtype=int)
+    while len(front):
+        new = np.zeros(size, dtype=bool)
+        new[g.mul(front[:, None], np.array(g.gens))] = True
+        new &= ~reach
+        reach |= new
+        front = np.flatnonzero(new)
+    if not reach.all():
+        fail("the generators do not generate it")
+
+    neg = np.array([g.index.get(k, -1) for k in _row_keys(-g.su2)])
+    if not ((neg >= 0).all() and (neg != every).all()
+            and np.array_equal(neg[neg], every)
+            and np.array_equal(g.mul(every, neg[0]), neg)
+            and np.array_equal(g.mul(neg[0], every), neg)):
+        fail("negation is not a central fixed-point-free involution")
+
+    # eigenvalues e^{+-i phi}, phi = 2 pi t / |G*| (every order divides
+    # |G*|), and t / |G*| = residue / order in lowest terms
+    phi = np.arccos(np.clip(g.su2[:, 0].real, -1.0, 1.0))
+    t = np.array([_snap_residue(f, size) for f in phi.tolist()])
+    order = size // np.gcd(t, size)
+    residue = t * order // size
+    power, base, e = np.zeros(size, dtype=int), every, order
+    while e.any():              # every element to the power of its order
+        power = np.where(e & 1, g.mul(power, base), power)
+        base, e = g.mul(base, base), e >> 1
+    if power.any():
+        fail("an element's power to the order of its eigenvalues is not 1")
+    return replace(g, neg=neg, order=order, residue=residue)
+
+
+def _closure_su2(name: str, quats) -> GStar:
+    """G* from a float closure of its generating quaternions: elements in
+    breadth-first order, identity first, deduplicated by grid key, and the
+    product table of all pairs keyed back into them."""
+    gens = np.array([[complex(x0, x1), complex(x2, x3)]
+                     for x0, x1, x2, x3 in quats])
+    els = np.array([[1.0 + 0j, 0j]])
+    seen = set(_row_keys(els))
+    front = els
+    while len(front):
+        cand = _su2_product(front[:, None], gens[None, :]).reshape(-1, 2)
+        front = cand[_fresh_indices(_row_keys(cand), seen)]
+        els = np.concatenate([els, front])
+        if len(els) > 120:
+            raise ClosureOverflow(f"{name}: closure exceeded 120 elements")
+    index = {k: i for i, k in enumerate(_row_keys(els))}
+    table = np.empty((len(els), len(els)), dtype=int)
+    for lo in range(0, len(els), 8):       # 8 rows of products at a time
+        keys = _row_keys(_su2_product(els[lo:lo + 8, None], els[None, :])
+                         .reshape(-1, 2))
+        try:
+            table[lo:lo + 8] = np.fromiter(map(index.__getitem__, keys), int,
+                                           len(keys)).reshape(-1, len(els))
+        except KeyError:
+            raise NotAGroup(f"{name}: a product is not an element") from None
+    # the generators' own indices: the closure added each of them
+    gen_idx = tuple(index[k] for k in _row_keys(gens))
+    return GStar(name, els, gen_idx, table)
+
+
+def _binary_dihedral(n: int) -> GStar:
+    """D*_4n exactly: element a + 2n*b is e^{i pi a/n} jhat^b, generated by
+    e^{i pi/n} and jhat; its product is a formula, not a table."""
+    z = np.exp(1j * math.pi / n * np.arange(2 * n))
+    zero = np.zeros(2 * n, dtype=complex)
+    su2 = np.concatenate([np.stack([z, zero], 1), np.stack([zero, z], 1)])
+    return GStar(f"D*{4 * n}", su2, (1, 2 * n), n=n)
+
+
+@functools.cache
+def _gstar(kind: str, n: int = 0) -> GStar:
+    """The checked G* of ``kind`` ("D" with n, "T", "O" or "I"), built on
+    first use and kept for the process."""
+    if kind == "D":
+        return _checked(_binary_dihedral(n))
+    quats = {"T": _T_GENS, "O": _O_GENS, "I": _I_GENS}[kind]
+    return _checked(_closure_su2(f"{kind}*", quats))
+
+
+def _gstar_of(spec: GroupSpec) -> tuple[GStar, int]:
+    """The G* of a non-cyclic spec and its phase modulus N."""
+    f, m = spec.family, spec.m
+    if f in (Family.DIHEDRAL, Family.INDEX2):
+        g = _gstar("D", spec.n)
+    else:
+        g = _gstar({Family.OCTAHEDRAL: "O",
+                    Family.ICOSAHEDRAL: "I"}.get(f, "T"))
+    return g, {Family.INDEX2: 2 * m, Family.INDEX3: 3 * m}.get(f, m)
+
+
+@dataclass(eq=False)
+class Labels:
+    """The elements (k[i], j[i]) of a group over ``gstar`` with phase
+    modulus ``n``, identity first."""
+
+    k: np.ndarray
+    j: np.ndarray
+    gstar: GStar
+    n: int
+
+    def rows(self, idx=slice(None)) -> np.ndarray:
+        """Canonical (a, b1, b2) rows of the elements at ``idx``."""
+        a = np.exp(1j * math.pi / self.n * self.k[idx])
+        su2 = self.gstar.su2[self.j[idx]]
+        return _canonical_rows(np.column_stack([a, su2]))
+
+    def eigenvalue_one_count(self) -> int:
+        """(k, j) has eigenvalues e^{i pi k/N} e^{+-2 pi i r/o}, with o and
+        r the order and residue of g_j: eigenvalue 1 iff
+        k o +- 2N r = 0 mod 2N o."""
+        o, r = self.gstar.order[self.j], self.gstar.residue[self.j]
+        a, b, mod = self.k * o, 2 * self.n * r, 2 * self.n * o
+        ones = ((a + b) % mod == 0) | ((a - b) % mod == 0)
+        return int(np.count_nonzero(ones))
+
+
+def _label_rows(spec: GroupSpec, rows: np.ndarray, what: str) -> Labels:
+    """The labels (k, j) of rows of ``spec``'s group, k in 0..N-1.  The
+    phase of each must snap to the pi/N grid and its SU(2) part must have
+    the grid key of an element of G*; else SnapFailure names the row as
+    ``what`` and its index."""
+    g, n = _gstar_of(spec)
+    k = np.empty(len(rows), dtype=int)
+    j = np.empty(len(rows), dtype=int)
+    keys = _row_keys(rows[:, 1:3])
+    for i, (a, key) in enumerate(zip(rows[:, 0].tolist(), keys)):
+        try:
+            k[i] = _snap_residue(math.atan2(a.imag, a.real), 2 * n)
+        except SnapFailure:
+            raise SnapFailure(f"{spec.label()}: the phase of {what} {i} is "
+                              f"not on the pi/{n} grid") from None
+        if key not in g.index:
+            raise SnapFailure(f"{spec.label()}: the SU(2) part of {what} {i} "
+                              f"is not in {g.name}")
+        j[i] = g.index[key]
+    wrap = k >= n
+    k[wrap] -= n
+    j[wrap] = g.neg[j[wrap]]
+    return Labels(k, j, g, n)
+
+
+def _labelled(spec: GroupSpec, group: FiniteGroup) -> FiniteGroup:
+    """``group`` with exact labels: itself, or its rows labelled."""
+    if group.labels is not None:
+        return group
+    return FiniteGroup(group.rows, _label_rows(spec, group.rows, "row"))
+
+
+def _dimino(spec: GroupSpec) -> Labels:
+    """Dimino's closure of the generators of a non-cyclic ``spec`` on
+    labels.
+
+    The powers of the first generator come first, identity first, up to
+    the first that is the identity.  Each later generator that is not yet a
+    member extends the group G generated so far by whole right cosets G.r
+    (each element of G, then r): first r = the generator, then every
+    product of a coset representative and a generator so far that is not
+    yet a member.  A coset is one vector product over G's labels; membership
+    is one boolean per key.  Raises ClosureOverflow past 2 * |Gamma|
+    elements, as the float closures do.
+    """
+    lab = _label_rows(spec, generators_of(spec), "generator")
+    g, n = lab.gstar, lab.n
+    gens = list(zip(lab.k.tolist(), lab.j.tolist()))
+    size, max_order = len(g.su2), spec.expected_order()
     limit = 2 * max_order
     too_many = f"closure exceeded {limit} elements (expected {max_order})"
-    powers, keys = _powers(generators[0], 16, max_order)
-    blocks, seen = [powers], set(keys)
-    order = len(powers)
+
+    def wrap(k, j):             # (k, j) with k in 0..2N-1 as k in 0..N-1
+        over = k >= n
+        return k - n * over, np.where(over, g.neg[j], j)
+
+    # Powers t of (k0, j0): t*k0 with the t-th power of j0 in G*, up to the
+    # first that is the identity; the L-th is, L the lcm of the orders of
+    # the two parts, so no later one is looked at.
+    k0, j0 = gens[0]
+    cycle = [0]
+    for _ in range(int(g.order[j0]) - 1):
+        cycle.append(int(g.mul(cycle[-1], j0)))
+    t = np.arange(1, min(math.lcm(2 * n // math.gcd(k0, 2 * n), len(cycle)),
+                         limit) + 1)
+    kp, jp = wrap(t * k0 % (2 * n), np.array(cycle)[t % len(cycle)])
+    ones = np.flatnonzero((kp == 0) & (jp == 0))
+    if not len(ones):
+        raise ClosureOverflow(too_many)
+    ks = [np.concatenate([[0], kp[:ones[0]]])]
+    js = [np.concatenate([[0], jp[:ones[0]]])]
+    member = np.zeros(n * size, dtype=bool)
+    member[ks[0] * size + js[0]] = True
+    order = len(ks[0])
 
     for i in range(1, len(gens)):
-        if _row_key(gens[i]) in seen:
+        if member[gens[i][0] * size + gens[i][1]]:
             continue
-        # G.r for the group G generated by gens[:i], one column at a time.
-        a, b1, b2 = np.concatenate(blocks).T.copy()
+        k_g, j_g = np.concatenate(ks), np.concatenate(js)
         reps = []
 
-        def add_coset(r: _Row) -> None:
+        def add_coset(r: tuple[int, int]) -> None:
             nonlocal order
-            block = _canonical_rows(np.stack(
-                [a * r[0], b1 * r[1] - b2 * r[2].conjugate(),
-                 b1 * r[2] + b2 * r[1].conjugate()], axis=1))
-            seen.update(_row_keys(block))
-            blocks.append(block)
+            kc, jc = wrap(k_g + r[0], g.mul(j_g, r[1]))
+            member[kc * size + jc] = True
+            ks.append(kc)
+            js.append(jc)
             reps.append(r)
-            order += len(block)
+            order += len(kc)
             if order > limit:
                 raise ClosureOverflow(too_many)
 
@@ -561,10 +810,11 @@ def dimino_closure(generators: np.ndarray, max_order: int) -> FiniteGroup:
         # multiplied by every generator so far in its turn.
         for r in reps:
             for s in gens[:i + 1]:
-                c = _canonical_row(_compose_row(r, s))
-                if _row_key(c) not in seen:
+                k, j = r[0] + s[0], int(g.mul(r[1], s[1]))
+                c = (k - n, int(g.neg[j])) if k >= n else (k, j)
+                if not member[c[0] * size + c[1]]:
                     add_coset(c)
-    return FiniteGroup(np.concatenate(blocks))
+    return Labels(np.concatenate(ks), np.concatenate(js), g, n)
 
 
 def _enumerate_cyclic(spec: GroupSpec) -> FiniteGroup:
@@ -574,10 +824,11 @@ def _enumerate_cyclic(spec: GroupSpec) -> FiniteGroup:
 
 
 def enumerate_group(spec: GroupSpec) -> FiniteGroup:
-    """All elements of the group, identity first."""
+    """All elements of the group, identity first: a cyclic spec's as rows,
+    every other as exact labels (``_dimino``)."""
     if spec.is_cyclic:
         return _enumerate_cyclic(spec)
-    return dimino_closure(generators_of(spec), spec.expected_order())
+    return FiniteGroup(labels=_dimino(spec))
 
 
 def enumerate_gamma_prime(spec: GroupSpec) -> FiniteGroup:

@@ -265,6 +265,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # u2sing has no global flag but --help: argparse would take the word
+    # after an unknown one for the subcommand and refuse that word instead.
+    for arg in argv:
+        if not arg.startswith("-"):
+            break
+        if arg not in ("-h", "--help"):
+            parser.error(f"unrecognized arguments: {arg}")
     args = parser.parse_args(argv)
     try:
         return args.func(args)

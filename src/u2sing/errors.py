@@ -54,3 +54,8 @@ class NoCandidate(U2SingError):
 class AmbiguousCandidate(U2SingError):
     """The compactification criteria disagree; both candidates reported in
     the exception message."""
+
+
+class NotAGroup(U2SingError):
+    """A G* product fails a group check: identity, Latin square, Light's
+    associativity test, generation, negation or element orders."""

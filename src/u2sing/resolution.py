@@ -7,17 +7,18 @@ module computes the three types twice:
   * by the family table (dihedral-shaped families get {L(1,2), L(1,2),
     L(-m,n)}, the tetrahedral product {L(1,2), L(-m,3), L(-m,3)}, and so on),
   * and algorithmically, from the enumerated group alone: project it to
-    its Mobius action on the Hopf base (one coset per Mobius map, found by
-    the enumeration's key pass), build the image's product table from the
-    grid keys of the cosets' products, and read the pole orbits from it
-    exactly: each conjugacy class of pole stabilizers (the largest cyclic
+    its Mobius action on the Hopf base (one coset per Mobius map: the
+    group's G* labels up to sign), take the image's product table from the
+    checked G* product of the coset labels, and read the pole orbits from
+    it exactly: each conjugacy class of pole stabilizers (the largest cyclic
     subgroups) gives one orbit or two, as its normalizer swaps a stabilizer's
     two poles or not.  The type at a pole is read from the eigen data of a
     stabilizer generator: the tangent rotation is the ratio of its
     eigenvalues, and the normal direction carries the 2m-th power of the
     eigenvalue on the pole's line, because the model fiber is a degree-2m
-    quotient.  The only float decisions are the sign rule, the grid keys
-    and the residue snaps.
+    quotient.  The only float decisions are the residue snaps of the
+    representatives' rows (and, for a group given as rows alone, the
+    labelling of its rows).
 
 The minimal resolution is the star-shaped plumbing with central weight
 -b_Gamma and one Hirzebruch-Jung string per singularity (first entry adjacent
@@ -65,9 +66,8 @@ from typing import Iterator
 
 import numpy as np
 
-from .catalog import (CyclicType, Family, FiniteGroup, GroupSpec,
-                      _canonical_rows, _fresh_indices, _row_keys,
-                      _snap_residue, canonical_cyclic)
+from .catalog import (CyclicType, Family, FiniteGroup, GroupSpec, GStar,
+                      _labelled, _snap_residue, canonical_cyclic)
 from .errors import (AmbiguousCandidate, CrossCheckFailure, InvalidParameters,
                      MalformedGraph, NoCandidate, OrbitCountMismatch,
                      TableDisagreement)
@@ -215,32 +215,27 @@ def _coset_indices(group: FiniteGroup) -> np.ndarray:
     """Row index of one representative per element of the Mobius image,
     in row order.
 
-    Cosets of the Mobius-trivial subgroup are keyed by the SU(2) part with
-    its sign fixed, through the same sign rule, grid keys and
-    first-occurrence pass as the group enumeration.
+    The cosets of the Mobius-trivial subgroup are the classes of the SU(2)
+    label up to sign, min(j, -j); each class's first element represents it.
     """
-    su2 = _canonical_rows(group.rows[:, 1:3])
-    return np.array(_fresh_indices(_row_keys(su2), set()))
+    lab = group.labels
+    cls = np.minimum(lab.j, lab.gstar.neg[lab.j])
+    first = np.full(len(lab.gstar.su2), len(cls))
+    np.minimum.at(first, cls, np.arange(len(cls)))
+    return np.sort(first[first < len(cls)])
 
 
-def _mobius_table(su2: np.ndarray) -> np.ndarray | None:
+def _mobius_table(gstar: GStar, j: np.ndarray) -> np.ndarray | None:
     """The product table of the Mobius image, or None if it is not closed.
 
-    ``su2`` holds the SU(2) parts (b1, b2) of the h coset rows, identity
-    first.  Entry (i, j) is the index of the coset whose sign-fixed part
-    has the grid key of the quaternion product s_i s_j, through the same
-    sign rule and keys as the cosets themselves.
+    ``j`` holds the G* labels of the h coset representatives, identity
+    first.  Entry (a, b) is the index of the coset whose label is the G*
+    product g_a g_b up to sign.
     """
-    x1, x2 = su2[:, None, 0], su2[:, None, 1]
-    y1, y2 = su2[None, :, 0], su2[None, :, 1]
-    prod = np.stack([x1 * y1 - x2 * np.conj(y2), x1 * y2 + x2 * np.conj(y1)], -1)
-    index = {k: i for i, k in enumerate(_row_keys(_canonical_rows(su2)))}
-    keys = _row_keys(_canonical_rows(prod.reshape(-1, 2)))
-    try:
-        table = np.fromiter(map(index.__getitem__, keys), int, len(keys))
-    except KeyError:
-        return None
-    return table.reshape(len(su2), len(su2))
+    coset = np.full(len(gstar.su2), -1)
+    coset[j] = coset[gstar.neg[j]] = np.arange(len(j))
+    table = coset[gstar.mul(j[:, None], j[None, :])]
+    return None if (table < 0).any() else table
 
 
 def _stabilizers(table: np.ndarray) -> Iterator[tuple[int, int, int]]:
@@ -253,20 +248,28 @@ def _stabilizers(table: np.ndarray) -> Iterator[tuple[int, int, int]]:
     largest cyclic subgroup that holds the rotation.  Elements are taken
     by decreasing order, so one that no stabilizer found so far holds
     generates a new one, C; every conjugate kCk^-1 is marked as found, and
-    the k with kCk^-1 = C count the normalizer N(C).
+    the k with kCk^-1 = C count the normalizer N(C).  Orders and inverses
+    come from one walk of all elements' powers, a vector of h at a time;
+    only the chosen generators' powers are kept.
     """
     h = len(table)
-    powers = [np.arange(h)]                  # powers[k][i] = i^(k+1)
-    for _ in range(h - 1):
-        powers.append(table[powers[-1], powers[0]])
-    powers = np.array(powers)
-    order = (powers == 0).argmax(axis=0) + 1
-    inverse = (table == 0).argmax(axis=1)
+    every = np.arange(h)
+    order, inverse = np.zeros(h, dtype=int), np.zeros(h, dtype=int)
+    prev, power = np.zeros(h, dtype=int), every     # i^(t-1) and i^t
+    for t in range(1, h + 1):
+        done = (power == 0) & (order == 0)
+        order[done], inverse[done] = t, prev[done]
+        if order.all():
+            break
+        prev, power = power, table[power, every]
     found = order == 1
     for g in np.argsort(-order, kind="stable"):
         if found[g]:
             continue
-        c = powers[:order[g], g]
+        c = [0]
+        while len(c) < order[g]:
+            c.append(table[c[-1], g])
+        c = np.array(c)
         conjugates = np.sort(table[table[:, c], inverse[:, None]], axis=1)
         found[conjugates] = True
         normalizer = np.count_nonzero((conjugates == np.sort(c)).all(axis=1))
@@ -288,7 +291,8 @@ def _pole_type(theta: float, phi: float, p: int, m: int) -> CyclicType:
 def algorithmic_singularities(spec: GroupSpec, group: FiniteGroup
                               ) -> tuple[CyclicType, CyclicType, CyclicType]:
     """Compute the three orbifold types from the Mobius action of the
-    enumerated ``group`` of ``spec``.
+    enumerated ``group`` of ``spec``; a group given as rows alone is
+    labelled first (``catalog._labelled``).
 
     The singular points are the poles of the image's rotations, and their
     orbits are read from the image's product table (``_mobius_table``).
@@ -299,15 +303,15 @@ def algorithmic_singularities(spec: GroupSpec, group: FiniteGroup
     (``_pole_type``).  The family table is never consulted.
     """
     h = spec.pgl_image_order()
+    group = _labelled(spec, group)
     coset_idx = _coset_indices(group)
     if len(coset_idx) != h:
         raise OrbitCountMismatch(
             f"{spec.label()}: Mobius image has {len(coset_idx)} elements, expected {h}")
-    rows = group.rows[coset_idx]
-    table = _mobius_table(rows[:, 1:3])
+    table = _mobius_table(group.labels.gstar, group.labels.j[coset_idx])
     if table is None:
         raise OrbitCountMismatch(f"{spec.label()}: the Mobius image is not closed")
-    theta, phi = FiniteGroup(rows).eigen_data()
+    theta, phi = FiniteGroup(group.labels.rows(coset_idx)).eigen_data()
     types = []
     for g, p, normalizer in _stabilizers(table):
         if normalizer not in (p, 2 * p):

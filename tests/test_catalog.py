@@ -1,8 +1,10 @@
 """Group enumeration, freeness, eigenvalue statistics and lens labels."""
 
 import cmath
+import dataclasses
 import itertools
 import math
+import re
 from fractions import Fraction as F
 from functools import partial
 from types import SimpleNamespace
@@ -15,15 +17,17 @@ from hypothesis import strategies as st
 import u2sing
 import u2sing.catalog
 from u2sing.catalog import (EQ_TOL, FAMILIES, KEY_SCALE, CyclicType, Family,
-                            GroupSpec, _canonical_row, _canonical_rows,
-                            _row_key, _row_keys, canonical_cyclic,
-                            cyclic_equivalent_type, dimino_closure,
+                            GroupSpec, _canonical_rows, _checked, _gstar,
+                            _row_keys, _su2_product, canonical_cyclic,
+                            cyclic_equivalent_type,
                             eigenvalue_histogram, enumerate_gamma_prime,
                             enumerate_group, generate_closure, generators_of,
                             is_fixed_point_free)
-from u2sing.errors import ClosureOverflow, InvalidParameters, NotCoprime
+from u2sing.errors import (ClosureOverflow, InvalidParameters, NotAGroup,
+                           NotCoprime, SnapFailure)
 from u2sing.report import describe, report_to_json
 
+from dimino_float import _canonical_row, _row_key, dimino_closure
 from rowalg import (canonical, compose, equivalent, inverse, key, mobius,
                     power, row, scalar)
 
@@ -514,14 +518,209 @@ def test_scalar_keys_round_half_to_even_like_the_array_keys():
 
 @pytest.mark.parametrize("drift", ["fiber", "later"])
 def test_a_drifting_generator_overflows_the_dimino_closure(drift, monkeypatch):
+    # A generator that drifts off the group is refused when it is labelled,
+    # with SnapFailure naming it; the float closure (the reference) let it
+    # run on until ClosureOverflow.
     spec = GroupSpec.dihedral(5, 3)
     gens = generators_of(spec).copy()
     if drift == "fiber":    # its powers never return to the identity
         gens[0, 0] = cmath.exp(1j * math.pi / 5 * (1 + 1e-3))
+        text = "the phase of generator 0 is not on the pi/5 grid"
     else:                   # |beta| > 1: its cosets never close up
         gens[1, 1:] *= 1.001
-    monkeypatch.setattr(u2sing.catalog, "generators_of", lambda s: gens)
+        text = "the SU(2) part of generator 1 is not in D*12"
     with pytest.raises(ClosureOverflow):
+        dimino_closure(gens, spec.expected_order())
+    monkeypatch.setattr(u2sing.catalog, "generators_of", lambda s: gens)
+    with pytest.raises(SnapFailure, match=re.escape(text)):
+        enumerate_group(spec)
+
+
+# -- the label closure against the float Dimino -----------------------------
+
+def _assert_label_group_is_the_reference(spec):
+    """The rows built from the labels carry the float Dimino's grid keys in
+    its order, and there are |Gamma| of them."""
+    group = enumerate_group(spec)
+    assert group.labels is not None and group.order == spec.expected_order()
+    ref = dimino_closure(generators_of(spec), spec.expected_order())
+    assert _row_keys(group.rows) == _row_keys(ref.rows), spec
+
+
+def test_label_closure_matches_the_float_dimino_in_the_sweep():
+    from u2sing.sweep import SweepConfig, specs_in_sweep
+    config = SweepConfig(families=tuple(set(Family) - {Family.CYCLIC}),
+                         m_max=20, n_max=6)
+    specs = list(specs_in_sweep(config))
+    assert len(specs) == 100 and any(s.is_degenerate_cyclic for s in specs)
+    for spec in specs:
+        _assert_label_group_is_the_reference(spec)
+
+
+def _catalog_spec(build, *params):
+    def make(args):
+        try:
+            return build(*args)
+        except InvalidParameters:
+            return None
+    return st.tuples(*params).map(make).filter(lambda spec: spec is not None)
+
+
+@given(st.one_of(
+    _catalog_spec(GroupSpec.dihedral, st.integers(1, 40), st.integers(1, 40)),
+    _catalog_spec(GroupSpec.index2, st.integers(1, 20).map(lambda k: 2 * k),
+                  st.integers(1, 40)),
+    *(_catalog_spec(build, st.integers(1, 150))
+      for build in (GroupSpec.tetrahedral, GroupSpec.octahedral,
+                    GroupSpec.icosahedral, GroupSpec.index3))))
+@settings(max_examples=25, deadline=None)
+def test_label_closure_matches_the_float_dimino(spec):
+    _assert_label_group_is_the_reference(spec)
+
+
+# -- the G* tables -----------------------------------------------------------
+
+GSTARS = [("T", 0), ("O", 0), ("I", 0), ("D", 1), ("D", 2), ("D", 5),
+          ("D", 24)]
+
+
+@pytest.mark.parametrize("kind,n", GSTARS)
+def test_every_gstar_is_a_checked_group(kind, n):
+    # Each product, negation, order and residue against the float
+    # quaternions: products agree to rounding, the order is the first power
+    # that returns to 1, and the eigenvalues are e^{+-2 pi i r / order}.
+    g = _gstar(kind, n)
+    size = len(g.su2)
+    assert size == {"T": 24, "O": 48, "I": 120}.get(kind, 4 * n)
+    every = np.arange(size)
+    prod = _su2_product(g.su2[:, None], g.su2[None, :])
+    assert np.abs(prod - g.su2[g.mul(every[:, None], every)]).max() < 1e-12
+    assert np.abs(g.su2[g.neg] + g.su2).max() < 1e-12
+    power, order = g.su2.copy(), np.zeros(size, dtype=int)
+    for t in range(1, size + 1):
+        back = (np.abs(power - [1, 0]).max(axis=1) < 1e-9) & (order == 0)
+        order[back] = t
+        power = _su2_product(power, g.su2)
+    assert order.tolist() == g.order.tolist()
+    assert np.allclose(np.cos(2 * np.pi * g.residue / g.order),
+                       g.su2[:, 0].real)
+
+
+def test_a_corrupted_table_fails_the_latin_square_or_lights_test():
+    g = _gstar("T")
+    bad = g.table.copy()
+    bad[5, 7] = bad[5, 8]
+    with pytest.raises(NotAGroup, match="not a Latin square"):
+        _checked(dataclasses.replace(g, table=bad))
+    # An intercalate swap keeps a Latin square with identity 0: the cells
+    # (x, y), (-x, -y) hold u and (x, -y), (-x, y) hold -u; exchanging the
+    # two values leaves every row and column a permutation, but the
+    # product is no longer associative.
+    x, y, minus = 1, 2, g.neg
+    assert 0 not in (x, y, minus[x], minus[y])
+    swapped = g.table.copy()
+    swapped[x, y] = swapped[minus[x], minus[y]] = g.table[x, minus[y]]
+    swapped[x, minus[y]] = swapped[minus[x], y] = g.table[x, y]
+    assert (np.sort(swapped, axis=1) == np.arange(24)).all()
+    with pytest.raises(NotAGroup, match="Light's test"):
+        _checked(dataclasses.replace(g, table=swapped))
+
+
+def _swap_with_negative_of_an_order_6_element(g):
+    # -x has order 3: snapped, the order of its eigenvalues is 3, but the
+    # product (unchanged) still gives x order 6, so x^3 = -1 there
+    x = int(np.flatnonzero(g.order == 6)[0])
+    su2 = g.su2.copy()
+    su2[[x, g.neg[x]]] = su2[[g.neg[x], x]]
+    return dataclasses.replace(g, su2=su2)
+
+
+@pytest.mark.parametrize("mutant,text", [
+    (lambda g: dataclasses.replace(g, gens=g.gens[:1]),
+     "the generators do not generate it"),
+    (lambda g: dataclasses.replace(
+        g, su2=g.su2 * np.exp(1e-3j * (np.arange(24) == 5))[:, None]),
+     "negation is not a central fixed-point-free involution"),
+    (_swap_with_negative_of_an_order_6_element,
+     "power to the order of its eigenvalues is not 1"),
+], ids=["generation", "negation", "orders"])
+def test_each_later_gstar_check_refuses_its_mutant(mutant, text):
+    # T*'s product is untouched: a generating set that does not generate,
+    # an element moved off the group, and two elements traded with their
+    # negatives each pass the Latin square and Light's test.
+    with pytest.raises(NotAGroup, match=re.escape(text)):
+        _checked(mutant(_gstar("T")))
+
+
+@pytest.mark.parametrize("spec,patch,text", [
+    (GroupSpec.tetrahedral(5), "octahedral",
+     "tetrahedral(m=5): the SU(2) part of generator 1 is not in T*"),
+    (GroupSpec.index3(3), "phase",
+     "index3(m=3): the phase of generator 3 is not on the pi/9 grid"),
+], ids=["outside-gstar", "off-the-grid"])
+def test_a_generator_outside_gstar_or_off_the_grid_is_refused(
+        spec, patch, text, monkeypatch):
+    # The table of the spec is already cached; the patched generator is
+    # keyed against it and refused by name.
+    enumerate_group(spec)
+    real = generators_of
+
+    def mutant(s):
+        if patch == "octahedral":     # e^{i pi/4} is in O*, not in T*
+            return real(GroupSpec.octahedral(s.m))
+        rows = real(s)
+        rows[3, 0] = cmath.exp(1j * math.pi / (2 * s.m))
+        return rows
+
+    monkeypatch.setattr(u2sing.catalog, "generators_of", mutant)
+    with pytest.raises(SnapFailure, match=re.escape(text)):
+        enumerate_group(spec)
+
+
+@pytest.fixture
+def fresh_tables():
+    """An empty G* cache, emptied again after the test, so that tables
+    built under a patch never reach another test."""
+    _gstar.cache_clear()
+    yield
+    _gstar.cache_clear()
+
+
+def test_the_gstar_tables_never_read_the_generators(monkeypatch, fresh_tables):
+    # The tables come from their own quaternions: built while
+    # generators_of refuses every call, they are the tables every spec
+    # reads, so a patched generators_of cannot leave a stale one.
+    def refuse(spec):
+        raise AssertionError("a G* table read generators_of")
+
+    monkeypatch.setattr(u2sing.catalog, "generators_of", refuse)
+    for kind, n in GSTARS:
+        assert _gstar(kind, n).neg is not None
+    monkeypatch.undo()
+    assert enumerate_group(GroupSpec.icosahedral(7)).order == 840
+
+
+def test_a_gstar_closure_past_120_elements_overflows(monkeypatch, fresh_tables):
+    # A generator of infinite order (an irrational angle) never closes up.
+    monkeypatch.setattr(u2sing.catalog, "_I_GENS",
+                        ((math.cos(1.0), math.sin(1.0), 0.0, 0.0),
+                         (0.5, 0.5, 0.5, 0.5)))
+    with pytest.raises(ClosureOverflow,
+                       match=re.escape("I*: closure exceeded 120")):
+        _gstar("I")
+
+
+def test_a_closure_past_twice_the_order_overflows(monkeypatch):
+    # index3(3) with the phase [e^{i pi/9}, 1] as one more generator: every
+    # label (k, j) is then an element, 3 |Gamma| of them, and the closure
+    # count stops past 2 |Gamma|, on labels as on rows.
+    spec = GroupSpec.index3(3)
+    gens = np.concatenate([generators_of(spec),
+                           [[cmath.exp(1j * math.pi / 9), 1, 0]]])
+    with pytest.raises(ClosureOverflow):
+        dimino_closure(gens, spec.expected_order())
+    monkeypatch.setattr(u2sing.catalog, "generators_of", lambda s: gens)
+    with pytest.raises(ClosureOverflow, match="exceeded 144 elements"):
         enumerate_group(spec)
 
 

@@ -137,6 +137,21 @@ def test_the_old_tolerance_knob_is_a_usage_error(tmp_path, capsys):
     assert err.startswith("error: unknown config key 'tolerance'")
 
 
+@pytest.mark.parametrize("argv", [
+    ["--tolerance", "1e-7", "verify", "--families", "index3", "--m-max", "20"],
+    ["--tolerance", "1e-7", "describe", "--family", "dihedral", "--m", "5",
+     "--n", "2"],
+    ["--verbose", "hj", "3", "5"],
+])
+def test_an_unknown_flag_before_the_subcommand_is_named(argv, capsys):
+    # argparse alone takes the word after the unknown flag for the
+    # subcommand, and refuses that word ("invalid choice: '1e-7'").
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.endswith(f"error: unrecognized arguments: {argv[0]}\n")
+    assert "invalid choice" not in err
+
+
 @pytest.mark.parametrize("q, p", [(2, 4), (6, 4), (3, 0), (3, -5)])
 def test_hj_refuses_a_pair_that_names_no_lens_space(q, p, capsys):
     code, out, err = run(capsys, ["hj", str(q), str(p)])

@@ -396,17 +396,44 @@ def test_absurd_tolerance_fails(monkeypatch):
 
 
 def test_a_freeness_threshold_past_the_margin_fails(monkeypatch):
-    # dihedral(119, 24) has four non-identity elements with an eigenvalue
-    # 1.1e-3 from 1: a threshold of 2e-3, patched where freeness reads it,
-    # counts them as eigenvalue 1, and the failing check is recorded
-    import u2sing.catalog as catalog
-    spec = GroupSpec.dihedral(119, 24)
+    # Only rows read the threshold: the lens path.  Over the 12,231 lens
+    # specs of the default sweep every element but the identity has its
+    # eigenvalues at least 2 sin(pi/200) = 3.1e-2 from 1, least at p = 200.
+    # In L(187, 200) four elements have an eigenvalue that close: a
+    # threshold of 4e-2, patched where freeness reads it, counts them, and
+    # the failing check is recorded.
+    spec = GroupSpec.cyclic(187, 200)
     assert describe(spec).all_passed()
-    monkeypatch.setattr(catalog, "DEFAULT_TOLERANCE", 2e-3)
+    monkeypatch.setattr(catalog, "DEFAULT_TOLERANCE", 4e-2)
     check, = (c for c in describe(spec).checks
               if c.name == "fixed_point_free")
     assert not check.passed
     assert check.detail == "5 element(s) with eigenvalue 1"
+
+
+def test_a_complex_reflection_fails_the_exact_freeness_count(monkeypatch):
+    # index2(2, 3) with the diagonal generator [e^{i pi/4}, jhat] replaced
+    # by [i, jhat]: still on the pi/4 grid and in D*12, and the group it
+    # makes has the table order 24, but [i, jhat] has eigenvalue 1.  The
+    # exact count on labels names the seven elements that do, as the float
+    # count on the group's rows does.
+    spec = GroupSpec.index2(2, 3)
+    real = catalog.generators_of
+
+    def mutant(s):
+        rows = real(s)
+        if s == spec:
+            rows[2, 0] = 1j
+        return rows
+
+    monkeypatch.setattr(catalog, "generators_of", mutant)
+    group = catalog.enumerate_group(spec)
+    assert group.labels is not None and group.order == 24
+    assert catalog.FiniteGroup(group.rows).eigenvalue_one_count() == 7
+    checks = {c.name: c for c in describe(spec).checks}
+    assert checks["order_matches_table"].passed
+    assert not checks["fixed_point_free"].passed
+    assert checks["fixed_point_free"].detail == "7 element(s) with eigenvalue 1"
 
 
 def test_eta_table_in_sweep():

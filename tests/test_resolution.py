@@ -12,13 +12,14 @@ from hypothesis import strategies as st
 
 from u2sing import resolution
 from u2sing.catalog import (EQ_TOL, KEY_SCALE, Family, FiniteGroup, GroupSpec,
-                            canonical_cyclic, enumerate_group)
+                            _gstar_of, canonical_cyclic, enumerate_group)
 from u2sing.errors import (CrossCheckFailure, InvalidParameters,
                            MalformedGraph, NotCoprime, OrbitCountMismatch,
                            SnapFailure, TableDisagreement, U2SingError)
 from u2sing.hj import cf_value, dual_type, hj_string
 from u2sing.resolution import (CentrePencil, CurveConfiguration, PlumbingGraph,
                                _coset_indices, _inertia, _integer_det,
+                               _mobius_table,
                                algorithmic_singularities, graph_to_dot,
                                resolution_graph, singularity_triple,
                                table_singularities)
@@ -251,12 +252,28 @@ def test_table_route_agrees_past_the_sweep_bounds(spec):
 def test_a_corrupted_coset_row_leaves_the_image_open(spec):
     # Every row of one non-identity coset (SU(2) part +-s) gets e^{i eps} s
     # instead, so the cosets keep their number but the image is no group.
+    # The Mobius stage reads exact labels, and a group given as rows is
+    # labelled first: the corrupted rows are in no G*, and the first of
+    # them is refused by name.
     group = enumerate_group(spec)
     rows, su2 = group.rows.copy(), group.rows[:, 1:3]
     s = su2[_coset_indices(group)[1]]
-    rows[np.abs((su2 @ s.conj()).real) > 1 - 1e-9, 1:3] *= np.exp(1e-3j)
-    with pytest.raises(OrbitCountMismatch, match="Mobius image is not closed"):
+    corrupted = np.abs((su2 @ s.conj()).real) > 1 - 1e-9
+    rows[corrupted, 1:3] *= np.exp(1e-3j)
+    first = int(np.flatnonzero(corrupted)[0])
+    with pytest.raises(SnapFailure,
+                       match=rf"SU\(2\) part of row {first} is not in"):
         algorithmic_singularities(spec, FiniteGroup(rows))
+
+
+def test_a_label_set_that_is_not_closed_has_no_mobius_table():
+    # The classes of 1 and e^{i pi/5} in D*20: their product e^{2 i pi/5}
+    # is in neither.  Every class of D*20, identity first, is closed.
+    gstar, _ = _gstar_of(GroupSpec.dihedral(1, 5))
+    assert _mobius_table(gstar, np.array([0, 1])) is None
+    table = _mobius_table(gstar, np.array([*range(5), *range(10, 15)]))
+    assert table.shape == (10, 10)
+    assert (np.sort(table, axis=1) == range(10)).all()
 
 
 @pytest.mark.parametrize("spec", ONE_PER_FAMILY, ids=GroupSpec.key)
