@@ -36,8 +36,11 @@ coset representatives' products with the generators are tested for
 membership.  Rows are built from the labels where a float is read.
 Cyclic specs stay float rows: the powers of their one generator up to the
 first one with the identity's grid key, so their order is found, not
-assumed.  The breadth-first closure on rows is kept for Gamma', whose row
-order the deformation residual reads.
+assumed.  The breadth-first closure on rows (``generate_closure``) closes
+each G* once per process: T*, O* and I* take their elements from it, and it
+is the Gamma' of every product spec over that G*.  The index-2 and index-3
+Gamma', the whole group, is closed per spec; the deformation residual reads
+Gamma' in this row order.
 It also provides the structural checks used downstream: freeness on S^3 (no
 eigenvalue 1 away from the identity), eigenvalue statistics, and
 normalization of the cyclic singularity labels L(alpha, beta).
@@ -343,9 +346,18 @@ _O_GENS = (_circle(math.pi / 4), (0.5, 0.5, 0.5, 0.5))
 _I_GENS = ((0.5, TAU / 2, 0.0, -0.5 / TAU), (TAU / 2, 0.5, 0.5 / TAU, 0.0))
 
 
+def _gstar_generators(kind: str, n: int = 0) -> np.ndarray:
+    """Generator rows [1, g] of the G* of ``kind`` ("D" with n, "T", "O" or
+    "I"): e^{i pi/n} and jhat for D*_4n, else the quaternions above."""
+    quats = {"T": _T_GENS, "O": _O_GENS, "I": _I_GENS}.get(kind)
+    return np.array([_row(0.0, q) for q in
+                     quats or (_circle(math.pi / n), _JHAT)])
+
+
 def generators_of(spec: GroupSpec) -> np.ndarray:
     """Generator rows (k, 3) of the family table; the Hopf-fiber rotation
-    [e^{i pi/m}, 1] always comes first for the non-cyclic families."""
+    [e^{i pi/m}, 1] always comes first for the non-cyclic families, and a
+    product family's G* generators (``_gstar_generators``) follow it."""
     f, m, n = spec.family, spec.m, spec.n
     if f is Family.CYCLIC:
         q, p = spec.q, spec.p
@@ -358,27 +370,15 @@ def generators_of(spec: GroupSpec) -> np.ndarray:
                               _circle(2 * math.pi * (1 - k) / p))])
 
     fiber = _row(math.pi / m, _ONE)
-    if f is Family.DIHEDRAL:
-        rows = [fiber, _row(0.0, _circle(math.pi / n)), _row(0.0, _JHAT)]
-    elif f in (Family.TETRAHEDRAL, Family.OCTAHEDRAL, Family.ICOSAHEDRAL):
-        quats = {Family.TETRAHEDRAL: _T_GENS, Family.OCTAHEDRAL: _O_GENS,
-                 Family.ICOSAHEDRAL: _I_GENS}[f]
-        rows = [fiber, *(_row(0.0, q) for q in quats)]
-    elif f is Family.INDEX2:
+    if f is Family.INDEX2:
         rows = [fiber, _row(0.0, _circle(math.pi / n)),
                 _row(math.pi / (2 * m), _JHAT)]
-    else:       # index-3 diagonal inside the tetrahedral product
+    elif f is Family.INDEX3:    # diagonal inside the tetrahedral product
         rows = [fiber, _row(0.0, _IHAT), _row(0.0, _JHAT),
                 _row(math.pi / (3 * m), (-0.5, -0.5, -0.5, 0.5))]
+    else:
+        rows = [fiber, *_gstar_generators(*_gstar_kind(spec))]
     return np.array(rows)
-
-
-def gamma_prime_generators(spec: GroupSpec) -> np.ndarray:
-    """The generator rows with the Hopf-fiber rotation omitted (the
-    subgroup used in the deformation character sum)."""
-    if spec.is_cyclic:
-        raise InvalidParameters("gamma-prime is defined for non-cyclic specs")
-    return generators_of(spec)[1:]
 
 
 def _canonical_rows(arr: np.ndarray) -> np.ndarray:
@@ -448,10 +448,12 @@ def generate_closure(generators: np.ndarray, max_order: int) -> FiniteGroup:
     double cover).  Raises ClosureOverflow past 2 * max_order elements,
     which signals numerical drift rather than a genuine group.
 
-    Only Gamma' is still enumerated this way: the deformation residual is a
-    float sum over Gamma' in this row order, and the benchmark goldens and
-    ``tests/sweep_slice.sha256`` pin its bytes.  The BFS goes when ROADMAP
-    item 4(a) makes the character sum independent of row order.
+    It closes each G* once (``_gstar_closure``), for the T*, O* and I*
+    tables and the product families' Gamma', and the index-2 and index-3
+    Gamma' per spec.  The deformation residual is a float sum over Gamma' in
+    this row order, and the benchmark goldens and
+    ``tests/sweep_slice.sha256`` pin its bytes; Gamma' can become a view of
+    Gamma once the character sum no longer reads row order (ROADMAP item 1).
     """
     gen_rows = _canonical_rows(np.asarray(generators, dtype=complex))
     frontier = _canonical_rows(np.array([[1.0 + 0j, 1.0 + 0j, 0.0 + 0j]]))
@@ -627,21 +629,25 @@ def _checked(g: GStar) -> GStar:
     return replace(g, neg=neg, order=order, residue=residue)
 
 
-def _closure_su2(name: str, quats) -> GStar:
-    """G* from a float closure of its generating quaternions: elements in
-    breadth-first order, identity first, deduplicated by grid key, and the
-    product table of all pairs keyed back into them."""
-    gens = np.array([[complex(x0, x1), complex(x2, x3)]
-                     for x0, x1, x2, x3 in quats])
-    els = np.array([[1.0 + 0j, 0j]])
-    seen = set(_row_keys(els))
-    front = els
-    while len(front):
-        cand = _su2_product(front[:, None], gens[None, :]).reshape(-1, 2)
-        front = cand[_fresh_indices(_row_keys(cand), seen)]
-        els = np.concatenate([els, front])
-        if len(els) > 120:
-            raise ClosureOverflow(f"{name}: closure exceeded 120 elements")
+@functools.cache
+def _gstar_closure(kind: str, n: int = 0) -> FiniteGroup:
+    """G* of ``kind`` as ``generate_closure`` of its generator rows
+    [1, g], built on first use and kept for the process: the T*, O* and I*
+    tables and every product family's Gamma' read it.  NotAGroup unless it
+    has exactly |G*| elements (24, 48, 120 or 4n)."""
+    size = {"T": 24, "O": 48, "I": 120}.get(kind, 4 * n)
+    group = generate_closure(_gstar_generators(kind, n), size)
+    if group.order != size:
+        raise NotAGroup(f"{kind}*{4 * n or ''}: the closure has "
+                        f"{group.order} elements, not {size}")
+    group.rows.flags.writeable = False      # every m shares it
+    return group
+
+
+def _tabled(kind: str) -> GStar:
+    """T*, O* or I* from its closure's SU(2) columns (identity first), with
+    the product table of all pairs keyed back into them."""
+    els = np.ascontiguousarray(_gstar_closure(kind).rows[:, 1:])
     index = {k: i for i, k in enumerate(_row_keys(els))}
     table = np.empty((len(els), len(els)), dtype=int)
     for lo in range(0, len(els), 8):       # 8 rows of products at a time
@@ -651,10 +657,10 @@ def _closure_su2(name: str, quats) -> GStar:
             table[lo:lo + 8] = np.fromiter(map(index.__getitem__, keys), int,
                                            len(keys)).reshape(-1, len(els))
         except KeyError:
-            raise NotAGroup(f"{name}: a product is not an element") from None
+            raise NotAGroup(f"{kind}*: a product is not an element") from None
     # the generators' own indices: the closure added each of them
-    gen_idx = tuple(index[k] for k in _row_keys(gens))
-    return GStar(name, els, gen_idx, table)
+    gens = _row_keys(_gstar_generators(kind)[:, 1:])
+    return GStar(f"{kind}*", els, tuple(map(index.__getitem__, gens)), table)
 
 
 def _binary_dihedral(n: int) -> GStar:
@@ -670,21 +676,24 @@ def _binary_dihedral(n: int) -> GStar:
 def _gstar(kind: str, n: int = 0) -> GStar:
     """The checked G* of ``kind`` ("D" with n, "T", "O" or "I"), built on
     first use and kept for the process."""
-    if kind == "D":
-        return _checked(_binary_dihedral(n))
-    quats = {"T": _T_GENS, "O": _O_GENS, "I": _I_GENS}[kind]
-    return _checked(_closure_su2(f"{kind}*", quats))
+    return _checked(_binary_dihedral(n) if kind == "D" else _tabled(kind))
+
+
+def _gstar_kind(spec: GroupSpec) -> tuple:
+    """The arguments that name a non-cyclic spec's G* to ``_gstar`` and
+    ``_gstar_closure``: ("D", n), or ("T",), ("O",) or ("I",) as the
+    tables call them, so that each G* has one key in each cache."""
+    f = spec.family
+    if f in (Family.DIHEDRAL, Family.INDEX2):
+        return "D", spec.n
+    return ({Family.OCTAHEDRAL: "O", Family.ICOSAHEDRAL: "I"}.get(f, "T"),)
 
 
 def _gstar_of(spec: GroupSpec) -> tuple[GStar, int]:
     """The G* of a non-cyclic spec and its phase modulus N."""
-    f, m = spec.family, spec.m
-    if f in (Family.DIHEDRAL, Family.INDEX2):
-        g = _gstar("D", spec.n)
-    else:
-        g = _gstar({Family.OCTAHEDRAL: "O",
-                    Family.ICOSAHEDRAL: "I"}.get(f, "T"))
-    return g, {Family.INDEX2: 2 * m, Family.INDEX3: 3 * m}.get(f, m)
+    m = spec.m
+    return (_gstar(*_gstar_kind(spec)),
+            {Family.INDEX2: 2 * m, Family.INDEX3: 3 * m}.get(spec.family, m))
 
 
 @dataclass(eq=False)
@@ -832,12 +841,19 @@ def enumerate_group(spec: GroupSpec) -> FiniteGroup:
 
 
 def enumerate_gamma_prime(spec: GroupSpec) -> FiniteGroup:
-    """Closure of the generators without the Hopf-fiber rotation.
+    """Gamma': the closure of the generators without the Hopf-fiber
+    rotation; InvalidParameters for a cyclic spec.
 
-    For the product families this is the binary polyhedral group itself;
-    for the index-2 and index-3 diagonal families it is the whole group.
+    For the product families this is the binary polyhedral group G*
+    itself, the one cached closure that its table reads and that every m
+    shares (``_gstar_closure``); for the index-2 and index-3 diagonal
+    families it is the whole group, closed here for the spec.
     """
-    return generate_closure(gamma_prime_generators(spec), spec.expected_order())
+    if spec.is_cyclic:
+        raise InvalidParameters("gamma-prime is defined for non-cyclic specs")
+    if spec.family in (Family.INDEX2, Family.INDEX3):
+        return generate_closure(generators_of(spec)[1:], spec.expected_order())
+    return _gstar_closure(*_gstar_kind(spec))
 
 
 # ---------------------------------------------------------------------------

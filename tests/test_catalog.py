@@ -18,6 +18,7 @@ import u2sing
 import u2sing.catalog
 from u2sing.catalog import (EQ_TOL, FAMILIES, KEY_SCALE, CyclicType, Family,
                             GroupSpec, _canonical_rows, _checked, _gstar,
+                            _gstar_closure, _T_GENS,
                             _row_keys, _su2_product, canonical_cyclic,
                             cyclic_equivalent_type,
                             eigenvalue_histogram, enumerate_gamma_prime,
@@ -679,11 +680,13 @@ def test_a_generator_outside_gstar_or_off_the_grid_is_refused(
 
 @pytest.fixture
 def fresh_tables():
-    """An empty G* cache, emptied again after the test, so that tables
-    built under a patch never reach another test."""
+    """Empty G* caches, emptied again after the test, so that tables and
+    closures built under a patch never reach another test."""
     _gstar.cache_clear()
+    _gstar_closure.cache_clear()
     yield
     _gstar.cache_clear()
+    _gstar_closure.cache_clear()
 
 
 def test_the_gstar_tables_never_read_the_generators(monkeypatch, fresh_tables):
@@ -701,13 +704,70 @@ def test_the_gstar_tables_never_read_the_generators(monkeypatch, fresh_tables):
 
 
 def test_a_gstar_closure_past_120_elements_overflows(monkeypatch, fresh_tables):
-    # A generator of infinite order (an irrational angle) never closes up.
+    # A generator of infinite order (an irrational angle) never closes up:
+    # the closure of I* stops past twice its 120 elements.
     monkeypatch.setattr(u2sing.catalog, "_I_GENS",
                         ((math.cos(1.0), math.sin(1.0), 0.0, 0.0),
                          (0.5, 0.5, 0.5, 0.5)))
     with pytest.raises(ClosureOverflow,
-                       match=re.escape("I*: closure exceeded 120")):
+                       match=re.escape("closure exceeded 240 elements")):
         _gstar("I")
+
+
+def test_a_gstar_closure_of_the_wrong_order_is_refused(monkeypatch,
+                                                        fresh_tables):
+    # T*'s generators in place of O*'s close up, but to 24 elements, not 48:
+    # no later check of the table reads its size.
+    monkeypatch.setattr(u2sing.catalog, "_O_GENS", _T_GENS)
+    with pytest.raises(NotAGroup, match=re.escape(
+            "O*: the closure has 24 elements, not 48")):
+        _gstar("O")
+
+
+def test_each_gstar_is_closed_once_per_process(monkeypatch, fresh_tables):
+    # Its table and the Gamma' of every product spec over it read one
+    # closure; the index-2 and index-3 Gamma' are closed per spec.
+    closed = []
+
+    def counted(gens, max_order):
+        closed.append(max_order)
+        return generate_closure(gens, max_order)
+
+    monkeypatch.setattr(u2sing.catalog, "generate_closure", counted)
+    for spec in (GroupSpec.tetrahedral(1), GroupSpec.tetrahedral(5),
+                 GroupSpec.icosahedral(7), GroupSpec.dihedral(1, 3),
+                 GroupSpec.dihedral(5, 3), GroupSpec.index2(2, 3)):
+        enumerate_group(spec)
+        enumerate_gamma_prime(spec)
+    assert closed == [24, 120, 12, 24]
+
+
+@pytest.mark.parametrize("spec", [GroupSpec.cyclic(1, 2),
+                                  GroupSpec.cyclic(3, 7)],
+                         ids=lambda s: s.key())
+def test_gamma_prime_of_a_cyclic_spec_is_refused(spec):
+    with pytest.raises(InvalidParameters, match="non-cyclic"):
+        enumerate_gamma_prime(spec)
+
+
+PRODUCT_SPECS = (
+    [GroupSpec.dihedral(m, n) for n in range(2, 7) for m in range(1, 21)
+     if math.gcd(m, 2 * n) == 1]
+    + [GroupSpec(f, m=m) for f in (Family.TETRAHEDRAL, Family.OCTAHEDRAL,
+                                   Family.ICOSAHEDRAL)
+       for m in range(1, 21) if FAMILIES[f].holds(SimpleNamespace(m=m))])
+
+
+def test_product_gamma_prime_is_the_closure_of_its_generators():
+    # Byte for byte the closure the spec's own generators give, and one
+    # object for every spec over the same G*.
+    first = {}
+    for spec in PRODUCT_SPECS:
+        gp = enumerate_gamma_prime(spec)
+        ref = generate_closure(generators_of(spec)[1:], spec.expected_order())
+        assert gp.rows.tobytes() == ref.rows.tobytes(), spec.key()
+        assert first.setdefault((spec.family, spec.n), gp) is gp, spec.key()
+    assert len(first) == 8
 
 
 def test_a_closure_past_twice_the_order_overflows(monkeypatch):
