@@ -2,16 +2,17 @@
 
 Groups are given by explicit quaternion-pair generators [e^{i*theta}, beta],
 each stored as one row (a, b1, b2) of complex numbers with a = e^{i*theta}
-and beta = b1 + b2*jhat; a group is an (N, 3) array of such rows, and a
-non-cyclic one is enumerated on exact labels from which its rows are
-built.  The library enumerates the groups, locates the cyclic orbifold
-points of the model quotients, builds Hirzebruch-Jung resolution and
-compactification plumbing graphs, and evaluates the deformation-dimension
-identities -- each quantity by at least two independent routes,
-cross-checked.
+and beta = b1 + b2*jhat.  A cyclic group (and Gamma') is an (N, 3) array
+of such rows, a ``FiniteGroup``; a non-cyclic group is its exact
+``Labels``, a phase step and an element of a binary polyhedral group each,
+and no float is read from it after its generators are labelled.  The
+library enumerates the groups, locates the cyclic orbifold points of the
+model quotients, builds Hirzebruch-Jung resolution and compactification
+plumbing graphs, and evaluates the deformation-dimension identities --
+each quantity by at least two independent routes, cross-checked.
 """
 
-from .catalog import (CyclicType, Family, FiniteGroup, GroupSpec,
+from .catalog import (CyclicType, Family, FiniteGroup, GroupSpec, Labels,
                       canonical_cyclic, cyclic_equivalent_type,
                       eigenvalue_histogram, enumerate_gamma_prime,
                       enumerate_group, generators_of, is_fixed_point_free)
@@ -32,11 +33,11 @@ __version__ = "0.1.0"
 __all__ = [
     "BGamma", "CompactificationData", "CurveConfiguration", "CyclicType",
     "DeformationReport", "Family", "FiniteGroup", "GroupSpec",
-    "InvariantReport", "PlumbingGraph", "ResolutionData", "SingularityTriple",
-    "SweepConfig", "TopologyReport", "VerifySummary", "b_gamma",
-    "canonical_cyclic", "cf_value", "closed_form_dim", "compactification",
-    "cyclic_equivalent_type", "describe", "dim_h1_theta", "dim_sfk",
-    "dual_type", "eigenvalue_histogram", "eisenstein_check",
+    "InvariantReport", "Labels", "PlumbingGraph", "ResolutionData",
+    "SingularityTriple", "SweepConfig", "TopologyReport", "VerifySummary",
+    "b_gamma", "canonical_cyclic", "cf_value", "closed_form_dim",
+    "compactification", "cyclic_equivalent_type", "describe", "dim_h1_theta",
+    "dim_sfk", "dual_type", "eigenvalue_histogram", "eisenstein_check",
     "enumerate_gamma_prime", "enumerate_group", "export_dot", "generators_of",
     "graph_to_dot", "hj_string", "is_fixed_point_free", "moduli_dim",
     "report_from_dict", "report_from_json", "report_to_dict", "report_to_json",

@@ -33,7 +33,9 @@ generators).  The Hopf-fiber rotation's powers come first, identity first;
 each later generator that is not yet a member adds whole right cosets of
 the group generated so far, one vector product per coset, and only the
 coset representatives' products with the generators are tested for
-membership.  Rows are built from the labels where a float is read.
+membership.  The group is its labels (``Labels``): freeness, the
+eigenvalue tables, an n = 1 group's lens type and the pole types read exact
+eigen-angles off them, and no row is built from them.
 Cyclic specs stay float rows: the powers of their one generator up to the
 first one with the identity's grid key, so their order is found, not
 assumed.  The breadth-first closure on rows (``generate_closure``) closes
@@ -288,10 +290,9 @@ def canonical_cyclic(a: int, beta: int) -> CyclicType:
 #
 # and through the Hopf map H(z1, z2) = z1/z2 it descends to the Mobius
 # transformation w -> (b1*w - conj(b2)) / (b2*w + conj(b1)) of
-# S^2 = C u {oo}; the left phase cancels.  The cyclic groups, Gamma' and
-# every float statistic work on (N, 3) complex arrays of such rows; the
-# non-cyclic groups are enumerated on exact labels (below) and their rows
-# built from those.
+# S^2 = C u {oo}; the left phase cancels.  The cyclic groups and Gamma'
+# are (N, 3) complex arrays of such rows (``FiniteGroup``); a non-cyclic
+# group is its exact labels (below), and no row is built from them.
 #
 # Rows are double precision: they are compared to EQ_TOL and keyed on a
 # 1 / KEY_SCALE grid, which is safe because catalog group orders are
@@ -306,19 +307,20 @@ KEY_SCALE = 1e6
 # The fixed threshold of the three float decisions that read a tolerance.
 # Each reads it from its own module's globals when it runs, so a test
 # patches it where it is read.  Their margins on the default sweep:
-#   - freeness on rows (``FiniteGroup.eigenvalue_one_count`` of a group
-#     without labels: the lens path): an element has eigenvalue 1 when an
-#     eigenvalue lies within it of 1.  Over the 12,231 lens specs the
-#     identity's distance is 0 and every other element's is
-#     >= 2 sin(pi/200) = 3.1e-2, the least at p = 200.  Non-cyclic freeness
-#     is an exact count on labels and does not read it;
+#   - freeness on rows (``FiniteGroup.eigenvalue_one_count``, the lens
+#     path): an element has eigenvalue 1 when an eigenvalue lies within it
+#     of 1.  Over the 12,231 lens specs the identity's distance is 0 and
+#     every other element's is >= 2 sin(pi/200) = 3.1e-2, the least at
+#     p = 200.  Non-cyclic freeness is an exact count on labels, and no
+#     other reader of a non-cyclic group reads a float;
 #   - the character-sum snap of ``invariants.dim_sfk``: worst residual
 #     5.2e-13;
 #   - the Eisenstein check ``sweep.check_eisenstein``: worst residual
 #     2.1e-12.
 # The other float decisions do not read it: ``_snap_residue`` snaps within
-# 1e-6 * modulus, row keys round on the 1 / KEY_SCALE grid, and the sign
-# rule compares coordinates to EQ_TOL.
+# 1e-6 * modulus (the generator snap of ``_label_rows``, the G* residues
+# and ``FiniteGroup.eigen_residues``), row keys round on the 1 / KEY_SCALE
+# grid, and the sign rule compares coordinates to EQ_TOL.
 DEFAULT_TOLERANCE = 1e-6
 
 
@@ -405,24 +407,16 @@ def _fresh_indices(keys: list[bytes], seen: set[bytes]) -> list[int]:
     return [i for i, k in enumerate(keys) if k not in seen and not add(k)]
 
 
+@dataclass(eq=False)
 class FiniteGroup:
-    """An enumerated subgroup, identity first: canonical (a, b1, b2) rows,
-    or the exact ``Labels`` of a non-cyclic group, whose rows are built
-    from the labels when they are first read."""
+    """An enumerated subgroup as canonical (a, b1, b2) rows, identity first:
+    a cyclic group, or Gamma'."""
 
-    def __init__(self, rows: np.ndarray | None = None,
-                 labels: Labels | None = None) -> None:
-        self._rows, self.labels = rows, labels
-
-    @property
-    def rows(self) -> np.ndarray:
-        if self._rows is None:
-            self._rows = self.labels.rows()
-        return self._rows
+    rows: np.ndarray
 
     @property
     def order(self) -> int:
-        return len(self.labels.k) if self._rows is None else len(self._rows)
+        return len(self.rows)
 
     def eigen_data(self) -> tuple[np.ndarray, np.ndarray]:
         """(theta, phi) per element: eigenvalues are exp(i(theta +- phi))."""
@@ -430,11 +424,16 @@ class FiniteGroup:
         c = np.clip(self.rows[:, 1].real, -1.0, 1.0)
         return theta, np.arccos(c)
 
+    def eigen_residues(self, modulus: int) -> tuple[np.ndarray, np.ndarray]:
+        """The angles theta + phi and theta - phi of each element, each
+        snapped to a multiple k of 2 pi / modulus (``_snap_residue``), as
+        two integer arrays of k mod modulus."""
+        theta, phi = self.eigen_data()
+        return tuple(np.array([_snap_residue(a, modulus) for a in x.tolist()],
+                              dtype=int) for x in (theta + phi, theta - phi))
+
     def eigenvalue_one_count(self) -> int:
-        """The elements with eigenvalue 1: exactly on labels, and within
-        DEFAULT_TOLERANCE of 1 on rows alone (the cyclic path)."""
-        if self.labels is not None:
-            return self.labels.eigenvalue_one_count()
+        """The elements with an eigenvalue within DEFAULT_TOLERANCE of 1."""
         theta, phi = self.eigen_data()
         d1 = np.abs(np.exp(1j * (theta + phi)) - 1.0)
         d2 = np.abs(np.exp(1j * (theta - phi)) - 1.0)
@@ -517,8 +516,9 @@ def _powers(gen: np.ndarray, start: int,
 # product, index-2 and index-3 families and g_j the j-th element of G*.
 # The pairs (k, j) and (k + N, -j) are one element, so k is kept in
 # 0..N-1, and the key k * |G*| + j is exact.  Products, membership,
-# freeness and the Mobius image read these integers; rows are built from
-# them only where a float is read (``FiniteGroup.rows``).
+# freeness, the eigen-angles and the Mobius image read these integers; the
+# one float decision is the generator snap that labels the generators
+# (``_label_rows``), and no row is built from labels.
 # ---------------------------------------------------------------------------
 
 # Check a G* product this many entries at a time, so that no |G*|^2 array
@@ -706,11 +706,24 @@ class Labels:
     gstar: GStar
     n: int
 
-    def rows(self, idx=slice(None)) -> np.ndarray:
-        """Canonical (a, b1, b2) rows of the elements at ``idx``."""
-        a = np.exp(1j * math.pi / self.n * self.k[idx])
-        su2 = self.gstar.su2[self.j[idx]]
-        return _canonical_rows(np.column_stack([a, su2]))
+    @property
+    def order(self) -> int:
+        return len(self.k)
+
+    def eigen_residues(self, modulus: int) -> tuple[np.ndarray, np.ndarray]:
+        """The eigen-angles k/2N + r/o and k/2N - r/o turns of each element
+        (o and r the order and residue of g_j), times ``modulus``, as two
+        integer arrays mod ``modulus``: modulus (k o +- 2N r) / (2N o).
+        SnapFailure unless every one is an integer."""
+        o, r = self.gstar.order[self.j], self.gstar.residue[self.j]
+        out = []
+        for num in (self.k * o + 2 * self.n * r, self.k * o - 2 * self.n * r):
+            q, rem = np.divmod(modulus * num, 2 * self.n * o)
+            if rem.any():
+                raise SnapFailure(f"an eigen-angle is not a multiple of "
+                                  f"1/{modulus} turn")
+            out.append(q % modulus)
+        return tuple(out)
 
     def eigenvalue_one_count(self) -> int:
         """(k, j) has eigenvalues e^{i pi k/N} e^{+-2 pi i r/o}, with o and
@@ -745,13 +758,6 @@ def _label_rows(spec: GroupSpec, rows: np.ndarray, what: str) -> Labels:
     k[wrap] -= n
     j[wrap] = g.neg[j[wrap]]
     return Labels(k, j, g, n)
-
-
-def _labelled(spec: GroupSpec, group: FiniteGroup) -> FiniteGroup:
-    """``group`` with exact labels: itself, or its rows labelled."""
-    if group.labels is not None:
-        return group
-    return FiniteGroup(group.rows, _label_rows(spec, group.rows, "row"))
 
 
 def _dimino(spec: GroupSpec) -> Labels:
@@ -832,12 +838,10 @@ def _enumerate_cyclic(spec: GroupSpec) -> FiniteGroup:
     return FiniteGroup(_powers(generators_of(spec)[0], spec.p, spec.p)[0])
 
 
-def enumerate_group(spec: GroupSpec) -> FiniteGroup:
+def enumerate_group(spec: GroupSpec) -> FiniteGroup | Labels:
     """All elements of the group, identity first: a cyclic spec's as rows,
     every other as exact labels (``_dimino``)."""
-    if spec.is_cyclic:
-        return _enumerate_cyclic(spec)
-    return FiniteGroup(labels=_dimino(spec))
+    return _enumerate_cyclic(spec) if spec.is_cyclic else _dimino(spec)
 
 
 def enumerate_gamma_prime(spec: GroupSpec) -> FiniteGroup:
@@ -860,7 +864,7 @@ def enumerate_gamma_prime(spec: GroupSpec) -> FiniteGroup:
 # Structural checks
 # ---------------------------------------------------------------------------
 
-def is_fixed_point_free(group: FiniteGroup) -> bool:
+def is_fixed_point_free(group: FiniteGroup | Labels) -> bool:
     """True iff no element besides the identity has eigenvalue 1 (no complex
     reflections, equivalently the action on S^3 is free)."""
     return group.eigenvalue_one_count() == 1
@@ -875,18 +879,17 @@ def _snap_residue(angle: float, modulus: int) -> int:
     return k % modulus
 
 
-def cyclic_equivalent_type(group: FiniteGroup) -> CyclicType | None:
+def cyclic_equivalent_type(group: FiniteGroup | Labels) -> CyclicType | None:
     """Lens label of a cyclic group, or None if no single generator exists.
 
     A free cyclic group of order N contains an element whose matrix is
     conjugate to diag(zeta_N, zeta_N^q); normalizing the exponent pair by
     the inverse of the first gives q, reported insensitive to the
-    conjugation swap q <-> q^{-1}.
+    conjugation swap q <-> q^{-1}.  The exponents are the group's
+    ``eigen_residues`` mod N.
     """
     n = group.order
-    theta, phi = group.eigen_data()
-    for a1, a2 in zip((theta + phi).tolist(), (theta - phi).tolist()):
-        k1, k2 = _snap_residue(a1, n), _snap_residue(a2, n)
+    for k1, k2 in zip(*(x.tolist() for x in group.eigen_residues(n))):
         if math.gcd(k1, n) == 1:
             q = (k2 * pow(k1, -1, n)) % n
             if math.gcd(q, n) != 1:
@@ -896,17 +899,15 @@ def cyclic_equivalent_type(group: FiniteGroup) -> CyclicType | None:
     return None
 
 
-def eigenvalue_histogram(group: FiniteGroup) -> Counter:
+def eigenvalue_histogram(group: FiniteGroup | Labels) -> Counter:
     """Multiset of eigenvalue pairs, keyed by the exact pair of angle
     fractions (angle / 2pi, sorted), with element counts.
 
     Angles in a finite matrix group of order N are multiples of 2pi/N, so
-    snapping each to one (``_snap_residue``) is exact.
+    they are the group's ``eigen_residues`` mod N.
     """
-    theta, phi = group.eigen_data()
     n = group.order
     counts: Counter = Counter()
-    for a1, a2 in zip((theta + phi).tolist(), (theta - phi).tolist()):
-        counts[tuple(sorted((Fraction(_snap_residue(a1, n), n),
-                             Fraction(_snap_residue(a2, n), n))))] += 1
+    for a1, a2 in zip(*(x.tolist() for x in group.eigen_residues(n))):
+        counts[tuple(sorted((Fraction(a1, n), Fraction(a2, n))))] += 1
     return counts

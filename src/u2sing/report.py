@@ -41,9 +41,10 @@ from itertools import chain
 from json.encoder import encode_basestring_ascii
 from typing import Union, get_args, get_origin, get_type_hints
 
-from .catalog import (CyclicType, FiniteGroup, GroupSpec, canonical_cyclic,
-                      cyclic_equivalent_type, enumerate_gamma_prime,
-                      enumerate_group, is_fixed_point_free)
+from .catalog import (CyclicType, FiniteGroup, GroupSpec, Labels,
+                      canonical_cyclic, cyclic_equivalent_type,
+                      enumerate_gamma_prime, enumerate_group,
+                      is_fixed_point_free)
 from .errors import U2SingError
 # hj_string is no longer called here, but bench/tracer.py and
 # bench/test_bench.py bind u2sing.report.hj_string.
@@ -126,23 +127,24 @@ class Resolved:
 
 def describe(spec: GroupSpec,
              eta: Fraction | None = None,
-             group: FiniteGroup | None = None) -> InvariantReport:
+             group: FiniteGroup | Labels | None = None) -> InvariantReport:
     """Full invariant report for one spec.
 
     A failed cross-check is recorded in the report, not raised.  No stage
     checks ``spec`` again: the ``GroupSpec`` constructor has refused bad
     parameters.  What raises: ClosureOverflow when ``group`` is None and the
     enumeration here overflows; and, for a degenerate (n = 1) spec, a
-    SnapFailure when an element's eigenvalues do not snap.  A degenerate
-    group with no lens type is a failing
+    SnapFailure when an element's eigen-angles are not multiples of
+    1/|Gamma| turn.  A degenerate group with no lens type is a failing
     ``degenerate_cyclic_flag`` check, and the later sections keep their
     "stage did not run" defaults.
 
     ``group`` is the enumerated group of ``spec`` when the caller already
-    holds it; otherwise it is enumerated here.  Every later stage takes its
-    inputs from the records of the stages before it: ``resolve``, then
-    ``compactify``, then Gamma', the deformation dimensions, the moduli
-    count and the topology.
+    holds it, as ``enumerate_group`` returns it (rows for a cyclic spec,
+    exact labels for every other); otherwise it is enumerated here.  Every
+    later stage takes its inputs from the records of the stages before it:
+    ``resolve``, then ``compactify``, then Gamma', the deformation
+    dimensions, the moduli count and the topology.
     """
     resolved = resolve(spec, group)
     report = compactify(resolved)
@@ -180,7 +182,8 @@ def describe(spec: GroupSpec,
                    checks=tuple(checks))
 
 
-def resolve(spec: GroupSpec, group: FiniteGroup | None = None) -> Resolved:
+def resolve(spec: GroupSpec,
+            group: FiniteGroup | Labels | None = None) -> Resolved:
     """The resolution stages of ``describe``: order and freeness, the
     singularity triple, b_Gamma and the resolution graph, with the checks
     of each.  The report's later sections are None."""
@@ -202,7 +205,7 @@ def resolve(spec: GroupSpec, group: FiniteGroup | None = None) -> Resolved:
     return _resolve_noncyclic(spec, group, checks)
 
 
-def _describe_cyclic(spec: GroupSpec, group: FiniteGroup,
+def _describe_cyclic(spec: GroupSpec, group: FiniteGroup | Labels,
                      checks: list[CheckResult]) -> InvariantReport:
     degenerate = spec.is_degenerate_cyclic
     if degenerate:
@@ -236,7 +239,7 @@ def _resolution_fields(rd: ResolutionData) -> dict:
                 resolution=rd.graph, h1_theta=dim_h1_theta(rd.graph))
 
 
-def _resolve_noncyclic(spec: GroupSpec, group: FiniteGroup,
+def _resolve_noncyclic(spec: GroupSpec, group: Labels,
                        checks: list[CheckResult]) -> Resolved:
     m, h = spec.m, spec.pgl_image_order()
 

@@ -12,13 +12,13 @@ module computes the three types twice:
     checked G* product of the coset labels, and read the pole orbits from
     it exactly: each conjugacy class of pole stabilizers (the largest cyclic
     subgroups) gives one orbit or two, as its normalizer swaps a stabilizer's
-    two poles or not.  The type at a pole is read from the eigen data of a
-    stabilizer generator: the tangent rotation is the ratio of its
-    eigenvalues, and the normal direction carries the 2m-th power of the
-    eigenvalue on the pole's line, because the model fiber is a degree-2m
-    quotient.  The only float decisions are the residue snaps of the
-    representatives' rows (and, for a group given as rows alone, the
-    labelling of its rows).
+    two poles or not.  The type at a pole is read from the eigen-angles of
+    a stabilizer generator, exact fractions of a turn read off its label:
+    the tangent rotation is the ratio of its eigenvalues, and the normal
+    direction carries the 2m-th power of the eigenvalue on the pole's line,
+    because the model fiber is a degree-2m quotient.  No float is read on
+    this route; the one float decision before it is the generator snap
+    that labels the group (``catalog._label_rows``).
 
 The minimal resolution is the star-shaped plumbing with central weight
 -b_Gamma and one Hirzebruch-Jung string per singularity (first entry adjacent
@@ -66,11 +66,11 @@ from typing import Iterator
 
 import numpy as np
 
-from .catalog import (CyclicType, Family, FiniteGroup, GroupSpec, GStar,
-                      _labelled, _snap_residue, canonical_cyclic)
+from .catalog import (CyclicType, Family, GroupSpec, GStar, Labels,
+                      canonical_cyclic)
 from .errors import (AmbiguousCandidate, CrossCheckFailure, InvalidParameters,
                      MalformedGraph, NoCandidate, OrbitCountMismatch,
-                     TableDisagreement)
+                     SnapFailure, TableDisagreement)
 from .hj import cf_value, dual_type, hj_string
 
 
@@ -211,14 +211,13 @@ def table_singularities(spec: GroupSpec) -> tuple[CyclicType, CyclicType, Cyclic
     return tuple(sorted(triple))
 
 
-def _coset_indices(group: FiniteGroup) -> np.ndarray:
-    """Row index of one representative per element of the Mobius image,
-    in row order.
+def _coset_indices(lab: Labels) -> np.ndarray:
+    """Index of one representative per element of the Mobius image, in
+    element order.
 
     The cosets of the Mobius-trivial subgroup are the classes of the SU(2)
     label up to sign, min(j, -j); each class's first element represents it.
     """
-    lab = group.labels
     cls = np.minimum(lab.j, lab.gstar.neg[lab.j])
     first = np.full(len(lab.gstar.su2), len(cls))
     np.minimum.at(first, cls, np.arange(len(cls)))
@@ -276,65 +275,70 @@ def _stabilizers(table: np.ndarray) -> Iterator[tuple[int, int, int]]:
         yield int(g), int(order[g]), normalizer
 
 
-def _pole_type(theta: float, phi: float, p: int, m: int) -> CyclicType:
-    """The type at a pole of a stabilizer of order p, from a generator's row
-    a * S with a = e^{i theta}: S has eigenvalue e^{i phi} on the pole's
-    line and e^{-i phi} on the tangent line, so the tangent rotation is
-    e^{-2 i phi} = e^{2 pi i t/p} and the degree-2m normal fiber turns by
-    e^{2m i (theta + phi)} = e^{2 pi i u/p}; the type is L(t^-1 u, p).  The
-    other pole of the same axis is phi -> -phi."""
-    t = _snap_residue(-2 * phi, p)
-    u = _snap_residue(2 * m * (theta + phi), p)
-    return canonical_cyclic(pow(t, -1, p) * u, p)
+def _pole_type(theta: Fraction, phi: Fraction, p: int, m: int) -> CyclicType:
+    """The type at a pole of a stabilizer of order p, from a generator
+    a * S with a = e^{2 pi i theta}, angles in turns: S has eigenvalue
+    e^{2 pi i phi} on the pole's line and e^{-2 pi i phi} on the tangent
+    line, so the tangent rotation is e^{2 pi i t/p}, t = -2 phi p, and the
+    degree-2m normal fiber turns by e^{2 pi i u/p}, u = 2m (theta + phi) p;
+    the type is L(t^-1 u, p).  SnapFailure unless t and u are integers.
+    The other pole of the same axis is phi -> -phi."""
+    t, u = -2 * phi * p, 2 * m * (theta + phi) * p
+    if t.denominator != 1 or u.denominator != 1:
+        raise SnapFailure(f"a rotation at a pole of order {p} is not a "
+                          f"multiple of 1/{p} turn")
+    return canonical_cyclic(pow(int(t), -1, p) * int(u), p)
 
 
-def algorithmic_singularities(spec: GroupSpec, group: FiniteGroup
+def algorithmic_singularities(spec: GroupSpec, lab: Labels
                               ) -> tuple[CyclicType, CyclicType, CyclicType]:
     """Compute the three orbifold types from the Mobius action of the
-    enumerated ``group`` of ``spec``; a group given as rows alone is
-    labelled first (``catalog._labelled``).
+    enumerated group of ``spec``, given as its exact labels ``lab``.
 
     The singular points are the poles of the image's rotations, and their
     orbits are read from the image's product table (``_mobius_table``).
     The poles of a stabilizer C (``_stabilizers``) are one orbit of size
     h/|C| when N(C) swaps them, |N(C)| = 2|C|, and two orbits when
     |N(C)| = |C|; there must be exactly three orbits.  Each type is read
-    at one pole per orbit from the eigen data of a generator's row
+    at one pole per orbit from a generator's label (k, j): its eigen-angles
+    k/2N +- r/o turns, r and o the residue and order of g_j, as fractions
     (``_pole_type``).  The family table is never consulted.
     """
     h = spec.pgl_image_order()
-    group = _labelled(spec, group)
-    coset_idx = _coset_indices(group)
+    coset_idx = _coset_indices(lab)
     if len(coset_idx) != h:
         raise OrbitCountMismatch(
             f"{spec.label()}: Mobius image has {len(coset_idx)} elements, expected {h}")
-    table = _mobius_table(group.labels.gstar, group.labels.j[coset_idx])
+    reps = lab.j[coset_idx]
+    table = _mobius_table(lab.gstar, reps)
     if table is None:
         raise OrbitCountMismatch(f"{spec.label()}: the Mobius image is not closed")
-    theta, phi = FiniteGroup(group.labels.rows(coset_idx)).eigen_data()
     types = []
     for g, p, normalizer in _stabilizers(table):
         if normalizer not in (p, 2 * p):
             raise OrbitCountMismatch(
                 f"{spec.label()}: a pole stabilizer of order {p} has a "
                 f"normalizer of order {normalizer}")
+        theta = Fraction(int(lab.k[coset_idx[g]]), 2 * lab.n)
+        phi = Fraction(int(lab.gstar.residue[reps[g]]),
+                       int(lab.gstar.order[reps[g]]))
         signs = (1, -1) if normalizer == p else (1,)
-        types += [_pole_type(theta[g], s * phi[g], p, spec.m) for s in signs]
+        types += [_pole_type(theta, s * phi, p, spec.m) for s in signs]
     if len(types) != 3:
         raise OrbitCountMismatch(
             f"{spec.label()}: found {len(types)} singular orbits, expected 3")
     return tuple(sorted(types))
 
 
-def singularity_triple(spec: GroupSpec, group: FiniteGroup) -> SingularityTriple:
-    """Table types and the algorithmic types of the enumerated ``group``,
-    with agreement asserted.
+def singularity_triple(spec: GroupSpec, lab: Labels) -> SingularityTriple:
+    """Table types and the algorithmic types of the enumerated group's
+    labels ``lab``, with agreement asserted.
 
     Exact equality of the normalized triples is required; agreement only up
     to the inverse label alpha <-> alpha^{-1} is accepted but flagged.
     """
     table = table_singularities(spec)
-    computed = algorithmic_singularities(spec, group)
+    computed = algorithmic_singularities(spec, lab)
     if table == computed:
         return SingularityTriple(computed)
     if tuple(sorted(t.conj_key() for t in table)) == \

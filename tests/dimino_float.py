@@ -2,19 +2,29 @@
 
 ``catalog.enumerate_group`` enumerates a non-cyclic group on exact labels
 (``catalog._dimino``).  This is the float closure it replaced, kept so that
-the tests can check that the label group's rows carry the same grid keys in
-the same order.  It composes rows, with the same sign rule and grid keys as
-``catalog._canonical_rows`` and ``catalog._row_keys``, and shares the
-powers of the first generator (``catalog._powers``) with the cyclic path.
+the tests can check that the label group's rows (``rows_of``) carry the
+same grid keys in the same order.  It composes rows, with the same sign rule
+and grid keys as ``catalog._canonical_rows`` and ``catalog._row_keys``, and
+shares the powers of the first generator (``catalog._powers``) with the
+cyclic path.
 """
 
+import math
 import struct
 
 import numpy as np
 
-from u2sing.catalog import (EQ_TOL, KEY_SCALE, FiniteGroup, _canonical_rows,
-                            _powers, _row_keys)
+from u2sing.catalog import (EQ_TOL, KEY_SCALE, FiniteGroup, Labels,
+                            _canonical_rows, _powers, _row_keys)
 from u2sing.errors import ClosureOverflow
+
+
+def rows_of(group: Labels, idx=slice(None)) -> np.ndarray:
+    """Canonical (a, b1, b2) rows of the elements at ``idx`` of a labelled
+    group: (k, j) is the row of [e^{i pi k/N}, g_j]."""
+    a = np.exp(1j * math.pi / group.n * group.k[idx])
+    return _canonical_rows(np.column_stack([a, group.gstar.su2[group.j[idx]]]))
+
 
 # One row as a tuple of three Python complex numbers: the scalar steps of
 # the Dimino closure, with the same sign rule and the same key bytes as the

@@ -7,7 +7,8 @@ Hopf base, merged within POINT_TOL in a unit-sphere embedding, partitioned
 into orbits by nearest-point matching, and the tangent/normal rotation
 numbers of a stabilizer generator read off the Rayleigh quotient of its
 unitary matrix at the matched fixed point.  It shares only the coset
-representatives (``_coset_indices``) and the residue snap with the library.
+representatives (``_coset_indices``) and the residue snap with the library;
+the library reads the types off exact labels, this route off float rows.
 """
 
 import cmath
@@ -15,10 +16,12 @@ import math
 
 import numpy as np
 
-from u2sing.catalog import (CyclicType, FiniteGroup, GroupSpec, _snap_residue,
+from u2sing.catalog import (CyclicType, GroupSpec, Labels, _snap_residue,
                             canonical_cyclic)
 from u2sing.errors import OrbitCountMismatch
 from u2sing.resolution import _coset_indices
+
+from dimino_float import rows_of
 
 POINT_TOL = 1e-6
 
@@ -97,10 +100,11 @@ def _tangent_normal(su2: np.ndarray, phase: complex, point: np.ndarray,
     return t, u
 
 
-def float_singularities(spec: GroupSpec, group: FiniteGroup
+def float_singularities(spec: GroupSpec, group: Labels
                               ) -> tuple[CyclicType, CyclicType, CyclicType]:
     """Compute the three orbifold types from the Mobius action of the
-    enumerated ``group`` of ``spec``.
+    enumerated ``group`` of ``spec``, on the rows built from its labels
+    (``dimino_float.rows_of``).
 
     The h maps of the Mobius image form one (h, 2, 2) array acting on
     fixed points in homogeneous coordinates (z1, z2), so oo is no special
@@ -118,7 +122,7 @@ def float_singularities(spec: GroupSpec, group: FiniteGroup
     if len(coset_idx) != h:
         raise OrbitCountMismatch(
             f"{spec.label()}: Mobius image has {len(coset_idx)} elements, expected {h}")
-    rows = group.rows[coset_idx]
+    rows = rows_of(group, coset_idx)
     phases = rows[:, 0] / np.abs(rows[:, 0])
     su2 = rows[:, 1:3]
     b1, b2 = (su2 / np.sqrt((np.abs(su2) ** 2).sum(axis=1))[:, None]).T

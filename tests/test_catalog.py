@@ -17,18 +17,19 @@ from hypothesis import strategies as st
 import u2sing
 import u2sing.catalog
 from u2sing.catalog import (EQ_TOL, FAMILIES, KEY_SCALE, CyclicType, Family,
-                            GroupSpec, _canonical_rows, _checked, _gstar,
-                            _gstar_closure, _T_GENS,
-                            _row_keys, _su2_product, canonical_cyclic,
-                            cyclic_equivalent_type,
-                            eigenvalue_histogram, enumerate_gamma_prime,
-                            enumerate_group, generate_closure, generators_of,
+                            FiniteGroup, GroupSpec, Labels, _canonical_rows,
+                            _checked, _gstar, _gstar_closure, _gstar_kind,
+                            _gstar_of, _label_rows, _row_keys, _snap_residue,
+                            _su2_product, _T_GENS, canonical_cyclic,
+                            cyclic_equivalent_type, eigenvalue_histogram,
+                            enumerate_gamma_prime, enumerate_group,
+                            generate_closure, generators_of,
                             is_fixed_point_free)
 from u2sing.errors import (ClosureOverflow, InvalidParameters, NotAGroup,
                            NotCoprime, SnapFailure)
 from u2sing.report import describe, report_to_json
 
-from dimino_float import _canonical_row, _row_key, dimino_closure
+from dimino_float import _canonical_row, _row_key, dimino_closure, rows_of
 from rowalg import (canonical, compose, equivalent, inverse, key, mobius,
                     power, row, scalar)
 
@@ -209,7 +210,7 @@ def test_canonical_rows_keep_the_two_coefficient_rule():
                          m_max=20, n_max=6)
     specs, imaginary = 0, 0
     for spec in specs_in_sweep(config):
-        rows = enumerate_group(spec).rows
+        rows = rows_of(enumerate_group(spec))
         for x in (rows, -rows):
             assert _row_keys(_canonical_rows(x)) == \
                 _row_keys(_two_coefficient_rule(x)), spec
@@ -245,7 +246,7 @@ def test_orders(spec, order):
 
 def test_group_contains_identity_and_inverses():
     group = enumerate_group(GroupSpec.dihedral(3, 2))
-    elements = scalar(group.rows)
+    elements = scalar(rows_of(group))
     keys = {key(g) for g in elements}
     assert key(IDENTITY) in keys
     for g in elements[:10]:
@@ -303,7 +304,7 @@ def test_degenerate_specs_are_cyclic(spec):
     # single-generator check by brute force
     assert any(
         all(key(power(g, k)) != key(IDENTITY) for k in range(1, group.order))
-        for g in scalar(group.rows))
+        for g in scalar(rows_of(group)))
 
 
 def test_nondegenerate_not_flagged():
@@ -335,6 +336,60 @@ def test_histogram_icosahedral():
         (F(1, 6), F(5, 6)): 20, (F(1, 3), F(2, 3)): 20,
         (F(1, 10), F(9, 10)): 12, (F(1, 5), F(4, 5)): 12,
         (F(3, 10), F(7, 10)): 12, (F(2, 5), F(3, 5)): 12}
+
+
+def test_exact_eigen_residues_are_the_snapped_rows():
+    # eigen_residues(|Gamma|) on labels against _snap_residue of the angles
+    # theta +- phi of the rows built from them.  The row sign rule may
+    # negate a row, [-a, -S]: theta turns by pi and phi becomes pi - phi,
+    # which swaps the two angles.
+    from u2sing.sweep import SweepConfig, specs_in_sweep
+    config = SweepConfig(families=tuple(set(Family) - {Family.CYCLIC}),
+                         m_max=20, n_max=6)
+    specs = list(specs_in_sweep(config))
+    assert len(specs) == 100 and any(s.is_degenerate_cyclic for s in specs)
+    swapped = 0
+    for spec in specs:
+        group = enumerate_group(spec)
+        n = group.order
+        exact = list(zip(*(x.tolist() for x in group.eigen_residues(n))))
+        theta, phi = FiniteGroup(rows_of(group)).eigen_data()
+        snapped = [(_snap_residue(a, n), _snap_residue(b, n))
+                   for a, b in zip((theta + phi).tolist(),
+                                   (theta - phi).tolist())]
+        assert len(exact) == len(snapped) == n
+        for e, f in zip(exact, snapped):
+            assert e in (f, f[::-1]), spec
+        swapped += sum(e != f for e, f in zip(exact, snapped))
+    assert swapped > 0          # the swap happens, and is allowed for
+
+
+@pytest.mark.parametrize("spec", [GroupSpec.tetrahedral(1),
+                                  GroupSpec.icosahedral(1),
+                                  GroupSpec.dihedral(5, 1),
+                                  GroupSpec.index2(4, 1)],
+                         ids=lambda s: s.key())
+def test_the_row_readers_read_what_the_labels_give(spec):
+    # eigenvalue_histogram and cyclic_equivalent_type keep their float
+    # route for row groups; on the rows built from the labels each reads
+    # what its exact route reads on the labels.
+    group = enumerate_group(spec)
+    rows = FiniteGroup(rows_of(group))
+    assert eigenvalue_histogram(rows) == eigenvalue_histogram(group)
+    assert cyclic_equivalent_type(rows) == cyclic_equivalent_type(group)
+    assert (cyclic_equivalent_type(group) is None) != spec.is_degenerate_cyclic
+
+
+@pytest.mark.parametrize("spec", [GroupSpec.dihedral(5, 3),
+                                  GroupSpec.dihedral(5, 1),
+                                  GroupSpec.icosahedral(7),
+                                  GroupSpec.index3(9)],
+                         ids=lambda s: s.key())
+def test_exact_eigen_residues_refuse_a_modulus_they_do_not_divide(spec):
+    group = enumerate_group(spec)
+    with pytest.raises(SnapFailure, match=re.escape(
+            f"not a multiple of 1/{group.order - 1} turn")):
+        group.eigen_residues(group.order - 1)
 
 
 # -- lens labels ------------------------------------------------------------
@@ -465,7 +520,7 @@ def test_closure_matches_reference(spec):
     if not spec.is_cyclic:
         # Dimino's closure lists the same elements in coset order, and its
         # last bits need not match the BFS's
-        rows = enumerate_group(spec).rows
+        rows = rows_of(enumerate_group(spec))
         assert len(rows) == len(ref)
         assert (_row_keys(rows[:1]) == _row_keys(ref[:1])
                 == _row_keys(np.array([IDENTITY])))
@@ -475,8 +530,11 @@ def test_closure_matches_reference(spec):
 @pytest.mark.parametrize("spec", CLOSURE_CASES, ids=lambda s: s.key())
 def test_reports_do_not_depend_on_the_enumeration_order(spec):
     # the report reads only exact, snapped results of Gamma, so the BFS
-    # order and the Dimino order give the same bytes
+    # order and the Dimino order give the same bytes; a non-cyclic group
+    # is handed in as labels, the BFS rows labelled as the generators are
     bfs = generate_closure(generators_of(spec), spec.expected_order())
+    if not spec.is_cyclic:
+        bfs = _label_rows(spec, bfs.rows, "row")
     assert (report_to_json(describe(spec, group=bfs))
             == report_to_json(describe(spec)))
 
@@ -485,7 +543,7 @@ def test_reports_do_not_depend_on_the_enumeration_order(spec):
                                   GroupSpec.icosahedral(7), GroupSpec.index3(9)],
                          ids=lambda s: s.key())
 def test_scalar_keys_are_the_array_keys(spec):
-    rows = enumerate_group(spec).rows
+    rows = rows_of(enumerate_group(spec))
     signs = np.where(np.arange(len(rows)) % 3 == 0, -1.0, 1.0)
     raw = rows * signs[:, None]             # every third row's other sign
     assert ([_row_key(_canonical_row(g)) for g in raw.tolist()]
@@ -540,12 +598,12 @@ def test_a_drifting_generator_overflows_the_dimino_closure(drift, monkeypatch):
 # -- the label closure against the float Dimino -----------------------------
 
 def _assert_label_group_is_the_reference(spec):
-    """The rows built from the labels carry the float Dimino's grid keys in
-    its order, and there are |Gamma| of them."""
+    """The rows built from the labels (``rows_of``) carry the float Dimino's
+    grid keys in its order, and there are |Gamma| of them."""
     group = enumerate_group(spec)
-    assert group.labels is not None and group.order == spec.expected_order()
+    assert isinstance(group, Labels) and group.order == spec.expected_order()
     ref = dimino_closure(generators_of(spec), spec.expected_order())
-    assert _row_keys(group.rows) == _row_keys(ref.rows), spec
+    assert _row_keys(rows_of(group)) == _row_keys(ref.rows), spec
 
 
 def test_label_closure_matches_the_float_dimino_in_the_sweep():
@@ -581,18 +639,30 @@ def test_label_closure_matches_the_float_dimino(spec):
 
 # -- the G* tables -----------------------------------------------------------
 
-GSTARS = [("T", 0), ("O", 0), ("I", 0), ("D", 1), ("D", 2), ("D", 5),
-          ("D", 24)]
+# One spec over each G* checked here, the key ``_gstar_kind`` gives it,
+# and |G*|.
+GSTARS = [(GroupSpec.tetrahedral(1), ("T",), 24),
+          (GroupSpec.octahedral(5), ("O",), 48),
+          (GroupSpec.icosahedral(7), ("I",), 120),
+          (GroupSpec.dihedral(1, 1), ("D", 1), 4),
+          (GroupSpec.dihedral(1, 2), ("D", 2), 8),
+          (GroupSpec.index2(2, 5), ("D", 5), 20),
+          (GroupSpec.dihedral(5, 24), ("D", 24), 96)]
 
 
-@pytest.mark.parametrize("kind,n", GSTARS)
-def test_every_gstar_is_a_checked_group(kind, n):
+# The ids name each G* by kind and n, n = 0 for the tables: T-0, ..., D-24.
+@pytest.mark.parametrize("spec,key,size", GSTARS,
+                         ids=[f"{k[0]}-{k[1] if len(k) > 1 else 0}"
+                              for _, k, _ in GSTARS])
+def test_every_gstar_is_a_checked_group(spec, key, size):
     # Each product, negation, order and residue against the float
     # quaternions: products agree to rounding, the order is the first power
     # that returns to 1, and the eigenvalues are e^{+-2 pi i r / order}.
-    g = _gstar(kind, n)
-    size = len(g.su2)
-    assert size == {"T": 24, "O": 48, "I": 120}.get(kind, 4 * n)
+    # The table checked is the one object every spec over it reads.
+    assert _gstar_kind(spec) == key
+    g = _gstar(*key)
+    assert g is _gstar_of(spec)[0]
+    assert len(g.su2) == size
     every = np.arange(size)
     prod = _su2_product(g.su2[:, None], g.su2[None, :])
     assert np.abs(prod - g.su2[g.mul(every[:, None], every)]).max() < 1e-12
@@ -697,8 +767,8 @@ def test_the_gstar_tables_never_read_the_generators(monkeypatch, fresh_tables):
         raise AssertionError("a G* table read generators_of")
 
     monkeypatch.setattr(u2sing.catalog, "generators_of", refuse)
-    for kind, n in GSTARS:
-        assert _gstar(kind, n).neg is not None
+    for _, key, _ in GSTARS:
+        assert _gstar(*key).neg is not None
     monkeypatch.undo()
     assert enumerate_group(GroupSpec.icosahedral(7)).order == 840
 
@@ -882,7 +952,7 @@ def test_gamma_prime_is_gamma_for_the_diagonal_families(spec):
     # dropping it leaves the same set of elements, not just the same order
     gamma, gamma_prime = enumerate_group(spec), enumerate_gamma_prime(spec)
     assert gamma_prime.order == gamma.order == spec.expected_order()
-    assert set(_row_keys(gamma_prime.rows)) == set(_row_keys(gamma.rows))
+    assert set(_row_keys(gamma_prime.rows)) == set(_row_keys(rows_of(gamma)))
 
 
 def test_public_names_resolve():

@@ -26,6 +26,7 @@ from u2sing.sweep import (SweepConfig, VerifySummary, check_eigenvalue_tables,
                           check_kappa_spots, config_from_mapping,
                           parse_config_file, specs_in_sweep, verify)
 
+from dimino_float import rows_of
 from stages import table_topology
 
 
@@ -428,12 +429,33 @@ def test_a_complex_reflection_fails_the_exact_freeness_count(monkeypatch):
 
     monkeypatch.setattr(catalog, "generators_of", mutant)
     group = catalog.enumerate_group(spec)
-    assert group.labels is not None and group.order == 24
-    assert catalog.FiniteGroup(group.rows).eigenvalue_one_count() == 7
+    assert isinstance(group, catalog.Labels) and group.order == 24
+    assert catalog.FiniteGroup(rows_of(group)).eigenvalue_one_count() == 7
     checks = {c.name: c for c in describe(spec).checks}
     assert checks["order_matches_table"].passed
     assert not checks["fixed_point_free"].passed
     assert checks["fixed_point_free"].detail == "7 element(s) with eigenvalue 1"
+
+
+@pytest.mark.parametrize("spec", [
+    GroupSpec.dihedral(5, 4), GroupSpec.tetrahedral(7), GroupSpec.octahedral(5),
+    GroupSpec.icosahedral(7), GroupSpec.index2(4, 3), GroupSpec.index3(9),
+    GroupSpec.dihedral(5, 1), GroupSpec.index2(4, 1)], ids=GroupSpec.key)
+def test_the_non_cyclic_resolution_reads_no_float(spec, monkeypatch):
+    # A non-cyclic group is its labels: its order, freeness, lens type
+    # (n = 1), pole types and eigenvalue tables are read exactly, so no
+    # eigen data of a row group is read on the way to the resolution.
+    from u2sing.report import resolve
+
+    def refuse(group):
+        raise AssertionError("a float eigen-angle was read")
+
+    monkeypatch.setattr(catalog.FiniteGroup, "eigen_data", refuse)
+    report = resolve(spec).report
+    assert report.checks and report.all_passed(), report.checks
+    summary = VerifySummary()
+    check_eigenvalue_tables(summary)
+    assert summary.passed_failed("eigenvalue_tables") == (3, 0)
 
 
 def test_eta_table_in_sweep():
@@ -535,16 +557,15 @@ def test_verify_isolates_a_failing_enumeration(monkeypatch):
 
 
 def test_verify_goes_on_when_freeness_raises_again(monkeypatch):
-    from u2sing.catalog import FiniteGroup
-    real = FiniteGroup.eigenvalue_one_count
+    from u2sing.catalog import Labels
+    real = Labels.eigenvalue_one_count
 
     def eigenvalue_one_count(group):
         if group.order == 72:
             raise RuntimeError("injected")
         return real(group)
 
-    monkeypatch.setattr(FiniteGroup, "eigenvalue_one_count",
-                        eigenvalue_one_count)
+    monkeypatch.setattr(Labels, "eigenvalue_one_count", eigenvalue_one_count)
     summary = verify(SweepConfig(families=(Family.INDEX3,), m_max=9,
                                  hj_p_max=10, eisenstein_n_max=10))
     assert summary.specs_processed == 2         # index3(3), of order 72, and (9)

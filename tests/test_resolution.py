@@ -11,8 +11,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from u2sing import resolution
-from u2sing.catalog import (EQ_TOL, KEY_SCALE, Family, FiniteGroup, GroupSpec,
-                            _gstar_of, canonical_cyclic, enumerate_group)
+from u2sing.catalog import (EQ_TOL, KEY_SCALE, Family, GroupSpec,
+                            _gstar_of, _label_rows, canonical_cyclic,
+                            enumerate_group)
 from u2sing.errors import (CrossCheckFailure, InvalidParameters,
                            MalformedGraph, NotCoprime, OrbitCountMismatch,
                            SnapFailure, TableDisagreement, U2SingError)
@@ -26,6 +27,7 @@ from u2sing.resolution import (CentrePencil, CurveConfiguration, PlumbingGraph,
 from u2sing.sweep import SweepConfig, specs_in_sweep
 
 import mobius_float
+from dimino_float import rows_of
 from mobius_float import (_orbit, _singular_points, _sphere_vecs,
                           float_singularities)
 from rowalg import matrix, mobius, scalar
@@ -78,7 +80,7 @@ ONE_PER_FAMILY = [GroupSpec.dihedral(5, 4), GroupSpec.tetrahedral(7),
 def _lexsort_coset_indices(group):
     """The coset representatives by a stable lexsort of the integer grid
     keys: the reference for the key pass in _coset_indices."""
-    su2 = group.rows[:, 1:3]
+    su2 = rows_of(group)[:, 1:3]
     comps = np.stack([su2[:, 0].real, su2[:, 0].imag,
                       su2[:, 1].real, su2[:, 1].imag], axis=1)
     sign = np.zeros(len(comps))
@@ -136,7 +138,7 @@ def test_tangent_normal_matches_the_rayleigh_quotient(spec, monkeypatch):
     group = enumerate_group(spec)
     assert float_singularities(spec, group) == table_singularities(spec)
     assert len(points) == 3
-    reps = scalar(group.rows[_coset_indices(group)])
+    reps = scalar(rows_of(group, _coset_indices(group)))
     for point, p in points.values():
         stabilizer = 0
         for row in reps:
@@ -166,12 +168,12 @@ def test_tangent_normal_is_the_same_for_every_row_of_a_coset(spec,
     float_singularities(spec, group)
     assert len(points) == 3
     reps = np.array([mobius(r)
-                     for r in scalar(group.rows[_coset_indices(group)])])
+                     for r in scalar(rows_of(group, _coset_indices(group)))])
     kernel = group.order // len(reps)
     assert kernel > 1
     for point, p in points.values():
         by_coset = {}
-        for row in scalar(group.rows):
+        for row in scalar(rows_of(group)):
             mob = np.array(mobius(row))
             if abs(abs(np.vdot(point, mob @ point)) - 1) > 1e-9:   # moves it
                 continue
@@ -252,18 +254,19 @@ def test_table_route_agrees_past_the_sweep_bounds(spec):
 def test_a_corrupted_coset_row_leaves_the_image_open(spec):
     # Every row of one non-identity coset (SU(2) part +-s) gets e^{i eps} s
     # instead, so the cosets keep their number but the image is no group.
-    # The Mobius stage reads exact labels, and a group given as rows is
-    # labelled first: the corrupted rows are in no G*, and the first of
+    # The Mobius stage reads exact labels, and rows are labelled as the
+    # generators are: the corrupted rows are in no G*, and the first of
     # them is refused by name.
     group = enumerate_group(spec)
-    rows, su2 = group.rows.copy(), group.rows[:, 1:3]
+    rows = rows_of(group)
+    su2 = rows[:, 1:3].copy()
     s = su2[_coset_indices(group)[1]]
     corrupted = np.abs((su2 @ s.conj()).real) > 1 - 1e-9
     rows[corrupted, 1:3] *= np.exp(1e-3j)
     first = int(np.flatnonzero(corrupted)[0])
     with pytest.raises(SnapFailure,
                        match=rf"SU\(2\) part of row {first} is not in"):
-        algorithmic_singularities(spec, FiniteGroup(rows))
+        _label_rows(spec, rows, "row")
 
 
 def test_a_label_set_that_is_not_closed_has_no_mobius_table():
@@ -640,7 +643,7 @@ def _orbits(spec):
     """The orbits of the singular points, with each coset's map built from
     its row by the scalar row algebra rather than by the array code."""
     group = enumerate_group(spec)
-    reps = scalar(group.rows[_coset_indices(group)])
+    reps = scalar(rows_of(group, _coset_indices(group)))
     mats = np.array([mobius(g) for g in reps])
     points = _singular_points(mats)
     targets = _sphere_vecs(points)
