@@ -54,7 +54,7 @@ from .catalog import FAMILIES, Family, GroupSpec, canonical_cyclic
 from .errors import InvalidParameters, U2SingError
 from .hj import hj_string
 from .report import (compactify, describe, export_dot, json_text,
-                     report_to_dict, report_to_json, resolve)
+                     report_to_json, resolve)
 from .sweep import (config_from_mapping, parse_config_file, parse_eta_file,
                     parse_fraction, verify)
 
@@ -178,7 +178,7 @@ def cmd_stage(args: argparse.Namespace) -> int:
     if args.format == "dot":
         text = export_dot(report, args.what)
     elif args.format == "json":
-        text = json_text(report_to_dict(report)[args.what]) + "\n"
+        text = json_text(getattr(report, args.what)) + "\n"
     elif args.what == "resolution":
         text = (f"{label}: center {g.center}, arms "
                 f"{[list(a) for a in g.arms]}, k = {report.k_gamma}, "

@@ -22,11 +22,12 @@ Integers are bit-exact and rationals are ``{"num": int, "den": int}``.
 field-for-field.
 
 All indented report text, from ``report_to_json`` and from the CLI's JSON
-sections, comes from one writer, ``json_text``, which reproduces
-``json.dumps(data, indent=k)`` byte for byte; ``indent=None`` is
-``json.dumps``'s compact text.  (With an indent, the stdlib falls back to
-its pure-Python encoder; the writer renders integer lists and the
-intersection matrix with one ``str()`` each instead.)
+sections, comes from one writer, ``json_text``, which walks the report
+objects once and writes ``json.dumps(_encode(r), indent=k)`` byte for byte;
+it takes plain JSON data too, as ``json.dumps(data, indent=k)``.  A graph's
+matrix is drawn from its weights and edges: no list of lists is built.
+``report_to_dict`` and ``indent=None`` come from ``_encode`` and
+``json.dumps``, the route that the tests compare the writer against.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ import types
 from dataclasses import dataclass, fields, is_dataclass, replace
 from enum import Enum
 from fractions import Fraction
-from itertools import chain
 from json.encoder import encode_basestring_ascii
 from typing import Union, get_args, get_origin, get_type_hints
 
@@ -394,8 +394,9 @@ def _decode(tp, v):
 
 
 def _dumps(x, pad: str, step: str) -> str:
-    """``json.dumps(x, indent=len(step))`` of ``_encode``'s output, with
-    ``pad`` the indent of the line ``x`` starts on."""
+    """``json.dumps(_encode(x), indent=len(step))`` for a report object, or
+    ``json.dumps(x, indent=len(step))`` for plain JSON data, with ``pad``
+    the indent of the line ``x`` starts on."""
     t = type(x)
     if t is str:
         return encode_basestring_ascii(x)
@@ -409,37 +410,59 @@ def _dumps(x, pad: str, step: str) -> str:
         return json.dumps(x)
     inner = pad + step
     sep = ",\n" + inner
-    if t is dict:
-        if not x:
-            return "{}"
-        if set(map(type, x)) != {str}:
-            raise TypeError(f"report JSON keys must be str, got {list(x)}")
-        body = sep.join([f"{encode_basestring_ascii(k)}: {_dumps(v, inner, step)}"
-                         for k, v in x.items()])
-        return f"{{\n{inner}{body}\n{pad}}}"
-    if t is list:
+    if t is list or t is tuple:
         if not x:
             return "[]"
-        kinds = set(map(type, x))
         # Exact type tests: a bool is an int, but json writes it "true".
-        if kinds == {int}:
-            body = str(x)[1:-1].replace(", ", sep)
-        elif (kinds == {list} and all(x)
-              and set(map(type, chain.from_iterable(x))) == {int}):
-            deeper = inner + step
-            rows = (str(x)[2:-2].replace("], [", f"\n{inner}]{sep}[\n{deeper}")
-                    .replace(", ", ",\n" + deeper))
-            body = f"[\n{deeper}{rows}\n{inner}]"
+        if set(map(type, x)) == {int}:
+            body = sep.join(map(int.__repr__, x))
         else:
             body = sep.join([_dumps(v, inner, step) for v in x])
         return f"[\n{inner}{body}\n{pad}]"
-    raise TypeError(f"{t.__name__} is not a report JSON type")
+    if t is dict:
+        if set(map(type, x)) - {str}:
+            raise TypeError(f"report JSON keys must be str, got {list(x)}")
+        items = x.items()
+    elif t is Fraction:
+        items = (("num", x.numerator), ("den", x.denominator))
+    elif isinstance(x, Enum):
+        return _dumps(x.value, pad, step)
+    elif is_dataclass(t):
+        items = [(key, getattr(x, name)) for name, key in _fields(t)]
+        if t is GroupSpec:
+            items = [(k, v) for k, v in items if v is not None]
+    else:
+        raise TypeError(f"{t.__name__} is not a report JSON type")
+    body = [f"{encode_basestring_ascii(k)}: {_dumps(v, inner, step)}"
+            for k, v in items]
+    if t is PlumbingGraph:
+        body.append(f'"matrix": {_matrix(x, inner, step)}')
+    if not body:
+        return "{}"
+    return f"{{\n{inner}{sep.join(body)}\n{pad}}}"
+
+
+def _matrix(g: PlumbingGraph, pad: str, step: str) -> str:
+    """``_dumps(g.intersection_matrix(), pad, step)``, drawn from the graph:
+    each row starts as zeros and takes its weight and its edges' ones."""
+    w = g.weights()
+    rows = [["0"] * len(w) for _ in w]
+    for i, v in enumerate(w):
+        rows[i][i] = int.__repr__(v)
+    for i, j in g._edges():
+        rows[i][j] = rows[j][i] = "1"
+    inner = pad + step
+    deeper = inner + step
+    cell = ",\n" + deeper
+    body = f"\n{inner}],\n{inner}[\n{deeper}".join([cell.join(r) for r in rows])
+    return f"[\n{inner}[\n{deeper}{body}\n{inner}]\n{pad}]"
 
 
 def json_text(data, indent: int | None = 2) -> str:
-    """``json.dumps(data, indent=indent)`` for ``_encode``'s output."""
+    """``json.dumps(_encode(data), indent=indent)`` for a report object, and
+    ``json.dumps(data, indent=indent)`` for plain JSON data."""
     if indent is None:
-        return json.dumps(data)
+        return json.dumps(data, default=_encode)
     return _dumps(data, "", " " * indent)
 
 
@@ -452,7 +475,7 @@ def report_from_dict(d: dict) -> InvariantReport:
 
 
 def report_to_json(r: InvariantReport, indent: int | None = 2) -> str:
-    return json_text(report_to_dict(r), indent)
+    return json_text(r, indent)
 
 
 def report_from_json(text: str) -> InvariantReport:

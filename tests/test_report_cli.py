@@ -18,9 +18,9 @@ from u2sing.cli import main
 from u2sing.errors import InvalidParameters
 from u2sing.invariants import DeformationReport, TopologyReport
 from u2sing.report import (CheckResult, CompactificationSection,
-                           InvariantReport, _dumps, describe, export_dot,
-                           json_text, report_from_dict, report_from_json,
-                           report_to_dict, report_to_json)
+                           InvariantReport, _dumps, _encode, describe,
+                           export_dot, json_text, report_from_dict,
+                           report_from_json, report_to_dict, report_to_json)
 from u2sing.resolution import PlumbingGraph
 from u2sing.sweep import (SweepConfig, VerifySummary, check_eigenvalue_tables,
                           check_kappa_spots, config_from_mapping,
@@ -269,10 +269,55 @@ def test_writer_matches_json_dumps(x, k):
     assert _dumps(x, "", " " * k) == json.dumps(x, indent=k)
 
 
-@pytest.mark.parametrize("x", [(1, 2), {1: 2}, F(1, 2), [1, (2,)]])
+# The writer takes report objects (tuples, Fractions, enums, dataclasses) as
+# well as JSON data; what neither the encoder nor json.dumps writes is
+# refused.
+@pytest.mark.parametrize("x", [{1: 2}, {1, 2}, object(), [1, {2}], 1j])
 def test_writer_rejects_what_the_encoder_never_writes(x):
     with pytest.raises(TypeError):
         _dumps(x, "", " ")
+
+
+@pytest.mark.parametrize("x", [
+    (1, 2), ((3, 4), ()), F(1, 2), Family.CYCLIC, canonical_cyclic(3, 5),
+    GroupSpec.cyclic(3, 5), GroupSpec.dihedral(5, 2),
+], ids=repr)
+@pytest.mark.parametrize("k", [1, 2, 4])
+def test_writer_renders_report_objects_as_the_encoder(x, k):
+    assert json_text(x, k) == json.dumps(_encode(x), indent=k)
+    assert json_text(x, None) == json.dumps(_encode(x))
+
+
+def test_graph_matrix_matches_the_list_route(monkeypatch):
+    import u2sing.report as report
+    from u2sing.errors import CrossCheckFailure
+
+    # The writer draws a graph's matrix from its weights and edges;
+    # _encode builds intersection_matrix().  Every chain L(q, 200), up to
+    # 199 x 199, the one-vertex chain of L(1, 7), and the three-arm stars.
+    graphs = [describe(GroupSpec.cyclic(q, 200)).resolution
+              for q in range(1, 200) if math.gcd(q, 200) == 1]
+    assert max(g.vertex_count for g in graphs) == 199
+    one = describe(GroupSpec.cyclic(1, 7)).resolution
+    assert one.vertex_count == 1
+    graphs.append(one)
+    for spec, eta in REPORT_CASES:
+        r = describe(spec, eta=eta)
+        if r.compactification is not None:
+            assert len(r.resolution.arms) == len(r.compactification.star.arms) == 3
+            graphs += [r.resolution, r.compactification.star]
+    # A report whose b_Gamma failed keeps the default one-vertex graph.
+    def b_gamma(spec, triple):
+        raise CrossCheckFailure("injected")
+
+    monkeypatch.setattr(report, "b_gamma", b_gamma)
+    failed = describe(GroupSpec.dihedral(1, 2))
+    assert not failed.all_passed()
+    assert failed.resolution == PlumbingGraph(0, ())
+    graphs.append(failed.resolution)
+    for g in graphs:
+        for k in (1, 2, 4):
+            assert json_text(g, k) == json.dumps(_encode(g), indent=k), (g, k)
 
 
 def test_report_text_matches_json_dumps():
