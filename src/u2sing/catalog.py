@@ -37,12 +37,12 @@ membership.  The group is its labels (``Labels``): freeness, the
 eigenvalue tables, an n = 1 group's lens type and the pole types read exact
 eigen-angles off them, and no row is built from them.
 Cyclic specs stay float rows: the powers of their one generator up to the
-first one with the identity's grid key, so their order is found, not
-assumed.  The breadth-first closure on rows (``generate_closure``) closes
-each G* once per process: T*, O* and I* take their elements from it, and it
-is the Gamma' of every product spec over that G*.  The index-2 and index-3
-Gamma', the whole group, is closed per spec; the deformation residual reads
-Gamma' in this row order.
+first one whose row on the key grid is the identity's, so their order is
+found, not assumed.  The breadth-first closure on rows
+(``generate_closure``) closes each G* once per process: T*, O* and I* take
+their elements from it, and it is the Gamma' of every product spec over
+that G*.  The index-2 and index-3 Gamma', the whole group, is closed per
+spec; the deformation residual reads Gamma' in this row order.
 It also provides the structural checks used downstream: freeness on S^3 (no
 eigenvalue 1 away from the identity), eigenvalue statistics, and
 normalization of the cyclic singularity labels L(alpha, beta).
@@ -308,9 +308,10 @@ KEY_SCALE = 1e6
 # Each reads it from its own module's globals when it runs, so a test
 # patches it where it is read.  Their margins on the default sweep:
 #   - freeness on rows (``FiniteGroup.eigenvalue_one_count``, the lens
-#     path): an element has eigenvalue 1 when an eigenvalue lies within it
-#     of 1.  Over the 12,231 lens specs the identity's distance is 0 and
-#     every other element's is >= 2 sin(pi/200) = 3.1e-2, the least at
+#     path): an element (a, b1, b2) has eigenvalue 1 when the distance
+#     |a e^{+-i phi} - 1| of one of its eigenvalues to 1, cos phi = Re b1,
+#     is below it.  Over the 12,231 lens specs the identity's distance is 0
+#     and every other element's is >= 2 sin(pi/200) = 3.1e-2, the least at
 #     p = 200.  Non-cyclic freeness is an exact count on labels, and no
 #     other reader of a non-cyclic group reads a float;
 #   - the character-sum snap of ``invariants.dim_sfk``: worst residual
@@ -433,11 +434,15 @@ class FiniteGroup:
                               dtype=int) for x in (theta + phi, theta - phi))
 
     def eigenvalue_one_count(self) -> int:
-        """The elements with an eigenvalue within DEFAULT_TOLERANCE of 1."""
-        theta, phi = self.eigen_data()
-        d1 = np.abs(np.exp(1j * (theta + phi)) - 1.0)
-        d2 = np.abs(np.exp(1j * (theta - phi)) - 1.0)
-        return int(np.count_nonzero(np.minimum(d1, d2) < DEFAULT_TOLERANCE))
+        """The elements with an eigenvalue within DEFAULT_TOLERANCE of 1.
+        Row (a, b1, b2) has eigenvalues a e^{+-i phi}, cos phi = Re b1 (the
+        trace of its SU(2) part is 2 Re b1), and e^{i phi} is
+        c + i sqrt(1 - c^2) for c = Re b1 clipped to [-1, 1]."""
+        a = self.rows[:, 0]
+        c = np.clip(self.rows[:, 1].real, -1.0, 1.0)
+        e = c + 1j * np.sqrt(1.0 - c * c)
+        d = np.minimum(np.abs(a * e - 1.0), np.abs(a * e.conj() - 1.0))
+        return int(np.count_nonzero(d < DEFAULT_TOLERANCE))
 
 
 def generate_closure(generators: np.ndarray, max_order: int) -> FiniteGroup:
@@ -452,7 +457,7 @@ def generate_closure(generators: np.ndarray, max_order: int) -> FiniteGroup:
     Gamma' per spec.  The deformation residual is a float sum over Gamma' in
     this row order, and the benchmark goldens and
     ``tests/sweep_slice.sha256`` pin its bytes; Gamma' can become a view of
-    Gamma once the character sum no longer reads row order (ROADMAP item 1).
+    Gamma once the character sum no longer reads row order (ROADMAP item B).
     """
     gen_rows = _canonical_rows(np.asarray(generators, dtype=complex))
     frontier = _canonical_rows(np.array([[1.0 + 0j, 1.0 + 0j, 0.0 + 0j]]))
@@ -481,26 +486,26 @@ def generate_closure(generators: np.ndarray, max_order: int) -> FiniteGroup:
     return FiniteGroup(np.concatenate(chunks, axis=0))
 
 
-def _powers(gen: np.ndarray, start: int,
-            max_order: int) -> tuple[np.ndarray, list[bytes]]:
+def _powers(gen: np.ndarray, start: int, max_order: int) -> np.ndarray:
     """The powers of one row (a, b1, 0), identity first, up to the first one
-    with the identity's grid key, and their keys: the order is found, not
-    assumed.  Powers k = 0..start are computed as one table from the angles
-    of a and b1, and the table doubles while the identity does not recur.
-    Raises ClosureOverflow past 2 * max_order elements, as the closures do."""
+    whose row on the KEY_SCALE integer grid (the grid of ``_row_keys``)
+    equals the identity's: the order is found, not assumed.  Powers
+    k = 0..start are computed as one table from the angles of a and b1, and
+    the table doubles while the identity does not recur.  Raises
+    ClosureOverflow past 2 * max_order elements, as the closures do."""
     limit = 2 * max_order
     a0, b0 = np.angle(gen[0]), np.angle(gen[1])
     last = min(start, limit)
     while True:
         k = np.arange(last + 1)
-        rows = _canonical_rows(np.stack([np.exp(1j * a0 * k),
-                                         np.exp(1j * b0 * k),
-                                         np.zeros(last + 1, dtype=complex)],
-                                        axis=1))
-        keys = _row_keys(rows)
-        if keys[0] in keys[1:]:
-            order = keys.index(keys[0], 1)
-            return rows[:order], keys[:order]
+        rows = np.zeros((last + 1, 3), dtype=complex)
+        np.exp(1j * a0 * k, out=rows[:, 0])
+        np.exp(1j * b0 * k, out=rows[:, 1])
+        rows = _canonical_rows(rows)
+        grid = np.rint(rows.view(np.float64) * KEY_SCALE).astype(np.int64)
+        back = (grid[1:] == grid[0]).all(axis=1)
+        if back.any():
+            return rows[:back.argmax() + 1]
         if last == limit:
             raise ClosureOverflow(
                 f"closure exceeded {limit} elements (expected {max_order})")
@@ -835,7 +840,7 @@ def _dimino(spec: GroupSpec) -> Labels:
 def _enumerate_cyclic(spec: GroupSpec) -> FiniteGroup:
     """The powers of the one generator, identity first: k = 0..p, and
     k = 0..2p only when the p-th is not the identity."""
-    return FiniteGroup(_powers(generators_of(spec)[0], spec.p, spec.p)[0])
+    return FiniteGroup(_powers(generators_of(spec)[0], spec.p, spec.p))
 
 
 def enumerate_group(spec: GroupSpec) -> FiniteGroup | Labels:

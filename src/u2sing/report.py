@@ -42,9 +42,8 @@ from json.encoder import encode_basestring_ascii
 from typing import Union, get_args, get_origin, get_type_hints
 
 from .catalog import (CyclicType, FiniteGroup, GroupSpec, Labels,
-                      canonical_cyclic, cyclic_equivalent_type,
-                      enumerate_gamma_prime, enumerate_group,
-                      is_fixed_point_free)
+                      cyclic_equivalent_type, enumerate_gamma_prime,
+                      enumerate_group, is_fixed_point_free)
 from .errors import U2SingError
 # hj_string is no longer called here, but bench/tracer.py and
 # bench/test_bench.py bind u2sing.report.hj_string.
@@ -219,15 +218,16 @@ def _describe_cyclic(spec: GroupSpec, group: FiniteGroup | Labels,
         checks.append(CheckResult(
             "degenerate_cyclic_flag", True,
             f"n = 1: group is cyclic, equivalent to {t}"))
-    else:
-        t = canonical_cyclic(spec.q, spec.p)
-    rd = resolution_graph(GroupSpec.cyclic(t.alpha, t.beta))
+        rd = resolution_graph(GroupSpec.cyclic(t.alpha, t.beta))
+    else:                       # the chain of the spec itself
+        rd = resolution_graph(spec)
+        t, = rd.types
     s, = rd.strings
     checks.append(CheckResult("hj_round_trip",
                               cf_value(s) == Fraction(t.alpha, t.beta),
                               f"string {list(s)} for {t}"))
     checks.append(CheckResult("resolution_negative_definite",
-                              all(d < 0 for d in rd.pivots), ""))
+                              rd.negative_definite, ""))
     return InvariantReport(spec, group.order, degenerate, singularities=(t,),
                            checks=tuple(checks), **_resolution_fields(rd))
 
@@ -273,7 +273,7 @@ def _resolve_noncyclic(spec: GroupSpec, group: Labels,
         all(cf_value(s) == Fraction(t.alpha, t.beta)
             for t, s in zip(rd.types, rd.strings)), ""))
     checks.append(CheckResult(
-        "resolution_negative_definite", all(d < 0 for d in rd.pivots),
+        "resolution_negative_definite", rd.negative_definite,
         f"k_gamma={rd.k_gamma}"))
     checks.append(CheckResult(
         "tau_equals_minus_k", rd.tau == -rd.k_gamma, ""))
@@ -393,50 +393,73 @@ def _decode(tp, v):
     return v
 
 
+# The text of a scalar, by exact type: a bool is an int, but json writes it
+# "true".
+_SCALAR_TEXT = {int: int.__repr__, str: encode_basestring_ascii,
+                bool: lambda b: "true" if b else "false",
+                type(None): lambda _: "null", float: json.dumps}
+
+
+@functools.cache
+def _prefixes(cls: type) -> tuple[tuple[str, str], ...]:
+    """(field, '"key": ') pairs of a dataclass, in ``_fields`` order."""
+    return tuple((name, encode_basestring_ascii(key) + ": ")
+                 for name, key in _fields(cls))
+
+
+def _fraction(x: Fraction, pad: str, inner: str) -> str:
+    """The object {"num", "den"} of ``x``, opened on a line indented
+    ``pad``, its two lines indented ``inner``."""
+    return (f'{{\n{inner}"num": {int.__repr__(x.numerator)},\n'
+            f'{inner}"den": {int.__repr__(x.denominator)}\n{pad}}}')
+
+
 def _dumps(x, pad: str, step: str) -> str:
     """``json.dumps(_encode(x), indent=len(step))`` for a report object, or
     ``json.dumps(x, indent=len(step))`` for plain JSON data, with ``pad``
     the indent of the line ``x`` starts on."""
     t = type(x)
-    if t is str:
-        return encode_basestring_ascii(x)
-    if t is int:
-        return int.__repr__(x)
-    if t is bool:
-        return "true" if x else "false"
-    if x is None:
-        return "null"
-    if t is float:
-        return json.dumps(x)
+    text = _SCALAR_TEXT.get(t)
+    if text is not None:
+        return text(x)
     inner = pad + step
     sep = ",\n" + inner
     if t is list or t is tuple:
         if not x:
             return "[]"
-        # Exact type tests: a bool is an int, but json writes it "true".
         if set(map(type, x)) == {int}:
             body = sep.join(map(int.__repr__, x))
         else:
             body = sep.join([_dumps(v, inner, step) for v in x])
         return f"[\n{inner}{body}\n{pad}]"
+    if t is Fraction:
+        return _fraction(x, pad, inner)
+    if isinstance(x, Enum):
+        return _dumps(x.value, pad, step)
     if t is dict:
         if set(map(type, x)) - {str}:
             raise TypeError(f"report JSON keys must be str, got {list(x)}")
-        items = x.items()
-    elif t is Fraction:
-        items = (("num", x.numerator), ("den", x.denominator))
-    elif isinstance(x, Enum):
-        return _dumps(x.value, pad, step)
+        body = [f"{encode_basestring_ascii(k)}: {_dumps(v, inner, step)}"
+                for k, v in x.items()]
     elif is_dataclass(t):
-        items = [(key, getattr(x, name)) for name, key in _fields(t)]
-        if t is GroupSpec:
-            items = [(k, v) for k, v in items if v is not None]
+        # A field's scalar or Fraction is written here, without a call of
+        # _dumps; a GroupSpec omits its unset parameters.
+        body = []
+        deeper = inner + step
+        for name, prefix in _prefixes(t):
+            v = getattr(x, name)
+            text = _SCALAR_TEXT.get(type(v))
+            if text is not None:
+                if v is not None or t is not GroupSpec:
+                    body.append(prefix + text(v))
+            elif type(v) is Fraction:
+                body.append(prefix + _fraction(v, inner, deeper))
+            else:
+                body.append(prefix + _dumps(v, inner, step))
+        if t is PlumbingGraph:
+            body.append(f'"matrix": {_matrix(x, inner, step)}')
     else:
         raise TypeError(f"{t.__name__} is not a report JSON type")
-    body = [f"{encode_basestring_ascii(k)}: {_dumps(v, inner, step)}"
-            for k, v in items]
-    if t is PlumbingGraph:
-        body.append(f'"matrix": {_matrix(x, inner, step)}')
     if not body:
         return "{}"
     return f"{{\n{inner}{sep.join(body)}\n{pad}}}"

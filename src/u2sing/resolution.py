@@ -405,6 +405,12 @@ class ResolutionData:
         check, not an error."""
         return sum((d.numerator > 0) - (d.numerator < 0) for d in self.pivots)
 
+    @property
+    def negative_definite(self) -> bool:
+        """Every pivot is negative, read off its numerator's sign as ``tau``
+        reads it."""
+        return all(d.numerator < 0 for d in self.pivots)
+
 
 def resolution_graph(spec: GroupSpec,
                      triple: tuple[CyclicType, ...] | None = None,

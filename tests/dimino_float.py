@@ -5,8 +5,9 @@
 the tests can check that the label group's rows (``rows_of``) carry the
 same grid keys in the same order.  It composes rows, with the same sign rule
 and grid keys as ``catalog._canonical_rows`` and ``catalog._row_keys``, and
-shares the powers of the first generator (``catalog._powers``) with the
-cyclic path.
+shares the powers of the first generator (``catalog._powers``, which
+returns rows only) with the cyclic path; their keys come from
+``_row_keys``.
 """
 
 import math
@@ -62,22 +63,22 @@ def dimino_closure(generators: np.ndarray, max_order: int) -> FiniteGroup:
     """Dimino's closure of the generator rows under composition.
 
     The powers of the first generator, a row (a, b1, 0), come first (from
-    ``_powers``).  Each later generator that is not yet a member extends
-    the group G generated so far by whole right cosets G.r (each element of
-    G, then r): first r = the generator, then every product of a coset
-    representative and a generator so far that is not yet a member.  Those
-    products are composed one row at a time; each coset is one block
-    composition, keyed in one pass.  Deduplication is up to joint negation,
-    by the grid keys of ``_row_keys``.  Raises ClosureOverflow past
-    2 * max_order elements, which signals numerical drift rather than a
-    genuine group.
+    ``_powers``, keyed here by ``_row_keys``).  Each later generator that
+    is not yet a member extends the group G generated so far by whole right
+    cosets G.r (each element of G, then r): first r = the generator, then
+    every product of a coset representative and a generator so far that is
+    not yet a member.  Those products are composed one row at a time; each
+    coset is one block composition, keyed in one pass.  Deduplication is up
+    to joint negation, by the grid keys of ``_row_keys``.  Raises
+    ClosureOverflow past 2 * max_order elements, which signals numerical
+    drift rather than a genuine group.
     """
     generators = np.asarray(generators, dtype=complex)
     gens = [_canonical_row(g) for g in generators.tolist()]
     limit = 2 * max_order
     too_many = f"closure exceeded {limit} elements (expected {max_order})"
-    powers, keys = _powers(generators[0], 16, max_order)
-    blocks, seen = [powers], set(keys)
+    powers = _powers(generators[0], 16, max_order)
+    blocks, seen = [powers], set(_row_keys(powers))
     order = len(powers)
 
     for i in range(1, len(gens)):

@@ -19,8 +19,9 @@ import u2sing.catalog
 from u2sing.catalog import (EQ_TOL, FAMILIES, KEY_SCALE, CyclicType, Family,
                             FiniteGroup, GroupSpec, Labels, _canonical_rows,
                             _checked, _gstar, _gstar_closure, _gstar_kind,
-                            _gstar_of, _label_rows, _row_keys, _snap_residue,
-                            _su2_product, _T_GENS, canonical_cyclic,
+                            _gstar_of, _label_rows, _powers, _row_keys,
+                            _snap_residue, _su2_product, _T_GENS,
+                            canonical_cyclic,
                             cyclic_equivalent_type, eigenvalue_histogram,
                             enumerate_gamma_prime, enumerate_group,
                             generate_closure, generators_of,
@@ -30,6 +31,7 @@ from u2sing.errors import (ClosureOverflow, InvalidParameters, NotAGroup,
 from u2sing.report import describe, report_to_json
 
 from dimino_float import _canonical_row, _row_key, dimino_closure, rows_of
+from freeness_float import angle_distances, angle_eigenvalue_one_count
 from rowalg import (canonical, compose, equivalent, inverse, key, mobius,
                     power, row, scalar)
 
@@ -262,11 +264,48 @@ def test_closure_overflow():
 
 
 def test_complex_reflection_detected():
-    # group generated by diag(1, zeta_3): eigenvalue 1 is structural
+    # group generated by diag(1, zeta_3): eigenvalue 1 is structural, and
+    # both routes of the count find it in every element
     g = row(math.pi / 3, cmath.exp(-1j * math.pi / 3))
     group = generate_closure([g], 10)
     assert group.order == 3
     assert not is_fixed_point_free(group)
+    assert group.eigenvalue_one_count() == angle_eigenvalue_one_count(group) == 3
+
+
+def _lens_groups(p_max):
+    """Every lens spec L(q, p) with p <= p_max and its enumerated group,
+    one at a time."""
+    for p in range(2, p_max + 1):
+        for q in range(1, p):
+            if math.gcd(q, p) == 1:
+                spec = GroupSpec.cyclic(q, p)
+                yield spec, enumerate_group(spec)
+
+
+def test_the_freeness_count_is_the_angle_route_on_every_lens_group():
+    # The count reads a e^{+-i phi} off the row, the reference the angles
+    # theta +- phi: the same elements on all 12,231 lens groups with
+    # p <= 200, and every element but the identity is at least
+    # 2 sin(pi/200) from eigenvalue 1, as DEFAULT_TOLERANCE's comment says.
+    count, nearest = 0, math.inf
+    for spec, group in _lens_groups(200):
+        assert group.eigenvalue_one_count() == 1, spec
+        assert angle_eigenvalue_one_count(group) == 1, spec
+        d = angle_distances(group)
+        assert d[0] == 0.0
+        count, nearest = count + 1, min(nearest, d[1:].min())
+    assert count == 12231
+    assert nearest == pytest.approx(2 * math.sin(math.pi / 200), rel=1e-9)
+    assert nearest > 3.1e-2
+
+
+@pytest.mark.parametrize("spec", [GroupSpec.index2(8, 3), GroupSpec.index3(9)],
+                         ids=lambda s: s.key())
+def test_the_freeness_count_is_the_angle_route_where_b2_is_not_zero(spec):
+    group = enumerate_gamma_prime(spec)
+    assert np.abs(group.rows[:, 2]).max() > 0.5
+    assert group.eigenvalue_one_count() == angle_eigenvalue_one_count(group) == 1
 
 
 def test_fiber_subgroup_order_and_triviality():
@@ -897,16 +936,31 @@ def test_a_lens_generator_of_order_past_2p_overflows(monkeypatch):
 
 
 def test_lens_closures_match_reference():
-    for p in range(2, 61):
-        for q in range(1, p):
-            if math.gcd(q, p) != 1:
-                continue
-            spec = GroupSpec.cyclic(q, p)
+    # the powers on every lens spec of the sweep; the breadth-first closure
+    # on those with p <= 60
+    for spec, group in _lens_groups(200):
+        _assert_same_rows(group.rows, _reference_cyclic_rows(spec))
+        if spec.p <= 60:
             gens = generators_of(spec)
-            _assert_same_rows(generate_closure(gens, p).rows,
-                              _reference_closure(gens, p))
-            _assert_same_rows(enumerate_group(spec).rows,
-                              _reference_cyclic_rows(spec))
+            _assert_same_rows(generate_closure(gens, spec.p).rows,
+                              _reference_closure(gens, spec.p))
+
+
+def test_the_powers_table_doubles_until_the_identity_recurs():
+    # L(5, 12)'s generator has order 12: a table of 4 powers doubles to 8
+    # and 16, and its first 12 rows are those of a table of 12.
+    gen = generators_of(GroupSpec.cyclic(5, 12))[0]
+    rows = _powers(gen, 4, 12)
+    assert len(rows) == 12 and len(set(_row_keys(rows))) == 12
+    assert rows.tobytes() == _powers(gen, 12, 12).tobytes()
+
+
+def test_powers_whose_identity_never_recurs_overflow():
+    # e^{i} has infinite order: the table stops at 2 * max_order powers
+    gen = np.array(row(0.0, cmath.exp(1j)))
+    with pytest.raises(ClosureOverflow, match="exceeded 20 elements "
+                                              r"\(expected 10\)"):
+        _powers(gen, 4, 10)
 
 
 def test_closure_overflow_threshold_matches_reference():

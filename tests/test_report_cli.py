@@ -27,6 +27,7 @@ from u2sing.sweep import (SweepConfig, VerifySummary, check_eigenvalue_tables,
                           parse_config_file, specs_in_sweep, verify)
 
 from dimino_float import rows_of
+from freeness_float import angle_eigenvalue_one_count
 from stages import table_topology
 
 
@@ -72,19 +73,24 @@ def test_describe_eliminates_each_lattice_sparingly(monkeypatch):
 
 def test_describe_validates_a_spec_where_it_enters(monkeypatch):
     # The constructor is the one catalog check: describe of a spec that
-    # exists checks nothing again.  A cyclic describe builds one spec, the
-    # chain of its lens type.
+    # exists checks nothing again.  A lens spec's chain is built from the
+    # spec itself, so only an n = 1 describe builds a spec: the chain of the
+    # lens type its group has.
     real, calls = GroupSpec.__post_init__, []
     monkeypatch.setattr(GroupSpec, "__post_init__",
                         lambda self: calls.append(self) or real(self))
-    for spec in (GroupSpec.dihedral(5, 2), GroupSpec.icosahedral(7)):
+    for spec in (GroupSpec.dihedral(5, 2), GroupSpec.icosahedral(7),
+                 GroupSpec.cyclic(3, 7)):
         calls.clear()
         assert describe(spec).all_passed()
         assert calls == []
-    spec = GroupSpec.cyclic(3, 7)
+    spec = GroupSpec.dihedral(3, 1)
     calls.clear()
-    assert describe(spec).all_passed()
-    assert calls == [spec]      # a second, equal spec: the chain's
+    r = describe(spec)
+    built = list(calls)
+    assert r.all_passed() and r.degenerate_cyclic
+    t, = r.singularities
+    assert built == [GroupSpec.cyclic(t.alpha, t.beta)]
 
 
 def test_a_failed_b_gamma_leaves_the_placeholders(monkeypatch):
@@ -462,7 +468,7 @@ def test_a_complex_reflection_fails_the_exact_freeness_count(monkeypatch):
     # by [i, jhat]: still on the pi/4 grid and in D*12, and the group it
     # makes has the table order 24, but [i, jhat] has eigenvalue 1.  The
     # exact count on labels names the seven elements that do, as the float
-    # count on the group's rows does.
+    # count on the group's rows and its angle reference do.
     spec = GroupSpec.index2(2, 3)
     real = catalog.generators_of
 
@@ -475,7 +481,8 @@ def test_a_complex_reflection_fails_the_exact_freeness_count(monkeypatch):
     monkeypatch.setattr(catalog, "generators_of", mutant)
     group = catalog.enumerate_group(spec)
     assert isinstance(group, catalog.Labels) and group.order == 24
-    assert catalog.FiniteGroup(rows_of(group)).eigenvalue_one_count() == 7
+    rows = catalog.FiniteGroup(rows_of(group))
+    assert rows.eigenvalue_one_count() == angle_eigenvalue_one_count(rows) == 7
     checks = {c.name: c for c in describe(spec).checks}
     assert checks["order_matches_table"].passed
     assert not checks["fixed_point_free"].passed
@@ -656,7 +663,7 @@ def test_the_other_lens_generator_builds_another_lens_space(monkeypatch):
 
 
 @pytest.mark.xfail(strict=True, reason=(
-    "ROADMAP item 2: a lens spec's resolution is built from the spec, and "
+    "ROADMAP item D: a lens spec's resolution is built from the spec, and "
     "no check reads the type of its enumerated group"))
 def test_a_lens_spec_enumerating_another_lens_space_fails(monkeypatch):
     _another_lens_generator(monkeypatch)
