@@ -41,13 +41,14 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from typing import Union, get_args, get_origin, get_type_hints
 
+from . import hj
 from .catalog import (CyclicType, FiniteGroup, GroupSpec, Labels,
                       cyclic_equivalent_type, enumerate_gamma_prime,
                       enumerate_group, is_fixed_point_free)
 from .errors import U2SingError
 # hj_string is no longer called here, but bench/tracer.py and
 # bench/test_bench.py bind u2sing.report.hj_string.
-from .hj import cf_value, hj_string  # noqa: F401
+from .hj import hj_string  # noqa: F401
 from .invariants import (DeformationReport, TopologyReport, dim_h1_theta,
                          dim_sfk, moduli_dim, topology_report)
 from .resolution import (BGamma, CurveConfiguration, PlumbingGraph,
@@ -224,7 +225,7 @@ def _describe_cyclic(spec: GroupSpec, group: FiniteGroup | Labels,
         t, = rd.types
     s, = rd.strings
     checks.append(CheckResult("hj_round_trip",
-                              cf_value(s) == Fraction(t.alpha, t.beta),
+                              hj.continuant(s) == (t.beta, t.alpha),
                               f"string {list(s)} for {t}"))
     checks.append(CheckResult("resolution_negative_definite",
                               rd.negative_definite, ""))
@@ -270,7 +271,7 @@ def _resolve_noncyclic(spec: GroupSpec, group: Labels,
     rd = resolution_graph(spec, triple, b)
     checks.append(CheckResult(
         "hj_round_trip",
-        all(cf_value(s) == Fraction(t.alpha, t.beta)
+        all(hj.continuant(s) == (t.beta, t.alpha)
             for t, s in zip(rd.types, rd.strings)), ""))
     checks.append(CheckResult(
         "resolution_negative_definite", rd.negative_definite,
@@ -279,7 +280,7 @@ def _resolve_noncyclic(spec: GroupSpec, group: Labels,
         "tau_equals_minus_k", rd.tau == -rd.k_gamma, ""))
     # The centre pivot is the Schur complement center + sum 1/[arm]: the
     # boundary's Seifert Euler number, from the elimination's continuants.
-    euler = rd.pivots[-1]
+    euler = Fraction(*rd.pivots[-1])
     checks.append(CheckResult(
         "seifert_euler_calibration", euler == Fraction(-2 * m, h),
         f"e = {euler}, -2m/h = {Fraction(-2 * m, h)}"))

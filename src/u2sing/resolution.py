@@ -42,10 +42,15 @@ route to it, evaluated for every candidate weight from one elimination
 because only the compactification centre's pivot depends on the weight.
 
 All lattice computations (definiteness, signature, determinants) run in
-exact rational arithmetic by eliminating the plumbing tree leaf-first.
-``resolution_graph`` eliminates the resolution star (or chain) once, and its
-record carries the pivots.  Definiteness, tau, the Seifert Euler number (the
-centre pivot is the Schur complement center + sum 1/[|w_1|, ..., |w_k|]) and
+exact integer arithmetic by eliminating the plumbing tree leaf-first: each
+pivot is an integer pair (num, den), an arm pivot the continuant of the
+arm's tail, the centre pivot over the common denominator of the arm heads.
+A signature reads sign(num) * sign(den) of each pivot, and a determinant is
+one exact division of the product of the numerators by that of the
+denominators.  ``resolution_graph`` eliminates the resolution star (or
+chain) once, and its record carries the pivots.  Definiteness, tau, the
+Seifert Euler number (the centre pivot is the Schur complement
+center + sum 1/[|w_1|, ..., |w_k|], the one pivot made a ``Fraction``) and
 the resolution block of every b' determinant are read from them.  The
 compactification star is eliminated at c = 0 for the pencil and again at b'
 for the full elimination, the two lattice routes of the b' cross-check.
@@ -121,14 +126,15 @@ class PlumbingGraph:
             mat[i][j] = mat[j][i] = 1
         return mat
 
-    def pivots(self) -> list[Fraction]:
-        """Diagonal of the exact LDL^T elimination, leaves first.
+    def pivots(self) -> list[tuple[int, int]]:
+        """Diagonal of the exact LDL^T elimination, leaves first, each pivot
+        an integer pair (num, den) meaning num/den, den never zero.
 
-        By Sylvester's law the signs give the signature; the product is the
-        determinant of the intersection matrix.
+        By Sylvester's law the signs sign(num) * sign(den) give the
+        signature; the product is the determinant of the intersection matrix.
         """
-        out: list[Fraction] = []
-        head_inv = Fraction(0)
+        out: list[tuple[int, int]] = []
+        cn, cd = self.center, 1
         for arm in self.arms:
             # Integer continuants: the pivot w - 1/(num/den) is (w*num - den)/num.
             num, den = 1, 0
@@ -136,26 +142,30 @@ class PlumbingGraph:
                 num, den = w * num - den, num
                 if num == 0:
                     raise MalformedGraph("zero pivot while eliminating an arm")
-                out.append(Fraction(num, den))
-            head_inv += Fraction(den, num)
-        out.append(self.center - head_inv)
+                out.append((num, den))
+            cn, cd = cn * num - den * cd, cd * num      # cn/cd - den/num
+        out.append((cn, cd))
         return out
 
 
-def _inertia(pivots: list[Fraction]) -> tuple[int, int]:
-    """(positive, negative) counts of elimination pivots (Sylvester's law);
-    raises on a zero pivot, i.e. a degenerate matrix."""
-    if 0 in pivots:
+def _inertia(pivots: list[tuple[int, int]]) -> tuple[int, int]:
+    """(positive, negative) counts of elimination pivots (Sylvester's law),
+    each pivot's sign that of num * den; raises on a zero pivot, i.e. a
+    degenerate matrix."""
+    signs = [num * den for num, den in pivots]
+    if 0 in signs:
         raise MalformedGraph("degenerate intersection matrix")
-    return sum(d > 0 for d in pivots), sum(d < 0 for d in pivots)
+    return sum(s > 0 for s in signs), sum(s < 0 for s in signs)
 
 
-def _integer_det(pivots: list[Fraction]) -> int:
-    """Product of elimination pivots: the determinant of an integer matrix."""
-    det = math.prod(pivots, start=Fraction(1))
-    if det.denominator != 1:
+def _integer_det(pivots: list[tuple[int, int]]) -> int:
+    """Product of elimination pivots, the determinant of an integer matrix:
+    one exact division of the numerators' product by the denominators'."""
+    det, rest = divmod(math.prod(num for num, _ in pivots),
+                       math.prod(den for _, den in pivots))
+    if rest:
         raise CrossCheckFailure("integer matrix with non-integer determinant")
-    return int(det)
+    return det
 
 
 @dataclass(frozen=True)
@@ -386,12 +396,13 @@ def b_gamma(spec: GroupSpec, triple: tuple[CyclicType, ...]) -> BGamma:
 class ResolutionData:
     """The resolution graph; the type of each arm (for a cyclic spec, the
     chain's type) and its HJ string, in arm order; and the pivots of the
-    graph's one elimination (``PlumbingGraph.pivots``, the centre's last)."""
+    graph's one elimination as integer pairs (num, den)
+    (``PlumbingGraph.pivots``, the centre's last)."""
 
     graph: PlumbingGraph
     types: tuple[CyclicType, ...]
     strings: tuple[tuple[int, ...], ...]
-    pivots: tuple[Fraction, ...]
+    pivots: tuple[tuple[int, int], ...]
 
     @property
     def k_gamma(self) -> int:
@@ -400,16 +411,17 @@ class ResolutionData:
 
     @property
     def tau(self) -> int:
-        """Signature (#positive - #negative pivots, Sylvester's law), counted
-        by the sign of each numerator, so that a zero pivot shows as a failed
-        check, not an error."""
-        return sum((d.numerator > 0) - (d.numerator < 0) for d in self.pivots)
+        """Signature (#positive - #negative pivots, Sylvester's law), each
+        pivot's sign that of num * den, so that a zero pivot shows as a
+        failed check, not an error."""
+        signs = [num * den for num, den in self.pivots]
+        return sum(s > 0 for s in signs) - sum(s < 0 for s in signs)
 
     @property
     def negative_definite(self) -> bool:
-        """Every pivot is negative, read off its numerator's sign as ``tau``
-        reads it."""
-        return all(d.numerator < 0 for d in self.pivots)
+        """Every pivot is negative, read off the sign of num * den as
+        ``tau`` reads it."""
+        return all(num * den < 0 for num, den in self.pivots)
 
 
 def resolution_graph(spec: GroupSpec,
@@ -487,7 +499,8 @@ class CentrePencil:
     c - threshold.  So the other pivots fix an inertia, the signature gains
     a positive or a negative direction as c passes the threshold (where the
     matrix is degenerate), and det(c) = det_res * A * (c - threshold), with
-    A the product of the compactification arm pivots.
+    A the product of the compactification arm pivots.  The pivots stay
+    integer pairs; the threshold is the one ``Fraction``.
     """
 
     inertia: tuple[int, int]      # of every pivot but the centre's
@@ -496,14 +509,14 @@ class CentrePencil:
     threshold: Fraction
 
     @classmethod
-    def of(cls, res_pivots: tuple[Fraction, ...],
+    def of(cls, res_pivots: tuple[tuple[int, int], ...],
            dual_strings: tuple[tuple[int, ...], ...]) -> "CentrePencil":
         """From the resolution's pivots and the dual strings' arms."""
         fixed = _comp_star(0, dual_strings).pivots()
-        threshold = -fixed.pop()             # the centre pivot at c = 0
+        num, den = fixed.pop()               # the centre pivot at c = 0
         fixed += res_pivots
         return cls(_inertia(fixed), _integer_det(fixed),
-                   _integer_det(fixed + [threshold]), threshold)
+                   _integer_det(fixed + [(-num, den)]), Fraction(-num, den))
 
     def signature(self, c: int) -> tuple[int, int]:
         if c == self.threshold:

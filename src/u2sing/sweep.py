@@ -16,6 +16,7 @@ goes on.
 from __future__ import annotations
 
 import json
+import os
 import time
 import traceback
 from collections import Counter
@@ -245,13 +246,24 @@ def _failure(exc: Exception) -> str:
             f"{where.lineno} in {where.name})")
 
 
+def _write_report(path: str, report: InvariantReport) -> None:
+    """Write ``report``'s JSON text (ASCII only) to ``path`` by raw writes,
+    replacing what the file held: no text wrapper or buffer per report."""
+    data = memoryview(report_to_json(report, indent=1).encode())
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+    try:
+        while data:                      # a short write leaves the rest
+            data = data[os.write(fd, data):]
+    finally:
+        os.close(fd)
+
+
 def verify(config: SweepConfig) -> VerifySummary:
     config.validate()
     summary = VerifySummary()
     t_start = time.monotonic()
-    out_dir = Path(config.out_dir) if config.out_dir else None
-    if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
+    if config.out_dir:
+        Path(config.out_dir).mkdir(parents=True, exist_ok=True)
     unread_eta = set(config.eta)
 
     for spec in specs_in_sweep(config):
@@ -287,9 +299,9 @@ def verify(config: SweepConfig) -> VerifySummary:
                 and not spec.is_degenerate_cyclic:
             summary.max_deformation_seconds = max(
                 summary.max_deformation_seconds, time.monotonic() - t1)
-        if out_dir is not None and report is not None:
-            path = out_dir / f"{spec.key()}.json"
-            path.write_text(report_to_json(report, indent=1))
+        if config.out_dir and report is not None:
+            _write_report(os.path.join(config.out_dir, f"{spec.key()}.json"),
+                          report)
 
     if unread_eta:
         summary.warnings.append("no eta_bound check read the eta value of "

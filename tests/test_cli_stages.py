@@ -7,9 +7,8 @@ The reference output is built from `describe`'s report: the JSON section of
 the report's fields.
 """
 
-import operator
-from fractions import Fraction
 from itertools import chain
+from types import SimpleNamespace
 
 import pytest
 
@@ -195,9 +194,11 @@ def test_resolve_exits_by_the_resolution_checks(monkeypatch, capsys):
     resolved = run(capsys, ["resolve", *flags, "--format", "json"])
     compactified = run(capsys, ["compactify", *flags, "--format", "json"])
     assert resolved[0] == compactified[0] == 0
-    # cf_value is read by the hj_round_trip check alone, never by the
-    # compactification, so the printed sections stay the same
-    monkeypatch.setattr(u2sing.report, "cf_value", lambda s: Fraction(0))
+    # report's own binding of the hj module is read by the hj_round_trip
+    # check alone, never by the compactification, so the printed sections
+    # stay the same
+    monkeypatch.setattr(u2sing.report, "hj",
+                        SimpleNamespace(continuant=lambda s: (0, 1)))
     report = resolve(GroupSpec.dihedral(5, 2)).report
     assert failing(report) == ["hj_round_trip"]
     assert run(capsys, ["resolve", *flags, "--format", "json"]) == (
@@ -240,7 +241,8 @@ def failing(report):
 
 
 def move_centre_pivot(monkeypatch, move):
-    """Make every elimination return its centre pivot moved by ``move``."""
+    """Make every elimination return its centre pivot, an integer pair
+    (num, den), moved by ``move``."""
     real = PlumbingGraph.pivots
 
     def pivots(self):
@@ -257,11 +259,12 @@ def test_calibration_sees_a_shifted_centre_pivot(spec, monkeypatch):
     # Seifert Euler number, read from the centre pivot, moves.
     assert {s.family for s in ONE_PER_FAMILY} == set(Family) - {Family.CYCLIC}
     assert failing(resolve(spec).report) == []
-    move_centre_pivot(monkeypatch, lambda d: d - 1)
+    move_centre_pivot(monkeypatch, lambda p: (p[0] - p[1], p[1]))   # d - 1
     assert failing(resolve(spec).report) == ["seifert_euler_calibration"]
 
 
-@pytest.mark.parametrize("move", [operator.neg, lambda d: 0 * d],
+@pytest.mark.parametrize("move", [lambda p: (-p[0], p[1]),
+                                  lambda p: (0, p[1])],
                          ids=["sign_flip", "zero"])
 def test_tau_is_read_from_the_elimination(move, monkeypatch):
     # A zero pivot is a degenerate lattice: failing checks, not an error.
@@ -273,8 +276,20 @@ def test_tau_is_read_from_the_elimination(move, monkeypatch):
     assert report.signature != -report.k_gamma
 
 
+def test_a_flipped_chain_pivot_fails_definiteness(monkeypatch):
+    # A lens chain is a star with one arm; its centre pivot is the chain's
+    # last.  The lens report has no tau check: definiteness must see it.
+    assert failing(resolve(GroupSpec.cyclic(3, 7)).report) == []
+    move_centre_pivot(monkeypatch, lambda p: (-p[0], p[1]))
+    report = resolve(GroupSpec.cyclic(3, 7)).report
+    assert failing(report) == ["resolution_negative_definite"]
+    assert report.signature == 2 - report.k_gamma
+
+
 def test_a_non_integer_determinant_is_a_failing_check(monkeypatch, capsys):
-    move_centre_pivot(monkeypatch, lambda d: d - Fraction(1, 1000))
+    # d - 1/1000
+    move_centre_pivot(monkeypatch,
+                      lambda p: (p[0] * 1000 - p[1], p[1] * 1000))
     flags = ["--family", "dihedral", "--m", "5", "--n", "2"]
     assert run(capsys, ["compactify", *flags]) == (
         1, "", "check failure: dihedral(m=5,n=2) has no compactification "

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import re
 from fractions import Fraction as F
 from pathlib import Path
@@ -13,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import u2sing.catalog as catalog
+import u2sing.sweep as sweep
 from u2sing.catalog import Family, GroupSpec, canonical_cyclic
 from u2sing.cli import main
 from u2sing.errors import InvalidParameters
@@ -750,6 +752,55 @@ def test_verify_writes_reports(tmp_path):
     assert files == ["index3_m3.json", "index3_m9.json"]
     data = json.loads((tmp_path / "index3_m3.json").read_text())
     assert data["order"] == 72
+
+
+def test_verify_replaces_a_longer_report(tmp_path):
+    # Every report file already holds its report and 10 kB more: each must
+    # be cut to the new report, not overwritten in place.
+    cfg = SweepConfig(families=(Family.INDEX3, Family.CYCLIC), m_max=9,
+                      p_max=7, hj_p_max=10, eisenstein_n_max=10,
+                      out_dir=str(tmp_path))
+    texts = {f"{spec.key()}.json": report_to_json(describe(spec), indent=1)
+             for spec in specs_in_sweep(cfg)}
+    for name, text in texts.items():
+        (tmp_path / name).write_text(text + " " * 10_000)
+    assert verify(cfg).exit_code == 0
+    assert {p.name: p.read_text() for p in tmp_path.iterdir()} == texts
+
+
+def test_verify_writes_a_report_whole_through_short_writes(tmp_path,
+                                                            monkeypatch):
+    # The largest report of the default sweep, L(199, 200), about 280 kB,
+    # written 1,000 bytes at most per call.
+    spec, real, sizes = GroupSpec.cyclic(199, 200), os.write, []
+
+    def short_write(fd, data):
+        sizes.append(real(fd, data[:1000]))
+        return sizes[-1]
+
+    monkeypatch.setattr(sweep, "specs_in_sweep", lambda config: iter([spec]))
+    monkeypatch.setattr(os, "write", short_write)
+    cfg = SweepConfig(families=(Family.CYCLIC,), hj_p_max=10,
+                      eisenstein_n_max=10, out_dir=str(tmp_path))
+    assert verify(cfg).exit_code == 0
+    text = report_to_json(describe(spec), indent=1)
+    assert len(text) > 280_000 and len(sizes) == -(-len(text) // 1000)
+    assert (tmp_path / f"{spec.key()}.json").read_text() == text
+
+
+def test_a_lens_describe_builds_no_fraction(monkeypatch):
+    # A lens report reads its chain's pivots by sign and its HJ round trip
+    # as an integer pair: no Fraction on the way.
+    real, built = F.__new__, []
+
+    def counting_new(cls, *args, **kwargs):
+        built.append(args)
+        return real(cls, *args, **kwargs)
+
+    monkeypatch.setattr(F, "__new__", counting_new)
+    for q in (1, 3, 7, 99, 199):
+        assert describe(GroupSpec.cyclic(q, 200)).all_passed()
+    assert built == []
 
 
 def test_config_file_parsing(tmp_path):
