@@ -239,12 +239,6 @@ class CyclicType:
     def is_trivial(self) -> bool:
         return self.beta == 1
 
-    def conjugate(self) -> "CyclicType":
-        """The inverse label L(alpha^{-1} mod beta, beta)."""
-        if self.is_trivial:
-            return self
-        return canonical_cyclic(pow(self.alpha, -1, self.beta), self.beta)
-
     def conj_key(self) -> tuple[int, int]:
         """Canonical form insensitive to alpha <-> alpha^{-1}."""
         if self.is_trivial:

