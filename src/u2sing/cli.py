@@ -58,7 +58,8 @@ from pathlib import Path
 from .catalog import FAMILIES, Family, GroupSpec, canonical_cyclic
 from .errors import InvalidParameters, U2SingError
 from .hj import hj_string
-from .report import compactify, describe, export_dot, report_to_json, resolve
+from .report import (compactify, describe, export_dot, report_to_json,
+                     resolve, write_file)
 from .sweep import (config_from_mapping, parse_config_file, parse_fraction,
                     verify)
 
@@ -138,7 +139,7 @@ def cmd_describe(args: argparse.Namespace) -> int:
         path = Path(args.out)
         path.mkdir(parents=True, exist_ok=True)
         suffix = {"json": ".json", "dot": ".dot", "text": ".txt"}[args.format]
-        (path / (spec.key() + suffix)).write_text(text + "\n")
+        write_file(path / (spec.key() + suffix), text + "\n")
     else:
         print(text)
     return 0 if report.all_passed() else 1
@@ -192,7 +193,7 @@ def cmd_stage(args: argparse.Namespace) -> int:
                 f"curves = {c.kappa + 1}, dual strings "
                 f"{[list(s) for s in c.dual_strings]}\n")
     if args.out:
-        Path(args.out).write_text(text)
+        write_file(args.out, text)
         print(f"wrote {args.out}")
     else:
         print(text, end="")

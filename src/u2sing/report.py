@@ -29,12 +29,16 @@ graph's matrix is drawn from its weights and edges: no list of lists is
 built.  ``report_to_dict`` comes from ``_encode``, the route that the tests
 compare the writer against; ``json.dumps(report_to_dict(r))`` is the
 compact text.
+
+Every output file, a sweep's reports and the CLI's ``--out`` files, is
+written by ``write_file``.
 """
 
 from __future__ import annotations
 
 import functools
 import json
+import os
 import types
 from dataclasses import dataclass, fields, is_dataclass, replace
 from enum import Enum
@@ -490,6 +494,23 @@ def report_to_json(obj, indent: int = 2) -> str:
 
 def report_from_json(text: str) -> InvariantReport:
     return report_from_dict(json.loads(text))
+
+
+def write_file(path: str | os.PathLike, text: str) -> None:
+    """Make the file at ``path`` hold exactly ``text`` (ASCII), written in
+    place by raw writes from offset 0; a longer old file is then cut to the
+    new length.  No ``O_TRUNC``: on ext4, truncating a file to size 0 makes
+    its ``close()`` start a writeback (``auto_da_alloc``)."""
+    data = memoryview(text.encode())
+    size = len(data)
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        while data:                      # a short write leaves the rest
+            data = data[os.write(fd, data):]
+        if os.fstat(fd).st_size > size:
+            os.ftruncate(fd, size)
+    finally:
+        os.close(fd)
 
 
 def export_dot(report: InvariantReport, which: str = "resolution") -> str:

@@ -30,7 +30,7 @@ from .catalog import (DEFAULT_TOLERANCE, Family, GroupSpec,
 from .errors import InvalidParameters
 from .hj import hj_entries
 from .invariants import eisenstein_residuals
-from .report import InvariantReport, describe, report_to_json
+from .report import InvariantReport, describe, report_to_json, write_file
 from .resolution import (b_gamma, compactification, resolution_graph,
                          table_singularities)
 
@@ -245,18 +245,6 @@ def _failure(exc: Exception) -> str:
             f"{where.lineno} in {where.name})")
 
 
-def _write_report(path: str, report: InvariantReport) -> None:
-    """Write ``report``'s JSON text (ASCII only) to ``path`` by raw writes,
-    replacing what the file held: no text wrapper or buffer per report."""
-    data = memoryview(report_to_json(report, indent=1).encode())
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
-    try:
-        while data:                      # a short write leaves the rest
-            data = data[os.write(fd, data):]
-    finally:
-        os.close(fd)
-
-
 def verify(config: SweepConfig) -> VerifySummary:
     config.validate()
     summary = VerifySummary()
@@ -299,8 +287,8 @@ def verify(config: SweepConfig) -> VerifySummary:
             summary.max_deformation_seconds = max(
                 summary.max_deformation_seconds, time.monotonic() - t1)
         if config.out_dir and report is not None:
-            _write_report(os.path.join(config.out_dir, f"{spec.key()}.json"),
-                          report)
+            write_file(os.path.join(config.out_dir, f"{spec.key()}.json"),
+                       report_to_json(report, indent=1))
 
     if unread_eta:
         summary.warnings.append("no eta_bound check read the eta value of "

@@ -1,6 +1,6 @@
 """Print the SHA-256 digests of the default sweep's report bytes.
 
-Run as ``PYTHONPATH=src python tests/sweep_digest.py`` (about 20 s on two
+Run as ``PYTHONPATH=src python tests/sweep_digest.py`` (about 5 s on two
 cores).  It describes every spec of ``SweepConfig()`` in sweep order and
 hashes ``report_to_json(describe(spec))`` twice: as written, and with the
 character sum's residual masked as ``test_report_cli._mask_residual`` does.

@@ -257,6 +257,16 @@ def test_describe_json_text(spec):
     assert report_to_json(describe(spec)) + "\n" == expected
 
 
+def test_describe_out_replaces_a_longer_file(tmp_path, capsys):
+    expected = (DESCRIBE_JSON / "dihedral_m1_n2.json").read_bytes()
+    path = tmp_path / "dihedral_m1_n2.json"
+    path.write_bytes(expected + b"junk" * 1000)
+    assert main(["describe", "--family", "dihedral", "--m", "1", "--n", "2",
+                 "--format", "json", "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr() == ("", "")
+    assert path.read_bytes() == expected
+
+
 # -- the JSON writer --------------------------------------------------------
 
 # Report values are scalars and tuples of them, nested; json.dumps writes a
@@ -759,8 +769,8 @@ def test_verify_writes_reports(tmp_path):
 
 
 def test_verify_replaces_a_longer_report(tmp_path):
-    # Every report file already holds its report and 10 kB more: each must
-    # be cut to the new report, not overwritten in place.
+    # Every report file already holds its report and 10 kB more: each is
+    # overwritten in place and then cut to the new report.
     cfg = SweepConfig(families=(Family.INDEX3, Family.CYCLIC), m_max=9,
                       p_max=7, hj_p_max=10, eisenstein_n_max=10,
                       out_dir=str(tmp_path))
@@ -770,6 +780,45 @@ def test_verify_replaces_a_longer_report(tmp_path):
         (tmp_path / name).write_text(text + " " * 10_000)
     assert verify(cfg).exit_code == 0
     assert {p.name: p.read_text() for p in tmp_path.iterdir()} == texts
+
+
+def test_verify_overwrites_a_shorter_report(tmp_path):
+    # Every report file already holds the first half of its report: each
+    # must end up exactly the new report, with no stale or missing byte.
+    cfg = SweepConfig(families=(Family.INDEX3, Family.CYCLIC), m_max=9,
+                      p_max=7, hj_p_max=10, eisenstein_n_max=10,
+                      out_dir=str(tmp_path))
+    texts = {f"{spec.key()}.json": report_to_json(describe(spec), indent=1)
+             for spec in specs_in_sweep(cfg)}
+    for name, text in texts.items():
+        (tmp_path / name).write_text(text[:len(text) // 2])
+    assert verify(cfg).exit_code == 0
+    assert {p.name: p.read_text() for p in tmp_path.iterdir()} == texts
+
+
+@pytest.mark.parametrize("argv, written", [
+    (["verify", "--families", "index3", "--m-max", "9", "--out", "{}"],
+     ["index3_m3.json", "index3_m9.json"]),
+    (["describe", "--family", "index3", "--m", "3", "--format", "json",
+      "--out", "{}"], ["index3_m3.json"]),
+    (["export", "--family", "index3", "--m", "3", "--out", "{}/g.dot"],
+     ["g.dot"]),
+], ids=["verify", "describe", "export"])
+def test_no_output_file_is_opened_with_o_trunc(tmp_path, monkeypatch, argv,
+                                              written):
+    # On ext4 a truncate to size 0 makes close() start a writeback of the
+    # file, so every output file is written in place instead.
+    real, flags = os.open, []
+
+    def recording_open(path, flag, *args, **kwargs):
+        flags.append(flag)
+        return real(path, flag, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", recording_open)
+    assert main([a.format(tmp_path) for a in argv]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == written
+    assert len(flags) == len(written)
+    assert not any(f & os.O_TRUNC for f in flags)
 
 
 def test_verify_writes_a_report_whole_through_short_writes(tmp_path,
