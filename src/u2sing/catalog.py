@@ -311,7 +311,8 @@ KEY_SCALE = 1e6
 #   - the character-sum snap of ``invariants.dim_sfk``: worst residual
 #     5.2e-13;
 #   - the Eisenstein check ``sweep.check_eisenstein``: worst residual
-#     2.1e-12.
+#     2.1e-12 (2.0747847884194925e-12), first at (n, k) = (198, 35), from
+#     one DFT per n.
 # The other float decisions do not read it: ``_snap_residue`` snaps within
 # 1e-6 * modulus (the generator snap of ``_label_rows``, the G* residues
 # and ``FiniteGroup.eigen_residues``), row keys round on the 1 / KEY_SCALE

@@ -23,6 +23,11 @@ to collapse the character sums, the sheaf-cohomology dimension
 sum(e_i - 1), the moduli-dimension count 2(b-1) + k, and the topology
 report fields tied to the ALE signature and Gauss-Bonnet identities
 (eta invariants are external inputs, never computed).
+
+The identity sum_{j=1}^{n-1} sin(2 pi k j/n) cot(pi j/n) = -2n((k/n)) is
+checked for all k at once by one DFT: with c_0 = 0 and c_j = cot(pi j/n),
+DFT(c)_k = sum_j c_j e^{-2 pi i k j/n}, so the left side is -Im DFT(c)_k.
+Both sides are n-periodic in k, so rows k and k + n agree.
 """
 
 from __future__ import annotations
@@ -68,24 +73,25 @@ def eisenstein_check(n: int, k: int) -> float:
 
 
 def eisenstein_residuals(n: int) -> np.ndarray:
-    """eisenstein_check(n, k) for k = 0, ..., 2n as one array.
+    """eisenstein_check(n, k) for k = 0, ..., 2n as one array, from one DFT.
 
-    The left side takes the same float operations as the scalar call; the
-    right side -2n((k/n)) is the integer n - 2(k mod n), or 0 where n | k.
-    Both sides depend on k only through k mod n, so row k + n is row k bit
-    for bit: the rows k = 0, ..., n-1 are evaluated and then repeated.
+    With c_0 = 0 and c_j = cot(pi j/n) for 0 < j < n, the DFT
+    C_k = sum_j c_j e^{-2 pi i k j/n} has Im C_k = -sum_j sin(2 pi k j/n) c_j,
+    so the left side is -Im C_k.  The right side -2n((k/n)) is the integer
+    n - 2(k mod n), or 0 where n | k.  Both sides depend on k only through
+    k mod n (e^{-2 pi i (k+n) j/n} = e^{-2 pi i k j/n}), so rows
+    k = 0, ..., n-1 are evaluated and then repeated: row k + n is row k.
+    The sums are rounded differently from ``eisenstein_check``'s direct
+    sum, and agree with it to 2e-13 for n <= 200.
     """
     if n < 2:
         raise InvalidParameters("Eisenstein identity needs n >= 2")
-    j = np.arange(1, n)
+    c = np.zeros(n)
+    c[1:] = 1 / np.tan(math.pi * np.arange(1, n) / n)
+    lhs = -np.fft.fft(c).imag     # NumPy 2 loads numpy.fft at this first use
     k = np.arange(n)
-    residue = np.multiply.outer(k, j)
-    residue %= n        # in place: the index and the gathered sines are the
-                        # only two (n, n-1) arrays
-    x = _sine_table(n)[residue]
-    x /= np.tan(math.pi * j / n)
     rhs = np.where(k == 0, 0, n - 2 * k)
-    return np.abs(x.sum(axis=1) - rhs)[np.arange(2 * n + 1) % n]
+    return np.abs(lhs - rhs)[np.arange(2 * n + 1) % n]
 
 
 # ---------------------------------------------------------------------------

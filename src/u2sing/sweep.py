@@ -159,6 +159,11 @@ def check_eigenvalue_tables(summary: VerifySummary) -> None:
 
 
 def check_eisenstein(summary: VerifySummary, n_max: int) -> None:
+    """The Eisenstein cotangent identity at every n = 2, ..., n_max and
+    k = 0, ..., 2n, one DFT per n (``invariants.eisenstein_residuals``).
+    Records one check: it passes when the worst residual is below
+    ``DEFAULT_TOLERANCE``, and its detail names that residual and the first
+    (n, k) in (n, k) order where it occurs."""
     worst, at = 0.0, (0, 0)
     for n in range(2, n_max + 1):
         r = eisenstein_residuals(n)

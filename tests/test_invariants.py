@@ -52,13 +52,16 @@ def test_eisenstein_subrange():
 
 
 def test_eisenstein_residuals_equal_scalar_loop(monkeypatch):
-    # The sweep's array form must report exactly what the scalar loop finds:
-    # every residual, the worst one and the (n, k) where it first occurs.
+    # The sweep's DFT form must agree with the scalar loop at every (n, k)
+    # (the two round differently: 2.0e-13 apart at most for n <= 200), and
+    # the check must report the worst residual of the DFT form and the
+    # (n, k) where it first occurs.
     worst, at = 0.0, (0, 0)
     for n in range(2, 201):
         scalar = [eisenstein_check(n, k) for k in range(0, 2 * n + 1)]
-        assert eisenstein_residuals(n).tolist() == scalar
-        for k, r in enumerate(scalar):
+        residuals = eisenstein_residuals(n)
+        assert np.max(np.abs(residuals - scalar)) <= 1e-12
+        for k, r in enumerate(residuals.tolist()):
             if r > worst:
                 worst, at = r, (n, k)
     summary = VerifySummary()
@@ -71,6 +74,33 @@ def test_eisenstein_residuals_equal_scalar_loop(monkeypatch):
     assert summary.failures == [("global", "eisenstein_identity",
                                  f"worst residual {worst:.3e} at (n,k)={at}")]
 
+
+
+@pytest.mark.parametrize("n", [2, 3, 128, 192, 199])
+def test_eisenstein_residuals_agree_with_direct_sum(n):
+    # n = 2: c_1 = cot(pi/2) is 6e-17, not 0; n = 128: a power of two;
+    # n = 192 = 2^6 * 3 and n = 199, a prime, take other FFT paths.
+    residuals = eisenstein_residuals(n)
+    assert residuals.shape == (2 * n + 1,)
+    for k in range(0, 2 * n + 1):
+        assert abs(residuals[k] - eisenstein_check(n, k)) <= 1e-12
+
+
+def test_check_eisenstein_at_the_least_bound():
+    summary = VerifySummary()
+    check_eisenstein(summary, 2)
+    assert summary.passed_failed("eisenstein_identity") == (1, 0)
+    assert summary.failures == []
+
+
+def test_check_eisenstein_fails_on_a_conjugated_transform(monkeypatch):
+    # The conjugate DFT flips the sign of the left side, so the identity
+    # fails wherever its right side n - 2k is not 0.
+    fft = np.fft.fft
+    monkeypatch.setattr(np.fft, "fft", lambda a: np.conj(fft(a)))
+    summary = VerifySummary()
+    check_eisenstein(summary, 10)
+    assert summary.passed_failed("eisenstein_identity") == (0, 1)
 
 # -- characters -------------------------------------------------------------
 
