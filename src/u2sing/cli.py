@@ -29,10 +29,14 @@ wording; p = 1 gives the empty string of the trivial type.
 
 The float checks compare against one fixed threshold,
 ``catalog.DEFAULT_TOLERANCE``; no flag or config key sets it, and a
-``--tolerance`` flag is refused with exit 2 like any unknown flag.  An eta
-table comes only from ``eta.<spec_key> = num/den`` lines of ``verify
+``--tolerance`` flag is refused with exit 2 like any unknown flag.  The
+global identities run to the fixed bounds ``sweep.HJ_P_MAX`` and
+``sweep.EISENSTEIN_N_MAX``, which no flag or config key sets either.  An
+eta table comes only from ``eta.<spec_key> = num/den`` lines of ``verify
 --config``, and one spec's eta from ``describe --eta``; ``--eta-file`` is
-no flag either.
+no flag either.  An eta value that no ``eta_bound`` check reads (a cyclic
+or n = 1 spec has none) is named in a ``warning:`` line, by ``verify`` in
+its summary and by ``describe`` on stderr; the exit status does not change.
 
 JSON output, a whole report or one section, is ``report.report_to_json``.
 
@@ -129,6 +133,9 @@ def cmd_describe(args: argparse.Namespace) -> int:
     spec = _spec_from_args(args)
     eta = parse_fraction(args.eta) if args.eta else None
     report = describe(spec, eta=eta)
+    if eta is not None and report.topology is None:
+        print(f"warning: no eta_bound check read the eta value of {spec.key()}",
+              file=sys.stderr)
     if args.format == "json":
         text = report_to_json(report)
     elif args.format == "dot":

@@ -5,12 +5,15 @@ full describe pipeline, and aggregates each named cross-check into a
 pass/fail count.  Global identities that are not per-spec (the Eisenstein
 cotangent identity, the Hirzebruch-Jung round trip over every string
 generated from its continuant, the three eigenvalue tables, the
-blow-up-count spot values) are checked once per sweep.  The
-summary's exit code is 0 exactly when no check failed; partial results are
-still written when an output directory is set.  An exception raised while
-enumerating or describing one spec is recorded as a failing ``describe``
-check whose detail starts with the exception's class name, and the sweep
-goes on.
+blow-up-count spot values) are checked once per sweep.  The first two run
+to the fixed bounds ``EISENSTEIN_N_MAX`` and ``HJ_P_MAX``, read when
+``verify`` calls them: a sweep config names the specs, not how far the
+identities are checked.  The summary's exit code is 0 exactly when no
+check failed; partial results are still written when an output directory
+is set.  An exception raised while enumerating or describing one spec is
+recorded as a failing ``describe`` check whose detail starts with the
+exception's class name, and the sweep goes on; with an output directory
+set, that spec's report file of an earlier run is removed.
 """
 
 from __future__ import annotations
@@ -35,6 +38,8 @@ from .resolution import (b_gamma, compactification, resolution_graph,
                          table_singularities)
 
 ALL_FAMILIES = tuple(Family)
+HJ_P_MAX = 500               # the HJ round trip's continuant numerator bound
+EISENSTEIN_N_MAX = 200       # the Eisenstein identity's bound on n
 
 
 @dataclass
@@ -43,18 +48,12 @@ class SweepConfig:
     m_max: int = 120
     n_max: int = 24
     p_max: int = 200
-    hj_p_max: int = 500
-    eisenstein_n_max: int = 200
     eta: dict[str, Fraction] = field(default_factory=dict)
     out_dir: str | None = None
 
     def validate(self) -> "SweepConfig":
         if min(self.m_max, self.n_max, self.p_max) < 1:
             raise InvalidParameters("sweep bounds must be positive")
-        # The two global identities start at p = 2 and n = 2; a lower bound
-        # would record a pass that checked nothing.
-        if min(self.hj_p_max, self.eisenstein_n_max) < 2:
-            raise InvalidParameters("hj_p_max and eisenstein_n_max must be >= 2")
         return self
 
 
@@ -291,9 +290,12 @@ def verify(config: SweepConfig) -> VerifySummary:
                 and not spec.is_degenerate_cyclic:
             summary.max_deformation_seconds = max(
                 summary.max_deformation_seconds, time.monotonic() - t1)
-        if config.out_dir and report is not None:
-            write_file(os.path.join(config.out_dir, f"{spec.key()}.json"),
-                       report_to_json(report, indent=1))
+        if config.out_dir:
+            path = os.path.join(config.out_dir, f"{spec.key()}.json")
+            if report is not None:
+                write_file(path, report_to_json(report, indent=1))
+            else:                   # no earlier run's report may stand in
+                Path(path).unlink(missing_ok=True)
 
     if unread_eta:
         summary.warnings.append("no eta_bound check read the eta value of "
@@ -303,8 +305,8 @@ def verify(config: SweepConfig) -> VerifySummary:
                                 "all checks pass vacuously")
     else:
         check_eigenvalue_tables(summary)
-        check_eisenstein(summary, config.eisenstein_n_max)
-        check_hj_roundtrip(summary, config.hj_p_max)
+        check_eisenstein(summary, EISENSTEIN_N_MAX)
+        check_hj_roundtrip(summary, HJ_P_MAX)
         check_kappa_spots(summary)
 
     summary.total_seconds = time.monotonic() - t_start
@@ -349,7 +351,7 @@ def parse_config_file(path: str | Path) -> dict:
     return values
 
 
-_INT_KEYS = ("m_max", "n_max", "p_max", "hj_p_max", "eisenstein_n_max")
+_INT_KEYS = ("m_max", "n_max", "p_max")
 
 
 def config_from_mapping(values: dict) -> SweepConfig:

@@ -40,5 +40,5 @@ def table_topology(spec, eta=None):
     return topology_report(spec, table_resolution(spec), eta)
 
 
-def table_dim_sfk(spec, **kwargs):
-    return dim_sfk(spec, enumerate_gamma_prime(spec), table_b(spec), **kwargs)
+def table_dim_sfk(spec):
+    return dim_sfk(spec, enumerate_gamma_prime(spec), table_b(spec))

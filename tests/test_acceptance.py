@@ -13,8 +13,8 @@ import pytest
 
 from u2sing.catalog import Family, GroupSpec
 from u2sing.invariants import eisenstein_check
-from u2sing.sweep import (SweepConfig, VerifySummary, check_hj_roundtrip,
-                          specs_in_sweep, verify)
+from u2sing.sweep import (HJ_P_MAX, SweepConfig, VerifySummary,
+                          check_hj_roundtrip, specs_in_sweep, verify)
 
 from stages import table_topology
 
@@ -96,11 +96,12 @@ def test_criterion_07_eisenstein(sweep):
 def test_criterion_08_hj_round_trip(sweep):
     t0 = time.monotonic()
     local = VerifySummary()
-    check_hj_roundtrip(local, 500)
+    check_hj_roundtrip(local, HJ_P_MAX)
     elapsed = time.monotonic() - t0
     ok, detail = _category(local, "hj_round_trip_sweep", 1)
     ok_sweep, _ = _category(sweep, "hj_round_trip_sweep", 1)
-    _criterion(8, "HJ round trip (p <= 500)", ok and ok_sweep and elapsed < 5.0,
+    _criterion(8, f"HJ round trip (p <= {HJ_P_MAX})",
+               ok and ok_sweep and elapsed < 5.0,
                f"{detail}; {elapsed:.2f}s < 5s")
 
 
@@ -123,7 +124,7 @@ def test_criterion_11_b_prime_coherence(sweep):
                ok1 and ok2 and ok3, f"{d1}; {d2}; {d3}")
 
 
-def test_criterion_12_eta_bound(sweep):
+def test_criterion_12_eta_bound(sweep, small_global_bounds):
     # equality exactly for the m = 1 families (groups inside SU(2)) when the
     # supplied eta is the equality value; strict above it for m > 1
     m1_specs = [GroupSpec.dihedral(1, n) for n in range(2, 25)] + [
@@ -149,8 +150,7 @@ def test_criterion_12_eta_bound(sweep):
         table[spec.key()] = table_topology(spec).implied_eta
     cfg = SweepConfig(families=(Family.DIHEDRAL, Family.TETRAHEDRAL,
                                 Family.OCTAHEDRAL, Family.ICOSAHEDRAL),
-                      m_max=1, n_max=24, hj_p_max=10, eisenstein_n_max=10,
-                      eta=table)
+                      m_max=1, n_max=24, eta=table)
     table_summary = verify(cfg)
     ok_table = table_summary.counts[("eta_bound", True)] == N_M1 and \
         table_summary.counts[("eta_bound", False)] == 0

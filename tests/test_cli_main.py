@@ -28,8 +28,7 @@ def run(capsys, argv):
 
 def sequence(tmp_path):
     cfg = tmp_path / "c.cfg"
-    cfg.write_text("families = tetrahedral\nm_max = 7\nhj_p_max = 10\n"
-                   "eisenstein_n_max = 50\n")
+    cfg.write_text("families = tetrahedral\nm_max = 7\n")
     dot = str(tmp_path / "d.dot")
     spec = ["--family", "dihedral", "--m", "5", "--n", "2"]
     return [
@@ -74,7 +73,8 @@ def test_the_parser_is_built_once():
     assert build_parser() is build_parser()
 
 
-def test_main_keeps_no_state_between_calls(tmp_path, monkeypatch, capsys):
+def test_main_keeps_no_state_between_calls(tmp_path, monkeypatch, capsys,
+                                           small_global_bounds):
     argvs = sequence(tmp_path)
     shared = [run(capsys, argv) for argv in argvs]
     monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)

@@ -135,7 +135,8 @@ def test_describe_degenerate():
     assert r.all_passed()
 
 
-def test_a_degenerate_group_with_no_lens_type_is_a_failing_check(monkeypatch):
+def test_a_degenerate_group_with_no_lens_type_is_a_failing_check(
+        monkeypatch, small_global_bounds):
     import u2sing.report as report
 
     monkeypatch.setattr(report, "cyclic_equivalent_type", lambda group: None)
@@ -143,8 +144,7 @@ def test_a_degenerate_group_with_no_lens_type_is_a_failing_check(monkeypatch):
     assert r.degenerate_cyclic and r.order == 12
     assert [c.name for c in r.checks if not c.passed] == ["degenerate_cyclic_flag"]
     assert (r.singularities, r.hj_strings, r.compactification) == (None, (), None)
-    config = SweepConfig(families=(Family.DIHEDRAL,), m_max=5, n_max=1,
-                         hj_p_max=10, eisenstein_n_max=10)
+    config = SweepConfig(families=(Family.DIHEDRAL,), m_max=5, n_max=1)
     specs = [spec.label() for spec in specs_in_sweep(config)]
     summary = verify(config)
     assert "describe" not in summary.check_names()
@@ -438,15 +438,27 @@ def test_empty_sweep_vacuous():
     assert summary.warnings
 
 
-def test_small_sweep_passes():
-    cfg = SweepConfig(m_max=7, n_max=3, p_max=10, hj_p_max=40,
-                      eisenstein_n_max=30)
+def test_verify_checks_the_global_identities_to_the_fixed_bounds(
+        monkeypatch):
+    # HJ_P_MAX and EISENSTEIN_N_MAX are read when verify calls the checks;
+    # no config sets them.
+    bounds = {}
+    monkeypatch.setattr(sweep, "check_hj_roundtrip",
+                        lambda summary, p_max: bounds.update(hj=p_max))
+    monkeypatch.setattr(sweep, "check_eisenstein",
+                        lambda summary, n_max: bounds.update(eisenstein=n_max))
+    verify(SweepConfig(families=(Family.INDEX3,), m_max=3))
+    assert bounds == {"hj": 500, "eisenstein": 200}
+
+
+def test_small_sweep_passes(small_global_bounds):
+    cfg = SweepConfig(m_max=7, n_max=3, p_max=10)
     summary = verify(cfg)
     assert summary.exit_code == 0, summary.failures[:5]
     assert summary.specs_processed > 0
 
 
-def test_absurd_tolerance_fails(monkeypatch):
+def test_absurd_tolerance_fails(monkeypatch, small_global_bounds):
     # double precision cannot meet 1e-15: with the threshold patched where
     # the character sum and the Eisenstein check read it, both failures
     # are recorded and the sweep runs to its end
@@ -454,8 +466,8 @@ def test_absurd_tolerance_fails(monkeypatch):
     import u2sing.sweep as sweep
     for module in (invariants, sweep):
         monkeypatch.setattr(module, "DEFAULT_TOLERANCE", 1e-15)
-    cfg = SweepConfig(families=(Family.TETRAHEDRAL,), m_max=7, hj_p_max=10,
-                      eisenstein_n_max=50)
+    monkeypatch.setattr(sweep, "EISENSTEIN_N_MAX", 50)
+    cfg = SweepConfig(families=(Family.TETRAHEDRAL,), m_max=7)
     summary = verify(cfg)
     assert summary.exit_code == 1
     assert summary.specs_processed == 3
@@ -526,23 +538,23 @@ def test_the_non_cyclic_resolution_reads_no_float(spec, monkeypatch):
     assert summary.passed_failed("eigenvalue_tables") == (3, 0)
 
 
-def test_eta_table_in_sweep():
+def test_eta_table_in_sweep(small_global_bounds):
     spec = GroupSpec.icosahedral(1)
     eq = table_topology(spec).implied_eta
-    cfg = SweepConfig(families=(Family.ICOSAHEDRAL,), m_max=1, hj_p_max=10,
-                      eisenstein_n_max=10, eta={spec.key(): eq})
+    cfg = SweepConfig(families=(Family.ICOSAHEDRAL,), m_max=1,
+                      eta={spec.key(): eq})
     summary = verify(cfg)
     assert summary.exit_code == 0
     assert summary.counts[("eta_bound", True)] == 1
 
 
-def test_eta_keys_that_no_check_reads_are_named_in_one_warning():
+def test_eta_keys_that_no_check_reads_are_named_in_one_warning(
+        small_global_bounds):
     # a misspelt key, and a cyclic key outside the sweep (a cyclic spec
     # has no eta_bound check in any case)
     eta = {"tetrahedal_m1": F(-49, 36), "cyclic_q1_p5": F(1, 5),
            "tetrahedral_m1": F(-49, 36)}
-    cfg = SweepConfig(families=(Family.TETRAHEDRAL,), m_max=1, hj_p_max=10,
-                      eisenstein_n_max=10, eta=eta)
+    cfg = SweepConfig(families=(Family.TETRAHEDRAL,), m_max=1, eta=eta)
     summary = verify(cfg)
     assert summary.exit_code == 0
     assert summary.counts[("eta_bound", True)] == 1
@@ -563,7 +575,7 @@ def test_record_report_records_the_label_with_every_check():
     assert len(summary.failures) > 10
 
 
-def test_verify_isolates_a_crashing_spec(monkeypatch):
+def test_verify_isolates_a_crashing_spec(monkeypatch, small_global_bounds):
     import u2sing.sweep as sweep
     real, bad = sweep.describe, GroupSpec.dihedral(3, 2)
     seen = []
@@ -575,8 +587,7 @@ def test_verify_isolates_a_crashing_spec(monkeypatch):
         return real(spec, **kwargs)
 
     monkeypatch.setattr(sweep, "describe", describe)
-    cfg = SweepConfig(families=(Family.DIHEDRAL,), m_max=7, n_max=2,
-                      hj_p_max=10, eisenstein_n_max=10)
+    cfg = SweepConfig(families=(Family.DIHEDRAL,), m_max=7, n_max=2)
     keys = [s.key() for s in specs_in_sweep(cfg)]
     assert bad.key() in keys and len(keys) > 2
     summary = verify(cfg)
@@ -590,7 +601,8 @@ def test_verify_isolates_a_crashing_spec(monkeypatch):
     assert summary.counts[("order_matches_table", True)] == len(keys)
 
 
-def test_verify_isolates_a_failing_enumeration(monkeypatch):
+def test_verify_isolates_a_failing_enumeration(monkeypatch,
+                                                small_global_bounds):
     import u2sing.sweep as sweep
     from u2sing.errors import ClosureOverflow
     real, bad = sweep.enumerate_group, GroupSpec.dihedral(3, 2)
@@ -603,8 +615,7 @@ def test_verify_isolates_a_failing_enumeration(monkeypatch):
         return real(spec)
 
     monkeypatch.setattr(sweep, "enumerate_group", enumerate_group)
-    cfg = SweepConfig(families=(Family.DIHEDRAL,), m_max=7, n_max=2,
-                      hj_p_max=10, eisenstein_n_max=10)
+    cfg = SweepConfig(families=(Family.DIHEDRAL,), m_max=7, n_max=2)
     keys = [s.key() for s in specs_in_sweep(cfg)]
     assert bad.key() in keys and len(keys) > 2
     summary = verify(cfg)
@@ -624,7 +635,8 @@ def test_verify_isolates_a_failing_enumeration(monkeypatch):
     assert summary.passed_failed("describe") == (0, 1)
 
 
-def test_verify_goes_on_when_freeness_raises_again(monkeypatch):
+def test_verify_goes_on_when_freeness_raises_again(monkeypatch,
+                                                   small_global_bounds):
     from u2sing.catalog import Labels
     real = Labels.eigenvalue_one_count
 
@@ -634,8 +646,7 @@ def test_verify_goes_on_when_freeness_raises_again(monkeypatch):
         return real(group)
 
     monkeypatch.setattr(Labels, "eigenvalue_one_count", eigenvalue_one_count)
-    summary = verify(SweepConfig(families=(Family.INDEX3,), m_max=9,
-                                 hj_p_max=10, eisenstein_n_max=10))
+    summary = verify(SweepConfig(families=(Family.INDEX3,), m_max=9))
     assert summary.specs_processed == 2         # index3(3), of order 72, and (9)
     bad = GroupSpec.index3(3).label()
     assert [(label, name) for label, name, _ in summary.failures] == [
@@ -663,8 +674,7 @@ def _another_lens_generator(monkeypatch):
     monkeypatch.setattr(catalog, "generators_of", mutant)
 
 
-LENS_30 = SweepConfig(families=(Family.CYCLIC,), p_max=30, hj_p_max=10,
-                      eisenstein_n_max=10)
+LENS_30 = SweepConfig(families=(Family.CYCLIC,), p_max=30)
 
 
 def test_the_other_lens_generator_builds_another_lens_space(monkeypatch):
@@ -681,12 +691,14 @@ def test_the_other_lens_generator_builds_another_lens_space(monkeypatch):
 @pytest.mark.xfail(strict=True, reason=(
     "ROADMAP item D: a lens spec's resolution is built from the spec, and "
     "no check reads the type of its enumerated group"))
-def test_a_lens_spec_enumerating_another_lens_space_fails(monkeypatch):
+def test_a_lens_spec_enumerating_another_lens_space_fails(
+        monkeypatch, small_global_bounds):
     _another_lens_generator(monkeypatch)
     assert verify(LENS_30).exit_code == 1
 
 
-def test_verify_checks_freeness_once_per_spec(monkeypatch):
+def test_verify_checks_freeness_once_per_spec(monkeypatch,
+                                              small_global_bounds):
     import u2sing.report as report
     import u2sing.sweep as sweep
     checked = []
@@ -696,7 +708,7 @@ def test_verify_checks_freeness_once_per_spec(monkeypatch):
             return real(group)
         monkeypatch.setattr(module, "is_fixed_point_free", counted)
     cfg = SweepConfig(families=(Family.DIHEDRAL, Family.CYCLIC), m_max=5,
-                      n_max=2, p_max=5, hj_p_max=10, eisenstein_n_max=10)
+                      n_max=2, p_max=5)
     summary = verify(cfg)
     assert summary.exit_code == 0
     assert len(checked) == summary.specs_processed
@@ -738,9 +750,8 @@ def test_a_wrong_expected_kappa_fails(monkeypatch):
                                  f"kappa = {kappa}, expected {kappa + 1}")]
 
 
-def test_sweep_slice_report_bytes(tmp_path):
-    config = SweepConfig(m_max=25, n_max=4, p_max=40, hj_p_max=10,
-                         eisenstein_n_max=10, out_dir=str(tmp_path))
+def test_sweep_slice_report_bytes(tmp_path, small_global_bounds):
+    config = SweepConfig(m_max=25, n_max=4, p_max=40, out_dir=str(tmp_path))
     assert verify(config).exit_code == 0
     assert len(list(tmp_path.iterdir())) == 586
     digest = hashlib.sha256()
@@ -749,17 +760,16 @@ def test_sweep_slice_report_bytes(tmp_path):
     assert digest.hexdigest() == SLICE_SHA256
 
 
-def test_verify_deterministic():
-    cfg = dict(families=(Family.INDEX3, Family.TETRAHEDRAL), m_max=9,
-               hj_p_max=20, eisenstein_n_max=10)
+def test_verify_deterministic(small_global_bounds):
+    cfg = dict(families=(Family.INDEX3, Family.TETRAHEDRAL), m_max=9)
     a = verify(SweepConfig(**cfg))
     b = verify(SweepConfig(**cfg))
     assert a.counts == b.counts and a.failures == b.failures
 
 
-def test_verify_writes_reports(tmp_path):
-    cfg = SweepConfig(families=(Family.INDEX3,), m_max=9, hj_p_max=10,
-                      eisenstein_n_max=10, out_dir=str(tmp_path))
+def test_verify_writes_reports(tmp_path, small_global_bounds):
+    cfg = SweepConfig(families=(Family.INDEX3,), m_max=9,
+                      out_dir=str(tmp_path))
     summary = verify(cfg)
     assert summary.exit_code == 0
     files = sorted(p.name for p in tmp_path.glob("*.json"))
@@ -768,12 +778,11 @@ def test_verify_writes_reports(tmp_path):
     assert data["order"] == 72
 
 
-def test_verify_replaces_a_longer_report(tmp_path):
+def test_verify_replaces_a_longer_report(tmp_path, small_global_bounds):
     # Every report file already holds its report and 10 kB more: each is
     # overwritten in place and then cut to the new report.
     cfg = SweepConfig(families=(Family.INDEX3, Family.CYCLIC), m_max=9,
-                      p_max=7, hj_p_max=10, eisenstein_n_max=10,
-                      out_dir=str(tmp_path))
+                      p_max=7, out_dir=str(tmp_path))
     texts = {f"{spec.key()}.json": report_to_json(describe(spec), indent=1)
              for spec in specs_in_sweep(cfg)}
     for name, text in texts.items():
@@ -782,12 +791,12 @@ def test_verify_replaces_a_longer_report(tmp_path):
     assert {p.name: p.read_text() for p in tmp_path.iterdir()} == texts
 
 
-def test_verify_overwrites_a_shorter_report(tmp_path):
+def test_verify_overwrites_a_shorter_report(tmp_path,
+                                            small_global_bounds):
     # Every report file already holds the first half of its report: each
     # must end up exactly the new report, with no stale or missing byte.
     cfg = SweepConfig(families=(Family.INDEX3, Family.CYCLIC), m_max=9,
-                      p_max=7, hj_p_max=10, eisenstein_n_max=10,
-                      out_dir=str(tmp_path))
+                      p_max=7, out_dir=str(tmp_path))
     texts = {f"{spec.key()}.json": report_to_json(describe(spec), indent=1)
              for spec in specs_in_sweep(cfg)}
     for name, text in texts.items():
@@ -821,8 +830,30 @@ def test_no_output_file_is_opened_with_o_trunc(tmp_path, monkeypatch, argv,
     assert not any(f & os.O_TRUNC for f in flags)
 
 
-def test_verify_writes_a_report_whole_through_short_writes(tmp_path,
-                                                            monkeypatch):
+def test_verify_removes_the_report_of_a_spec_whose_describe_raised(
+        tmp_path, monkeypatch, small_global_bounds):
+    # A re-run into the same folder must not leave the first run's passing
+    # report for a spec that now fails; the other reports are rewritten.
+    cfg = SweepConfig(families=(Family.CYCLIC,), p_max=5,
+                      out_dir=str(tmp_path))
+    assert verify(cfg).exit_code == 0
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    real, bad = sweep.describe, GroupSpec.cyclic(2, 5)
+
+    def describe(spec, **kwargs):
+        if spec == bad:
+            raise AssertionError("injected")
+        return real(spec, **kwargs)
+
+    monkeypatch.setattr(sweep, "describe", describe)
+    del before[f"{bad.key()}.json"]
+    for _ in range(2):              # the second time there is no file
+        assert verify(cfg).exit_code == 1
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+def test_verify_writes_a_report_whole_through_short_writes(
+        tmp_path, monkeypatch, small_global_bounds):
     # The largest report of the default sweep, L(199, 200), about 280 kB,
     # written 1,000 bytes at most per call.
     spec, real, sizes = GroupSpec.cyclic(199, 200), os.write, []
@@ -833,8 +864,7 @@ def test_verify_writes_a_report_whole_through_short_writes(tmp_path,
 
     monkeypatch.setattr(sweep, "specs_in_sweep", lambda config: iter([spec]))
     monkeypatch.setattr(os, "write", short_write)
-    cfg = SweepConfig(families=(Family.CYCLIC,), hj_p_max=10,
-                      eisenstein_n_max=10, out_dir=str(tmp_path))
+    cfg = SweepConfig(families=(Family.CYCLIC,), out_dir=str(tmp_path))
     assert verify(cfg).exit_code == 0
     text = report_to_json(describe(spec), indent=1)
     assert len(text) > 280_000 and len(sizes) == -(-len(text) // 1000)
@@ -902,19 +932,24 @@ def test_config_rejects_an_unparsable_value(tmp_path, capsys):
         "error: config key m_max: cannot parse 'abc'\n")
 
 
-def test_sweep_config_rejects_global_bounds_that_check_nothing(tmp_path,
-                                                               capsys):
-    # The HJ round trip starts at p = 2 and the Eisenstein identity at
-    # n = 2; below that either would record a pass that checked nothing.
-    for bounds in ({"hj_p_max": 1}, {"eisenstein_n_max": 1},
-                   {"hj_p_max": 0, "eisenstein_n_max": 1}):
-        with pytest.raises(InvalidParameters):
-            SweepConfig(**bounds).validate()
-    path = tmp_path / "sweep.cfg"
-    path.write_text("hj_p_max = 0\neisenstein_n_max = 1\n")
-    assert main(["verify", "--config", str(path), *TINY]) == 2
-    assert capsys.readouterr().err == (
-        "error: hj_p_max and eisenstein_n_max must be >= 2\n")
+def test_the_global_check_bounds_are_no_config_keys(tmp_path, monkeypatch,
+                                                    capsys):
+    # How far the HJ round trip and the Eisenstein identity run is fixed:
+    # a config line naming either bound is an unknown key, refused before
+    # the first spec.
+    described = []
+    monkeypatch.setattr(sweep, "describe",
+                        lambda *a, **k: described.append(a))
+    for key in ("hj_p_max", "eisenstein_n_max"):
+        with pytest.raises(TypeError):
+            SweepConfig(**{key: 10})
+        path = tmp_path / f"{key}.cfg"
+        path.write_text(f"{key} = 1000\n")
+        assert main(["verify", "--config", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "Traceback" not in err
+        assert err.startswith(f"error: unknown config key '{key}'")
+    assert described == []
 
 
 def test_verify_rejects_a_missing_config_file(tmp_path, capsys):
@@ -944,6 +979,22 @@ def test_verify_refuses_the_removed_eta_file_flag(tmp_path, capsys):
     assert out == ""
     assert "--eta-file" in err and "Traceback" not in err
     assert "enumeration time" not in err
+
+
+@pytest.mark.parametrize("spec, unread", [
+    (["--family", "cyclic", "--q", "3", "--p", "5"], "cyclic_q3_p5"),
+    (["--family", "dihedral", "--m", "3", "--n", "1"], "dihedral_m3_n1"),
+    (["--family", "tetrahedral", "--m", "1"], None),
+], ids=["cyclic", "n=1", "tetrahedral"])
+def test_describe_warns_of_an_eta_that_no_check_reads(spec, unread, capsys):
+    # A cyclic or n = 1 spec has no eta_bound check: the value is named on
+    # stderr, as verify names it, and the exit status stays 0.
+    assert main(["describe", *spec, "--eta", "1/3"]) == 0
+    out, err = capsys.readouterr()
+    assert ("eta_bound" in out) == (unread is None)
+    assert err == ("" if unread is None else
+                   f"warning: no eta_bound check read the eta value of "
+                   f"{unread}\n")
 
 
 def test_describe_rejects_an_unparsable_eta(capsys):
