@@ -23,9 +23,9 @@ from .invariants import (DeformationReport, TopologyReport, closed_form_dim,
 from .report import (InvariantReport, describe, export_dot, report_from_dict,
                      report_from_json, report_to_dict, report_to_json)
 from .resolution import (BGamma, CompactificationData, CurveConfiguration,
-                         PlumbingGraph, ResolutionData, SingularityTriple,
-                         b_gamma, compactification, graph_to_dot,
-                         resolution_graph, singularity_triple, solve_b_prime)
+                         PlumbingGraph, ResolutionData, b_gamma,
+                         compactification, graph_to_dot, resolution_graph,
+                         singularity_triple, solve_b_prime)
 from .sweep import SweepConfig, VerifySummary, specs_in_sweep, verify
 
 __version__ = "0.1.0"
@@ -34,7 +34,7 @@ __all__ = [
     "BGamma", "CompactificationData", "CurveConfiguration", "CyclicType",
     "DeformationReport", "Family", "FiniteGroup", "GroupSpec",
     "InvariantReport", "Labels", "PlumbingGraph", "ResolutionData",
-    "SingularityTriple", "SweepConfig", "TopologyReport", "VerifySummary",
+    "SweepConfig", "TopologyReport", "VerifySummary",
     "b_gamma", "canonical_cyclic", "cf_value", "closed_form_dim",
     "compactification", "cyclic_equivalent_type", "describe", "dim_h1_theta",
     "dim_sfk", "dual_type", "eigenvalue_histogram", "eisenstein_check",

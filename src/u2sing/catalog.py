@@ -440,6 +440,14 @@ class FiniteGroup:
         return int(np.count_nonzero(d < DEFAULT_TOLERANCE))
 
 
+def _su2_product(x1, x2, y1, y2) -> tuple[np.ndarray, np.ndarray]:
+    """The quaternion product (x1 + x2 jhat)(y1 + y2 jhat) as its two
+    coordinates, for complex scalars or broadcast columns.  No array of
+    pairs is stacked: ``generate_closure`` writes each coordinate straight
+    into its column of candidates, and ``_tabled`` stacks once per block."""
+    return x1 * y1 - x2 * np.conj(y2), x1 * y2 + x2 * np.conj(y1)
+
+
 def generate_closure(generators: np.ndarray, max_order: int) -> FiniteGroup:
     """Breadth-first closure of the generator rows under composition.
 
@@ -468,8 +476,7 @@ def generate_closure(generators: np.ndarray, max_order: int) -> FiniteGroup:
         a, b1, b2 = np.concatenate([frontier] * len(gen_rows)).T
         cand = np.empty((len(a), 3), dtype=complex)
         cand[:, 0] = a_g * a
-        cand[:, 1] = b1 * b1_g - b2 * np.conj(b2_g)
-        cand[:, 2] = b1 * b2_g + b2 * np.conj(b1_g)
+        cand[:, 1], cand[:, 2] = _su2_product(b1, b2, b1_g, b2_g)
         cand = _canonical_rows(cand)
         fresh = _fresh_indices(_row_keys(cand), seen)
         if len(seen) > 2 * max_order:
@@ -481,17 +488,16 @@ def generate_closure(generators: np.ndarray, max_order: int) -> FiniteGroup:
     return FiniteGroup(np.concatenate(chunks, axis=0))
 
 
-def _powers(gen: np.ndarray, start: int, max_order: int) -> np.ndarray:
+def _powers(gen: np.ndarray, max_order: int) -> np.ndarray:
     """The powers of one row (a, b1, 0), identity first, up to the first one
     whose row on the KEY_SCALE integer grid (the grid of ``_row_keys``)
     equals the identity's: the order is found, not assumed.  Powers
-    k = 0..start are computed as one table from the angles of a and b1, and
-    the table doubles while the identity does not recur.  Raises
-    ClosureOverflow past 2 * max_order elements, as the closures do."""
-    limit = 2 * max_order
+    k = 0..max_order are computed as one table from the angles of a and b1,
+    and k = 0..2 * max_order only if the identity does not recur in it.
+    Raises ClosureOverflow past 2 * max_order elements, as the closures
+    do."""
     a0, b0 = np.angle(gen[0]), np.angle(gen[1])
-    last = min(start, limit)
-    while True:
+    for last in (max_order, 2 * max_order):
         k = np.arange(last + 1)
         rows = np.zeros((last + 1, 3), dtype=complex)
         np.exp(1j * a0 * k, out=rows[:, 0])
@@ -501,10 +507,8 @@ def _powers(gen: np.ndarray, start: int, max_order: int) -> np.ndarray:
         back = (grid[1:] == grid[0]).all(axis=1)
         if back.any():
             return rows[:back.argmax() + 1]
-        if last == limit:
-            raise ClosureOverflow(
-                f"closure exceeded {limit} elements (expected {max_order})")
-        last = min(2 * last, limit)
+    raise ClosureOverflow(
+        f"closure exceeded {2 * max_order} elements (expected {max_order})")
 
 
 # ---------------------------------------------------------------------------
@@ -524,14 +528,6 @@ def _powers(gen: np.ndarray, start: int, max_order: int) -> np.ndarray:
 # Check a G* product this many entries at a time, so that no |G*|^2 array
 # is made for the large D*_4n (n = 397 gives |G*| = 1588).
 _CHECK_BLOCK = 1 << 16
-
-
-def _su2_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """The quaternion products x y of (b1, b2) pairs (last axis),
-    broadcast over the leading axes."""
-    x1, x2, y1, y2 = x[..., 0], x[..., 1], y[..., 0], y[..., 1]
-    return np.stack([x1 * y1 - x2 * np.conj(y2),
-                     x1 * y2 + x2 * np.conj(y1)], -1)
 
 
 @dataclass(eq=False)
@@ -651,8 +647,9 @@ def _tabled(kind: str) -> GStar:
     index = {k: i for i, k in enumerate(_row_keys(els))}
     table = np.empty((len(els), len(els)), dtype=int)
     for lo in range(0, len(els), 8):       # 8 rows of products at a time
-        keys = _row_keys(_su2_product(els[lo:lo + 8, None], els[None, :])
-                         .reshape(-1, 2))
+        c1, c2 = _su2_product(els[lo:lo + 8, 0, None], els[lo:lo + 8, 1, None],
+                              els[:, 0], els[:, 1])
+        keys = _row_keys(np.stack([c1.ravel(), c2.ravel()], -1))
         try:
             table[lo:lo + 8] = np.fromiter(map(index.__getitem__, keys), int,
                                            len(keys)).reshape(-1, len(els))
@@ -835,7 +832,7 @@ def _dimino(spec: GroupSpec) -> Labels:
 def _enumerate_cyclic(spec: GroupSpec) -> FiniteGroup:
     """The powers of the one generator, identity first: k = 0..p, and
     k = 0..2p only when the p-th is not the identity."""
-    return FiniteGroup(_powers(generators_of(spec)[0], spec.p, spec.p))
+    return FiniteGroup(_powers(generators_of(spec)[0], spec.p))
 
 
 def enumerate_group(spec: GroupSpec) -> FiniteGroup | Labels:

@@ -30,7 +30,8 @@ class OrbitCountMismatch(U2SingError):
 
 
 class TableDisagreement(U2SingError):
-    """Algorithmic singularity triple disagrees with the family table."""
+    """The algorithmic singularity triple is not exactly the family table's;
+    a triple that matches only up to alpha <-> alpha^-1 disagrees too."""
 
 
 class CrossCheckFailure(U2SingError):

@@ -137,8 +137,11 @@ def describe(spec: GroupSpec,
 
     A failed cross-check is recorded in the report, not raised.  No stage
     checks ``spec`` again: the ``GroupSpec`` constructor has refused bad
-    parameters.  What raises: ClosureOverflow when ``group`` is None and the
-    enumeration here overflows; and, for a degenerate (n = 1) spec, a
+    parameters.  What raises, when ``group`` is None and the enumeration
+    here fails: ClosureOverflow when it overflows; SnapFailure when a
+    generator does not snap to a label (``catalog._label_rows``); and
+    NotAGroup when a G* fails its group check (``catalog._checked``,
+    ``_gstar_closure``, ``_tabled``).  For a degenerate (n = 1) spec, also a
     SnapFailure when an element's eigen-angles are not multiples of
     1/|Gamma| turn.  A degenerate group with no lens type is a failing
     ``degenerate_cyclic_flag`` check, and the later sections keep their
@@ -249,10 +252,12 @@ def _resolve_noncyclic(spec: GroupSpec, group: Labels,
                        checks: list[CheckResult]) -> Resolved:
     m, h = spec.m, spec.pgl_image_order()
 
+    # conjugate_equivalence_used stays in the schema: False after the exact
+    # agreement that singularity_triple requires, None when it fails.
     conj_used = None
     try:
-        trip = singularity_triple(spec, group)
-        triple, conj_used = trip.types, trip.conjugate_equivalence_used
+        triple = singularity_triple(spec, group)
+        conj_used = False
         checks.append(CheckResult(
             "singularity_table_agreement", True,
             f"{tuple(map(str, triple))}, conjugate_equivalence_used={conj_used}"))

@@ -20,6 +20,9 @@ module computes the three types twice:
     this route; the one float decision before it is the generator snap
     that labels the group (``catalog._label_rows``).
 
+``singularity_triple`` returns the triple only when the two routes agree
+exactly.
+
 The minimal resolution is the star-shaped plumbing with central weight
 -b_Gamma and one Hirzebruch-Jung string per singularity (first entry adjacent
 to the center); the compactification adds a second star with the dual
@@ -186,12 +189,6 @@ class CurveConfiguration:
 # Singularity triples
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SingularityTriple:
-    types: tuple[CyclicType, CyclicType, CyclicType]
-    conjugate_equivalence_used: bool = False
-
-
 def table_singularities(spec: GroupSpec) -> tuple[CyclicType, CyclicType, CyclicType]:
     """The family table of orbifold types, normalized mod beta.
 
@@ -340,23 +337,23 @@ def algorithmic_singularities(spec: GroupSpec, lab: Labels
     return tuple(sorted(types))
 
 
-def singularity_triple(spec: GroupSpec, lab: Labels) -> SingularityTriple:
-    """Table types and the algorithmic types of the enumerated group's
-    labels ``lab``, with agreement asserted.
+def singularity_triple(spec: GroupSpec, lab: Labels
+                       ) -> tuple[CyclicType, CyclicType, CyclicType]:
+    """The algorithmic types of the enumerated group's labels ``lab``, once
+    they equal the family table's; TableDisagreement otherwise.
 
-    Exact equality of the normalized triples is required; agreement only up
-    to the inverse label alpha <-> alpha^{-1} is accepted but flagged.
+    The normalized triples must be equal: each arm of the resolution star is
+    the Hirzebruch-Jung string of its type L(alpha, beta) read outward from
+    the centre, and L(alpha^-1, beta) is the reversed string, a different
+    plumbing, so agreement up to alpha <-> alpha^-1 is a disagreement.
     """
     table = table_singularities(spec)
     computed = algorithmic_singularities(spec, lab)
-    if table == computed:
-        return SingularityTriple(computed)
-    if tuple(sorted(t.conj_key() for t in table)) == \
-       tuple(sorted(t.conj_key() for t in computed)):
-        return SingularityTriple(computed, conjugate_equivalence_used=True)
-    raise TableDisagreement(
-        f"{spec.label()}: table {tuple(map(str, table))} != "
-        f"computed {tuple(map(str, computed))}")
+    if table != computed:
+        raise TableDisagreement(
+            f"{spec.label()}: table {tuple(map(str, table))} != "
+            f"computed {tuple(map(str, computed))}")
+    return computed
 
 
 # ---------------------------------------------------------------------------

@@ -77,7 +77,7 @@ def dimino_closure(generators: np.ndarray, max_order: int) -> FiniteGroup:
     gens = [_canonical_row(g) for g in generators.tolist()]
     limit = 2 * max_order
     too_many = f"closure exceeded {limit} elements (expected {max_order})"
-    powers = _powers(generators[0], 16, max_order)
+    powers = _powers(generators[0], max_order)
     blocks, seen = [powers], set(_row_keys(powers))
     order = len(powers)
 

@@ -33,7 +33,7 @@ from u2sing.report import describe, report_to_json
 from dimino_float import _canonical_row, _row_key, dimino_closure, rows_of
 from freeness_float import angle_distances, angle_eigenvalue_one_count
 from rowalg import (canonical, compose, equivalent, inverse, key, mobius,
-                    power, row, scalar)
+                    power, qmul, row, scalar)
 
 IDENTITY = row()
 
@@ -704,17 +704,34 @@ def test_every_gstar_is_a_checked_group(spec, key, size):
     assert g is _gstar_of(spec)[0]
     assert len(g.su2) == size
     every = np.arange(size)
-    prod = _su2_product(g.su2[:, None], g.su2[None, :])
+    x1, x2 = g.su2.T
+    prod = np.stack(_su2_product(x1[:, None], x2[:, None], x1, x2), -1)
     assert np.abs(prod - g.su2[g.mul(every[:, None], every)]).max() < 1e-12
     assert np.abs(g.su2[g.neg] + g.su2).max() < 1e-12
     power, order = g.su2.copy(), np.zeros(size, dtype=int)
     for t in range(1, size + 1):
         back = (np.abs(power - [1, 0]).max(axis=1) < 1e-9) & (order == 0)
         order[back] = t
-        power = _su2_product(power, g.su2)
+        power = np.stack(_su2_product(*power.T, x1, x2), -1)
     assert order.tolist() == g.order.tolist()
     assert np.allclose(np.cos(2 * np.pi * g.residue / g.order),
                        g.su2[:, 0].real)
+
+
+def test_su2_product_is_the_row_algebra_product():
+    # Broadcast columns and complex scalars, against rowalg's one-pair
+    # quaternion product.
+    rng = np.random.default_rng(7)
+    x, y = (rng.normal(size=(k, 2)) + 1j * rng.normal(size=(k, 2))
+            for k in (5, 4))
+    c1, c2 = _su2_product(x[:, 0, None], x[:, 1, None], y[:, 0], y[:, 1])
+    assert c1.shape == c2.shape == (5, 4)
+    for i, j in itertools.product(range(5), range(4)):
+        want = qmul(tuple(x[i].tolist()), tuple(y[j].tolist()))
+        assert abs(c1[i, j] - want[0]) < 1e-12
+        assert abs(c2[i, j] - want[1]) < 1e-12
+        got = _su2_product(*x[i].tolist(), *y[j].tolist())
+        assert all(abs(u - v) < 1e-12 for u, v in zip(got, want))
 
 
 def test_a_corrupted_table_fails_the_latin_square_or_lights_test():
@@ -947,13 +964,18 @@ def test_lens_closures_match_reference():
                               _reference_closure(gens, spec.p))
 
 
-def test_the_powers_table_doubles_until_the_identity_recurs():
-    # L(5, 12)'s generator has order 12: a table of 4 powers doubles to 8
-    # and 16, and its first 12 rows are those of a table of 12.
+def test_an_order_past_max_order_is_found_in_the_second_table():
+    # L(5, 12)'s generator has order 12: the first table, k = 0..6 or
+    # k = 0..11, misses it, so the second, k = 0..2 * max_order, holds it,
+    # and its first 12 rows are those of a table of 12.  A max_order of 5
+    # stops at k = 10.
     gen = generators_of(GroupSpec.cyclic(5, 12))[0]
-    rows = _powers(gen, 4, 12)
-    assert len(rows) == 12 and len(set(_row_keys(rows))) == 12
-    assert rows.tobytes() == _powers(gen, 12, 12).tobytes()
+    for max_order in (6, 11):
+        rows = _powers(gen, max_order)
+        assert len(rows) == 12 and len(set(_row_keys(rows))) == 12
+        assert rows.tobytes() == _powers(gen, 12).tobytes()
+    with pytest.raises(ClosureOverflow, match="exceeded 10 elements"):
+        _powers(gen, 5)
 
 
 def test_powers_whose_identity_never_recurs_overflow():
@@ -961,7 +983,7 @@ def test_powers_whose_identity_never_recurs_overflow():
     gen = np.array(row(0.0, cmath.exp(1j)))
     with pytest.raises(ClosureOverflow, match="exceeded 20 elements "
                                               r"\(expected 10\)"):
-        _powers(gen, 4, 10)
+        _powers(gen, 10)
 
 
 def test_closure_overflow_threshold_matches_reference():

@@ -120,6 +120,33 @@ def test_a_failed_b_gamma_leaves_the_placeholders(monkeypatch):
     assert d["checks"][-1]["detail"] == "resolution_geometry: injected"
 
 
+def test_a_triple_with_an_inverted_arm_fails_the_table_agreement(monkeypatch):
+    # L(alpha^-1, beta) reads the arm's HJ string reversed, another
+    # plumbing: an algorithmic triple that matches the table only up to
+    # alpha <-> alpha^-1 fails, and b_Gamma is then read from the table.
+    import u2sing.resolution as resolution
+    real = resolution._pole_type
+
+    def inverted(theta, phi, p, m):
+        t = real(theta, phi, p, m)
+        return canonical_cyclic(pow(t.alpha, -1, t.beta), t.beta)
+
+    monkeypatch.setattr(resolution, "_pole_type", inverted)
+    spec = GroupSpec.dihedral(3, 5)                     # arm L(2, 5)
+    r = describe(spec)
+    checks = {c.name: c for c in r.checks}
+    agreement = checks["singularity_table_agreement"]
+    assert not agreement.passed
+    assert agreement.detail == (
+        f"resolution_geometry: {spec.label()}: table "
+        "('L(1,2)', 'L(1,2)', 'L(2,5)') != computed "
+        "('L(1,2)', 'L(1,2)', 'L(3,5)')")
+    assert checks["b_gamma_double_derivation"].passed
+    assert r.conjugate_equivalence_used is None
+    assert [c.name for c in r.checks if not c.passed] == [
+        "singularity_table_agreement"]
+
+
 def test_describe_invalid():
     with pytest.raises(InvalidParameters):
         describe(GroupSpec.dihedral(2, 2))
