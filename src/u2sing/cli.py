@@ -22,8 +22,9 @@ compactification`` those and the compactification's three checks.
 ``compactify`` and ``export`` share one stage path, so ``export --what X``
 writes what ``resolve``/``compactify --format dot`` prints and exits as it
 does: ``compactify`` and ``export --what compactification`` exit 2 for a
-group with nothing to compactify (cyclic, n = 1, or b_Gamma failed) and 1
-when the compactification stage fails.  ``hj`` exits 2 for a pair that
+group with nothing to compactify (cyclic, n = 1, a failed
+``singularity_table_agreement``, or b_Gamma failed) and 1 when the
+compactification stage fails.  ``hj`` exits 2 for a pair that
 names no lens space (p < 1, or q and p not coprime), with ``resolve``'s
 wording; p = 1 gives the empty string of the trivial type.
 

@@ -58,8 +58,7 @@ from .invariants import (DeformationReport, TopologyReport, dim_h1_theta,
                          dim_sfk, moduli_dim, topology_report)
 from .resolution import (BGamma, CurveConfiguration, PlumbingGraph,
                          ResolutionData, b_gamma, compactification,
-                         graph_to_dot, resolution_graph, singularity_triple,
-                         table_singularities)
+                         graph_to_dot, resolution_graph, singularity_triple)
 
 
 @dataclass(frozen=True)
@@ -124,7 +123,8 @@ class InvariantReport:
 class Resolved:
     """What ``resolve`` computes: the report up to the resolution graph, and
     the records the later stages take.  ``b`` and ``res`` are None when no
-    later stage applies: for a cyclic group, and when b_Gamma failed."""
+    later stage applies: for a cyclic group, and when the singularity
+    triple or b_Gamma failed."""
     report: InvariantReport
     b: BGamma | None = None
     res: ResolutionData | None = None
@@ -253,18 +253,19 @@ def _resolve_noncyclic(spec: GroupSpec, group: Labels,
     m, h = spec.m, spec.pgl_image_order()
 
     # conjugate_equivalence_used stays in the schema: False after the exact
-    # agreement that singularity_triple requires, None when it fails.
-    conj_used = None
+    # agreement that singularity_triple requires, None when it fails.  No
+    # later stage runs without an agreed triple.
     try:
         triple = singularity_triple(spec, group)
-        conj_used = False
-        checks.append(CheckResult(
-            "singularity_table_agreement", True,
-            f"{tuple(map(str, triple))}, conjugate_equivalence_used={conj_used}"))
     except U2SingError as exc:
         checks.append(CheckResult("singularity_table_agreement", False,
                                   f"resolution_geometry: {exc}"))
-        triple = table_singularities(spec)
+        return Resolved(InvariantReport(spec, group.order,
+                                        checks=tuple(checks)))
+    conj_used = False
+    checks.append(CheckResult(
+        "singularity_table_agreement", True,
+        f"{tuple(map(str, triple))}, conjugate_equivalence_used={conj_used}"))
 
     try:
         b = b_gamma(spec, triple)

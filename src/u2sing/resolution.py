@@ -18,7 +18,10 @@ module computes the three types twice:
     direction carries the 2m-th power of the eigenvalue on the pole's line,
     because the model fiber is a degree-2m quotient.  No float is read on
     this route; the one float decision before it is the generator snap
-    that labels the group (``catalog._label_rows``).
+    that labels the group (``catalog._label_rows``).  The stabilizer
+    classes depend on the G* and the representatives' labels alone, so
+    they are computed once per process for each; the types are read per
+    spec.
 
 ``singularity_triple`` returns the triple only when the two routes agree
 exactly.
@@ -67,6 +70,7 @@ trust them too.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -256,7 +260,9 @@ def _stabilizers(table: np.ndarray) -> Iterator[tuple[int, int, int]]:
     generates a new one, C; every conjugate kCk^-1 is marked as found, and
     the k with kCk^-1 = C count the normalizer N(C).  Orders and inverses
     come from one walk of all elements' powers, a vector of h at a time;
-    only the chosen generators' powers are kept.
+    only the chosen generators' powers are kept.  ``_image_stabilizers``
+    takes the classes as one tuple, so an exception raised here for a
+    later class surfaces before any earlier class has been checked.
     """
     h = len(table)
     every = np.arange(h)
@@ -282,6 +288,19 @@ def _stabilizers(table: np.ndarray) -> Iterator[tuple[int, int, int]]:
         yield int(g), int(order[g]), normalizer
 
 
+@functools.cache
+def _image_stabilizers(gstar: GStar, reps: bytes
+                       ) -> tuple[tuple[int, int, int], ...] | None:
+    """``_stabilizers`` of the Mobius image whose coset representatives
+    have the G* labels ``reps`` (the bytes of an int array, identity
+    first), or None when the image is not closed.  Kept for the process,
+    like ``catalog._gstar``: only this tuple is kept, not the h x h table,
+    and the key is read from a spec's own enumeration, so a group whose
+    representatives come in another order is another key."""
+    table = _mobius_table(gstar, np.frombuffer(reps, dtype=int))
+    return None if table is None else tuple(_stabilizers(table))
+
+
 def _pole_type(theta: Fraction, phi: Fraction, p: int, m: int) -> CyclicType:
     """The type at a pole of a stabilizer of order p, from a generator
     a * S with a = e^{2 pi i theta}, angles in turns: S has eigenvalue
@@ -304,12 +323,17 @@ def algorithmic_singularities(spec: GroupSpec, lab: Labels
 
     The singular points are the poles of the image's rotations, and their
     orbits are read from the image's product table (``_mobius_table``).
-    The poles of a stabilizer C (``_stabilizers``) are one orbit of size
-    h/|C| when N(C) swaps them, |N(C)| = 2|C|, and two orbits when
-    |N(C)| = |C|; there must be exactly three orbits.  Each type is read
-    at one pole per orbit from a generator's label (k, j): its eigen-angles
-    k/2N +- r/o turns, r and o the residue and order of g_j, as fractions
-    (``_pole_type``).  The family table is never consulted.
+    Its stabilizer classes (``_stabilizers``) are computed once per process
+    for each G* and tuple of representative labels
+    (``_image_stabilizers``), and taken whole, so an exception inside
+    ``_stabilizers`` surfaces before the earlier classes are checked; every
+    check below reads the spec's own group.  The poles of a stabilizer C
+    are one orbit of size h/|C| when N(C) swaps them, |N(C)| = 2|C|, and
+    two orbits when |N(C)| = |C|; there must be exactly three orbits.
+    Each type is read at one pole per orbit from a generator's label
+    (k, j): its eigen-angles k/2N +- r/o turns, r and o the residue and
+    order of g_j, as fractions (``_pole_type``).  The family table is never
+    consulted.
     """
     h = spec.pgl_image_order()
     coset_idx = _coset_indices(lab)
@@ -317,11 +341,11 @@ def algorithmic_singularities(spec: GroupSpec, lab: Labels
         raise OrbitCountMismatch(
             f"{spec.label()}: Mobius image has {len(coset_idx)} elements, expected {h}")
     reps = lab.j[coset_idx]
-    table = _mobius_table(lab.gstar, reps)
-    if table is None:
+    stabilizers = _image_stabilizers(lab.gstar, reps.astype(int).tobytes())
+    if stabilizers is None:
         raise OrbitCountMismatch(f"{spec.label()}: the Mobius image is not closed")
     types = []
-    for g, p, normalizer in _stabilizers(table):
+    for g, p, normalizer in stabilizers:
         if normalizer not in (p, 2 * p):
             raise OrbitCountMismatch(
                 f"{spec.label()}: a pole stabilizer of order {p} has a "

@@ -3,6 +3,7 @@
 import pytest
 
 import u2sing.sweep as sweep
+from u2sing.resolution import _image_stabilizers
 
 
 @pytest.fixture
@@ -12,3 +13,14 @@ def small_global_bounds(monkeypatch):
     the per-spec sweep, which would otherwise pay about 75 ms a call."""
     monkeypatch.setattr(sweep, "HJ_P_MAX", 10)
     monkeypatch.setattr(sweep, "EISENSTEIN_N_MAX", 10)
+
+
+@pytest.fixture
+def fresh_images():
+    """An empty memo of Mobius-image stabilizers, emptied again after the
+    test, so that a test that patches ``_stabilizers`` or ``_mobius_table``
+    computes every image under its patch, whatever ran before it, and
+    leaves no patched entry to another test."""
+    _image_stabilizers.cache_clear()
+    yield
+    _image_stabilizers.cache_clear()

@@ -16,8 +16,9 @@ import pytest
 import u2sing.report
 from u2sing.catalog import FAMILIES, Family, GroupSpec
 from u2sing.cli import main
-from u2sing.errors import InvalidParameters, U2SingError
-from u2sing.report import describe, export_dot, report_to_dict, resolve
+from u2sing.errors import InvalidParameters, TableDisagreement, U2SingError
+from u2sing.report import (CheckResult, describe, export_dot, report_to_dict,
+                           resolve)
 from u2sing.resolution import PlumbingGraph
 from u2sing.sweep import SweepConfig, specs_in_sweep
 
@@ -120,6 +121,27 @@ def test_subcommands_print_the_placeholder_of_a_failed_b_gamma(
         report = describe(spec)
         assert report.compactification is None and report.b_gamma is None
         assert not report.all_passed()
+        assert_outputs(capsys, expected_outputs(spec, report, 1, str(path)),
+                       path)
+
+
+def test_subcommands_run_no_stage_after_a_failed_agreement(
+        tmp_path, monkeypatch, capsys):
+    # The triple disagrees with the family table: b_Gamma and every stage
+    # after it are skipped, resolve prints the placeholder and exits 1, and
+    # compactify exits 2 with nothing to compactify.
+    def disagreeing(spec, group):
+        raise TableDisagreement("injected")
+
+    monkeypatch.setattr(u2sing.report, "singularity_triple", disagreeing)
+    raise_in(monkeypatch, ("b_gamma", "resolution_graph") + LATER_STAGES)
+    path = tmp_path / "graph.dot"
+    for spec in (GroupSpec.dihedral(5, 2), GroupSpec.icosahedral(7)):
+        report = describe(spec)
+        assert report.singularities is None and report.b_gamma is None
+        assert report.checks[-1] == CheckResult(
+            "singularity_table_agreement", False,
+            "resolution_geometry: injected")
         assert_outputs(capsys, expected_outputs(spec, report, 1, str(path)),
                        path)
 

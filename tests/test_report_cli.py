@@ -123,7 +123,7 @@ def test_a_failed_b_gamma_leaves_the_placeholders(monkeypatch):
 def test_a_triple_with_an_inverted_arm_fails_the_table_agreement(monkeypatch):
     # L(alpha^-1, beta) reads the arm's HJ string reversed, another
     # plumbing: an algorithmic triple that matches the table only up to
-    # alpha <-> alpha^-1 fails, and b_Gamma is then read from the table.
+    # alpha <-> alpha^-1 fails, and no later stage runs on the table's.
     import u2sing.resolution as resolution
     real = resolution._pole_type
 
@@ -141,9 +141,12 @@ def test_a_triple_with_an_inverted_arm_fails_the_table_agreement(monkeypatch):
         f"resolution_geometry: {spec.label()}: table "
         "('L(1,2)', 'L(1,2)', 'L(2,5)') != computed "
         "('L(1,2)', 'L(1,2)', 'L(3,5)')")
-    assert checks["b_gamma_double_derivation"].passed
+    assert "b_gamma_double_derivation" not in checks
     assert r.conjugate_equivalence_used is None
-    assert [c.name for c in r.checks if not c.passed] == [
+    assert r.singularities is None and r.b_gamma is None
+    assert r.resolution == PlumbingGraph(0, ()) and r.compactification is None
+    assert [c.name for c in r.checks] == [
+        "order_matches_table", "fixed_point_free",
         "singularity_table_agreement"]
 
 

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from u2sing import resolution
-from u2sing.catalog import (EQ_TOL, KEY_SCALE, Family, GroupSpec,
+from u2sing.catalog import (EQ_TOL, KEY_SCALE, Family, GroupSpec, Labels,
                             _gstar_of, _label_rows, canonical_cyclic,
                             enumerate_group)
 from u2sing.errors import (CrossCheckFailure, InvalidParameters,
@@ -19,8 +19,9 @@ from u2sing.errors import (CrossCheckFailure, InvalidParameters,
                            SnapFailure, TableDisagreement, U2SingError)
 from u2sing.hj import cf_value, dual_type, hj_string
 from u2sing.resolution import (CentrePencil, CurveConfiguration, PlumbingGraph,
-                               _coset_indices, _inertia, _integer_det,
-                               _mobius_table,
+                               _coset_indices, _image_stabilizers,
+                               _inertia, _integer_det, _mobius_table,
+                               _stabilizers,
                                algorithmic_singularities, graph_to_dot,
                                resolution_graph, singularity_triple,
                                table_singularities)
@@ -250,6 +251,57 @@ def test_table_route_agrees_past_the_sweep_bounds(spec):
     assert got == float_singularities(spec, group) == table_singularities(spec)
 
 
+# -- the memo of Mobius-image stabilizers ------------------------------------
+
+def _image_key(lab):
+    """The memo key of the enumerated group ``lab``: its G* and the bytes
+    of its coset representatives' G* labels."""
+    return lab.gstar, lab.j[_coset_indices(lab)].astype(int).tobytes()
+
+
+def test_two_specs_with_one_image_compute_it_once(fresh_images):
+    # dihedral(3, 5) and dihedral(7, 5) differ in m only: one D*20, one
+    # image, one key, and each triple is still its own table's.
+    first, second = GroupSpec.dihedral(3, 5), GroupSpec.dihedral(7, 5)
+    labs = [enumerate_group(spec) for spec in (first, second)]
+    assert _image_key(labs[0]) == _image_key(labs[1])
+    assert singularity_triple(first, labs[0]) == table_singularities(first)
+    assert _image_stabilizers.cache_info()[:2] == (0, 1)       # hits, misses
+    assert singularity_triple(second, labs[1]) == table_singularities(second)
+    assert _image_stabilizers.cache_info()[:2] == (1, 1)
+    assert table_singularities(first) != table_singularities(second)
+
+
+@pytest.mark.parametrize("spec", ONE_PER_FAMILY, ids=GroupSpec.key)
+def test_a_group_listed_in_another_order_is_another_key(spec, fresh_images):
+    # The same elements, identity first and the rest reversed: other coset
+    # representatives in another order, so the memo misses, and the triple
+    # read from the new key still agrees with the table.
+    lab = enumerate_group(spec)
+    order = np.r_[0, np.arange(lab.order - 1, 0, -1)]
+    permuted = Labels(lab.k[order], lab.j[order], lab.gstar, lab.n)
+    assert _image_key(permuted) != _image_key(lab)
+    assert singularity_triple(spec, lab) == table_singularities(spec)
+    assert singularity_triple(spec, permuted) == table_singularities(spec)
+    assert _image_stabilizers.cache_info()[:2] == (0, 2)
+
+
+def test_every_memoized_image_equals_a_cold_one():
+    # Every key that the default sweep's non-cyclic specs with n <= 6
+    # meet, read from the memo that their triples filled (and whatever ran
+    # before) and computed afresh from the image's table.
+    keys = set()
+    for spec in specs_in_sweep(SweepConfig(n_max=6)):
+        if not (spec.is_cyclic or spec.is_degenerate_cyclic):
+            lab = enumerate_group(spec)
+            assert singularity_triple(spec, lab) == table_singularities(spec)
+            keys.add(_image_key(lab))
+    assert len(keys) == 9
+    for gstar, reps in keys:
+        table = _mobius_table(gstar, np.frombuffer(reps, dtype=int))
+        assert _image_stabilizers(gstar, reps) == tuple(_stabilizers(table))
+
+
 # -- mutants of the table route ----------------------------------------------
 
 @pytest.mark.parametrize("spec", ONE_PER_FAMILY, ids=GroupSpec.key)
@@ -282,8 +334,10 @@ def test_a_label_set_that_is_not_closed_has_no_mobius_table():
 
 
 @pytest.mark.parametrize("spec", ONE_PER_FAMILY, ids=GroupSpec.key)
-def test_ignoring_the_normalizer_is_caught(spec, monkeypatch):
-    # Every class of stabilizers read as two orbits, whatever N(C) is.
+def test_ignoring_the_normalizer_is_caught(spec, monkeypatch, fresh_images):
+    # Every class of stabilizers read as two orbits, whatever N(C) is.  The
+    # image memo starts empty, so the patched _stabilizers is called even
+    # when an earlier test has met the same image.
     real = resolution._stabilizers
     monkeypatch.setattr(resolution, "_stabilizers",
                         lambda table: ((g, p, p) for g, p, _ in real(table)))
