@@ -1,0 +1,164 @@
+"""The checks CI makes beyond tier-1: specs past the sweep bounds, the
+singularity triple at n <= 200, the global identities past their default
+bounds, the README config, written report text, and verify's stdout across
+hash seeds.
+
+The file name does not match ``test_*.py``, so tier-1 does not collect it.
+Run it on its own, from the repository root:
+
+    PYTHONPATH=src python -m pytest tests/ci_steps.py
+
+Each test is one check that no tier-1 test makes on the same input or a
+larger one. A test calls ``cli.main`` in-process unless it needs a fresh
+interpreter.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import u2sing.sweep as sweep
+from u2sing.catalog import Family
+from u2sing.cli import main
+from u2sing.report import describe
+from u2sing.resolution import _image_stabilizers
+from u2sing.sweep import (SweepConfig, VerifySummary, check_eisenstein,
+                          check_hj_roundtrip, verify)
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# Every dihedral and index-2 group with m <= 3 and n <= 200 (h <= 400).
+N200 = SweepConfig(families=(Family.DIHEDRAL, Family.INDEX2), m_max=3,
+                   n_max=200)
+
+
+@pytest.fixture(scope="module")
+def n200():
+    """The N200 sweep, run once from an empty image memo, and the memo's
+    statistics after it."""
+    _image_stabilizers.cache_clear()
+    summary = verify(N200)
+    return summary, _image_stabilizers.cache_info()
+
+
+@pytest.mark.parametrize("argv, line", [
+    ("--family dihedral --m 1999 --n 24", None),
+    ("--family icosahedral --m 1201", None),
+    ("--family icosahedral --m 1207", None),
+    ("--family index2 --m 1004 --n 7", None),
+    ("--family cyclic --q 12345 --p 1000003", None),
+    ("--family dihedral --m 5 --n 397", None),
+    ("--family index3 --m 999", None),
+    ("--family dihedral --m 1999 --n 1", "singularities: L(3999,7996)"),
+    ("--family index2 --m 1000 --n 1", "singularities: L(2001,4000)"),
+])
+def test_describe_passes_every_check_past_the_sweep_bounds(argv, line,
+                                                          capsys):
+    assert main(["describe", *argv.split()]) == 0
+    out = capsys.readouterr().out
+    assert line is None or line in out
+
+
+def test_the_singularity_triple_agrees_at_n_up_to_200(n200):
+    summary, _ = n200
+    assert summary.exit_code == 0, summary.failures[:5]
+    for name, passed in (("singularity_table_agreement", 431),
+                         ("deformation_triple_agreement", 232),
+                         ("deformation_m1_gate", 199)):
+        assert summary.passed_failed(name) == (passed, 0), name
+
+
+def test_the_image_memo_carries_no_state_from_one_spec_to_the_next(
+        n200, monkeypatch, fresh_images):
+    warm, info = n200
+    assert info.hits > 0
+
+    def cold(spec, **kwargs):
+        _image_stabilizers.cache_clear()
+        return describe(spec, **kwargs)
+
+    monkeypatch.setattr(sweep, "describe", cold)
+    assert verify(N200).format_text() == warm.format_text()
+
+
+def test_the_hj_round_trip_at_twice_its_default_bound():
+    summary = VerifySummary()
+    check_hj_roundtrip(summary, 1000)
+    assert summary.passed_failed("hj_round_trip_sweep") == (1, 0)
+
+
+def test_the_eisenstein_identity_at_five_times_its_default_bound():
+    summary = VerifySummary()
+    check_eisenstein(summary, 1000)
+    assert summary.passed_failed("eisenstein_identity") == (1, 0)
+
+
+def test_the_readme_verify_config_example(tmp_path):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("families = tetrahedral,index3\nm_max = 20\n"
+                   "eta.tetrahedral_m1 = -49/36\n")
+    assert main(["verify", "--config", str(cfg)]) == 0
+
+
+def test_report_text_equals_json_dumps(tmp_path):
+    lens, noncyclic = tmp_path / "lens", tmp_path / "noncyclic"
+    argv = ["verify", "--families", "cyclic", "--p-max", "40",
+            "--out", str(lens)]
+    assert main(argv) == 0
+    # a re-run into the same folder replaces each longer file, then
+    # overwrites each file cut to half its length
+    for cut in (lambda text: text + "junk" * 100,
+                lambda text: text[:len(text) // 2]):
+        for path in lens.glob("*.json"):
+            path.write_text(cut(path.read_text()))
+        assert main(argv) == 0
+    # describe --out over a padded file equals a fresh write
+    index3 = ["describe", "--family", "index3", "--m", "3", "--format", "json"]
+    for folder in ("once", "twice"):
+        assert main([*index3, "--out", str(tmp_path / folder)]) == 0
+    padded = tmp_path / "twice" / "index3_m3.json"
+    padded.write_text(padded.read_text() + "junk" * 100)
+    assert main([*index3, "--out", str(tmp_path / "twice")]) == 0
+    once = tmp_path / "once" / "index3_m3.json"
+    assert padded.read_bytes() == once.read_bytes()
+    # fractions, null sections, bools, and the m = 1 and n = 1 reports
+    assert main(["verify", "--families",
+                 "dihedral,index2,tetrahedral,octahedral,icosahedral,index3",
+                 "--m-max", "7", "--n-max", "3", "--out", str(noncyclic)]) == 0
+    for folder in (lens, noncyclic):
+        files = sorted(folder.glob("*.json"))
+        assert files, folder
+        for path in files:
+            text = path.read_text()
+            assert text == json.dumps(json.loads(text), indent=1), path
+
+
+def test_the_largest_matrix_in_the_sweep_equals_json_dumps(capsys):
+    flags = ["--family", "cyclic", "--q", "199", "--p", "200",
+             "--format", "json"]
+    assert main(["describe", *flags]) == 0
+    text = capsys.readouterr().out
+    report = json.loads(text)
+    assert len(report["resolution"]["matrix"]) == 199
+    assert text == json.dumps(report, indent=2) + "\n"
+    assert main(["resolve", *flags]) == 0
+    assert capsys.readouterr().out == json.dumps(report["resolution"],
+                                                 indent=2) + "\n"
+
+
+def test_verify_prints_the_same_stdout_under_two_hash_seeds():
+    # Two interpreters, so that no set or dict order can come from the
+    # seed; the in-process tier-1 tests share one seed.
+    argv = [sys.executable, "-m", "u2sing.cli",
+            "verify", "--families", "index3", "--m-max", "20"]
+    path = os.pathsep.join(filter(None, [str(SRC),
+                                         os.environ.get("PYTHONPATH")]))
+    outs = [subprocess.run(argv, check=True, capture_output=True,
+                           env={**os.environ, "PYTHONPATH": path,
+                                "PYTHONHASHSEED": seed}).stdout
+            for seed in ("0", "1")]
+    assert outs[0] == outs[1] and b"exit status: 0" in outs[0]

@@ -11,6 +11,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import u2sing.sweep
 from u2sing.catalog import Family, GroupSpec
 from u2sing.invariants import eisenstein_check
 from u2sing.sweep import (HJ_P_MAX, SweepConfig, VerifySummary,
@@ -27,8 +28,22 @@ N_M1 = 26                 # m = 1 products (23 dihedral + T + O + I)
 
 
 @pytest.fixture(scope="session")
-def sweep() -> VerifySummary:
-    return verify(SweepConfig())
+def hj_runs() -> list[tuple[int, float]]:
+    """(p_max, wall seconds) of each HJ round trip the session's sweep ran."""
+    return []
+
+
+@pytest.fixture(scope="session")
+def sweep(hj_runs) -> VerifySummary:
+    # criterion 08 times the sweep's own HJ round trip, not a second run
+    def timed(summary: VerifySummary, p_max: int) -> None:
+        t0 = time.monotonic()
+        check_hj_roundtrip(summary, p_max)
+        hj_runs.append((p_max, time.monotonic() - t0))
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(u2sing.sweep, "check_hj_roundtrip", timed)
+        return verify(SweepConfig())
 
 
 def _criterion(num: int, title: str, passed: bool, detail: str) -> None:
@@ -93,15 +108,11 @@ def test_criterion_07_eisenstein(sweep):
     _criterion(7, "Eisenstein cotangent identity (n <= 200)", ok and spot, detail)
 
 
-def test_criterion_08_hj_round_trip(sweep):
-    t0 = time.monotonic()
-    local = VerifySummary()
-    check_hj_roundtrip(local, HJ_P_MAX)
-    elapsed = time.monotonic() - t0
-    ok, detail = _category(local, "hj_round_trip_sweep", 1)
-    ok_sweep, _ = _category(sweep, "hj_round_trip_sweep", 1)
+def test_criterion_08_hj_round_trip(sweep, hj_runs):
+    [(p_max, elapsed)] = hj_runs
+    ok, detail = _category(sweep, "hj_round_trip_sweep", 1)
     _criterion(8, f"HJ round trip (p <= {HJ_P_MAX})",
-               ok and ok_sweep and elapsed < 5.0,
+               ok and p_max == HJ_P_MAX and elapsed < 5.0,
                f"{detail}; {elapsed:.2f}s < 5s")
 
 

@@ -127,12 +127,14 @@ def test_the_old_tolerance_knob_is_a_usage_error(tmp_path, capsys):
     cfg = tmp_path / "c.cfg"
     cfg.write_text("families = index3\nm_max = 20\ntolerance = 1e-7\n")
     verify = ["verify", "--families", "index3", "--m-max", "20"]
-    for argv in (["--tolerance", "1e-7", *verify],
-                 [*verify, "--tolerance", "1e-7"],
-                 ["verify", "--config", str(cfg)]):
+    key = "unknown config key 'tolerance'"
+    for argv, name in ((["--tolerance", "1e-7", *verify], "--tolerance"),
+                       ([*verify, "--tolerance", "1e-7"], "--tolerance"),
+                       (["verify", "--config", str(cfg)], key)):
         code, out, err = run(capsys, argv)
         assert (code, out) == (2, ""), argv
         assert "Traceback" not in err and "error: " in err, argv
+        assert name in err, argv
         assert "enumeration time" not in err, argv
     assert err.startswith("error: unknown config key 'tolerance'")
 

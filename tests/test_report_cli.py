@@ -964,13 +964,13 @@ def test_config_rejects_an_unparsable_value(tmp_path, capsys):
 
 def test_the_global_check_bounds_are_no_config_keys(tmp_path, monkeypatch,
                                                     capsys):
-    # How far the HJ round trip and the Eisenstein identity run is fixed:
-    # a config line naming either bound is an unknown key, refused before
-    # the first spec.
+    # How far the HJ round trip and the Eisenstein identity run, and the
+    # float threshold, are fixed: a config line naming any of them is an
+    # unknown key, refused before the first spec.
     described = []
     monkeypatch.setattr(sweep, "describe",
                         lambda *a, **k: described.append(a))
-    for key in ("hj_p_max", "eisenstein_n_max"):
+    for key in ("hj_p_max", "eisenstein_n_max", "tolerance"):
         with pytest.raises(TypeError):
             SweepConfig(**{key: 10})
         path = tmp_path / f"{key}.cfg"
