@@ -761,14 +761,25 @@ def _dimino(spec: GroupSpec) -> Labels:
     """Dimino's closure of the generators of a non-cyclic ``spec`` on
     labels.
 
-    The powers of the first generator come first, identity first, up to
-    the first that is the identity.  Each later generator that is not yet a
-    member extends the group G generated so far by whole right cosets G.r
-    (each element of G, then r): first r = the generator, then every
-    product of a coset representative and a generator so far that is not
-    yet a member.  A coset is one vector product over G's labels; membership
-    is one boolean per key.  Raises ClosureOverflow past 2 * |Gamma|
-    elements, as the float closures do.
+    The seed is the first generator, the Hopf-fiber rotation, or the
+    product of the first two when its order bound is larger; the product
+    then takes the fiber's place among the generators, which still generate
+    Gamma.  The bound of (k, j) is lcm(2N / gcd(k, 2N), |g_j|).  Dimino
+    pays one coset per index of the seed's cycle in Gamma, so the longer
+    cycle means fewer cosets: a dihedral or index-2 seed
+    [e^{i pi/m}, e^{i pi/n}] has index 2 (its powers and one jhat coset),
+    or 4 for a dihedral spec with odd n, where its order is mn, against
+    about 2n for the fiber.  The seed's powers come first, identity first,
+    up to the first that is the identity.  Each later generator that is
+    not yet a member extends the group G generated so far by whole right
+    cosets G.r (each element of G, then r): first r = the generator, then
+    every product of a coset representative and a generator so far that is
+    not yet a member.  A coset is one vector product over G's labels;
+    membership is one boolean per key.  Raises ClosureOverflow past
+    2 * |Gamma| elements, as the float closures do.
+
+    The order of the listing is the seed's; the Mobius stage reads Gamma
+    as a set (``resolution._coset_indices``).
     """
     lab = _label_rows(spec, generators_of(spec), "generator")
     g, n = lab.gstar, lab.n
@@ -781,15 +792,24 @@ def _dimino(spec: GroupSpec) -> Labels:
         over = k >= n
         return k - n * over, np.where(over, g.neg[j], j)
 
-    # Powers t of (k0, j0): t*k0 with the t-th power of j0 in G*, up to the
-    # first that is the identity; the L-th is, L the lcm of the orders of
-    # the two parts, so no later one is looked at.
+    def times(r, s):            # the label of the product r s
+        k, j = r[0] + s[0], int(g.mul(r[1], s[1]))
+        return (k - n, int(g.neg[j])) if k >= n else (k, j)
+
+    def bound(k, j):            # the lcm of the orders of the two parts
+        return math.lcm(2 * n // math.gcd(k, 2 * n), int(g.order[j]))
+
+    product = times(*gens[:2])
+    if bound(*product) > bound(*gens[0]):
+        gens[0] = product
+    # Powers t of the seed (k0, j0): t*k0 with the t-th power of j0 in G*,
+    # up to the first that is the identity; the bound-th is, so no later
+    # one is looked at.
     k0, j0 = gens[0]
     cycle = [0]
     for _ in range(int(g.order[j0]) - 1):
         cycle.append(int(g.mul(cycle[-1], j0)))
-    t = np.arange(1, min(math.lcm(2 * n // math.gcd(k0, 2 * n), len(cycle)),
-                         limit) + 1)
+    t = np.arange(1, min(bound(k0, j0), limit) + 1)
     kp, jp = wrap(t * k0 % (2 * n), np.array(cycle)[t % len(cycle)])
     ones = np.flatnonzero((kp == 0) & (jp == 0))
     if not len(ones):
@@ -822,8 +842,7 @@ def _dimino(spec: GroupSpec) -> Labels:
         # multiplied by every generator so far in its turn.
         for r in reps:
             for s in gens[:i + 1]:
-                k, j = r[0] + s[0], int(g.mul(r[1], s[1]))
-                c = (k - n, int(g.neg[j])) if k >= n else (k, j)
+                c = times(r, s)
                 if not member[c[0] * size + c[1]]:
                     add_coset(c)
     return Labels(np.concatenate(ks), np.concatenate(js), g, n)

@@ -224,23 +224,28 @@ def table_singularities(spec: GroupSpec) -> tuple[CyclicType, CyclicType, Cyclic
 
 def _coset_indices(lab: Labels) -> np.ndarray:
     """Index of one representative per element of the Mobius image, in
-    element order.
+    ascending class id.
 
     The cosets of the Mobius-trivial subgroup are the classes of the SU(2)
-    label up to sign, min(j, -j); each class's first element represents it.
+    label up to sign, with class id min(j, -j).  Each class is represented
+    by its element of smallest label key k * |G*| + j, so the
+    representatives, like their order, depend on Gamma as a set and not on
+    how the enumeration lists it.
     """
+    size, h = len(lab.gstar.su2), len(lab.j)
     cls = np.minimum(lab.j, lab.gstar.neg[lab.j])
-    first = np.full(len(lab.gstar.su2), len(cls))
-    np.minimum.at(first, cls, np.arange(len(cls)))
-    return np.sort(first[first < len(cls)])
+    # key * h + index: the least per class names its smallest key's element
+    least = np.full(size, lab.n * size * h)
+    np.minimum.at(least, cls, (lab.k * size + lab.j) * h + np.arange(h))
+    return least[least < lab.n * size * h] % h
 
 
 def _mobius_table(gstar: GStar, j: np.ndarray) -> np.ndarray | None:
     """The product table of the Mobius image, or None if it is not closed.
 
-    ``j`` holds the G* labels of the h coset representatives, identity
-    first.  Entry (a, b) is the index of the coset whose label is the G*
-    product g_a g_b up to sign.
+    ``j`` holds one G* label of each of the h cosets (either sign),
+    identity first.  Entry (a, b) is the index of the coset whose label is
+    the G* product g_a g_b up to sign.
     """
     coset = np.full(len(gstar.su2), -1)
     coset[j] = coset[gstar.neg[j]] = np.arange(len(j))
@@ -289,15 +294,15 @@ def _stabilizers(table: np.ndarray) -> Iterator[tuple[int, int, int]]:
 
 
 @functools.cache
-def _image_stabilizers(gstar: GStar, reps: bytes
+def _image_stabilizers(gstar: GStar, classes: bytes
                        ) -> tuple[tuple[int, int, int], ...] | None:
-    """``_stabilizers`` of the Mobius image whose coset representatives
-    have the G* labels ``reps`` (the bytes of an int array, identity
-    first), or None when the image is not closed.  Kept for the process,
-    like ``catalog._gstar``: only this tuple is kept, not the h x h table,
-    and the key is read from a spec's own enumeration, so a group whose
-    representatives come in another order is another key."""
-    table = _mobius_table(gstar, np.frombuffer(reps, dtype=int))
+    """``_stabilizers`` of the Mobius image whose cosets have the class ids
+    ``classes`` (the bytes of an ascending int array, identity first), or
+    None when the image is not closed.  Kept for the process, like
+    ``catalog._gstar``: only this tuple is kept, not the h x h table.  The
+    key is the image as a set of classes, so every listing of a group, and
+    every group with the same image, meets one key."""
+    table = _mobius_table(gstar, np.frombuffer(classes, dtype=int))
     return None if table is None else tuple(_stabilizers(table))
 
 
@@ -323,17 +328,20 @@ def algorithmic_singularities(spec: GroupSpec, lab: Labels
 
     The singular points are the poles of the image's rotations, and their
     orbits are read from the image's product table (``_mobius_table``).
-    Its stabilizer classes (``_stabilizers``) are computed once per process
-    for each G* and tuple of representative labels
-    (``_image_stabilizers``), and taken whole, so an exception inside
-    ``_stabilizers`` surfaces before the earlier classes are checked; every
-    check below reads the spec's own group.  The poles of a stabilizer C
-    are one orbit of size h/|C| when N(C) swaps them, |N(C)| = 2|C|, and
-    two orbits when |N(C)| = |C|; there must be exactly three orbits.
-    Each type is read at one pole per orbit from a generator's label
-    (k, j): its eigen-angles k/2N +- r/o turns, r and o the residue and
-    order of g_j, as fractions (``_pole_type``).  The family table is never
-    consulted.
+    The image is read from Gamma as a set: its cosets in ascending class id,
+    each represented by its element of smallest label key
+    (``_coset_indices``), so no result depends on the order in which
+    ``catalog._dimino`` lists Gamma.  Its stabilizer classes
+    (``_stabilizers``) are computed once per process for each G* and set
+    of class ids (``_image_stabilizers``), and taken whole, so an exception
+    inside ``_stabilizers`` surfaces before the earlier classes are
+    checked; every check below reads the spec's own group.  The poles of a
+    stabilizer C are one orbit of size h/|C| when N(C) swaps them,
+    |N(C)| = 2|C|, and two orbits when |N(C)| = |C|; there must be exactly
+    three orbits.  Each type is read at one pole per orbit from a
+    generator's label (k, j): its eigen-angles k/2N +- r/o turns, r and o
+    the residue and order of g_j, as fractions (``_pole_type``).  The
+    family table is never consulted.
     """
     h = spec.pgl_image_order()
     coset_idx = _coset_indices(lab)
@@ -341,7 +349,8 @@ def algorithmic_singularities(spec: GroupSpec, lab: Labels
         raise OrbitCountMismatch(
             f"{spec.label()}: Mobius image has {len(coset_idx)} elements, expected {h}")
     reps = lab.j[coset_idx]
-    stabilizers = _image_stabilizers(lab.gstar, reps.astype(int).tobytes())
+    classes = np.minimum(reps, lab.gstar.neg[reps])
+    stabilizers = _image_stabilizers(lab.gstar, classes.astype(int).tobytes())
     if stabilizers is None:
         raise OrbitCountMismatch(f"{spec.label()}: the Mobius image is not closed")
     types = []

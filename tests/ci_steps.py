@@ -1,7 +1,8 @@
 """The checks CI makes beyond tier-1: specs past the sweep bounds, the
-singularity triple at n <= 200, the global identities past their default
-bounds, the README config, written report text, and verify's stdout across
-hash seeds.
+singularity triple at n <= 200, the image memo over the default sweep, the
+label closure against the float Dimino at |D*| = 796, the global identities
+past their default bounds, the README config, written report text, and
+verify's stdout across hash seeds.
 
 The file name does not match ``test_*.py``, so tier-1 does not collect it.
 Run it on its own, from the repository root:
@@ -19,15 +20,22 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import u2sing.sweep as sweep
-from u2sing.catalog import Family
+from u2sing.catalog import (Family, GroupSpec, _row_keys, enumerate_group,
+                            generators_of)
 from u2sing.cli import main
 from u2sing.report import describe
-from u2sing.resolution import _image_stabilizers
+from u2sing.resolution import (_image_stabilizers, _mobius_table,
+                               _stabilizers, singularity_triple,
+                               table_singularities)
 from u2sing.sweep import (SweepConfig, VerifySummary, check_eisenstein,
-                          check_hj_roundtrip, verify)
+                          check_hj_roundtrip, specs_in_sweep, verify)
+
+from dimino_float import dimino_closure, rows_of
+from test_resolution import _image_key
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -83,6 +91,36 @@ def test_the_image_memo_carries_no_state_from_one_spec_to_the_next(
 
     monkeypatch.setattr(sweep, "describe", cold)
     assert verify(N200).format_text() == warm.format_text()
+
+
+def test_the_default_sweep_meets_26_images(fresh_images):
+    # The 1,788 non-cyclic specs with n > 1 of the default sweep, from an
+    # empty memo: 26 keys, each read from its own image, and a hit for
+    # every other spec.  Each memo value equals a cold computation.
+    keys = set()
+    for spec in specs_in_sweep(SweepConfig()):
+        if not (spec.is_cyclic or spec.is_degenerate_cyclic):
+            lab = enumerate_group(spec)
+            assert singularity_triple(spec, lab) == table_singularities(spec)
+            keys.add(_image_key(lab))
+    assert _image_stabilizers.cache_info()[:2] == (1762, 26)  # hits, misses
+    assert len(keys) == 26
+    for gstar, classes in keys:
+        table = _mobius_table(gstar, np.frombuffer(classes, dtype=int))
+        assert _image_stabilizers(gstar, classes) == tuple(_stabilizers(table))
+
+
+@pytest.mark.parametrize("spec", [GroupSpec.dihedral(3, 199),
+                                  GroupSpec.index2(2, 199)],
+                         ids=GroupSpec.key)
+def test_the_label_closure_is_the_float_dimino_at_the_largest_seed(spec):
+    # |D*| = 796, against n <= 40 in the tier-1 comparisons; the seed's
+    # cycles (597 and 796 elements) are walked one float composition at a
+    # time, and both closures must pick the same seed.
+    group = enumerate_group(spec)
+    assert group.order == spec.expected_order()
+    ref = dimino_closure(generators_of(spec), spec.expected_order())
+    assert _row_keys(rows_of(group)) == _row_keys(ref.rows)
 
 
 def test_the_hj_round_trip_at_twice_its_default_bound():

@@ -5,9 +5,8 @@
 the tests can check that the label group's rows (``rows_of``) carry the
 same grid keys in the same order.  It composes rows, with the same sign rule
 and grid keys as ``catalog._canonical_rows`` and ``catalog._row_keys``, and
-shares the powers of the first generator (``catalog._powers``, which
-returns rows only) with the cyclic path; their keys come from
-``_row_keys``.
+walks its seed's powers itself, one composition at a time.  Its seed rule
+reads the orders it walks, not the label bounds of ``catalog._dimino``.
 """
 
 import math
@@ -16,7 +15,7 @@ import struct
 import numpy as np
 
 from u2sing.catalog import (EQ_TOL, KEY_SCALE, FiniteGroup, Labels,
-                            _canonical_rows, _powers, _row_keys)
+                            _canonical_rows, _row_keys)
 from u2sing.errors import ClosureOverflow
 
 
@@ -59,25 +58,50 @@ def _compose_row(f: _Row, g: _Row) -> _Row:
             f[1] * g[2] + f[2] * g[1].conjugate())
 
 
+def _cycle(g: _Row, limit: int, too_many: str) -> list[_Row]:
+    """The powers of row ``g``, identity first, up to the first whose key is
+    the identity's, each composed from the one before; ClosureOverflow
+    past ``limit`` of them."""
+    one = (1.0 + 0j, 1.0 + 0j, 0j)
+    cycle, power = [one], _canonical_row(g)
+    while _row_key(power) != _row_key(one):
+        cycle.append(power)
+        if len(cycle) > limit:
+            raise ClosureOverflow(too_many)
+        power = _canonical_row(_compose_row(power, g))
+    return cycle
+
+
 def dimino_closure(generators: np.ndarray, max_order: int) -> FiniteGroup:
     """Dimino's closure of the generator rows under composition.
 
-    The powers of the first generator, a row (a, b1, 0), come first (from
-    ``_powers``, keyed here by ``_row_keys``).  Each later generator that
-    is not yet a member extends the group G generated so far by whole right
-    cosets G.r (each element of G, then r): first r = the generator, then
-    every product of a coset representative and a generator so far that is
-    not yet a member.  Those products are composed one row at a time; each
-    coset is one block composition, keyed in one pass.  Deduplication is up
-    to joint negation, by the grid keys of ``_row_keys``.  Raises
-    ClosureOverflow past 2 * max_order elements, which signals numerical
-    drift rather than a genuine group.
+    The seed is the first generator, or the product of the first two (if
+    there are two) when its cycle is longer; the product then takes the
+    first generator's place.  On the catalog's generators, where the fiber
+    has SU(2) part 1 and the second generator phase 1, the product's cycle
+    is longer exactly when its label order bound is larger, so this rule
+    and ``catalog._dimino``'s pick the same seed.  The seed's powers come
+    first (``_cycle``).  Each later
+    generator that is not yet a member extends the group G generated so far
+    by whole right cosets G.r (each element of G, then r): first r = the
+    generator, then every product of a coset representative and a generator
+    so far that is not yet a member.  Those products are composed one row
+    at a time; each coset is one block composition, keyed in one pass.
+    Deduplication is up to joint negation, by the grid keys of
+    ``_row_keys``.  Raises ClosureOverflow past 2 * max_order elements,
+    which signals numerical drift rather than a genuine group.
     """
     generators = np.asarray(generators, dtype=complex)
     gens = [_canonical_row(g) for g in generators.tolist()]
     limit = 2 * max_order
     too_many = f"closure exceeded {limit} elements (expected {max_order})"
-    powers = _powers(generators[0], max_order)
+    cycle = _cycle(gens[0], limit, too_many)
+    if len(gens) > 1:
+        product = _canonical_row(_compose_row(gens[0], gens[1]))
+        longer = _cycle(product, limit, too_many)
+        if len(longer) > len(cycle):
+            gens[0], cycle = product, longer
+    powers = np.array(cycle)
     blocks, seen = [powers], set(_row_keys(powers))
     order = len(powers)
 
