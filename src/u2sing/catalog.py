@@ -53,7 +53,7 @@ from __future__ import annotations
 import functools
 import math
 from collections import Counter, namedtuple
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
@@ -565,8 +565,8 @@ class GStar:
 
 
 def _checked(g: GStar) -> GStar:
-    """``g`` with its negation map, orders and eigen-residues, once it is a
-    group; NotAGroup otherwise.
+    """``g`` with its negation map, orders and eigen-residues set on it,
+    once it is a group; NotAGroup otherwise.
 
     The product must have element 0 as identity and be a Latin square, and
     it must pass Light's associativity test on the generators, which must
@@ -603,7 +603,9 @@ def _checked(g: GStar) -> GStar:
     if not reach.all():
         fail("the generators do not generate it")
 
-    neg = np.array([g.index.get(k, -1) for k in _row_keys(-g.su2)])
+    # neg, order and residue are set on g itself: a dataclass copy would
+    # build its grid-key index again
+    g.neg = neg = np.array([g.index.get(k, -1) for k in _row_keys(-g.su2)])
     if not ((neg >= 0).all() and (neg != every).all()
             and np.array_equal(neg[neg], every)
             and np.array_equal(g.mul(every, neg[0]), neg)
@@ -614,15 +616,15 @@ def _checked(g: GStar) -> GStar:
     # |G*|), and t / |G*| = residue / order in lowest terms
     phi = np.arccos(np.clip(g.su2[:, 0].real, -1.0, 1.0))
     t = np.array([_snap_residue(f, size) for f in phi.tolist()])
-    order = size // np.gcd(t, size)
-    residue = t * order // size
+    g.order = order = size // np.gcd(t, size)
+    g.residue = t * order // size
     power, base, e = np.zeros(size, dtype=int), every, order
     while e.any():              # every element to the power of its order
         power = np.where(e & 1, g.mul(power, base), power)
         base, e = g.mul(base, base), e >> 1
     if power.any():
         fail("an element's power to the order of its eigenvalues is not 1")
-    return replace(g, neg=neg, order=order, residue=residue)
+    return g
 
 
 @functools.cache

@@ -135,8 +135,13 @@ def describe(spec: GroupSpec,
              group: FiniteGroup | Labels | None = None) -> InvariantReport:
     """Full invariant report for one spec.
 
-    A failed cross-check is recorded in the report, not raised.  No stage
-    checks ``spec`` again: the ``GroupSpec`` constructor has refused bad
+    A failed cross-check is recorded in the report, not raised.  So is a
+    U2SingError of the singularity triple, b_Gamma, the compactification,
+    or Gamma' with the deformation dimensions: ``_stage`` turns it into
+    that stage's failing check, and the sections that need the stage keep
+    their defaults.  Any other exception propagates; ``verify`` records it
+    as the spec's one failing ``describe`` check.  No stage checks
+    ``spec`` again: the ``GroupSpec`` constructor has refused bad
     parameters.  What raises, when ``group`` is None and the enumeration
     here fails: ClosureOverflow when it overflows; SnapFailure when a
     generator does not snap to a label (``catalog._label_rows``); and
@@ -161,22 +166,17 @@ def describe(spec: GroupSpec,
         return report
     checks = list(report.checks)
 
-    deform = None
-    try:
-        gp = enumerate_gamma_prime(spec)
-        deform = dim_sfk(spec, gp, b)
-        if deform.closed_forms_applicable:
-            checks.append(CheckResult(
-                "deformation_triple_agreement", deform.agreement,
-                f"brute {deform.brute_force_dim}, closed {deform.closed_form_dim}, "
-                f"2b-2 {deform.two_b_minus_2}, residual {deform.residual:.2e}"))
-        else:
-            checks.append(CheckResult(
-                "deformation_m1_gate", deform.brute_force_dim == 0,
-                "m = 1: deformation space is zero, closed forms inapplicable"))
-    except U2SingError as exc:
-        checks.append(CheckResult("deformation_triple_agreement", False,
-                                  f"invariants: {exc}"))
+    deform = _stage(checks, "deformation_triple_agreement", "invariants",
+                    lambda: dim_sfk(spec, enumerate_gamma_prime(spec), b))
+    if deform is not None and deform.closed_forms_applicable:
+        checks.append(CheckResult(
+            "deformation_triple_agreement", deform.agreement,
+            f"brute {deform.brute_force_dim}, closed {deform.closed_form_dim}, "
+            f"2b-2 {deform.two_b_minus_2}, residual {deform.residual:.2e}"))
+    elif deform is not None:
+        checks.append(CheckResult(
+            "deformation_m1_gate", deform.brute_force_dim == 0,
+            "m = 1: deformation space is zero, closed forms inapplicable"))
 
     topo = topology_report(spec, rd, eta)
     if eta is not None:
@@ -211,6 +211,19 @@ def resolve(spec: GroupSpec,
     if spec.is_cyclic or spec.is_degenerate_cyclic:
         return Resolved(_describe_cyclic(spec, group, checks))
     return _resolve_noncyclic(spec, group, checks)
+
+
+def _stage(checks: list[CheckResult], name: str, where: str, run, *args):
+    """``run(*args)``, one stage of ``describe``; on a U2SingError, None,
+    with a failing check ``name`` whose detail is ``<where>: <text>``
+    appended to ``checks``.  The caller passes the stage as it reads it
+    from the module globals at call time, so a patched stage is the one
+    run."""
+    try:
+        return run(*args)
+    except U2SingError as exc:
+        checks.append(CheckResult(name, False, f"{where}: {exc}"))
+        return None
 
 
 def _describe_cyclic(spec: GroupSpec, group: FiniteGroup | Labels,
@@ -255,11 +268,9 @@ def _resolve_noncyclic(spec: GroupSpec, group: Labels,
     # conjugate_equivalence_used stays in the schema: False after the exact
     # agreement that singularity_triple requires, None when it fails.  No
     # later stage runs without an agreed triple.
-    try:
-        triple = singularity_triple(spec, group)
-    except U2SingError as exc:
-        checks.append(CheckResult("singularity_table_agreement", False,
-                                  f"resolution_geometry: {exc}"))
+    triple = _stage(checks, "singularity_table_agreement",
+                    "resolution_geometry", singularity_triple, spec, group)
+    if triple is None:
         return Resolved(InvariantReport(spec, group.order,
                                         checks=tuple(checks)))
     conj_used = False
@@ -267,11 +278,9 @@ def _resolve_noncyclic(spec: GroupSpec, group: Labels,
         "singularity_table_agreement", True,
         f"{tuple(map(str, triple))}, conjugate_equivalence_used={conj_used}"))
 
-    try:
-        b = b_gamma(spec, triple)
-    except U2SingError as exc:
-        checks.append(CheckResult("b_gamma_double_derivation", False,
-                                  f"resolution_geometry: {exc}"))
+    b = _stage(checks, "b_gamma_double_derivation", "resolution_geometry",
+               b_gamma, spec, triple)
+    if b is None:
         return Resolved(InvariantReport(
             spec, group.order, singularities=triple,
             conjugate_equivalence_used=conj_used, checks=tuple(checks)))
@@ -312,11 +321,9 @@ def compactify(resolved: Resolved) -> InvariantReport:
     if rd is None:
         return report
     checks = list(report.checks)
-    try:
-        comp = compactification(report.spec, rd)
-    except U2SingError as exc:
-        checks.append(CheckResult("b_prime_unique", False,
-                                  f"resolution_geometry: {exc}"))
+    comp = _stage(checks, "b_prime_unique", "resolution_geometry",
+                  compactification, report.spec, rd)
+    if comp is None:
         return replace(report, checks=tuple(checks))
     bp = comp.b_prime
     curves = CurveConfiguration(rd.graph, comp.star).vertex_count

@@ -11,9 +11,11 @@ to the fixed bounds ``EISENSTEIN_N_MAX`` and ``HJ_P_MAX``, read when
 identities are checked.  The summary's exit code is 0 exactly when no
 check failed; partial results are still written when an output directory
 is set.  An exception raised while enumerating or describing one spec is
-recorded as a failing ``describe`` check whose detail starts with the
-exception's class name, and the sweep goes on; with an output directory
-set, that spec's report file of an earlier run is removed.
+recorded as a failing ``describe`` check whose detail names the
+exception's class, its text and where it was raised, and the sweep goes
+on.  That check is the spec's one record: no order or freeness verdict is
+derived for it a second way.  With an output directory set, that spec's
+report file of an earlier run is removed.
 """
 
 from __future__ import annotations
@@ -28,8 +30,7 @@ from pathlib import Path
 from typing import Iterator
 
 from .catalog import (DEFAULT_TOLERANCE, Family, GroupSpec,
-                      eigenvalue_histogram, enumerate_group,
-                      is_fixed_point_free)
+                      eigenvalue_histogram, enumerate_group)
 from .errors import InvalidParameters
 from .hj import hj_entries
 from .invariants import eisenstein_residuals
@@ -147,12 +148,14 @@ _TABLE_I = {("0", "0"): 1, ("1/2", "1/2"): 1, ("1/4", "3/4"): 30,
 
 def check_eigenvalue_tables(summary: VerifySummary) -> None:
     """Tables of eigenvalue multiplicities for the three exceptional binary
-    polyhedral groups, entry for entry."""
+    polyhedral groups, entry for entry.  The detail lists the entries in
+    the order of their angle pairs, whatever order the group is listed
+    in."""
     for spec, table in ((GroupSpec.tetrahedral(1), _TABLE_T),
                         (GroupSpec.octahedral(1), _TABLE_O),
                         (GroupSpec.icosahedral(1), _TABLE_I)):
         hist = eigenvalue_histogram(enumerate_group(spec))
-        got = {(str(a), str(b)): c for (a, b), c in hist.items()}
+        got = {(str(a), str(b)): c for (a, b), c in sorted(hist.items())}
         summary.record(spec.label(), "eigenvalue_tables", got == table,
                        f"got {got}")
 
@@ -270,22 +273,8 @@ def verify(config: SweepConfig) -> VerifySummary:
             summary.record_report(report)
             if report.topology is not None:      # with eta: an eta_bound check
                 unread_eta.discard(spec.key())
-        except Exception as exc:
+        except Exception as exc:        # the spec's one record
             summary.record(spec.label(), "describe", False, _failure(exc))
-            # describe records order and freeness itself; when it raised
-            # they are recorded here, so that every spec still carries both.
-            if group is None:
-                for name in ("order_matches_table", "fixed_point_free"):
-                    summary.record(spec.label(), name, False,
-                                   "group not enumerated")
-            elif report is None:
-                summary.record(spec.label(), "order_matches_table",
-                               group.order == spec.expected_order(), "")
-                try:            # freeness may raise as describe did
-                    free, detail = is_fixed_point_free(group), ""
-                except Exception as again:
-                    free, detail = False, _failure(again)
-                summary.record(spec.label(), "fixed_point_free", free, detail)
         if group is not None and not spec.is_cyclic \
                 and not spec.is_degenerate_cyclic:
             summary.max_deformation_seconds = max(

@@ -1,8 +1,9 @@
 """The checks CI makes beyond tier-1: specs past the sweep bounds, the
 singularity triple at n <= 200, the image memo over the default sweep, the
 label closure against the float Dimino at |D*| = 796, the global identities
-past their default bounds, the README config, written report text, and
-verify's stdout across hash seeds.
+past their default bounds, the README config, written report text,
+verify's stdout across hash seeds, and ``report_diff`` on two runs of one
+sweep.
 
 The file name does not match ``test_*.py``, so tier-1 does not collect it.
 Run it on its own, from the repository root:
@@ -35,6 +36,7 @@ from u2sing.sweep import (SweepConfig, VerifySummary, check_eisenstein,
                           check_hj_roundtrip, specs_in_sweep, verify)
 
 from dimino_float import dimino_closure, rows_of
+from report_diff import diff_folders
 from test_resolution import _image_key
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -81,7 +83,7 @@ def test_the_singularity_triple_agrees_at_n_up_to_200(n200):
 
 
 def test_the_image_memo_carries_no_state_from_one_spec_to_the_next(
-        n200, monkeypatch, fresh_images):
+        n200, monkeypatch, fresh_caches):
     warm, info = n200
     assert info.hits > 0
 
@@ -93,7 +95,7 @@ def test_the_image_memo_carries_no_state_from_one_spec_to_the_next(
     assert verify(N200).format_text() == warm.format_text()
 
 
-def test_the_default_sweep_meets_26_images(fresh_images):
+def test_the_default_sweep_meets_26_images(fresh_caches):
     # The 1,788 non-cyclic specs with n > 1 of the default sweep, from an
     # empty memo: 26 keys, each read from its own image, and a hit for
     # every other spec.  Each memo value equals a cold computation.
@@ -173,6 +175,25 @@ def test_report_text_equals_json_dumps(tmp_path):
         for path in files:
             text = path.read_text()
             assert text == json.dumps(json.loads(text), indent=1), path
+
+
+def test_report_diff_names_the_one_edited_path(tmp_path):
+    # Two runs of one sweep write the same reports; after one value is
+    # edited in one copy, report_diff shows that path changed in one report.
+    folders = [tmp_path / "old", tmp_path / "new"]
+    for folder in folders:
+        assert main(["verify", "--families", "tetrahedral,index3",
+                     "--m-max", "20", "--out", str(folder)]) == 0
+    count = len(list(folders[0].glob("*.json")))
+    assert count > 1
+    assert diff_folders(*folders) == (count, {}, [], [])
+    edited = folders[1] / "index3_m3.json"
+    report = json.loads(edited.read_text())
+    report["compactification"]["kappa"] += 1
+    edited.write_text(json.dumps(report, indent=1))
+    assert diff_folders(*folders) == (count - 1, {
+        "compactification.kappa": {"gained": [], "lost": [],
+                                   "changed": ["index3_m3"]}}, [], [])
 
 
 def test_the_largest_matrix_in_the_sweep_equals_json_dumps(capsys):

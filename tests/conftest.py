@@ -3,6 +3,7 @@
 import pytest
 
 import u2sing.sweep as sweep
+from u2sing.catalog import _gstar, _gstar_closure
 from u2sing.resolution import _image_stabilizers
 
 
@@ -16,11 +17,16 @@ def small_global_bounds(monkeypatch):
 
 
 @pytest.fixture
-def fresh_images():
-    """An empty memo of Mobius-image stabilizers, emptied again after the
-    test, so that a test that patches ``_stabilizers`` or ``_mobius_table``
-    computes every image under its patch, whatever ran before it, and
-    leaves no patched entry to another test."""
-    _image_stabilizers.cache_clear()
+def fresh_caches():
+    """Empty process caches, emptied again after the test: the checked G*
+    tables (``catalog._gstar``), the G* closures (``_gstar_closure``) and
+    the memo of Mobius-image stabilizers (``resolution._image_stabilizers``).
+    A test that patches a stage they cache computes every entry under its
+    patch, whatever ran before it, and leaves no patched entry to another
+    test."""
+    caches = (_gstar, _gstar_closure, _image_stabilizers)
+    for cache in caches:
+        cache.cache_clear()
     yield
-    _image_stabilizers.cache_clear()
+    for cache in caches:
+        cache.cache_clear()

@@ -18,7 +18,7 @@ import u2sing
 import u2sing.catalog
 from u2sing.catalog import (EQ_TOL, FAMILIES, KEY_SCALE, CyclicType, Family,
                             FiniteGroup, GroupSpec, Labels, _canonical_rows,
-                            _checked, _gstar, _gstar_closure, _gstar_kind,
+                            _checked, _gstar, _gstar_kind,
                             _gstar_of, _label_rows, _powers, _row_keys,
                             _snap_residue, _su2_product, _T_GENS,
                             canonical_cyclic,
@@ -805,18 +805,7 @@ def test_a_generator_outside_gstar_or_off_the_grid_is_refused(
         enumerate_group(spec)
 
 
-@pytest.fixture
-def fresh_tables():
-    """Empty G* caches, emptied again after the test, so that tables and
-    closures built under a patch never reach another test."""
-    _gstar.cache_clear()
-    _gstar_closure.cache_clear()
-    yield
-    _gstar.cache_clear()
-    _gstar_closure.cache_clear()
-
-
-def test_the_gstar_tables_never_read_the_generators(monkeypatch, fresh_tables):
+def test_the_gstar_tables_never_read_the_generators(monkeypatch, fresh_caches):
     # The tables come from their own quaternions: built while
     # generators_of refuses every call, they are the tables every spec
     # reads, so a patched generators_of cannot leave a stale one.
@@ -830,7 +819,7 @@ def test_the_gstar_tables_never_read_the_generators(monkeypatch, fresh_tables):
     assert enumerate_group(GroupSpec.icosahedral(7)).order == 840
 
 
-def test_a_gstar_closure_past_120_elements_overflows(monkeypatch, fresh_tables):
+def test_a_gstar_closure_past_120_elements_overflows(monkeypatch, fresh_caches):
     # A generator of infinite order (an irrational angle) never closes up:
     # the closure of I* stops past twice its 120 elements.
     monkeypatch.setattr(u2sing.catalog, "_I_GENS",
@@ -842,7 +831,7 @@ def test_a_gstar_closure_past_120_elements_overflows(monkeypatch, fresh_tables):
 
 
 def test_a_gstar_closure_of_the_wrong_order_is_refused(monkeypatch,
-                                                        fresh_tables):
+                                                        fresh_caches):
     # T*'s generators in place of O*'s close up, but to 24 elements, not 48:
     # no later check of the table reads its size.
     monkeypatch.setattr(u2sing.catalog, "_O_GENS", _T_GENS)
@@ -851,7 +840,7 @@ def test_a_gstar_closure_of_the_wrong_order_is_refused(monkeypatch,
         _gstar("O")
 
 
-def test_each_gstar_is_closed_once_per_process(monkeypatch, fresh_tables):
+def test_each_gstar_is_closed_once_per_process(monkeypatch, fresh_caches):
     # Its table and the Gamma' of every product spec over it read one
     # closure; the index-2 and index-3 Gamma' are closed per spec.
     closed = []
@@ -867,6 +856,21 @@ def test_each_gstar_is_closed_once_per_process(monkeypatch, fresh_tables):
         enumerate_group(spec)
         enumerate_gamma_prime(spec)
     assert closed == [24, 120, 12, 24]
+
+
+def test_each_gstar_keys_its_elements_once(monkeypatch, fresh_caches):
+    # D*_20 keys its rows for its index, then their negatives for the
+    # negation map; setting the checked fields on the G* itself builds no
+    # second index.
+    keyed = []
+
+    def counted(arr):
+        keyed.append(len(arr))
+        return _row_keys(arr)
+
+    monkeypatch.setattr(u2sing.catalog, "_row_keys", counted)
+    assert _gstar("D", 5).neg is not None
+    assert keyed == [20, 20]
 
 
 @pytest.mark.parametrize("spec", [GroupSpec.cyclic(1, 2),

@@ -259,7 +259,7 @@ def _image_key(lab):
     return lab.gstar, np.minimum(j, lab.gstar.neg[j]).astype(int).tobytes()
 
 
-def test_two_specs_with_one_image_compute_it_once(fresh_images):
+def test_two_specs_with_one_image_compute_it_once(fresh_caches):
     # dihedral(3, 5) and dihedral(7, 5) differ in m only: one D*20, one
     # image, one key, and each triple is still its own table's.
     first, second = GroupSpec.dihedral(3, 5), GroupSpec.dihedral(7, 5)
@@ -273,7 +273,7 @@ def test_two_specs_with_one_image_compute_it_once(fresh_images):
 
 
 @pytest.mark.parametrize("spec", ONE_PER_FAMILY, ids=GroupSpec.key)
-def test_a_group_listed_in_another_order_is_one_key(spec, fresh_images):
+def test_a_group_listed_in_another_order_is_one_key(spec, fresh_caches):
     # The same elements, identity first and the rest reversed: the same
     # image as a set of classes, so the memo hits, and the triple read
     # from the other listing still agrees with the table.
@@ -334,7 +334,7 @@ def test_a_label_set_that_is_not_closed_has_no_mobius_table():
 
 
 @pytest.mark.parametrize("spec", ONE_PER_FAMILY, ids=GroupSpec.key)
-def test_ignoring_the_normalizer_is_caught(spec, monkeypatch, fresh_images):
+def test_ignoring_the_normalizer_is_caught(spec, monkeypatch, fresh_caches):
     # Every class of stabilizers read as two orbits, whatever N(C) is.  The
     # image memo starts empty, so the patched _stabilizers is called even
     # when an earlier test has met the same image.
