@@ -24,8 +24,8 @@ from .report import (InvariantReport, describe, export_dot, report_from_dict,
                      report_from_json, report_to_dict, report_to_json)
 from .resolution import (BGamma, CompactificationData, CurveConfiguration,
                          PlumbingGraph, ResolutionData, b_gamma,
-                         compactification, graph_to_dot, resolution_graph,
-                         singularity_triple, solve_b_prime)
+                         compactification, graph_to_dot, resolution_chain,
+                         resolution_graph, singularity_triple, solve_b_prime)
 from .sweep import SweepConfig, VerifySummary, specs_in_sweep, verify
 
 __version__ = "0.1.0"
@@ -41,6 +41,6 @@ __all__ = [
     "enumerate_gamma_prime", "enumerate_group", "export_dot", "generators_of",
     "graph_to_dot", "hj_string", "is_fixed_point_free", "moduli_dim",
     "report_from_dict", "report_from_json", "report_to_dict", "report_to_json",
-    "resolution_graph", "sawtooth", "singularity_triple", "solve_b_prime",
-    "specs_in_sweep", "topology_report", "verify",
+    "resolution_chain", "resolution_graph", "sawtooth", "singularity_triple",
+    "solve_b_prime", "specs_in_sweep", "topology_report", "verify",
 ]

@@ -132,7 +132,7 @@ def _report_text(report) -> str:
 
 def cmd_describe(args: argparse.Namespace) -> int:
     spec = _spec_from_args(args)
-    eta = parse_fraction(args.eta) if args.eta else None
+    eta = parse_fraction(args.eta) if args.eta is not None else None
     report = describe(spec, eta=eta)
     if eta is not None and report.topology is None:
         print(f"warning: no eta_bound check read the eta value of {spec.key()}",
@@ -210,9 +210,9 @@ def cmd_stage(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     values: dict = {}
-    if args.config:
+    if args.config is not None:
         values.update(parse_config_file(args.config))
-    if args.families:
+    if args.families is not None:
         values["families"] = args.families
     for key, flag in (("m_max", args.m_max), ("n_max", args.n_max),
                       ("p_max", args.p_max), ("out", args.out)):

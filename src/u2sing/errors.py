@@ -23,8 +23,8 @@ class NotCoprime(U2SingError):
 
 
 class OrbitCountMismatch(U2SingError):
-    """The singular orbits could not be read from the Mobius image: it has
-    the wrong number of elements, it is not closed under products, a pole
+    """The singular orbits could not be read from the Mobius image: it is
+    not all of G*/+-1 (its element count is not h = |G*|/2), a pole
     stabilizer's normalizer has an order other than one or two times its
     own, or there are not exactly three orbits."""
 

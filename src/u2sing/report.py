@@ -48,8 +48,9 @@ from typing import Union, get_args, get_origin, get_type_hints
 
 from . import hj
 from .catalog import (CyclicType, FiniteGroup, GroupSpec, Labels,
-                      cyclic_equivalent_type, enumerate_gamma_prime,
-                      enumerate_group, is_fixed_point_free)
+                      canonical_cyclic, cyclic_equivalent_type,
+                      enumerate_gamma_prime, enumerate_group,
+                      is_fixed_point_free)
 from .errors import U2SingError
 # hj_string is no longer called here, but bench/tracer.py and
 # bench/test_bench.py bind u2sing.report.hj_string.
@@ -58,7 +59,8 @@ from .invariants import (DeformationReport, TopologyReport, dim_h1_theta,
                          dim_sfk, moduli_dim, topology_report)
 from .resolution import (BGamma, CurveConfiguration, PlumbingGraph,
                          ResolutionData, b_gamma, compactification,
-                         graph_to_dot, resolution_graph, singularity_triple)
+                         graph_to_dot, resolution_chain, resolution_graph,
+                         singularity_triple)
 
 
 @dataclass(frozen=True)
@@ -240,10 +242,9 @@ def _describe_cyclic(spec: GroupSpec, group: FiniteGroup | Labels,
         checks.append(CheckResult(
             "degenerate_cyclic_flag", True,
             f"n = 1: group is cyclic, equivalent to {t}"))
-        rd = resolution_graph(GroupSpec.cyclic(t.alpha, t.beta))
     else:                       # the chain of the spec itself
-        rd = resolution_graph(spec)
-        t, = rd.types
+        t = canonical_cyclic(spec.q, spec.p)
+    rd = resolution_chain(t)
     s, = rd.strings
     checks.append(CheckResult("hj_round_trip",
                               hj.continuant(s) == (t.beta, t.alpha),
@@ -288,7 +289,7 @@ def _resolve_noncyclic(spec: GroupSpec, group: Labels,
         "b_gamma_double_derivation", True,
         f"integer {b.value} == rational {b.rational}"))
 
-    rd = resolution_graph(spec, triple, b)
+    rd = resolution_graph(triple, b)
     checks.append(CheckResult(
         "hj_round_trip",
         all(hj.continuant(s) == (t.beta, t.alpha)
@@ -339,9 +340,8 @@ def compactify(resolved: Resolved) -> InvariantReport:
         f"signature {bp.signature}"))
     section = CompactificationSection(
         b_prime=bp.value, b_prime_positive=bp.positive,
-        seifert_value=bp.seifert_value,
+        seifert_value=bp.seifert_value, dual_strings=comp.dual_strings,
         lattice_candidates=bp.lattice_candidates, kappa=bp.kappa,
-        dual_strings=comp.dual_strings,
         star=comp.star, configuration_determinant=bp.determinant,
         configuration_signature=bp.signature)
     return replace(report, compactification=section, checks=tuple(checks))

@@ -19,9 +19,8 @@ module computes the three types twice:
     because the model fiber is a degree-2m quotient.  No float is read on
     this route; the one float decision before it is the generator snap
     that labels the group (``catalog._label_rows``).  The stabilizer
-    classes depend on the G* and the representatives' labels alone, so
-    they are computed once per process for each; the types are read per
-    spec.
+    classes depend on the G* alone: every image is G*/+-1, so they are
+    computed once per process for each G*; the types are read per spec.
 
 ``singularity_triple`` returns the triple only when the two routes agree
 exactly.
@@ -53,11 +52,12 @@ pivot is an integer pair (num, den), an arm pivot the continuant of the
 arm's tail, the centre pivot over the common denominator of the arm heads.
 A signature reads sign(num) * sign(den) of each pivot, and a determinant is
 one exact division of the product of the numerators by that of the
-denominators.  ``resolution_graph`` eliminates the resolution star (or
-chain) once, and its record carries the pivots.  Definiteness, tau, the
-Seifert Euler number (the centre pivot is the Schur complement
-center + sum 1/[|w_1|, ..., |w_k|], the one pivot made a ``Fraction``) and
-the resolution block of every b' determinant are read from them.  The
+denominators.  ``resolution_graph`` eliminates the resolution star once,
+and ``resolution_chain`` a lens chain; the record carries the pivots.
+Definiteness, tau, the Seifert Euler number (the centre pivot is the Schur
+complement center + sum 1/[|w_1|, ..., |w_k|], the one pivot made a
+``Fraction``) and the resolution block of every b' determinant are read
+from them.  The
 compactification star is eliminated at c = 0 for the pencil and again at b'
 for the full elimination, the two lattice routes of the b' cross-check.
 
@@ -240,17 +240,14 @@ def _coset_indices(lab: Labels) -> np.ndarray:
     return least[least < lab.n * size * h] % h
 
 
-def _mobius_table(gstar: GStar, j: np.ndarray) -> np.ndarray | None:
-    """The product table of the Mobius image, or None if it is not closed.
-
-    ``j`` holds one G* label of each of the h cosets (either sign),
-    identity first.  Entry (a, b) is the index of the coset whose label is
-    the G* product g_a g_b up to sign.
-    """
-    coset = np.full(len(gstar.su2), -1)
+def _mobius_table(gstar: GStar) -> np.ndarray:
+    """The product table of G*/+-1 over its class ids min(j, -j) in
+    ascending order, the j with j < -j, so the identity is first.  Entry
+    (a, b) is the index of the class of the G* product g_a g_b."""
+    j = np.flatnonzero(np.arange(len(gstar.su2)) < gstar.neg)
+    coset = np.empty(len(gstar.su2), dtype=int)
     coset[j] = coset[gstar.neg[j]] = np.arange(len(j))
-    table = coset[gstar.mul(j[:, None], j[None, :])]
-    return None if (table < 0).any() else table
+    return coset[gstar.mul(j[:, None], j[None, :])]
 
 
 def _stabilizers(table: np.ndarray) -> Iterator[tuple[int, int, int]]:
@@ -266,8 +263,8 @@ def _stabilizers(table: np.ndarray) -> Iterator[tuple[int, int, int]]:
     the k with kCk^-1 = C count the normalizer N(C).  Orders and inverses
     come from one walk of all elements' powers, a vector of h at a time;
     only the chosen generators' powers are kept.  ``_image_stabilizers``
-    takes the classes as one tuple, so an exception raised here for a
-    later class surfaces before any earlier class has been checked.
+    takes the classes of G*/+-1 as one tuple, so an exception raised here
+    for a later class surfaces before any earlier class has been checked.
     """
     h = len(table)
     every = np.arange(h)
@@ -294,16 +291,12 @@ def _stabilizers(table: np.ndarray) -> Iterator[tuple[int, int, int]]:
 
 
 @functools.cache
-def _image_stabilizers(gstar: GStar, classes: bytes
-                       ) -> tuple[tuple[int, int, int], ...] | None:
-    """``_stabilizers`` of the Mobius image whose cosets have the class ids
-    ``classes`` (the bytes of an ascending int array, identity first), or
-    None when the image is not closed.  Kept for the process, like
-    ``catalog._gstar``: only this tuple is kept, not the h x h table.  The
-    key is the image as a set of classes, so every listing of a group, and
-    every group with the same image, meets one key."""
-    table = _mobius_table(gstar, np.frombuffer(classes, dtype=int))
-    return None if table is None else tuple(_stabilizers(table))
+def _image_stabilizers(gstar: GStar) -> tuple[tuple[int, int, int], ...]:
+    """``_stabilizers`` of G*/+-1, the Mobius image of every group over
+    ``gstar``, indexed as ``_mobius_table`` indexes it.  Kept for the
+    process, like ``catalog._gstar``: only this tuple is kept, not the
+    h x h table."""
+    return tuple(_stabilizers(_mobius_table(gstar)))
 
 
 def _pole_type(theta: Fraction, phi: Fraction, p: int, m: int) -> CyclicType:
@@ -331,30 +324,29 @@ def algorithmic_singularities(spec: GroupSpec, lab: Labels
     The image is read from Gamma as a set: its cosets in ascending class id,
     each represented by its element of smallest label key
     (``_coset_indices``), so no result depends on the order in which
-    ``catalog._dimino`` lists Gamma.  Its stabilizer classes
-    (``_stabilizers``) are computed once per process for each G* and set
-    of class ids (``_image_stabilizers``), and taken whole, so an exception
-    inside ``_stabilizers`` surfaces before the earlier classes are
-    checked; every check below reads the spec's own group.  The poles of a
-    stabilizer C are one orbit of size h/|C| when N(C) swaps them,
-    |N(C)| = 2|C|, and two orbits when |N(C)| = |C|; there must be exactly
-    three orbits.  Each type is read at one pole per orbit from a
-    generator's label (k, j): its eigen-angles k/2N +- r/o turns, r and o
-    the residue and order of g_j, as fractions (``_pole_type``).  The
-    family table is never consulted.
+    ``catalog._dimino`` lists Gamma.  Gamma projects onto its G*, so the
+    image must have h = |G*|/2 elements: then it is all of G*/+-1, a group
+    because ``catalog._checked`` made G* one, and it is indexed as
+    ``_mobius_table`` indexes G*/+-1.  Its stabilizer classes
+    (``_stabilizers``) are computed once per process for each G*
+    (``_image_stabilizers``), and taken whole, so an exception inside
+    ``_stabilizers`` surfaces before the earlier classes are checked; every
+    check below reads the spec's own group.  The poles of a stabilizer C
+    are one orbit of size h/|C| when N(C) swaps them, |N(C)| = 2|C|, and
+    two orbits when |N(C)| = |C|; there must be exactly three orbits.  Each
+    type is read at one pole per orbit from a generator's label (k, j): its
+    eigen-angles k/2N +- r/o turns, r and o the residue and order of g_j,
+    as fractions (``_pole_type``).  The family table is never consulted.
     """
-    h = spec.pgl_image_order()
+    h, half = spec.pgl_image_order(), len(lab.gstar.su2) // 2
     coset_idx = _coset_indices(lab)
-    if len(coset_idx) != h:
+    if not len(coset_idx) == h == half:
         raise OrbitCountMismatch(
-            f"{spec.label()}: Mobius image has {len(coset_idx)} elements, expected {h}")
+            f"{spec.label()}: Mobius image has {len(coset_idx)} elements, "
+            f"expected h = {h} and |G*|/2 = {half}")
     reps = lab.j[coset_idx]
-    classes = np.minimum(reps, lab.gstar.neg[reps])
-    stabilizers = _image_stabilizers(lab.gstar, classes.astype(int).tobytes())
-    if stabilizers is None:
-        raise OrbitCountMismatch(f"{spec.label()}: the Mobius image is not closed")
     types = []
-    for g, p, normalizer in stabilizers:
+    for g, p, normalizer in _image_stabilizers(lab.gstar):
         if normalizer not in (p, 2 * p):
             raise OrbitCountMismatch(
                 f"{spec.label()}: a pole stabilizer of order {p} has a "
@@ -454,25 +446,21 @@ class ResolutionData:
         return all(num * den < 0 for num, den in self.pivots)
 
 
-def resolution_graph(spec: GroupSpec,
-                     triple: tuple[CyclicType, ...] | None = None,
-                     b: BGamma | None = None) -> ResolutionData:
-    """Minimal-resolution plumbing graph and the pivots of its elimination.
+def resolution_chain(t: CyclicType) -> ResolutionData:
+    """The minimal resolution of the lens type ``t``: the chain of its
+    Hirzebruch-Jung string, and the pivots of its elimination."""
+    s = hj_string(t)
+    graph = PlumbingGraph(-s[0], (tuple(-e for e in s[1:]),)
+                          if len(s) > 1 else ())
+    return ResolutionData(graph, (t,), (s,), tuple(graph.pivots()))
 
-    Non-cyclic: star with center -b_Gamma and the Hirzebruch-Jung string of
-    each singularity of ``triple`` as an arm, first entry adjacent to the
-    center; both ``triple`` and ``b`` are required.  Cyclic: the plain
-    chain of ``spec`` alone.
-    """
-    if spec.is_cyclic:
-        t = canonical_cyclic(spec.q, spec.p)
-        s = hj_string(t)
-        graph = PlumbingGraph(-s[0], (tuple(-e for e in s[1:]),)
-                              if len(s) > 1 else ())
-        return ResolutionData(graph, (t,), (s,), tuple(graph.pivots()))
-    if triple is None or b is None:
-        raise InvalidParameters(
-            f"{spec.label()}: a non-cyclic resolution needs its triple and b_Gamma")
+
+def resolution_graph(triple: tuple[CyclicType, ...],
+                     b: BGamma) -> ResolutionData:
+    """Minimal-resolution star of a non-cyclic group and the pivots of its
+    elimination: center -b_Gamma, and the Hirzebruch-Jung string of each
+    singularity of ``triple`` as an arm, first entry adjacent to the
+    center."""
     strings = tuple(hj_string(t) for t in triple)
     graph = PlumbingGraph(-b.value, tuple(tuple(-e for e in s) for s in strings))
     return ResolutionData(graph, tuple(triple), strings, tuple(graph.pivots()))

@@ -231,7 +231,7 @@ def check_kappa_spots(summary: VerifySummary) -> None:
         try:
             triple = table_singularities(spec)
             b = b_gamma(spec, triple)
-            res = resolution_graph(spec, triple, b)
+            res = resolution_graph(triple, b)
             kappa = compactification(spec, res).b_prime.kappa
         except Exception as exc:
             summary.record(spec.label(), "kappa_spot_values", False,

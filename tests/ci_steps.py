@@ -1,9 +1,9 @@
 """The checks CI makes beyond tier-1: specs past the sweep bounds, the
 singularity triple at n <= 200, the image memo over the default sweep, the
-label closure against the float Dimino at |D*| = 796, the global identities
-past their default bounds, the README config, written report text,
-verify's stdout across hash seeds, and ``report_diff`` on two runs of one
-sweep.
+masked digest of the default sweep's reports, the label closure against
+the float Dimino at |D*| = 796, the global identities past their default
+bounds, the README config, written report text, verify's stdout across
+hash seeds, and ``report_diff`` on two runs of one sweep.
 
 The file name does not match ``test_*.py``, so tier-1 does not collect it.
 Run it on its own, from the repository root:
@@ -21,7 +21,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import u2sing.sweep as sweep
@@ -35,9 +34,9 @@ from u2sing.resolution import (_image_stabilizers, _mobius_table,
 from u2sing.sweep import (SweepConfig, VerifySummary, check_eisenstein,
                           check_hj_roundtrip, specs_in_sweep, verify)
 
+import sweep_digest
 from dimino_float import dimino_closure, rows_of
 from report_diff import diff_folders
-from test_resolution import _image_key
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -97,19 +96,27 @@ def test_the_image_memo_carries_no_state_from_one_spec_to_the_next(
 
 def test_the_default_sweep_meets_26_images(fresh_caches):
     # The 1,788 non-cyclic specs with n > 1 of the default sweep, from an
-    # empty memo: 26 keys, each read from its own image, and a hit for
-    # every other spec.  Each memo value equals a cold computation.
+    # empty memo: 26 keys, one per G* (D*8 ... D*96, T*, O*, I*), and a
+    # hit for every other spec.  Each memo value equals a cold computation.
     keys = set()
     for spec in specs_in_sweep(SweepConfig()):
         if not (spec.is_cyclic or spec.is_degenerate_cyclic):
             lab = enumerate_group(spec)
             assert singularity_triple(spec, lab) == table_singularities(spec)
-            keys.add(_image_key(lab))
+            keys.add(lab.gstar)
     assert _image_stabilizers.cache_info()[:2] == (1762, 26)  # hits, misses
     assert len(keys) == 26
-    for gstar, classes in keys:
-        table = _mobius_table(gstar, np.frombuffer(classes, dtype=int))
-        assert _image_stabilizers(gstar, classes) == tuple(_stabilizers(table))
+    for gstar in keys:
+        cold = tuple(_stabilizers(_mobius_table(gstar)))
+        assert _image_stabilizers(gstar) == cold
+
+
+def test_the_full_default_sweep_digest_is_pinned():
+    # The masked SHA-256 of every default-sweep report, in sweep order,
+    # equals tests/sweep_full.sha256 (tests/sweep_digest.py).
+    count, _, masked = sweep_digest.digests()
+    pinned = (Path(__file__).parent / "sweep_full.sha256").read_text().strip()
+    assert (count, masked) == (14139, pinned)
 
 
 @pytest.mark.parametrize("spec", [GroupSpec.dihedral(3, 199),

@@ -19,7 +19,7 @@ def table_b(spec):
 
 def table_resolution(spec):
     triple = table_singularities(spec)
-    return resolution_graph(spec, triple, b_gamma(spec, triple))
+    return resolution_graph(triple, b_gamma(spec, triple))
 
 
 def dual_strings(res):

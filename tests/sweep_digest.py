@@ -6,10 +6,11 @@ hashes ``report_to_json(describe(spec))`` twice: as written, and with the
 character sum's residual masked as ``test_report_cli._mask_residual`` does.
 It prints one line each, ``<hex>  unmasked`` and ``<hex>  masked``, after
 the spec count.  Only the masked digest is committed, in
-``tests/sweep_full.sha256``, and CI compares it with that file: the
-residual's last bits depend on the NumPy build, so the unmasked bytes
-reproduce only on one machine.  After an intended change to the report
-bytes, regenerate the file from the masked line.
+``tests/sweep_full.sha256``, and ``tests/ci_steps.py`` compares
+``digests()``'s with that file: the residual's last bits depend on the
+NumPy build, so the unmasked bytes reproduce only on one machine.  After
+an intended change to the report bytes, regenerate the file from the
+masked line.
 
 pytest does not collect this file (its name does not start with
 ``test_``); it takes too long for the tier-1 suite.

@@ -76,24 +76,18 @@ def test_describe_eliminates_each_lattice_sparingly(monkeypatch):
 
 def test_describe_validates_a_spec_where_it_enters(monkeypatch):
     # The constructor is the one catalog check: describe of a spec that
-    # exists checks nothing again.  A lens spec's chain is built from the
-    # spec itself, so only an n = 1 describe builds a spec: the chain of the
-    # lens type its group has.
+    # exists checks nothing again, and builds no spec.  A lens chain comes
+    # from the lens type, the spec's own or, for n = 1, its group's.
     real, calls = GroupSpec.__post_init__, []
     monkeypatch.setattr(GroupSpec, "__post_init__",
                         lambda self: calls.append(self) or real(self))
-    for spec in (GroupSpec.dihedral(5, 2), GroupSpec.icosahedral(7),
-                 GroupSpec.cyclic(3, 7)):
-        calls.clear()
-        assert describe(spec).all_passed()
-        assert calls == []
-    spec = GroupSpec.dihedral(3, 1)
+    specs = (GroupSpec.dihedral(5, 2), GroupSpec.icosahedral(7),
+             GroupSpec.cyclic(3, 7), GroupSpec.dihedral(3, 1))
     calls.clear()
-    r = describe(spec)
-    built = list(calls)
-    assert r.all_passed() and r.degenerate_cyclic
-    t, = r.singularities
-    assert built == [GroupSpec.cyclic(t.alpha, t.beta)]
+    reports = [describe(spec) for spec in specs]
+    assert all(r.all_passed() for r in reports)
+    assert reports[-1].degenerate_cyclic
+    assert calls == []
 
 
 def test_a_failed_b_gamma_leaves_the_placeholders(monkeypatch):
@@ -1054,6 +1048,21 @@ def test_describe_rejects_an_unparsable_eta(capsys):
                  "--eta", "abc"]) == 2
     assert capsys.readouterr() == (
         "", "error: eta value 'abc' is not a fraction num/den\n")
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["verify", "--families", "", *TINY],
+     "error: config key families: cannot parse ''\n"),
+    (["verify", "--config", "", *TINY], "error: cannot read : "),
+    (["describe", "--family", "tetrahedral", "--m", "1", "--eta", ""],
+     "error: eta value '' is not a fraction num/den\n"),
+], ids=["families", "config", "eta"])
+def test_an_empty_flag_value_is_refused(argv, err, capsys):
+    # An empty value is a value, refused as it is in a config file: it is
+    # not read as a flag left out.
+    assert main(argv) == 2
+    out, got = capsys.readouterr()
+    assert out == "" and got.startswith(err)
 
 
 # -- CLI --------------------------------------------------------------------

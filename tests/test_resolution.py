@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from u2sing import resolution
-from u2sing.catalog import (Family, GroupSpec, Labels, _gstar_of,
+from u2sing.catalog import (FAMILIES, Family, GroupSpec, Labels, _gstar_of,
                             _label_rows, _row_keys, canonical_cyclic,
                             enumerate_group)
 from u2sing.errors import (CrossCheckFailure, InvalidParameters,
@@ -23,8 +23,9 @@ from u2sing.resolution import (CentrePencil, CurveConfiguration, PlumbingGraph,
                                _inertia, _integer_det, _mobius_table,
                                _stabilizers,
                                algorithmic_singularities, graph_to_dot,
-                               resolution_graph, singularity_triple,
+                               resolution_chain, singularity_triple,
                                table_singularities)
+from u2sing.report import describe
 from u2sing.sweep import SweepConfig, specs_in_sweep
 
 import mobius_float
@@ -252,19 +253,12 @@ def test_table_route_agrees_past_the_sweep_bounds(spec):
 
 # -- the memo of Mobius-image stabilizers ------------------------------------
 
-def _image_key(lab):
-    """The memo key of the enumerated group ``lab``: its G* and the bytes
-    of its Mobius image's class ids min(j, -j), in ascending order."""
-    j = lab.j[_coset_indices(lab)]
-    return lab.gstar, np.minimum(j, lab.gstar.neg[j]).astype(int).tobytes()
-
-
 def test_two_specs_with_one_image_compute_it_once(fresh_caches):
     # dihedral(3, 5) and dihedral(7, 5) differ in m only: one D*20, one
     # image, one key, and each triple is still its own table's.
     first, second = GroupSpec.dihedral(3, 5), GroupSpec.dihedral(7, 5)
     labs = [enumerate_group(spec) for spec in (first, second)]
-    assert _image_key(labs[0]) == _image_key(labs[1])
+    assert labs[0].gstar is labs[1].gstar
     assert singularity_triple(first, labs[0]) == table_singularities(first)
     assert _image_stabilizers.cache_info()[:2] == (0, 1)       # hits, misses
     assert singularity_triple(second, labs[1]) == table_singularities(second)
@@ -274,32 +268,31 @@ def test_two_specs_with_one_image_compute_it_once(fresh_caches):
 
 @pytest.mark.parametrize("spec", ONE_PER_FAMILY, ids=GroupSpec.key)
 def test_a_group_listed_in_another_order_is_one_key(spec, fresh_caches):
-    # The same elements, identity first and the rest reversed: the same
-    # image as a set of classes, so the memo hits, and the triple read
-    # from the other listing still agrees with the table.
+    # The same elements, identity first and the rest reversed: one G*, so
+    # the memo hits, and the representatives are read from Gamma as a set,
+    # so the triple read from the other listing still agrees with the table.
     lab = enumerate_group(spec)
     order = np.r_[0, np.arange(lab.order - 1, 0, -1)]
     permuted = Labels(lab.k[order], lab.j[order], lab.gstar, lab.n)
-    assert _image_key(permuted) == _image_key(lab)
     assert singularity_triple(spec, lab) == table_singularities(spec)
     assert singularity_triple(spec, permuted) == table_singularities(spec)
     assert _image_stabilizers.cache_info()[:2] == (1, 1)
 
 
 def test_every_memoized_image_equals_a_cold_one():
-    # Every key that the default sweep's non-cyclic specs with n <= 6
-    # meet, read from the memo that their triples filled (and whatever ran
-    # before) and computed afresh from the image's table.
+    # Every key, a G*, that the default sweep's non-cyclic specs with
+    # n <= 6 meet, read from the memo that their triples filled (and
+    # whatever ran before) and computed afresh from the table of G*/+-1.
     keys = set()
     for spec in specs_in_sweep(SweepConfig(n_max=6)):
         if not (spec.is_cyclic or spec.is_degenerate_cyclic):
             lab = enumerate_group(spec)
             assert singularity_triple(spec, lab) == table_singularities(spec)
-            keys.add(_image_key(lab))
+            keys.add(lab.gstar)
     assert len(keys) == 8
-    for gstar, classes in keys:
-        table = _mobius_table(gstar, np.frombuffer(classes, dtype=int))
-        assert _image_stabilizers(gstar, classes) == tuple(_stabilizers(table))
+    for gstar in keys:
+        cold = tuple(_stabilizers(_mobius_table(gstar)))
+        assert _image_stabilizers(gstar) == cold
 
 
 # -- mutants of the table route ----------------------------------------------
@@ -323,14 +316,46 @@ def test_a_corrupted_coset_row_leaves_the_image_open(spec):
         _label_rows(spec, rows, "row")
 
 
-def test_a_label_set_that_is_not_closed_has_no_mobius_table():
-    # The classes of 1 and e^{i pi/5} in D*20: their product e^{2 i pi/5}
-    # is in neither.  Every class of D*20, identity first, is closed.
-    gstar, _ = _gstar_of(GroupSpec.dihedral(1, 5))
-    assert _mobius_table(gstar, np.array([0, 1])) is None
-    table = _mobius_table(gstar, np.array([*range(5), *range(10, 15)]))
-    assert table.shape == (10, 10)
-    assert (np.sort(table, axis=1) == range(10)).all()
+def test_the_table_of_every_gstar_mod_sign_is_a_latin_square():
+    # One row and column per class id min(j, -j), in ascending order with
+    # the identity first: |G*|/2 of them, each product in one class.
+    for spec in ONE_PER_FAMILY:
+        gstar, _ = _gstar_of(spec)
+        table, half = _mobius_table(gstar), len(gstar.su2) // 2
+        assert table.shape == (half, half), spec
+        assert (table[0] == range(half)).all()
+        assert (table[:, 0] == range(half)).all()
+        assert (np.sort(table, axis=1) == range(half)).all()
+        assert (np.sort(table.T, axis=1) == range(half)).all()
+
+
+def test_an_image_short_of_gstar_mod_sign_is_refused(monkeypatch):
+    # The elements of dihedral(3, 5) over the cyclic part of D*20: a
+    # subgroup whose image C5 is a proper, closed subgroup of D*20/+-1.
+    # With h patched to its 5 elements, the count alone refuses it.
+    spec = GroupSpec.dihedral(3, 5)
+    lab = enumerate_group(spec)
+    cyclic = lab.j < 2 * 5
+    sub = Labels(lab.k[cyclic], lab.j[cyclic], lab.gstar, lab.n)
+    assert len(_coset_indices(sub)) == 5
+    monkeypatch.setattr(GroupSpec, "pgl_image_order", lambda self: 5)
+    with pytest.raises(OrbitCountMismatch,
+                       match=r"has 5 elements, expected h = 5 and "
+                             r"\|G\*\|/2 = 10$"):
+        algorithmic_singularities(spec, sub)
+
+
+def test_a_family_table_h_of_n_fails_the_triple(monkeypatch):
+    # The dihedral h read as n, not 2n: the image of dihedral(3, 5) has
+    # 10 elements, so the triple fails and no later stage runs.
+    rules = FAMILIES[Family.DIHEDRAL]
+    monkeypatch.setitem(FAMILIES, Family.DIHEDRAL,
+                        rules._replace(h=lambda s: s.n))
+    report = describe(GroupSpec.dihedral(3, 5))
+    failing = [c for c in report.checks if not c.passed]
+    assert [c.name for c in failing] == ["singularity_table_agreement"]
+    assert "expected h = 5 and |G*|/2 = 10" in failing[0].detail
+    assert report.b_gamma is None
 
 
 @pytest.mark.parametrize("spec", ONE_PER_FAMILY, ids=GroupSpec.key)
@@ -410,16 +435,11 @@ def test_resolution_index3():
 
 
 def test_resolution_cyclic_chain():
-    rd = resolution_graph(GroupSpec.cyclic(3, 5))
+    rd = resolution_chain(canonical_cyclic(3, 5))
     assert rd.graph.weights() == [-2, -3]
     assert rd.tau == -2
     assert rd.pivots == ((-3, 1), (5, -3))        # -2 - 1/(-3) = 5/(-3)
     assert fractions(rd.pivots) == [-3, F(-5, 3)]
-
-
-def test_resolution_star_needs_its_triple_and_b():
-    with pytest.raises(InvalidParameters):
-        resolution_graph(GroupSpec.dihedral(1, 2))
 
 
 def test_resolution_adopts_ade_types():
