@@ -726,11 +726,18 @@ class Labels:
 
     def eigenvalue_one_count(self) -> int:
         """(k, j) has eigenvalues e^{i pi k/N} e^{+-2 pi i r/o}, with o and
-        r the order and residue of g_j: eigenvalue 1 iff
-        k o +- 2N r = 0 mod 2N o."""
-        o, r = self.gstar.order[self.j], self.gstar.residue[self.j]
-        a, b, mod = self.k * o, 2 * self.n * r, 2 * self.n * o
-        ones = ((a + b) % mod == 0) | ((a - b) % mod == 0)
+        r the order and residue of g_j (coprime): eigenvalue 1 iff
+        k o +- 2N r = 0 mod 2N o, that is iff o divides 2N and
+        k = -+(2N/o) r mod 2N.  So two witness tables with one entry per
+        element j of G* hold the k in 0..2N-1 that gives each sign
+        eigenvalue 1, or -1 where o does not divide 2N; the count reads
+        them at every element's j, two gathers and two compares with no
+        modulo over the group."""
+        two_n, o, r = 2 * self.n, self.gstar.order, self.gstar.residue
+        divides, step = two_n % o == 0, two_n // o
+        plus = np.where(divides, -step * r % two_n, -1)
+        minus = np.where(divides, step * r % two_n, -1)
+        ones = (self.k == plus[self.j]) | (self.k == minus[self.j])
         return int(np.count_nonzero(ones))
 
 

@@ -57,8 +57,8 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
-from pathlib import Path
 
 from .catalog import FAMILIES, Family, GroupSpec, canonical_cyclic
 from .errors import InvalidParameters, U2SingError
@@ -143,11 +143,11 @@ def cmd_describe(args: argparse.Namespace) -> int:
         text = export_dot(report, "resolution")
     else:
         text = _report_text(report)
-    if args.out:
-        path = Path(args.out)
-        path.mkdir(parents=True, exist_ok=True)
+    if args.out is not None:
+        # os.makedirs refuses an empty path, which Path reads as "."
+        os.makedirs(args.out, exist_ok=True)
         suffix = {"json": ".json", "dot": ".dot", "text": ".txt"}[args.format]
-        write_file(path / (spec.key() + suffix), text + "\n")
+        write_file(os.path.join(args.out, spec.key() + suffix), text + "\n")
     else:
         print(text)
     return 0 if report.all_passed() else 1
@@ -200,7 +200,7 @@ def cmd_stage(args: argparse.Namespace) -> int:
         text = (f"{label}: b' = {c.b_prime}, kappa = {c.kappa}, "
                 f"curves = {c.kappa + 1}, dual strings "
                 f"{[list(s) for s in c.dual_strings]}\n")
-    if args.out:
+    if args.out is not None:
         write_file(args.out, text)
         print(f"wrote {args.out}")
     else:
@@ -293,7 +293,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"check failure: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:      # a write: each read is refused where it runs
-        print(f"error: cannot write {exc.filename or 'stdout'}: {exc.strerror}",
+        where = "stdout" if exc.filename is None else exc.filename
+        print(f"error: cannot write {where}: {exc.strerror}",
               file=sys.stderr)
         return 2
 

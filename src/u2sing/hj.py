@@ -71,7 +71,11 @@ def continuant(entries: Sequence[int]) -> tuple[int, int]:
 
 def cf_value(entries: Sequence[int]) -> Fraction:
     """Exact value q/p of the reversed continued fraction
-    1 / (e1 - 1/(e2 - ...)); inverse to hj_string."""
+    1 / (e1 - 1/(e2 - ...)); inverse to hj_string.
+
+    Public API and the tests' reference for the Seifert solution: the
+    pipeline itself reads the pair (p, q) from ``continuant`` and builds no
+    ``Fraction`` (``resolution._seifert_solution``)."""
     num, den = continuant(entries)
     return Fraction(den, num)
 

@@ -13,14 +13,16 @@ module computes the three types twice:
     it exactly: each conjugacy class of pole stabilizers (the largest cyclic
     subgroups) gives one orbit or two, as its normalizer swaps a stabilizer's
     two poles or not.  The type at a pole is read from the eigen-angles of
-    a stabilizer generator, exact fractions of a turn read off its label:
-    the tangent rotation is the ratio of its eigenvalues, and the normal
-    direction carries the 2m-th power of the eigenvalue on the pole's line,
-    because the model fiber is a degree-2m quotient.  No float is read on
-    this route; the one float decision before it is the generator snap
-    that labels the group (``catalog._label_rows``).  The stabilizer
-    classes depend on the G* alone: every image is G*/+-1, so they are
-    computed once per process for each G*; the types are read per spec.
+    a stabilizer generator, exact fractions of a turn read off its label
+    and kept as integer pairs (num, den): the tangent rotation is the ratio
+    of its eigenvalues, and the normal direction carries the 2m-th power of
+    the eigenvalue on the pole's line, because the model fiber is a
+    degree-2m quotient; each rotation number is one integer ``divmod``.  No
+    float is read on this route; the one float decision before it is the
+    generator snap that labels the group (``catalog._label_rows``).  The
+    stabilizer classes depend on the G* alone: every image is G*/+-1, so
+    they are computed once per process for each G*; the types are read per
+    spec.
 
 ``singularity_triple`` returns the triple only when the two routes agree
 exactly.
@@ -34,14 +36,18 @@ identities that are cross-checked everywhere:
     b = 2 + (4m/|Gamma|) * (m - (m mod |Gamma|/4m))
     b = alpha1/beta1 + alpha2/beta2 + alpha3/beta3 + 2m/h,
 
-with h the order of the Mobius image.  The boundary of a star-shaped
-plumbing is Seifert fibered with rational Euler number
+with h the order of the Mobius image; the rational sum is one integer pair
+(num, den), compared with the integer route by cross-multiplication.  The
+boundary of a star-shaped plumbing is Seifert fibered with rational Euler
+number
 
     e = center + sum_i 1/[e^i_1, ..., e^i_{k_i}]
 
 (read from the center outward); for resolution stars this is exactly -2m/h,
 which pins the arm orientation, and the compactification star must carry the
-orientation-reversed value +2m/h.  That fixes its central weight b'; the
+orientation-reversed value +2m/h.  That fixes its central weight b' (the
+Seifert solution 2m/h - sum q_i/p_i, one integer pair from the continuants
+(p_i, q_i) of the dual strings, read through ``hj.continuant``); the
 lattice criteria (signature (1, kappa), square determinant) are a second
 route to it, evaluated for every candidate weight from one elimination
 because only the compactification centre's pivot depends on the weight.
@@ -55,11 +61,18 @@ one exact division of the product of the numerators by that of the
 denominators.  ``resolution_graph`` eliminates the resolution star once,
 and ``resolution_chain`` a lens chain; the record carries the pivots.
 Definiteness, tau, the Seifert Euler number (the centre pivot is the Schur
-complement center + sum 1/[|w_1|, ..., |w_k|], the one pivot made a
-``Fraction``) and the resolution block of every b' determinant are read
-from them.  The
+complement center + sum 1/[|w_1|, ..., |w_k|]) and the resolution block of
+every b' determinant are read from them.  The
 compactification star is eliminated at c = 0 for the pencil and again at b'
 for the full elimination, the two lattice routes of the b' cross-check.
+
+Every exact test of this module runs on integers.  A ``Fraction`` is built
+only for a stored or printed value: the report's ``b_gamma_rational``
+(Fraction(b_Gamma), what the rational route equals once the routes agree)
+and ``seifert_value`` (2m/h), the pencil's threshold
+(``CentrePencil.threshold``), and the reduced value that a failed b_Gamma
+or b' cross-check prints; ``report`` builds one more for the
+``seifert_euler_calibration`` detail, from the centre pivot.
 
 ``GroupSpec``'s constructor refuses parameters outside the catalog, so every
 stage trusts the spec it is given; ``table_singularities`` still refuses a
@@ -83,7 +96,8 @@ from .catalog import (CyclicType, Family, GroupSpec, GStar, Labels,
 from .errors import (AmbiguousCandidate, CrossCheckFailure, InvalidParameters,
                      MalformedGraph, NoCandidate, OrbitCountMismatch,
                      SnapFailure, TableDisagreement)
-from .hj import cf_value, dual_type, hj_string
+from . import hj
+from .hj import dual_type, hj_string
 
 
 # ---------------------------------------------------------------------------
@@ -299,19 +313,24 @@ def _image_stabilizers(gstar: GStar) -> tuple[tuple[int, int, int], ...]:
     return tuple(_stabilizers(_mobius_table(gstar)))
 
 
-def _pole_type(theta: Fraction, phi: Fraction, p: int, m: int) -> CyclicType:
+def _pole_type(theta: tuple[int, int], phi: tuple[int, int], p: int,
+               m: int) -> CyclicType:
     """The type at a pole of a stabilizer of order p, from a generator
-    a * S with a = e^{2 pi i theta}, angles in turns: S has eigenvalue
-    e^{2 pi i phi} on the pole's line and e^{-2 pi i phi} on the tangent
-    line, so the tangent rotation is e^{2 pi i t/p}, t = -2 phi p, and the
-    degree-2m normal fiber turns by e^{2 pi i u/p}, u = 2m (theta + phi) p;
-    the type is L(t^-1 u, p).  SnapFailure unless t and u are integers.
-    The other pole of the same axis is phi -> -phi."""
-    t, u = -2 * phi * p, 2 * m * (theta + phi) * p
-    if t.denominator != 1 or u.denominator != 1:
+    a * S with a = e^{2 pi i theta}, angles in turns given as integer pairs
+    theta = k/2N and phi = r/o: S has eigenvalue e^{2 pi i phi} on the
+    pole's line and e^{-2 pi i phi} on the tangent line, so the tangent
+    rotation is e^{2 pi i t/p}, t = -2 phi p = -2rp/o, and the degree-2m
+    normal fiber turns by e^{2 pi i u/p}, u = 2m (theta + phi) p =
+    2mp(k o + 2N r)/(2N o); the type is L(t^-1 u, p).  Each of t and u is
+    one ``divmod`` of integers, and SnapFailure unless both are exact.
+    The other pole of the same axis is phi -> -phi, the pair (-r, o)."""
+    (k, two_n), (r, o) = theta, phi
+    t, t_rest = divmod(-2 * r * p, o)
+    u, u_rest = divmod(2 * m * p * (k * o + two_n * r), two_n * o)
+    if t_rest or u_rest:
         raise SnapFailure(f"a rotation at a pole of order {p} is not a "
                           f"multiple of 1/{p} turn")
-    return canonical_cyclic(pow(int(t), -1, p) * int(u), p)
+    return canonical_cyclic(pow(t, -1, p) * u, p)
 
 
 def algorithmic_singularities(spec: GroupSpec, lab: Labels
@@ -336,7 +355,8 @@ def algorithmic_singularities(spec: GroupSpec, lab: Labels
     two orbits when |N(C)| = |C|; there must be exactly three orbits.  Each
     type is read at one pole per orbit from a generator's label (k, j): its
     eigen-angles k/2N +- r/o turns, r and o the residue and order of g_j,
-    as fractions (``_pole_type``).  The family table is never consulted.
+    passed as the integer pairs (k, 2N) and (+-r, o) (``_pole_type``).  The
+    family table is never consulted.
     """
     h, half = spec.pgl_image_order(), len(lab.gstar.su2) // 2
     coset_idx = _coset_indices(lab)
@@ -351,11 +371,10 @@ def algorithmic_singularities(spec: GroupSpec, lab: Labels
             raise OrbitCountMismatch(
                 f"{spec.label()}: a pole stabilizer of order {p} has a "
                 f"normalizer of order {normalizer}")
-        theta = Fraction(int(lab.k[coset_idx[g]]), 2 * lab.n)
-        phi = Fraction(int(lab.gstar.residue[reps[g]]),
-                       int(lab.gstar.order[reps[g]]))
+        theta = (int(lab.k[coset_idx[g]]), 2 * lab.n)
+        r, o = int(lab.gstar.residue[reps[g]]), int(lab.gstar.order[reps[g]])
         signs = (1, -1) if normalizer == p else (1,)
-        types += [_pole_type(theta, s * phi, p, spec.m) for s in signs]
+        types += [_pole_type(theta, (s * r, o), p, spec.m) for s in signs]
     if len(types) != 3:
         raise OrbitCountMismatch(
             f"{spec.label()}: found {len(types)} singular orbits, expected 3")
@@ -391,23 +410,39 @@ class BGamma:
     rational: Fraction
 
 
+def _rational_b(spec: GroupSpec,
+                triple: tuple[CyclicType, ...]) -> tuple[int, int]:
+    """The rational route to b_Gamma, alpha1/beta1 + alpha2/beta2 +
+    alpha3/beta3 + 2m/h, summed as one integer pair (num, den), not
+    reduced."""
+    num, den = 2 * spec.m, spec.pgl_image_order()
+    for t in triple:
+        num, den = num * t.beta + t.alpha * den, den * t.beta
+    return num, den
+
+
 def b_gamma(spec: GroupSpec, triple: tuple[CyclicType, ...]) -> BGamma:
     """Central self-intersection by both derivations, agreement enforced.
 
     Integer route: 2 + (4m/|Gamma|)(m - (m mod |Gamma|/4m)); rational route:
-    sum of the fractions of the singularity ``triple`` plus 2m/h.
+    sum of the fractions of the singularity ``triple`` plus 2m/h, as the
+    integer pair (num, den) of ``_rational_b``.  The routes agree when
+    num = b * den, compared by cross-multiplication; only a disagreement
+    builds a ``Fraction``, to print the rational route reduced.
+    ``rational`` is Fraction(b), the value the rational route has whenever
+    the routes agree.
     """
     m = spec.m
     idx = spec.quotient_index()
     b_int = 2 + (m - m % idx) // idx
-    b_rat = sum((Fraction(t.alpha, t.beta) for t in triple), Fraction(0)) \
-        + Fraction(2 * m, spec.pgl_image_order())
-    if b_rat != b_int:
+    num, den = _rational_b(spec, triple)
+    if num != b_int * den:
         raise CrossCheckFailure(
-            f"{spec.label()}: b integer route {b_int} != rational route {b_rat}")
+            f"{spec.label()}: b integer route {b_int} != rational route "
+            f"{Fraction(num, den)}")
     if b_int < 2:
         raise CrossCheckFailure(f"{spec.label()}: b = {b_int} < 2")
-    return BGamma(b_int, b_rat)
+    return BGamma(b_int, Fraction(b_int))
 
 
 # ---------------------------------------------------------------------------
@@ -564,6 +599,19 @@ class CentrePencil:
                      if _is_square(abs(scale * c - offset)))
 
 
+def _seifert_solution(spec: GroupSpec,
+                      dual_strings: tuple[tuple[int, ...], ...]
+                      ) -> tuple[int, int]:
+    """The Seifert route to b', 2m/h - sum q_i/p_i, as one integer pair
+    (num, den), not reduced: q_i/p_i is the value of the i-th dual string,
+    read from ``hj.continuant`` as the pair (p_i, q_i)."""
+    num, den = 2 * spec.m, spec.pgl_image_order()
+    for s in dual_strings:
+        p, q = hj.continuant(s)
+        num, den = num * p - q * den, den * p
+    return num, den
+
+
 def solve_b_prime(spec: GroupSpec, res: ResolutionData,
                   dual_strings: tuple[tuple[int, ...], ...]) -> BPrimeResult:
     """Determine the central self-intersection b' of the curve at infinity
@@ -572,7 +620,10 @@ def solve_b_prime(spec: GroupSpec, res: ResolutionData,
     No closed formula is asserted by the source construction, so this is an
     oracle that intersects two independent derivations.  The Seifert
     equation center + sum (beta-alpha)/beta = 2m/h is linear, hence has a
-    unique rational solution, which lands on the integer b_Gamma - 3.  The
+    unique rational solution, which lands on the integer b_Gamma - 3: it is
+    the integer pair of ``_seifert_solution``, an integer when den
+    divides num.  ``seifert_value`` is the target 2m/h as a
+    ``Fraction``, and a disagreement prints the solution reduced.  The
     lattice route eliminates the configuration once (``CentrePencil``):
     det(c) = det_res * A * (c - s), and the signature changes only at the
     threshold s, so the side of s with signature (1, kappa) is decided once
@@ -584,12 +635,9 @@ def solve_b_prime(spec: GroupSpec, res: ResolutionData,
     pivots gives the configuration's signature and determinant; they must
     equal the pencil's.
     """
-    target = Fraction(2 * spec.m, spec.pgl_image_order())
     kappa = res.k_gamma + sum(map(len, dual_strings))
-    dual_sum = sum((cf_value(s) for s in dual_strings), Fraction(0))
-
-    seifert_solution = target - dual_sum
-    seifert_int = int(seifert_solution) if seifert_solution.denominator == 1 else None
+    num, den = _seifert_solution(spec, dual_strings)
+    seifert_int = num // den if num % den == 0 else None
 
     lo = min(1, seifert_int if seifert_int is not None else 1) - 4
     hi = -10 * res.graph.center
@@ -606,13 +654,14 @@ def solve_b_prime(spec: GroupSpec, res: ResolutionData,
         if (sig, det) != predicted:
             raise CrossCheckFailure(f"{spec.label()}: full elimination gives "
                                     f"{(sig, det)}, the pencil {predicted}")
-        return BPrimeResult(seifert_int, target, lattice, kappa, det, sig,
-                            (lo, hi))
+        return BPrimeResult(seifert_int,
+                            Fraction(2 * spec.m, spec.pgl_image_order()),
+                            lattice, kappa, det, sig, (lo, hi))
     if seifert_int is None and not lattice:
         raise NoCandidate(
             f"{spec.label()}: no integer in [{lo},{hi}] satisfies any criterion")
     raise AmbiguousCandidate(
-        f"{spec.label()}: Seifert criterion gives {seifert_solution}, "
+        f"{spec.label()}: Seifert criterion gives {Fraction(num, den)}, "
         f"lattice criterion gives {list(lattice)}")
 
 

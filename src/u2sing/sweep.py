@@ -355,7 +355,9 @@ def config_from_mapping(values: dict) -> SweepConfig:
             elif key in _INT_KEYS:
                 setattr(config, key, int(value))
             elif key == "out":
-                config.out_dir = str(value) if value else None
+                if not str(value):      # no directory, as "" is no family
+                    raise ValueError(value)
+                config.out_dir = str(value)
             elif key == "eta":
                 config.eta = dict(value)
             else:

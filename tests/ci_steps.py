@@ -1,5 +1,6 @@
 """The checks CI makes beyond tier-1: specs past the sweep bounds, the
 singularity triple at n <= 200, the image memo over the default sweep, the
+integer routes against their references over the default sweep, the
 masked digest of the default sweep's reports, the label closure against
 the float Dimino at |D*| = 796, the global identities past their default
 bounds, the README config, written report text, verify's stdout across
@@ -36,6 +37,7 @@ from u2sing.sweep import (SweepConfig, VerifySummary, check_eisenstein,
 
 import sweep_digest
 from dimino_float import dimino_closure, rows_of
+from fraction_routes import check_exact_routes
 from report_diff import diff_folders
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -109,6 +111,18 @@ def test_the_default_sweep_meets_26_images(fresh_caches):
     for gstar in keys:
         cold = tuple(_stabilizers(_mobius_table(gstar)))
         assert _image_stabilizers(gstar) == cold
+
+
+def test_the_integer_routes_equal_their_references_on_the_default_sweep(
+        monkeypatch):
+    # The witness freeness count against the modulo count on all 1,908
+    # label groups, and the integer pole types, b_Gamma rational route and
+    # Seifert solution against their Fraction forms on the 1,788 with
+    # n > 1 (tests/fraction_routes.py).
+    specs = [s for s in specs_in_sweep(SweepConfig()) if not s.is_cyclic]
+    assert check_exact_routes(specs, monkeypatch) == {
+        "freeness": 1908, "pole_type": 3 * 1788, "rational_b": 1788,
+        "seifert": 1788}
 
 
 def test_the_full_default_sweep_digest_is_pinned():

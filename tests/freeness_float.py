@@ -1,10 +1,14 @@
-"""The freeness count by eigen-angles: the reference for the row count.
+"""The routes that the freeness counts replaced, kept as their references.
 
 ``catalog.FiniteGroup.eigenvalue_one_count`` reads each row's eigenvalues
-a e^{+-i phi} off a and cos phi = Re b1, with no angle.  This is the route
-it replaced, kept so that the tests can check that both routes count the
-same elements: the angles theta + phi and theta - phi of ``eigen_data``,
-each taken back to the circle and compared with 1 at the same threshold.
+a e^{+-i phi} off a and cos phi = Re b1, with no angle.  The angle route it
+replaced takes the angles theta + phi and theta - phi of ``eigen_data``,
+each back to the circle, and compares them with 1 at the same threshold.
+
+``catalog.Labels.eigenvalue_one_count`` reads two witness tables, one
+entry per element of G*, at each element's label.  The modulo route it
+replaced tests k o +- 2N r = 0 mod 2N o on every element of the group, in
+exact integers like the witness count.
 """
 
 import numpy as np
@@ -25,3 +29,11 @@ def angle_eigenvalue_one_count(group: catalog.FiniteGroup) -> int:
     within ``catalog.DEFAULT_TOLERANCE`` of 1."""
     return int(np.count_nonzero(angle_distances(group)
                                 < catalog.DEFAULT_TOLERANCE))
+
+
+def modulo_eigenvalue_one_count(lab: catalog.Labels) -> int:
+    """The elements (k, j) of a label group with k o +- 2N r = 0 mod 2N o,
+    o and r the order and residue of g_j: those with eigenvalue 1."""
+    o, r = lab.gstar.order[lab.j], lab.gstar.residue[lab.j]
+    a, b, mod = lab.k * o, 2 * lab.n * r, 2 * lab.n * o
+    return int(np.count_nonzero(((a + b) % mod == 0) | ((a - b) % mod == 0)))

@@ -133,8 +133,9 @@ def test_verify_still_checks_continuant(monkeypatch):
     ok, bad = summary.passed_failed("hj_round_trip")
     assert bad > 0 and summary.exit_code == 1
     assert summary.passed_failed("hj_round_trip_sweep") == (1, 0)
-    # only the b' oracle of the kappa spots reaches it through cf_value:
-    # its refusal is recorded, and the sweep still ends with a summary
+    # only the b' oracle of the kappa spots reaches it, reading the Seifert
+    # solution through hj.continuant: its refusal is recorded, and the
+    # sweep still ends with a summary
     assert summary.passed_failed("kappa_spot_values") == (0, 3)
 
 

@@ -30,7 +30,8 @@ from u2sing.sweep import (SweepConfig, VerifySummary, check_eigenvalue_tables,
                           parse_config_file, specs_in_sweep, verify)
 
 from dimino_float import rows_of
-from freeness_float import angle_eigenvalue_one_count
+from freeness_float import (angle_eigenvalue_one_count,
+                            modulo_eigenvalue_one_count)
 from stages import table_topology
 
 
@@ -520,8 +521,9 @@ def test_a_complex_reflection_fails_the_exact_freeness_count(monkeypatch):
     # index2(2, 3) with the diagonal generator [e^{i pi/4}, jhat] replaced
     # by [i, jhat]: still on the pi/4 grid and in D*12, and the group it
     # makes has the table order 24, but [i, jhat] has eigenvalue 1.  The
-    # exact count on labels names the seven elements that do, as the float
-    # count on the group's rows and its angle reference do.
+    # exact witness count on labels names the seven elements that do, as
+    # its modulo reference, the float count on the group's rows and its
+    # angle reference do.
     spec = GroupSpec.index2(2, 3)
     real = catalog.generators_of
 
@@ -534,6 +536,8 @@ def test_a_complex_reflection_fails_the_exact_freeness_count(monkeypatch):
     monkeypatch.setattr(catalog, "generators_of", mutant)
     group = catalog.enumerate_group(spec)
     assert isinstance(group, catalog.Labels) and group.order == 24
+    assert group.eigenvalue_one_count() == modulo_eigenvalue_one_count(
+        group) == 7
     rows = catalog.FiniteGroup(rows_of(group))
     assert rows.eigenvalue_one_count() == angle_eigenvalue_one_count(rows) == 7
     checks = {c.name: c for c in describe(spec).checks}
@@ -1056,10 +1060,18 @@ def test_describe_rejects_an_unparsable_eta(capsys):
     (["verify", "--config", "", *TINY], "error: cannot read : "),
     (["describe", "--family", "tetrahedral", "--m", "1", "--eta", ""],
      "error: eta value '' is not a fraction num/den\n"),
-], ids=["families", "config", "eta"])
+    (["describe", "--family", "tetrahedral", "--m", "1", "--out", ""],
+     "error: cannot write : No such file or directory\n"),
+    (["export", "--family", "tetrahedral", "--m", "1", "--out", ""],
+     "error: cannot write : No such file or directory\n"),
+    (["verify", "--out", "", *TINY],
+     "error: config key out: cannot parse ''\n"),
+], ids=["families", "config", "eta", "describe_out", "export_out",
+        "verify_out"])
 def test_an_empty_flag_value_is_refused(argv, err, capsys):
     # An empty value is a value, refused as it is in a config file: it is
-    # not read as a flag left out.
+    # not read as a flag left out, and an empty --out is no path to write
+    # (not the current directory, not stdout).
     assert main(argv) == 2
     out, got = capsys.readouterr()
     assert out == "" and got.startswith(err)

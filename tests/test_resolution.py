@@ -14,9 +14,10 @@ from u2sing import resolution
 from u2sing.catalog import (FAMILIES, Family, GroupSpec, Labels, _gstar_of,
                             _label_rows, _row_keys, canonical_cyclic,
                             enumerate_group)
-from u2sing.errors import (CrossCheckFailure, InvalidParameters,
-                           MalformedGraph, NotCoprime, OrbitCountMismatch,
-                           SnapFailure, TableDisagreement, U2SingError)
+from u2sing.errors import (AmbiguousCandidate, CrossCheckFailure,
+                           InvalidParameters, MalformedGraph, NotCoprime,
+                           OrbitCountMismatch, SnapFailure, TableDisagreement,
+                           U2SingError)
 from u2sing.hj import cf_value, dual_type, hj_string
 from u2sing.resolution import (CentrePencil, CurveConfiguration, PlumbingGraph,
                                _coset_indices, _image_stabilizers,
@@ -30,6 +31,7 @@ from u2sing.sweep import SweepConfig, specs_in_sweep
 
 import mobius_float
 from dimino_float import rows_of
+from fraction_routes import check_exact_routes
 from mobius_float import (_orbit, _singular_points, _sphere_vecs,
                           float_singularities)
 from rowalg import matrix, mobius, scalar
@@ -199,11 +201,12 @@ def test_swapped_eigenlines_are_an_equivalent_mutant(spec, monkeypatch):
     # each stabilizer at its other pole.  A one-orbit class has both poles
     # in one orbit, and a two-orbit class reads both anyway, so the sorted
     # triple cannot change and no check can kill the flip.
+    # phi is the integer pair (r, o), so the flip is (-r, o).
     real, calls = resolution._pole_type, []
 
     def flipped(theta, phi, p, m):
         calls.append((theta, phi, p, m))
-        return real(theta, -phi, p, m)
+        return real(theta, (-phi[0], phi[1]), p, m)
 
     monkeypatch.setattr(resolution, "_pole_type", flipped)
     assert (singularity_triple(spec, enumerate_group(spec))
@@ -390,6 +393,22 @@ def test_a_wrong_normal_degree_is_caught(shift, errors, monkeypatch):
     assert caught == errors
 
 
+def test_the_integer_routes_equal_their_fraction_references(monkeypatch):
+    # The pole types, b_Gamma's rational route and b''s Seifert solution on
+    # integer pairs, and the witness freeness count, against the Fraction
+    # routes and the modulo count they replaced (tests/fraction_routes.py),
+    # on every non-cyclic spec with m <= 20 and n <= 4, ONE_PER_FAMILY
+    # among them.  tests/ci_steps.py makes the same comparison on the whole
+    # default sweep.
+    specs = [s for s in specs_in_sweep(SweepConfig(m_max=20, n_max=4))
+             if not s.is_cyclic]
+    assert set(ONE_PER_FAMILY) <= set(specs)
+    counts = check_exact_routes(specs, monkeypatch)
+    # 77 label groups, 57 of them with n > 1 and three poles each
+    assert counts == {"freeness": 77, "pole_type": 171, "rational_b": 57,
+                      "seifert": 57}
+
+
 def test_singularity_rejects_cyclic():
     spec = GroupSpec.cyclic(3, 5)
     with pytest.raises(InvalidParameters):
@@ -407,6 +426,35 @@ def test_b_gamma_examples():
     # rational route by hand: 1/2 + 2/3 + 2/3 + 14/12 = 3
     assert b.rational == F(1, 2) + F(2, 3) + F(2, 3) + F(14, 12) == 3
     assert table_b(GroupSpec.index3(3)).value == 2
+
+
+def _skewed_b(monkeypatch):
+    # L(1,3) for one L(2,3) arm: 1/2 + 1/3 + 2/3 + 14/12 = 8/3, not 3
+    triple = tuple(map(canonical_cyclic, (1, 1, 2), (2, 3, 3)))
+    resolution.b_gamma(GroupSpec.tetrahedral(7), triple)
+
+
+def _skewed_seifert(monkeypatch):
+    # h = 3 for 4: 2m/h - 1/2 - 1/2 - 1/2 = 10/3 - 3/2 = 11/6, while the
+    # lattice route still finds its candidates
+    spec = GroupSpec.dihedral(5, 2)
+    res = table_resolution(spec)
+    monkeypatch.setattr(GroupSpec, "pgl_image_order", lambda self: 3)
+    resolution.solve_b_prime(spec, res, dual_strings(res))
+
+
+@pytest.mark.parametrize("skew, error, text", [
+    (_skewed_b, CrossCheckFailure,
+     "tetrahedral(m=7): b integer route 3 != rational route 8/3"),
+    (_skewed_seifert, AmbiguousCandidate,
+     "dihedral(m=5,n=2): Seifert criterion gives 11/6, lattice criterion "
+     "gives [1, 21]"),
+], ids=["b_gamma", "seifert"])
+def test_a_failed_rational_route_prints_its_reduced_fraction(
+        skew, error, text, monkeypatch):
+    with pytest.raises(error) as err:
+        skew(monkeypatch)
+    assert str(err.value) == text
 
 
 def test_b_gamma_at_least_two():
