@@ -1,11 +1,13 @@
 """Invariants of finite U(2) subgroups acting freely on S^3.
 
 Groups are given by explicit quaternion-pair generators [e^{i*theta}, beta],
-each stored as one row (a, b1, b2) of complex numbers with a = e^{i*theta}
-and beta = b1 + b2*jhat.  A cyclic group (and Gamma') is an (N, 3) array
-of such rows, a ``FiniteGroup``; a non-cyclic group is its exact
-``Labels``, a phase step and an element of a binary polyhedral group each,
-and no float is read from it after its generators are labelled.  The
+each read as one row (a, b1, b2) of complex numbers with a = e^{i*theta}
+and beta = b1 + b2*jhat.  Gamma' is an (N, 3) array of such rows, a
+``FiniteGroup``.  A cyclic group is its exact ``Turns``, the powers of its
+generator's turns on the 1/(2p) grid, and reads no float; a non-cyclic
+group is its exact ``Labels``, a phase step and an element of a binary
+polyhedral group each, and no float is read from it after its generators
+are labelled.  The
 library enumerates the groups, locates the cyclic orbifold points of the
 model quotients, builds Hirzebruch-Jung resolution and compactification
 plumbing graphs, and evaluates the deformation-dimension identities --
@@ -13,7 +15,7 @@ each quantity by at least two independent routes, cross-checked.
 """
 
 from .catalog import (CyclicType, Family, FiniteGroup, GroupSpec, Labels,
-                      canonical_cyclic, cyclic_equivalent_type,
+                      Turns, canonical_cyclic, cyclic_equivalent_type,
                       eigenvalue_histogram, enumerate_gamma_prime,
                       enumerate_group, generators_of, is_fixed_point_free)
 from .hj import cf_value, dual_type, hj_string
@@ -34,7 +36,7 @@ __all__ = [
     "BGamma", "CompactificationData", "CurveConfiguration", "CyclicType",
     "DeformationReport", "Family", "FiniteGroup", "GroupSpec",
     "InvariantReport", "Labels", "PlumbingGraph", "ResolutionData",
-    "SweepConfig", "TopologyReport", "VerifySummary",
+    "SweepConfig", "TopologyReport", "Turns", "VerifySummary",
     "b_gamma", "canonical_cyclic", "cf_value", "closed_form_dim",
     "compactification", "cyclic_equivalent_type", "describe", "dim_h1_theta",
     "dim_sfk", "dual_type", "eigenvalue_histogram", "eisenstein_check",

@@ -36,9 +36,11 @@ coset representatives' products with the generators are tested for
 membership.  The group is its labels (``Labels``): freeness, the
 eigenvalue tables, an n = 1 group's lens type and the pole types read exact
 eigen-angles off them, and no row is built from them.
-Cyclic specs stay float rows: the powers of their one generator up to the
-first one whose row on the key grid is the identity's, so their order is
-found, not assumed.  The breadth-first closure on rows
+A cyclic spec's generator is declared once as exact turns
+(``_lens_turns``), in units of 1/(2p) turn, and its group is the powers of
+those turns up to the first that is the identity up to joint negation, so
+its order is found, not assumed (``Turns``); its freeness and eigen-angles
+are integer tests on them.  The breadth-first closure on rows
 (``generate_closure``) closes each G* once per process: T*, O* and I* take
 their elements from it, and it is the Gamma' of every product spec over
 that G*.  The index-2 and index-3 Gamma', the whole group, is closed per
@@ -284,9 +286,10 @@ def canonical_cyclic(a: int, beta: int) -> CyclicType:
 #
 # and through the Hopf map H(z1, z2) = z1/z2 it descends to the Mobius
 # transformation w -> (b1*w - conj(b2)) / (b2*w + conj(b1)) of
-# S^2 = C u {oo}; the left phase cancels.  The cyclic groups and Gamma'
-# are (N, 3) complex arrays of such rows (``FiniteGroup``); a non-cyclic
-# group is its exact labels (below), and no row is built from them.
+# S^2 = C u {oo}; the left phase cancels.  Gamma' and the G* closures are
+# (N, 3) complex arrays of such rows (``FiniteGroup``); a cyclic group is
+# its exact turns and a non-cyclic group its exact labels (both below), and
+# no row is built from either.
 #
 # Rows are double precision: they are compared to EQ_TOL and keyed on a
 # 1 / KEY_SCALE grid, which is safe because catalog group orders are
@@ -298,25 +301,19 @@ EQ_TOL = 1e-9
 # Multiply by KEY_SCALE rather than divide by the grid 1e-6: x / 1e-6 and
 # x * 1e6 differ in the last bit for many x, and a key can sit on a midpoint.
 KEY_SCALE = 1e6
-# The fixed threshold of the three float decisions that read a tolerance.
+# The fixed threshold of the two float decisions that read a tolerance.
 # Each reads it from its own module's globals when it runs, so a test
 # patches it where it is read.  Their margins on the default sweep:
-#   - freeness on rows (``FiniteGroup.eigenvalue_one_count``, the lens
-#     path): an element (a, b1, b2) has eigenvalue 1 when the distance
-#     |a e^{+-i phi} - 1| of one of its eigenvalues to 1, cos phi = Re b1,
-#     is below it.  Over the 12,231 lens specs the identity's distance is 0
-#     and every other element's is >= 2 sin(pi/200) = 3.1e-2, the least at
-#     p = 200.  Non-cyclic freeness is an exact count on labels, and no
-#     other reader of a non-cyclic group reads a float;
 #   - the character-sum snap of ``invariants.dim_sfk``: worst residual
 #     5.2e-13;
 #   - the Eisenstein check ``sweep.check_eisenstein``: worst residual
 #     2.1e-12 (2.0747847884194925e-12), first at (n, k) = (198, 35), from
 #     one DFT per n.
-# The other float decisions do not read it: ``_snap_residue`` snaps within
-# 1e-6 * modulus (the generator snap of ``_label_rows``, the G* residues
-# and ``FiniteGroup.eigen_residues``), row keys round on the 1 / KEY_SCALE
-# grid, and the sign rule compares coordinates to EQ_TOL.
+# Freeness reads no float: a cyclic group is its exact turns and a
+# non-cyclic group its exact labels.  The other float decisions do not read
+# it: ``_snap_residue`` snaps within 1e-6 * modulus (the generator snap of
+# ``_label_rows`` and the G* residues), row keys round on the
+# 1 / KEY_SCALE grid, and the sign rule compares coordinates to EQ_TOL.
 DEFAULT_TOLERANCE = 1e-6
 
 
@@ -352,20 +349,26 @@ def _gstar_generators(kind: str, n: int = 0) -> np.ndarray:
                      quats or (_circle(math.pi / n), _JHAT)])
 
 
+def _lens_turns(spec: GroupSpec) -> tuple[int, int]:
+    """The generator [e^{2 pi i k/p}, e^{2 pi i (1 - k)/p}] of L(q, p), with
+    2k = q + 1 mod p, declared as its turns k/p and (1 - k)/p in units of
+    1/(2p) turn: (2k, 2(1 - k)).  Its eigenvalues are e^{2 pi i/p} and
+    e^{2 pi i q/p}."""
+    q, p = spec.q, spec.p
+    # for even p, q is odd so q+1 is even
+    k = (q + 1) * pow(2, -1, p) % p if p % 2 else (q + 1) // 2 % p
+    return 2 * k, 2 * (1 - k)
+
+
 def generators_of(spec: GroupSpec) -> np.ndarray:
     """Generator rows (k, 3) of the family table; the Hopf-fiber rotation
     [e^{i pi/m}, 1] always comes first for the non-cyclic families, and a
     product family's G* generators (``_gstar_generators``) follow it."""
     f, m, n = spec.family, spec.m, spec.n
-    if f is Family.CYCLIC:
-        q, p = spec.q, spec.p
-        # 2k = q+1 (mod p); for even p, q is odd so q+1 is even.
-        if p % 2 == 1:
-            k = ((q + 1) * pow(2, -1, p)) % p
-        else:
-            k = ((q + 1) // 2) % p
-        return np.array([_row(2 * math.pi * k / p,
-                              _circle(2 * math.pi * (1 - k) / p))])
+    if f is Family.CYCLIC:      # the declared turns, evaluated
+        x, y = _lens_turns(spec)
+        return np.array([_row(math.pi * x / spec.p,
+                              _circle(math.pi * y / spec.p))])
 
     fiber = _row(math.pi / m, _ONE)
     if f is Family.INDEX2:
@@ -405,8 +408,8 @@ def _fresh_indices(keys: list[bytes], seen: set[bytes]) -> list[int]:
 
 @dataclass(eq=False)
 class FiniteGroup:
-    """An enumerated subgroup as canonical (a, b1, b2) rows, identity first:
-    a cyclic group, or Gamma'."""
+    """A group closed on rows: canonical (a, b1, b2) rows, identity first
+    (Gamma', or a G* as its rows [1, g])."""
 
     rows: np.ndarray
 
@@ -419,25 +422,6 @@ class FiniteGroup:
         theta = np.angle(self.rows[:, 0])
         c = np.clip(self.rows[:, 1].real, -1.0, 1.0)
         return theta, np.arccos(c)
-
-    def eigen_residues(self, modulus: int) -> tuple[np.ndarray, np.ndarray]:
-        """The angles theta + phi and theta - phi of each element, each
-        snapped to a multiple k of 2 pi / modulus (``_snap_residue``), as
-        two integer arrays of k mod modulus."""
-        theta, phi = self.eigen_data()
-        return tuple(np.array([_snap_residue(a, modulus) for a in x.tolist()],
-                              dtype=int) for x in (theta + phi, theta - phi))
-
-    def eigenvalue_one_count(self) -> int:
-        """The elements with an eigenvalue within DEFAULT_TOLERANCE of 1.
-        Row (a, b1, b2) has eigenvalues a e^{+-i phi}, cos phi = Re b1 (the
-        trace of its SU(2) part is 2 Re b1), and e^{i phi} is
-        c + i sqrt(1 - c^2) for c = Re b1 clipped to [-1, 1]."""
-        a = self.rows[:, 0]
-        c = np.clip(self.rows[:, 1].real, -1.0, 1.0)
-        e = c + 1j * np.sqrt(1.0 - c * c)
-        d = np.minimum(np.abs(a * e - 1.0), np.abs(a * e.conj() - 1.0))
-        return int(np.count_nonzero(d < DEFAULT_TOLERANCE))
 
 
 def _su2_product(x1, x2, y1, y2) -> tuple[np.ndarray, np.ndarray]:
@@ -486,29 +470,6 @@ def generate_closure(generators: np.ndarray, max_order: int) -> FiniteGroup:
         chunks.append(frontier)
 
     return FiniteGroup(np.concatenate(chunks, axis=0))
-
-
-def _powers(gen: np.ndarray, max_order: int) -> np.ndarray:
-    """The powers of one row (a, b1, 0), identity first, up to the first one
-    whose row on the KEY_SCALE integer grid (the grid of ``_row_keys``)
-    equals the identity's: the order is found, not assumed.  Powers
-    k = 0..max_order are computed as one table from the angles of a and b1,
-    and k = 0..2 * max_order only if the identity does not recur in it.
-    Raises ClosureOverflow past 2 * max_order elements, as the closures
-    do."""
-    a0, b0 = np.angle(gen[0]), np.angle(gen[1])
-    for last in (max_order, 2 * max_order):
-        k = np.arange(last + 1)
-        rows = np.zeros((last + 1, 3), dtype=complex)
-        np.exp(1j * a0 * k, out=rows[:, 0])
-        np.exp(1j * b0 * k, out=rows[:, 1])
-        rows = _canonical_rows(rows)
-        grid = np.rint(rows.view(np.float64) * KEY_SCALE).astype(np.int64)
-        back = (grid[1:] == grid[0]).all(axis=1)
-        if back.any():
-            return rows[:back.argmax() + 1]
-    raise ClosureOverflow(
-        f"closure exceeded {2 * max_order} elements (expected {max_order})")
 
 
 # ---------------------------------------------------------------------------
@@ -715,14 +676,8 @@ class Labels:
         integer arrays mod ``modulus``: modulus (k o +- 2N r) / (2N o).
         SnapFailure unless every one is an integer."""
         o, r = self.gstar.order[self.j], self.gstar.residue[self.j]
-        out = []
-        for num in (self.k * o + 2 * self.n * r, self.k * o - 2 * self.n * r):
-            q, rem = np.divmod(modulus * num, 2 * self.n * o)
-            if rem.any():
-                raise SnapFailure(f"an eigen-angle is not a multiple of "
-                                  f"1/{modulus} turn")
-            out.append(q % modulus)
-        return tuple(out)
+        return _residues(self.k * o + 2 * self.n * r,
+                         self.k * o - 2 * self.n * r, 2 * self.n * o, modulus)
 
     def eigenvalue_one_count(self) -> int:
         """(k, j) has eigenvalues e^{i pi k/N} e^{+-2 pi i r/o}, with o and
@@ -739,6 +694,20 @@ class Labels:
         minus = np.where(divides, step * r % two_n, -1)
         ones = (self.k == plus[self.j]) | (self.k == minus[self.j])
         return int(np.count_nonzero(ones))
+
+
+def _residues(plus: np.ndarray, minus: np.ndarray, den,
+              modulus: int) -> tuple[np.ndarray, np.ndarray]:
+    """The turns plus / den and minus / den times ``modulus``, as two integer
+    arrays mod ``modulus``; SnapFailure unless every one is an integer."""
+    out = []
+    for num in (plus, minus):
+        q, rem = np.divmod(modulus * num, den)
+        if rem.any():
+            raise SnapFailure(f"an eigen-angle is not a multiple of "
+                              f"1/{modulus} turn")
+        out.append(q % modulus)
+    return tuple(out)
 
 
 def _label_rows(spec: GroupSpec, rows: np.ndarray, what: str) -> Labels:
@@ -857,15 +826,55 @@ def _dimino(spec: GroupSpec) -> Labels:
     return Labels(np.concatenate(ks), np.concatenate(js), g, n)
 
 
-def _enumerate_cyclic(spec: GroupSpec) -> FiniteGroup:
-    """The powers of the one generator, identity first: k = 0..p, and
-    k = 0..2p only when the p-th is not the identity."""
-    return FiniteGroup(_powers(generators_of(spec)[0], spec.p))
+# ---------------------------------------------------------------------------
+# Exact turns for the cyclic groups
+# ---------------------------------------------------------------------------
+
+@dataclass(eq=False)
+class Turns:
+    """The elements [e^{i pi x[i]/p}, e^{i pi y[i]/p}] of a cyclic group,
+    identity first: turns x/2p and y/2p on the 1/(2p) grid, with (x, y) and
+    (x + p, y + p) one element (joint negation)."""
+
+    x: np.ndarray
+    y: np.ndarray
+    p: int
+
+    @property
+    def order(self) -> int:
+        return len(self.x)
+
+    def eigen_residues(self, modulus: int) -> tuple[np.ndarray, np.ndarray]:
+        """The eigen-angles (x + y)/2p and (x - y)/2p turns of each element,
+        times ``modulus``, as two integer arrays mod ``modulus``.
+        SnapFailure unless every one is an integer."""
+        return _residues(self.x + self.y, self.x - self.y, 2 * self.p,
+                         modulus)
+
+    def eigenvalue_one_count(self) -> int:
+        """The elements with eigenvalue 1: e^{i pi (x +- y)/p} is 1 iff
+        x + y or x - y is 0 mod 2p."""
+        two_p = 2 * self.p
+        return int(np.count_nonzero(((self.x + self.y) % two_p == 0)
+                                    | ((self.x - self.y) % two_p == 0)))
 
 
-def enumerate_group(spec: GroupSpec) -> FiniteGroup | Labels:
-    """All elements of the group, identity first: a cyclic spec's as rows,
-    every other as exact labels (``_dimino``)."""
+def _enumerate_cyclic(spec: GroupSpec) -> Turns:
+    """The powers t (x, y) mod 2p of the declared generator turns
+    (``_lens_turns``), identity first, up to the first one at (0, 0) or
+    (p, p): the order is found, not assumed.  The 2p-th power is (0, 0), so
+    the order divides 2p."""
+    p = spec.p
+    x, y = _lens_turns(spec)
+    t = np.arange(2 * p + 1)
+    xs, ys = t * x % (2 * p), t * y % (2 * p)
+    order = ((xs == ys) & (xs % p == 0))[1:].argmax() + 1
+    return Turns(xs[:order], ys[:order], p)
+
+
+def enumerate_group(spec: GroupSpec) -> Turns | Labels:
+    """All elements of the group, identity first: a cyclic spec's as exact
+    turns, every other as exact labels (``_dimino``)."""
     return _enumerate_cyclic(spec) if spec.is_cyclic else _dimino(spec)
 
 
@@ -889,7 +898,7 @@ def enumerate_gamma_prime(spec: GroupSpec) -> FiniteGroup:
 # Structural checks
 # ---------------------------------------------------------------------------
 
-def is_fixed_point_free(group: FiniteGroup | Labels) -> bool:
+def is_fixed_point_free(group: Turns | Labels) -> bool:
     """True iff no element besides the identity has eigenvalue 1 (no complex
     reflections, equivalently the action on S^3 is free)."""
     return group.eigenvalue_one_count() == 1
@@ -904,7 +913,7 @@ def _snap_residue(angle: float, modulus: int) -> int:
     return k % modulus
 
 
-def cyclic_equivalent_type(group: FiniteGroup | Labels) -> CyclicType | None:
+def cyclic_equivalent_type(group: Turns | Labels) -> CyclicType | None:
     """Lens label of a cyclic group, or None if no single generator exists.
 
     A free cyclic group of order N contains an element whose matrix is
@@ -924,7 +933,7 @@ def cyclic_equivalent_type(group: FiniteGroup | Labels) -> CyclicType | None:
     return None
 
 
-def eigenvalue_histogram(group: FiniteGroup | Labels) -> Counter:
+def eigenvalue_histogram(group: Turns | Labels) -> Counter:
     """Multiset of eigenvalue pairs, keyed by the exact pair of angle
     fractions (angle / 2pi, sorted), with element counts.
 

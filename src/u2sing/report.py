@@ -47,10 +47,9 @@ from json.encoder import encode_basestring_ascii
 from typing import Union, get_args, get_origin, get_type_hints
 
 from . import hj
-from .catalog import (CyclicType, FiniteGroup, GroupSpec, Labels,
-                      canonical_cyclic, cyclic_equivalent_type,
-                      enumerate_gamma_prime, enumerate_group,
-                      is_fixed_point_free)
+from .catalog import (CyclicType, GroupSpec, Labels, Turns, canonical_cyclic,
+                      cyclic_equivalent_type, enumerate_gamma_prime,
+                      enumerate_group, is_fixed_point_free)
 from .errors import U2SingError
 # hj_string is no longer called here, but bench/tracer.py and
 # bench/test_bench.py bind u2sing.report.hj_string.
@@ -134,7 +133,7 @@ class Resolved:
 
 def describe(spec: GroupSpec,
              eta: Fraction | None = None,
-             group: FiniteGroup | Labels | None = None) -> InvariantReport:
+             group: Turns | Labels | None = None) -> InvariantReport:
     """Full invariant report for one spec.
 
     A failed cross-check is recorded in the report, not raised.  So is a
@@ -155,11 +154,11 @@ def describe(spec: GroupSpec,
     "stage did not run" defaults.
 
     ``group`` is the enumerated group of ``spec`` when the caller already
-    holds it, as ``enumerate_group`` returns it (rows for a cyclic spec,
-    exact labels for every other); otherwise it is enumerated here.  Every
-    later stage takes its inputs from the records of the stages before it:
-    ``resolve``, then ``compactify``, then Gamma', the deformation
-    dimensions, the moduli count and the topology.
+    holds it, as ``enumerate_group`` returns it (exact turns for a cyclic
+    spec, exact labels for every other); otherwise it is enumerated here.
+    Every later stage takes its inputs from the records of the stages
+    before it: ``resolve``, then ``compactify``, then Gamma', the
+    deformation dimensions, the moduli count and the topology.
     """
     resolved = resolve(spec, group)
     report = compactify(resolved)
@@ -193,7 +192,7 @@ def describe(spec: GroupSpec,
 
 
 def resolve(spec: GroupSpec,
-            group: FiniteGroup | Labels | None = None) -> Resolved:
+            group: Turns | Labels | None = None) -> Resolved:
     """The resolution stages of ``describe``: order and freeness, the
     singularity triple, b_Gamma and the resolution graph, with the checks
     of each.  The report's later sections are None."""
@@ -228,7 +227,7 @@ def _stage(checks: list[CheckResult], name: str, where: str, run, *args):
         return None
 
 
-def _describe_cyclic(spec: GroupSpec, group: FiniteGroup | Labels,
+def _describe_cyclic(spec: GroupSpec, group: Turns | Labels,
                      checks: list[CheckResult]) -> InvariantReport:
     degenerate = spec.is_degenerate_cyclic
     if degenerate:

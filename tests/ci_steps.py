@@ -115,14 +115,15 @@ def test_the_default_sweep_meets_26_images(fresh_caches):
 
 def test_the_integer_routes_equal_their_references_on_the_default_sweep(
         monkeypatch):
-    # The witness freeness count against the modulo count on all 1,908
-    # label groups, and the integer pole types, b_Gamma rational route and
-    # Seifert solution against their Fraction forms on the 1,788 with
-    # n > 1 (tests/fraction_routes.py).
-    specs = [s for s in specs_in_sweep(SweepConfig()) if not s.is_cyclic]
+    # The exact turns against the reference rows on all 12,231 lens
+    # groups, the witness freeness count against the modulo count on all
+    # 1,908 label groups, and the integer pole types, b_Gamma rational
+    # route and Seifert solution against their Fraction forms on the 1,788
+    # with n > 1 (tests/fraction_routes.py).
+    specs = list(specs_in_sweep(SweepConfig()))
     assert check_exact_routes(specs, monkeypatch) == {
-        "freeness": 1908, "pole_type": 3 * 1788, "rational_b": 1788,
-        "seifert": 1788}
+        "lens": 12231, "freeness": 1908, "pole_type": 3 * 1788,
+        "rational_b": 1788, "seifert": 1788}
 
 
 def test_the_full_default_sweep_digest_is_pinned():

@@ -7,10 +7,12 @@ rational route as one pair, and ``resolution._seifert_solution`` forms
 b''s Seifert solution 2m/h - sum q/p as one pair from ``hj.continuant``.
 Each function here is the route it replaced, in ``Fraction`` arithmetic.
 ``check_exact_routes`` runs the pipeline's stages on a list of specs and
-compares every integer route with its reference, and the witness freeness
-count with the modulo count of ``freeness_float``.
+compares every integer route with its reference, the witness freeness
+count with the modulo count of ``freeness_float``, and each lens group's
+exact turns with the float rows of ``lens_float``.
 """
 
+from collections import Counter
 from fractions import Fraction
 
 from u2sing import resolution
@@ -19,6 +21,7 @@ from u2sing.errors import SnapFailure
 from u2sing.hj import cf_value
 
 from freeness_float import modulo_eigenvalue_one_count
+from lens_float import lens_rows
 from stages import dual_strings
 
 
@@ -44,16 +47,33 @@ def seifert_solution(spec, duals) -> Fraction:
         (cf_value(s) for s in duals), Fraction(0))
 
 
-def check_exact_routes(specs, monkeypatch) -> dict[str, int]:
+def check_lens_route(spec) -> int:
+    """The exact turns of a lens spec against its reference rows: the same
+    order and eigenvalue-one count, and eigen_residues(p) equal to the
+    rows' snapped angles theta +- phi, each pair up to the swap that
+    phi = arccos(Re b1) >= 0 and the row sign rule allow.  Returns the
+    number of swapped pairs."""
+    group, rows = enumerate_group(spec), lens_rows(spec)
+    assert group.order == rows.order, spec.label()
+    assert group.eigenvalue_one_count() == rows.eigenvalue_one_count(), \
+        spec.label()
+    pairs = list(zip(zip(*(x.tolist() for x in group.eigen_residues(spec.p))),
+                     zip(*(x.tolist() for x in rows.eigen_residues(spec.p)))))
+    assert all(e in (f, f[::-1]) for e, f in pairs), spec.label()
+    return sum(e != f for e, f in pairs)
+
+
+def check_exact_routes(specs, monkeypatch) -> Counter:
     """Compare every integer route with its reference on each spec of
-    ``specs``, a list of non-cyclic specs, and count the comparisons by
-    name.  Every label group's freeness counts are compared; the triple,
-    b_Gamma and Seifert routes run on the specs with n > 1.  Each pole type
-    is compared inside the triple, by ``monkeypatch`` wrapping
+    ``specs`` and count the comparisons by name.  A lens group's order,
+    eigenvalue-one count and eigen_residues(p) are compared with its
+    reference rows', the residues up to the swap of the two angles that
+    the rows allow.  Every label group's freeness counts are compared; the
+    triple, b_Gamma and Seifert routes run on the specs with n > 1.  Each
+    pole type is compared inside the triple, by ``monkeypatch`` wrapping
     ``resolution._pole_type``."""
     real = resolution._pole_type
-    counts = dict.fromkeys(("freeness", "pole_type", "rational_b",
-                            "seifert"), 0)
+    counts = Counter()
 
     def checked(theta, phi, p, m):
         got = real(theta, phi, p, m)
@@ -63,6 +83,10 @@ def check_exact_routes(specs, monkeypatch) -> dict[str, int]:
 
     monkeypatch.setattr(resolution, "_pole_type", checked)
     for spec in specs:
+        if spec.is_cyclic:
+            check_lens_route(spec)
+            counts["lens"] += 1
+            continue
         lab = enumerate_group(spec)
         assert lab.eigenvalue_one_count() == modulo_eigenvalue_one_count(
             lab), spec.label()

@@ -17,9 +17,9 @@ from hypothesis import strategies as st
 import u2sing
 import u2sing.catalog
 from u2sing.catalog import (EQ_TOL, FAMILIES, KEY_SCALE, CyclicType, Family,
-                            FiniteGroup, GroupSpec, Labels, _canonical_rows,
-                            _checked, _gstar, _gstar_kind,
-                            _gstar_of, _label_rows, _powers, _row_keys,
+                            FiniteGroup, GroupSpec, Labels, Turns,
+                            _canonical_rows, _checked, _gstar, _gstar_kind,
+                            _gstar_of, _label_rows, _row_keys,
                             _snap_residue, _su2_product, _T_GENS,
                             canonical_cyclic,
                             cyclic_equivalent_type, eigenvalue_histogram,
@@ -31,7 +31,10 @@ from u2sing.errors import (ClosureOverflow, InvalidParameters, NotAGroup,
 from u2sing.report import describe, report_to_json
 
 from dimino_float import _canonical_row, _row_key, dimino_closure, rows_of
-from freeness_float import angle_distances, angle_eigenvalue_one_count
+from fraction_routes import check_lens_route
+from freeness_float import (RowGroup, angle_distances,
+                            angle_eigenvalue_one_count)
+from lens_float import lens_rows, powers, turns_of
 from rowalg import (canonical, compose, equivalent, inverse, key, mobius,
                     power, qmul, row, scalar)
 
@@ -267,7 +270,7 @@ def test_complex_reflection_detected():
     # group generated by diag(1, zeta_3): eigenvalue 1 is structural, and
     # both routes of the count find it in every element
     g = row(math.pi / 3, cmath.exp(-1j * math.pi / 3))
-    group = generate_closure([g], 10)
+    group = RowGroup(generate_closure([g], 10).rows)
     assert group.order == 3
     assert not is_fixed_point_free(group)
     assert group.eigenvalue_one_count() == angle_eigenvalue_one_count(group) == 3
@@ -284,15 +287,18 @@ def _lens_groups(p_max):
 
 
 def test_the_freeness_count_is_the_angle_route_on_every_lens_group():
-    # The count reads a e^{+-i phi} off the row, the reference the angles
-    # theta +- phi: the same elements on all 12,231 lens groups with
-    # p <= 200, and every element but the identity is at least
-    # 2 sin(pi/200) from eigenvalue 1, as DEFAULT_TOLERANCE's comment says.
+    # The exact count on the turns, the row count that reads a e^{+-i phi}
+    # off the reference rows, and the angles theta +- phi: the same
+    # elements on all 12,231 lens groups with p <= 200.  On the rows every
+    # element but the identity is at least 2 sin(pi/200) from eigenvalue 1,
+    # the margin the row count had when the lens path read it.
     count, nearest = 0, math.inf
     for spec, group in _lens_groups(200):
+        rows = lens_rows(spec)
         assert group.eigenvalue_one_count() == 1, spec
-        assert angle_eigenvalue_one_count(group) == 1, spec
-        d = angle_distances(group)
+        assert rows.eigenvalue_one_count() == 1, spec
+        assert angle_eigenvalue_one_count(rows) == 1, spec
+        d = angle_distances(rows)
         assert d[0] == 0.0
         count, nearest = count + 1, min(nearest, d[1:].min())
     assert count == 12231
@@ -303,7 +309,7 @@ def test_the_freeness_count_is_the_angle_route_on_every_lens_group():
 @pytest.mark.parametrize("spec", [GroupSpec.index2(8, 3), GroupSpec.index3(9)],
                          ids=lambda s: s.key())
 def test_the_freeness_count_is_the_angle_route_where_b2_is_not_zero(spec):
-    group = enumerate_gamma_prime(spec)
+    group = RowGroup(enumerate_gamma_prime(spec).rows)
     assert np.abs(group.rows[:, 2]).max() > 0.5
     assert group.eigenvalue_one_count() == angle_eigenvalue_one_count(group) == 1
 
@@ -409,11 +415,11 @@ def test_exact_eigen_residues_are_the_snapped_rows():
                                   GroupSpec.index2(4, 1)],
                          ids=lambda s: s.key())
 def test_the_row_readers_read_what_the_labels_give(spec):
-    # eigenvalue_histogram and cyclic_equivalent_type keep their float
-    # route for row groups; on the rows built from the labels each reads
-    # what its exact route reads on the labels.
+    # eigenvalue_histogram and cyclic_equivalent_type read a row group by
+    # its float residues (tests/freeness_float.py); on the rows built from
+    # the labels each reads what its exact route reads on the labels.
     group = enumerate_group(spec)
-    rows = FiniteGroup(rows_of(group))
+    rows = RowGroup(rows_of(group))
     assert eigenvalue_histogram(rows) == eigenvalue_histogram(group)
     assert cyclic_equivalent_type(rows) == cyclic_equivalent_type(group)
     assert (cyclic_equivalent_type(group) is None) != spec.is_degenerate_cyclic
@@ -422,7 +428,9 @@ def test_the_row_readers_read_what_the_labels_give(spec):
 @pytest.mark.parametrize("spec", [GroupSpec.dihedral(5, 3),
                                   GroupSpec.dihedral(5, 1),
                                   GroupSpec.icosahedral(7),
-                                  GroupSpec.index3(9)],
+                                  GroupSpec.index3(9),
+                                  GroupSpec.cyclic(5, 12),
+                                  GroupSpec.cyclic(187, 200)],
                          ids=lambda s: s.key())
 def test_exact_eigen_residues_refuse_a_modulus_they_do_not_divide(spec):
     group = enumerate_group(spec)
@@ -570,10 +578,13 @@ def test_closure_matches_reference(spec):
 @pytest.mark.parametrize("spec", CLOSURE_CASES, ids=lambda s: s.key())
 def test_reports_do_not_depend_on_the_enumeration_order(spec):
     # the report reads only exact, snapped results of Gamma, so the BFS
-    # order and the Dimino order give the same bytes; a non-cyclic group
-    # is handed in as labels, the BFS rows labelled as the generators are
+    # order and the enumeration's order give the same bytes; the BFS rows
+    # are handed in as turns on the 1/(2p) grid for a cyclic spec, and for
+    # every other as labels, labelled as the generators are
     bfs = generate_closure(generators_of(spec), spec.expected_order())
-    if not spec.is_cyclic:
+    if spec.is_cyclic:
+        bfs = turns_of(bfs.rows, spec.p)
+    else:
         bfs = _label_rows(spec, bfs.rows, "row")
     assert (report_to_json(describe(spec, group=bfs))
             == report_to_json(describe(spec)))
@@ -925,61 +936,92 @@ def test_gamma_prime_matches_reference(spec):
     _assert_same_keys(rows, _scalar_closure(gens, order))
 
 
-def _scaled_left_angle(monkeypatch, factor):
-    """Patch ``generators_of`` so that the cyclic generator's left angle is
-    multiplied by ``factor``: its powers no longer close up at p."""
-    real = u2sing.catalog.generators_of
+def _halved_left_turn(monkeypatch):
+    """Patch the declared lens turns (``_lens_turns``) so that the left turn
+    k/p becomes k/2p: the generator's powers no longer close up at p."""
+    real = u2sing.catalog._lens_turns
 
-    def scaled(spec):
-        gens = real(spec)
-        gens[0, 0] = cmath.exp(1j * factor * cmath.phase(gens[0, 0]))
-        return gens
-    monkeypatch.setattr(u2sing.catalog, "generators_of", scaled)
+    def halved(spec):
+        x, y = real(spec)
+        return x // 2, y
+    monkeypatch.setattr(u2sing.catalog, "_lens_turns", halved)
 
 
 def test_a_lens_space_order_is_found_not_assumed(monkeypatch):
-    # With the left angle of L(5, 12)'s generator halved, its 12th power is
+    # With the left turn of L(5, 12)'s generator halved, its 12th power is
     # (-1, 1, 0), not the identity, and the group it generates has order
-    # 24: enumerating 12 powers would pass order_matches_table.
-    _scaled_left_angle(monkeypatch, 0.5)
+    # 24: enumerating 12 powers would pass order_matches_table.  The
+    # generator row that generators_of evaluates from the turns closes at
+    # 24 as well.
+    _halved_left_turn(monkeypatch)
     spec = GroupSpec.cyclic(5, 12)
-    rows = enumerate_group(spec).rows
-    assert len(rows) == 24 and len(set(_row_keys(rows))) == 24
+    group = enumerate_group(spec)
+    assert (group.x[12], group.y[12]) == (12, 0)
+    wrap = group.x >= 12            # (x, y) ~ (x - 12, y - 12)
+    elements = set(zip((group.x - 12 * wrap).tolist(),
+                       ((group.y - 12 * wrap) % 24).tolist()))
+    assert group.order == len(elements) == 24
+    assert lens_rows(spec).order == 24
     check, = (c for c in describe(spec).checks
               if c.name == "order_matches_table")
     assert not check.passed and check.detail == "enumerated 24, expected 12"
 
 
-def test_a_lens_generator_of_order_past_2p_overflows(monkeypatch):
-    # A fifth of the left angle gives order 30 > 2p = 24.
-    _scaled_left_angle(monkeypatch, 0.2)
-    with pytest.raises(ClosureOverflow, match="exceeded 24 elements"):
-        enumerate_group(GroupSpec.cyclic(5, 12))
+def test_a_lens_order_on_the_turn_grid_divides_2p(monkeypatch):
+    # A generator on the 1/(2p) grid has order dividing 2p, so the lens
+    # enumeration cannot overflow.  For every pair of turns (x, y) on the
+    # grid of p = 12 the order is the least t with t (x, y) at (0, 0) or
+    # (12, 12) mod 24, found one power at a time here, and every divisor
+    # of 24 occurs; none is larger.
+    spec, orders = GroupSpec.cyclic(5, 12), set()
+    for x, y in itertools.product(range(24), repeat=2):
+        monkeypatch.setattr(u2sing.catalog, "_lens_turns",
+                            lambda s, turns=(x, y): turns)
+        first = next(t for t in range(1, 25)
+                     if (t * x % 24, t * y % 24) in ((0, 0), (12, 12)))
+        assert enumerate_group(spec).order == first, (x, y)
+        orders.add(first)
+    assert orders == {1, 2, 3, 4, 6, 8, 12, 24}
 
 
 def test_lens_closures_match_reference():
-    # the powers on every lens spec of the sweep; the breadth-first closure
-    # on those with p <= 60
+    # the reference powers on every lens spec of the sweep; the
+    # breadth-first closure on those with p <= 60
     for spec, group in _lens_groups(200):
-        _assert_same_rows(group.rows, _reference_cyclic_rows(spec))
+        rows = lens_rows(spec).rows
+        assert len(rows) == group.order == spec.p
+        _assert_same_rows(rows, _reference_cyclic_rows(spec))
         if spec.p <= 60:
             gens = generators_of(spec)
             _assert_same_rows(generate_closure(gens, spec.p).rows,
                               _reference_closure(gens, spec.p))
 
 
+def test_the_lens_turns_give_what_the_reference_rows_give():
+    # On every lens spec with p <= 60, the order, the eigenvalue-one count
+    # and eigen_residues(p) of the exact turns against the float rows of
+    # tests/lens_float.py (tests/fraction_routes.py; tests/ci_steps.py
+    # makes the same comparison on all 12,231 lens specs).  The residues
+    # are compared up to a swap of the two angles, and the swap happens.
+    specs = swapped = 0
+    for spec, group in _lens_groups(60):
+        assert isinstance(group, Turns)
+        specs, swapped = specs + 1, swapped + check_lens_route(spec)
+    assert specs == 1101 and swapped > 0
+
+
 def test_an_order_past_max_order_is_found_in_the_second_table():
-    # L(5, 12)'s generator has order 12: the first table, k = 0..6 or
-    # k = 0..11, misses it, so the second, k = 0..2 * max_order, holds it,
-    # and its first 12 rows are those of a table of 12.  A max_order of 5
-    # stops at k = 10.
+    # L(5, 12)'s generator has order 12: the first table of the reference
+    # powers, k = 0..6 or k = 0..11, misses it, so the second,
+    # k = 0..2 * max_order, holds it, and its first 12 rows are those of a
+    # table of 12.  A max_order of 5 stops at k = 10.
     gen = generators_of(GroupSpec.cyclic(5, 12))[0]
     for max_order in (6, 11):
-        rows = _powers(gen, max_order)
+        rows = powers(gen, max_order)
         assert len(rows) == 12 and len(set(_row_keys(rows))) == 12
-        assert rows.tobytes() == _powers(gen, 12).tobytes()
+        assert rows.tobytes() == powers(gen, 12).tobytes()
     with pytest.raises(ClosureOverflow, match="exceeded 10 elements"):
-        _powers(gen, 5)
+        powers(gen, 5)
 
 
 def test_powers_whose_identity_never_recurs_overflow():
@@ -987,7 +1029,7 @@ def test_powers_whose_identity_never_recurs_overflow():
     gen = np.array(row(0.0, cmath.exp(1j)))
     with pytest.raises(ClosureOverflow, match="exceeded 20 elements "
                                               r"\(expected 10\)"):
-        _powers(gen, 10)
+        powers(gen, 10)
 
 
 def test_closure_overflow_threshold_matches_reference():

@@ -30,8 +30,9 @@ from u2sing.sweep import (SweepConfig, VerifySummary, check_eigenvalue_tables,
                           parse_config_file, specs_in_sweep, verify)
 
 from dimino_float import rows_of
-from freeness_float import (angle_eigenvalue_one_count,
+from freeness_float import (RowGroup, angle_eigenvalue_one_count,
                             modulo_eigenvalue_one_count)
+from lens_float import lens_rows
 from stages import table_topology
 
 
@@ -501,20 +502,20 @@ def test_absurd_tolerance_fails(monkeypatch, small_global_bounds):
     assert failed == {"deformation_triple_agreement", "eisenstein_identity"}
 
 
-def test_a_freeness_threshold_past_the_margin_fails(monkeypatch):
-    # Only rows read the threshold: the lens path.  Over the 12,231 lens
+def test_a_threshold_past_the_row_margin_moves_the_reference_alone(
+        monkeypatch):
+    # Only the reference rows read the threshold.  Over the 12,231 lens
     # specs of the default sweep every element but the identity has its
-    # eigenvalues at least 2 sin(pi/200) = 3.1e-2 from 1, least at p = 200.
-    # In L(187, 200) four elements have an eigenvalue that close: a
-    # threshold of 4e-2, patched where freeness reads it, counts them, and
-    # the failing check is recorded.
+    # eigenvalues at least 2 sin(pi/200) = 3.1e-2 from 1 on the rows, least
+    # at p = 200.  In L(187, 200) four elements have an eigenvalue that
+    # close: a threshold of 4e-2 makes the row count take them, and the
+    # exact count on the turns, which reads no threshold, does not.
     spec = GroupSpec.cyclic(187, 200)
-    assert describe(spec).all_passed()
     monkeypatch.setattr(catalog, "DEFAULT_TOLERANCE", 4e-2)
+    assert lens_rows(spec).eigenvalue_one_count() == 5
     check, = (c for c in describe(spec).checks
               if c.name == "fixed_point_free")
-    assert not check.passed
-    assert check.detail == "5 element(s) with eigenvalue 1"
+    assert check.passed and check.detail == "1 element(s) with eigenvalue 1"
 
 
 def test_a_complex_reflection_fails_the_exact_freeness_count(monkeypatch):
@@ -538,7 +539,7 @@ def test_a_complex_reflection_fails_the_exact_freeness_count(monkeypatch):
     assert isinstance(group, catalog.Labels) and group.order == 24
     assert group.eigenvalue_one_count() == modulo_eigenvalue_one_count(
         group) == 7
-    rows = catalog.FiniteGroup(rows_of(group))
+    rows = RowGroup(rows_of(group))
     assert rows.eigenvalue_one_count() == angle_eigenvalue_one_count(rows) == 7
     checks = {c.name: c for c in describe(spec).checks}
     assert checks["order_matches_table"].passed
@@ -565,6 +566,32 @@ def test_the_non_cyclic_resolution_reads_no_float(spec, monkeypatch):
     summary = VerifySummary()
     check_eigenvalue_tables(summary)
     assert summary.passed_failed("eigenvalue_tables") == (3, 0)
+
+
+@pytest.mark.parametrize("spec", [
+    GroupSpec.cyclic(1, 2), GroupSpec.cyclic(3, 7), GroupSpec.cyclic(7, 16),
+    GroupSpec.cyclic(187, 200), GroupSpec.cyclic(5, 100002),
+    GroupSpec.cyclic(5, 100003)], ids=GroupSpec.key)
+def test_the_lens_resolution_reads_no_float(spec, monkeypatch):
+    # A lens group is its exact turns: with the catalog's float threshold,
+    # key grid and sign tolerance absurd, and no row to be built, resolve
+    # passes every check, also past the sweep's p <= 200.  The enumerated
+    # group has order p, is free and is the lens space of the spec.
+    from u2sing.report import resolve
+
+    def refuse(*args):
+        raise AssertionError("a float row was built")
+
+    for name, value in (("DEFAULT_TOLERANCE", 3.0), ("KEY_SCALE", 1e-9),
+                        ("EQ_TOL", 2.0)):
+        monkeypatch.setattr(catalog, name, value)
+    monkeypatch.setattr(catalog, "_row", refuse)
+    report = resolve(spec).report
+    assert report.checks and report.all_passed(), report.checks
+    group = catalog.enumerate_group(spec)
+    assert group.order == spec.p and catalog.is_fixed_point_free(group)
+    assert catalog.cyclic_equivalent_type(group).conj_key() \
+        == canonical_cyclic(spec.q, spec.p).conj_key()
 
 
 def test_eta_table_in_sweep(small_global_bounds):
@@ -686,20 +713,17 @@ def test_verify_goes_on_when_freeness_raises_again(monkeypatch,
 
 
 def _another_lens_generator(monkeypatch):
-    """Patch ``generators_of`` so that each lens spec L(q, p) gets the
-    generator of L(q', p), q' the least unit mod p other than q and q^-1,
-    where there is one (every p > 2)."""
-    real = catalog.generators_of
+    """Patch the declared lens turns (``catalog._lens_turns``) so that each
+    lens spec L(q, p) gets the generator of L(q', p), q' the least unit mod
+    p other than q and q^-1, where there is one (every p > 2)."""
+    real = catalog._lens_turns
 
     def mutant(spec):
-        if spec.is_cyclic:
-            q, p = spec.q, spec.p
-            units = [u for u in range(1, p) if math.gcd(u, p) == 1
-                     and u not in (q, pow(q, -1, p))]
-            if units:
-                return real(GroupSpec.cyclic(units[0], p))
-        return real(spec)
-    monkeypatch.setattr(catalog, "generators_of", mutant)
+        q, p = spec.q, spec.p
+        units = [u for u in range(1, p) if math.gcd(u, p) == 1
+                 and u not in (q, pow(q, -1, p))]
+        return real(GroupSpec.cyclic(units[0], p) if units else spec)
+    monkeypatch.setattr(catalog, "_lens_turns", mutant)
 
 
 LENS_30 = SweepConfig(families=(Family.CYCLIC,), p_max=30)
