@@ -6,8 +6,8 @@ and beta = b1 + b2*jhat.  Gamma' is an (N, 3) array of such rows, a
 ``FiniteGroup``.  A cyclic group is its exact ``Turns``, the powers of its
 generator's turns on the 1/(2p) grid, and reads no float; a non-cyclic
 group is its exact ``Labels``, a phase step and an element of a binary
-polyhedral group each, and no float is read from it after its generators
-are labelled.  The
+polyhedral group each, closed from generators declared as labels, and no
+float is read from it.  The
 library enumerates the groups, locates the cyclic orbifold points of the
 model quotients, builds Hirzebruch-Jung resolution and compactification
 plumbing graphs, and evaluates the deformation-dimension identities --

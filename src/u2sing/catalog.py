@@ -27,8 +27,10 @@ The module enumerates each non-cyclic group by Dimino's algorithm (Butler,
 Fundamental Algorithms for Permutation Groups, LNCS 559, 1991) on exact
 labels: an element is a phase step k and the index j of its SU(2) part in a
 binary polyhedral group G* (D*_4n, T*, O* or I*), whose product is a table
-or, for D*_4n, a formula.  Each G* is built once per process and checked as
-a group before use (Latin square, Light's associativity test on its
+or, for D*_4n, a formula on (a, b).  Each generator is declared once as
+such a label (``_declared``), and ``generators_of`` evaluates the
+declaration as float rows.  Each G* is built once per process and checked
+as a group before use (Latin square, Light's associativity test on its
 generators).  The Hopf-fiber rotation's powers come first, identity first;
 each later generator that is not yet a member adds whole right cosets of
 the group generated so far, one vector product per coset, and only the
@@ -310,9 +312,9 @@ KEY_SCALE = 1e6
 #     2.1e-12 (2.0747847884194925e-12), first at (n, k) = (198, 35), from
 #     one DFT per n.
 # Freeness reads no float: a cyclic group is its exact turns and a
-# non-cyclic group its exact labels.  The other float decisions do not read
-# it: ``_snap_residue`` snaps within 1e-6 * modulus (the generator snap of
-# ``_label_rows`` and the G* residues), row keys round on the
+# non-cyclic group its exact labels, closed from declared generator labels.
+# The other float decisions do not read it: ``_snap_residue`` snaps the
+# T*, O* and I* residues within 1e-6 * modulus, row keys round on the
 # 1 / KEY_SCALE grid, and the sign rule compares coordinates to EQ_TOL.
 DEFAULT_TOLERANCE = 1e-6
 
@@ -334,19 +336,29 @@ def _row(theta: float, beta: tuple[float, float, float, float]) -> list[complex]
     return [z / abs(z), complex(beta[0], beta[1]), complex(beta[2], beta[3])]
 
 
-# Generating quaternions (x0, x1, x2, x3) of T*, O* and I*; the family
-# generators are built from the same tuples.
+# Generating quaternions (x0, x1, x2, x3) of T*, O* and I*, and the SU(2)
+# part of the index-3 family's diagonal generator, an element of T*.
 _T_GENS = ((0.5, 0.5, 0.5, -0.5), (0.5, 0.5, 0.5, 0.5))
 _O_GENS = (_circle(math.pi / 4), (0.5, 0.5, 0.5, 0.5))
 _I_GENS = ((0.5, TAU / 2, 0.0, -0.5 / TAU), (TAU / 2, 0.5, 0.5 / TAU, 0.0))
+_T_DIAGONAL = (-0.5, -0.5, -0.5, 0.5)
+
+
+def _gstar_quaternions(kind: str) -> tuple:
+    """The quaternions that the catalog names in the table of ``kind`` ("T",
+    "O" or "I"): its two generators, 1, and for T* the i, j and diagonal
+    part that the index-3 generators take from it."""
+    gens = {"T": _T_GENS, "O": _O_GENS, "I": _I_GENS}[kind]
+    return (*gens, _ONE, *((_IHAT, _JHAT, _T_DIAGONAL) if kind == "T" else ()))
 
 
 def _gstar_generators(kind: str, n: int = 0) -> np.ndarray:
     """Generator rows [1, g] of the G* of ``kind`` ("D" with n, "T", "O" or
-    "I"): e^{i pi/n} and jhat for D*_4n, else the quaternions above."""
-    quats = {"T": _T_GENS, "O": _O_GENS, "I": _I_GENS}.get(kind)
-    return np.array([_row(0.0, q) for q in
-                     quats or (_circle(math.pi / n), _JHAT)])
+    "I"): e^{i pi/n} and jhat for D*_4n, else its first two named
+    quaternions."""
+    quats = (_gstar_quaternions(kind)[:2] if kind != "D"
+             else (_circle(math.pi / n), _JHAT))
+    return np.array([_row(0.0, q) for q in quats])
 
 
 def _lens_turns(spec: GroupSpec) -> tuple[int, int]:
@@ -360,26 +372,49 @@ def _lens_turns(spec: GroupSpec) -> tuple[int, int]:
     return 2 * k, 2 * (1 - k)
 
 
-def generators_of(spec: GroupSpec) -> np.ndarray:
-    """Generator rows (k, 3) of the family table; the Hopf-fiber rotation
-    [e^{i pi/m}, 1] always comes first for the non-cyclic families, and a
-    product family's G* generators (``_gstar_generators``) follow it."""
+def _declared(spec: GroupSpec) -> tuple[int, list[tuple[int, int | tuple]]]:
+    """A non-cyclic spec's generators, declared once: its phase modulus N
+    (m, 2m or 3m for the product, index-2 and index-3 families) and each
+    generator [e^{i pi k/N}, g] as (k, g), g the D*_4n element a + 2n*b or
+    a quaternion that the table of T*, O* or I* names
+    (``_gstar_quaternions``).  The Hopf-fiber rotation [e^{i pi/m}, 1]
+    comes first, and a product family's G* generators follow it."""
     f, m, n = spec.family, spec.m, spec.n
-    if f is Family.CYCLIC:      # the declared turns, evaluated
+    if f is Family.INDEX2:      # [e^{i pi/(2m)}, jhat] replaces [1, jhat]
+        return 2 * m, [(2, 0), (0, 1), (1, 2 * n)]
+    if f is Family.INDEX3:      # diagonal inside the tetrahedral product
+        return 3 * m, [(3, _ONE), (0, _IHAT), (0, _JHAT), (1, _T_DIAGONAL)]
+    if f is Family.DIHEDRAL:
+        return m, [(1, 0), (0, 1), (0, 2 * n)]
+    quats = _gstar_quaternions(*_gstar_kind(spec))[:2]
+    return m, [(1, _ONE), *((0, q) for q in quats)]
+
+
+def _quaternion(g: int | tuple, n: int) -> tuple[float, float, float, float]:
+    """A declared SU(2) part as a quaternion: a named one as it is, the
+    D*_4n element a + 2n*b as e^{i pi a/n} jhat^b."""
+    if isinstance(g, tuple):
+        return g
+    x = _circle(math.pi * (g % (2 * n)) / n)
+    return x[2:] + x[:2] if g >= 2 * n else x   # e^{it} jhat: (0, 0, cos, sin)
+
+
+def generators_of(spec: GroupSpec) -> np.ndarray:
+    """Generator rows (k, 3) of the family table: the declared generators,
+    evaluated.  A cyclic spec's is its turns (``_lens_turns``); a
+    non-cyclic spec's (``_declared``) are [e^{i pi k/N}, g], the phase
+    taken as pi * a / b with k/N = a/b in lowest terms.  The rows are read
+    by the index-2 and index-3 Gamma' and by the tests' float references;
+    the enumeration reads the declared labels."""
+    if spec.is_cyclic:
         x, y = _lens_turns(spec)
         return np.array([_row(math.pi * x / spec.p,
                               _circle(math.pi * y / spec.p))])
-
-    fiber = _row(math.pi / m, _ONE)
-    if f is Family.INDEX2:
-        rows = [fiber, _row(0.0, _circle(math.pi / n)),
-                _row(math.pi / (2 * m), _JHAT)]
-    elif f is Family.INDEX3:    # diagonal inside the tetrahedral product
-        rows = [fiber, _row(0.0, _IHAT), _row(0.0, _JHAT),
-                _row(math.pi / (3 * m), (-0.5, -0.5, -0.5, 0.5))]
-    else:
-        rows = [fiber, *_gstar_generators(*_gstar_kind(spec))]
-    return np.array(rows)
+    big_n, gens = _declared(spec)
+    # k/N in lowest terms: the fiber's phase 3 pi/3m is pi/m, to the bit
+    return np.array([_row(math.pi * t.numerator / t.denominator,
+                          _quaternion(g, spec.n))
+                     for t, g in ((Fraction(k, big_n), g) for k, g in gens)])
 
 
 def _canonical_rows(arr: np.ndarray) -> np.ndarray:
@@ -480,10 +515,11 @@ def generate_closure(generators: np.ndarray, max_order: int) -> FiniteGroup:
 # [e^{i pi k / N}, g_j] is the label (k, j), with N = m, 2m or 3m for the
 # product, index-2 and index-3 families and g_j the j-th element of G*.
 # The pairs (k, j) and (k + N, -j) are one element, so k is kept in
-# 0..N-1, and the key k * |G*| + j is exact.  Products, membership,
-# freeness, the eigen-angles and the Mobius image read these integers; the
-# one float decision is the generator snap that labels the generators
-# (``_label_rows``), and no row is built from labels.
+# 0..N-1, and the key k * |G*| + j is exact.  The generators are declared
+# as labels (``_declared``), and products, membership, freeness, the
+# eigen-angles and the Mobius image read these integers; no row is built
+# from labels.  D*_4n is a formula on (a, b); the float decisions left are
+# the grid keys and residue snaps of the T*, O* and I* tables (``_tabled``).
 # ---------------------------------------------------------------------------
 
 # Check a G* product this many entries at a time, so that no |G*|^2 array
@@ -495,25 +531,28 @@ _CHECK_BLOCK = 1 << 16
 class GStar:
     """A finite subgroup of SU(2) with its exact product.
 
-    ``su2`` holds the elements as (b1, b2) rows, identity first, and
-    ``gens`` the indices of a generating set.  The product of elements x and
-    y (the quaternion g_x g_y) is ``table[x, y]``, or for D*_4n, whose
-    element a + 2n*b is e^{i pi a/n} jhat^b, the formula of ``mul``.  The
-    negation map, each element's order and its eigen-residue r (eigenvalues
-    e^{+-2 pi i r / order}) are set by ``_checked``.
+    Element 0 is the identity, and ``gens`` holds the indices of a
+    generating set.  The product of elements x and y (the quaternion
+    g_x g_y) is ``table[x, y]``, or for D*_4n, whose element a + 2n*b is
+    e^{i pi a/n} jhat^b, the formula of ``mul``.  ``neg`` maps each element
+    to its negative, and ``order`` and ``residue`` give its eigenvalues
+    e^{+-2 pi i residue / order}; ``_checked`` checks all of them.  A
+    table's ``named`` maps each quaternion the catalog names in it
+    (``_gstar_quaternions``) to its index.
     """
 
     name: str
-    su2: np.ndarray
     gens: tuple[int, ...]
+    neg: np.ndarray
+    order: np.ndarray
+    residue: np.ndarray
     table: np.ndarray | None = None
     n: int = 0
-    neg: np.ndarray | None = None
-    order: np.ndarray | None = None
-    residue: np.ndarray | None = None
+    named: dict | None = None
 
-    def __post_init__(self) -> None:
-        self.index = {k: i for i, k in enumerate(_row_keys(self.su2))}
+    @property
+    def size(self) -> int:
+        return 4 * self.n if self.table is None else len(self.table)
 
     def mul(self, x, y):
         """The index of g_x g_y, for ints or broadcast integer arrays."""
@@ -526,18 +565,16 @@ class GStar:
 
 
 def _checked(g: GStar) -> GStar:
-    """``g`` with its negation map, orders and eigen-residues set on it,
-    once it is a group; NotAGroup otherwise.
+    """``g`` once it is a group with the negation, orders and residues it
+    carries; NotAGroup otherwise.
 
     The product must have element 0 as identity and be a Latin square, and
     it must pass Light's associativity test on the generators, which must
-    generate every element: then it is a group.  The negation of each
-    element (by grid key) must be a fixed-point-free involution, equal to
-    the product with -1 on either side.  Each element's order and residue
-    come from one snap of its eigen-angle arccos(Re b1) to the 2 pi / |G*|
-    grid, and its power to that order in the product must be 1.
+    generate every element: then it is a group.  The negation must be a
+    fixed-point-free involution, equal to the product with -1 on either
+    side, and each element's power to its order in the product must be 1.
     """
-    size, every = len(g.su2), np.arange(len(g.su2))
+    size, every = g.size, np.arange(g.size)
 
     def fail(what: str):
         raise NotAGroup(f"{g.name}: {what}")
@@ -564,28 +601,28 @@ def _checked(g: GStar) -> GStar:
     if not reach.all():
         fail("the generators do not generate it")
 
-    # neg, order and residue are set on g itself: a dataclass copy would
-    # build its grid-key index again
-    g.neg = neg = np.array([g.index.get(k, -1) for k in _row_keys(-g.su2)])
+    neg = g.neg
     if not ((neg >= 0).all() and (neg != every).all()
             and np.array_equal(neg[neg], every)
             and np.array_equal(g.mul(every, neg[0]), neg)
             and np.array_equal(g.mul(neg[0], every), neg)):
         fail("negation is not a central fixed-point-free involution")
 
-    # eigenvalues e^{+-i phi}, phi = 2 pi t / |G*| (every order divides
-    # |G*|), and t / |G*| = residue / order in lowest terms
-    phi = np.arccos(np.clip(g.su2[:, 0].real, -1.0, 1.0))
-    t = np.array([_snap_residue(f, size) for f in phi.tolist()])
-    g.order = order = size // np.gcd(t, size)
-    g.residue = t * order // size
-    power, base, e = np.zeros(size, dtype=int), every, order
+    power, base, e = np.zeros(size, dtype=int), every, g.order
     while e.any():              # every element to the power of its order
         power = np.where(e & 1, g.mul(power, base), power)
         base, e = g.mul(base, base), e >> 1
     if power.any():
         fail("an element's power to the order of its eigenvalues is not 1")
     return g
+
+
+def _orders(t: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The orders and residues of elements with eigenvalues
+    e^{+-2 pi i t / size}: t / size = residue / order in lowest terms (every
+    order divides |G*| = size)."""
+    order = size // np.gcd(t, size)
+    return order, t * order // size
 
 
 @functools.cache
@@ -604,8 +641,11 @@ def _gstar_closure(kind: str, n: int = 0) -> FiniteGroup:
 
 
 def _tabled(kind: str) -> GStar:
-    """T*, O* or I* from its closure's SU(2) columns (identity first), with
-    the product table of all pairs keyed back into them."""
+    """T*, O* or I* from its closure's SU(2) columns (identity first): the
+    product table of all pairs, the negation map and the named quaternions
+    keyed back into them, and each element's order and residue from one
+    snap of its eigen-angle arccos(Re b1) to the 2 pi / |G*| grid.  These
+    are the catalog's one float G*."""
     els = np.ascontiguousarray(_gstar_closure(kind).rows[:, 1:])
     index = {k: i for i, k in enumerate(_row_keys(els))}
     table = np.empty((len(els), len(els)), dtype=int)
@@ -618,18 +658,28 @@ def _tabled(kind: str) -> GStar:
                                            len(keys)).reshape(-1, len(els))
         except KeyError:
             raise NotAGroup(f"{kind}*: a product is not an element") from None
-    # the generators' own indices: the closure added each of them
-    gens = _row_keys(_gstar_generators(kind)[:, 1:])
-    return GStar(f"{kind}*", els, tuple(map(index.__getitem__, gens)), table)
+    # the closure added each named quaternion: they are its generators or
+    # products of them
+    quats = _gstar_quaternions(kind)
+    keys = _row_keys(np.array([_row(0.0, q)[1:] for q in quats]))
+    named = dict(zip(quats, map(index.__getitem__, keys)))
+    neg = np.array([index.get(k, -1) for k in _row_keys(-els)])
+    phi = np.arccos(np.clip(els[:, 0].real, -1.0, 1.0))
+    t = np.array([_snap_residue(f, len(els)) for f in phi.tolist()])
+    return GStar(f"{kind}*", (named[quats[0]], named[quats[1]]), neg,
+                 *_orders(t, len(els)), table=table, named=named)
 
 
 def _binary_dihedral(n: int) -> GStar:
-    """D*_4n exactly: element a + 2n*b is e^{i pi a/n} jhat^b, generated by
-    e^{i pi/n} and jhat; its product is a formula, not a table."""
-    z = np.exp(1j * math.pi / n * np.arange(2 * n))
-    zero = np.zeros(2 * n, dtype=complex)
-    su2 = np.concatenate([np.stack([z, zero], 1), np.stack([zero, z], 1)])
-    return GStar(f"D*{4 * n}", su2, (1, 2 * n), n=n)
+    """D*_4n exactly, on (a, b) alone: element a + 2n*b is
+    e^{i pi a/n} jhat^b, generated by e^{i pi/n} and jhat; its product is a
+    formula, not a table.  Its negative is (a + n mod 2n) + 2n*b, and its
+    eigenvalues are e^{+-2 pi i t / 4n} with t = 2 min(a, 2n - a) for b = 0
+    and t = n (+-i) for b = 1."""
+    a, b = np.tile(np.arange(2 * n), 2), np.repeat([0, 1], 2 * n)
+    t = np.where(b, n, 2 * np.minimum(a, 2 * n - a))
+    return GStar(f"D*{4 * n}", (1, 2 * n), (a + n) % (2 * n) + 2 * n * b,
+                 *_orders(t, 4 * n), n=n)
 
 
 @functools.cache
@@ -647,13 +697,6 @@ def _gstar_kind(spec: GroupSpec) -> tuple:
     if f in (Family.DIHEDRAL, Family.INDEX2):
         return "D", spec.n
     return ({Family.OCTAHEDRAL: "O", Family.ICOSAHEDRAL: "I"}.get(f, "T"),)
-
-
-def _gstar_of(spec: GroupSpec) -> tuple[GStar, int]:
-    """The G* of a non-cyclic spec and its phase modulus N."""
-    m = spec.m
-    return (_gstar(*_gstar_kind(spec)),
-            {Family.INDEX2: 2 * m, Family.INDEX3: 3 * m}.get(spec.family, m))
 
 
 @dataclass(eq=False)
@@ -710,29 +753,17 @@ def _residues(plus: np.ndarray, minus: np.ndarray, den,
     return tuple(out)
 
 
-def _label_rows(spec: GroupSpec, rows: np.ndarray, what: str) -> Labels:
-    """The labels (k, j) of rows of ``spec``'s group, k in 0..N-1.  The
-    phase of each must snap to the pi/N grid and its SU(2) part must have
-    the grid key of an element of G*; else SnapFailure names the row as
-    ``what`` and its index."""
-    g, n = _gstar_of(spec)
-    k = np.empty(len(rows), dtype=int)
-    j = np.empty(len(rows), dtype=int)
-    keys = _row_keys(rows[:, 1:3])
-    for i, (a, key) in enumerate(zip(rows[:, 0].tolist(), keys)):
-        try:
-            k[i] = _snap_residue(math.atan2(a.imag, a.real), 2 * n)
-        except SnapFailure:
-            raise SnapFailure(f"{spec.label()}: the phase of {what} {i} is "
-                              f"not on the pi/{n} grid") from None
-        if key not in g.index:
-            raise SnapFailure(f"{spec.label()}: the SU(2) part of {what} {i} "
-                              f"is not in {g.name}")
-        j[i] = g.index[key]
-    wrap = k >= n
-    k[wrap] -= n
-    j[wrap] = g.neg[j[wrap]]
-    return Labels(k, j, g, n)
+def _generator_labels(spec: GroupSpec) -> tuple[GStar, int,
+                                                list[tuple[int, int]]]:
+    """A non-cyclic spec's G*, its phase modulus N and its declared
+    generators (``_declared``) as labels (k, j) with k in 0..N-1: (k, j)
+    with k >= N is (k - N, -j), and a named quaternion is the index its
+    table gave it once.  No float is read."""
+    g = _gstar(*_gstar_kind(spec))
+    n, gens = _declared(spec)
+    labels = [(k, g.named[e] if isinstance(e, tuple) else e) for k, e in gens]
+    return g, n, [(k - n, int(g.neg[j])) if k >= n else (k, j)
+                  for k, j in labels]
 
 
 def _dimino(spec: GroupSpec) -> Labels:
@@ -759,10 +790,8 @@ def _dimino(spec: GroupSpec) -> Labels:
     The order of the listing is the seed's; the Mobius stage reads Gamma
     as a set (``resolution._coset_indices``).
     """
-    lab = _label_rows(spec, generators_of(spec), "generator")
-    g, n = lab.gstar, lab.n
-    gens = list(zip(lab.k.tolist(), lab.j.tolist()))
-    size, max_order = len(g.su2), spec.expected_order()
+    g, n, gens = _generator_labels(spec)
+    size, max_order = g.size, spec.expected_order()
     limit = 2 * max_order
     too_many = f"closure exceeded {limit} elements (expected {max_order})"
 
@@ -920,16 +949,18 @@ def cyclic_equivalent_type(group: Turns | Labels) -> CyclicType | None:
     conjugate to diag(zeta_N, zeta_N^q); normalizing the exponent pair by
     the inverse of the first gives q, reported insensitive to the
     conjugation swap q <-> q^{-1}.  The exponents are the group's
-    ``eigen_residues`` mod N.
+    ``eigen_residues`` mod N, all of them snapped, and they are read one
+    element at a time up to the first that gives a type: for a lens group
+    that is element 1, its generator.
     """
     n = group.order
-    for k1, k2 in zip(*(x.tolist() for x in group.eigen_residues(n))):
+    for k1, k2 in zip(*group.eigen_residues(n)):
+        k1, k2 = int(k1), int(k2)
         if math.gcd(k1, n) == 1:
             q = (k2 * pow(k1, -1, n)) % n
             if math.gcd(q, n) != 1:
                 continue        # eigenvalue 1 somewhere: not free, not a lens
-            q = min(q, pow(q, -1, n))
-            return canonical_cyclic(q, n)
+            return canonical_cyclic(min(q, pow(q, -1, n)), n)
     return None
 
 

@@ -145,8 +145,8 @@ def describe(spec: GroupSpec,
     ``spec`` again: the ``GroupSpec`` constructor has refused bad
     parameters.  What raises, when ``group`` is None and the enumeration
     here fails: ClosureOverflow when it overflows; SnapFailure when a
-    generator does not snap to a label (``catalog._label_rows``); and
-    NotAGroup when a G* fails its group check (``catalog._checked``,
+    T*, O* or I* eigen-angle does not snap to a residue (``catalog._tabled``);
+    and NotAGroup when a G* fails its group check (``catalog._checked``,
     ``_gstar_closure``, ``_tabled``).  For a degenerate (n = 1) spec, also a
     SnapFailure when an element's eigen-angles are not multiples of
     1/|Gamma| turn.  A degenerate group with no lens type is a failing

@@ -18,8 +18,9 @@ module computes the three types twice:
     of its eigenvalues, and the normal direction carries the 2m-th power of
     the eigenvalue on the pole's line, because the model fiber is a
     degree-2m quotient; each rotation number is one integer ``divmod``.  No
-    float is read on this route; the one float decision before it is the
-    generator snap that labels the group (``catalog._label_rows``).  The
+    float is read on this route: the group's generators are declared as
+    labels (``catalog._declared``), and only the T*, O* and I* tables were
+    keyed from floats, once per process (``catalog._tabled``).  The
     stabilizer classes depend on the G* alone: every image is G*/+-1, so
     they are computed once per process for each G*; the types are read per
     spec.
@@ -246,7 +247,7 @@ def _coset_indices(lab: Labels) -> np.ndarray:
     representatives, like their order, depend on Gamma as a set and not on
     how the enumeration lists it.
     """
-    size, h = len(lab.gstar.su2), len(lab.j)
+    size, h = lab.gstar.size, len(lab.j)
     cls = np.minimum(lab.j, lab.gstar.neg[lab.j])
     # key * h + index: the least per class names its smallest key's element
     least = np.full(size, lab.n * size * h)
@@ -258,8 +259,8 @@ def _mobius_table(gstar: GStar) -> np.ndarray:
     """The product table of G*/+-1 over its class ids min(j, -j) in
     ascending order, the j with j < -j, so the identity is first.  Entry
     (a, b) is the index of the class of the G* product g_a g_b."""
-    j = np.flatnonzero(np.arange(len(gstar.su2)) < gstar.neg)
-    coset = np.empty(len(gstar.su2), dtype=int)
+    j = np.flatnonzero(np.arange(gstar.size) < gstar.neg)
+    coset = np.empty(gstar.size, dtype=int)
     coset[j] = coset[gstar.neg[j]] = np.arange(len(j))
     return coset[gstar.mul(j[:, None], j[None, :])]
 
@@ -358,7 +359,7 @@ def algorithmic_singularities(spec: GroupSpec, lab: Labels
     passed as the integer pairs (k, 2N) and (+-r, o) (``_pole_type``).  The
     family table is never consulted.
     """
-    h, half = spec.pgl_image_order(), len(lab.gstar.su2) // 2
+    h, half = spec.pgl_image_order(), lab.gstar.size // 2
     coset_idx = _coset_indices(lab)
     if not len(coset_idx) == h == half:
         raise OrbitCountMismatch(

@@ -1,6 +1,8 @@
 """The checks CI makes beyond tier-1: specs past the sweep bounds, the
 singularity triple at n <= 200, the image memo over the default sweep, the
 integer routes against their references over the default sweep, the
+declared generator labels against the float snap over the default sweep
+and D*_4n's exact fields against the float route to n = 400, the
 masked digest of the default sweep's reports, the label closure against
 the float Dimino at |D*| = 796, the global identities past their default
 bounds, the README config, written report text, verify's stdout across
@@ -36,7 +38,7 @@ from u2sing.sweep import (SweepConfig, VerifySummary, check_eisenstein,
                           check_hj_roundtrip, specs_in_sweep, verify)
 
 import sweep_digest
-from dimino_float import dimino_closure, rows_of
+from dimino_float import check_declared_labels, dimino_closure, rows_of
 from fraction_routes import check_exact_routes
 from report_diff import diff_folders
 
@@ -124,6 +126,15 @@ def test_the_integer_routes_equal_their_references_on_the_default_sweep(
     assert check_exact_routes(specs, monkeypatch) == {
         "lens": 12231, "freeness": 1908, "pole_type": 3 * 1788,
         "rational_b": 1788, "seifert": 1788}
+
+
+def test_the_declared_labels_are_the_reference_snap_on_the_default_sweep():
+    # The declared generator labels against the float snap of the rows
+    # generators_of evaluates, on all 1,908 non-cyclic specs, and D*_4n's
+    # exact negation, orders and residues against the float route's for
+    # n <= 400 (tests/dimino_float.py).
+    specs = list(specs_in_sweep(SweepConfig()))
+    assert check_declared_labels(specs, 400) == 1908
 
 
 def test_the_full_default_sweep_digest_is_pinned():

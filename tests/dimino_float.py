@@ -1,4 +1,5 @@
-"""Dimino's closure on float rows: the reference for the label closure.
+"""Dimino's closure on float rows, and the float labelling of rows: the
+references for the label closure and the declared generator labels.
 
 ``catalog.enumerate_group`` enumerates a non-cyclic group on exact labels
 (``catalog._dimino``).  This is the float closure it replaced, kept so that
@@ -7,6 +8,14 @@ same grid keys in the same order.  It composes rows, with the same sign rule
 and grid keys as ``catalog._canonical_rows`` and ``catalog._row_keys``, and
 walks its seed's powers itself, one composition at a time.  Its seed rule
 reads the orders it walks, not the label bounds of ``catalog._dimino``.
+
+The generators are declared as labels (``catalog._declared``); before they
+were, the rows of ``catalog.generators_of`` were snapped to labels, and
+that snap is ``label_rows`` here.  D*_4n is a formula on its labels
+(``catalog._binary_dihedral``); its float rows are ``gstar_rows``, and
+``float_fields`` derives its negation, orders and residues from them as the
+float T*, O* and I* tables are derived.  ``check_declared_labels`` compares
+the exact labels and D*_4n's exact fields with these references.
 """
 
 import math
@@ -14,16 +23,99 @@ import struct
 
 import numpy as np
 
-from u2sing.catalog import (EQ_TOL, KEY_SCALE, FiniteGroup, Labels,
-                            _canonical_rows, _row_keys)
-from u2sing.errors import ClosureOverflow
+from u2sing.catalog import (EQ_TOL, KEY_SCALE, Family, FiniteGroup, GStar,
+                            Labels, _binary_dihedral, _canonical_rows,
+                            _generator_labels, _gstar, _gstar_closure,
+                            _gstar_kind, _row_keys, _snap_residue,
+                            generators_of)
+from u2sing.errors import ClosureOverflow, SnapFailure
+
+
+def gstar_rows(g: GStar) -> np.ndarray:
+    """The elements of a G* as float (b1, b2) rows, in index order: D*_4n's
+    element a + 2n*b as e^{i pi a/n} jhat^b = (0, e^{i pi a/n}) for b = 1,
+    and a table's as the SU(2) columns of the closure it was keyed from
+    (the closure of T*, O* or I* is cached under the first letter of its
+    name)."""
+    if g.table is not None:
+        return _gstar_closure(g.name[0]).rows[:, 1:]
+    z = np.exp(1j * math.pi / g.n * np.arange(2 * g.n))
+    zero = np.zeros(2 * g.n, dtype=complex)
+    return np.concatenate([np.stack([z, zero], 1), np.stack([zero, z], 1)])
 
 
 def rows_of(group: Labels, idx=slice(None)) -> np.ndarray:
     """Canonical (a, b1, b2) rows of the elements at ``idx`` of a labelled
     group: (k, j) is the row of [e^{i pi k/N}, g_j]."""
     a = np.exp(1j * math.pi / group.n * group.k[idx])
-    return _canonical_rows(np.column_stack([a, group.gstar.su2[group.j[idx]]]))
+    return _canonical_rows(np.column_stack(
+        [a, gstar_rows(group.gstar)[group.j[idx]]]))
+
+
+def float_fields(su2: np.ndarray) -> tuple[np.ndarray, np.ndarray,
+                                           np.ndarray]:
+    """The negation map, orders and residues of the G* with float elements
+    ``su2``: the negative by the grid key of -g (-1 if none is an element),
+    and the order and residue from one snap of arccos(Re b1) to the
+    2 pi / |G*| grid (``catalog._snap_residue``)."""
+    index = {k: i for i, k in enumerate(_row_keys(su2))}
+    neg = np.array([index.get(k, -1) for k in _row_keys(-su2)])
+    phi = np.arccos(np.clip(su2[:, 0].real, -1.0, 1.0))
+    t = np.array([_snap_residue(f, len(su2)) for f in phi.tolist()])
+    order = len(su2) // np.gcd(t, len(su2))
+    return neg, order, t * order // len(su2)
+
+
+def label_rows(spec, rows: np.ndarray, what: str) -> Labels:
+    """The labels (k, j) of rows of ``spec``'s group, k in 0..N-1.  The
+    phase of each must snap to the pi/N grid and its SU(2) part must have
+    the grid key of an element of G*; else SnapFailure names the row as
+    ``what`` and its index.  A phase past pi is wrapped by the grid key of
+    the negated SU(2) part."""
+    g = _gstar(*_gstar_kind(spec))
+    n = {Family.INDEX2: 2 * spec.m, Family.INDEX3: 3 * spec.m}.get(
+        spec.family, spec.m)
+    su2 = gstar_rows(g)
+    index = {key: i for i, key in enumerate(_row_keys(su2))}
+    k = np.empty(len(rows), dtype=int)
+    j = np.empty(len(rows), dtype=int)
+    keys = _row_keys(rows[:, 1:3])
+    for i, (a, key) in enumerate(zip(rows[:, 0].tolist(), keys)):
+        try:
+            k[i] = _snap_residue(math.atan2(a.imag, a.real), 2 * n)
+        except SnapFailure:
+            raise SnapFailure(f"{spec.label()}: the phase of {what} {i} is "
+                              f"not on the pi/{n} grid") from None
+        if key not in index:
+            raise SnapFailure(f"{spec.label()}: the SU(2) part of {what} {i} "
+                              f"is not in {g.name}")
+        j[i] = index[key]
+        if k[i] >= n:
+            k[i], j[i] = k[i] - n, index[_row_keys(-su2[j[i]][None])[0]]
+    return Labels(k, j, g, n)
+
+
+def check_declared_labels(specs, dstar_n_max: int) -> int:
+    """Compare each non-cyclic spec's declared generator labels
+    (``catalog._generator_labels``) with ``label_rows`` of the rows
+    ``generators_of`` evaluates, and the exact negation, orders and
+    residues of D*_4n for n = 1..``dstar_n_max`` with ``float_fields`` of
+    its float rows.  Returns the number of specs compared."""
+    count = 0
+    for spec in specs:
+        if spec.is_cyclic:
+            continue
+        _, n, gens = _generator_labels(spec)
+        ref = label_rows(spec, generators_of(spec), "generator")
+        assert n == ref.n, spec
+        assert gens == list(zip(ref.k.tolist(), ref.j.tolist())), spec
+        count += 1
+    for n in range(1, dstar_n_max + 1):
+        g = _binary_dihedral(n)
+        for got, want in zip((g.neg, g.order, g.residue),
+                             float_fields(gstar_rows(g))):
+            assert got.tolist() == want.tolist(), n
+    return count
 
 
 # One row as a tuple of three Python complex numbers: the scalar steps of

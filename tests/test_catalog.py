@@ -18,19 +18,20 @@ import u2sing
 import u2sing.catalog
 from u2sing.catalog import (EQ_TOL, FAMILIES, KEY_SCALE, CyclicType, Family,
                             FiniteGroup, GroupSpec, Labels, Turns,
-                            _canonical_rows, _checked, _gstar, _gstar_kind,
-                            _gstar_of, _label_rows, _row_keys,
+                            _canonical_rows, _checked, _gstar,
+                            _gstar_closure, _gstar_kind, _row_keys,
                             _snap_residue, _su2_product, _T_GENS,
-                            canonical_cyclic,
-                            cyclic_equivalent_type, eigenvalue_histogram,
-                            enumerate_gamma_prime, enumerate_group,
+                            canonical_cyclic, cyclic_equivalent_type,
+                            eigenvalue_histogram, enumerate_gamma_prime,
+                            enumerate_group,
                             generate_closure, generators_of,
                             is_fixed_point_free)
 from u2sing.errors import (ClosureOverflow, InvalidParameters, NotAGroup,
                            NotCoprime, SnapFailure)
 from u2sing.report import describe, report_to_json
 
-from dimino_float import _canonical_row, _row_key, dimino_closure, rows_of
+from dimino_float import (_canonical_row, _row_key, check_declared_labels,
+                          dimino_closure, gstar_rows, label_rows, rows_of)
 from fraction_routes import check_lens_route
 from freeness_float import (RowGroup, angle_distances,
                             angle_eigenvalue_one_count)
@@ -352,6 +353,36 @@ def test_degenerate_specs_are_cyclic(spec):
         for g in scalar(rows_of(group)))
 
 
+def _types_of_every_generator(group):
+    """The values min(q, q^-1) mod N, q = k2/k1, of every element whose
+    eigen-residues (k1, k2) mod N = |group| give a lens type: k1 and q
+    units mod N."""
+    n = group.order
+    k1, k2 = (x.tolist() for x in group.eigen_residues(n))
+    qs = (b * pow(a, -1, n) % n for a, b in zip(k1, k2) if math.gcd(a, n) == 1)
+    return {min(q, pow(q, -1, n)) for q in qs if math.gcd(q, n) == 1}
+
+
+def test_the_lens_type_is_the_one_every_generator_gives():
+    # A generator g^s of a cyclic group of order N has eigen-residues
+    # s (k1, k2), so q = k2/k1 mod N is one value over all of them:
+    # cyclic_equivalent_type, which stops at the first element that gives
+    # a type, reads the type that all of them give.  On every lens group
+    # with p <= 60, where it is also the spec's own type up to
+    # q <-> q^-1, and on every n = 1 spec of the default sweep.
+    from u2sing.sweep import SweepConfig, specs_in_sweep
+    lens = list(_lens_groups(60))
+    degenerate = [(s, enumerate_group(s)) for s in specs_in_sweep(SweepConfig())
+                  if s.is_degenerate_cyclic]
+    assert (len(lens), len(degenerate)) == (1101, 120)
+    for spec, group in lens + degenerate:
+        t = cyclic_equivalent_type(group)
+        assert t.beta == group.order, spec
+        assert _types_of_every_generator(group) == {t.alpha}, spec
+        if spec.is_cyclic:
+            assert t.conj_key() == canonical_cyclic(spec.q, spec.p).conj_key()
+
+
 def test_nondegenerate_not_flagged():
     assert not GroupSpec.dihedral(1, 2).is_degenerate_cyclic
     assert not GroupSpec.tetrahedral(1).is_degenerate_cyclic
@@ -585,7 +616,7 @@ def test_reports_do_not_depend_on_the_enumeration_order(spec):
     if spec.is_cyclic:
         bfs = turns_of(bfs.rows, spec.p)
     else:
-        bfs = _label_rows(spec, bfs.rows, "row")
+        bfs = label_rows(spec, bfs.rows, "row")
     assert (report_to_json(describe(spec, group=bfs))
             == report_to_json(describe(spec)))
 
@@ -627,10 +658,10 @@ def test_scalar_keys_round_half_to_even_like_the_array_keys():
 
 
 @pytest.mark.parametrize("drift", ["fiber", "later"])
-def test_a_drifting_generator_overflows_the_dimino_closure(drift, monkeypatch):
-    # A generator that drifts off the group is refused when it is labelled,
-    # with SnapFailure naming it; the float closure (the reference) let it
-    # run on until ClosureOverflow.
+def test_a_drifting_generator_overflows_the_dimino_closure(drift):
+    # A generator row that drifts off the group runs the float closure on
+    # until ClosureOverflow, and the reference snap that labelled the rows
+    # before the generators were declared as labels refuses it by name.
     spec = GroupSpec.dihedral(5, 3)
     gens = generators_of(spec).copy()
     if drift == "fiber":    # its powers never return to the identity
@@ -641,9 +672,8 @@ def test_a_drifting_generator_overflows_the_dimino_closure(drift, monkeypatch):
         text = "the SU(2) part of generator 1 is not in D*12"
     with pytest.raises(ClosureOverflow):
         dimino_closure(gens, spec.expected_order())
-    monkeypatch.setattr(u2sing.catalog, "generators_of", lambda s: gens)
     with pytest.raises(SnapFailure, match=re.escape(text)):
-        enumerate_group(spec)
+        label_rows(spec, gens, "generator")
 
 
 # -- the label closure against the float Dimino -----------------------------
@@ -665,6 +695,21 @@ def test_label_closure_matches_the_float_dimino_in_the_sweep():
     assert len(specs) == 100 and any(s.is_degenerate_cyclic for s in specs)
     for spec in specs:
         _assert_label_group_is_the_reference(spec)
+
+
+def test_the_declared_labels_are_the_reference_snap_in_the_sweep():
+    # The generator labels that the enumeration reads are declared, not
+    # snapped: on every non-cyclic spec with m <= 20 and n <= 6, every
+    # ONE_PER_FAMILY spec of test_resolution.py among them, they are the
+    # float snap of the rows generators_of evaluates, and D*_4n's exact
+    # negation, orders and residues are the float route's for n <= 6
+    # (tests/ci_steps.py: the default sweep and n <= 400).
+    from test_resolution import ONE_PER_FAMILY
+    from u2sing.sweep import SweepConfig, specs_in_sweep
+    specs = list(specs_in_sweep(SweepConfig(
+        families=tuple(set(Family) - {Family.CYCLIC}), m_max=20, n_max=6)))
+    assert set(ONE_PER_FAMILY) <= set(specs)
+    assert check_declared_labels(specs, 6) == 100
 
 
 def _catalog_spec(build, *params):
@@ -707,26 +752,27 @@ GSTARS = [(GroupSpec.tetrahedral(1), ("T",), 24),
                               for _, k, _ in GSTARS])
 def test_every_gstar_is_a_checked_group(spec, key, size):
     # Each product, negation, order and residue against the float
-    # quaternions: products agree to rounding, the order is the first power
-    # that returns to 1, and the eigenvalues are e^{+-2 pi i r / order}.
-    # The table checked is the one object every spec over it reads.
+    # quaternions (tests/dimino_float.py): products agree to rounding, the
+    # order is the first power that returns to 1, and the eigenvalues are
+    # e^{+-2 pi i r / order}.  The table checked is the one object the
+    # enumeration of every spec over it reads.
     assert _gstar_kind(spec) == key
     g = _gstar(*key)
-    assert g is _gstar_of(spec)[0]
-    assert len(g.su2) == size
-    every = np.arange(size)
-    x1, x2 = g.su2.T
+    assert g is enumerate_group(spec).gstar
+    assert g.size == size
+    every, su2 = np.arange(size), gstar_rows(g)
+    x1, x2 = su2.T
     prod = np.stack(_su2_product(x1[:, None], x2[:, None], x1, x2), -1)
-    assert np.abs(prod - g.su2[g.mul(every[:, None], every)]).max() < 1e-12
-    assert np.abs(g.su2[g.neg] + g.su2).max() < 1e-12
-    power, order = g.su2.copy(), np.zeros(size, dtype=int)
+    assert np.abs(prod - su2[g.mul(every[:, None], every)]).max() < 1e-12
+    assert np.abs(su2[g.neg] + su2).max() < 1e-12
+    power, order = su2.copy(), np.zeros(size, dtype=int)
     for t in range(1, size + 1):
         back = (np.abs(power - [1, 0]).max(axis=1) < 1e-9) & (order == 0)
         order[back] = t
         power = np.stack(_su2_product(*power.T, x1, x2), -1)
     assert order.tolist() == g.order.tolist()
     assert np.allclose(np.cos(2 * np.pi * g.residue / g.order),
-                       g.su2[:, 0].real)
+                       su2[:, 0].real)
 
 
 def test_su2_product_is_the_row_algebra_product():
@@ -745,50 +791,83 @@ def test_su2_product_is_the_row_algebra_product():
         assert all(abs(u - v) < 1e-12 for u, v in zip(got, want))
 
 
+def _tabled_dstar():
+    """D*_20, exact, with its product formula written out as a table, so
+    that a mutant can corrupt one product."""
+    g = _gstar("D", 5)
+    every = np.arange(g.size)
+    return dataclasses.replace(g, table=g.mul(every[:, None], every))
+
+
 def test_a_corrupted_table_fails_the_latin_square_or_lights_test():
-    g = _gstar("T")
-    bad = g.table.copy()
-    bad[5, 7] = bad[5, 8]
-    with pytest.raises(NotAGroup, match="not a Latin square"):
-        _checked(dataclasses.replace(g, table=bad))
-    # An intercalate swap keeps a Latin square with identity 0: the cells
-    # (x, y), (-x, -y) hold u and (x, -y), (-x, y) hold -u; exchanging the
-    # two values leaves every row and column a permutation, but the
-    # product is no longer associative.
-    x, y, minus = 1, 2, g.neg
-    assert 0 not in (x, y, minus[x], minus[y])
-    swapped = g.table.copy()
-    swapped[x, y] = swapped[minus[x], minus[y]] = g.table[x, minus[y]]
-    swapped[x, minus[y]] = swapped[minus[x], y] = g.table[x, y]
-    assert (np.sort(swapped, axis=1) == np.arange(24)).all()
-    with pytest.raises(NotAGroup, match="Light's test"):
-        _checked(dataclasses.replace(g, table=swapped))
+    # On T* and on the exact D*_20 with its formula as a table.
+    for g in (_gstar("T"), _tabled_dstar()):
+        assert _checked(g) is g
+        moved = g.table.copy()
+        moved[0] = np.roll(moved[0], 1)
+        with pytest.raises(NotAGroup, match="element 0 is not the identity"):
+            _checked(dataclasses.replace(g, table=moved))
+        bad = g.table.copy()
+        bad[5, 7] = bad[5, 8]
+        with pytest.raises(NotAGroup, match="not a Latin square"):
+            _checked(dataclasses.replace(g, table=bad))
+        # An intercalate swap keeps a Latin square with identity 0: the
+        # cells (x, y), (-x, -y) hold u and (x, -y), (-x, y) hold -u;
+        # exchanging the two values leaves every row and column a
+        # permutation, but the product is no longer associative.
+        x, y, minus = 1, 2, g.neg
+        assert len({0, x, y, minus[x], minus[y]}) == 5
+        swapped = g.table.copy()
+        swapped[x, y] = swapped[minus[x], minus[y]] = g.table[x, minus[y]]
+        swapped[x, minus[y]] = swapped[minus[x], y] = g.table[x, y]
+        assert (np.sort(swapped, axis=1) == np.arange(g.size)).all()
+        with pytest.raises(NotAGroup, match="Light's test"):
+            _checked(dataclasses.replace(g, table=swapped))
 
 
 def _swap_with_negative_of_an_order_6_element(g):
-    # -x has order 3: snapped, the order of its eigenvalues is 3, but the
-    # product (unchanged) still gives x order 6, so x^3 = -1 there
-    x = int(np.flatnonzero(g.order == 6)[0])
-    su2 = g.su2.copy()
-    su2[[x, g.neg[x]]] = su2[[g.neg[x], x]]
-    return dataclasses.replace(g, su2=su2)
+    # -x has order 3 (5 in D*_20): its order and residue are given to x,
+    # but the product (unchanged) still gives x order 6 (10), so x^3 = -1
+    # there (x^5)
+    x = int(np.flatnonzero((g.order % 4 == 2) & (g.order > 2))[0])
+    pair = [x, g.neg[x]]
+    order, residue = g.order.copy(), g.residue.copy()
+    order[pair], residue[pair] = order[pair[::-1]], residue[pair[::-1]]
+    return dataclasses.replace(g, order=order, residue=residue)
 
 
-@pytest.mark.parametrize("mutant,text", [
-    (lambda g: dataclasses.replace(g, gens=g.gens[:1]),
-     "the generators do not generate it"),
-    (lambda g: dataclasses.replace(
-        g, su2=g.su2 * np.exp(1e-3j * (np.arange(24) == 5))[:, None]),
-     "negation is not a central fixed-point-free involution"),
-    (_swap_with_negative_of_an_order_6_element,
-     "power to the order of its eigenvalues is not 1"),
-], ids=["generation", "negation", "orders"])
-def test_each_later_gstar_check_refuses_its_mutant(mutant, text):
-    # T*'s product is untouched: a generating set that does not generate,
-    # an element moved off the group, and two elements traded with their
-    # negatives each pass the Latin square and Light's test.
+def _negatives_paired_across(g):
+    # x with -y and y with -x: still a fixed-point-free involution, but not
+    # the product with -1
+    x, y = 1, 2
+    neg = g.neg.copy()
+    neg[[x, y, g.neg[x], g.neg[y]]] = g.neg[y], g.neg[x], y, x
+    return dataclasses.replace(g, neg=neg)
+
+
+_LATER_MUTANTS = {
+    "generation": (lambda g: dataclasses.replace(g, gens=g.gens[:1]),
+                   "the generators do not generate it"),
+    "negation": (_negatives_paired_across,
+                 "negation is not a central fixed-point-free involution"),
+    "orders": (_swap_with_negative_of_an_order_6_element,
+               "power to the order of its eigenvalues is not 1"),
+}
+
+
+@pytest.mark.parametrize("check,key", [
+    *((c, ("T",)) for c in _LATER_MUTANTS),
+    *((c, ("D", 5)) for c in _LATER_MUTANTS)],
+    ids=[*_LATER_MUTANTS, *(f"{c}-D20" for c in _LATER_MUTANTS)])
+def test_each_later_gstar_check_refuses_its_mutant(check, key):
+    # The product is untouched: a generating set that does not generate,
+    # negatives paired with the wrong elements, and two elements' orders
+    # traded with their negatives' each pass the Latin square and Light's
+    # test, on T* and on the exact D*_20.
+    mutant, text = _LATER_MUTANTS[check]
+    g = _gstar(*key)
     with pytest.raises(NotAGroup, match=re.escape(text)):
-        _checked(mutant(_gstar("T")))
+        _checked(mutant(g))
 
 
 @pytest.mark.parametrize("spec,patch,text", [
@@ -798,22 +877,18 @@ def test_each_later_gstar_check_refuses_its_mutant(mutant, text):
      "index3(m=3): the phase of generator 3 is not on the pi/9 grid"),
 ], ids=["outside-gstar", "off-the-grid"])
 def test_a_generator_outside_gstar_or_off_the_grid_is_refused(
-        spec, patch, text, monkeypatch):
-    # The table of the spec is already cached; the patched generator is
-    # keyed against it and refused by name.
-    enumerate_group(spec)
-    real = generators_of
-
-    def mutant(s):
-        if patch == "octahedral":     # e^{i pi/4} is in O*, not in T*
-            return real(GroupSpec.octahedral(s.m))
-        rows = real(s)
-        rows[3, 0] = cmath.exp(1j * math.pi / (2 * s.m))
-        return rows
-
-    monkeypatch.setattr(u2sing.catalog, "generators_of", mutant)
+        spec, patch, text):
+    # The reference snap keys a generator row against the spec's table
+    # and refuses one outside it, or off the phase grid, by name.  The
+    # enumeration reads declared labels, which are in the table by
+    # construction.
+    if patch == "octahedral":     # e^{i pi/4} is in O*, not in T*
+        rows = generators_of(GroupSpec.octahedral(spec.m))
+    else:
+        rows = generators_of(spec)
+        rows[3, 0] = cmath.exp(1j * math.pi / (2 * spec.m))
     with pytest.raises(SnapFailure, match=re.escape(text)):
-        enumerate_group(spec)
+        label_rows(spec, rows, "generator")
 
 
 def test_the_gstar_tables_never_read_the_generators(monkeypatch, fresh_caches):
@@ -870,18 +945,22 @@ def test_each_gstar_is_closed_once_per_process(monkeypatch, fresh_caches):
 
 
 def test_each_gstar_keys_its_elements_once(monkeypatch, fresh_caches):
-    # D*_20 keys its rows for its index, then their negatives for the
-    # negation map; setting the checked fields on the G* itself builds no
-    # second index.
+    # D*_20 is exact and keys no row.  From its closure, T* keys its 24
+    # elements for its index, three blocks of 8 x 24 products, its 6 named
+    # quaternions, and its elements' negatives for the negation map: each
+    # once.
     keyed = []
 
     def counted(arr):
         keyed.append(len(arr))
         return _row_keys(arr)
 
+    _gstar_closure("T")
     monkeypatch.setattr(u2sing.catalog, "_row_keys", counted)
     assert _gstar("D", 5).neg is not None
-    assert keyed == [20, 20]
+    assert keyed == []
+    assert _gstar("T").neg is not None
+    assert keyed == [24, 192, 192, 192, 6, 24]
 
 
 @pytest.mark.parametrize("spec", [GroupSpec.cyclic(1, 2),
@@ -913,15 +992,22 @@ def test_product_gamma_prime_is_the_closure_of_its_generators():
 
 
 def test_a_closure_past_twice_the_order_overflows(monkeypatch):
-    # index3(3) with the phase [e^{i pi/9}, 1] as one more generator: every
-    # label (k, j) is then an element, 3 |Gamma| of them, and the closure
-    # count stops past 2 |Gamma|, on labels as on rows.
+    # index3(3) with the phase [e^{i pi/9}, 1] declared as one more
+    # generator: every label (k, j) is then an element, 3 |Gamma| of them,
+    # and the closure count stops past 2 |Gamma|, on labels as on the rows
+    # that generators_of evaluates from the declaration.
     spec = GroupSpec.index3(3)
-    gens = np.concatenate([generators_of(spec),
-                           [[cmath.exp(1j * math.pi / 9), 1, 0]]])
+    real = u2sing.catalog._declared
+
+    def one_more(s):
+        n, gens = real(s)
+        return n, [*gens, (1, (1.0, 0.0, 0.0, 0.0))]
+
+    monkeypatch.setattr(u2sing.catalog, "_declared", one_more)
+    gens = generators_of(spec)
+    assert abs(gens[-1, 0] - cmath.exp(1j * math.pi / 9)) < 1e-15
     with pytest.raises(ClosureOverflow):
         dimino_closure(gens, spec.expected_order())
-    monkeypatch.setattr(u2sing.catalog, "generators_of", lambda s: gens)
     with pytest.raises(ClosureOverflow, match="exceeded 144 elements"):
         enumerate_group(spec)
 

@@ -519,22 +519,24 @@ def test_a_threshold_past_the_row_margin_moves_the_reference_alone(
 
 
 def test_a_complex_reflection_fails_the_exact_freeness_count(monkeypatch):
-    # index2(2, 3) with the diagonal generator [e^{i pi/4}, jhat] replaced
-    # by [i, jhat]: still on the pi/4 grid and in D*12, and the group it
-    # makes has the table order 24, but [i, jhat] has eigenvalue 1.  The
-    # exact witness count on labels names the seven elements that do, as
-    # its modulo reference, the float count on the group's rows and its
-    # angle reference do.
+    # index2(2, 3) with the diagonal generator [e^{i pi/4}, jhat], declared
+    # as (1, 6), replaced by [i, jhat], (2, 6): still on the pi/4 grid and
+    # in D*12, and the group it makes has the table order 24, but [i, jhat]
+    # has eigenvalue 1.  The exact witness count on labels names the seven
+    # elements that do, as its modulo reference, the float count on the
+    # group's rows and its angle reference do.
     spec = GroupSpec.index2(2, 3)
-    real = catalog.generators_of
+    real = catalog._declared
 
     def mutant(s):
-        rows = real(s)
+        n, gens = real(s)
         if s == spec:
-            rows[2, 0] = 1j
-        return rows
+            assert gens[2] == (1, 6)
+            gens[2] = (2, 6)
+        return n, gens
 
-    monkeypatch.setattr(catalog, "generators_of", mutant)
+    monkeypatch.setattr(catalog, "_declared", mutant)
+    assert abs(catalog.generators_of(spec)[2, 0] - 1j) < 1e-15
     group = catalog.enumerate_group(spec)
     assert isinstance(group, catalog.Labels) and group.order == 24
     assert group.eigenvalue_one_count() == modulo_eigenvalue_one_count(
@@ -547,21 +549,40 @@ def test_a_complex_reflection_fails_the_exact_freeness_count(monkeypatch):
     assert checks["fixed_point_free"].detail == "7 element(s) with eigenvalue 1"
 
 
-@pytest.mark.parametrize("spec", [
-    GroupSpec.dihedral(5, 4), GroupSpec.tetrahedral(7), GroupSpec.octahedral(5),
-    GroupSpec.icosahedral(7), GroupSpec.index2(4, 3), GroupSpec.index3(9),
-    GroupSpec.dihedral(5, 1), GroupSpec.index2(4, 1)], ids=GroupSpec.key)
-def test_the_non_cyclic_resolution_reads_no_float(spec, monkeypatch):
+_NO_FLOAT_CASES = [
+    *((spec, False) for spec in (
+        GroupSpec.dihedral(5, 4), GroupSpec.tetrahedral(7),
+        GroupSpec.octahedral(5), GroupSpec.icosahedral(7),
+        GroupSpec.index2(4, 3), GroupSpec.index3(9), GroupSpec.dihedral(5, 1),
+        GroupSpec.index2(4, 1))),
+    *((spec, True) for spec in (
+        GroupSpec.dihedral(5, 4), GroupSpec.index2(4, 3),
+        GroupSpec.dihedral(5, 1), GroupSpec.index2(4, 1)))]
+
+
+@pytest.mark.parametrize("spec,cold", _NO_FLOAT_CASES,
+                         ids=[spec.key() + "-cold" * cold
+                              for spec, cold in _NO_FLOAT_CASES])
+def test_the_non_cyclic_resolution_reads_no_float(spec, cold, monkeypatch,
+                                                  request):
     # A non-cyclic group is its labels: its order, freeness, lens type
     # (n = 1), pole types and eigenvalue tables are read exactly, so no
-    # eigen data of a row group is read on the way to the resolution.
+    # eigen data of a row group is read on the way to the resolution.  Its
+    # generators are declared as labels, and D*_4n is a formula on them:
+    # from empty caches, a dihedral or index-2 spec is resolved with no row
+    # keyed, no angle snapped and no generator row evaluated.
     from u2sing.report import resolve
 
-    def refuse(group):
-        raise AssertionError("a float eigen-angle was read")
+    def refuse(*args):
+        raise AssertionError("a float was read")
 
     monkeypatch.setattr(catalog.FiniteGroup, "eigen_data", refuse)
-    report = resolve(spec).report
+    with monkeypatch.context() as patch:
+        if cold:
+            request.getfixturevalue("fresh_caches")
+            for name in ("_row_keys", "_snap_residue", "generators_of"):
+                patch.setattr(catalog, name, refuse)
+        report = resolve(spec).report
     assert report.checks and report.all_passed(), report.checks
     summary = VerifySummary()
     check_eigenvalue_tables(summary)

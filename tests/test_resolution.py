@@ -11,9 +11,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from u2sing import resolution
-from u2sing.catalog import (FAMILIES, Family, GroupSpec, Labels, _gstar_of,
-                            _label_rows, _row_keys, canonical_cyclic,
-                            enumerate_group)
+from u2sing.catalog import (FAMILIES, Family, GroupSpec, Labels, _row_keys,
+                            canonical_cyclic, enumerate_group)
 from u2sing.errors import (AmbiguousCandidate, CrossCheckFailure,
                            InvalidParameters, MalformedGraph, NotCoprime,
                            OrbitCountMismatch, SnapFailure, TableDisagreement,
@@ -30,7 +29,7 @@ from u2sing.report import describe
 from u2sing.sweep import SweepConfig, specs_in_sweep
 
 import mobius_float
-from dimino_float import rows_of
+from dimino_float import gstar_rows, label_rows, rows_of
 from fraction_routes import check_exact_routes
 from mobius_float import (_orbit, _singular_points, _sphere_vecs,
                           float_singularities)
@@ -91,12 +90,12 @@ def _lexsort_coset_indices(group):
     smaller of the G* indices that the grid keys of its SU(2) part and of
     that part's negative name."""
     su2 = rows_of(group)[:, 1:3]
-    index = group.gstar.index
+    index = {k: i for i, k in enumerate(_row_keys(gstar_rows(group.gstar)))}
     ids = np.array([min(index[a], index[b])
                     for a, b in zip(_row_keys(su2), _row_keys(-su2))])
     # Sorted by id, then by label key: each class's run starts with the
     # element of smallest label key.
-    order = np.lexsort((group.k * len(group.gstar.su2) + group.j, ids))
+    order = np.lexsort((group.k * group.gstar.size + group.j, ids))
     runs = np.diff(ids[order]) != 0
     return order[np.concatenate(([True], runs))]
 
@@ -304,9 +303,9 @@ def test_every_memoized_image_equals_a_cold_one():
 def test_a_corrupted_coset_row_leaves_the_image_open(spec):
     # Every row of one non-identity coset (SU(2) part +-s) gets e^{i eps} s
     # instead, so the cosets keep their number but the image is no group.
-    # The Mobius stage reads exact labels, and rows are labelled as the
-    # generators are: the corrupted rows are in no G*, and the first of
-    # them is refused by name.
+    # The Mobius stage reads exact labels, and the reference snap labels
+    # rows as the generators were labelled before they were declared: the
+    # corrupted rows are in no G*, and the first of them is refused by name.
     group = enumerate_group(spec)
     rows = rows_of(group)
     su2 = rows[:, 1:3].copy()
@@ -316,15 +315,15 @@ def test_a_corrupted_coset_row_leaves_the_image_open(spec):
     first = int(np.flatnonzero(corrupted)[0])
     with pytest.raises(SnapFailure,
                        match=rf"SU\(2\) part of row {first} is not in"):
-        _label_rows(spec, rows, "row")
+        label_rows(spec, rows, "row")
 
 
 def test_the_table_of_every_gstar_mod_sign_is_a_latin_square():
     # One row and column per class id min(j, -j), in ascending order with
     # the identity first: |G*|/2 of them, each product in one class.
     for spec in ONE_PER_FAMILY:
-        gstar, _ = _gstar_of(spec)
-        table, half = _mobius_table(gstar), len(gstar.su2) // 2
+        gstar = enumerate_group(spec).gstar
+        table, half = _mobius_table(gstar), gstar.size // 2
         assert table.shape == (half, half), spec
         assert (table[0] == range(half)).all()
         assert (table[:, 0] == range(half)).all()
