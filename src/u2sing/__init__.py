@@ -24,19 +24,19 @@ from .invariants import (DeformationReport, TopologyReport, closed_form_dim,
                          sawtooth, topology_report)
 from .report import (InvariantReport, describe, export_dot, report_from_dict,
                      report_from_json, report_to_dict, report_to_json)
-from .resolution import (BGamma, CompactificationData, CurveConfiguration,
-                         PlumbingGraph, ResolutionData, b_gamma,
-                         compactification, graph_to_dot, resolution_chain,
-                         resolution_graph, singularity_triple, solve_b_prime)
+from .resolution import (CompactificationData, PlumbingGraph, ResolutionData,
+                         b_gamma, compactification, graph_to_dot,
+                         resolution_chain, resolution_graph,
+                         singularity_triple, solve_b_prime)
 from .sweep import SweepConfig, VerifySummary, specs_in_sweep, verify
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BGamma", "CompactificationData", "CurveConfiguration", "CyclicType",
-    "DeformationReport", "Family", "FiniteGroup", "GroupSpec",
-    "InvariantReport", "Labels", "PlumbingGraph", "ResolutionData",
-    "SweepConfig", "TopologyReport", "Turns", "VerifySummary",
+    "CompactificationData", "CyclicType", "DeformationReport", "Family",
+    "FiniteGroup", "GroupSpec", "InvariantReport", "Labels", "PlumbingGraph",
+    "ResolutionData", "SweepConfig", "TopologyReport", "Turns",
+    "VerifySummary",
     "b_gamma", "canonical_cyclic", "cf_value", "closed_form_dim",
     "compactification", "cyclic_equivalent_type", "describe", "dim_h1_theta",
     "dim_sfk", "dual_type", "eigenvalue_histogram", "eisenstein_check",

@@ -315,7 +315,15 @@ KEY_SCALE = 1e6
 # non-cyclic group its exact labels, closed from declared generator labels.
 # The other float decisions do not read it: ``_snap_residue`` snaps the
 # T*, O* and I* residues within 1e-6 * modulus, row keys round on the
-# 1 / KEY_SCALE grid, and the sign rule compares coordinates to EQ_TOL.
+# 1 / KEY_SCALE grid, the sign rule compares coordinates to EQ_TOL, and
+# ``invariants._chi_real_sum`` sends an element with sin(phi) <= 1e-7 to
+# the Dirichlet kernel's limit 2m - 1.  Its margins on the default sweep's
+# 1,762 Gamma' sums: the largest sin(phi) sent to the limit is 4.47e-8
+# (2.2x below the cutoff), on 189 index-2 specs, index2(m=10, n=19) first,
+# from BFS drift of about 1e-15 in Re b1; the smallest kept is 0.1305, at
+# dihedral(m=5, n=24).  At the cutoff the two branches differ by at most
+# 2.3e-8 per element for m <= 120, so no dimension can flip, only the
+# residual's last bits (``tests/ci_steps.py`` checks the gap).
 DEFAULT_TOLERANCE = 1e-6
 
 
@@ -352,13 +360,14 @@ def _gstar_quaternions(kind: str) -> tuple:
     return (*gens, _ONE, *((_IHAT, _JHAT, _T_DIAGONAL) if kind == "T" else ()))
 
 
-def _gstar_generators(kind: str, n: int = 0) -> np.ndarray:
-    """Generator rows [1, g] of the G* of ``kind`` ("D" with n, "T", "O" or
-    "I"): e^{i pi/n} and jhat for D*_4n, else its first two named
-    quaternions."""
-    quats = (_gstar_quaternions(kind)[:2] if kind != "D"
-             else (_circle(math.pi / n), _JHAT))
-    return np.array([_row(0.0, q) for q in quats])
+def _gstar_gens(kind: str, n: int = 0) -> tuple:
+    """The two generators of the G* of ``kind`` ("D" with n, "T", "O" or
+    "I"), declared once: D*_4n's elements 1 and 2n (e^{i pi/n} and jhat,
+    as ``_binary_dihedral`` indexes it), else the table's first two named
+    quaternions.  Every reader takes them from here: the spec generators
+    (``_declared``), each G*'s generating set (``_binary_dihedral``,
+    ``_tabled``) and its closure on rows (``_gstar_closure``)."""
+    return (1, 2 * n) if kind == "D" else _gstar_quaternions(kind)[:2]
 
 
 def _lens_turns(spec: GroupSpec) -> tuple[int, int]:
@@ -378,16 +387,17 @@ def _declared(spec: GroupSpec) -> tuple[int, list[tuple[int, int | tuple]]]:
     generator [e^{i pi k/N}, g] as (k, g), g the D*_4n element a + 2n*b or
     a quaternion that the table of T*, O* or I* names
     (``_gstar_quaternions``).  The Hopf-fiber rotation [e^{i pi/m}, 1]
-    comes first, and a product family's G* generators follow it."""
-    f, m, n = spec.family, spec.m, spec.n
-    if f is Family.INDEX2:      # [e^{i pi/(2m)}, jhat] replaces [1, jhat]
-        return 2 * m, [(2, 0), (0, 1), (1, 2 * n)]
+    comes first, and a product family's G* generators (``_gstar_gens``)
+    follow it; the index-2 family takes D*_4n's with phase steps 0 and 1,
+    the index-3 family T*'s i, j and diagonal part."""
+    f, m = spec.family, spec.m
     if f is Family.INDEX3:      # diagonal inside the tetrahedral product
         return 3 * m, [(3, _ONE), (0, _IHAT), (0, _JHAT), (1, _T_DIAGONAL)]
-    if f is Family.DIHEDRAL:
-        return m, [(1, 0), (0, 1), (0, 2 * n)]
-    quats = _gstar_quaternions(*_gstar_kind(spec))[:2]
-    return m, [(1, _ONE), *((0, q) for q in quats)]
+    gens = _gstar_gens(*_gstar_kind(spec))
+    if f is Family.INDEX2:      # [e^{i pi/(2m)}, jhat] replaces [1, jhat]
+        return 2 * m, [(2, 0), *zip((0, 1), gens)]
+    return m, [(1, 0 if f is Family.DIHEDRAL else _ONE),
+               *((0, g) for g in gens)]
 
 
 def _quaternion(g: int | tuple, n: int) -> tuple[float, float, float, float]:
@@ -628,11 +638,13 @@ def _orders(t: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
 @functools.cache
 def _gstar_closure(kind: str, n: int = 0) -> FiniteGroup:
     """G* of ``kind`` as ``generate_closure`` of its generator rows
-    [1, g], built on first use and kept for the process: the T*, O* and I*
-    tables and every product family's Gamma' read it.  NotAGroup unless it
-    has exactly |G*| elements (24, 48, 120 or 4n)."""
+    [1, g], ``_gstar_gens`` evaluated as ``generators_of`` evaluates a
+    declaration, built on first use and kept for the process: the T*, O*
+    and I* tables and every product family's Gamma' read it.  NotAGroup
+    unless it has exactly |G*| elements (24, 48, 120 or 4n)."""
     size = {"T": 24, "O": 48, "I": 120}.get(kind, 4 * n)
-    group = generate_closure(_gstar_generators(kind, n), size)
+    rows = [_row(0.0, _quaternion(g, n)) for g in _gstar_gens(kind, n)]
+    group = generate_closure(np.array(rows), size)
     if group.order != size:
         raise NotAGroup(f"{kind}*{4 * n or ''}: the closure has "
                         f"{group.order} elements, not {size}")
@@ -666,7 +678,7 @@ def _tabled(kind: str) -> GStar:
     neg = np.array([index.get(k, -1) for k in _row_keys(-els)])
     phi = np.arccos(np.clip(els[:, 0].real, -1.0, 1.0))
     t = np.array([_snap_residue(f, len(els)) for f in phi.tolist()])
-    return GStar(f"{kind}*", (named[quats[0]], named[quats[1]]), neg,
+    return GStar(f"{kind}*", tuple(named[q] for q in _gstar_gens(kind)), neg,
                  *_orders(t, len(els)), table=table, named=named)
 
 
@@ -678,7 +690,8 @@ def _binary_dihedral(n: int) -> GStar:
     and t = n (+-i) for b = 1."""
     a, b = np.tile(np.arange(2 * n), 2), np.repeat([0, 1], 2 * n)
     t = np.where(b, n, 2 * np.minimum(a, 2 * n - a))
-    return GStar(f"D*{4 * n}", (1, 2 * n), (a + n) % (2 * n) + 2 * n * b,
+    return GStar(f"D*{4 * n}", _gstar_gens("D", n),
+                 (a + n) % (2 * n) + 2 * n * b,
                  *_orders(t, 4 * n), n=n)
 
 

@@ -40,7 +40,7 @@ import numpy as np
 
 from .catalog import DEFAULT_TOLERANCE, Family, FiniteGroup, GroupSpec
 from .errors import InvalidParameters, SnapFailure
-from .resolution import BGamma, PlumbingGraph, ResolutionData
+from .resolution import PlumbingGraph, ResolutionData
 
 
 # ---------------------------------------------------------------------------
@@ -160,16 +160,16 @@ def closed_form_dim(spec: GroupSpec) -> int:
 
 
 def dim_sfk(spec: GroupSpec, gamma_prime: FiniteGroup,
-            b: BGamma) -> DeformationReport:
+            b: int) -> DeformationReport:
     """Deformation dimension by brute-force character sum over the
     enumerated ``gamma_prime``, by the family closed form, and as
-    2*b_Gamma - 2 from ``b``.
+    2*b_Gamma - 2 from ``b`` = b_Gamma.
 
     For m = 1 the representation-theoretic identification does not hold and
     the deformation space is zero; the report carries brute_force_dim = 0
     and marks the closed forms inapplicable.
     """
-    two_b = 2 * b.value - 2
+    two_b = 2 * b - 2
     if spec.m == 1:
         return DeformationReport(0, None, two_b, True, 0.0, False,
                                  gamma_prime.order)
@@ -194,10 +194,10 @@ def dim_h1_theta(graph: PlumbingGraph) -> int:
     return sum(abs(w) - 1 for w in graph.weights())
 
 
-def moduli_dim(b: BGamma, res: ResolutionData) -> int:
+def moduli_dim(b: int, res: ResolutionData) -> int:
     """Real dimension 2(b_Gamma - 1) + k_Gamma of the known metric family,
-    from ``b`` and the resolution ``res``."""
-    return 2 * (b.value - 1) + res.k_gamma
+    from ``b`` = b_Gamma and the resolution ``res``."""
+    return 2 * (b - 1) + res.k_gamma
 
 
 # ---------------------------------------------------------------------------

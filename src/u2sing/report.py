@@ -56,10 +56,9 @@ from .errors import U2SingError
 from .hj import hj_string  # noqa: F401
 from .invariants import (DeformationReport, TopologyReport, dim_h1_theta,
                          dim_sfk, moduli_dim, topology_report)
-from .resolution import (BGamma, CurveConfiguration, PlumbingGraph,
-                         ResolutionData, b_gamma, compactification,
-                         graph_to_dot, resolution_chain, resolution_graph,
-                         singularity_triple)
+from .resolution import (PlumbingGraph, ResolutionData, b_gamma,
+                         compactification, graph_to_dot, resolution_chain,
+                         resolution_graph, singularity_triple)
 
 
 @dataclass(frozen=True)
@@ -110,11 +109,6 @@ class InvariantReport:
     def all_passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def configuration(self) -> CurveConfiguration | None:
-        if self.compactification is None:
-            return None
-        return CurveConfiguration(self.resolution, self.compactification.star)
-
 
 # ---------------------------------------------------------------------------
 # describe
@@ -123,11 +117,10 @@ class InvariantReport:
 @dataclass(frozen=True)
 class Resolved:
     """What ``resolve`` computes: the report up to the resolution graph, and
-    the records the later stages take.  ``b`` and ``res`` are None when no
-    later stage applies: for a cyclic group, and when the singularity
-    triple or b_Gamma failed."""
+    the resolution that the later stages take, with ``report.b_gamma``.
+    ``res`` is None when no later stage applies: for a cyclic group, and
+    when the singularity triple or b_Gamma failed."""
     report: InvariantReport
-    b: BGamma | None = None
     res: ResolutionData | None = None
 
 
@@ -162,9 +155,10 @@ def describe(spec: GroupSpec,
     """
     resolved = resolve(spec, group)
     report = compactify(resolved)
-    b, rd = resolved.b, resolved.res
+    rd = resolved.res
     if rd is None:
         return report
+    b = report.b_gamma
     checks = list(report.checks)
 
     deform = _stage(checks, "deformation_triple_agreement", "invariants",
@@ -286,7 +280,7 @@ def _resolve_noncyclic(spec: GroupSpec, group: Labels,
             conjugate_equivalence_used=conj_used, checks=tuple(checks)))
     checks.append(CheckResult(
         "b_gamma_double_derivation", True,
-        f"integer {b.value} == rational {b.rational}"))
+        f"integer {b} == rational {b}"))
 
     rd = resolution_graph(triple, b)
     checks.append(CheckResult(
@@ -307,9 +301,9 @@ def _resolve_noncyclic(spec: GroupSpec, group: Labels,
 
     return Resolved(InvariantReport(
         spec, group.order, singularities=triple,
-        conjugate_equivalence_used=conj_used, b_gamma=b.value,
-        b_gamma_rational=b.rational, checks=tuple(checks),
-        **_resolution_fields(rd)), b, rd)
+        conjugate_equivalence_used=conj_used, b_gamma=b,
+        b_gamma_rational=Fraction(b), checks=tuple(checks),
+        **_resolution_fields(rd)), rd)
 
 
 def compactify(resolved: Resolved) -> InvariantReport:
@@ -326,7 +320,7 @@ def compactify(resolved: Resolved) -> InvariantReport:
     if comp is None:
         return replace(report, checks=tuple(checks))
     bp = comp.b_prime
-    curves = CurveConfiguration(rd.graph, comp.star).vertex_count
+    curves = rd.k_gamma + comp.star.vertex_count
     checks.append(CheckResult(
         "kappa_curve_count", curves == bp.kappa + 1,
         f"kappa={bp.kappa}, curves={curves}"))
@@ -338,7 +332,7 @@ def compactify(resolved: Resolved) -> InvariantReport:
         "b_prime_signature", bp.signature == (1, bp.kappa),
         f"signature {bp.signature}"))
     section = CompactificationSection(
-        b_prime=bp.value, b_prime_positive=bp.positive,
+        b_prime=bp.value, b_prime_positive=bp.value > 0,
         seifert_value=bp.seifert_value, dual_strings=comp.dual_strings,
         lattice_candidates=bp.lattice_candidates, kappa=bp.kappa,
         star=comp.star, configuration_determinant=bp.determinant,
@@ -531,8 +525,8 @@ def export_dot(report: InvariantReport, which: str = "resolution") -> str:
     if which == "resolution":
         return graph_to_dot(report.resolution, "resolution")
     if which == "compactification":
-        cfg = report.configuration()
-        if cfg is None:
+        if report.compactification is None:
             raise U2SingError("report has no compactification section")
-        return graph_to_dot(cfg, "compactification")
+        return graph_to_dot(report.resolution, "compactification",
+                            report.compactification.star)
     raise ValueError(f"unknown graph {which!r}")

@@ -68,12 +68,13 @@ compactification star is eliminated at c = 0 for the pencil and again at b'
 for the full elimination, the two lattice routes of the b' cross-check.
 
 Every exact test of this module runs on integers.  A ``Fraction`` is built
-only for a stored or printed value: the report's ``b_gamma_rational``
-(Fraction(b_Gamma), what the rational route equals once the routes agree)
-and ``seifert_value`` (2m/h), the pencil's threshold
-(``CentrePencil.threshold``), and the reduced value that a failed b_Gamma
-or b' cross-check prints; ``report`` builds one more for the
-``seifert_euler_calibration`` detail, from the centre pivot.
+only for a stored or printed value: ``seifert_value`` (2m/h), the
+pencil's threshold (``CentrePencil.threshold``), and the reduced value
+that a failed b_Gamma or b' cross-check prints.  ``b_gamma`` returns the
+int b_Gamma; ``report`` builds the report's ``b_gamma_rational`` from it
+(Fraction(b_Gamma), what the rational route equals once the routes
+agree), and one more ``Fraction`` for the ``seifert_euler_calibration``
+detail, from the centre pivot.
 
 ``GroupSpec``'s constructor refuses parameters outside the catalog, so every
 stage trusts the spec it is given; ``table_singularities`` still refuses a
@@ -188,20 +189,6 @@ def _integer_det(pivots: list[tuple[int, int]]) -> int:
     if rest:
         raise CrossCheckFailure("integer matrix with non-integer determinant")
     return det
-
-
-@dataclass(frozen=True)
-class CurveConfiguration:
-    """The full compactified curve system: resolution star and
-    compactification star, disjoint (one sits over the origin, the other at
-    infinity)."""
-
-    resolution: PlumbingGraph
-    compactification: PlumbingGraph
-
-    @property
-    def vertex_count(self) -> int:
-        return self.resolution.vertex_count + self.compactification.vertex_count
 
 
 # ---------------------------------------------------------------------------
@@ -405,12 +392,6 @@ def singularity_triple(spec: GroupSpec, lab: Labels
 # Central weight b_Gamma
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BGamma:
-    value: int
-    rational: Fraction
-
-
 def _rational_b(spec: GroupSpec,
                 triple: tuple[CyclicType, ...]) -> tuple[int, int]:
     """The rational route to b_Gamma, alpha1/beta1 + alpha2/beta2 +
@@ -422,16 +403,15 @@ def _rational_b(spec: GroupSpec,
     return num, den
 
 
-def b_gamma(spec: GroupSpec, triple: tuple[CyclicType, ...]) -> BGamma:
+def b_gamma(spec: GroupSpec, triple: tuple[CyclicType, ...]) -> int:
     """Central self-intersection by both derivations, agreement enforced.
 
     Integer route: 2 + (4m/|Gamma|)(m - (m mod |Gamma|/4m)); rational route:
     sum of the fractions of the singularity ``triple`` plus 2m/h, as the
     integer pair (num, den) of ``_rational_b``.  The routes agree when
     num = b * den, compared by cross-multiplication; only a disagreement
-    builds a ``Fraction``, to print the rational route reduced.
-    ``rational`` is Fraction(b), the value the rational route has whenever
-    the routes agree.
+    builds a ``Fraction``, to print the rational route reduced.  Once the
+    routes agree the rational route is b itself, so b alone is returned.
     """
     m = spec.m
     idx = spec.quotient_index()
@@ -443,7 +423,7 @@ def b_gamma(spec: GroupSpec, triple: tuple[CyclicType, ...]) -> BGamma:
             f"{Fraction(num, den)}")
     if b_int < 2:
         raise CrossCheckFailure(f"{spec.label()}: b = {b_int} < 2")
-    return BGamma(b_int, Fraction(b_int))
+    return b_int
 
 
 # ---------------------------------------------------------------------------
@@ -491,14 +471,13 @@ def resolution_chain(t: CyclicType) -> ResolutionData:
     return ResolutionData(graph, (t,), (s,), tuple(graph.pivots()))
 
 
-def resolution_graph(triple: tuple[CyclicType, ...],
-                     b: BGamma) -> ResolutionData:
+def resolution_graph(triple: tuple[CyclicType, ...], b: int) -> ResolutionData:
     """Minimal-resolution star of a non-cyclic group and the pivots of its
-    elimination: center -b_Gamma, and the Hirzebruch-Jung string of each
-    singularity of ``triple`` as an arm, first entry adjacent to the
+    elimination: center -b, b = b_Gamma, and the Hirzebruch-Jung string of
+    each singularity of ``triple`` as an arm, first entry adjacent to the
     center."""
     strings = tuple(hj_string(t) for t in triple)
-    graph = PlumbingGraph(-b.value, tuple(tuple(-e for e in s) for s in strings))
+    graph = PlumbingGraph(-b, tuple(tuple(-e for e in s) for s in strings))
     return ResolutionData(graph, tuple(triple), strings, tuple(graph.pivots()))
 
 
@@ -528,10 +507,6 @@ class BPrimeResult:
     determinant: int
     signature: tuple[int, int]
     window: tuple[int, int]
-
-    @property
-    def positive(self) -> bool:
-        return self.value > 0
 
 
 def _comp_star(b_prime: int,
@@ -669,8 +644,10 @@ def solve_b_prime(spec: GroupSpec, res: ResolutionData,
 @dataclass(frozen=True)
 class CompactificationData:
     """The compactification star, the dual string of each resolution arm
-    (in arm order), and the b' oracle's result, which holds kappa.  With the
-    resolution graph the star makes the ``CurveConfiguration``."""
+    (in arm order), and the b' oracle's result, which holds kappa.  The
+    star and the resolution graph are the kappa + 1 curves of the
+    compactified configuration, disjoint: one star sits over the origin,
+    the other at infinity."""
 
     star: PlumbingGraph
     dual_strings: tuple[tuple[int, ...], ...]
@@ -692,15 +669,15 @@ def compactification(spec: GroupSpec,
 # DOT export
 # ---------------------------------------------------------------------------
 
-def graph_to_dot(obj: PlumbingGraph | CurveConfiguration,
-                 name: str = "plumbing") -> str:
+def graph_to_dot(graph: PlumbingGraph, name: str = "plumbing",
+                 star: PlumbingGraph | None = None) -> str:
     """DOT text with one node per curve, labeled by its weight; node order
-    is deterministic (center first, arms in input order)."""
+    is deterministic (center first, arms in input order).  With a
+    compactification ``star``, the two disjoint stars of the compactified
+    configuration: the star's nodes c0, c1, ... first, then ``graph``'s
+    r0, r1, ...; alone, ``graph``'s nodes are v0, v1, ...."""
     lines = [f"graph {name} {{"]
-    if isinstance(obj, CurveConfiguration):
-        parts = [("c", obj.compactification), ("r", obj.resolution)]
-    else:
-        parts = [("v", obj)]
+    parts = [("v", graph)] if star is None else [("c", star), ("r", graph)]
     for prefix, graph in parts:
         w = graph.weights()
         for i, weight in enumerate(w):

@@ -2,7 +2,9 @@
 singularity triple at n <= 200, the image memo over the default sweep, the
 integer routes against their references over the default sweep, the
 declared generator labels against the float snap over the default sweep
-and D*_4n's exact fields against the float route to n = 400, the
+and D*_4n's exact fields against the float route to n = 400, each cached
+G* closure against the closure of its specs' generators and the gap
+around the Dirichlet-kernel cutoff over the default sweep, the
 masked digest of the default sweep's reports, the label closure against
 the float Dimino at |D*| = 796, the global identities past their default
 bounds, the README config, written report text, verify's stdout across
@@ -24,10 +26,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import u2sing.sweep as sweep
-from u2sing.catalog import (Family, GroupSpec, _row_keys, enumerate_group,
+from u2sing.catalog import (Family, GroupSpec, _row_keys,
+                            enumerate_gamma_prime, enumerate_group,
                             generators_of)
 from u2sing.cli import main
 from u2sing.report import describe
@@ -38,7 +42,8 @@ from u2sing.sweep import (SweepConfig, VerifySummary, check_eisenstein,
                           check_hj_roundtrip, specs_in_sweep, verify)
 
 import sweep_digest
-from dimino_float import check_declared_labels, dimino_closure, rows_of
+from dimino_float import (check_declared_labels, check_gstar_closures,
+                          dimino_closure, rows_of)
 from fraction_routes import check_exact_routes
 from report_diff import diff_folders
 
@@ -135,6 +140,38 @@ def test_the_declared_labels_are_the_reference_snap_on_the_default_sweep():
     # n <= 400 (tests/dimino_float.py).
     specs = list(specs_in_sweep(SweepConfig()))
     assert check_declared_labels(specs, 400) == 1908
+
+
+def test_each_gstar_closure_is_its_specs_closure_on_the_default_sweep():
+    # The cached G* closure, from the G* generators declared once, against
+    # the closure of generators_of(spec)[1:], bit for bit, on all 1,299
+    # product specs (tests/dimino_float.py).
+    specs = list(specs_in_sweep(SweepConfig()))
+    assert check_gstar_closures(specs) == 1299
+
+
+def test_no_gamma_prime_element_is_near_the_dirichlet_kernel_cutoff():
+    # invariants._chi_real_sum sends an element with sin(phi) <= 1e-7 to
+    # the kernel's limit 2m - 1.  On each Gamma' that dim_sfk sums over in
+    # the default sweep (the 1,762 non-cyclic specs with n > 1 and m > 1),
+    # every sin(phi) is at most 1e-7 or at least 0.1, so no element sits
+    # near the cutoff.
+    near, far, count = (0.0, ""), (1.0, ""), 0
+    for spec in specs_in_sweep(SweepConfig()):
+        if spec.is_cyclic or spec.is_degenerate_cyclic or spec.m == 1:
+            continue
+        sin_phi = np.sin(enumerate_gamma_prime(spec).eigen_data()[1])
+        below = sin_phi[sin_phi <= 1e-7].max()
+        above = sin_phi[sin_phi > 1e-7].min()
+        if below > near[0]:
+            near = (float(below), spec.label())
+        if above < far[0]:
+            far = (float(above), spec.label())
+        count += 1
+    print(f"largest sin(phi) sent to the limit: {near[0]:.3e} at {near[1]}; "
+          f"smallest kept: {far[0]:.4f} at {far[1]}")
+    assert count == 1762
+    assert far[0] >= 0.1
 
 
 def test_the_full_default_sweep_digest_is_pinned():

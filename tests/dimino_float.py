@@ -15,7 +15,9 @@ that snap is ``label_rows`` here.  D*_4n is a formula on its labels
 (``catalog._binary_dihedral``); its float rows are ``gstar_rows``, and
 ``float_fields`` derives its negation, orders and residues from them as the
 float T*, O* and I* tables are derived.  ``check_declared_labels`` compares
-the exact labels and D*_4n's exact fields with these references.
+the exact labels and D*_4n's exact fields with these references, and
+``check_gstar_closures`` each cached G* closure with the closure of the
+spec's own generator rows.
 """
 
 import math
@@ -27,7 +29,7 @@ from u2sing.catalog import (EQ_TOL, KEY_SCALE, Family, FiniteGroup, GStar,
                             Labels, _binary_dihedral, _canonical_rows,
                             _generator_labels, _gstar, _gstar_closure,
                             _gstar_kind, _row_keys, _snap_residue,
-                            generators_of)
+                            generate_closure, generators_of)
 from u2sing.errors import ClosureOverflow, SnapFailure
 
 
@@ -115,6 +117,26 @@ def check_declared_labels(specs, dstar_n_max: int) -> int:
         for got, want in zip((g.neg, g.order, g.residue),
                              float_fields(gstar_rows(g))):
             assert got.tolist() == want.tolist(), n
+    return count
+
+
+def check_gstar_closures(specs) -> int:
+    """Compare, for each product spec (dihedral, T, O and I families), the
+    cached closure of its G* (``catalog._gstar_closure``, from the G*
+    generators declared once in ``catalog._gstar_gens``) with the closure
+    of the spec's own generator rows without the Hopf-fiber rotation,
+    ``generators_of(spec)[1:]``: the same rows in the same order, bit for
+    bit.  Returns the number of specs compared."""
+    count = 0
+    for spec in specs:
+        if spec.family in (Family.CYCLIC, Family.INDEX2, Family.INDEX3):
+            continue
+        cached = _gstar_closure(*_gstar_kind(spec)).rows
+        own = generate_closure(generators_of(spec)[1:],
+                               spec.expected_order() // spec.m).rows
+        assert cached.shape == own.shape, spec
+        assert cached.tobytes() == own.tobytes(), spec
+        count += 1
     return count
 
 

@@ -31,7 +31,8 @@ from u2sing.errors import (ClosureOverflow, InvalidParameters, NotAGroup,
 from u2sing.report import describe, report_to_json
 
 from dimino_float import (_canonical_row, _row_key, check_declared_labels,
-                          dimino_closure, gstar_rows, label_rows, rows_of)
+                          check_gstar_closures, dimino_closure, gstar_rows,
+                          label_rows, rows_of)
 from fraction_routes import check_lens_route
 from freeness_float import (RowGroup, angle_distances,
                             angle_eigenvalue_one_count)
@@ -710,6 +711,16 @@ def test_the_declared_labels_are_the_reference_snap_in_the_sweep():
         families=tuple(set(Family) - {Family.CYCLIC}), m_max=20, n_max=6)))
     assert set(ONE_PER_FAMILY) <= set(specs)
     assert check_declared_labels(specs, 6) == 100
+
+
+def test_each_gstar_closure_is_the_closure_of_its_specs_generators():
+    # The G* generators are declared once (catalog._gstar_gens): the cached
+    # G* closure is, bit for bit, the closure of generators_of(spec)[1:] on
+    # the 72 product specs with m <= 20 and n <= 6 (tests/ci_steps.py: the
+    # default sweep's 1,299).
+    from u2sing.sweep import SweepConfig, specs_in_sweep
+    specs = list(specs_in_sweep(SweepConfig(m_max=20, n_max=6)))
+    assert check_gstar_closures(specs) == 72
 
 
 def _catalog_spec(build, *params):

@@ -18,7 +18,7 @@ from u2sing.errors import (AmbiguousCandidate, CrossCheckFailure,
                            OrbitCountMismatch, SnapFailure, TableDisagreement,
                            U2SingError)
 from u2sing.hj import cf_value, dual_type, hj_string
-from u2sing.resolution import (CentrePencil, CurveConfiguration, PlumbingGraph,
+from u2sing.resolution import (CentrePencil, PlumbingGraph,
                                _coset_indices, _image_stabilizers,
                                _inertia, _integer_det, _mobius_table,
                                _stabilizers,
@@ -419,12 +419,14 @@ def test_singularity_rejects_cyclic():
 # -- b_gamma ----------------------------------------------------------------
 
 def test_b_gamma_examples():
-    assert table_b(GroupSpec.dihedral(1, 2)).value == 2
-    b = table_b(GroupSpec.tetrahedral(7))
-    assert b.value == 3
+    assert table_b(GroupSpec.dihedral(1, 2)) == 2
+    spec = GroupSpec.tetrahedral(7)
+    b = table_b(spec)
+    assert type(b) is int and b == 3
     # rational route by hand: 1/2 + 2/3 + 2/3 + 14/12 = 3
-    assert b.rational == F(1, 2) + F(2, 3) + F(2, 3) + F(14, 12) == 3
-    assert table_b(GroupSpec.index3(3)).value == 2
+    assert F(*resolution._rational_b(spec, table_singularities(spec))) == \
+        F(1, 2) + F(2, 3) + F(2, 3) + F(14, 12) == b
+    assert table_b(GroupSpec.index3(3)) == 2
 
 
 def _skewed_b(monkeypatch):
@@ -459,7 +461,7 @@ def test_a_failed_rational_route_prints_its_reduced_fraction(
 def test_b_gamma_at_least_two():
     for spec in (GroupSpec.dihedral(119, 2), GroupSpec.icosahedral(113),
                  GroupSpec.index2(118, 23), GroupSpec.octahedral(25)):
-        assert table_b(spec).value >= 2
+        assert table_b(spec) >= 2
 
 
 # -- resolution graphs ------------------------------------------------------
@@ -617,7 +619,7 @@ B_PRIME_GOLDEN = [
 @pytest.mark.parametrize("spec,expected", B_PRIME_GOLDEN)
 def test_b_prime_oracle(spec, expected):
     bp = table_b_prime(spec)
-    assert bp.value == expected == table_b(spec).value - 3
+    assert bp.value == expected == table_b(spec) - 3
     assert bp.value in bp.lattice_candidates
     assert bp.seifert_value == F(2 * spec.m, spec.pgl_image_order())
     assert bp.signature == (1, bp.kappa)
@@ -637,14 +639,14 @@ def test_b_prime_determinant_identity():
 def test_configuration_counts():
     spec = GroupSpec.dihedral(1, 2)
     comp = table_compactification(spec)
-    cfg = CurveConfiguration(table_resolution(spec).graph, comp.star)
-    assert cfg.vertex_count == comp.b_prime.kappa + 1 == 8
-    assert _inertia(cfg.compactification.pivots()
-                    + cfg.resolution.pivots()) == (1, 7)
+    res = table_resolution(spec).graph
+    assert res.vertex_count + comp.star.vertex_count \
+        == comp.b_prime.kappa + 1 == 8
+    assert _inertia(comp.star.pivots() + res.pivots()) == (1, 7)
     assert comp.dual_strings == tuple(
         hj_string(dual_type(t)) for t in table_singularities(GroupSpec.dihedral(1, 2)))
-    a = np.array(cfg.compactification.intersection_matrix())
-    b = np.array(cfg.resolution.intersection_matrix())
+    a = np.array(comp.star.intersection_matrix())
+    b = np.array(res.intersection_matrix())
     mat = np.block([[a, np.zeros((len(a), len(b)), int)],
                     [np.zeros((len(b), len(a)), int), b]])
     assert mat.shape == (8, 8) and (mat == mat.T).all()
@@ -678,7 +680,7 @@ def scan_b_prime(spec):
     seifert = F(2 * spec.m, spec.pgl_image_order()) - sum(
         (cf_value(s) for s in duals), F(0))
     assert seifert.denominator == 1
-    lo, hi = min(1, int(seifert)) - 4, 10 * table_b(spec).value
+    lo, hi = min(1, int(seifert)) - 4, 10 * table_b(spec)
     lattice = scan_lattice_candidates(res.graph, duals, lo, hi, kappa)
     assert int(seifert) in lattice
     pivots = PlumbingGraph(int(seifert), tuple(
@@ -824,7 +826,14 @@ def test_dot_chain():
 
 def test_dot_full_configuration():
     comp = table_compactification(GroupSpec.dihedral(1, 2))
-    text = graph_to_dot(CurveConfiguration(
-        table_resolution(GroupSpec.dihedral(1, 2)).graph, comp.star))
+    text = graph_to_dot(table_resolution(GroupSpec.dihedral(1, 2)).graph,
+                        "compactification", comp.star)
     assert text.count("label") == 8      # kappa + 1 curves
     assert text.count("--") == 6         # two disjoint stars, 3 edges each
+    # the star at infinity first, as c0..c3, then the resolution as r0..r3
+    assert text == (
+        'graph compactification {\n'
+        '  c0 [label="-1"];\n  c1 [label="-2"];\n  c2 [label="-2"];\n'
+        '  c3 [label="-2"];\n  c0 -- c1;\n  c0 -- c2;\n  c0 -- c3;\n'
+        '  r0 [label="-2"];\n  r1 [label="-2"];\n  r2 [label="-2"];\n'
+        '  r3 [label="-2"];\n  r0 -- r1;\n  r0 -- r2;\n  r0 -- r3;\n}\n')
