@@ -1,17 +1,17 @@
 """Invariants of finite U(2) subgroups acting freely on S^3.
 
-Groups are given by explicit quaternion-pair generators [e^{i*theta}, beta],
-each read as one row (a, b1, b2) of complex numbers with a = e^{i*theta}
-and beta = b1 + b2*jhat.  Gamma' is an (N, 3) array of such rows, a
-``FiniteGroup``.  A cyclic group is its exact ``Turns``, the powers of its
-generator's turns on the 1/(2p) grid, and reads no float; a non-cyclic
-group is its exact ``Labels``, a phase step and an element of a binary
-polyhedral group each, closed from generators declared as labels, and no
-float is read from it.  The
-library enumerates the groups, locates the cyclic orbifold points of the
-model quotients, builds Hirzebruch-Jung resolution and compactification
-plumbing graphs, and evaluates the deformation-dimension identities --
-each quantity by at least two independent routes, cross-checked.
+Groups are given by explicit quaternion-pair generators [e^{i*theta}, beta].
+A cyclic group is its exact ``Turns``, the powers of its generator's turns
+on the 1/(2p) grid, and reads no float; a non-cyclic group is its exact
+``Labels``, a phase step and an element of a binary polyhedral group each,
+closed from generators declared as labels, and no float is read from it.
+Only Gamma' is held as rows: a ``FiniteGroup``, an (N, 3) array of rows
+(a, b1, b2) of complex numbers with a = e^{i*theta} and
+beta = b1 + b2*jhat.  The library enumerates the groups, locates the
+cyclic orbifold points of the model quotients, builds Hirzebruch-Jung
+resolution and compactification plumbing graphs, and evaluates the
+deformation-dimension identities -- each quantity by at least two
+independent routes, cross-checked.
 """
 
 from .catalog import (CyclicType, Family, FiniteGroup, GroupSpec, Labels,

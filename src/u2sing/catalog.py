@@ -657,7 +657,8 @@ def _tabled(kind: str) -> GStar:
     product table of all pairs, the negation map and the named quaternions
     keyed back into them, and each element's order and residue from one
     snap of its eigen-angle arccos(Re b1) to the 2 pi / |G*| grid.  These
-    are the catalog's one float G*."""
+    are the catalog's one float G*.  NotAGroup when a product or a named
+    quaternion is not an element of the closure."""
     els = np.ascontiguousarray(_gstar_closure(kind).rows[:, 1:])
     index = {k: i for i, k in enumerate(_row_keys(els))}
     table = np.empty((len(els), len(els)), dtype=int)
@@ -674,6 +675,8 @@ def _tabled(kind: str) -> GStar:
     # products of them
     quats = _gstar_quaternions(kind)
     keys = _row_keys(np.array([_row(0.0, q)[1:] for q in quats]))
+    if any(k not in index for k in keys):
+        raise NotAGroup(f"{kind}*: a named quaternion is not an element")
     named = dict(zip(quats, map(index.__getitem__, keys)))
     neg = np.array([index.get(k, -1) for k in _row_keys(-els)])
     phi = np.arccos(np.clip(els[:, 0].real, -1.0, 1.0))

@@ -3,7 +3,14 @@
 Every failure mode that callers are expected to handle gets its own class;
 ``U2SingError`` is the common base so the CLI can map any library failure to
 a nonzero exit status without enumerating subclasses.
+
+``failure_text`` is the one text of a recorded failure: a failed stage
+check's detail in a report, and a failing ``describe`` or kappa-spot
+record of a sweep.
 """
+
+import traceback
+from pathlib import Path
 
 
 class U2SingError(Exception):
@@ -59,4 +66,12 @@ class AmbiguousCandidate(U2SingError):
 
 class NotAGroup(U2SingError):
     """A G* product fails a group check: identity, Latin square, Light's
-    associativity test, generation, negation or element orders."""
+    associativity test, generation, negation or element orders; or a named
+    quaternion of T*, O* or I* is not one of its elements."""
+
+
+def failure_text(exc: BaseException) -> str:
+    """The exception's class name and text, and where it was raised."""
+    where = traceback.extract_tb(exc.__traceback__)[-1]
+    return (f"{type(exc).__name__}: {exc} (at {Path(where.filename).name}:"
+            f"{where.lineno} in {where.name})")

@@ -6,6 +6,10 @@ resolution and compactification graphs, the deformation dimensions, and the
 topology fields -- and records a pass/fail verdict for each identity.  A
 failed cross-check never disappears: it becomes a failing entry in
 ``report.checks`` (and downstream sections that depend on it are omitted).
+So does a stage that raises: its check's detail is
+``errors.failure_text`` of the exception (the class, the text and the
+file, line and function that raised it), the text that ``verify`` records
+for a spec whose ``describe`` raised.
 
 ``describe`` is three steps in a row, and the CLI calls the first two alone:
 ``resolve`` (enumeration to the resolution graph), ``compactify`` (b', kappa
@@ -50,7 +54,7 @@ from . import hj
 from .catalog import (CyclicType, GroupSpec, Labels, Turns, canonical_cyclic,
                       cyclic_equivalent_type, enumerate_gamma_prime,
                       enumerate_group, is_fixed_point_free)
-from .errors import U2SingError
+from .errors import U2SingError, failure_text
 # hj_string is no longer called here, but bench/tracer.py and
 # bench/test_bench.py bind u2sing.report.hj_string.
 from .hj import hj_string  # noqa: F401
@@ -132,19 +136,21 @@ def describe(spec: GroupSpec,
     A failed cross-check is recorded in the report, not raised.  So is a
     U2SingError of the singularity triple, b_Gamma, the compactification,
     or Gamma' with the deformation dimensions: ``_stage`` turns it into
-    that stage's failing check, and the sections that need the stage keep
-    their defaults.  Any other exception propagates; ``verify`` records it
-    as the spec's one failing ``describe`` check.  No stage checks
-    ``spec`` again: the ``GroupSpec`` constructor has refused bad
+    that stage's failing check, whose detail names the exception's class
+    and the function that raised it, and the sections that need the stage
+    keep their defaults.  Any other exception propagates; ``verify``
+    records it as the spec's one failing ``describe`` check.  No stage
+    checks ``spec`` again: the ``GroupSpec`` constructor has refused bad
     parameters.  What raises, when ``group`` is None and the enumeration
     here fails: ClosureOverflow when it overflows; SnapFailure when a
     T*, O* or I* eigen-angle does not snap to a residue (``catalog._tabled``);
     and NotAGroup when a G* fails its group check (``catalog._checked``,
-    ``_gstar_closure``, ``_tabled``).  For a degenerate (n = 1) spec, also a
-    SnapFailure when an element's eigen-angles are not multiples of
-    1/|Gamma| turn.  A degenerate group with no lens type is a failing
-    ``degenerate_cyclic_flag`` check, and the later sections keep their
-    "stage did not run" defaults.
+    ``_gstar_closure``, ``_tabled``) or a named quaternion of T*, O* or I*
+    is not one of its closure's elements (``_tabled``).  For a degenerate
+    (n = 1) spec, also a SnapFailure when an element's eigen-angles are not
+    multiples of 1/|Gamma| turn.  A degenerate group with no lens type is a
+    failing ``degenerate_cyclic_flag`` check, and the later sections keep
+    their "stage did not run" defaults.
 
     ``group`` is the enumerated group of ``spec`` when the caller already
     holds it, as ``enumerate_group`` returns it (exact turns for a cyclic
@@ -161,7 +167,7 @@ def describe(spec: GroupSpec,
     b = report.b_gamma
     checks = list(report.checks)
 
-    deform = _stage(checks, "deformation_triple_agreement", "invariants",
+    deform = _stage(checks, "deformation_triple_agreement",
                     lambda: dim_sfk(spec, enumerate_gamma_prime(spec), b))
     if deform is not None and deform.closed_forms_applicable:
         checks.append(CheckResult(
@@ -208,16 +214,17 @@ def resolve(spec: GroupSpec,
     return _resolve_noncyclic(spec, group, checks)
 
 
-def _stage(checks: list[CheckResult], name: str, where: str, run, *args):
+def _stage(checks: list[CheckResult], name: str, run, *args):
     """``run(*args)``, one stage of ``describe``; on a U2SingError, None,
-    with a failing check ``name`` whose detail is ``<where>: <text>``
-    appended to ``checks``.  The caller passes the stage as it reads it
+    with a failing check ``name`` appended to ``checks`` whose detail is
+    ``errors.failure_text``: the exception's class, its text and the
+    function that raised it.  The caller passes the stage as it reads it
     from the module globals at call time, so a patched stage is the one
     run."""
     try:
         return run(*args)
     except U2SingError as exc:
-        checks.append(CheckResult(name, False, f"{where}: {exc}"))
+        checks.append(CheckResult(name, False, failure_text(exc)))
         return None
 
 
@@ -262,8 +269,8 @@ def _resolve_noncyclic(spec: GroupSpec, group: Labels,
     # conjugate_equivalence_used stays in the schema: False after the exact
     # agreement that singularity_triple requires, None when it fails.  No
     # later stage runs without an agreed triple.
-    triple = _stage(checks, "singularity_table_agreement",
-                    "resolution_geometry", singularity_triple, spec, group)
+    triple = _stage(checks, "singularity_table_agreement", singularity_triple,
+                    spec, group)
     if triple is None:
         return Resolved(InvariantReport(spec, group.order,
                                         checks=tuple(checks)))
@@ -272,8 +279,7 @@ def _resolve_noncyclic(spec: GroupSpec, group: Labels,
         "singularity_table_agreement", True,
         f"{tuple(map(str, triple))}, conjugate_equivalence_used={conj_used}"))
 
-    b = _stage(checks, "b_gamma_double_derivation", "resolution_geometry",
-               b_gamma, spec, triple)
+    b = _stage(checks, "b_gamma_double_derivation", b_gamma, spec, triple)
     if b is None:
         return Resolved(InvariantReport(
             spec, group.order, singularities=triple,
@@ -315,8 +321,7 @@ def compactify(resolved: Resolved) -> InvariantReport:
     if rd is None:
         return report
     checks = list(report.checks)
-    comp = _stage(checks, "b_prime_unique", "resolution_geometry",
-                  compactification, report.spec, rd)
+    comp = _stage(checks, "b_prime_unique", compactification, report.spec, rd)
     if comp is None:
         return replace(report, checks=tuple(checks))
     bp = comp.b_prime

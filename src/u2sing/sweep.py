@@ -11,18 +11,19 @@ to the fixed bounds ``EISENSTEIN_N_MAX`` and ``HJ_P_MAX``, read when
 identities are checked.  The summary's exit code is 0 exactly when no
 check failed; partial results are still written when an output directory
 is set.  An exception raised while enumerating or describing one spec is
-recorded as a failing ``describe`` check whose detail names the
-exception's class, its text and where it was raised, and the sweep goes
-on.  That check is the spec's one record: no order or freeness verdict is
-derived for it a second way.  With an output directory set, that spec's
-report file of an earlier run is removed.
+recorded as a failing ``describe`` check, and the sweep goes on.  Its
+detail, like a failed kappa spot's, is ``errors.failure_text``, the text
+that a report's failed stage checks hold too: the exception's class, its
+text and the file, line and function that raised it.  That check is the
+spec's one record: no order or freeness verdict is derived for it a second
+way.  With an output directory set, that spec's report file of an earlier
+run is removed.
 """
 
 from __future__ import annotations
 
 import os
 import time
-import traceback
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -31,7 +32,7 @@ from typing import Iterator
 
 from .catalog import (DEFAULT_TOLERANCE, Family, GroupSpec,
                       eigenvalue_histogram, enumerate_group)
-from .errors import InvalidParameters
+from .errors import InvalidParameters, failure_text
 from .hj import hj_entries
 from .invariants import eisenstein_residuals
 from .report import InvariantReport, describe, report_to_json, write_file
@@ -233,24 +234,16 @@ def check_kappa_spots(summary: VerifySummary) -> None:
             b = b_gamma(spec, triple)
             res = resolution_graph(triple, b)
             kappa = compactification(spec, res).b_prime.kappa
+            detail = f"kappa = {kappa}, expected {expected}"
         except Exception as exc:
-            summary.record(spec.label(), "kappa_spot_values", False,
-                           _failure(exc))
-            continue
+            kappa, detail = None, failure_text(exc)
         summary.record(spec.label(), "kappa_spot_values", kappa == expected,
-                       f"kappa = {kappa}, expected {expected}")
+                       detail)
 
 
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
-
-def _failure(exc: Exception) -> str:
-    """The exception's class name and text, and where it was raised."""
-    where = traceback.extract_tb(exc.__traceback__)[-1]
-    return (f"{type(exc).__name__}: {exc} (at {Path(where.filename).name}:"
-            f"{where.lineno} in {where.name})")
-
 
 def verify(config: SweepConfig) -> VerifySummary:
     config.validate()
@@ -274,7 +267,7 @@ def verify(config: SweepConfig) -> VerifySummary:
             if report.topology is not None:      # with eta: an eta_bound check
                 unread_eta.discard(spec.key())
         except Exception as exc:        # the spec's one record
-            summary.record(spec.label(), "describe", False, _failure(exc))
+            summary.record(spec.label(), "describe", False, failure_text(exc))
         if group is not None and not spec.is_cyclic \
                 and not spec.is_degenerate_cyclic:
             summary.max_deformation_seconds = max(

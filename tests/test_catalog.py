@@ -26,6 +26,7 @@ from u2sing.catalog import (EQ_TOL, FAMILIES, KEY_SCALE, CyclicType, Family,
                             enumerate_group,
                             generate_closure, generators_of,
                             is_fixed_point_free)
+from u2sing.cli import main
 from u2sing.errors import (ClosureOverflow, InvalidParameters, NotAGroup,
                            NotCoprime, SnapFailure)
 from u2sing.report import describe, report_to_json
@@ -935,6 +936,20 @@ def test_a_gstar_closure_of_the_wrong_order_is_refused(monkeypatch,
     with pytest.raises(NotAGroup, match=re.escape(
             "O*: the closure has 24 elements, not 48")):
         _gstar("O")
+
+
+def test_a_named_quaternion_outside_its_closure_is_refused(
+        monkeypatch, fresh_caches, capsys):
+    # T*'s diagonal part moved off T*: keying the named quaternions back
+    # into the closure refuses it by name, and the CLI exits 1 on the
+    # refusal instead of ending in a KeyError traceback.
+    monkeypatch.setattr(u2sing.catalog, "_T_DIAGONAL", (0.6, 0.8, 0.0, 0.0))
+    with pytest.raises(NotAGroup, match=re.escape(
+            "T*: a named quaternion is not an element")):
+        _gstar("T")
+    assert main(["describe", "--family", "index3", "--m", "3"]) == 1
+    assert capsys.readouterr().err == (
+        "check failure: T*: a named quaternion is not an element\n")
 
 
 def test_each_gstar_is_closed_once_per_process(monkeypatch, fresh_caches):

@@ -17,8 +17,7 @@ import u2sing.report
 from u2sing.catalog import FAMILIES, Family, GroupSpec
 from u2sing.cli import main
 from u2sing.errors import InvalidParameters, TableDisagreement, U2SingError
-from u2sing.report import (CheckResult, describe, export_dot, report_to_dict,
-                           resolve)
+from u2sing.report import describe, export_dot, report_to_dict, resolve
 from u2sing.resolution import PlumbingGraph
 from u2sing.sweep import SweepConfig, specs_in_sweep
 
@@ -139,9 +138,11 @@ def test_subcommands_run_no_stage_after_a_failed_agreement(
     for spec in (GroupSpec.dihedral(5, 2), GroupSpec.icosahedral(7)):
         report = describe(spec)
         assert report.singularities is None and report.b_gamma is None
-        assert report.checks[-1] == CheckResult(
-            "singularity_table_agreement", False,
-            "resolution_geometry: injected")
+        last = report.checks[-1]
+        assert (last.name, last.passed) == ("singularity_table_agreement",
+                                            False)
+        assert last.detail.startswith("TableDisagreement: injected (at ")
+        assert last.detail.endswith(" in disagreeing)")
         assert_outputs(capsys, expected_outputs(spec, report, 1, str(path)),
                        path)
 
@@ -239,9 +240,12 @@ def test_compactify_exits_by_the_compactification_checks(monkeypatch,
 
     monkeypatch.setattr(u2sing.report, "compactification", failing)
     flags = ["--family", "dihedral", "--m", "5", "--n", "2"]
-    failure = (1, "", "check failure: dihedral(m=5,n=2) has no "
-                      "compactification data: resolution_geometry: injected\n")
-    assert run(capsys, ["compactify", *flags]) == failure
+    failure = run(capsys, ["compactify", *flags])
+    code, out, err = failure
+    assert (code, out) == (1, "")
+    assert err.startswith("check failure: dihedral(m=5,n=2) has no "
+                          "compactification data: U2SingError: injected (at ")
+    assert err.endswith(" in failing)\n")
     path = tmp_path / "graph.dot"
     assert run(capsys, ["export", *flags, "--what", "compactification",
                         "--out", str(path)]) == failure
@@ -315,8 +319,11 @@ def test_a_non_integer_determinant_is_a_failing_check(monkeypatch, capsys):
     move_centre_pivot(monkeypatch,
                       lambda p: (p[0] * 1000 - p[1], p[1] * 1000))
     flags = ["--family", "dihedral", "--m", "5", "--n", "2"]
-    assert run(capsys, ["compactify", *flags]) == (
-        1, "", "check failure: dihedral(m=5,n=2) has no compactification "
-               "data: resolution_geometry: integer matrix with non-integer "
-               "determinant\n")
+    code, out, err = run(capsys, ["compactify", *flags])
+    assert (code, out) == (1, "")
+    assert err.startswith(
+        "check failure: dihedral(m=5,n=2) has no compactification data: "
+        "CrossCheckFailure: integer matrix with non-integer determinant "
+        "(at resolution.py:")
+    assert err.endswith(" in _integer_det)\n")
     assert "b_prime_unique" in failing(describe(GroupSpec.dihedral(5, 2)))

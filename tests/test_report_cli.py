@@ -18,7 +18,7 @@ import u2sing.catalog as catalog
 import u2sing.sweep as sweep
 from u2sing.catalog import Family, GroupSpec, canonical_cyclic
 from u2sing.cli import main
-from u2sing.errors import InvalidParameters
+from u2sing.errors import InvalidParameters, U2SingError
 from u2sing.invariants import DeformationReport, TopologyReport
 from u2sing.report import (CheckResult, CompactificationSection,
                            InvariantReport, _dumps, _encode, describe,
@@ -114,7 +114,9 @@ def test_a_failed_b_gamma_leaves_the_placeholders(monkeypatch):
         assert d[key] == value, key
     assert [(c["name"], c["pass"]) for c in d["checks"]][-1] == (
         "b_gamma_double_derivation", False)
-    assert d["checks"][-1]["detail"] == "resolution_geometry: injected"
+    detail = d["checks"][-1]["detail"]
+    assert detail.startswith("CrossCheckFailure: injected (at ")
+    assert detail.endswith(" in b_gamma)")
 
 
 def test_a_triple_with_an_inverted_arm_fails_the_table_agreement(monkeypatch):
@@ -134,10 +136,11 @@ def test_a_triple_with_an_inverted_arm_fails_the_table_agreement(monkeypatch):
     checks = {c.name: c for c in r.checks}
     agreement = checks["singularity_table_agreement"]
     assert not agreement.passed
-    assert agreement.detail == (
-        f"resolution_geometry: {spec.label()}: table "
+    assert agreement.detail.startswith(
+        f"TableDisagreement: {spec.label()}: table "
         "('L(1,2)', 'L(1,2)', 'L(2,5)') != computed "
-        "('L(1,2)', 'L(1,2)', 'L(3,5)')")
+        "('L(1,2)', 'L(1,2)', 'L(3,5)') (at resolution.py:")
+    assert agreement.detail.endswith(" in singularity_triple)")
     assert "b_gamma_double_derivation" not in checks
     assert r.conjugate_equivalence_used is None
     assert r.singularities is None and r.b_gamma is None
@@ -145,6 +148,46 @@ def test_a_triple_with_an_inverted_arm_fails_the_table_agreement(monkeypatch):
     assert [c.name for c in r.checks] == [
         "order_matches_table", "fixed_point_free",
         "singularity_table_agreement"]
+
+
+class Injected(U2SingError):
+    """A failure that no stage of the library raises."""
+
+
+@pytest.mark.parametrize("stage, check", [
+    ("singularity_triple", "singularity_table_agreement"),
+    ("b_gamma", "b_gamma_double_derivation"),
+    ("compactification", "b_prime_unique"),
+    ("dim_sfk", "deformation_triple_agreement"),
+])
+def test_a_failed_stage_names_its_exception_and_the_raiser(stage, check,
+                                                           monkeypatch):
+    # The detail is the text that verify records for a spec whose describe
+    # raised: the class, the text, and the file, line and function.
+    def raiser(*args):
+        raise Injected("at the stage")
+
+    monkeypatch.setattr(f"u2sing.report.{stage}", raiser)
+    r = describe(GroupSpec.dihedral(5, 2))
+    (name, detail), = [(c.name, c.detail) for c in r.checks if not c.passed]
+    assert name == check
+    assert detail.startswith("Injected: at the stage (at test_report_cli.py:")
+    assert detail.endswith(" in raiser)")
+
+
+def test_an_overflowing_gamma_prime_names_the_closure(monkeypatch):
+    # Gamma' closed with a bound of a quarter of its order overflows in the
+    # closure, not in the deformation stage that called it.
+    spec = GroupSpec.index2(4, 3)
+    monkeypatch.setattr("u2sing.report.enumerate_gamma_prime", lambda s: (
+        catalog.generate_closure(catalog.generators_of(s)[1:],
+                                 s.expected_order() // 4)))
+    r = describe(spec)
+    check, = [c for c in r.checks if not c.passed]
+    assert check.name == "deformation_triple_agreement"
+    assert check.detail.startswith("ClosureOverflow: closure exceeded ")
+    assert check.detail.endswith(" in generate_closure)")
+    assert r.deformations is None and r.topology is not None
 
 
 def test_describe_invalid():
