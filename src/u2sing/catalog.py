@@ -31,12 +31,14 @@ or, for D*_4n, a formula on (a, b).  Each generator is declared once as
 such a label (``_declared``), and ``generators_of`` evaluates the
 declaration as float rows.  Each G* is built once per process and checked
 as a group before use (Latin square, Light's associativity test on its
-generators).  The Hopf-fiber rotation's powers come first, identity first;
-each later generator that is not yet a member adds whole right cosets of
-the group generated so far, one vector product per coset, and only the
-coset representatives' products with the generators are tested for
-membership.  The group is its labels (``Labels``): freeness, the
-eigenvalue tables, an n = 1 group's lens type and the pole types read exact
+generators).  The seed's powers come first, identity first; each later
+generator that is not yet a member adds whole right cosets of the group
+generated so far, and only the coset representatives' products with the
+generators are tested for membership.  The G* holds the power cycles and
+right multiplications that Dimino reads, built on first use, so a coset is
+one gather and an enumeration over a G* that has them takes no product of
+it.  The group is its labels (``Labels``): freeness, the eigenvalue
+tables, an n = 1 group's lens type and the pole types read exact
 eigen-angles off them, and no row is built from them.
 A cyclic spec's generator is declared once as exact turns
 (``_lens_turns``), in units of 1/(2p) turn, and its group is the powers of
@@ -57,7 +59,7 @@ from __future__ import annotations
 import functools
 import math
 from collections import Counter, namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 
@@ -549,6 +551,10 @@ class GStar:
     e^{+-2 pi i residue / order}; ``_checked`` checks all of them.  A
     table's ``named`` maps each quaternion the catalog names in it
     (``_gstar_quaternions``) to its index.
+
+    ``tables`` holds what Dimino asks of the G* (``right``, ``cycle``,
+    ``ints``), each built from ``mul`` on first use and kept on the object:
+    they go with it when ``_gstar``'s cache is cleared.
     """
 
     name: str
@@ -559,10 +565,36 @@ class GStar:
     table: np.ndarray | None = None
     n: int = 0
     named: dict | None = None
+    tables: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def size(self) -> int:
         return 4 * self.n if self.table is None else len(self.table)
+
+    def _held(self, key, build):
+        if key not in self.tables:
+            self.tables[key] = build()
+        return self.tables[key]
+
+    def right(self, r: int) -> np.ndarray:
+        """Right multiplication by element r, the permutation
+        ``mul(arange(size), r)``."""
+        return self._held(("right", r),
+                          lambda: self.mul(np.arange(self.size), r))
+
+    def cycle(self, j: int) -> np.ndarray:
+        """The powers of element j, identity first, up to its order."""
+        def build():
+            powers = [0]
+            for _ in range(int(self.order[j]) - 1):
+                powers.append(int(self.mul(powers[-1], j)))
+            return np.array(powers)
+        return self._held(("cycle", j), build)
+
+    def ints(self) -> tuple[list[int], list[int]]:
+        """``neg`` and ``order`` as lists of ints."""
+        return self._held("ints", lambda: (self.neg.tolist(),
+                                           self.order.tolist()))
 
     def mul(self, x, y):
         """The index of g_x g_y, for ints or broadcast integer arrays."""
@@ -701,7 +733,8 @@ def _binary_dihedral(n: int) -> GStar:
 @functools.cache
 def _gstar(kind: str, n: int = 0) -> GStar:
     """The checked G* of ``kind`` ("D" with n, "T", "O" or "I"), built on
-    first use and kept for the process."""
+    first use and kept for the process with the tables Dimino builds on it
+    (``GStar.tables``): ``cache_clear`` drops both."""
     return _checked(_binary_dihedral(n) if kind == "D" else _tabled(kind))
 
 
@@ -795,13 +828,17 @@ def _dimino(spec: GroupSpec) -> Labels:
     [e^{i pi/m}, e^{i pi/n}] has index 2 (its powers and one jhat coset),
     or 4 for a dihedral spec with odd n, where its order is mn, against
     about 2n for the fiber.  The seed's powers come first, identity first,
-    up to the first that is the identity.  Each later generator that is
+    up to the first that is the identity: one gather from the G*'s cycle of
+    the seed's SU(2) part (``GStar.cycle``).  Each later generator that is
     not yet a member extends the group G generated so far by whole right
     cosets G.r (each element of G, then r): first r = the generator, then
     every product of a coset representative and a generator so far that is
-    not yet a member.  A coset is one vector product over G's labels;
-    membership is one boolean per key.  Raises ClosureOverflow past
-    2 * |Gamma| elements, as the float closures do.
+    not yet a member.  A coset is one gather of G's j through the
+    permutation that right-multiplies by r's SU(2) part (``GStar.right``),
+    and a representative's product is one lookup in such a permutation, so
+    a G* that holds its tables is not multiplied again; membership is one
+    boolean per key.  Raises ClosureOverflow past 2 * |Gamma| elements, as
+    the float closures do.
 
     The order of the listing is the seed's; the Mobius stage reads Gamma
     as a set (``resolution._coset_indices``).
@@ -810,17 +847,18 @@ def _dimino(spec: GroupSpec) -> Labels:
     size, max_order = g.size, spec.expected_order()
     limit = 2 * max_order
     too_many = f"closure exceeded {limit} elements (expected {max_order})"
+    negs, orders = g.ints()
 
     def wrap(k, j):             # (k, j) with k in 0..2N-1 as k in 0..N-1
         over = k >= n
         return k - n * over, np.where(over, g.neg[j], j)
 
     def times(r, s):            # the label of the product r s
-        k, j = r[0] + s[0], int(g.mul(r[1], s[1]))
-        return (k - n, int(g.neg[j])) if k >= n else (k, j)
+        k, j = r[0] + s[0], int(g.right(s[1])[r[1]])
+        return (k - n, negs[j]) if k >= n else (k, j)
 
     def bound(k, j):            # the lcm of the orders of the two parts
-        return math.lcm(2 * n // math.gcd(k, 2 * n), int(g.order[j]))
+        return math.lcm(2 * n // math.gcd(k, 2 * n), orders[j])
 
     product = times(*gens[:2])
     if bound(*product) > bound(*gens[0]):
@@ -829,11 +867,9 @@ def _dimino(spec: GroupSpec) -> Labels:
     # up to the first that is the identity; the bound-th is, so no later
     # one is looked at.
     k0, j0 = gens[0]
-    cycle = [0]
-    for _ in range(int(g.order[j0]) - 1):
-        cycle.append(int(g.mul(cycle[-1], j0)))
+    cycle = g.cycle(j0)
     t = np.arange(1, min(bound(k0, j0), limit) + 1)
-    kp, jp = wrap(t * k0 % (2 * n), np.array(cycle)[t % len(cycle)])
+    kp, jp = wrap(t * k0 % (2 * n), cycle[t % len(cycle)])
     ones = np.flatnonzero((kp == 0) & (jp == 0))
     if not len(ones):
         raise ClosureOverflow(too_many)
@@ -851,7 +887,7 @@ def _dimino(spec: GroupSpec) -> Labels:
 
         def add_coset(r: tuple[int, int]) -> None:
             nonlocal order
-            kc, jc = wrap(k_g + r[0], g.mul(j_g, r[1]))
+            kc, jc = wrap(k_g + r[0], g.right(r[1])[j_g])
             member[kc * size + jc] = True
             ks.append(kc)
             js.append(jc)

@@ -325,6 +325,9 @@ def parse_config_file(path: str | Path) -> dict:
             raise InvalidParameters(f"{path}:{lineno}: expected key = value")
         key, value = (s.strip() for s in line.split("=", 1))
         if key.startswith("eta."):
+            if key == "eta.":
+                raise InvalidParameters(f"{path}:{lineno}: eta. names no spec "
+                                        f"key; expected eta.<spec_key> = value")
             eta[key[4:]] = parse_fraction(value)
         else:
             values[key] = value

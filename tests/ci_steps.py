@@ -1,14 +1,14 @@
 """The checks CI makes beyond tier-1: specs past the sweep bounds, the
-singularity triple at n <= 200, the image memo over the default sweep, the
-integer routes against their references over the default sweep, the
-declared generator labels against the float snap over the default sweep
-and D*_4n's exact fields against the float route to n = 400, each cached
-G* closure against the closure of its specs' generators and the gap
-around the Dirichlet-kernel cutoff over the default sweep, the
-masked digest of the default sweep's reports, the label closure against
-the float Dimino at |D*| = 796, the global identities past their default
-bounds, the README config, written report text, verify's stdout across
-hash seeds, and ``report_diff`` on two runs of one sweep.
+singularity triple at n <= 200, the image memo and the Dimino tables over
+the default sweep, the integer routes against their references over the
+default sweep, the declared generator labels against the float snap over
+the default sweep and D*_4n's exact fields against the float route to
+n = 400, each cached G* closure against the closure of its specs'
+generators and the gap around the Dirichlet-kernel cutoff over the default
+sweep, the masked digest of the default sweep's reports, the label closure
+against the float Dimino at |D*| = 796, the global identities past their
+default bounds, the README config, written report text, verify's stdout
+across hash seeds, and ``report_diff`` on two runs of one sweep.
 
 The file name does not match ``test_*.py``, so tier-1 does not collect it.
 Run it on its own, from the repository root:
@@ -30,7 +30,7 @@ import numpy as np
 import pytest
 
 import u2sing.sweep as sweep
-from u2sing.catalog import (Family, GroupSpec, _row_keys,
+from u2sing.catalog import (Family, GroupSpec, _gstar, _row_keys,
                             enumerate_gamma_prime, enumerate_group,
                             generators_of)
 from u2sing.cli import main
@@ -101,6 +101,20 @@ def test_the_image_memo_carries_no_state_from_one_spec_to_the_next(
 
     monkeypatch.setattr(sweep, "describe", cold)
     assert verify(N200).format_text() == warm.format_text()
+
+
+def test_the_dimino_tables_carry_no_state_from_one_spec_to_the_next(
+        fresh_caches):
+    # The 1,908 non-cyclic specs of the default sweep enumerated with the
+    # G* tables warm, then again with every G* rebuilt for each spec: the
+    # same labels (k, j) in the same order.
+    specs = [s for s in specs_in_sweep(SweepConfig()) if not s.is_cyclic]
+    warm = [enumerate_group(spec) for spec in specs]
+    assert len(warm) == 1908
+    for spec, lab in zip(specs, warm):
+        _gstar.cache_clear()
+        cold = enumerate_group(spec)
+        assert np.array_equal(cold.k, lab.k) and np.array_equal(cold.j, lab.j)
 
 
 def test_the_default_sweep_meets_26_images(fresh_caches):

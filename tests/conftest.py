@@ -19,7 +19,8 @@ def small_global_bounds(monkeypatch):
 @pytest.fixture
 def fresh_caches():
     """Empty process caches, emptied again after the test: the checked G*
-    tables (``catalog._gstar``), the G* closures (``_gstar_closure``) and
+    with the tables Dimino built on them (``catalog._gstar``, whose
+    ``GStar.tables`` go with it), the G* closures (``_gstar_closure``) and
     the memo of Mobius-image stabilizers (``resolution._image_stabilizers``).
     A test that patches a stage they cache computes every entry under its
     patch, whatever ran before it, and leaves no patched entry to another

@@ -5,6 +5,7 @@ import dataclasses
 import itertools
 import math
 import re
+from collections import Counter
 from fractions import Fraction as F
 from functools import partial
 from types import SimpleNamespace
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 import u2sing
 import u2sing.catalog
 from u2sing.catalog import (EQ_TOL, FAMILIES, KEY_SCALE, CyclicType, Family,
-                            FiniteGroup, GroupSpec, Labels, Turns,
+                            FiniteGroup, GroupSpec, GStar, Labels, Turns,
                             _canonical_rows, _checked, _gstar,
                             _gstar_closure, _gstar_kind, _row_keys,
                             _snap_residue, _su2_product, _T_GENS,
@@ -987,6 +988,77 @@ def test_each_gstar_keys_its_elements_once(monkeypatch, fresh_caches):
     assert keyed == []
     assert _gstar("T").neg is not None
     assert keyed == [24, 192, 192, 192, 6, 24]
+
+
+def _walk(g, j):
+    """The powers of element j of ``g``, identity first, by one scalar
+    product each, up to the first that is the identity again."""
+    powers = [0]
+    while (x := int(g.mul(powers[-1], j))) != 0:
+        powers.append(x)
+    return powers
+
+
+def test_each_table_dimino_asked_for_is_a_cold_product(fresh_caches):
+    # After enumerating the 1,908 non-cyclic specs of the default sweep,
+    # every G* it touches (D*4 ... D*96, T*, O*, I*) holds the tables
+    # Dimino asked for, each equal to its product computed cold: a right
+    # multiplication by r to mul of every element by r, a power cycle to
+    # the scalar walk, whose length is the element's order, and the int
+    # lists to neg and order.  A G* built after cache_clear holds none.
+    from u2sing.sweep import SweepConfig, specs_in_sweep
+    gstars = {_gstar_kind(s): enumerate_group(s).gstar
+              for s in specs_in_sweep(SweepConfig()) if not s.is_cyclic}
+    assert len(gstars) == 27
+    for g in gstars.values():
+        kinds = Counter(k if k == "ints" else k[0] for k in g.tables)
+        assert kinds["ints"] == 1 and kinds["right"] and kinds["cycle"]
+        assert sum(kinds.values()) == len(g.tables)
+        every = np.arange(g.size)
+        for key, table in g.tables.items():
+            if key == "ints":
+                assert table == (g.neg.tolist(), g.order.tolist())
+            elif key[0] == "right":
+                assert np.array_equal(table, g.mul(every, key[1])), key
+            else:
+                assert table.tolist() == _walk(g, key[1]), key
+                assert len(table) == g.order[key[1]]
+    _gstar.cache_clear()
+    for key, g in gstars.items():
+        fresh = _gstar(*key)
+        assert fresh is not g and fresh.tables == {}
+
+
+def test_a_wrong_right_multiplication_is_caught(monkeypatch, fresh_caches):
+    # D*_4n's right multiplication by e^{i pi/n} with its first two entries
+    # swapped: the enumeration reads that table, and on the m <= 20,
+    # n <= 6 slice the closure count leaves the table order or overflows
+    # on some spec.  With the table as built, every spec passes.
+    from u2sing.sweep import SweepConfig, specs_in_sweep
+    config = SweepConfig(families=tuple(set(Family) - {Family.CYCLIC}),
+                         m_max=20, n_max=6)
+    real = GStar.right
+
+    def swapped(g, r):
+        perm = real(g, r)
+        if g.table is None and r == 1:
+            perm = perm.copy()
+            perm[[0, 1]] = perm[[1, 0]]
+        return perm
+
+    def failing():
+        for spec in specs_in_sweep(config):
+            try:
+                if enumerate_group(spec).order != spec.expected_order():
+                    yield spec
+            except ClosureOverflow:
+                yield spec
+
+    monkeypatch.setattr(GStar, "right", swapped)
+    assert any(failing())
+    monkeypatch.undo()
+    _gstar.cache_clear()
+    assert not any(failing())
 
 
 @pytest.mark.parametrize("spec", [GroupSpec.cyclic(1, 2),

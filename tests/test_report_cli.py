@@ -1104,6 +1104,16 @@ def test_verify_rejects_an_unparsable_eta_in_the_config(tmp_path, capsys):
         "", "error: eta value 'abc' is not a fraction num/den\n")
 
 
+def test_verify_rejects_an_eta_line_without_a_spec_key(tmp_path, capsys):
+    # An empty spec key names no spec: refused with the file and line
+    # before the sweep runs, not warned about as an unread eta value.
+    path = tmp_path / "sweep.cfg"
+    path.write_text("m_max = 2\neta. = 1/2\n")
+    assert main(["verify", "--config", str(path), *TINY]) == 2
+    assert capsys.readouterr() == ("", f"error: {path}:2: eta. names no spec "
+                                   "key; expected eta.<spec_key> = value\n")
+
+
 def test_verify_refuses_the_removed_eta_file_flag(tmp_path, capsys):
     # eta tables come from eta.<spec_key> config lines only: --eta-file is
     # refused as argparse refuses any unknown flag, before the sweep runs.
