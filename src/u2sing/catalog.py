@@ -553,8 +553,9 @@ class GStar:
     (``_gstar_quaternions``) to its index.
 
     ``tables`` holds what Dimino asks of the G* (``right``, ``cycle``,
-    ``ints``), each built from ``mul`` on first use and kept on the object:
-    they go with it when ``_gstar``'s cache is cleared.
+    ``ints``), each built from ``mul`` on first use, and the stabilizers of
+    its Mobius image (``resolution._image_stabilizers``), each kept on the
+    object by ``held``: they go with it when ``_gstar``'s cache is cleared.
     """
 
     name: str
@@ -571,7 +572,8 @@ class GStar:
     def size(self) -> int:
         return 4 * self.n if self.table is None else len(self.table)
 
-    def _held(self, key, build):
+    def held(self, key, build):
+        """``tables[key]``, made by ``build()`` on first use."""
         if key not in self.tables:
             self.tables[key] = build()
         return self.tables[key]
@@ -579,7 +581,7 @@ class GStar:
     def right(self, r: int) -> np.ndarray:
         """Right multiplication by element r, the permutation
         ``mul(arange(size), r)``."""
-        return self._held(("right", r),
+        return self.held(("right", r),
                           lambda: self.mul(np.arange(self.size), r))
 
     def cycle(self, j: int) -> np.ndarray:
@@ -589,11 +591,11 @@ class GStar:
             for _ in range(int(self.order[j]) - 1):
                 powers.append(int(self.mul(powers[-1], j)))
             return np.array(powers)
-        return self._held(("cycle", j), build)
+        return self.held(("cycle", j), build)
 
     def ints(self) -> tuple[list[int], list[int]]:
         """``neg`` and ``order`` as lists of ints."""
-        return self._held("ints", lambda: (self.neg.tolist(),
+        return self.held("ints", lambda: (self.neg.tolist(),
                                            self.order.tolist()))
 
     def mul(self, x, y):
@@ -733,8 +735,9 @@ def _binary_dihedral(n: int) -> GStar:
 @functools.cache
 def _gstar(kind: str, n: int = 0) -> GStar:
     """The checked G* of ``kind`` ("D" with n, "T", "O" or "I"), built on
-    first use and kept for the process with the tables Dimino builds on it
-    (``GStar.tables``): ``cache_clear`` drops both."""
+    first use and kept for the process with the tables Dimino and the
+    Mobius image build on it (``GStar.tables``): ``cache_clear`` drops
+    both."""
     return _checked(_binary_dihedral(n) if kind == "D" else _tabled(kind))
 
 

@@ -18,10 +18,12 @@ prints, and its exit status covers the checks of those stages: ``resolve``
 and ``export --what resolution`` the order, freeness, singularity, b_Gamma
 and resolution checks; ``compactify`` and ``export --what
 compactification`` those and the compactification's three checks.
-``describe`` and ``verify`` run every stage and every check.  ``resolve``,
-``compactify`` and ``export`` share one stage path, so ``export --what X``
-writes what ``resolve``/``compactify --format dot`` prints and exits as it
-does: ``compactify`` and ``export --what compactification`` exit 2 for a
+``describe`` and ``verify`` run every stage and every check.  ``export
+--what resolution`` runs ``report.resolve`` and ``export --what
+compactification`` runs ``report.compactify``, as the subcommands of those
+names do, so ``export --what X`` writes what ``resolve``/``compactify
+--format dot`` prints and exits as it does: ``compactify`` and ``export
+--what compactification`` exit 2 for a
 group with nothing to compactify (cyclic, n = 1, a failed
 ``singularity_table_agreement``, or b_Gamma failed) and 1 when the
 compactification stage fails.  ``hj`` exits 2 for a pair that
@@ -167,15 +169,13 @@ def cmd_hj(args: argparse.Namespace) -> int:
 
 
 def _stage_report(args: argparse.Namespace):
-    """The report of the stages that ``args.what`` names: ``resolve``, and
-    for the compactification ``compactify`` after it."""
+    """The report of the stages up to the section ``args.what``."""
     spec = _spec_from_args(args)
-    resolved = resolve(spec)
     if args.what == "resolution":
-        return resolved.report
-    if resolved.res is None:
+        return resolve(spec)
+    report = compactify(spec)
+    if report.b_gamma is None:      # cyclic, n = 1, or no triple or b_Gamma
         raise InvalidParameters(f"{spec.label()} has no compactification data")
-    report = compactify(resolved)
     if report.compactification is None:
         raise U2SingError(f"{spec.label()} has no compactification data: "
                           f"{report.checks[-1].detail}")

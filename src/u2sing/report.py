@@ -11,11 +11,14 @@ So does a stage that raises: its check's detail is
 file, line and function that raised it), the text that ``verify`` records
 for a spec whose ``describe`` raised.
 
-``describe`` is three steps in a row, and the CLI calls the first two alone:
-``resolve`` (enumeration to the resolution graph), ``compactify`` (b', kappa
-and the dual star), then Gamma', the deformation dimensions, the moduli count
-and the topology.  A report from the first steps has its later sections None
-and holds the checks of the stages run so far.
+``describe`` runs the stages in order, and the CLI runs a prefix of them:
+``resolve`` stops after the resolution graph (enumeration, freeness, the
+singularity triple and b_Gamma before it), ``compactify`` after b', kappa
+and the dual star, and ``describe`` goes on to Gamma', the deformation
+dimensions, the moduli count and the topology.  All three are one run,
+``_report``, told the last section to build; a report holds the checks of
+the stages run, and the sections of the stages not run keep their
+defaults.
 
 Serialization is JSON derived from the report dataclasses: the keys are their
 fields in declaration order (adding a field adds a key), except that
@@ -44,7 +47,7 @@ import functools
 import json
 import os
 import types
-from dataclasses import dataclass, fields, is_dataclass, replace
+from dataclasses import dataclass, fields, is_dataclass
 from enum import Enum
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
@@ -118,16 +121,6 @@ class InvariantReport:
 # describe
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Resolved:
-    """What ``resolve`` computes: the report up to the resolution graph, and
-    the resolution that the later stages take, with ``report.b_gamma``.
-    ``res`` is None when no later stage applies: for a cyclic group, and
-    when the singularity triple or b_Gamma failed."""
-    report: InvariantReport
-    res: ResolutionData | None = None
-
-
 def describe(spec: GroupSpec,
              eta: Fraction | None = None,
              group: Turns | Labels | None = None) -> InvariantReport:
@@ -155,17 +148,162 @@ def describe(spec: GroupSpec,
     ``group`` is the enumerated group of ``spec`` when the caller already
     holds it, as ``enumerate_group`` returns it (exact turns for a cyclic
     spec, exact labels for every other); otherwise it is enumerated here.
-    Every later stage takes its inputs from the records of the stages
-    before it: ``resolve``, then ``compactify``, then Gamma', the
-    deformation dimensions, the moduli count and the topology.
     """
-    resolved = resolve(spec, group)
-    report = compactify(resolved)
-    rd = resolved.res
-    if rd is None:
-        return report
-    b = report.b_gamma
-    checks = list(report.checks)
+    return _report(spec, group, eta, None)
+
+
+def resolve(spec: GroupSpec) -> InvariantReport:
+    """The resolution stages of ``describe``: order and freeness, the
+    singularity triple, b_Gamma and the resolution graph, with the checks
+    of each.  The report's later sections keep their defaults."""
+    return _report(spec, None, None, "resolution")
+
+
+def compactify(spec: GroupSpec) -> InvariantReport:
+    """``resolve`` and then the compactification stage: b', kappa and the
+    dual star, with their three checks.  A failing stage adds a failing
+    ``b_prime_unique`` and leaves the section None."""
+    return _report(spec, None, None, "compactification")
+
+
+def _report(spec: GroupSpec, group: Turns | Labels | None,
+            eta: Fraction | None, last: str | None) -> InvariantReport:
+    """The report of ``spec``'s stages run in order (``_run``), up to the
+    section ``last``: "resolution", "compactification", or None for every
+    stage.  ``group`` is enumerated here when it is None."""
+    if group is None:
+        group = enumerate_group(spec)
+    values: dict = {}
+    checks: list[CheckResult] = []
+    _run(spec, group, eta, last, values, checks)
+    return InvariantReport(spec, group.order, checks=tuple(checks), **values)
+
+
+def _stage(checks: list[CheckResult], name: str, run, *args):
+    """``run(*args)``, one stage of ``describe``; on a U2SingError, None,
+    with a failing check ``name`` appended to ``checks`` whose detail is
+    ``errors.failure_text``: the exception's class, its text and the
+    function that raised it.  The caller passes the stage as it reads it
+    from the module globals at call time, so a patched stage is the one
+    run."""
+    try:
+        return run(*args)
+    except U2SingError as exc:
+        checks.append(CheckResult(name, False, failure_text(exc)))
+        return None
+
+
+def _resolution_fields(rd: ResolutionData) -> dict:
+    """The seven report fields read off a resolution, chain or star."""
+    return dict(hj_strings=rd.strings, hj_lengths=tuple(map(len, rd.strings)),
+                k_gamma=rd.k_gamma, signature=rd.tau, chi=1 + rd.k_gamma,
+                resolution=rd.graph, h1_theta=dim_h1_theta(rd.graph))
+
+
+def _run(spec: GroupSpec, group: Turns | Labels, eta: Fraction | None,
+         last: str | None, values: dict, checks: list[CheckResult]) -> None:
+    """Run the stages of ``spec`` in order, each adding its report fields
+    to ``values`` and its checks to ``checks``.  The run returns after the
+    section ``last``, and before it at a stage that does not apply (a
+    cyclic group has nothing past its chain, a degenerate one with no lens
+    type not even that) or whose failure leaves no input to the next: the
+    singularity triple and b_Gamma.  A failed compactification or Gamma'
+    leaves its section at the default, and the run goes on."""
+    checks.append(CheckResult(
+        "order_matches_table", group.order == spec.expected_order(),
+        f"enumerated {group.order}, expected {spec.expected_order()}"))
+    free = is_fixed_point_free(group)
+    # Free means that the identity is the one element with eigenvalue 1.
+    ones = 1 if free else group.eigenvalue_one_count()
+    checks.append(CheckResult(
+        "fixed_point_free", free, f"{ones} element(s) with eigenvalue 1"))
+
+    if spec.is_cyclic or spec.is_degenerate_cyclic:
+        if spec.is_cyclic:          # the chain of the spec itself
+            t = canonical_cyclic(spec.q, spec.p)
+        else:
+            values["degenerate_cyclic"] = True
+            t = cyclic_equivalent_type(group)
+            if t is None:
+                checks.append(CheckResult(
+                    "degenerate_cyclic_flag", False,
+                    "n = 1: flagged degenerate, but the group is not cyclic"))
+                return
+            checks.append(CheckResult(
+                "degenerate_cyclic_flag", True,
+                f"n = 1: group is cyclic, equivalent to {t}"))
+        rd = resolution_chain(t)
+        s, = rd.strings
+        checks.append(CheckResult("hj_round_trip",
+                                  hj.continuant(s) == (t.beta, t.alpha),
+                                  f"string {list(s)} for {t}"))
+        checks.append(CheckResult("resolution_negative_definite",
+                                  rd.negative_definite, ""))
+        values.update(singularities=(t,), **_resolution_fields(rd))
+        return
+
+    # conjugate_equivalence_used stays in the schema: False after the exact
+    # agreement that singularity_triple requires, None when it fails.
+    triple = _stage(checks, "singularity_table_agreement", singularity_triple,
+                    spec, group)
+    if triple is None:
+        return
+    values.update(singularities=triple, conjugate_equivalence_used=False)
+    checks.append(CheckResult(
+        "singularity_table_agreement", True,
+        f"{tuple(map(str, triple))}, conjugate_equivalence_used=False"))
+
+    b = _stage(checks, "b_gamma_double_derivation", b_gamma, spec, triple)
+    if b is None:
+        return
+    checks.append(CheckResult(
+        "b_gamma_double_derivation", True,
+        f"integer {b} == rational {b}"))
+
+    rd = resolution_graph(triple, b)
+    checks.append(CheckResult(
+        "hj_round_trip",
+        all(hj.continuant(s) == (t.beta, t.alpha)
+            for t, s in zip(rd.types, rd.strings)), ""))
+    checks.append(CheckResult(
+        "resolution_negative_definite", rd.negative_definite,
+        f"k_gamma={rd.k_gamma}"))
+    checks.append(CheckResult(
+        "tau_equals_minus_k", rd.tau == -rd.k_gamma, ""))
+    # The centre pivot is the Schur complement center + sum 1/[arm]: the
+    # boundary's Seifert Euler number, from the elimination's continuants.
+    m, h = spec.m, spec.pgl_image_order()
+    euler = Fraction(*rd.pivots[-1])
+    checks.append(CheckResult(
+        "seifert_euler_calibration", euler == Fraction(-2 * m, h),
+        f"e = {euler}, -2m/h = {Fraction(-2 * m, h)}"))
+    values.update(b_gamma=b, b_gamma_rational=Fraction(b),
+                  **_resolution_fields(rd))
+    if last == "resolution":
+        return
+
+    comp = _stage(checks, "b_prime_unique", compactification, spec, rd)
+    if comp is not None:
+        bp = comp.b_prime
+        curves = rd.k_gamma + comp.star.vertex_count
+        checks.append(CheckResult(
+            "kappa_curve_count", curves == bp.kappa + 1,
+            f"kappa={bp.kappa}, curves={curves}"))
+        checks.append(CheckResult(
+            "b_prime_unique", True,
+            f"b'={bp.value}, seifert target {bp.seifert_value}, "
+            f"lattice candidates {list(bp.lattice_candidates)}"))
+        checks.append(CheckResult(
+            "b_prime_signature", bp.signature == (1, bp.kappa),
+            f"signature {bp.signature}"))
+        values["compactification"] = CompactificationSection(
+            b_prime=bp.value, b_prime_positive=bp.value > 0,
+            seifert_value=bp.seifert_value, dual_strings=comp.dual_strings,
+            lattice_candidates=bp.lattice_candidates, kappa=bp.kappa,
+            star=comp.star, configuration_determinant=bp.determinant,
+            configuration_signature=bp.signature)
+    if last == "compactification":
+        return
 
     deform = _stage(checks, "deformation_triple_agreement",
                     lambda: dim_sfk(spec, enumerate_gamma_prime(spec), b))
@@ -185,164 +323,8 @@ def describe(spec: GroupSpec,
             "eta_bound", bool(topo.bound_holds),
             f"b2- = {topo.b2_minus}, bound = {topo.sfasd_bound}, "
             f"equality = {topo.bound_is_equality}"))
-
-    return replace(report, deformations=deform,
-                   moduli_dim=moduli_dim(b, rd), topology=topo,
-                   checks=tuple(checks))
-
-
-def resolve(spec: GroupSpec,
-            group: Turns | Labels | None = None) -> Resolved:
-    """The resolution stages of ``describe``: order and freeness, the
-    singularity triple, b_Gamma and the resolution graph, with the checks
-    of each.  The report's later sections are None."""
-    checks: list[CheckResult] = []
-
-    if group is None:
-        group = enumerate_group(spec)
-    checks.append(CheckResult(
-        "order_matches_table", group.order == spec.expected_order(),
-        f"enumerated {group.order}, expected {spec.expected_order()}"))
-    free = is_fixed_point_free(group)
-    # Free means that the identity is the one element with eigenvalue 1.
-    ones = 1 if free else group.eigenvalue_one_count()
-    checks.append(CheckResult(
-        "fixed_point_free", free, f"{ones} element(s) with eigenvalue 1"))
-
-    if spec.is_cyclic or spec.is_degenerate_cyclic:
-        return Resolved(_describe_cyclic(spec, group, checks))
-    return _resolve_noncyclic(spec, group, checks)
-
-
-def _stage(checks: list[CheckResult], name: str, run, *args):
-    """``run(*args)``, one stage of ``describe``; on a U2SingError, None,
-    with a failing check ``name`` appended to ``checks`` whose detail is
-    ``errors.failure_text``: the exception's class, its text and the
-    function that raised it.  The caller passes the stage as it reads it
-    from the module globals at call time, so a patched stage is the one
-    run."""
-    try:
-        return run(*args)
-    except U2SingError as exc:
-        checks.append(CheckResult(name, False, failure_text(exc)))
-        return None
-
-
-def _describe_cyclic(spec: GroupSpec, group: Turns | Labels,
-                     checks: list[CheckResult]) -> InvariantReport:
-    degenerate = spec.is_degenerate_cyclic
-    if degenerate:
-        t = cyclic_equivalent_type(group)
-        if t is None:                # no lens type: no later stage can run
-            checks.append(CheckResult(
-                "degenerate_cyclic_flag", False,
-                "n = 1: flagged degenerate, but the group is not cyclic"))
-            return InvariantReport(spec, group.order, degenerate,
-                                   checks=tuple(checks))
-        checks.append(CheckResult(
-            "degenerate_cyclic_flag", True,
-            f"n = 1: group is cyclic, equivalent to {t}"))
-    else:                       # the chain of the spec itself
-        t = canonical_cyclic(spec.q, spec.p)
-    rd = resolution_chain(t)
-    s, = rd.strings
-    checks.append(CheckResult("hj_round_trip",
-                              hj.continuant(s) == (t.beta, t.alpha),
-                              f"string {list(s)} for {t}"))
-    checks.append(CheckResult("resolution_negative_definite",
-                              rd.negative_definite, ""))
-    return InvariantReport(spec, group.order, degenerate, singularities=(t,),
-                           checks=tuple(checks), **_resolution_fields(rd))
-
-
-def _resolution_fields(rd: ResolutionData) -> dict:
-    """The seven report fields read off a resolution, chain or star."""
-    return dict(hj_strings=rd.strings, hj_lengths=tuple(map(len, rd.strings)),
-                k_gamma=rd.k_gamma, signature=rd.tau, chi=1 + rd.k_gamma,
-                resolution=rd.graph, h1_theta=dim_h1_theta(rd.graph))
-
-
-def _resolve_noncyclic(spec: GroupSpec, group: Labels,
-                       checks: list[CheckResult]) -> Resolved:
-    m, h = spec.m, spec.pgl_image_order()
-
-    # conjugate_equivalence_used stays in the schema: False after the exact
-    # agreement that singularity_triple requires, None when it fails.  No
-    # later stage runs without an agreed triple.
-    triple = _stage(checks, "singularity_table_agreement", singularity_triple,
-                    spec, group)
-    if triple is None:
-        return Resolved(InvariantReport(spec, group.order,
-                                        checks=tuple(checks)))
-    conj_used = False
-    checks.append(CheckResult(
-        "singularity_table_agreement", True,
-        f"{tuple(map(str, triple))}, conjugate_equivalence_used={conj_used}"))
-
-    b = _stage(checks, "b_gamma_double_derivation", b_gamma, spec, triple)
-    if b is None:
-        return Resolved(InvariantReport(
-            spec, group.order, singularities=triple,
-            conjugate_equivalence_used=conj_used, checks=tuple(checks)))
-    checks.append(CheckResult(
-        "b_gamma_double_derivation", True,
-        f"integer {b} == rational {b}"))
-
-    rd = resolution_graph(triple, b)
-    checks.append(CheckResult(
-        "hj_round_trip",
-        all(hj.continuant(s) == (t.beta, t.alpha)
-            for t, s in zip(rd.types, rd.strings)), ""))
-    checks.append(CheckResult(
-        "resolution_negative_definite", rd.negative_definite,
-        f"k_gamma={rd.k_gamma}"))
-    checks.append(CheckResult(
-        "tau_equals_minus_k", rd.tau == -rd.k_gamma, ""))
-    # The centre pivot is the Schur complement center + sum 1/[arm]: the
-    # boundary's Seifert Euler number, from the elimination's continuants.
-    euler = Fraction(*rd.pivots[-1])
-    checks.append(CheckResult(
-        "seifert_euler_calibration", euler == Fraction(-2 * m, h),
-        f"e = {euler}, -2m/h = {Fraction(-2 * m, h)}"))
-
-    return Resolved(InvariantReport(
-        spec, group.order, singularities=triple,
-        conjugate_equivalence_used=conj_used, b_gamma=b,
-        b_gamma_rational=Fraction(b), checks=tuple(checks),
-        **_resolution_fields(rd)), rd)
-
-
-def compactify(resolved: Resolved) -> InvariantReport:
-    """``resolved``'s report with the compactification stage run: b', kappa
-    and the dual star, with their three checks.  A failing stage adds a
-    failing ``b_prime_unique`` and leaves the section None; a report with no
-    resolution to compactify (``resolved.res`` None) comes back as it is."""
-    report, rd = resolved.report, resolved.res
-    if rd is None:
-        return report
-    checks = list(report.checks)
-    comp = _stage(checks, "b_prime_unique", compactification, report.spec, rd)
-    if comp is None:
-        return replace(report, checks=tuple(checks))
-    bp = comp.b_prime
-    curves = rd.k_gamma + comp.star.vertex_count
-    checks.append(CheckResult(
-        "kappa_curve_count", curves == bp.kappa + 1,
-        f"kappa={bp.kappa}, curves={curves}"))
-    checks.append(CheckResult(
-        "b_prime_unique", True,
-        f"b'={bp.value}, seifert target {bp.seifert_value}, "
-        f"lattice candidates {list(bp.lattice_candidates)}"))
-    checks.append(CheckResult(
-        "b_prime_signature", bp.signature == (1, bp.kappa),
-        f"signature {bp.signature}"))
-    section = CompactificationSection(
-        b_prime=bp.value, b_prime_positive=bp.value > 0,
-        seifert_value=bp.seifert_value, dual_strings=comp.dual_strings,
-        lattice_candidates=bp.lattice_candidates, kappa=bp.kappa,
-        star=comp.star, configuration_determinant=bp.determinant,
-        configuration_signature=bp.signature)
-    return replace(report, compactification=section, checks=tuple(checks))
+    values.update(deformations=deform, moduli_dim=moduli_dim(b, rd),
+                  topology=topo)
 
 
 # ---------------------------------------------------------------------------

@@ -85,7 +85,6 @@ trust them too.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -292,13 +291,13 @@ def _stabilizers(table: np.ndarray) -> Iterator[tuple[int, int, int]]:
         yield int(g), int(order[g]), normalizer
 
 
-@functools.cache
 def _image_stabilizers(gstar: GStar) -> tuple[tuple[int, int, int], ...]:
     """``_stabilizers`` of G*/+-1, the Mobius image of every group over
-    ``gstar``, indexed as ``_mobius_table`` indexes it.  Kept for the
-    process, like ``catalog._gstar``: only this tuple is kept, not the
-    h x h table."""
-    return tuple(_stabilizers(_mobius_table(gstar)))
+    ``gstar``, indexed as ``_mobius_table`` indexes it.  Held on the G*
+    (``GStar.tables``), so it goes with the G* when ``catalog._gstar``'s
+    cache is cleared: only this tuple is kept, not the h x h table."""
+    return gstar.held("stabilizers",
+                      lambda: tuple(_stabilizers(_mobius_table(gstar))))
 
 
 def _pole_type(theta: tuple[int, int], phi: tuple[int, int], p: int,

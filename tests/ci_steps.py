@@ -29,9 +29,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import u2sing.resolution as resolution
 import u2sing.sweep as sweep
-from u2sing.catalog import (Family, GroupSpec, _gstar, _row_keys,
-                            enumerate_gamma_prime, enumerate_group,
+from u2sing.catalog import (Family, GroupSpec, _gstar, _gstar_kind,
+                            _row_keys, enumerate_gamma_prime, enumerate_group,
                             generators_of)
 from u2sing.cli import main
 from u2sing.report import describe
@@ -54,13 +55,29 @@ N200 = SweepConfig(families=(Family.DIHEDRAL, Family.INDEX2), m_max=3,
                    n_max=200)
 
 
+def counted_stabilizers(patch) -> list:
+    """Count each build of Mobius-image stabilizers under ``patch``, a
+    MonkeyPatch: one entry, the image's order h, per ``_stabilizers`` run."""
+    builds = []
+    real = resolution._stabilizers
+
+    def counted(table):
+        builds.append(len(table))
+        return real(table)
+
+    patch.setattr(resolution, "_stabilizers", counted)
+    return builds
+
+
 @pytest.fixture(scope="module")
 def n200():
-    """The N200 sweep, run once from an empty image memo, and the memo's
-    statistics after it."""
-    _image_stabilizers.cache_clear()
-    summary = verify(N200)
-    return summary, _image_stabilizers.cache_info()
+    """The N200 sweep, run once from empty G* caches, and the number of
+    Mobius-image stabilizer builds it made."""
+    _gstar.cache_clear()
+    with pytest.MonkeyPatch.context() as patch:
+        builds = counted_stabilizers(patch)
+        summary = verify(N200)
+    return summary, len(builds)
 
 
 @pytest.mark.parametrize("argv, line", [
@@ -92,15 +109,22 @@ def test_the_singularity_triple_agrees_at_n_up_to_200(n200):
 
 def test_the_image_memo_carries_no_state_from_one_spec_to_the_next(
         n200, monkeypatch, fresh_caches):
-    warm, info = n200
-    assert info.hits > 0
+    # Warm, one build per G* (D*8 ... D*800), far fewer than the 431 specs
+    # with n > 1; cold, with every G* rebuilt before each spec, one build a
+    # spec, and the same summary.
+    warm, builds = n200
+    gstars = {_gstar_kind(s) for s in specs_in_sweep(N200)
+              if not s.is_degenerate_cyclic}
+    assert builds == len(gstars) == 199
 
     def cold(spec, **kwargs):
-        _image_stabilizers.cache_clear()
+        _gstar.cache_clear()
         return describe(spec, **kwargs)
 
     monkeypatch.setattr(sweep, "describe", cold)
+    cold_builds = counted_stabilizers(monkeypatch)
     assert verify(N200).format_text() == warm.format_text()
+    assert len(cold_builds) == 431
 
 
 def test_the_dimino_tables_carry_no_state_from_one_spec_to_the_next(
@@ -117,18 +141,19 @@ def test_the_dimino_tables_carry_no_state_from_one_spec_to_the_next(
         assert np.array_equal(cold.k, lab.k) and np.array_equal(cold.j, lab.j)
 
 
-def test_the_default_sweep_meets_26_images(fresh_caches):
-    # The 1,788 non-cyclic specs with n > 1 of the default sweep, from an
-    # empty memo: 26 keys, one per G* (D*8 ... D*96, T*, O*, I*), and a
-    # hit for every other spec.  Each memo value equals a cold computation.
+def test_the_default_sweep_meets_26_images(monkeypatch, fresh_caches):
+    # The 1,788 non-cyclic specs with n > 1 of the default sweep, from
+    # empty G* caches: 26 builds, one per G* (D*8 ... D*96, T*, O*, I*),
+    # and every other spec reads the one held on its G*.  Each held value
+    # equals a cold computation.
+    builds = counted_stabilizers(monkeypatch)
     keys = set()
     for spec in specs_in_sweep(SweepConfig()):
         if not (spec.is_cyclic or spec.is_degenerate_cyclic):
             lab = enumerate_group(spec)
             assert singularity_triple(spec, lab) == table_singularities(spec)
             keys.add(lab.gstar)
-    assert _image_stabilizers.cache_info()[:2] == (1762, 26)  # hits, misses
-    assert len(keys) == 26
+    assert len(builds) == len(keys) == 26
     for gstar in keys:
         cold = tuple(_stabilizers(_mobius_table(gstar)))
         assert _image_stabilizers(gstar) == cold

@@ -2,9 +2,9 @@
 
 import pytest
 
+import u2sing.resolution as resolution
 import u2sing.sweep as sweep
 from u2sing.catalog import _gstar, _gstar_closure
-from u2sing.resolution import _image_stabilizers
 
 
 @pytest.fixture
@@ -19,15 +19,30 @@ def small_global_bounds(monkeypatch):
 @pytest.fixture
 def fresh_caches():
     """Empty process caches, emptied again after the test: the checked G*
-    with the tables Dimino built on them (``catalog._gstar``, whose
-    ``GStar.tables`` go with it), the G* closures (``_gstar_closure``) and
-    the memo of Mobius-image stabilizers (``resolution._image_stabilizers``).
-    A test that patches a stage they cache computes every entry under its
-    patch, whatever ran before it, and leaves no patched entry to another
-    test."""
-    caches = (_gstar, _gstar_closure, _image_stabilizers)
+    with the tables built on them (``catalog._gstar``, whose
+    ``GStar.tables`` go with it: Dimino's products and the Mobius-image
+    stabilizers of ``resolution._image_stabilizers``) and the G* closures
+    (``_gstar_closure``).  A test that patches a stage they cache computes
+    every entry under its patch, whatever ran before it, and leaves no
+    patched entry to another test."""
+    caches = (_gstar, _gstar_closure)
     for cache in caches:
         cache.cache_clear()
     yield
     for cache in caches:
         cache.cache_clear()
+
+
+@pytest.fixture
+def stabilizer_builds(monkeypatch):
+    """The builds of Mobius-image stabilizers during the test: one entry,
+    the image's order h, each time ``resolution._stabilizers`` is run."""
+    builds = []
+    real = resolution._stabilizers
+
+    def counted(table):
+        builds.append(len(table))
+        return real(table)
+
+    monkeypatch.setattr(resolution, "_stabilizers", counted)
+    return builds

@@ -18,8 +18,9 @@ import u2sing.sweep as sweep
 from u2sing.catalog import (Family, GroupSpec, enumerate_gamma_prime,
                             enumerate_group)
 from u2sing.errors import CrossCheckFailure
-from u2sing.report import resolve
 from u2sing.resolution import compactification
+
+from stages import table_resolution
 
 # (caller, name, home): the tracer wraps ``name`` in the caller's module,
 # where the caller looks it up; it must be the home module's function.
@@ -90,7 +91,8 @@ def test_the_b_prime_window_is_an_int_pair():
     for spec in SPECS:
         if spec.is_cyclic or spec.is_degenerate_cyclic:
             continue
-        lo, hi = compactification(spec, resolve(spec).res).b_prime.window
+        res = table_resolution(spec)
+        lo, hi = compactification(spec, res).b_prime.window
         assert type(lo) is int and type(hi) is int and lo <= hi, spec
 
 

@@ -1005,19 +1005,31 @@ def test_each_table_dimino_asked_for_is_a_cold_product(fresh_caches):
     # Dimino asked for, each equal to its product computed cold: a right
     # multiplication by r to mul of every element by r, a power cycle to
     # the scalar walk, whose length is the element's order, and the int
-    # lists to neg and order.  A G* built after cache_clear holds none.
+    # lists to neg and order.  After the Mobius-image stabilizers of the
+    # 1,788 specs with n > 1 are read, the 26 G*s over them (all but D*4)
+    # hold those too, equal to a cold build.  A G* built after cache_clear
+    # holds none.
+    from u2sing.resolution import (_image_stabilizers, _mobius_table,
+                                   _stabilizers)
     from u2sing.sweep import SweepConfig, specs_in_sweep
-    gstars = {_gstar_kind(s): enumerate_group(s).gstar
-              for s in specs_in_sweep(SweepConfig()) if not s.is_cyclic}
+    gstars = {}
+    for s in specs_in_sweep(SweepConfig()):
+        if not s.is_cyclic:
+            g = gstars[_gstar_kind(s)] = enumerate_group(s).gstar
+            if not s.is_degenerate_cyclic:
+                _image_stabilizers(g)
     assert len(gstars) == 27
     for g in gstars.values():
-        kinds = Counter(k if k == "ints" else k[0] for k in g.tables)
+        kinds = Counter(k if isinstance(k, str) else k[0] for k in g.tables)
         assert kinds["ints"] == 1 and kinds["right"] and kinds["cycle"]
+        assert kinds["stabilizers"] == (g.size > 4)
         assert sum(kinds.values()) == len(g.tables)
         every = np.arange(g.size)
         for key, table in g.tables.items():
             if key == "ints":
                 assert table == (g.neg.tolist(), g.order.tolist())
+            elif key == "stabilizers":
+                assert table == tuple(_stabilizers(_mobius_table(g)))
             elif key[0] == "right":
                 assert np.array_equal(table, g.mul(every, key[1])), key
             else:

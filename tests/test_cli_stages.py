@@ -7,6 +7,7 @@ The reference output is built from `describe`'s report: the JSON section of
 the report's fields.
 """
 
+import dataclasses
 import json
 from itertools import chain
 from types import SimpleNamespace
@@ -17,7 +18,8 @@ import u2sing.report
 from u2sing.catalog import FAMILIES, Family, GroupSpec
 from u2sing.cli import main
 from u2sing.errors import InvalidParameters, TableDisagreement, U2SingError
-from u2sing.report import describe, export_dot, report_to_dict, resolve
+from u2sing.report import (InvariantReport, compactify, describe, export_dot,
+                           report_to_dict, resolve)
 from u2sing.resolution import PlumbingGraph
 from u2sing.sweep import SweepConfig, specs_in_sweep
 
@@ -224,7 +226,7 @@ def test_resolve_exits_by_the_resolution_checks(monkeypatch, capsys):
     # stay the same
     monkeypatch.setattr(u2sing.report, "hj",
                         SimpleNamespace(continuant=lambda s: (0, 1)))
-    report = resolve(GroupSpec.dihedral(5, 2)).report
+    report = resolve(GroupSpec.dihedral(5, 2))
     assert failing(report) == ["hj_round_trip"]
     assert run(capsys, ["resolve", *flags, "--format", "json"]) == (
         1, *resolved[1:])
@@ -257,6 +259,67 @@ def test_compactify_exits_by_the_compactification_checks(monkeypatch,
     assert run(capsys, ["resolve", *flags])[0] == 0
 
 
+# -- resolve and compactify are prefixes of describe --------------------------
+
+# For each stage that `resolve` or `compactify` stops after: the report
+# fields and the checks of the stages after it.
+AFTER = {
+    "resolution": (("compactification", "deformations", "moduli_dim",
+                    "topology"),
+                   {"kappa_curve_count", "b_prime_unique", "b_prime_signature",
+                    "deformation_triple_agreement", "deformation_m1_gate"}),
+    "compactification": (("deformations", "moduli_dim", "topology"),
+                         {"deformation_triple_agreement",
+                          "deformation_m1_gate"}),
+}
+DEFAULTS = {f.name: f.default for f in dataclasses.fields(InvariantReport)}
+
+
+def cut(report, last):
+    """``report`` as it stands after the section ``last``: the later
+    sections at their defaults, and the checks cut before the first check
+    of a later stage."""
+    later_fields, later_checks = AFTER[last]
+    names = [c.name for c in report.checks]
+    end = next((i for i, name in enumerate(names) if name in later_checks),
+               len(names))
+    return dataclasses.replace(report, checks=report.checks[:end],
+                               **{f: DEFAULTS[f] for f in later_fields})
+
+
+def assert_prefixes(specs):
+    for spec in specs:
+        report = describe(spec)
+        assert resolve(spec) == cut(report, "resolution"), spec
+        assert compactify(spec) == cut(report, "compactification"), spec
+
+
+def test_resolve_and_compactify_are_prefixes_of_describe():
+    assert_prefixes(SLICE)
+
+
+@pytest.mark.parametrize("stage", ["singularity_triple", "b_gamma",
+                                   "compactification",
+                                   "enumerate_gamma_prime"])
+def test_a_failed_stage_cuts_each_prefix_where_describe_has_it(stage,
+                                                               monkeypatch):
+    def raising(*args):
+        raise U2SingError("injected")
+
+    monkeypatch.setattr(u2sing.report, stage, raising)
+    assert not describe(GroupSpec.dihedral(5, 2)).all_passed()
+    assert_prefixes(SLICE)
+
+
+def test_a_degenerate_group_with_no_lens_type_cuts_every_prefix(
+        monkeypatch):
+    monkeypatch.setattr(u2sing.report, "cyclic_equivalent_type",
+                        lambda group: None)
+    spec = GroupSpec.dihedral(3, 1)
+    assert failing(describe(spec)) == ["degenerate_cyclic_flag"]
+    assert resolve(spec) == compactify(spec) == describe(spec)
+
+
 # -- the resolution's pivots --------------------------------------------------
 
 ONE_PER_FAMILY = [GroupSpec.dihedral(5, 2), GroupSpec.tetrahedral(7),
@@ -286,9 +349,9 @@ def test_calibration_sees_a_shifted_centre_pivot(spec, monkeypatch):
     # An integer shift keeps the star definite and tau = -k; only the
     # Seifert Euler number, read from the centre pivot, moves.
     assert {s.family for s in ONE_PER_FAMILY} == set(Family) - {Family.CYCLIC}
-    assert failing(resolve(spec).report) == []
+    assert failing(resolve(spec)) == []
     move_centre_pivot(monkeypatch, lambda p: (p[0] - p[1], p[1]))   # d - 1
-    assert failing(resolve(spec).report) == ["seifert_euler_calibration"]
+    assert failing(resolve(spec)) == ["seifert_euler_calibration"]
 
 
 @pytest.mark.parametrize("move", [lambda p: (-p[0], p[1]),
@@ -297,7 +360,7 @@ def test_calibration_sees_a_shifted_centre_pivot(spec, monkeypatch):
 def test_tau_is_read_from_the_elimination(move, monkeypatch):
     # A zero pivot is a degenerate lattice: failing checks, not an error.
     move_centre_pivot(monkeypatch, move)
-    report = resolve(GroupSpec.dihedral(5, 2)).report
+    report = resolve(GroupSpec.dihedral(5, 2))
     assert failing(report) == ["resolution_negative_definite",
                                "tau_equals_minus_k",
                                "seifert_euler_calibration"]
@@ -307,9 +370,9 @@ def test_tau_is_read_from_the_elimination(move, monkeypatch):
 def test_a_flipped_chain_pivot_fails_definiteness(monkeypatch):
     # A lens chain is a star with one arm; its centre pivot is the chain's
     # last.  The lens report has no tau check: definiteness must see it.
-    assert failing(resolve(GroupSpec.cyclic(3, 7)).report) == []
+    assert failing(resolve(GroupSpec.cyclic(3, 7))) == []
     move_centre_pivot(monkeypatch, lambda p: (-p[0], p[1]))
-    report = resolve(GroupSpec.cyclic(3, 7)).report
+    report = resolve(GroupSpec.cyclic(3, 7))
     assert failing(report) == ["resolution_negative_definite"]
     assert report.signature == 2 - report.k_gamma
 

@@ -625,7 +625,7 @@ def test_the_non_cyclic_resolution_reads_no_float(spec, cold, monkeypatch,
             request.getfixturevalue("fresh_caches")
             for name in ("_row_keys", "_snap_residue", "generators_of"):
                 patch.setattr(catalog, name, refuse)
-        report = resolve(spec).report
+        report = resolve(spec)
     assert report.checks and report.all_passed(), report.checks
     summary = VerifySummary()
     check_eigenvalue_tables(summary)
@@ -650,7 +650,7 @@ def test_the_lens_resolution_reads_no_float(spec, monkeypatch):
                         ("EQ_TOL", 2.0)):
         monkeypatch.setattr(catalog, name, value)
     monkeypatch.setattr(catalog, "_row", refuse)
-    report = resolve(spec).report
+    report = resolve(spec)
     assert report.checks and report.all_passed(), report.checks
     group = catalog.enumerate_group(spec)
     assert group.order == spec.p and catalog.is_fixed_point_free(group)
@@ -1226,11 +1226,9 @@ def test_cli_export_fails_with_a_failing_check(tmp_path, monkeypatch, capsys):
     from u2sing.report import CheckResult, resolve
 
     def failing(spec):
-        resolved = resolve(spec)
-        report = dataclasses.replace(resolved.report, checks=(
-            resolved.report.checks + (
-                CheckResult("injected", False, "made to fail"),)))
-        return dataclasses.replace(resolved, report=report)
+        report = resolve(spec)
+        return dataclasses.replace(report, checks=report.checks + (
+            CheckResult("injected", False, "made to fail"),))
 
     monkeypatch.setattr(cli, "resolve", failing)
     out = tmp_path / "d4.dot"

@@ -1,8 +1,10 @@
 """Singularity triples, plumbing graphs, central weights, compactifications."""
 
 import cmath
+import gc
 import math
 import random
+import weakref
 from fractions import Fraction as F
 
 import numpy as np
@@ -11,8 +13,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from u2sing import resolution
-from u2sing.catalog import (FAMILIES, Family, GroupSpec, Labels, _row_keys,
-                            canonical_cyclic, enumerate_group)
+from u2sing.catalog import (FAMILIES, Family, GroupSpec, Labels, _gstar,
+                            _row_keys, canonical_cyclic, enumerate_group)
 from u2sing.errors import (AmbiguousCandidate, CrossCheckFailure,
                            InvalidParameters, MalformedGraph, NotCoprime,
                            OrbitCountMismatch, SnapFailure, TableDisagreement,
@@ -255,30 +257,46 @@ def test_table_route_agrees_past_the_sweep_bounds(spec):
 
 # -- the memo of Mobius-image stabilizers ------------------------------------
 
-def test_two_specs_with_one_image_compute_it_once(fresh_caches):
+def test_two_specs_with_one_image_compute_it_once(fresh_caches,
+                                                  stabilizer_builds):
     # dihedral(3, 5) and dihedral(7, 5) differ in m only: one D*20, one
-    # image, one key, and each triple is still its own table's.
+    # image of h = 10, one build, and each triple is still its own table's.
     first, second = GroupSpec.dihedral(3, 5), GroupSpec.dihedral(7, 5)
     labs = [enumerate_group(spec) for spec in (first, second)]
     assert labs[0].gstar is labs[1].gstar
     assert singularity_triple(first, labs[0]) == table_singularities(first)
-    assert _image_stabilizers.cache_info()[:2] == (0, 1)       # hits, misses
+    assert stabilizer_builds == [10]
     assert singularity_triple(second, labs[1]) == table_singularities(second)
-    assert _image_stabilizers.cache_info()[:2] == (1, 1)
+    assert stabilizer_builds == [10]
     assert table_singularities(first) != table_singularities(second)
 
 
 @pytest.mark.parametrize("spec", ONE_PER_FAMILY, ids=GroupSpec.key)
-def test_a_group_listed_in_another_order_is_one_key(spec, fresh_caches):
+def test_a_group_listed_in_another_order_is_one_key(spec, fresh_caches,
+                                                    stabilizer_builds):
     # The same elements, identity first and the rest reversed: one G*, so
-    # the memo hits, and the representatives are read from Gamma as a set,
-    # so the triple read from the other listing still agrees with the table.
+    # the stabilizers are built once, and the representatives are read from
+    # Gamma as a set, so the triple read from the other listing still
+    # agrees with the table.
     lab = enumerate_group(spec)
     order = np.r_[0, np.arange(lab.order - 1, 0, -1)]
     permuted = Labels(lab.k[order], lab.j[order], lab.gstar, lab.n)
     assert singularity_triple(spec, lab) == table_singularities(spec)
     assert singularity_triple(spec, permuted) == table_singularities(spec)
-    assert _image_stabilizers.cache_info()[:2] == (1, 1)
+    assert len(stabilizer_builds) == 1
+
+
+def test_a_cleared_gstar_is_freed(fresh_caches):
+    # D*96, the G* of dihedral(5, 24), holds its Dimino tables and its
+    # image's stabilizers after a describe; once _gstar's cache is
+    # cleared, nothing keeps it or them alive.
+    spec = GroupSpec.dihedral(5, 24)
+    assert describe(spec).all_passed()
+    gstar = weakref.ref(enumerate_group(spec).gstar)
+    assert "stabilizers" in gstar().tables and len(gstar().tables) > 1
+    _gstar.cache_clear()
+    gc.collect()
+    assert gstar() is None
 
 
 def test_every_memoized_image_equals_a_cold_one():
