@@ -14,35 +14,21 @@ deformation-dimension identities -- each quantity by at least two
 independent routes, cross-checked.
 """
 
-from .catalog import (CyclicType, Family, FiniteGroup, GroupSpec, Labels,
-                      Turns, canonical_cyclic, cyclic_equivalent_type,
-                      eigenvalue_histogram, enumerate_gamma_prime,
-                      enumerate_group, generators_of, is_fixed_point_free)
+from .catalog import (CyclicType, Family, GroupSpec, canonical_cyclic,
+                      enumerate_group)
 from .hj import cf_value, dual_type, hj_string
-from .invariants import (DeformationReport, TopologyReport, closed_form_dim,
-                         dim_h1_theta, dim_sfk, eisenstein_check, moduli_dim,
-                         sawtooth, topology_report)
 from .report import (InvariantReport, describe, export_dot, report_from_dict,
                      report_from_json, report_to_dict, report_to_json)
-from .resolution import (CompactificationData, PlumbingGraph, ResolutionData,
-                         b_gamma, compactification, graph_to_dot,
-                         resolution_chain, resolution_graph,
-                         singularity_triple, solve_b_prime)
 from .sweep import SweepConfig, VerifySummary, specs_in_sweep, verify
 
 __version__ = "0.1.0"
 
+# The public API; tests/reach_audit.py gives each name's reason.
 __all__ = [
-    "CompactificationData", "CyclicType", "DeformationReport", "Family",
-    "FiniteGroup", "GroupSpec", "InvariantReport", "Labels", "PlumbingGraph",
-    "ResolutionData", "SweepConfig", "TopologyReport", "Turns",
+    "CyclicType", "Family", "GroupSpec", "InvariantReport", "SweepConfig",
     "VerifySummary",
-    "b_gamma", "canonical_cyclic", "cf_value", "closed_form_dim",
-    "compactification", "cyclic_equivalent_type", "describe", "dim_h1_theta",
-    "dim_sfk", "dual_type", "eigenvalue_histogram", "eisenstein_check",
-    "enumerate_gamma_prime", "enumerate_group", "export_dot", "generators_of",
-    "graph_to_dot", "hj_string", "is_fixed_point_free", "moduli_dim",
-    "report_from_dict", "report_from_json", "report_to_dict", "report_to_json",
-    "resolution_chain", "resolution_graph", "sawtooth", "singularity_triple",
-    "solve_b_prime", "specs_in_sweep", "topology_report", "verify",
+    "canonical_cyclic", "cf_value", "describe", "dual_type",
+    "enumerate_group", "export_dot", "hj_string", "report_from_dict",
+    "report_from_json", "report_to_dict", "report_to_json",
+    "specs_in_sweep", "verify",
 ]

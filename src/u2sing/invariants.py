@@ -55,25 +55,9 @@ def sawtooth(x: Fraction | int) -> Fraction:
     return x - math.floor(x) - Fraction(1, 2)
 
 
-def _sine_table(n: int) -> np.ndarray:
-    """sin(2 pi r/n) for r = 0, ..., n-1."""
-    return np.sin(2 * math.pi * np.arange(n) / n)
-
-
-def eisenstein_check(n: int, k: int) -> float:
-    """|LHS - RHS| of sum_{j=1}^{n-1} sin(2 pi k j/n) cot(pi j/n)
-    = -2n ((k/n)).  Each sine is read from the table of sin(2 pi r/n) at
-    the exact residue r = k j mod n."""
-    if n < 2:
-        raise InvalidParameters("Eisenstein identity needs n >= 2")
-    j = np.arange(1, n)
-    lhs = float(np.sum(_sine_table(n)[k * j % n] / np.tan(math.pi * j / n)))
-    rhs = float(-2 * n * sawtooth(Fraction(k, n)))
-    return abs(lhs - rhs)
-
-
 def eisenstein_residuals(n: int) -> np.ndarray:
-    """eisenstein_check(n, k) for k = 0, ..., 2n as one array, from one DFT.
+    """|LHS - RHS| of sum_{j=1}^{n-1} sin(2 pi k j/n) cot(pi j/n)
+    = -2n ((k/n)) for k = 0, ..., 2n, as one array from one DFT.
 
     With c_0 = 0 and c_j = cot(pi j/n) for 0 < j < n, the DFT
     C_k = sum_j c_j e^{-2 pi i k j/n} has Im C_k = -sum_j sin(2 pi k j/n) c_j,
@@ -81,8 +65,9 @@ def eisenstein_residuals(n: int) -> np.ndarray:
     n - 2(k mod n), or 0 where n | k.  Both sides depend on k only through
     k mod n (e^{-2 pi i (k+n) j/n} = e^{-2 pi i k j/n}), so rows
     k = 0, ..., n-1 are evaluated and then repeated: row k + n is row k.
-    The sums are rounded differently from ``eisenstein_check``'s direct
-    sum, and agree with it to 2e-13 for n <= 200.
+    The sums are rounded differently from the direct sum of each (n, k)
+    (the tests' reference, ``tests/eisenstein_direct.py``), and agree with
+    it to 2e-13 for n <= 200.
     """
     if n < 2:
         raise InvalidParameters("Eisenstein identity needs n >= 2")

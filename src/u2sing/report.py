@@ -31,11 +31,11 @@ field-for-field.
 All report text, a whole report's and the CLI's JSON sections, comes from
 one writer, ``report_to_json(obj, indent)``, which takes report objects
 only (an ``InvariantReport`` or one of its sections), walks them once and
-writes ``json.dumps(_encode(obj), indent=indent)`` byte for byte.  A
-graph's matrix is drawn from its weights and edges: no list of lists is
-built.  ``report_to_dict`` comes from ``_encode``, the route that the tests
-compare the writer against; ``json.dumps(report_to_dict(r))`` is the
-compact text.
+writes the text that ``json.dumps`` writes of their JSON data at that
+indent.  A graph's matrix is drawn from its weights and edges: no list of
+lists is built.  The writer is the one route from report objects to JSON:
+``report_to_dict`` parses its text.  The tests compare it with a reference
+encoder that builds the data first (``tests/report_encoder.py``).
 
 Every output file, a sweep's reports and the CLI's ``--out`` files, is
 written by ``write_file``.
@@ -339,7 +339,6 @@ _KEYS = {"brute_force_dim": "brute", "closed_form_dim": "closed",
 _SCALAR_TEXT = {int: int.__repr__, str: encode_basestring_ascii,
                 bool: lambda b: "true" if b else "false",
                 type(None): lambda _: "null", float: json.dumps}
-_SCALARS = frozenset(_SCALAR_TEXT)
 _hints = functools.cache(get_type_hints)
 
 
@@ -351,32 +350,8 @@ def _fields(cls: type) -> tuple[tuple[str, str], ...]:
     return tuple((name, _KEYS.get(name, name)) for name in names)
 
 
-def _encode(x):
-    """JSON data for a non-scalar: a tuple becomes a list, a Fraction
-    {"num", "den"}, an Enum its value and a dataclass an object of its fields;
-    a GroupSpec omits unset parameters, a PlumbingGraph adds its matrix."""
-    t = type(x)
-    if t is tuple:      # the report's tuples are homogeneous
-        if not x or type(x[0]) in _SCALARS:
-            return list(x)
-        return [_encode(v) for v in x]
-    if t is Fraction:
-        return {"num": x.numerator, "den": x.denominator}
-    if isinstance(x, Enum):
-        return x.value
-    out = {}
-    for name, key in _fields(t):
-        v = getattr(x, name)
-        out[key] = v if type(v) in _SCALARS else _encode(v)
-    if t is GroupSpec:
-        return {k: v for k, v in out.items() if v is not None}
-    if t is PlumbingGraph:
-        out["matrix"] = x.intersection_matrix()
-    return out
-
-
 def _decode(tp, v):
-    """Rebuild a value of type ``tp`` from what ``_encode`` wrote."""
+    """Rebuild a value of type ``tp`` from its JSON data."""
     if v is None:
         return None
     if get_origin(tp) in (Union, types.UnionType):
@@ -397,7 +372,6 @@ def _decode(tp, v):
     return v
 
 
-
 @functools.cache
 def _prefixes(cls: type) -> tuple[tuple[str, str], ...]:
     """(field, '"key": ') pairs of a dataclass, in ``_fields`` order."""
@@ -413,8 +387,9 @@ def _fraction(x: Fraction, pad: str, inner: str) -> str:
 
 
 def _dumps(x, pad: str, step: str) -> str:
-    """``json.dumps(_encode(x), indent=len(step))`` for a report object, with
-    ``pad`` the indent of the line ``x`` starts on."""
+    """The text ``json.dumps`` writes of a report object's JSON data at
+    indent ``len(step)``, with ``pad`` the indent of the line ``x`` starts
+    on."""
     t = type(x)
     text = _SCALAR_TEXT.get(t)
     if text is not None:
@@ -456,8 +431,8 @@ def _dumps(x, pad: str, step: str) -> str:
 
 
 def _matrix(g: PlumbingGraph, pad: str, step: str) -> str:
-    """``_dumps(g.intersection_matrix(), pad, step)``, drawn from the graph:
-    each row starts as zeros and takes its weight and its edges' ones."""
+    """The text of ``g``'s intersection matrix, drawn from the graph: each
+    row starts as zeros and takes its weight and its edges' ones."""
     w = g.weights()
     rows = [["0"] * len(w) for _ in w]
     for i, v in enumerate(w):
@@ -471,8 +446,9 @@ def _matrix(g: PlumbingGraph, pad: str, step: str) -> str:
     return f"[\n{inner}[\n{deeper}{body}\n{inner}]\n{pad}]"
 
 
-def report_to_dict(r: InvariantReport) -> dict:
-    return _encode(r)
+def report_to_dict(obj) -> dict:
+    """The JSON data of a report object: ``report_to_json``'s text, parsed."""
+    return json.loads(report_to_json(obj))
 
 
 def report_from_dict(d: dict) -> InvariantReport:
@@ -480,8 +456,8 @@ def report_from_dict(d: dict) -> InvariantReport:
 
 
 def report_to_json(obj, indent: int = 2) -> str:
-    """``json.dumps(_encode(obj), indent=indent)`` for a report object: an
-    ``InvariantReport`` or one of its sections."""
+    """The JSON text of a report object, an ``InvariantReport`` or one of
+    its sections, as ``json.dumps`` writes its data at ``indent``."""
     return _dumps(obj, "", " " * indent)
 
 

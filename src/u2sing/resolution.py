@@ -138,16 +138,6 @@ class PlumbingGraph:
                 prev = pos
                 pos += 1
 
-    def intersection_matrix(self) -> list[list[int]]:
-        w = self.weights()
-        n = len(w)
-        mat = [[0] * n for _ in range(n)]
-        for i in range(n):
-            mat[i][i] = w[i]
-        for i, j in self._edges():
-            mat[i][j] = mat[j][i] = 1
-        return mat
-
     def pivots(self) -> list[tuple[int, int]]:
         """Diagonal of the exact LDL^T elimination, leaves first, each pivot
         an integer pair (num, den) meaning num/den, den never zero.

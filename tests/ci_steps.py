@@ -1,14 +1,17 @@
 """The checks CI makes beyond tier-1: specs past the sweep bounds, the
 singularity triple at n <= 200, the image memo and the Dimino tables over
-the default sweep, the integer routes against their references over the
-default sweep, the declared generator labels against the float snap over
+the default sweep, the integer routes against their references and
+``report_to_dict`` against the reference encoder over the default sweep,
+the declared generator labels against the float snap over
 the default sweep and D*_4n's exact fields against the float route to
 n = 400, each cached G* closure against the closure of its specs'
 generators and the gap around the Dirichlet-kernel cutoff over the default
 sweep, the masked digest of the default sweep's reports, the label closure
 against the float Dimino at |D*| = 796, the global identities past their
 default bounds, the README config, written report text, verify's stdout
-across hash seeds, and ``report_diff`` on two runs of one sweep.
+across hash seeds, ``report_diff`` on two runs of one sweep, and the reach
+audit of ``tests/reach_audit.py``, on the package and on a copy with one
+unreached function planted.
 
 The file name does not match ``test_*.py``, so tier-1 does not collect it.
 Run it on its own, from the repository root:
@@ -22,6 +25,7 @@ interpreter.
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -35,7 +39,7 @@ from u2sing.catalog import (Family, GroupSpec, _gstar, _gstar_kind,
                             _row_keys, enumerate_gamma_prime, enumerate_group,
                             generators_of)
 from u2sing.cli import main
-from u2sing.report import describe
+from u2sing.report import describe, report_to_dict, write_file
 from u2sing.resolution import (_image_stabilizers, _mobius_table,
                                _stabilizers, singularity_triple,
                                table_singularities)
@@ -47,8 +51,10 @@ from dimino_float import (check_declared_labels, check_gstar_closures,
                           dimino_closure, rows_of)
 from fraction_routes import check_exact_routes
 from report_diff import diff_folders
+from report_encoder import encode
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+AUDIT = Path(__file__).resolve().parent / "reach_audit.py"
 
 # Every dihedral and index-2 group with m <= 3 and n <= 200 (h <= 400).
 N200 = SweepConfig(families=(Family.DIHEDRAL, Family.INDEX2), m_max=3,
@@ -172,6 +178,17 @@ def test_the_integer_routes_equal_their_references_on_the_default_sweep(
         "rational_b": 1788, "seifert": 1788}
 
 
+def test_report_to_dict_is_the_reference_encoder_on_the_default_sweep():
+    # report_to_dict parses the writer's text; the reference encoder
+    # (tests/report_encoder.py) builds the data from the report objects.
+    count = 0
+    for spec in specs_in_sweep(SweepConfig()):
+        r = describe(spec)
+        assert report_to_dict(r) == encode(r), spec.label()
+        count += 1
+    assert count == 14139
+
+
 def test_the_declared_labels_are_the_reference_snap_on_the_default_sweep():
     # The declared generator labels against the float snap of the rows
     # generators_of evaluates, on all 1,908 non-cyclic specs, and D*_4n's
@@ -263,14 +280,14 @@ def test_report_text_equals_json_dumps(tmp_path):
     for cut in (lambda text: text + "junk" * 100,
                 lambda text: text[:len(text) // 2]):
         for path in lens.glob("*.json"):
-            path.write_text(cut(path.read_text()))
+            write_file(path, cut(path.read_text()))
         assert main(argv) == 0
     # describe --out over a padded file equals a fresh write
     index3 = ["describe", "--family", "index3", "--m", "3", "--format", "json"]
     for folder in ("once", "twice"):
         assert main([*index3, "--out", str(tmp_path / folder)]) == 0
     padded = tmp_path / "twice" / "index3_m3.json"
-    padded.write_text(padded.read_text() + "junk" * 100)
+    write_file(padded, padded.read_text() + "junk" * 100)
     assert main([*index3, "--out", str(tmp_path / "twice")]) == 0
     once = tmp_path / "once" / "index3_m3.json"
     assert padded.read_bytes() == once.read_bytes()
@@ -330,3 +347,26 @@ def test_verify_prints_the_same_stdout_under_two_hash_seeds():
                                 "PYTHONHASHSEED": seed}).stdout
             for seed in ("0", "1")]
     assert outs[0] == outs[1] and b"exit status: 0" in outs[0]
+
+
+def test_every_function_production_does_not_reach_is_declared():
+    # A fresh interpreter, so that the audit's hook sees the import and
+    # every cache start empty (tests/reach_audit.py).
+    run = subprocess.run([sys.executable, str(AUDIT)], capture_output=True,
+                         text=True)
+    assert (run.returncode, run.stdout, run.stderr) == (0, "", "")
+
+
+def test_the_reach_audit_names_a_planted_unreached_function(tmp_path):
+    # A copy of the package with one function appended to hj.py that
+    # nothing calls: the audit fails and names that function, only it.
+    shutil.copytree(SRC / "u2sing", tmp_path / "u2sing",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    module = tmp_path / "u2sing" / "hj.py"
+    line = len(module.read_text().splitlines()) + 3
+    with module.open("a") as f:
+        f.write("\n\ndef planted(x):\n    return x\n")
+    run = subprocess.run([sys.executable, str(AUDIT), str(tmp_path)],
+                         capture_output=True, text=True)
+    assert (run.returncode, run.stdout) == (
+        1, f"unreached and not declared: hj.planted (hj.py:{line})\n")

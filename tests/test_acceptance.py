@@ -13,10 +13,10 @@ import pytest
 
 import u2sing.sweep
 from u2sing.catalog import Family, GroupSpec
-from u2sing.invariants import eisenstein_check
 from u2sing.sweep import (HJ_P_MAX, SweepConfig, VerifySummary,
                           check_hj_roundtrip, specs_in_sweep, verify)
 
+from eisenstein_direct import eisenstein_check
 from stages import table_topology
 
 # expected spec counts in the default sweep

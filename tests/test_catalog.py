@@ -39,6 +39,7 @@ from fraction_routes import check_lens_route
 from freeness_float import (RowGroup, angle_distances,
                             angle_eigenvalue_one_count)
 from lens_float import lens_rows, powers, turns_of
+from reach_audit import PUBLIC
 from rowalg import (canonical, compose, equivalent, inverse, key, mobius,
                     power, qmul, row, scalar)
 
@@ -1275,5 +1276,8 @@ def test_gamma_prime_is_gamma_for_the_diagonal_families(spec):
 
 
 def test_public_names_resolve():
+    # The public API is declared once, each name with its reason, in
+    # tests/reach_audit.py: u2sing.__all__ holds exactly those names.
+    assert sorted(u2sing.__all__) == sorted(PUBLIC)
     for name in u2sing.__all__:
         assert getattr(u2sing, name) is not None, name

@@ -3,8 +3,8 @@
 of those stages.
 
 The reference output is built from `describe`'s report: the JSON section of
-`report_to_dict`, `export_dot` of the report, and the text line made from
-the report's fields.
+the reference encoder (`tests/report_encoder.py`), `export_dot` of the
+report, and the text line made from the report's fields.
 """
 
 import dataclasses
@@ -19,9 +19,11 @@ from u2sing.catalog import FAMILIES, Family, GroupSpec
 from u2sing.cli import main
 from u2sing.errors import InvalidParameters, TableDisagreement, U2SingError
 from u2sing.report import (InvariantReport, compactify, describe, export_dot,
-                           report_to_dict, resolve)
+                           resolve)
 from u2sing.resolution import PlumbingGraph
 from u2sing.sweep import SweepConfig, specs_in_sweep
+
+from report_encoder import encode
 
 # Non-cyclic m <= 25, n <= 4 (97 specs, 25 of them degenerate n = 1) and
 # cyclic p <= 7.
@@ -58,7 +60,7 @@ def expected_outputs(spec, report, code, path):
     flags, label = spec_flags(spec), spec.label()
     g, c = report.resolution, report.compactification
     resolved = {
-        "json": json.dumps(report_to_dict(report)["resolution"], indent=2)
+        "json": json.dumps(encode(report)["resolution"], indent=2)
         + "\n",
         "dot": export_dot(report, "resolution"),
         "text": f"{label}: center {g.center}, arms "
@@ -78,7 +80,7 @@ def expected_outputs(spec, report, code, path):
         return out
     dot = export_dot(report, "compactification")
     compactified = {
-        "json": json.dumps(report_to_dict(report)["compactification"],
+        "json": json.dumps(encode(report)["compactification"],
                            indent=2) + "\n",
         "dot": dot,
         "text": f"{label}: b' = {c.b_prime}, kappa = {c.kappa}, "

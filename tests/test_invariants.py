@@ -14,11 +14,11 @@ import u2sing.sweep as sweep
 from u2sing.catalog import GroupSpec, enumerate_gamma_prime, generators_of
 from u2sing.errors import SnapFailure
 from u2sing.invariants import (closed_form_dim, dim_h1_theta,
-                               eisenstein_check, eisenstein_residuals,
-                               moduli_dim, sawtooth)
+                               eisenstein_residuals, moduli_dim, sawtooth)
 from u2sing.resolution import PlumbingGraph
 from u2sing.sweep import VerifySummary, check_eisenstein
 
+from eisenstein_direct import eisenstein_check
 from rowalg import compose, matrix, power, scalar
 from stages import table_b, table_dim_sfk, table_resolution, table_topology
 

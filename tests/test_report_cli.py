@@ -21,9 +21,9 @@ from u2sing.cli import main
 from u2sing.errors import InvalidParameters, U2SingError
 from u2sing.invariants import DeformationReport, TopologyReport
 from u2sing.report import (CheckResult, CompactificationSection,
-                           InvariantReport, _dumps, _encode, describe,
-                           export_dot, report_from_dict, report_from_json,
-                           report_to_dict, report_to_json)
+                           InvariantReport, _dumps, describe, export_dot,
+                           report_from_dict, report_from_json, report_to_dict,
+                           report_to_json)
 from u2sing.resolution import PlumbingGraph
 from u2sing.sweep import (SweepConfig, VerifySummary, check_eigenvalue_tables,
                           check_kappa_spots, config_from_mapping,
@@ -33,6 +33,7 @@ from dimino_float import rows_of
 from freeness_float import (RowGroup, angle_eigenvalue_one_count,
                             modulo_eigenvalue_one_count)
 from lens_float import lens_rows
+from report_encoder import encode
 from stages import table_topology
 
 
@@ -376,16 +377,17 @@ def test_writer_rejects_what_the_encoder_never_writes(x):
 ], ids=repr)
 @pytest.mark.parametrize("k", [1, 2, 4])
 def test_writer_renders_report_objects_as_the_encoder(x, k):
-    assert report_to_json(x, k) == json.dumps(_encode(x), indent=k)
+    assert report_to_json(x, k) == json.dumps(encode(x), indent=k)
 
 
 def test_graph_matrix_matches_the_list_route(monkeypatch):
     import u2sing.report as report
     from u2sing.errors import CrossCheckFailure
 
-    # The writer draws a graph's matrix from its weights and edges;
-    # _encode builds intersection_matrix().  Every chain L(q, 200), up to
-    # 199 x 199, the one-vertex chain of L(1, 7), and the three-arm stars.
+    # The writer draws a graph's matrix from its weights and edges; the
+    # reference encoder builds intersection_matrix().  Every chain
+    # L(q, 200), up to 199 x 199, the one-vertex chain of L(1, 7), and the
+    # three-arm stars.
     graphs = [describe(GroupSpec.cyclic(q, 200)).resolution
               for q in range(1, 200) if math.gcd(q, 200) == 1]
     assert max(g.vertex_count for g in graphs) == 199
@@ -408,7 +410,7 @@ def test_graph_matrix_matches_the_list_route(monkeypatch):
     graphs.append(failed.resolution)
     for g in graphs:
         for k in (1, 2, 4):
-            assert report_to_json(g, k) == json.dumps(_encode(g), indent=k), \
+            assert report_to_json(g, k) == json.dumps(encode(g), indent=k), \
                 (g, k)
 
 
@@ -417,7 +419,7 @@ def test_report_text_matches_json_dumps():
     cases = [(spec, None) for spec in specs_in_sweep(config)] + REPORT_CASES
     for spec, eta in cases:
         r = describe(spec, eta=eta)
-        d = report_to_dict(r)
+        d = encode(r)
         for k in (1, 2):
             assert report_to_json(r, indent=k) == json.dumps(d, indent=k), \
                 (spec.label(), k)

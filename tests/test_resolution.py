@@ -35,6 +35,7 @@ from dimino_float import gstar_rows, label_rows, rows_of
 from fraction_routes import check_exact_routes
 from mobius_float import (_orbit, _singular_points, _sphere_vecs,
                           float_singularities)
+from report_encoder import intersection_matrix
 from rowalg import matrix, mobius, scalar
 from stages import (dual_strings, table_b, table_b_prime,
                     table_compactification, table_resolution)
@@ -522,7 +523,7 @@ def test_resolution_adopts_ade_types():
 
 
 def test_intersection_matrix_shape():
-    mat = np.array(D4_STAR.intersection_matrix())
+    mat = np.array(intersection_matrix(D4_STAR))
     assert (mat == mat.T).all()
     assert mat[0, 1] == mat[0, 2] == mat[0, 3] == 1
     assert np.count_nonzero(mat) == 4 + 6
@@ -663,8 +664,8 @@ def test_configuration_counts():
     assert _inertia(comp.star.pivots() + res.pivots()) == (1, 7)
     assert comp.dual_strings == tuple(
         hj_string(dual_type(t)) for t in table_singularities(GroupSpec.dihedral(1, 2)))
-    a = np.array(comp.star.intersection_matrix())
-    b = np.array(res.intersection_matrix())
+    a = np.array(intersection_matrix(comp.star))
+    b = np.array(intersection_matrix(res))
     mat = np.block([[a, np.zeros((len(a), len(b)), int)],
                     [np.zeros((len(b), len(a)), int), b]])
     assert mat.shape == (8, 8) and (mat == mat.T).all()
