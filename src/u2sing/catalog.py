@@ -42,9 +42,11 @@ tables, an n = 1 group's lens type and the pole types read exact
 eigen-angles off them, and no row is built from them.
 A cyclic spec's generator is declared once as exact turns
 (``_lens_turns``), in units of 1/(2p) turn, and its group is the powers of
-those turns up to the first that is the identity up to joint negation, so
-its order is found, not assumed (``Turns``); its freeness and eigen-angles
-are integer tests on them.  The breadth-first closure on rows
+the generator's eigen-turns, the sum and difference of those turns mod 2p,
+up to the first that is (0, 0), so its order is found, not assumed
+(``Turns``); joint negation leaves eigen-turns alone, so each element is
+one pair, and its freeness and eigen-angles are integer tests on them.
+The breadth-first closure on rows
 (``generate_closure``) closes each G* once per process: T*, O* and I* take
 their elements from it, and it is the Gamma' of every product spec over
 that G*.  The index-2 and index-3 Gamma', the whole group, is closed per
@@ -86,11 +88,12 @@ class Family(str, Enum):
 
 
 # What the catalog declares about one family: its parameters, in label
-# order; |Gamma|, h (the order of the Mobius image; None if cyclic) and the
-# catalog condition, as functions of the spec; the condition as its refusal
-# states it; the refusal of a missing parameter, formatted with the family
-# and the parameter's name; and the label and key as str.format templates
-# over the spec.
+# order; |Gamma| and h (the order of the Mobius image; None if cyclic), as
+# functions of the spec; the catalog condition, a predicate on the
+# parameters in label order, so that a sweep refuses a candidate before it
+# builds a spec; the condition as its refusal states it; the refusal of a
+# missing parameter, formatted with the family and the parameter's name;
+# and the label and key as str.format templates over the spec.
 FamilyRules = namedtuple("FamilyRules",
                          "params order h holds rule needs label key")
 
@@ -107,21 +110,21 @@ def _rules(f: Family, params: tuple[str, ...], order, h, holds, rule: str,
 # tetrahedral rotation groups, hence their h.
 FAMILIES: dict[Family, FamilyRules] = {f: _rules(f, *row) for f, row in {
     Family.CYCLIC: (("q", "p"), lambda s: s.p, None,
-                    lambda s: math.gcd(s.q, s.p) == 1, "gcd(q,p) must be 1",
+                    lambda q, p: math.gcd(q, p) == 1, "gcd(q,p) must be 1",
                     "{} needs parameters q, p with p >= 1"),
     Family.DIHEDRAL: (("m", "n"), lambda s: 4 * s.m * s.n, lambda s: 2 * s.n,
-                      lambda s: math.gcd(s.m, 2 * s.n) == 1, "gcd(m,2n) must be 1"),
+                      lambda m, n: math.gcd(m, 2 * n) == 1, "gcd(m,2n) must be 1"),
     Family.TETRAHEDRAL: (("m",), lambda s: 24 * s.m, lambda s: 12,
-                         lambda s: math.gcd(s.m, 6) == 1, "gcd(m,6) must be 1"),
+                         lambda m: math.gcd(m, 6) == 1, "gcd(m,6) must be 1"),
     Family.OCTAHEDRAL: (("m",), lambda s: 48 * s.m, lambda s: 24,
-                        lambda s: math.gcd(s.m, 6) == 1, "gcd(m,6) must be 1"),
+                        lambda m: math.gcd(m, 6) == 1, "gcd(m,6) must be 1"),
     Family.ICOSAHEDRAL: (("m",), lambda s: 120 * s.m, lambda s: 60,
-                         lambda s: math.gcd(s.m, 30) == 1, "gcd(m,30) must be 1"),
+                         lambda m: math.gcd(m, 30) == 1, "gcd(m,30) must be 1"),
     Family.INDEX2: (("m", "n"), lambda s: 4 * s.m * s.n, lambda s: 2 * s.n,
-                    lambda s: s.m % 2 == 0 and math.gcd(s.m, s.n) == 1,
+                    lambda m, n: m % 2 == 0 and math.gcd(m, n) == 1,
                     "needs m even and gcd(m,n)=1"),
     Family.INDEX3: (("m",), lambda s: 24 * s.m, lambda s: 12,
-                    lambda s: math.gcd(s.m, 6) == 3, "gcd(m,6) must be 3"),
+                    lambda m: math.gcd(m, 6) == 3, "gcd(m,6) must be 3"),
 }.items()}
 
 
@@ -157,7 +160,7 @@ class GroupSpec:
         if self.p == 1:
             raise InvalidParameters(
                 "the trivial group has no singularity to resolve")
-        if not r.holds(self):
+        if not r.holds(*(getattr(self, x) for x in r.params)):
             raise InvalidParameters(f"{r.label.format(self)}: {r.rule}")
         if self.q is not None and not 0 < self.q < self.p:
             raise InvalidParameters(
@@ -292,8 +295,8 @@ def canonical_cyclic(a: int, beta: int) -> CyclicType:
 # transformation w -> (b1*w - conj(b2)) / (b2*w + conj(b1)) of
 # S^2 = C u {oo}; the left phase cancels.  Gamma' and the G* closures are
 # (N, 3) complex arrays of such rows (``FiniteGroup``); a cyclic group is
-# its exact turns and a non-cyclic group its exact labels (both below), and
-# no row is built from either.
+# its exact eigen-turns and a non-cyclic group its exact labels (both
+# below), and no row is built from either.
 #
 # Rows are double precision: they are compared to EQ_TOL and keyed on a
 # 1 / KEY_SCALE grid, which is safe because catalog group orders are
@@ -313,7 +316,7 @@ KEY_SCALE = 1e6
 #   - the Eisenstein check ``sweep.check_eisenstein``: worst residual
 #     2.1e-12 (2.0747847884194925e-12), first at (n, k) = (198, 35), from
 #     one DFT per n.
-# Freeness reads no float: a cyclic group is its exact turns and a
+# Freeness reads no float: a cyclic group is its exact eigen-turns and a
 # non-cyclic group its exact labels, closed from declared generator labels.
 # The other float decisions do not read it: ``_snap_residue`` snaps the
 # T*, O* and I* residues within 1e-6 * modulus, row keys round on the
@@ -916,49 +919,51 @@ def _dimino(spec: GroupSpec) -> Labels:
 
 @dataclass(eq=False)
 class Turns:
-    """The elements [e^{i pi x[i]/p}, e^{i pi y[i]/p}] of a cyclic group,
-    identity first: turns x/2p and y/2p on the 1/(2p) grid, with (x, y) and
-    (x + p, y + p) one element (joint negation)."""
+    """The elements diag(e^{i pi plus[i]/p}, e^{i pi minus[i]/p}) of a
+    cyclic group, identity first: the eigen-turns plus/2p and minus/2p of
+    each element on the 1/(2p) grid, in 0..2p-1.  The pair [e^{i pi x/p},
+    e^{i pi y/p}] has eigen-turns (x + y, x - y) mod 2p, and its joint
+    negation (x + p, y + p) has the same ones, so each element has one
+    pair."""
 
-    x: np.ndarray
-    y: np.ndarray
+    plus: np.ndarray
+    minus: np.ndarray
     p: int
 
     @property
     def order(self) -> int:
-        return len(self.x)
+        return len(self.plus)
 
     def eigen_residues(self, modulus: int) -> tuple[np.ndarray, np.ndarray]:
-        """The eigen-angles (x + y)/2p and (x - y)/2p turns of each element,
-        times ``modulus``, as two integer arrays mod ``modulus``.
-        SnapFailure unless every one is an integer."""
-        return _residues(self.x + self.y, self.x - self.y, 2 * self.p,
-                         modulus)
+        """The eigen-turns plus/2p and minus/2p of each element, times
+        ``modulus``, as two integer arrays mod ``modulus``.  SnapFailure
+        unless every one is an integer."""
+        return _residues(self.plus, self.minus, 2 * self.p, modulus)
 
     def eigenvalue_one_count(self) -> int:
-        """The elements with eigenvalue 1: e^{i pi (x +- y)/p} is 1 iff
-        x + y or x - y is 0 mod 2p."""
-        two_p = 2 * self.p
-        return int(np.count_nonzero(((self.x + self.y) % two_p == 0)
-                                    | ((self.x - self.y) % two_p == 0)))
+        """The elements with eigenvalue 1: plus or minus is 0."""
+        return int(np.count_nonzero((self.plus == 0) | (self.minus == 0)))
 
 
 def _enumerate_cyclic(spec: GroupSpec) -> Turns:
-    """The powers t (x, y) mod 2p of the declared generator turns
-    (``_lens_turns``), identity first, up to the first one at (0, 0) or
-    (p, p): the order is found, not assumed.  The 2p-th power is (0, 0), so
-    the order divides 2p."""
-    p = spec.p
+    """The powers t (plus, minus) mod 2p of the eigen-turns
+    ((x + y) mod 2p, (x - y) mod 2p) of the declared generator turns
+    (x, y) (``_lens_turns``), identity first, up to the first one at
+    (0, 0): the order is found, not assumed.  The 2p-th power is (0, 0),
+    so the order divides 2p."""
+    two_p = 2 * spec.p
     x, y = _lens_turns(spec)
-    t = np.arange(2 * p + 1)
-    xs, ys = t * x % (2 * p), t * y % (2 * p)
-    order = ((xs == ys) & (xs % p == 0))[1:].argmax() + 1
-    return Turns(xs[:order], ys[:order], p)
+    t = np.arange(two_p + 1)
+    plus, minus = t * ((x + y) % two_p) % two_p, t * ((x - y) % two_p) % two_p
+    # the first power after the identity with plus | minus = 0; the 2p-th
+    # is one
+    order = (plus | minus)[1:].argmin() + 1
+    return Turns(plus[:order], minus[:order], spec.p)
 
 
 def enumerate_group(spec: GroupSpec) -> Turns | Labels:
     """All elements of the group, identity first: a cyclic spec's as exact
-    turns, every other as exact labels (``_dimino``)."""
+    eigen-turns, every other as exact labels (``_dimino``)."""
     return _enumerate_cyclic(spec) if spec.is_cyclic else _dimino(spec)
 
 

@@ -60,10 +60,11 @@ arm's tail, the centre pivot over the common denominator of the arm heads.
 A signature reads sign(num) * sign(den) of each pivot, and a determinant is
 one exact division of the product of the numerators by that of the
 denominators.  ``resolution_graph`` eliminates the resolution star once,
-and ``resolution_chain`` a lens chain; the record carries the pivots.
-Definiteness, tau, the Seifert Euler number (the centre pivot is the Schur
-complement center + sum 1/[|w_1|, ..., |w_k|]) and the resolution block of
-every b' determinant are read from them.  The
+and ``resolution_chain`` a lens chain; the record carries the pivots and
+how many are positive and negative, counted in one pass.  Definiteness
+and tau read those counts; the Seifert Euler number (the centre pivot is
+the Schur complement center + sum 1/[|w_1|, ..., |w_k|]) and the
+resolution block of every b' determinant are read from the pivots.  The
 compactification star is eliminated at c = 0 for the pencil and again at b'
 for the full elimination, the two lattice routes of the b' cross-check.
 
@@ -422,14 +423,19 @@ def b_gamma(spec: GroupSpec, triple: tuple[CyclicType, ...]) -> int:
 @dataclass(frozen=True)
 class ResolutionData:
     """The resolution graph; the type of each arm (for a cyclic spec, the
-    chain's type) and its HJ string, in arm order; and the pivots of the
+    chain's type) and its HJ string, in arm order; the pivots of the
     graph's one elimination as integer pairs (num, den)
-    (``PlumbingGraph.pivots``, the centre's last)."""
+    (``PlumbingGraph.pivots``, the centre's last); and how many of them
+    are positive and how many negative, each pivot's sign that of
+    num * den, so that a zero pivot counts as neither and shows as a
+    failed check, not an error."""
 
     graph: PlumbingGraph
     types: tuple[CyclicType, ...]
     strings: tuple[tuple[int, ...], ...]
     pivots: tuple[tuple[int, int], ...]
+    positive: int
+    negative: int
 
     @property
     def k_gamma(self) -> int:
@@ -438,17 +444,28 @@ class ResolutionData:
 
     @property
     def tau(self) -> int:
-        """Signature (#positive - #negative pivots, Sylvester's law), each
-        pivot's sign that of num * den, so that a zero pivot shows as a
-        failed check, not an error."""
-        signs = [num * den for num, den in self.pivots]
-        return sum(s > 0 for s in signs) - sum(s < 0 for s in signs)
+        """Signature, #positive - #negative pivots (Sylvester's law)."""
+        return self.positive - self.negative
 
     @property
     def negative_definite(self) -> bool:
-        """Every pivot is negative, read off the sign of num * den as
-        ``tau`` reads it."""
-        return all(num * den < 0 for num, den in self.pivots)
+        """Every pivot is negative."""
+        return self.negative == len(self.pivots)
+
+
+def _resolution(graph: PlumbingGraph, types: tuple[CyclicType, ...],
+                strings: tuple[tuple[int, ...], ...]) -> ResolutionData:
+    """``graph`` with its types and strings, its pivots, and their signs
+    counted in one pass."""
+    pivots = tuple(graph.pivots())
+    positive = negative = 0
+    for num, den in pivots:
+        sign = num * den
+        if sign > 0:
+            positive += 1
+        elif sign < 0:
+            negative += 1
+    return ResolutionData(graph, types, strings, pivots, positive, negative)
 
 
 def resolution_chain(t: CyclicType) -> ResolutionData:
@@ -457,7 +474,7 @@ def resolution_chain(t: CyclicType) -> ResolutionData:
     s = hj_string(t)
     graph = PlumbingGraph(-s[0], (tuple(-e for e in s[1:]),)
                           if len(s) > 1 else ())
-    return ResolutionData(graph, (t,), (s,), tuple(graph.pivots()))
+    return _resolution(graph, (t,), (s,))
 
 
 def resolution_graph(triple: tuple[CyclicType, ...], b: int) -> ResolutionData:
@@ -467,7 +484,7 @@ def resolution_graph(triple: tuple[CyclicType, ...], b: int) -> ResolutionData:
     center."""
     strings = tuple(hj_string(t) for t in triple)
     graph = PlumbingGraph(-b, tuple(tuple(-e for e in s) for s in strings))
-    return ResolutionData(graph, tuple(triple), strings, tuple(graph.pivots()))
+    return _resolution(graph, tuple(triple), strings)
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Iterator
 
-from .catalog import (DEFAULT_TOLERANCE, Family, GroupSpec,
+from .catalog import (DEFAULT_TOLERANCE, FAMILIES, Family, GroupSpec,
                       eigenvalue_histogram, enumerate_group)
 from .errors import InvalidParameters, failure_text
 from .hj import hj_entries
@@ -61,9 +61,11 @@ class SweepConfig:
 
 def specs_in_sweep(config: SweepConfig) -> Iterator[GroupSpec]:
     """Every spec within the bounds that the ``GroupSpec`` constructor
-    accepts, one family after another in a fixed order, cyclic groups last:
-    each candidate's parameters are built into a spec, and a refused one is
-    skipped."""
+    accepts, one family after another in a fixed order, cyclic groups last.
+    A candidate's parameters go to its family's condition
+    (``FamilyRules.holds``) first, and only one that holds is built into a
+    spec; a candidate the constructor refuses for any other reason is
+    skipped as well."""
     ms, ns = range(1, config.m_max + 1), range(1, config.n_max + 1)
     candidates = {
         Family.DIHEDRAL: ((m, n) for n in ns for m in ms),
@@ -78,7 +80,10 @@ def specs_in_sweep(config: SweepConfig) -> Iterator[GroupSpec]:
     for family, params in candidates.items():
         if family in config.families:
             build = getattr(GroupSpec, family.value)
+            holds = FAMILIES[family].holds
             for args in params:
+                if not holds(*args):
+                    continue
                 try:
                     spec = build(*args)
                 except InvalidParameters:
@@ -104,9 +109,13 @@ class VerifySummary:
             self.failures.append((spec_label, name, detail))
 
     def record_report(self, report: InvariantReport) -> None:
-        label = report.spec.label()
+        """``record`` of each of the report's checks, in one pass; the
+        spec's label is formatted only for a failing check, which is the
+        one that reads it."""
         for c in report.checks:
-            self.record(label, c.name, c.passed, c.detail)
+            self.counts[(c.name, c.passed)] += 1
+            if not c.passed:
+                self.failures.append((report.spec.label(), c.name, c.detail))
 
     @property
     def exit_code(self) -> int:

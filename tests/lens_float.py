@@ -1,7 +1,7 @@
 """The lens enumeration on float rows: the reference for the exact turns.
 
 ``catalog.enumerate_group`` enumerates a cyclic group as the powers of its
-generator's declared turns on the 1/(2p) grid (``catalog.Turns``).  This
+generator's eigen-turns on the 1/(2p) grid (``catalog.Turns``).  This
 is the float enumeration it replaced, kept so that the tests can check that
 the turns give the same order, freeness count and eigen-residues as the
 rows of the generator that ``catalog.generators_of`` evaluates.
@@ -46,9 +46,11 @@ def lens_rows(spec) -> RowGroup:
 
 
 def turns_of(rows: np.ndarray, p: int) -> Turns:
-    """Rows [a, b1, 0] of a cyclic group as ``catalog.Turns``: the angles of
-    a and b1 snapped to the 1/(2p) grid (``catalog._snap_residue``)."""
+    """Rows [a, b1, 0] of a cyclic group as ``catalog.Turns``: the angles
+    x/2p and y/2p of a and b1 snapped to the 1/(2p) grid
+    (``catalog._snap_residue``), held as the eigen-turns
+    ((x + y) mod 2p, (x - y) mod 2p)."""
     x, y = (np.array([_snap_residue(float(np.angle(z)), 2 * p)
                       for z in col.tolist()], dtype=int)
             for col in (rows[:, 0], rows[:, 1]))
-    return Turns(x, y, p)
+    return Turns((x + y) % (2 * p), (x - y) % (2 * p), p)

@@ -1087,7 +1087,7 @@ PRODUCT_SPECS = (
      if math.gcd(m, 2 * n) == 1]
     + [GroupSpec(f, m=m) for f in (Family.TETRAHEDRAL, Family.OCTAHEDRAL,
                                    Family.ICOSAHEDRAL)
-       for m in range(1, 21) if FAMILIES[f].holds(SimpleNamespace(m=m))])
+       for m in range(1, 21) if FAMILIES[f].holds(m)])
 
 
 def test_product_gamma_prime_is_the_closure_of_its_generators():
@@ -1149,14 +1149,14 @@ def test_a_lens_space_order_is_found_not_assumed(monkeypatch):
     # (-1, 1, 0), not the identity, and the group it generates has order
     # 24: enumerating 12 powers would pass order_matches_table.  The
     # generator row that generators_of evaluates from the turns closes at
-    # 24 as well.
+    # 24 as well.  Its 12th power has eigen-turns (12, 12), eigenvalues
+    # -1 and -1; joint negation leaves eigen-turns alone, so the 24 powers
+    # are 24 distinct pairs with no wrap to undo.
     _halved_left_turn(monkeypatch)
     spec = GroupSpec.cyclic(5, 12)
     group = enumerate_group(spec)
-    assert (group.x[12], group.y[12]) == (12, 0)
-    wrap = group.x >= 12            # (x, y) ~ (x - 12, y - 12)
-    elements = set(zip((group.x - 12 * wrap).tolist(),
-                       ((group.y - 12 * wrap) % 24).tolist()))
+    assert (group.plus[12], group.minus[12]) == (12, 12)
+    elements = set(zip(group.plus.tolist(), group.minus.tolist()))
     assert group.order == len(elements) == 24
     assert lens_rows(spec).order == 24
     check, = (c for c in describe(spec).checks
@@ -1205,6 +1205,30 @@ def test_the_lens_turns_give_what_the_reference_rows_give():
         assert isinstance(group, Turns)
         specs, swapped = specs + 1, swapped + check_lens_route(spec)
     assert specs == 1101 and swapped > 0
+
+
+def test_the_eigen_turns_are_those_of_the_declared_turns_powers():
+    # On every lens spec with p <= 60, the eigen-turns (plus, minus) in
+    # enumeration order against (x + y, x - y) mod 2p of the powers
+    # t (x, y) mod 2p of the declared turns, taken up to the first power
+    # at (0, 0) or (p, p), the identity up to joint negation.
+    specs = 0
+    for spec, group in _lens_groups(60):
+        p, two_p = spec.p, 2 * spec.p
+        x, y = u2sing.catalog._lens_turns(spec)
+        xs, ys = [0], [0]
+        while True:
+            xt, yt = (xs[-1] + x) % two_p, (ys[-1] + y) % two_p
+            if xt == yt and xt % p == 0:
+                break
+            xs.append(xt)
+            ys.append(yt)
+        assert group.plus.tolist() == [(a + b) % two_p
+                                       for a, b in zip(xs, ys)], spec
+        assert group.minus.tolist() == [(a - b) % two_p
+                                        for a, b in zip(xs, ys)], spec
+        specs += 1
+    assert specs == 1101
 
 
 def test_an_order_past_max_order_is_found_in_the_second_table():

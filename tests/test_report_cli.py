@@ -2,12 +2,14 @@
 
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 import os
 import re
 from fractions import Fraction as F
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -479,14 +481,63 @@ def _reference_specs(config):
                     for q in range(1, p) if math.gcd(q, p) == 1)
 
 
-@pytest.mark.parametrize("config", [
+SWEEP_CONFIGS = pytest.mark.parametrize("config", [
     SweepConfig(),
     SweepConfig(families=(Family.DIHEDRAL,), m_max=41, n_max=9),
     SweepConfig(families=(Family.INDEX3,), m_max=200),
     SweepConfig(families=(Family.CYCLIC,), p_max=57),
 ], ids=["default", "dihedral", "index3", "cyclic"])
+
+
+@SWEEP_CONFIGS
 def test_specs_in_sweep_match_the_reference(config):
     assert list(specs_in_sweep(config)) == list(_reference_specs(config))
+
+
+@SWEEP_CONFIGS
+def test_the_sweep_condition_refuses_what_the_constructor_refuses(config):
+    # Every candidate within the bounds: one that its family's condition
+    # refuses makes the constructor raise with the family's rule text, and
+    # one it admits is built; the built ones are the sweep's specs.
+    ranges = {"m": range(1, config.m_max + 1),
+              "n": range(1, config.n_max + 1)}
+    built, refused = [], 0
+    for family in config.families:
+        rules = catalog.FAMILIES[family]
+        if family is Family.CYCLIC:
+            candidates = [(q, p) for p in range(2, config.p_max + 1)
+                          for q in range(1, p)]
+        else:
+            candidates = itertools.product(*map(ranges.get, rules.params))
+        for args in candidates:
+            params = dict(zip(rules.params, args))
+            if rules.holds(*args):
+                built.append(GroupSpec(family, **params))
+                continue
+            label = rules.label.format(SimpleNamespace(**params))
+            with pytest.raises(InvalidParameters) as refusal:
+                GroupSpec(family, **params)
+            assert str(refusal.value) == f"{label}: {rules.rule}"
+            refused += 1
+    specs = list(specs_in_sweep(config))
+    assert refused and len(specs) == len(built)
+    assert set(specs) == set(built)
+
+
+def test_a_candidate_refused_for_another_reason_is_skipped(monkeypatch):
+    # specs_in_sweep builds each candidate that its condition admits, and
+    # skips one whose constructor refuses it all the same.
+    real = GroupSpec.cyclic
+
+    def cyclic(q, p):
+        if p == 5:
+            raise InvalidParameters("refused for another reason")
+        return real(q, p)
+
+    monkeypatch.setattr(GroupSpec, "cyclic", staticmethod(cyclic))
+    specs = list(specs_in_sweep(SweepConfig(families=(Family.CYCLIC,),
+                                            p_max=7)))
+    assert [s.p for s in specs] == [2, 3, 3, 4, 4, 6, 6] + [7] * 6
 
 
 def test_default_sweep_keys_digest():
